@@ -13,17 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionByZeroPoint, DomainError, NotDetClass
-from .grassmannian import ModeOperator, RANK_SVD_THRESHOLD, fredholm_det
+from .errors import DivisionByZeroPoint, DomainError
+from .grassmannian import ModeOperator, RANK_SVD_THRESHOLD, fredholm_det, require_det_class
 
 __all__ = ["DetPoint", "det_point", "ratio", "tensor_split", "range_map_index"]
 
 _SINGULAR_TOL = 1e-10
-
-
-def _require_det_class(t_op: ModeOperator) -> None:
-    if max(abs(t_op.tail[0] - 1.0), abs(t_op.tail[1] - 1.0)) > 1e-12:
-        raise NotDetClass(f"representative must have identity tails, got {t_op.tail}")
 
 
 def _is_singular(t_op: ModeOperator) -> bool:
@@ -63,7 +58,7 @@ class DetPoint:
 
 def det_point(t_op: ModeOperator) -> DetPoint:
     """The determinant det T = [T, 1], nonzero exactly when T is invertible."""
-    _require_det_class(t_op)
+    require_det_class(t_op)
     return DetPoint(t_op, 1.0 + 0j, _is_singular(t_op))
 
 
@@ -71,8 +66,8 @@ def ratio(p: DetPoint, q: DetPoint) -> complex:
     """Coordinate-free ratio (lambda_p / lambda_q) det_F(T_p T_q^{-1})."""
     if q.is_zero:
         raise DivisionByZeroPoint("cannot divide by the zero point")
-    _require_det_class(p.rep)
-    _require_det_class(q.rep)
+    require_det_class(p.rep)
+    require_det_class(q.rep)
     if p.is_zero:
         return 0j
     # composition aligns mismatched windows by tail extension
@@ -89,8 +84,8 @@ def tensor_split(
     A', B' the ratio of det(A' B') against det(A B) factors exactly as
     det_F(A' A^{-1} conjugated) times det_F(B' B^{-1}).
     """
-    _require_det_class(a_op)
-    _require_det_class(b_op)
+    require_det_class(a_op)
+    require_det_class(b_op)
     return det_point(a_op @ b_op), (det_point(a_op), det_point(b_op))
 
 

@@ -26,7 +26,7 @@ from .errors import (
     NotInvertible,
     WindowOverflow,
 )
-from .specfun import FdStencil, default_fd_step, hurwitz_zeta, HurwitzParams
+from .specfun import FdStencil, HurwitzParams, fd_apply, hurwitz_zeta
 
 __all__ = [
     "ModeWindow",
@@ -56,6 +56,8 @@ __all__ = [
 PROJECTION_TOL = 1e-10
 RANK_SVD_THRESHOLD = 1e-8
 CHART_SVD_THRESHOLD = 1e-6
+# Largest tail deviation still read as an exact tail scalar.
+TAIL_TOL = 1e-12
 
 # Sign relating relative eta to the relative index, measured once on the
 # pair (Pi_{>=1}, Pi_{>=0}) where eta/2 = -1 and ind(Pi_{>=0} Pi_{>=1}) = -1.
@@ -178,9 +180,7 @@ class ModeOperator:
         """Inverse of an operator with nonzero tails and invertible window block."""
         if abs(self.tail[0]) < 1e-14 or abs(self.tail[1]) < 1e-14:
             raise NotInvertible("tails vanish; the operator is not invertible")
-        sv = np.linalg.svd(self.entries, compute_uv=False)
-        if sv[-1] < CHART_SVD_THRESHOLD:
-            raise NotInvertible(f"window block is numerically singular (sv_min = {sv[-1]:.3e})")
+        _require_chart(self.entries, self.window.dim, None)
         tail = (1.0 / self.tail[0], 1.0 / self.tail[1])
         return ModeOperator(self.window, np.linalg.inv(self.entries), tail)
 
@@ -257,6 +257,12 @@ def rotated_family(w: ModeWindow, modes: tuple[int, int]) -> ProjectionFamily:
     return ProjectionFamily(w, value)
 
 
+def require_det_class(t_op: ModeOperator) -> None:
+    """Raise NotDetClass unless both tails are the identity (within TAIL_TOL)."""
+    if max(abs(t_op.tail[0] - 1.0), abs(t_op.tail[1] - 1.0)) > TAIL_TOL:
+        raise NotDetClass(f"tails must be identity for det_F, got {t_op.tail}")
+
+
 def fredholm_det(t_op: ModeOperator) -> complex:
     """Fredholm determinant of an identity-plus-window operator.
 
@@ -264,14 +270,13 @@ def fredholm_det(t_op: ModeOperator) -> complex:
     block equals the determinant of the untruncated operator whenever the
     perturbation is supported in the window.
     """
-    if max(abs(t_op.tail[0] - 1.0), abs(t_op.tail[1] - 1.0)) > 1e-12:
-        raise NotDetClass(f"tails must be identity for det_F, got {t_op.tail}")
+    require_det_class(t_op)
     return complex(np.linalg.det(t_op.entries))
 
 
 def _check_commensurable(p: ModeOperator, q: ModeOperator) -> tuple[ModeOperator, ModeOperator]:
     a, b = p._pair(q)
-    if max(abs(a.tail[0] - b.tail[0]), abs(a.tail[1] - b.tail[1])) > 1e-12:
+    if max(abs(a.tail[0] - b.tail[0]), abs(a.tail[1] - b.tail[1])) > TAIL_TOL:
         raise NotCommensurable(f"tails differ: {a.tail} vs {b.tail}")
     return a, b
 
@@ -364,45 +369,27 @@ def eta_finite_rank_check(
     return lhs, rhs
 
 
-def _restricted_min_sv(s_amb: np.ndarray, rank: int) -> float:
-    """Smallest of the leading ``rank`` singular values of an ambient map."""
+def _require_chart(s_amb: np.ndarray, rank: int, t: tuple[float, float] | None) -> None:
+    """Raise NotInvertible unless the leading ``rank`` singular values of the
+    map clear CHART_SVD_THRESHOLD; ``t`` is the parameter point, if any."""
     sv = np.linalg.svd(s_amb, compute_uv=False)
     if rank == 0 or rank > len(sv):
         raise NotInvertible(f"restriction rank {rank} is out of range")
-    return float(sv[rank - 1])
+    if sv[rank - 1] < CHART_SVD_THRESHOLD:
+        at = "" if t is None else f" at t = {t}"
+        raise NotInvertible(f"chart is singular{at} (sv = {sv[rank - 1]:.3e})")
 
 
-def _fd_matrix(
-    func: Callable[[float, float], np.ndarray],
-    t: tuple[float, float],
-    axis: int,
-    st: FdStencil,
-) -> np.ndarray:
-    """Entrywise first derivative of a matrix-valued map of (t1, t2)."""
-    t1, t2 = t
-    h = st.step
-    acc = None
-    for offset, weight in st.first_derivative_weights():
-        point = (t1 + offset * h, t2) if axis == 0 else (t1, t2 + offset * h)
-        term = weight * func(*point)
-        acc = term if acc is None else acc + term
-    return acc / h
-
-
-def _fd_scalar(
-    func: Callable[[float, float], complex],
-    t: tuple[float, float],
-    axis: int,
-    st: FdStencil,
+def _chart_ratio(
+    w: ModeWindow, s1: np.ndarray, s2: np.ndarray, q: np.ndarray, rank: int, t: tuple[float, float]
 ) -> complex:
-    """First derivative of a scalar map of (t1, t2) along one axis."""
-    t1, t2 = t
-    h = st.step
-    acc = 0j
-    for offset, weight in st.first_derivative_weights():
-        point = (t1 + offset * h, t2) if axis == 0 else (t1, t2 + offset * h)
-        acc += weight * func(*point)
-    return acc / h
+    """det_F((S_1 + I - q)(S_2 + I - q)^{-1}) of two charts that pass _require_chart."""
+    eye = np.eye(w.dim, dtype=complex)
+    hats = []
+    for s in (s1, s2):
+        _require_chart(s, rank, t)
+        hats.append(ModeOperator(w, s + eye - q, TAIL_IDENTITY))
+    return fredholm_det(hats[0] @ hats[1].inverse())
 
 
 def _direction_axis(direction) -> int:
@@ -426,7 +413,7 @@ def _s_window(
     if perturbation is None:
         return p @ b, p
     sig = perturbation.embed_to(fam.window)
-    if max(abs(sig.tail[0]), abs(sig.tail[1])) > 1e-12:
+    if max(abs(sig.tail[0]), abs(sig.tail[1])) > TAIL_TOL:
         raise NotDetClass("chart perturbations must be window supported (zero tails)")
     return (p + p @ sig.entries @ p) @ b, p
 
@@ -450,20 +437,19 @@ def connection_form(
     inverse of the restricted map.
     """
     if st is None:
-        st = FdStencil(step=default_fd_step(), order=4, kind="first-derivative")
+        st = FdStencil(kind="first-derivative")
     axis = _direction_axis(direction)
     if not base.is_projection():
         raise DomainError("base must be a projection")
     rank = base.embed_to(fam.window).window_rank()
 
     s_now, p_now = _s_window(fam, base, t[0], t[1], perturbation)
-    if _restricted_min_sv(s_now, rank) < CHART_SVD_THRESHOLD:
-        raise NotInvertible(f"S(P) is singular on ran(base) at t = {t}")
+    _require_chart(s_now, rank, t)
 
     def s_at(t1: float, t2: float) -> np.ndarray:
         return _s_window(fam, base, t1, t2, perturbation)[0]
 
-    ds = _fd_matrix(s_at, t, axis, st)
+    ds = fd_apply(s_at, t, st, axis)
     b = base.embed_to(fam.window).entries
     s_pinv = np.linalg.pinv(s_now, rcond=RANK_SVD_THRESHOLD)
     return complex(np.trace(s_pinv @ p_now @ ds @ b))
@@ -476,14 +462,14 @@ def tr_p_dp_dp(
 ) -> complex:
     """Curvature density Tr(P [d1 P, d2 P]) of the family, by stencil derivatives."""
     if st is None:
-        st = FdStencil(step=default_fd_step(), order=4, kind="first-derivative")
+        st = FdStencil(kind="first-derivative")
 
     def p_at(t1: float, t2: float) -> np.ndarray:
         return fam(t1, t2).entries
 
     p = p_at(*t)
-    d1 = _fd_matrix(p_at, t, 0, st)
-    d2 = _fd_matrix(p_at, t, 1, st)
+    d1 = fd_apply(p_at, t, st, 0)
+    d2 = fd_apply(p_at, t, st, 1)
     return complex(np.trace(p @ (d1 @ d2 - d2 @ d1)))
 
 
@@ -501,16 +487,13 @@ def curvature_rkw(
     agreement tolerance with Tr(P [d1 P, d2 P]).
     """
     if st is None:
-        st = FdStencil(step=default_fd_step(), order=4, kind="first-derivative")
+        st = FdStencil(kind="first-derivative")
     inner = FdStencil(step=min(1e-5, st.step / 10.0), order=4, kind="first-derivative")
 
     def omega(axis_inner: int) -> Callable[[float, float], complex]:
-        def value(t1: float, t2: float) -> complex:
-            return connection_form(fam, base, (t1, t2), axis_inner, inner, perturbation)
+        return lambda t1, t2: connection_form(fam, base, (t1, t2), axis_inner, inner, perturbation)
 
-        return value
-
-    return _fd_scalar(omega(1), t, 0, st) - _fd_scalar(omega(0), t, 1, st)
+    return fd_apply(omega(1), t, st, 0) - fd_apply(omega(0), t, st, 1)
 
 
 def transition_det(
@@ -531,13 +514,7 @@ def transition_det(
     rank = base.embed_to(w).window_rank()
     s1, p = _s_window(fam, base, t[0], t[1], sigma1)
     s2, _ = _s_window(fam, base, t[0], t[1], sigma2)
-    for s in (s1, s2):
-        if _restricted_min_sv(s, rank) < CHART_SVD_THRESHOLD:
-            raise NotInvertible(f"chart is singular at t = {t}")
-    eye = np.eye(w.dim, dtype=complex)
-    s1_hat = ModeOperator(w, s1 + eye - p, TAIL_IDENTITY)
-    s2_hat = ModeOperator(w, s2 + eye - p, TAIL_IDENTITY)
-    return fredholm_det(s1_hat @ s2_hat.inverse())
+    return _chart_ratio(w, s1, s2, p, rank, t)
 
 
 def perturbation_patching_check(
@@ -556,13 +533,13 @@ def perturbation_patching_check(
     agree up to finite-difference error.
     """
     if st is None:
-        st = FdStencil(step=default_fd_step(), order=4, kind="first-derivative")
+        st = FdStencil(kind="first-derivative")
     axis = _direction_axis(direction)
 
     def g_at(t1: float, t2: float) -> complex:
         return transition_det(fam, base, (t1, t2), sigma1, sigma2)
 
-    lhs = _fd_scalar(g_at, t, axis, st) / g_at(*t)
+    lhs = fd_apply(g_at, t, st, axis) / g_at(*t)
     rhs = connection_form(fam, base, t, direction, None, sigma1) - connection_form(
         fam, base, t, direction, None, sigma2
     )
@@ -586,29 +563,20 @@ def patching_identity_check(
     logarithmic derivative of that ratio and rhs = omega_1 - omega_2.
     """
     if st is None:
-        st = FdStencil(step=default_fd_step(), order=4, kind="first-derivative")
+        st = FdStencil(kind="first-derivative")
     axis = _direction_axis(direction)
     if fam1.window.n_max != fam2.window.n_max:
         raise NotCommensurable("families must share one mode window")
     w = fam1.window
     b = base.embed_to(w)
     rank = b.window_rank()
-    eye = np.eye(w.dim, dtype=complex)
 
     def g_at(t1: float, t2: float) -> complex:
         s1, _ = _s_window(fam1, base, t1, t2, None)
         s2, _ = _s_window(fam2, base, t1, t2, None)
-        for s in (s1, s2):
-            if _restricted_min_sv(s, rank) < CHART_SVD_THRESHOLD:
-                raise NotInvertible(f"chart is singular at t = ({t1}, {t2})")
-        diff = (fam1(t1, t2) - fam2(t1, t2)).tail
-        if max(abs(diff[0]), abs(diff[1])) > 1e-12:
-            raise NotCommensurable("family difference is not window supported")
-        s1_hat = ModeOperator(w, s1 + eye - b.entries, TAIL_IDENTITY)
-        s2_hat = ModeOperator(w, s2 + eye - b.entries, TAIL_IDENTITY)
-        return fredholm_det(s1_hat @ s2_hat.inverse())
+        return _chart_ratio(w, s1, s2, b.entries, rank, (t1, t2))
 
-    lhs = _fd_scalar(g_at, t, axis, st) / g_at(*t)
+    lhs = fd_apply(g_at, t, st, axis) / g_at(*t)
     rhs = connection_form(fam1, base, t, direction, None) - connection_form(
         fam2, base, t, direction, None
     )

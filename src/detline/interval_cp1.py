@@ -12,6 +12,7 @@ zeta metric is the Fubini-Study form 1/(1+|z|^2)^2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -95,6 +96,18 @@ class SpectralDatum:
             raise DomainError("alpha is inconsistent with the chart point")
 
 
+def _chart_point(z: complex) -> complex:
+    """z as a complex number; NaN or infinite coordinates raise DomainError.
+
+    Every public function taking a chart point goes through this guard,
+    directly or via alpha_of.
+    """
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"chart point must be finite, got {z}")
+    return z
+
+
 def _rank_one(v: np.ndarray, chart: complex | None) -> BoundaryProjection2:
     v = np.asarray(v, dtype=complex)
     return BoundaryProjection2(np.outer(v, v.conj()) / np.vdot(v, v), chart)
@@ -102,7 +115,7 @@ def _rank_one(v: np.ndarray, chart: complex | None) -> BoundaryProjection2:
 
 def projection_from_chart(z: complex) -> BoundaryProjection2:
     """Orthogonal projection onto span{(1, z)}: the boundary condition P_z."""
-    z = complex(z)
+    z = _chart_point(z)
     return _rank_one(np.array([1.0, z]), z)
 
 
@@ -122,7 +135,7 @@ def adjoint_projection(z: complex) -> BoundaryProjection2:
     projection onto span{(conj(z), 1)}, equal to I minus the projection onto
     span{(1, -z)}.
     """
-    z = complex(z)
+    z = _chart_point(z)
     return _rank_one(np.array([z.conjugate(), 1.0]), z)
 
 
@@ -133,7 +146,7 @@ def alpha_of(z: complex) -> SpectralDatum:
     the unit circle; alpha is their phase on the canonical branch (0, 1/2].
     A root at u = 1 means a zero eigenvalue and raises DegenerateSpectrum.
     """
-    z = complex(z)
+    z = _chart_point(z)
     c = -2.0 * z.real / (1.0 + abs(z) ** 2)
     c = min(1.0, max(-1.0, c))
     # |u - 1|^2 = 2 (1 - c) for the unit-circle root u = c + i sqrt(1 - c^2).
@@ -145,7 +158,7 @@ def alpha_of(z: complex) -> SpectralDatum:
 
 def zeta_det_closed(z: complex) -> float:
     """Closed-form zeta determinant 2 |1+z|^2 / (1 + |z|^2) = 4 sin^2(pi alpha)."""
-    z = complex(z)
+    z = _chart_point(z)
     return 2.0 * abs(1.0 + z) ** 2 / (1.0 + abs(z) ** 2)
 
 
@@ -175,7 +188,7 @@ def quillen_curvature_fd(z: complex, st: FdStencil | None = None) -> float:
     equals -(1/4) Laplacian_(x,y) log det_zeta at z = x + i y and reproduces
     the Fubini-Study density 1/(1+|z|^2)^2.
     """
-    z = complex(z)
+    z = _chart_point(z)
     if st is None:
         st = FdStencil(kind="laplacian-2d")
     if st.kind != "laplacian-2d":
@@ -207,7 +220,7 @@ def s_of_p(z: complex) -> complex:
     (1,z)/sqrt(1+|z|^2) of ran P_z; the value is
     (1 + conj z) / sqrt(2 (1 + |z|^2)).
     """
-    z = complex(z)
+    z = _chart_point(z)
     return (1.0 + z.conjugate()) / math.sqrt(2.0 * (1.0 + abs(z) ** 2))
 
 
@@ -246,7 +259,7 @@ def kahler_form_2x2(z: complex) -> float:
     orientation constant KAHLER_SIGN is frozen against quillen_curvature_fd
     at z = 0.  The value is 1/(1+|z|^2)^2.
     """
-    z = complex(z)
+    z = _chart_point(z)
     p, dz, dzb = _chart_matrices(z)
     commutator_trace = np.trace(p @ (dz @ dzb - dzb @ dz))
     if abs(commutator_trace.imag) > 1e-12:

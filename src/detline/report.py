@@ -25,7 +25,7 @@ import numpy as np
 
 from . import chern_series, det_line, grassmannian as gr, interval_cp1 as cp1
 from .errors import DegenerateSpectrum, DivisionByZeroPoint, DomainError
-from .specfun import FdStencil, default_fd_step
+from .specfun import FdStencil
 
 __all__ = [
     "CaseResult",
@@ -925,6 +925,9 @@ class GridSpec:
     exclusion: tuple[tuple[complex, float], ...] = ((-1.0 + 0j, cp1.EXCLUSION_RADIUS),)
 
     def __post_init__(self) -> None:
+        for lo, hi in ((self.re_min, self.re_max), (self.im_min, self.im_max)):
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise DomainError(f"grid bounds must be finite with min < max, got {lo}:{hi}")
         if self.n < 2:
             raise DomainError(f"grid needs n >= 2 points per axis, got {self.n}")
         for _, radius in self.exclusion:
@@ -947,17 +950,13 @@ def _grid_rows(g: GridSpec, st: FdStencil) -> tuple[list[dict], dict]:
         for y in _grid_points(g.im_min, g.im_max, g.n):
             z = complex(x, y)
             row = {"re": float(x), "im": float(y)}
-            if g.excluded(z):
-                row.update(
-                    k_fd=None, k_closed=None, k_pdpdp=None,
-                    rel_err_fd=None, rel_err_pdpdp=None, status="skip",
-                )
-                n_skip += 1
-                rows.append(row)
-                continue
-            try:
-                k_fd = cp1.quillen_curvature_fd(z, st)
-            except DegenerateSpectrum:
+            k_fd = None
+            if not g.excluded(z):
+                try:
+                    k_fd = cp1.quillen_curvature_fd(z, st)
+                except DegenerateSpectrum:
+                    pass
+            if k_fd is None:
                 row.update(
                     k_fd=None, k_closed=None, k_pdpdp=None,
                     rel_err_fd=None, rel_err_pdpdp=None, status="skip",
@@ -1013,7 +1012,7 @@ def curvature_grid(
     if out_format not in ("csv", "json"):
         raise DomainError(f"out_format must be 'csv' or 'json', got {out_format!r}")
     if st is None:
-        st = FdStencil(step=default_fd_step(), order=4, kind="laplacian-2d")
+        st = FdStencil(kind="laplacian-2d")
     rows, summary = _grid_rows(g, st)
     if path is not None:
         if out_format == "csv":

@@ -1,11 +1,14 @@
 """Special-function kernel: Hurwitz zeta with analytic continuation, the
-s-derivative at s = 0, and the finite-difference stencils shared by the
-curvature and connection-form computations.
+s-derivative at s = 0, and the one finite-difference stencil applier.
 
 The continuation is Euler-Maclaurin: a direct sum over the first ``cutoff``
 terms, the integral and half-term corrections, and ``em_order`` Bernoulli
 correction terms.  With the defaults (cutoff 50, order 8) the result carries
 at least 12 significant digits for s near 0 and shifts a in (0.01, 1].
+
+``fd_apply`` is the only stencil loop, for real, complex or array fields.  A
+``DetlineError`` from the field propagates unchanged; any other exception,
+and a non-finite result, becomes an ``EvaluationError`` naming the point.
 """
 
 from __future__ import annotations
@@ -13,9 +16,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Sequence
+from typing import Any, Callable, Literal, Sequence
 
-from .errors import DomainError, EvaluationError, PoleAtOne
+import numpy as np
+
+from .errors import DetlineError, DomainError, EvaluationError, PoleAtOne
 
 __all__ = [
     "HurwitzParams",
@@ -185,45 +190,46 @@ class FdStencil:
 
 
 def fd_apply(
-    f: Callable[[float, float], float],
-    at: tuple[float, float],
-    st: FdStencil,
-    axis: int = 0,
-) -> float:
-    """Apply a stencil to a scalar field on the plane.
+    f: Callable[[float, float], Any], at: tuple[float, float], st: FdStencil, axis: int = 0
+) -> Any:
+    """Apply a stencil to a scalar or array field on the plane.
 
     kind "first-derivative" estimates the partial derivative along ``axis``
     (0 for the first coordinate); kind "laplacian-2d" estimates the analyst's
-    Laplacian f_xx + f_yy.  The error is O(step^order).
+    Laplacian f_xx + f_yy.  The error is O(step^order).  Every weight is
+    nonzero, so one non-finite sample makes the result non-finite: finiteness
+    is checked once, on the result.
     """
     x0, y0 = at
     h = st.step
 
-    def val(x: float, y: float) -> float:
-        try:
-            v = f(x, y)
-        except Exception as exc:  # surface the offending point
-            raise EvaluationError(f"field evaluation failed at ({x}, {y}): {exc}") from exc
-        if not math.isfinite(v):
-            raise EvaluationError(f"field is not finite at ({x}, {y}): {v}")
-        return v
+    def point(offset: int, along: int) -> tuple[float, float]:
+        return (x0 + offset * h, y0) if along == 0 else (x0, y0 + offset * h)
 
     if st.kind == "first-derivative":
         if axis not in (0, 1):
             raise DomainError(f"axis must be 0 or 1, got {axis}")
-        acc = 0.0
-        for offset, weight in st.first_derivative_weights():
-            if axis == 0:
-                acc += weight * val(x0 + offset * h, y0)
+        terms = [(weight, point(offset, axis)) for offset, weight in st.first_derivative_weights()]
+        scale = h
+    else:
+        terms = []
+        for offset, weight in st.second_derivative_weights():
+            if offset == 0:
+                terms.append((2.0 * weight, (x0, y0)))
             else:
-                acc += weight * val(x0, y0 + offset * h)
-        return acc / h
+                terms += [(weight, point(offset, 0)), (weight, point(offset, 1))]
+        scale = h * h
 
     acc = 0.0
-    for offset, weight in st.second_derivative_weights():
-        if offset == 0:
-            acc += 2.0 * weight * val(x0, y0)
-        else:
-            acc += weight * val(x0 + offset * h, y0)
-            acc += weight * val(x0, y0 + offset * h)
-    return acc / (h * h)
+    for weight, (x, y) in terms:
+        try:
+            value = f(x, y)
+        except DetlineError:
+            raise
+        except Exception as exc:  # surface the offending point
+            raise EvaluationError(f"field evaluation failed at ({x}, {y}): {exc}") from exc
+        acc = acc + weight * value
+    result = acc / scale
+    if not np.isfinite(result).all():
+        raise EvaluationError(f"stencil result is not finite at ({x0}, {y0}): {result}")
+    return result

@@ -233,3 +233,27 @@ def test_kahler_form_spot_values_and_fd_agreement():
 def test_spectral_datum_validates_branch():
     with pytest.raises(DomainError):
         cp1.SpectralDatum(alpha=0.75, z=0j)
+
+
+@pytest.mark.parametrize(
+    "z",
+    [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0), complex(0.0, -math.inf)],
+)
+def test_non_finite_chart_points_raise_domain_error(z):
+    # NaN used to clamp to the c = -1 branch: zeta_det_spectral(nan) returned 4.0
+    for fn in (
+        cp1.projection_from_chart,
+        cp1.adjoint_projection,
+        cp1.alpha_of,
+        cp1.zeta_det_closed,
+        cp1.zeta_det_spectral,
+        cp1.quillen_curvature_fd,
+        cp1.s_of_p,
+        cp1.kahler_form_2x2,
+        lambda w: cp1.metric_patching_check(w, 0.5),
+        lambda w: cp1.metric_patching_check(0.5, w),
+    ):
+        with pytest.raises(DomainError):
+            fn(z)
+    with pytest.raises(DomainError):
+        cp1.zeta_det_spectral(math.nan)

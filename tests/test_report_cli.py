@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+import pathlib
 import subprocess
 import sys
 
@@ -24,11 +26,28 @@ def test_run_suite_deterministic_under_seed():
     assert strip_timestamps(a) == strip_timestamps(b)
 
 
-def test_run_suite_all_passes_and_has_enough_cases():
-    document = report.run_suite("all", 7)
+GOLDEN_CASES = pathlib.Path(__file__).parent / "data" / "verify_all_seed7_cases.json"
+
+
+@pytest.fixture(scope="module")
+def suite_all_seed7():
+    return report.run_suite("all", 7)
+
+
+def test_run_suite_all_passes_and_has_enough_cases(suite_all_seed7):
+    document = suite_all_seed7
     assert len(document.cases) >= 40
     assert document.n_fail == 0
     assert all(c.paper_anchor for c in document.cases)
+
+
+def test_verify_all_seed7_case_list_is_frozen(suite_all_seed7):
+    # names, anchors, tolerances and expected values of `verify all --seed 7`
+    golden = json.loads(GOLDEN_CASES.read_text())
+    keys = ("name", "paper_anchor", "tolerance", "expected")
+    observed = [{k: case[k] for k in keys} for case in suite_all_seed7.to_json()["cases"]]
+    assert observed == golden
+    assert all(case.status == "pass" for case in suite_all_seed7.cases)
 
 
 def test_run_suite_chern_exact_strings():
@@ -86,6 +105,23 @@ def test_gridspec_validation():
         report.GridSpec(n=1)
     with pytest.raises(DomainError):
         report.GridSpec(exclusion=((0j, -1.0),))
+    for bounds in (
+        {"re_min": 0.5, "re_max": -0.5},
+        {"re_min": 0.5, "re_max": 0.5},
+        {"im_min": 0.5, "im_max": -0.5},
+        {"im_min": math.nan},
+        {"im_max": math.nan},
+        {"re_max": math.inf},
+        {"re_min": -math.inf},
+    ):
+        with pytest.raises(DomainError):
+            report.GridSpec(**bounds)
+
+
+def test_cli_grid_rejects_infinite_bound(capsys):
+    code = cli.main(["curvature-grid", "--re", "1:inf", "--n", "3"])
+    assert code == 1
+    assert "error: DomainError" in capsys.readouterr().err
 
 
 def test_cli_zeta_det(capsys):
@@ -102,6 +138,15 @@ def test_cli_zeta_det_degenerate(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "DegenerateSpectrum" in captured.err
+
+
+@pytest.mark.parametrize("z", ["nan,0", "0,nan", "inf,0", "0,-inf"])
+def test_cli_zeta_det_rejects_non_finite_point(z, capsys):
+    code = cli.main(["zeta-det", "--z", z])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "error: DomainError" in captured.err
 
 
 def test_cli_eta_and_grr(capsys):

@@ -8,11 +8,12 @@ a few cases keep the live oracle comparison alongside the frozen constant.
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detline.errors import DomainError, EvaluationError, PoleAtOne
+from detline.errors import DomainError, EvaluationError, NotInvertible, PoleAtOne
 from detline.specfun import (
     FdStencil,
     HurwitzParams,
@@ -169,3 +170,62 @@ def test_fd_propagates_evaluation_error():
 
     with pytest.raises(EvaluationError):
         fd_apply(field, (0.0, 0.0), FdStencil(step=1e-3, order=2, kind="laplacian-2d"))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_fd_first_derivative_exact_on_matrix_and_complex_fields(order):
+    # central first derivatives of order k are exact on polynomials of degree k
+    st_ = FdStencil(step=1e-2, order=order, kind="first-derivative")
+    x0, y0 = 0.3, -0.7
+
+    def matrix_field(x, y):
+        return np.array([[x**order, 2.0 * x * y], [y**order, 1.0]])
+
+    d_x = fd_apply(matrix_field, (x0, y0), st_, axis=0)
+    d_y = fd_apply(matrix_field, (x0, y0), st_, axis=1)
+    assert isinstance(d_x, np.ndarray) and d_x.shape == (2, 2)
+    np.testing.assert_allclose(d_x, [[order * x0 ** (order - 1), 2.0 * y0], [0.0, 0.0]], atol=1e-9)
+    np.testing.assert_allclose(d_y, [[0.0, 2.0 * x0], [order * y0 ** (order - 1), 0.0]], atol=1e-9)
+
+    def complex_field(x, y):
+        return (1.0 + 2.0j) * x**order + 3.0j * y
+
+    assert fd_apply(complex_field, (x0, y0), st_, axis=0) == pytest.approx(
+        (1.0 + 2.0j) * order * x0 ** (order - 1), abs=1e-9
+    )
+    assert fd_apply(complex_field, (x0, y0), st_, axis=1) == pytest.approx(3.0j, abs=1e-9)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_fd_laplacian_exact_on_matrix_and_complex_fields(order):
+    # the order-k Laplacian is exact through degree k + 1
+    lap = FdStencil(step=1e-2, order=order, kind="laplacian-2d")
+    x0, y0 = 0.4, 0.3
+    deg = order + 1
+
+    def matrix_field(x, y):
+        return np.array([x**deg + y**2, 1j * x * y, (2.0 - 1.0j) * y**deg])
+
+    value = fd_apply(matrix_field, (x0, y0), lap)
+    second = deg * (deg - 1)
+    expected = [second * x0 ** (deg - 2) + 2.0, 0.0, (2.0 - 1.0j) * second * y0 ** (deg - 2)]
+    np.testing.assert_allclose(value, expected, atol=1e-7)
+
+
+def test_fd_passes_detline_errors_through():
+    def field(x, y):
+        raise NotInvertible("singular at this stencil point")
+
+    for kind in ("first-derivative", "laplacian-2d"):
+        with pytest.raises(NotInvertible):
+            fd_apply(field, (0.0, 0.0), FdStencil(step=1e-3, order=4, kind=kind))
+
+
+def test_fd_rejects_non_finite_array_field():
+    def field(x, y):
+        return np.array([x, math.nan if x > 0.5 else 0.0])
+
+    with pytest.raises(EvaluationError):
+        fd_apply(field, (0.5, 0.0), FdStencil(step=1e-3, order=2, kind="first-derivative"))
+    with pytest.raises(EvaluationError):
+        fd_apply(lambda x, y: complex(math.inf, x), (0.0, 0.0), FdStencil(kind="laplacian-2d"))
