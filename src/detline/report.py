@@ -7,6 +7,11 @@ and expected values, and the tolerance that decided pass or fail.  Suites are
 deterministic functions of a single 64-bit seed; randomized cases draw from
 generators spawned off that seed, so reruns are byte-identical apart from
 timestamps.
+
+Each identity is measured by one public function (``zeta_det_error``,
+``curvature_errors``, ``family_patching_error``, ...) on a sample set the
+caller supplies, and held to one ``TOL_*`` constant.  The suites below and
+the acceptance tests call the same functions with their own samples.
 """
 
 from __future__ import annotations
@@ -35,10 +40,36 @@ __all__ = [
     "curvature_grid",
     "SUITE_NAMES",
     "SCHEMA",
+    # shared measurements, used by the suites and the acceptance tests
+    "chart_grid",
+    "random_window_unitary",
+    "random_det_class",
+    "zeta_det_error",
+    "model_identity_error",
+    "metric_patching_error",
+    "curvature_errors",
+    "spectral_cut_errors",
+    "eta_offset_error",
+    "eta_flip_error",
+    "family_patching_error",
+    "chart_patching_error",
+    "connection_curvature_error",
+    "cocycle_error",
+    "equivalence_error",
+    "transitivity_error",
+    "multiplicativity_error",
+    "index_is_additive",
+    "grr_coefficient_exact",
+    "TOL_ZETA_DET",
+    "TOL_CURVATURE",
+    "TOL_ETA",
+    "TOL_CONNECTION_PATCHING",
+    "TOL_CONNECTION_CURVATURE",
+    "TOL_COCYCLE",
+    "TOL_DET_LINE",
 ]
 
 SCHEMA = "detline-lab/1"
-SUITE_NAMES = ("cp1", "grassmannian", "detline", "chern", "all")
 
 
 @dataclass(frozen=True)
@@ -99,8 +130,172 @@ def _exact_case(name: str, anchor: str, observed: str, expected: str) -> CaseRes
     return CaseResult(name, "pass" if observed == expected else "fail", observed, expected, None, anchor)
 
 
-def _grid_points(lo: float, hi: float, n: int) -> np.ndarray:
-    return np.linspace(lo, hi, n)
+# ---------------------------------------------------------------------------
+# shared measurements: each returns the worst error over the caller's samples
+
+TOL_ZETA_DET = 1e-8  # spectral determinant, det = 4 |S(P)|^2, metric patching ratio
+TOL_CURVATURE = 1e-4  # finite-difference curvature vs the Kahler density and Tr(P dP dP)
+TOL_ETA = 1e-10  # eta invariant on the offset grid and under finite-rank flips
+TOL_CONNECTION_PATCHING = 1e-5
+TOL_CONNECTION_CURVATURE = 1e-3  # d omega vs Tr(P [d1 P, d2 P])
+TOL_COCYCLE = 1e-10
+TOL_DET_LINE = 1e-10  # equivalence, transitivity and multiplicativity of points
+
+
+def chart_grid(lo: float, hi: float, n: int) -> list[complex]:
+    """The n x n chart grid on [lo, hi]^2, row by row, outside the zero-mode disk."""
+    axis = np.linspace(lo, hi, n)
+    points = (complex(x, y) for x in axis for y in axis)
+    return [z for z in points if abs(z + 1) >= cp1.EXCLUSION_RADIUS]
+
+
+def random_window_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(m)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_det_class(rng: np.random.Generator, w: gr.ModeWindow, scale=0.4) -> gr.ModeOperator:
+    k = scale * (rng.standard_normal((w.dim, w.dim)) + 1j * rng.standard_normal((w.dim, w.dim)))
+    return gr.ModeOperator(w, np.eye(w.dim, dtype=complex) + k, gr.TAIL_IDENTITY)
+
+
+def zeta_det_error(points) -> float:
+    """Max relative error of the spectral zeta determinant against the closed form."""
+    return max(
+        abs(cp1.zeta_det_spectral(z) - cp1.zeta_det_closed(z)) / cp1.zeta_det_closed(z)
+        for z in points
+    )
+
+
+def model_identity_error(points) -> float:
+    """Max error of det = DET_TO_S_CONSTANT |S(P)|^2, relative to the closed determinant."""
+    return max(
+        abs(cp1.zeta_det_spectral(z) - cp1.DET_TO_S_CONSTANT * abs(cp1.s_of_p(z)) ** 2)
+        / cp1.zeta_det_closed(z)
+        for z in points
+    )
+
+
+def metric_patching_error(pairs) -> float:
+    """Max relative error of the metric-patching ratio over chart-point pairs."""
+    checks = (cp1.metric_patching_check(z, w) for z, w in pairs)
+    return max(abs(lhs - rhs) / rhs for lhs, rhs in checks)
+
+
+def curvature_errors(points, st: FdStencil) -> tuple[float, float]:
+    """Max relative errors of the finite-difference curvature against the closed
+    Kahler density 1/(1+|z|^2)^2 and against Tr(P dP dP), both relative to the
+    closed density."""
+    fd_err = pdp_err = 0.0
+    for z in points:
+        closed = 1.0 / (1.0 + abs(z) ** 2) ** 2
+        k_fd = cp1.quillen_curvature_fd(z, st)
+        fd_err = max(fd_err, abs(k_fd - closed) / closed)
+        pdp_err = max(pdp_err, abs(k_fd - cp1.kahler_form_2x2(z)) / closed)
+    return fd_err, pdp_err
+
+
+def spectral_cut_errors(w: gr.ModeWindow) -> tuple[float, float]:
+    """Max errors of relative_eta(pi_k, pi_0) = -2k and of
+    relative_eta / 2 = RELATIVE_INDEX_SIGN * relative_index, k in -5..5."""
+    pi0 = gr.spectral_projection(w, 0)
+    eta_err = idx_err = 0.0
+    for k in range(-5, 6):
+        pi_k = gr.spectral_projection(w, k)
+        eta = gr.relative_eta(pi_k, pi0)
+        eta_err = max(eta_err, abs(eta - (-2.0 * k)))
+        idx_err = max(
+            idx_err, abs(eta / 2.0 - gr.RELATIVE_INDEX_SIGN * gr.relative_index(pi_k, pi0))
+        )
+    return eta_err, idx_err
+
+
+def eta_offset_error(offsets) -> float:
+    """Max error of the spectral eta invariant against 1 - 2a over the offsets."""
+    return max(abs(gr.eta_invariant_spectral(a) - (1.0 - 2.0 * a)) for a in offsets)
+
+
+def eta_flip_error(rng: np.random.Generator, w: gr.ModeWindow) -> float:
+    """Max disagreement of eta_finite_rank_check over 20 random (offset, flip) pairs."""
+    checks = (
+        gr.eta_finite_rank_check(float(rng.uniform(0.05, 0.95)), int(rng.integers(-6, 7)), w)
+        for _ in range(20)
+    )
+    return max(abs(lhs - rhs) for lhs, rhs in checks)
+
+
+def family_patching_error(fam1, fam2, base: gr.ModeOperator, samples) -> float:
+    """Max patching-identity error between the identity charts of two families
+    over (t, direction) samples."""
+    checks = (gr.patching_identity_check(fam1, fam2, base, t, d) for t, d in samples)
+    return max(abs(lhs - rhs) for lhs, rhs in checks)
+
+
+def chart_patching_error(fam, base: gr.ModeOperator, sigma1, sigma2, samples) -> float:
+    """Max patching-identity error between two perturbation charts of one family
+    over (t, direction) samples."""
+    checks = (
+        gr.perturbation_patching_check(fam, base, sigma1, sigma2, t, d) for t, d in samples
+    )
+    return max(abs(lhs - rhs) for lhs, rhs in checks)
+
+
+def connection_curvature_error(fam, base: gr.ModeOperator, points, perturbation) -> float:
+    """Max |d omega - Tr(P [d1 P, d2 P])| over parameter points, in the chart of
+    the perturbation (None for the identity chart)."""
+    return max(
+        abs(gr.curvature_rkw(fam, base, t, perturbation=perturbation) - gr.tr_p_dp_dp(fam, t))
+        for t in points
+    )
+
+
+def cocycle_error(fam, base: gr.ModeOperator, t, sigma1, sigma2, sigma3) -> float:
+    """|g_12 g_23 g_31 - 1| for the transition determinants of three charts."""
+    cocycle = (
+        gr.transition_det(fam, base, t, sigma1, sigma2)
+        * gr.transition_det(fam, base, t, sigma2, sigma3)
+        * gr.transition_det(fam, base, t, sigma3, sigma1)
+    )
+    return abs(cocycle - 1.0)
+
+
+def equivalence_error(s: gr.ModeOperator, q: gr.ModeOperator, lam: complex) -> float:
+    """|ratio([S q, l], [S, l det q]) - 1|: the equivalence defining the points."""
+    lhs = det_line.DetPoint(s @ q, lam, False)
+    rhs = det_line.DetPoint(s, lam * gr.fredholm_det(q), False)
+    return abs(det_line.ratio(lhs, rhs) - 1.0)
+
+
+def transitivity_error(a: gr.ModeOperator, b: gr.ModeOperator, c: gr.ModeOperator) -> float:
+    """|ratio(a, b) ratio(b, c) - ratio(a, c)| for the points of three representatives."""
+    pa, pb, pc = (det_line.det_point(x) for x in (a, b, c))
+    return abs(det_line.ratio(pa, pb) * det_line.ratio(pb, pc) - det_line.ratio(pa, pc))
+
+
+def multiplicativity_error(a, b, a2, b2) -> float:
+    """Relative error of det(A'B')/det(AB) = det(A'/A) det(B'/B)."""
+    joint, (pa, pb) = det_line.tensor_split(a, b)
+    lhs = det_line.ratio(det_line.det_point(a2 @ b2), joint)
+    rhs = det_line.ratio(det_line.det_point(a2), pa) * det_line.ratio(det_line.det_point(b2), pb)
+    return abs(lhs - rhs) / max(1.0, abs(rhs))
+
+
+def index_is_additive(first, second, dom, mid, cod) -> bool:
+    """ind(second first) = ind(first) + ind(second) for ran dom -> ran mid -> ran cod."""
+    parts = det_line.range_map_index(first, dom, mid) + det_line.range_map_index(second, mid, cod)
+    return det_line.range_map_index(second @ (mid @ first), dom, cod) == parts
+
+
+def grr_coefficient_exact(ms) -> bool:
+    """The degree-two pushforward coefficient equals (6m^2+6m+1)/12 for every m."""
+    return all(
+        chern_series.grr_c1_coefficient(m) == Fraction(6 * m * m + 6 * m + 1, 12) for m in ms
+    )
+
+
+# ---------------------------------------------------------------------------
+# interval model suite
 
 
 def _random_chart_points(rng: np.random.Generator, count: int) -> list[complex]:
@@ -110,10 +305,6 @@ def _random_chart_points(rng: np.random.Generator, count: int) -> list[complex]:
         if abs(z + 1) >= cp1.EXCLUSION_RADIUS:
             points.append(z)
     return points
-
-
-# ---------------------------------------------------------------------------
-# interval model suite
 
 
 def _suite_cp1(rng: np.random.Generator) -> list[CaseResult]:
@@ -129,21 +320,13 @@ def _suite_cp1(rng: np.random.Generator) -> list[CaseResult]:
                 1e-12,
             )
         )
-    worst = 0.0
-    for x in _grid_points(-2, 2, 21):
-        for y in _grid_points(-2, 2, 21):
-            z = complex(x, y)
-            if abs(z + 1) < cp1.EXCLUSION_RADIUS:
-                continue
-            closed = cp1.zeta_det_closed(z)
-            worst = max(worst, abs(cp1.zeta_det_spectral(z) - closed) / closed)
     cases.append(
         _num_case(
             "spectral vs closed determinant, 21x21 grid, max relative error",
             "zeta-determinant-projective-chart",
-            worst,
+            zeta_det_error(chart_grid(-2, 2, 21)),
             0.0,
-            1e-8,
+            TOL_ZETA_DET,
         )
     )
 
@@ -169,26 +352,17 @@ def _suite_cp1(rng: np.random.Generator) -> list[CaseResult]:
                 "curvature-equals-kahler-form",
                 cp1.quillen_curvature_fd(z, st),
                 expected,
-                1e-4,
+                TOL_CURVATURE,
             )
         )
-    worst_fd = 0.0
-    worst_pdp = 0.0
-    for x in _grid_points(-0.5, 0.5, 5):
-        for y in _grid_points(-0.5, 0.5, 5):
-            z = complex(x, y)
-            k_closed = 1.0 / (1.0 + abs(z) ** 2) ** 2
-            k_fd = cp1.quillen_curvature_fd(z, st)
-            k_pdp = cp1.kahler_form_2x2(z)
-            worst_fd = max(worst_fd, abs(k_fd - k_closed) / k_closed)
-            worst_pdp = max(worst_pdp, abs(k_fd - k_pdp) / k_closed)
+    worst_fd, worst_pdp = curvature_errors(chart_grid(-0.5, 0.5, 5), st)
     cases.append(
         _num_case(
             "curvature vs closed Kahler density, 5x5 grid, max relative error",
             "curvature-equals-kahler-form",
             worst_fd,
             0.0,
-            1e-4,
+            TOL_CURVATURE,
         )
     )
     cases.append(
@@ -197,36 +371,27 @@ def _suite_cp1(rng: np.random.Generator) -> list[CaseResult]:
             "curvature-from-boundary-projection",
             worst_pdp,
             0.0,
-            1e-4,
+            TOL_CURVATURE,
         )
     )
 
     pairs = list(zip(_random_chart_points(rng, 50), _random_chart_points(rng, 50)))
-    worst_patch = max(
-        abs(lhs - rhs) / max(abs(rhs), 1e-30)
-        for lhs, rhs in (cp1.metric_patching_check(z, w) for z, w in pairs)
-    )
     cases.append(
         _num_case(
             "metric patching ratio, 50 random pairs, max relative error",
             "quillen-metric-patching",
-            worst_patch,
+            metric_patching_error(pairs),
             0.0,
-            1e-8,
+            TOL_ZETA_DET,
         )
-    )
-    worst_model = max(
-        abs(cp1.zeta_det_spectral(z) - cp1.DET_TO_S_CONSTANT * abs(cp1.s_of_p(z)) ** 2)
-        / cp1.zeta_det_closed(z)
-        for z in _random_chart_points(rng, 50)
     )
     cases.append(
         _num_case(
             "model identity det = 4 |S(P)|^2, 50 random points",
             "quillen-metric-patching",
-            worst_model,
+            model_identity_error(_random_chart_points(rng, 50)),
             0.0,
-            1e-8,
+            TOL_ZETA_DET,
         )
     )
 
@@ -308,16 +473,10 @@ def _suite_cp1(rng: np.random.Generator) -> list[CaseResult]:
 # boundary Grassmannian suite
 
 
-def _random_window_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(m)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _conjugated_projection(
     rng: np.random.Generator, window: gr.ModeWindow, cut: int
 ) -> gr.ModeOperator:
-    u = _random_window_unitary(rng, window.dim)
+    u = random_window_unitary(rng, window.dim)
     base = gr.spectral_projection(window, cut)
     return gr.ModeOperator(window, u @ base.entries @ u.conj().T, gr.TAIL_APS)
 
@@ -327,10 +486,7 @@ def _suite_grassmannian(rng: np.random.Generator) -> list[CaseResult]:
     w = gr.ModeWindow(6)
     pi0 = gr.spectral_projection(w, 0)
 
-    worst_eta = max(
-        abs(gr.relative_eta(gr.spectral_projection(w, k), pi0) - (-2.0 * k))
-        for k in range(-5, 6)
-    )
+    worst_eta, worst_idx = spectral_cut_errors(w)
     cases.append(
         _num_case(
             "relative eta of spectral cuts equals -2k, k in -5..5",
@@ -339,13 +495,6 @@ def _suite_grassmannian(rng: np.random.Generator) -> list[CaseResult]:
             0.0,
             1e-12,
         )
-    )
-    worst_idx = max(
-        abs(
-            gr.relative_eta(gr.spectral_projection(w, k), pi0) / 2.0
-            - gr.RELATIVE_INDEX_SIGN * gr.relative_index(gr.spectral_projection(w, k), pi0)
-        )
-        for k in range(-5, 6)
     )
     cases.append(
         _num_case(
@@ -382,17 +531,13 @@ def _suite_grassmannian(rng: np.random.Generator) -> list[CaseResult]:
         )
     )
 
-    worst_spec = max(
-        abs(gr.eta_invariant_spectral(a) - (1.0 - 2.0 * a))
-        for a in np.arange(0.05, 0.96, 0.05)
-    )
     cases.append(
         _num_case(
             "spectral eta invariant equals 1 - 2a on the offset grid",
             "eta-as-zeta-quasi-trace",
-            worst_spec,
+            eta_offset_error(np.arange(0.05, 0.96, 0.05)),
             0.0,
-            1e-10,
+            TOL_ETA,
         )
     )
     worst_anti = max(
@@ -409,19 +554,13 @@ def _suite_grassmannian(rng: np.random.Generator) -> list[CaseResult]:
         )
     )
 
-    worst_flip = 0.0
-    for _ in range(20):
-        a = float(rng.uniform(0.05, 0.95))
-        flip = int(rng.integers(-6, 7))
-        lhs, rhs = gr.eta_finite_rank_check(a, flip, w)
-        worst_flip = max(worst_flip, abs(lhs - rhs))
     cases.append(
         _num_case(
             "finite-rank eta perturbation, 20 random (a, flip) pairs",
             "relative-eta-of-spectral-flips",
-            worst_flip,
+            eta_flip_error(rng, w),
             0.0,
-            1e-10,
+            TOL_ETA,
         )
     )
 
@@ -443,10 +582,10 @@ def _suite_grassmannian(rng: np.random.Generator) -> list[CaseResult]:
         )
     )
     ka = gr.ModeOperator(
-        w, np.eye(w.dim) + 0.3 * _random_window_unitary(rng, w.dim), gr.TAIL_IDENTITY
+        w, np.eye(w.dim) + 0.3 * random_window_unitary(rng, w.dim), gr.TAIL_IDENTITY
     )
     kb = gr.ModeOperator(
-        w, np.eye(w.dim) + 0.3 * _random_window_unitary(rng, w.dim), gr.TAIL_IDENTITY
+        w, np.eye(w.dim) + 0.3 * random_window_unitary(rng, w.dim), gr.TAIL_IDENTITY
     )
     mult_err = abs(
         gr.fredholm_det(ka @ kb) - gr.fredholm_det(ka) * gr.fredholm_det(kb)
@@ -493,29 +632,26 @@ def _suite_grassmannian(rng: np.random.Generator) -> list[CaseResult]:
         )
     )
 
-    t = (0.37, 0.63)
-    domega = gr.curvature_rkw(fam, pi0, t)
-    density = gr.tr_p_dp_dp(fam, t)
+    sigma, sigma2, sigma3 = (
+        gr.ModeOperator(w, 0.25 * random_window_unitary(rng, w.dim), gr.TAIL_ZERO)
+        for _ in range(3)
+    )
     cases.append(
         _num_case(
             "curvature d omega matches Tr(P [d1 P, d2 P])",
             "curvature-of-boundary-connection",
-            abs(domega - density),
+            connection_curvature_error(fam, pi0, [(0.37, 0.63)], None),
             0.0,
-            1e-3,
+            TOL_CONNECTION_CURVATURE,
         )
     )
-    sigma = gr.ModeOperator(
-        w, 0.25 * _random_window_unitary(rng, w.dim), gr.TAIL_ZERO
-    )
-    domega_sigma = gr.curvature_rkw(fam, pi0, t, perturbation=sigma)
     cases.append(
         _num_case(
             "curvature is chart independent (perturbed chart)",
             "curvature-chart-independence",
-            abs(domega_sigma - density),
+            connection_curvature_error(fam, pi0, [(0.37, 0.63)], sigma),
             0.0,
-            1e-3,
+            TOL_CONNECTION_CURVATURE,
         )
     )
 
@@ -530,59 +666,41 @@ def _suite_grassmannian(rng: np.random.Generator) -> list[CaseResult]:
         )
     )
 
+    def both_directions(points):
+        return [(t, direction) for t in points for direction in ("t1", "t2")]
+
     fam2 = gr.rotated_family(w, (-1, 1))
-    worst_pair = 0.0
-    for tt in [(0.25, 0.15), (0.4, 0.6), (0.6, 0.35), (0.3, 0.8)]:
-        for direction in ("t1", "t2"):
-            lhs, rhs = gr.patching_identity_check(fam, fam2, pi0, tt, direction)
-            worst_pair = max(worst_pair, abs(lhs - rhs))
+    pair_samples = both_directions([(0.25, 0.15), (0.4, 0.6), (0.6, 0.35), (0.3, 0.8)])
     cases.append(
         _num_case(
             "patching of the identity charts of two rotated families",
             "connection-patching-identity",
-            worst_pair,
+            family_patching_error(fam, fam2, pi0, pair_samples),
             0.0,
-            1e-5,
+            TOL_CONNECTION_PATCHING,
         )
     )
-    sigma2 = gr.ModeOperator(
-        w, 0.25 * _random_window_unitary(rng, w.dim), gr.TAIL_ZERO
-    )
-    worst_sigma = 0.0
-    for tt in [(0.2, 0.3), (0.45, 0.7), (0.6, 0.1)]:
-        for direction in ("t1", "t2"):
-            lhs, rhs = gr.perturbation_patching_check(fam, pi0, sigma, sigma2, tt, direction)
-            worst_sigma = max(worst_sigma, abs(lhs - rhs))
+    sigma_samples = both_directions([(0.2, 0.3), (0.45, 0.7), (0.6, 0.1)])
     cases.append(
         _num_case(
             "patching of two perturbation charts of one family",
             "connection-patching-identity",
-            worst_sigma,
+            chart_patching_error(fam, pi0, sigma, sigma2, sigma_samples),
             0.0,
-            1e-5,
+            TOL_CONNECTION_PATCHING,
         )
-    )
-
-    sigma3 = gr.ModeOperator(
-        w, 0.25 * _random_window_unitary(rng, w.dim), gr.TAIL_ZERO
-    )
-    tt = (0.44, 0.31)
-    cocycle = (
-        gr.transition_det(fam, pi0, tt, sigma, sigma2)
-        * gr.transition_det(fam, pi0, tt, sigma2, sigma3)
-        * gr.transition_det(fam, pi0, tt, sigma3, sigma)
     )
     cases.append(
         _num_case(
             "triple overlap cocycle of transition determinants",
             "determinant-transition-cocycle",
-            abs(cocycle - 1.0),
+            cocycle_error(fam, pi0, (0.44, 0.31), sigma, sigma2, sigma3),
             0.0,
-            1e-10,
+            TOL_COCYCLE,
         )
     )
 
-    v_conj = _random_window_unitary(rng, w.dim)
+    v_conj = random_window_unitary(rng, w.dim)
     conj_fam = gr.ProjectionFamily(
         w, lambda t1, t2: v_conj @ fam(t1, t2).entries @ v_conj.conj().T
     )
@@ -637,46 +755,45 @@ def _stokes_pair(fam: gr.ProjectionFamily, base: gr.ModeOperator) -> tuple[compl
 # determinant line suite
 
 
-def _random_det_class(rng: np.random.Generator, w: gr.ModeWindow, scale=0.4) -> gr.ModeOperator:
-    k = scale * (rng.standard_normal((w.dim, w.dim)) + 1j * rng.standard_normal((w.dim, w.dim)))
-    return gr.ModeOperator(w, np.eye(w.dim, dtype=complex) + k, gr.TAIL_IDENTITY)
-
-
 def _random_partial_isometry(
     rng: np.random.Generator, w: gr.ModeWindow, dom_rank: int, cod_rank: int, map_rank: int
 ) -> tuple[gr.ModeOperator, gr.ModeOperator, gr.ModeOperator]:
     """A partial isometry of rank map_rank from a dom_rank-dimensional range
     projection into a cod_rank-dimensional one."""
-    u = _random_window_unitary(rng, w.dim)
-    v = _random_window_unitary(rng, w.dim)
+    u = random_window_unitary(rng, w.dim)
+    v = random_window_unitary(rng, w.dim)
     dom = gr.ModeOperator(w, u[:, :dom_rank] @ u[:, :dom_rank].conj().T, gr.TAIL_ZERO)
     cod = gr.ModeOperator(w, v[:, :cod_rank] @ v[:, :cod_rank].conj().T, gr.TAIL_ZERO)
     iso = v[:, :map_rank] @ u[:, :map_rank].conj().T
     return gr.ModeOperator(w, iso, gr.TAIL_ZERO), dom, cod
 
 
+def _additive_instance(rng: np.random.Generator, w: gr.ModeWindow) -> bool:
+    r_small, r_mid, r_big = sorted(int(x) for x in rng.integers(1, w.dim, size=3))
+    a2_map, dom, mid = _random_partial_isometry(rng, w, r_big, r_mid, r_small)
+    a1_map, _, cod = _random_partial_isometry(rng, w, r_mid, r_small, min(r_small, r_mid))
+    return index_is_additive(a2_map, a1_map, dom, mid, cod)
+
+
 def _suite_detline(rng: np.random.Generator) -> list[CaseResult]:
     cases: list[CaseResult] = []
     w = gr.ModeWindow(3)
 
-    worst_equiv = 0.0
-    for _ in range(20):
-        s = _random_det_class(rng, w)
-        q = _random_det_class(rng, w)
-        lhs = det_line.DetPoint(s @ q, 2.0 + 0j, False)
-        rhs = det_line.DetPoint(s, (2.0 + 0j) * gr.fredholm_det(q), False)
-        worst_equiv = max(worst_equiv, abs(det_line.ratio(lhs, rhs) - 1.0))
+    worst_equiv = max(
+        equivalence_error(*(random_det_class(rng, w) for _ in range(2)), 2.0 + 0j)
+        for _ in range(20)
+    )
     cases.append(
         _num_case(
             "equivalence [S q, l] ~ [S, l det q], 20 random instances",
             "determinant-line-points",
             worst_equiv,
             0.0,
-            1e-10,
+            TOL_DET_LINE,
         )
     )
 
-    p = det_line.det_point(_random_det_class(rng, w))
+    p = det_line.det_point(random_det_class(rng, w))
     cases.append(
         _num_case(
             "ratio of a point against itself is one",
@@ -697,54 +814,37 @@ def _suite_detline(rng: np.random.Generator) -> list[CaseResult]:
         )
     )
 
-    worst_trans = 0.0
-    for _ in range(20):
-        pa = det_line.det_point(_random_det_class(rng, w))
-        pb = det_line.det_point(_random_det_class(rng, w))
-        pc = det_line.det_point(_random_det_class(rng, w))
-        worst_trans = max(
-            worst_trans,
-            abs(
-                det_line.ratio(pa, pb) * det_line.ratio(pb, pc) - det_line.ratio(pa, pc)
-            ),
-        )
+    worst_trans = max(
+        transitivity_error(*(random_det_class(rng, w) for _ in range(3))) for _ in range(20)
+    )
     cases.append(
         _num_case(
             "ratio transitivity on random triples",
             "determinant-ratio",
             worst_trans,
             0.0,
-            1e-10,
+            TOL_DET_LINE,
         )
     )
 
-    worst_mult = 0.0
-    for _ in range(100):
-        a = _random_det_class(rng, w, scale=0.3)
-        b = _random_det_class(rng, w, scale=0.3)
-        a2 = _random_det_class(rng, w, scale=0.3)
-        b2 = _random_det_class(rng, w, scale=0.3)
-        joint, (pa, pb) = det_line.tensor_split(a, b)
-        joint2 = det_line.det_point(a2 @ b2)
-        lhs = det_line.ratio(joint2, joint)
-        rhs = det_line.ratio(det_line.det_point(a2), pa) * det_line.ratio(
-            det_line.det_point(b2), pb
-        )
-        worst_mult = max(worst_mult, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    worst_mult = max(
+        multiplicativity_error(*(random_det_class(rng, w, 0.3) for _ in range(4)))
+        for _ in range(100)
+    )
     cases.append(
         _num_case(
             "multiplicativity det(A'B')/det(AB) = det(A'/A) det(B'/B), 100 instances",
             "determinant-multiplicativity",
             worst_mult,
             0.0,
-            1e-10,
+            TOL_DET_LINE,
         )
     )
 
     worst_norm = 0.0
     for _ in range(10):
-        s = _random_det_class(rng, w)
-        q = _random_det_class(rng, w)
+        s = random_det_class(rng, w)
+        q = random_det_class(rng, w)
         nf1 = det_line.DetPoint(s @ q, 1.0 + 0j, False).normal_form()
         nf2 = det_line.DetPoint(s, gr.fredholm_det(q), False).normal_form()
         worst_norm = max(worst_norm, abs(nf1.scale - nf2.scale) / abs(nf2.scale))
@@ -775,18 +875,7 @@ def _suite_detline(rng: np.random.Generator) -> list[CaseResult]:
         )
     )
 
-    index_exact = True
-    for _ in range(25):
-        ranks = sorted(int(x) for x in rng.integers(1, w.dim, size=3))
-        r_small, r_mid, r_big = ranks
-        a2_map, dom, mid = _random_partial_isometry(rng, w, r_big, r_mid, r_small)
-        a1_map, _, cod = _random_partial_isometry(rng, w, r_mid, r_small, min(r_small, r_mid))
-        ind_a1 = det_line.range_map_index(a1_map, mid, cod)
-        ind_a2 = det_line.range_map_index(a2_map, dom, mid)
-        composed = a1_map @ (mid @ a2_map)
-        ind_comp = det_line.range_map_index(composed, dom, cod)
-        if ind_comp != ind_a1 + ind_a2:
-            index_exact = False
+    index_exact = all([_additive_instance(rng, w) for _ in range(25)])
     cases.append(
         _exact_case(
             "index additivity on random partial isometries",
@@ -827,10 +916,7 @@ def _suite_chern(rng: np.random.Generator) -> list[CaseResult]:
         )
     )
 
-    all_exact = all(
-        chern_series.grr_c1_coefficient(m) == Fraction(6 * m * m + 6 * m + 1, 12)
-        for m in range(-10, 11)
-    )
+    all_exact = grr_coefficient_exact(range(-10, 11))
     cases.append(
         _exact_case(
             "degree-two pushforward coefficient equals (6m^2+6m+1)/12, m in -10..10",
@@ -884,12 +970,14 @@ def _suite_chern(rng: np.random.Generator) -> list[CaseResult]:
     return cases
 
 
+# Suite order is also the spawn order of the per-suite random streams.
 _SUITES = {
     "cp1": _suite_cp1,
     "grassmannian": _suite_grassmannian,
     "detline": _suite_detline,
     "chern": _suite_chern,
 }
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(name: str, seed: int = 0) -> ReportDocument:
@@ -897,14 +985,11 @@ def run_suite(name: str, seed: int = 0) -> ReportDocument:
     if name not in SUITE_NAMES:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     started = datetime.now(timezone.utc).isoformat()
-    names = [n for n in ("cp1", "grassmannian", "detline", "chern") if name in ("all", n)]
     cases: list[CaseResult] = []
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(len(_SUITES))
-    streams = dict(zip(("cp1", "grassmannian", "detline", "chern"), children))
-    for suite_name in names:
-        rng = np.random.default_rng(streams[suite_name])
-        cases.extend(_SUITES[suite_name](rng))
+    streams = np.random.SeedSequence(seed).spawn(len(_SUITES))
+    for (suite_name, suite), stream in zip(_SUITES.items(), streams):
+        if name in ("all", suite_name):
+            cases.extend(suite(np.random.default_rng(stream)))
     finished = datetime.now(timezone.utc).isoformat()
     return ReportDocument(name, seed, cases, started, finished)
 
@@ -946,8 +1031,8 @@ def _grid_rows(g: GridSpec, st: FdStencil) -> tuple[list[dict], dict]:
     max_fd = 0.0
     max_pdp = 0.0
     n_skip = 0
-    for x in _grid_points(g.re_min, g.re_max, g.n):
-        for y in _grid_points(g.im_min, g.im_max, g.n):
+    for x in np.linspace(g.re_min, g.re_max, g.n):
+        for y in np.linspace(g.im_min, g.im_max, g.n):
             z = complex(x, y)
             row = {"re": float(x), "im": float(y)}
             k_fd = None

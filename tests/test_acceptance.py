@@ -2,11 +2,13 @@
 
 Each test prints a single PASS/FAIL line with the observed figure and the
 tolerance it was held to (run with ``pytest -s`` to see them), then asserts.
-Tolerances and budgets are fixed here and match the package contracts:
+The identities are measured by the same ``detline.report`` functions that
+drive ``detline verify``, held to the same tolerance constants; each
+criterion fixes its own sample set, seed, window and runtime budget:
 
   1. spectral zeta determinant vs closed form, 1e-8 relative, 21x21 grid, < 10 s
   2. finite-difference curvature vs Kahler density, 1e-4 relative, 25 points, < 30 s
-  3. curvature = Tr(P dP dP) coefficient, 1e-4, same grid
+  3. curvature = Tr(P dP dP) coefficient, 1e-4 relative, same grid
   4. metric patching ratios, 1e-8, 50 random pairs; det = 4 |S|^2 on the grid
   5. relative eta/index family, exact integers and 1e-10
   6. connection patching 1e-5, curvature identity 1e-3, cocycle 1e-10
@@ -14,69 +16,48 @@ Tolerances and budgets are fixed here and match the package contracts:
   8. pushforward coefficient, exact rational arithmetic
 """
 
-import math
 import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from detline import chern_series, det_line
+from detline import chern_series, report
 from detline import grassmannian as gr
 from detline import interval_cp1 as cp1
 from detline.specfun import FdStencil
+
+GRID = report.chart_grid(-2, 2, 21)
+CURVATURE_GRID = report.chart_grid(-0.5, 0.5, 5)
+STENCIL = FdStencil(step=1e-3, order=4, kind="laplacian-2d")
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] acceptance criterion {number}: {detail}")
 
 
-def _grid(lo, hi, n):
-    return np.linspace(lo, hi, n)
-
-
 def test_criterion_1_zeta_determinant_grid():
     budget_s = 10.0
-    tol = 1e-8
+    tol = report.TOL_ZETA_DET
     start = time.monotonic()
-    worst = 0.0
-    for x in _grid(-2, 2, 21):
-        for y in _grid(-2, 2, 21):
-            z = complex(x, y)
-            if abs(z + 1) < 0.2:
-                continue
-            closed = cp1.zeta_det_closed(z)
-            worst = max(worst, abs(cp1.zeta_det_spectral(z) - closed) / closed)
-    spots = (
-        abs(cp1.zeta_det_spectral(0j) - 2.0),
-        abs(cp1.zeta_det_spectral(1 + 0j) - 4.0),
-        abs(cp1.zeta_det_spectral(1j) - 2.0),
-    )
+    worst = report.zeta_det_error(GRID)
+    spots = max(abs(cp1.zeta_det_spectral(z) - d) for z, d in ((0j, 2.0), (1, 4.0), (1j, 2.0)))
     elapsed = time.monotonic() - start
-    ok = worst < tol and max(spots) < 4.0 * tol and elapsed < budget_s
+    ok = worst < tol and spots < 4.0 * tol and elapsed < budget_s
     _report(
         1,
         ok,
-        f"max rel err {worst:.2e} (tol {tol:.0e}), spot errs {max(spots):.2e}, "
+        f"max rel err {worst:.2e} (tol {tol:.0e}), spot errs {spots:.2e}, "
         f"runtime {elapsed:.2f}s (< {budget_s:.0f}s)",
     )
-    assert worst < tol
-    assert max(spots) < 4.0 * tol
-    assert elapsed < budget_s
+    assert ok
 
 
 def test_criterion_2_curvature_equals_kahler_form():
     budget_s = 30.0
-    tol = 1e-4
+    tol = report.TOL_CURVATURE
     start = time.monotonic()
-    st = FdStencil(step=1e-3, order=4, kind="laplacian-2d")
-    worst = 0.0
-    for x in _grid(-0.5, 0.5, 5):
-        for y in _grid(-0.5, 0.5, 5):
-            z = complex(x, y)
-            expected = 1.0 / (1.0 + abs(z) ** 2) ** 2
-            worst = max(worst, abs(cp1.quillen_curvature_fd(z, st) - expected) / expected)
-    at_origin = cp1.quillen_curvature_fd(0j, st)
+    worst, _ = report.curvature_errors(CURVATURE_GRID, STENCIL)
+    at_origin = cp1.quillen_curvature_fd(0j, STENCIL)
     elapsed = time.monotonic() - start
     ok = worst < tol and abs(at_origin - 1.0) < tol and elapsed < budget_s
     _report(
@@ -85,48 +66,27 @@ def test_criterion_2_curvature_equals_kahler_form():
         f"max rel err {worst:.2e} at 25 grid points (tol {tol:.0e}), value at origin "
         f"{at_origin:.6f}, runtime {elapsed:.2f}s (< {budget_s:.0f}s)",
     )
-    assert worst < tol
-    assert abs(at_origin - 1.0) < tol
-    assert elapsed < budget_s
+    assert ok
 
 
 def test_criterion_3_curvature_equals_projection_density():
-    tol = 1e-4
-    st = FdStencil(step=1e-3, order=4, kind="laplacian-2d")
-    worst = 0.0
-    for x in _grid(-0.5, 0.5, 5):
-        for y in _grid(-0.5, 0.5, 5):
-            z = complex(x, y)
-            k_fd = cp1.quillen_curvature_fd(z, st)
-            k_pdp = cp1.kahler_form_2x2(z)
-            worst = max(worst, abs(k_fd - k_pdp))
+    tol = report.TOL_CURVATURE
+    _, worst = report.curvature_errors(CURVATURE_GRID, STENCIL)
     ok = worst < tol
-    _report(3, ok, f"max |curvature_fd - Tr(P dP dP)| = {worst:.2e} (tol {tol:.0e})")
-    assert worst < tol
+    _report(3, ok, f"max |curvature_fd - Tr(P dP dP)| / k = {worst:.2e} (tol {tol:.0e})")
+    assert ok
 
 
 def test_criterion_4_metric_patching():
-    tol = 1e-8
+    tol = report.TOL_ZETA_DET
     rng = np.random.default_rng(42)
-    worst_ratio = 0.0
-    count = 0
-    while count < 50:
-        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if abs(z + 1) < 0.2 or abs(w + 1) < 0.2:
-            continue
-        count += 1
-        lhs, rhs = cp1.metric_patching_check(z, w)
-        worst_ratio = max(worst_ratio, abs(lhs - rhs) / abs(rhs))
-    worst_model = 0.0
-    for x in _grid(-2, 2, 21):
-        for y in _grid(-2, 2, 21):
-            z = complex(x, y)
-            if abs(z + 1) < 0.2:
-                continue
-            det = cp1.zeta_det_spectral(z)
-            model = cp1.DET_TO_S_CONSTANT * abs(cp1.s_of_p(z)) ** 2
-            worst_model = max(worst_model, abs(det - model) / model)
+    pairs = []
+    while len(pairs) < 50:
+        z, w = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2))
+        if min(abs(z + 1), abs(w + 1)) >= cp1.EXCLUSION_RADIUS:
+            pairs.append((z, w))
+    worst_ratio = report.metric_patching_error(pairs)
+    worst_model = report.model_identity_error(GRID)
     ok = worst_ratio < tol and worst_model < tol
     _report(
         4,
@@ -134,44 +94,24 @@ def test_criterion_4_metric_patching():
         f"50 random ratio pairs: max rel err {worst_ratio:.2e}; det = 4|S(P)|^2 on grid: "
         f"max rel err {worst_model:.2e} (tol {tol:.0e})",
     )
-    assert worst_ratio < tol
-    assert worst_model < tol
+    assert ok
 
 
 def test_criterion_5_relative_eta_and_index():
+    tol = report.TOL_ETA
     window = gr.ModeWindow(6)
-    pi0 = gr.spectral_projection(window, 0)
-    eta_exact = all(
-        gr.relative_eta(gr.spectral_projection(window, k), pi0) == -2.0 * k
-        for k in range(-5, 6)
-    )
-    sign_consistent = all(
-        gr.relative_eta(gr.spectral_projection(window, k), pi0) / 2.0
-        == gr.RELATIVE_INDEX_SIGN * gr.relative_index(gr.spectral_projection(window, k), pi0)
-        for k in range(-5, 6)
-    )
-    rng = np.random.default_rng(43)
-    worst_flip = 0.0
-    for _ in range(20):
-        a = float(rng.uniform(0.05, 0.95))
-        flip = int(rng.integers(-6, 7))
-        lhs, rhs = gr.eta_finite_rank_check(a, flip, window)
-        worst_flip = max(worst_flip, abs(lhs - rhs))
-    worst_eta = max(
-        abs(gr.eta_invariant_spectral(round(a, 2)) - (1.0 - 2.0 * round(a, 2)))
-        for a in np.arange(0.05, 0.951, 0.05)
-    )
-    ok = eta_exact and sign_consistent and worst_flip < 1e-10 and worst_eta < 1e-10
+    eta_err, index_err = report.spectral_cut_errors(window)
+    worst_flip = report.eta_flip_error(np.random.default_rng(43), window)
+    worst_eta = report.eta_offset_error([round(a, 2) for a in np.arange(0.05, 0.951, 0.05)])
+    ok = eta_err == index_err == 0.0 and worst_flip < tol and worst_eta < tol
     _report(
         5,
         ok,
-        f"eta(-2k) exact: {eta_exact}; sign-consistent index: {sign_consistent}; "
-        f"20 finite-rank checks max err {worst_flip:.2e} (tol 1e-10); "
-        f"eta(a)=1-2a max err {worst_eta:.2e} (tol 1e-10)",
+        f"eta(-2k) exact: {eta_err == 0.0}; sign-consistent index: {index_err == 0.0}; "
+        f"20 finite-rank checks max err {worst_flip:.2e} (tol {tol:.0e}); "
+        f"eta(a)=1-2a max err {worst_eta:.2e} (tol {tol:.0e})",
     )
-    assert eta_exact and sign_consistent
-    assert worst_flip < 1e-10
-    assert worst_eta < 1e-10
+    assert ok
 
 
 def test_criterion_6_connection_patching_and_curvature():
@@ -180,122 +120,74 @@ def test_criterion_6_connection_patching_and_curvature():
     fam1 = gr.rotated_family(window, (-1, 0))
     fam2 = gr.rotated_family(window, (-1, 1))
     rng = np.random.default_rng(44)
-
-    def sigma():
-        m = 0.3 * (
-            rng.standard_normal((window.dim, window.dim))
-            + 1j * rng.standard_normal((window.dim, window.dim))
-        )
-        return gr.ModeOperator(window, m, gr.TAIL_ZERO)
-
-    s1, s2, s3 = sigma(), sigma(), sigma()
-    worst_patch = 0.0
+    shape = (window.dim, window.dim)
+    noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(3))
+    s1, s2, s3 = (gr.ModeOperator(window, 0.3 * m, gr.TAIL_ZERO) for m in noise)
     # ten sample points: four on the two-family overlap, six on perturbation charts
-    for t, direction in (((0.25, 0.2), "t1"), ((0.4, 0.7), "t2"),
-                         ((0.6, 0.4), "t1"), ((0.35, 0.9), "t2")):
-        lhs, rhs = gr.patching_identity_check(fam1, fam2, pi0, t, direction)
-        worst_patch = max(worst_patch, abs(lhs - rhs))
-    for t, direction in (((0.2, 0.3), "t1"), ((0.2, 0.3), "t2"), ((0.45, 0.7), "t1"),
-                         ((0.45, 0.7), "t2"), ((0.6, 0.15), "t1"), ((0.6, 0.15), "t2")):
-        lhs, rhs = gr.perturbation_patching_check(fam1, pi0, s1, s2, t, direction)
-        worst_patch = max(worst_patch, abs(lhs - rhs))
-
-    worst_curv = 0.0
-    for t in ((0.3, 0.25), (0.5, 0.5), (0.7, 0.8)):
-        worst_curv = max(
-            worst_curv, abs(gr.curvature_rkw(fam1, pi0, t) - gr.tr_p_dp_dp(fam1, t))
-        )
-
-    t = (0.44, 0.31)
-    cocycle = (
-        gr.transition_det(fam1, pi0, t, s1, s2)
-        * gr.transition_det(fam1, pi0, t, s2, s3)
-        * gr.transition_det(fam1, pi0, t, s3, s1)
+    worst_patch = max(
+        report.family_patching_error(
+            fam1, fam2, pi0,
+            [((0.25, 0.2), "t1"), ((0.4, 0.7), "t2"), ((0.6, 0.4), "t1"), ((0.35, 0.9), "t2")],
+        ),
+        report.chart_patching_error(
+            fam1, pi0, s1, s2,
+            [(t, d) for t in ((0.2, 0.3), (0.45, 0.7), (0.6, 0.15)) for d in ("t1", "t2")],
+        ),
     )
-    cocycle_err = abs(cocycle - 1.0)
-    ok = worst_patch < 1e-5 and worst_curv < 1e-3 and cocycle_err < 1e-10
+    worst_curv = report.connection_curvature_error(
+        fam1, pi0, [(0.3, 0.25), (0.5, 0.5), (0.7, 0.8)], None
+    )
+    cocycle_err = report.cocycle_error(fam1, pi0, (0.44, 0.31), s1, s2, s3)
+    patch_tol = report.TOL_CONNECTION_PATCHING
+    curv_tol = report.TOL_CONNECTION_CURVATURE
+    ok = worst_patch < patch_tol and worst_curv < curv_tol and cocycle_err < report.TOL_COCYCLE
     _report(
         6,
         ok,
-        f"patching max err {worst_patch:.2e} at 10 points (tol 1e-5); "
-        f"d omega vs Tr(P[d1P,d2P]) max err {worst_curv:.2e} (tol 1e-3); "
-        f"cocycle err {cocycle_err:.2e} (tol 1e-10)",
+        f"patching max err {worst_patch:.2e} at 10 points (tol {patch_tol:.0e}); "
+        f"d omega vs Tr(P[d1P,d2P]) max err {worst_curv:.2e} (tol {curv_tol:.0e}); "
+        f"cocycle err {cocycle_err:.2e} (tol {report.TOL_COCYCLE:.0e})",
     )
-    assert worst_patch < 1e-5
-    assert worst_curv < 1e-3
-    assert cocycle_err < 1e-10
+    assert ok
 
 
 def test_criterion_7_determinant_line_algebra():
     window = gr.ModeWindow(3)
     rng = np.random.default_rng(45)
 
-    def det_class(scale=0.3):
-        k = scale * (
-            rng.standard_normal((window.dim, window.dim))
-            + 1j * rng.standard_normal((window.dim, window.dim))
-        )
-        return gr.ModeOperator(window, np.eye(window.dim, dtype=complex) + k, gr.TAIL_IDENTITY)
+    def det_classes(count):
+        return (report.random_det_class(rng, window, 0.3) for _ in range(count))
 
-    def random_unitary(dim):
-        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        q, r = np.linalg.qr(m)
-        return q * (np.diag(r) / np.abs(np.diag(r)))
+    def partial(x, y, rank):
+        return gr.ModeOperator(window, x[:, :rank] @ y[:, :rank].conj().T, gr.TAIL_ZERO)
 
     worst = 0.0
     index_ok = True
     for _ in range(100):
-        s, q = det_class(), det_class()
-        equivalent = det_line.ratio(
-            det_line.DetPoint(s @ q, 1.0 + 0j, False),
-            det_line.DetPoint(s, gr.fredholm_det(q), False),
-        )
-        worst = max(worst, abs(equivalent - 1.0))
-
-        pa, pb, pc = (det_line.det_point(det_class()) for _ in range(3))
         worst = max(
             worst,
-            abs(det_line.ratio(pa, pb) * det_line.ratio(pb, pc) - det_line.ratio(pa, pc)),
+            report.equivalence_error(*det_classes(2), 1.0 + 0j),
+            report.transitivity_error(*det_classes(3)),
+            report.multiplicativity_error(*det_classes(4)),
         )
+        r0, r1, r2 = sorted(int(x) for x in rng.integers(1, window.dim, size=3))
+        u, v, w = (report.random_window_unitary(rng, window.dim) for _ in range(3))
+        # ran dom -> ran mid -> ran cod through two partial isometries
+        dom, mid, cod = partial(u, u, r2), partial(v, v, r1), partial(w, w, r0)
+        index_ok &= report.index_is_additive(partial(v, u, r0), partial(w, v, r0), dom, mid, cod)
 
-        a, b, a2, b2 = det_class(), det_class(), det_class(), det_class()
-        joint, (point_a, point_b) = det_line.tensor_split(a, b)
-        lhs = det_line.ratio(det_line.det_point(a2 @ b2), joint)
-        rhs = det_line.ratio(det_line.det_point(a2), point_a) * det_line.ratio(
-            det_line.det_point(b2), point_b
-        )
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-
-        ranks = sorted(int(x) for x in rng.integers(1, window.dim, size=3))
-        u, v = random_unitary(window.dim), random_unitary(window.dim)
-        dom = gr.ModeOperator(window, u[:, : ranks[2]] @ u[:, : ranks[2]].conj().T, gr.TAIL_ZERO)
-        mid = gr.ModeOperator(window, v[:, : ranks[1]] @ v[:, : ranks[1]].conj().T, gr.TAIL_ZERO)
-        iso = gr.ModeOperator(window, v[:, : ranks[0]] @ u[:, : ranks[0]].conj().T, gr.TAIL_ZERO)
-        w2 = random_unitary(window.dim)
-        cod = gr.ModeOperator(window, w2[:, : ranks[0]] @ w2[:, : ranks[0]].conj().T, gr.TAIL_ZERO)
-        iso2 = gr.ModeOperator(window, w2[:, : ranks[0]] @ v[:, : ranks[0]].conj().T, gr.TAIL_ZERO)
-        ind_first = det_line.range_map_index(iso, dom, mid)
-        ind_second = det_line.range_map_index(iso2, mid, cod)
-        ind_composed = det_line.range_map_index(iso2 @ mid @ iso, dom, cod)
-        if ind_composed != ind_first + ind_second:
-            index_ok = False
-
-    ok = worst < 1e-10 and index_ok
+    ok = worst < report.TOL_DET_LINE and index_ok
     _report(
         7,
         ok,
         f"equivalence/transitivity/multiplicativity over 100 instances: max err "
-        f"{worst:.2e} (tol 1e-10); index additivity exact: {index_ok}",
+        f"{worst:.2e} (tol {report.TOL_DET_LINE:.0e}); index additivity exact: {index_ok}",
     )
-    assert worst < 1e-10
-    assert index_ok
+    assert ok
 
 
 def test_criterion_8_pushforward_coefficient():
-    coefficient_ok = all(
-        chern_series.grr_c1_coefficient(m) == Fraction(6 * m * m + 6 * m + 1, 12)
-        for m in range(-10, 11)
-    )
+    coefficient_ok = report.grr_coefficient_exact(range(-10, 11))
     linear_ok = all(
         (chern_series.exp_series(m, 4) * chern_series.todd_series(4))[1]
         == Fraction(m) + Fraction(1, 2)
@@ -308,5 +200,4 @@ def test_criterion_8_pushforward_coefficient():
         f"degree-two coefficient exact for m in -10..10: {coefficient_ok}; "
         f"degree-one coefficient m + 1/2 exact: {linear_ok}",
     )
-    assert coefficient_ok
-    assert linear_ok
+    assert ok

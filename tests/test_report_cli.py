@@ -1,4 +1,5 @@
-"""Report schema, determinism, grid emission, and CLI behavior."""
+"""Report schema, determinism, grid emission, CLI behavior, and planted
+faults in the shared measurements."""
 
 import csv
 import json
@@ -6,11 +7,15 @@ import math
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from detline import cli, report
+from detline import chern_series, cli, report
+from detline import grassmannian as gr
+from detline import interval_cp1 as cp1
 from detline.errors import DomainError
+from detline.specfun import FdStencil
 
 
 def strip_timestamps(document):
@@ -204,3 +209,66 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["c1_coefficient"] == "1/12"
+
+
+# ---------------------------------------------------------------------------
+# planted faults: perturb one route of an identity and the shared measurement
+# and its suite case must report it
+
+
+def _case(document, prefix):
+    return next(c for c in document.cases if c.name.startswith(prefix))
+
+
+def _plant(monkeypatch, module, name, perturb):
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: perturb(original(*args), *args))
+
+
+def test_failed_model_identity_is_reported_not_raised(monkeypatch, capsys):
+    _plant(monkeypatch, cp1, "zeta_det_spectral", lambda det, z: det * (1 + 1e-6))
+    document = report.run_suite("cp1", 7)
+    assert _case(document, "spectral vs closed determinant").status == "fail"
+    assert _case(document, "model identity det = 4 |S(P)|^2").status == "fail"
+    assert _case(document, "metric patching ratio").status == "pass"
+    assert cli.main(["verify", "cp1", "--seed", "7"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] model identity" in out and "[PASS] metric patching ratio" in out
+
+
+def test_planted_fault_in_closed_determinant(monkeypatch):
+    _plant(monkeypatch, cp1, "zeta_det_closed", lambda det, z: det * (1 + 1e-6))
+    assert report.zeta_det_error(report.chart_grid(-2, 2, 21)) > report.TOL_ZETA_DET
+    assert _case(report.run_suite("cp1", 7), "spectral vs closed determinant").status == "fail"
+
+
+def test_planted_fault_in_projection_curvature(monkeypatch):
+    _plant(monkeypatch, cp1, "kahler_form_2x2", lambda k, z: k * (1 + 1e-3))
+    st = FdStencil(kind="laplacian-2d")
+    fd_err, pdp_err = report.curvature_errors(report.chart_grid(-0.5, 0.5, 5), st)
+    assert fd_err < report.TOL_CURVATURE < pdp_err
+    document = report.run_suite("cp1", 7)
+    assert _case(document, "curvature vs Tr(P dP dP)").status == "fail"
+    assert _case(document, "curvature vs closed Kahler density").status == "pass"
+
+
+def test_planted_fault_in_connection_curvature_density(monkeypatch):
+    _plant(monkeypatch, gr, "tr_p_dp_dp", lambda density, fam, t: density + 0.01)
+    w = gr.ModeWindow(6)
+    fam, pi0 = gr.rotated_family(w, (-1, 0)), gr.spectral_projection(w, 0)
+    error = report.connection_curvature_error(fam, pi0, [(0.37, 0.63)], None)
+    assert error > report.TOL_CONNECTION_CURVATURE
+    document = report.run_suite("grassmannian", 7)
+    assert _case(document, "curvature d omega matches Tr(P [d1 P, d2 P])").status == "fail"
+
+
+def test_planted_fault_in_pushforward_coefficient(monkeypatch):
+    _plant(
+        monkeypatch,
+        chern_series,
+        "grr_c1_coefficient",
+        lambda c, m: c + Fraction(1, 10**9) if m == 3 else c,
+    )
+    assert not report.grr_coefficient_exact(range(-10, 11))
+    assert report.grr_coefficient_exact(range(-10, 3))
+    assert _case(report.run_suite("chern", 7), "degree-two pushforward coefficient").status == "fail"

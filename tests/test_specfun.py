@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from detline.errors import DomainError, EvaluationError, NotInvertible, PoleAtOne
 from detline.specfun import (
+    S_IM_MAX,
+    S_RE_MIN,
     FdStencil,
     HurwitzParams,
     fd_apply,
@@ -60,6 +62,38 @@ def test_direct_sum_agreement_for_large_real_part():
 def test_against_oracle_off_axis():
     for s, a in [(2.5 - 1.1j, 0.35), (0.25, 0.8), (-1.5, 0.5), (5.0 + 3.0j, 1.0)]:
         assert abs(hurwitz_zeta(HurwitzParams(s=s, a=a)) - zeta_oracle(s, a)) < 1e-10
+
+
+def test_against_oracle_over_validated_region():
+    # Re s >= -2, |Im s| <= 60; error relative to max(1, |zeta|), since the
+    # continuation has zeros there
+    worst = 0.0
+    for re in (S_RE_MIN, -1.0, 0.0, 0.5, 2.0, 6.0):
+        for im in (-S_IM_MAX, -9.0, -1.0, 0.0, 5.0, 33.0, S_IM_MAX):
+            for a in (0.01, 0.3, 1.0):
+                s = complex(re, im)
+                if s == 1.0:
+                    continue
+                exact = zeta_oracle(s, a)
+                err = abs(hurwitz_zeta(HurwitzParams(s=s, a=a)) - exact) / max(1.0, abs(exact))
+                worst = max(worst, err)
+    assert worst < 1e-10
+
+
+@pytest.mark.parametrize(
+    "s, a",
+    [
+        (-30.0, 0.5),  # returned about 1e35 where zeta(-30, 1/2) = 0
+        (-5.0, 0.3),  # off by 1.8e-4 relative
+        (0.5 + 400j, 0.5),  # off by O(1)
+        (-2.0001, 0.5),
+        (0.5 + 60.5j, 0.5),
+        (complex(math.nan, 0.0), 0.5),
+    ],
+)
+def test_outside_validated_region_raises(s, a):
+    with pytest.raises(DomainError):
+        hurwitz_zeta(HurwitzParams(s=s, a=a))
 
 
 def test_pole_and_domain_errors():
