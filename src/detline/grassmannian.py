@@ -180,7 +180,7 @@ class ModeOperator:
         """Inverse of an operator with nonzero tails and invertible window block."""
         if abs(self.tail[0]) < 1e-14 or abs(self.tail[1]) < 1e-14:
             raise NotInvertible("tails vanish; the operator is not invertible")
-        _require_chart(self.entries, self.window.dim, None)
+        _require_chart(np.linalg.svd(self.entries, compute_uv=False), self.window.dim, None)
         tail = (1.0 / self.tail[0], 1.0 / self.tail[1])
         return ModeOperator(self.window, np.linalg.inv(self.entries), tail)
 
@@ -237,6 +237,8 @@ def rotated_family(w: ModeWindow, modes: tuple[int, int]) -> ProjectionFamily:
     U(t) rotates span{e_m1, e_m2} by the angle pi t1 / 2 with relative phase
     exp(2 pi i t2) and fixes every other mode, so P(0, t2) = Pi_{>=0} and the
     difference P(t) - Pi_{>=0} is supported in the 2x2 block on (m1, m2).
+    That block is the projection onto U e_m2 = (-conj(phase) sin, cos),
+    written in closed form into a copy of Pi_{>=0}.
     """
     m1, m2 = modes
     if not (m1 < 0 <= m2):
@@ -247,12 +249,13 @@ def rotated_family(w: ModeWindow, modes: tuple[int, int]) -> ProjectionFamily:
     def value(t1: float, t2: float) -> np.ndarray:
         theta = np.pi * t1 / 2.0
         phase = np.exp(2j * np.pi * t2)
-        u = np.eye(w.dim, dtype=complex)
-        u[i, i] = np.cos(theta)
-        u[j, j] = np.cos(theta)
-        u[i, j] = -np.conj(phase) * np.sin(theta)
-        u[j, i] = phase * np.sin(theta)
-        return u @ base @ u.conj().T
+        sin, cos = np.sin(theta), np.cos(theta)
+        p = base.copy()
+        p[i, i] = sin * sin
+        p[j, j] = cos * cos
+        p[i, j] = -np.conj(phase) * sin * cos
+        p[j, i] = -phase * sin * cos
+        return p
 
     return ProjectionFamily(w, value)
 
@@ -369,10 +372,10 @@ def eta_finite_rank_check(
     return lhs, rhs
 
 
-def _require_chart(s_amb: np.ndarray, rank: int, t: tuple[float, float] | None) -> None:
-    """Raise NotInvertible unless the leading ``rank`` singular values of the
-    map clear CHART_SVD_THRESHOLD; ``t`` is the parameter point, if any."""
-    sv = np.linalg.svd(s_amb, compute_uv=False)
+def _require_chart(sv: np.ndarray, rank: int, t: tuple[float, float] | None) -> None:
+    """Raise NotInvertible unless the leading ``rank`` of the descending
+    singular values ``sv`` of a chart map clear CHART_SVD_THRESHOLD; ``t`` is
+    the parameter point, if any."""
     if rank == 0 or rank > len(sv):
         raise NotInvertible(f"restriction rank {rank} is out of range")
     if sv[rank - 1] < CHART_SVD_THRESHOLD:
@@ -387,7 +390,7 @@ def _chart_ratio(
     eye = np.eye(w.dim, dtype=complex)
     hats = []
     for s in (s1, s2):
-        _require_chart(s, rank, t)
+        _require_chart(np.linalg.svd(s, compute_uv=False), rank, t)
         hats.append(ModeOperator(w, s + eye - q, TAIL_IDENTITY))
     return fredholm_det(hats[0] @ hats[1].inverse())
 
@@ -400,22 +403,29 @@ def _direction_axis(direction) -> int:
     raise DomainError(f"direction must be 't1' or 't2', got {direction!r}")
 
 
-def _s_window(
-    fam: ProjectionFamily,
-    base: ModeOperator,
-    t1: float,
-    t2: float,
-    perturbation: ModeOperator | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Window blocks of (P + P sigma P) base and of P at a parameter point."""
-    p = fam(t1, t2).entries
-    b = base.embed_to(fam.window).entries
+def _chart_base(w: ModeWindow, base: ModeOperator) -> tuple[np.ndarray, int]:
+    """Window block and window rank of a chart base, once per public call."""
+    if not base.is_projection():
+        raise DomainError("base must be a projection")
+    b = base.embed_to(w)
+    return b.entries, b.window_rank()
+
+
+def _chart_sigma(w: ModeWindow, perturbation: ModeOperator | None) -> np.ndarray | None:
+    """Window block of a chart perturbation (None for the identity chart)."""
     if perturbation is None:
-        return p @ b, p
-    sig = perturbation.embed_to(fam.window)
+        return None
+    sig = perturbation.embed_to(w)
     if max(abs(sig.tail[0]), abs(sig.tail[1])) > TAIL_TOL:
         raise NotDetClass("chart perturbations must be window supported (zero tails)")
-    return (p + p @ sig.entries @ p) @ b, p
+    return sig.entries
+
+
+def _chart_map(p: np.ndarray, b: np.ndarray, sig: np.ndarray | None) -> np.ndarray:
+    """Window block of (P + P sigma P) base."""
+    if sig is None:
+        return p @ b
+    return (p + p @ sig @ p) @ b
 
 
 def connection_form(
@@ -439,19 +449,27 @@ def connection_form(
     if st is None:
         st = FdStencil(kind="first-derivative")
     axis = _direction_axis(direction)
-    if not base.is_projection():
-        raise DomainError("base must be a projection")
-    rank = base.embed_to(fam.window).window_rank()
+    b, rank = _chart_base(fam.window, base)
+    return _connection_form(fam, b, rank, t, axis, st, _chart_sigma(fam.window, perturbation))
 
-    s_now, p_now = _s_window(fam, base, t[0], t[1], perturbation)
-    _require_chart(s_now, rank, t)
 
-    def s_at(t1: float, t2: float) -> np.ndarray:
-        return _s_window(fam, base, t1, t2, perturbation)[0]
-
-    ds = fd_apply(s_at, t, st, axis)
-    b = base.embed_to(fam.window).entries
-    s_pinv = np.linalg.pinv(s_now, rcond=RANK_SVD_THRESHOLD)
+def _connection_form(
+    fam: ProjectionFamily,
+    b: np.ndarray,
+    rank: int,
+    t: tuple[float, float],
+    axis: int,
+    st: FdStencil,
+    sig: np.ndarray | None,
+) -> complex:
+    """connection_form on a prepared base block; one SVD of S serves both the
+    chart guard and the pseudo-inverse (with pinv's relative cut-off)."""
+    p_now = fam(*t).entries
+    u, sv, vh = np.linalg.svd(_chart_map(p_now, b, sig), full_matrices=False)
+    _require_chart(sv, rank, t)
+    ds = fd_apply(lambda t1, t2: _chart_map(fam(t1, t2).entries, b, sig), t, st, axis)
+    kept = sv > RANK_SVD_THRESHOLD * sv[0]
+    s_pinv = (vh[kept].conj().T / sv[kept]) @ u[:, kept].conj().T
     return complex(np.trace(s_pinv @ p_now @ ds @ b))
 
 
@@ -489,9 +507,11 @@ def curvature_rkw(
     if st is None:
         st = FdStencil(kind="first-derivative")
     inner = FdStencil(step=min(1e-5, st.step / 10.0), order=4, kind="first-derivative")
+    b, rank = _chart_base(fam.window, base)
+    sig = _chart_sigma(fam.window, perturbation)
 
     def omega(axis_inner: int) -> Callable[[float, float], complex]:
-        return lambda t1, t2: connection_form(fam, base, (t1, t2), axis_inner, inner, perturbation)
+        return lambda t1, t2: _connection_form(fam, b, rank, (t1, t2), axis_inner, inner, sig)
 
     return fd_apply(omega(1), t, st, 0) - fd_apply(omega(0), t, st, 1)
 
@@ -511,10 +531,20 @@ def transition_det(
     the identity-extended representatives S_i + (I - P).
     """
     w = fam.window
-    rank = base.embed_to(w).window_rank()
-    s1, p = _s_window(fam, base, t[0], t[1], sigma1)
-    s2, _ = _s_window(fam, base, t[0], t[1], sigma2)
-    return _chart_ratio(w, s1, s2, p, rank, t)
+    b, rank = _chart_base(w, base)
+    return _transition_det(fam, b, rank, t, _chart_sigma(w, sigma1), _chart_sigma(w, sigma2))
+
+
+def _transition_det(
+    fam: ProjectionFamily,
+    b: np.ndarray,
+    rank: int,
+    t: tuple[float, float],
+    sig1: np.ndarray | None,
+    sig2: np.ndarray | None,
+) -> complex:
+    p = fam(*t).entries
+    return _chart_ratio(fam.window, _chart_map(p, b, sig1), _chart_map(p, b, sig2), p, rank, t)
 
 
 def perturbation_patching_check(
@@ -535,13 +565,17 @@ def perturbation_patching_check(
     if st is None:
         st = FdStencil(kind="first-derivative")
     axis = _direction_axis(direction)
+    w = fam.window
+    b, rank = _chart_base(w, base)
+    sig1, sig2 = _chart_sigma(w, sigma1), _chart_sigma(w, sigma2)
 
     def g_at(t1: float, t2: float) -> complex:
-        return transition_det(fam, base, (t1, t2), sigma1, sigma2)
+        return _transition_det(fam, b, rank, (t1, t2), sig1, sig2)
 
     lhs = fd_apply(g_at, t, st, axis) / g_at(*t)
-    rhs = connection_form(fam, base, t, direction, None, sigma1) - connection_form(
-        fam, base, t, direction, None, sigma2
+    omega_st = FdStencil(kind="first-derivative")
+    rhs = _connection_form(fam, b, rank, t, axis, omega_st, sig1) - _connection_form(
+        fam, b, rank, t, axis, omega_st, sig2
     )
     return complex(lhs), complex(rhs)
 
@@ -568,16 +602,16 @@ def patching_identity_check(
     if fam1.window.n_max != fam2.window.n_max:
         raise NotCommensurable("families must share one mode window")
     w = fam1.window
-    b = base.embed_to(w)
-    rank = b.window_rank()
+    b, rank = _chart_base(w, base)
 
     def g_at(t1: float, t2: float) -> complex:
-        s1, _ = _s_window(fam1, base, t1, t2, None)
-        s2, _ = _s_window(fam2, base, t1, t2, None)
-        return _chart_ratio(w, s1, s2, b.entries, rank, (t1, t2))
+        s1 = _chart_map(fam1(t1, t2).entries, b, None)
+        s2 = _chart_map(fam2(t1, t2).entries, b, None)
+        return _chart_ratio(w, s1, s2, b, rank, (t1, t2))
 
     lhs = fd_apply(g_at, t, st, axis) / g_at(*t)
-    rhs = connection_form(fam1, base, t, direction, None) - connection_form(
-        fam2, base, t, direction, None
+    omega_st = FdStencil(kind="first-derivative")
+    rhs = _connection_form(fam1, b, rank, t, axis, omega_st, None) - _connection_form(
+        fam2, b, rank, t, axis, omega_st, None
     )
     return complex(lhs), complex(rhs)

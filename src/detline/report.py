@@ -721,33 +721,46 @@ def _suite_grassmannian(rng: np.random.Generator) -> list[CaseResult]:
     return cases
 
 
+# Nodes of the Stokes rectangle [0, _STOKES_T1_MAX] x [0, 1]: Gauss-Legendre
+# in t1, periodic trapezoid in t2.  On the rotated family the pair agrees to
+# 1.7e-11 at 8 x 4 and at 24 x 16 alike (6 x 4 gave 5.4e-11): that is the
+# floor of the stencil derivatives, and more nodes only cost time.
+_STOKES_T1_MAX = 0.75
+_STOKES_N1 = 8
+_STOKES_N2 = 4
+
+
 def _stokes_pair(fam: gr.ProjectionFamily, base: gr.ModeOperator) -> tuple[complex, complex]:
     """Line integral of omega around a chart rectangle vs the curvature integral.
 
     The rectangle [0, 0.75] x [0, 1] stays inside the invertibility chart of
-    S(P); the full unit square touches the singular edge t1 = 1.
+    S(P); the full unit square touches the singular edge t1 = 1.  The family
+    must be 1-periodic in t2, as the rotated family is through its phase
+    exp(2 pi i t2).  The t1 integrals (bottom and top edges, and the area's
+    inner rule) use _STOKES_N1 Gauss-Legendre nodes on [0, 0.75].  The t2
+    integrals (left and right edges, and the area's outer rule) use the
+    periodic trapezoid rule on the _STOKES_N2 nodes k / _STOKES_N2, which
+    converges geometrically for a periodic analytic integrand (Trefethen and
+    Weideman, "The exponentially convergent trapezoidal rule", SIAM Rev.
+    2014).
     """
-    t1_max = 0.75
-    n_edge = 65
-    n_area = 41
+    x, weights = np.polynomial.legendre.leggauss(_STOKES_N1)
+    t1s = 0.5 * _STOKES_T1_MAX * (x + 1.0)
+    w1 = 0.5 * _STOKES_T1_MAX * weights
+    t2s = np.arange(_STOKES_N2) / _STOKES_N2
 
     def omega(t1: float, t2: float, axis: int) -> complex:
         return gr.connection_form(fam, base, (t1, t2), axis)
 
-    def edge(values: np.ndarray, integrand) -> complex:
-        samples = np.array([integrand(v) for v in values])
-        return complex(np.trapezoid(samples, values))
+    def along_t1(t2: float) -> complex:
+        return complex(w1 @ np.array([omega(s, t2, 0) for s in t1s]))
 
-    bottom = edge(np.linspace(0.0, t1_max, n_edge), lambda s: omega(s, 0.0, 0))
-    top = edge(np.linspace(0.0, t1_max, n_edge), lambda s: omega(s, 1.0, 0))
-    right = edge(np.linspace(0.0, 1.0, n_edge), lambda s: omega(t1_max, s, 1))
-    left = edge(np.linspace(0.0, 1.0, n_edge), lambda s: omega(0.0, s, 1))
-    boundary = bottom + right - top - left
+    def along_t2(t1: float) -> complex:
+        return complex(np.mean([omega(t1, s, 1) for s in t2s]))
 
-    t1s = np.linspace(0.0, t1_max, n_area)
-    t2s = np.linspace(0.0, 1.0, n_area)
+    boundary = along_t1(0.0) + along_t2(_STOKES_T1_MAX) - along_t1(1.0) - along_t2(0.0)
     grid = np.array([[gr.tr_p_dp_dp(fam, (a, b)) for b in t2s] for a in t1s])
-    area = complex(np.trapezoid(np.trapezoid(grid, t2s, axis=1), t1s))
+    area = complex(w1 @ grid.mean(axis=1))
     return boundary, area
 
 

@@ -19,6 +19,7 @@ and a non-finite result, becomes an ``EvaluationError`` naming the point.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass, field
@@ -129,7 +130,9 @@ def hurwitz_zeta(p: HurwitzParams) -> complex:
     the only singularity is the simple pole at s = 1.  s must lie in the
     validated region Re s >= S_RE_MIN, |Im s| <= S_IM_MAX; elsewhere the
     fixed cutoff is too short and the result would be silently wrong, so
-    DomainError is raised.
+    DomainError is raised.  It is raised too where a term leaves the double
+    range (a^-s for a = 0.01 at Re s > 154, the Bernoulli terms near
+    Re s = 1e21), which would otherwise end in OverflowError or a silent NaN.
     """
     s = complex(p.s)
     if not (s.real >= S_RE_MIN and abs(s.imag) <= S_IM_MAX):
@@ -139,7 +142,13 @@ def hurwitz_zeta(p: HurwitzParams) -> complex:
         )
     if abs(p.s - 1.0) < 1e-12:
         raise PoleAtOne(f"zeta(s, a) has a pole at s = 1 (got s = {p.s})")
-    return _hurwitz_em(p.s, p.a, p.em_order, p.cutoff)
+    try:
+        value = _hurwitz_em(p.s, p.a, p.em_order, p.cutoff)
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise DomainError(f"zeta(s, a) at s = {p.s}, a = {p.a} leaves the double range")
 
 
 def hurwitz_zeta_ds0(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from detline import grassmannian as gr
+from detline import report
 from detline.errors import (
     DomainError,
     NotCommensurable,
@@ -12,7 +13,7 @@ from detline.errors import (
     NotInvertible,
     WindowOverflow,
 )
-from detline.specfun import FdStencil
+from detline.specfun import FdStencil, fd_apply
 
 RNG = np.random.default_rng(20240811)
 W = gr.ModeWindow(4)
@@ -91,6 +92,21 @@ def test_rotated_family_rank_constant():
     fam = gr.rotated_family(W, (-2, 1))
     ranks = {fam(t1, t2).window_rank() for t1 in (0.0, 0.3, 0.8) for t2 in (0.1, 0.9)}
     assert ranks == {W.n_max + 1}
+
+
+def test_rotated_family_closed_form_matches_dense_conjugation():
+    # the closed-form 2x2 block equals U Pi_{>=0} U* built densely
+    w6 = gr.ModeWindow(6)
+    i, j = w6.index(-2), w6.index(3)
+    fam = gr.rotated_family(w6, (-2, 3))
+    pi0 = gr.spectral_projection(w6, 0).entries
+    for t1, t2 in ((0.0, 0.0), (0.13, 0.71), (0.5, 0.25), (0.88, 0.4), (1.0, 0.97)):
+        theta, phase = np.pi * t1 / 2.0, np.exp(2j * np.pi * t2)
+        u = np.eye(w6.dim, dtype=complex)
+        u[i, i] = u[j, j] = np.cos(theta)
+        u[i, j] = -np.conj(phase) * np.sin(theta)
+        u[j, i] = phase * np.sin(theta)
+        assert np.max(np.abs(fam(t1, t2).entries - u @ pi0 @ u.conj().T)) < 1e-14
 
 
 def test_rotated_family_validates_modes():
@@ -257,8 +273,39 @@ def test_connection_form_conjugation_invariance():
 
 def test_connection_form_chart_guard():
     fam = gr.rotated_family(W, (-1, 0))
-    with pytest.raises(NotInvertible):
+    with pytest.raises(NotInvertible, match=r"at t = \(1\.0, 0\.2\)"):
         gr.connection_form(fam, PI0, (1.0, 0.2), "t1")
+    w6 = gr.ModeWindow(6)
+    fam6, base6 = gr.rotated_family(w6, (-1, 0)), gr.spectral_projection(w6, 0)
+    with pytest.raises(NotInvertible, match=r"at t = \(1\.0, 0\.35\)"):
+        gr.connection_form(fam6, base6, (1.0, 0.35))
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_connection_form_matches_numpy_pinv(perturbed):
+    # the one-SVD pseudo-inverse equals numpy's pinv with the same relative
+    # cut-off, in the identity chart and in a perturbed chart
+    w6 = gr.ModeWindow(6)
+    rng = np.random.default_rng(6)
+    fam = gr.rotated_family(w6, (-2, 1))
+    base = gr.spectral_projection(w6, 0)
+    shape = (w6.dim, w6.dim)
+    sig = 0.2 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    sigma = gr.ModeOperator(w6, sig, gr.TAIL_ZERO) if perturbed else None
+    b = base.entries
+
+    def s_at(t1, t2):
+        p = fam(t1, t2).entries
+        return (p + p @ sig @ p) @ b if perturbed else p @ b
+
+    st = FdStencil(kind="first-derivative")
+    for t in ((0.3, 0.45), (0.71, 0.12)):
+        for axis in (0, 1):
+            ds = fd_apply(s_at, t, st, axis)
+            s_pinv = np.linalg.pinv(s_at(*t), rcond=gr.RANK_SVD_THRESHOLD)
+            expected = np.trace(s_pinv @ fam(*t).entries @ ds @ b)
+            value = gr.connection_form(fam, base, t, axis, perturbation=sigma)
+            assert abs(value - expected) < 1e-12
 
 
 def test_curvature_matches_commutator_density():
@@ -352,11 +399,44 @@ def test_transition_det_closed_form():
     assert gr.transition_det(fam, PI0, t, sigma1, sigma2) == pytest.approx(expected, rel=1e-10)
 
 
-def test_stokes_on_chart_rectangle():
-    from detline.report import _stokes_pair
+# The pulled-back Fubini-Study form integrated over theta in [0, 3 pi / 8]
+# (t1 in [0, 0.75]) and a full turn of the phase.
+STOKES_EXACT = -1j * np.pi * (1.0 + 1.0 / np.sqrt(2.0))
 
-    fam = gr.rotated_family(gr.ModeWindow(3), (-1, 0))
-    base = gr.spectral_projection(gr.ModeWindow(3), 0)
-    boundary, area = _stokes_pair(fam, base)
-    assert abs(boundary - area) < 1e-2
-    assert abs(area) > 1.0  # the check is not vacuous
+
+def stokes_on(n_max):
+    w = gr.ModeWindow(n_max)
+    return report._stokes_pair(gr.rotated_family(w, (-1, 0)), gr.spectral_projection(w, 0))
+
+
+def test_stokes_on_chart_rectangle():
+    boundary, area = stokes_on(3)
+    assert abs(boundary - STOKES_EXACT) < 1e-8
+    assert abs(area - STOKES_EXACT) < 1e-8
+
+
+def test_stokes_pair_converged_in_node_counts(monkeypatch):
+    boundary, area = stokes_on(3)
+    monkeypatch.setattr(report, "_STOKES_N1", 2 * report._STOKES_N1)
+    monkeypatch.setattr(report, "_STOKES_N2", 2 * report._STOKES_N2)
+    boundary2, area2 = stokes_on(3)
+    assert abs(abs(boundary2 - area2) - abs(boundary - area)) < 1e-10
+
+
+def test_stokes_pair_call_counts(monkeypatch):
+    counts = {}
+
+    def counted(name):
+        inner = getattr(gr, name)
+
+        def call(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(gr, name, call)
+
+    counted("tr_p_dp_dp")
+    counted("connection_form")
+    stokes_on(6)
+    assert counts["tr_p_dp_dp"] <= 150
+    assert counts["connection_form"] <= 60

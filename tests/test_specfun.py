@@ -96,6 +96,19 @@ def test_outside_validated_region_raises(s, a):
         hurwitz_zeta(HurwitzParams(s=s, a=a))
 
 
+@pytest.mark.parametrize("s, a", [(200.0, 0.01), (1e6, 0.5), (1e30, 1.0)])
+def test_overflow_inside_validated_region_raises(s, a):
+    # a^-s exceeds the double range (a bare OverflowError), or the
+    # Euler-Maclaurin terms meet inf * 0 (a silent NaN at s = 1e30)
+    with pytest.raises(DomainError):
+        hurwitz_zeta(HurwitzParams(s=s, a=a))
+
+
+def test_large_value_below_overflow_is_returned():
+    value = hurwitz_zeta(HurwitzParams(s=150.0, a=0.01))
+    assert value.real == pytest.approx(1e300, rel=1e-12)
+
+
 def test_pole_and_domain_errors():
     with pytest.raises(PoleAtOne):
         hurwitz_zeta(HurwitzParams(s=1.0 + 1e-14j, a=0.5))
