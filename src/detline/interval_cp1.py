@@ -8,12 +8,20 @@ solvable: the Laplacian boundary problem has spectrum {(n + alpha)^2 : n in Z}
 with cos(2 pi alpha) = -2 Re z / (1 + |z|^2), the zeta determinant is
 2 |1+z|^2 / (1 + |z|^2) = 4 sin^2(pi alpha), and the curvature of the
 zeta metric is the Fubini-Study form 1/(1+|z|^2)^2.
+
+The spectral route (``alpha_of``, ``zeta_det_from_alpha``,
+``zeta_det_spectral``, ``quillen_curvature_fd``), the closed forms
+(``zeta_det_closed``, ``s_of_p``, ``kahler_form_2x2``) and
+``metric_patching_check`` take a chart point or a numpy array of them and
+return a float (complex for ``s_of_p``) for a scalar and an array of the
+input's shape otherwise.  A scalar runs through the same array kernel as a
+one-point array.  One NaN, infinite, degenerate or unresolved entry makes
+the whole call raise.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +37,7 @@ __all__ = [
     "adjoint_projection",
     "alpha_of",
     "zeta_det_closed",
+    "kahler_density_closed",
     "zeta_det_spectral",
     "zeta_det_from_alpha",
     "quillen_curvature_fd",
@@ -39,6 +48,9 @@ __all__ = [
     "KAHLER_SIGN",
     "DET_TO_S_CONSTANT",
     "EXCLUSION_RADIUS",
+    "TOL_CURVATURE",
+    "curvature_fd_unresolved",
+    "curvature_fd_truncation_bound",
 ]
 
 HERMITIAN_TOL = 1e-12
@@ -53,6 +65,11 @@ DET_TO_S_CONSTANT = 4.0
 
 # Radius around z = -1 (zero mode) excluded from spectral and curvature grids.
 EXCLUSION_RADIUS = 0.2
+
+# Relative tolerance of the finite-difference curvature against the
+# Fubini-Study density; quillen_curvature_fd refuses points where its
+# truncation bound exceeds it.
+TOL_CURVATURE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -83,16 +100,19 @@ class BoundaryProjection2:
 
 @dataclass(frozen=True)
 class SpectralDatum:
-    """Spectral offset alpha in (0, 1/2] together with its chart point."""
+    """Spectral offset alpha in (0, 1/2] together with its chart point,
+    elementwise when both are arrays."""
 
-    alpha: float
-    z: complex
+    alpha: float | np.ndarray
+    z: complex | np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 0.5:
-            raise DomainError(f"alpha must lie in (0, 1/2], got {self.alpha}")
-        c = -2.0 * self.z.real / (1.0 + abs(self.z) ** 2)
-        if abs(math.cos(2.0 * math.pi * self.alpha) - c) > HERMITIAN_TOL:
+        alpha, z = np.asarray(self.alpha), np.asarray(self.z)
+        outside = ~((alpha > 0.0) & (alpha <= 0.5))
+        if outside.any():
+            raise DomainError(f"alpha must lie in (0, 1/2], got {alpha[outside].flat[0]}")
+        c = -2.0 * z.real / (1.0 + _modulus(z) ** 2)
+        if (np.abs(np.cos(2.0 * np.pi * alpha) - c) > HERMITIAN_TOL).any():
             raise DomainError("alpha is inconsistent with the chart point")
 
 
@@ -106,6 +126,27 @@ def _chart_point(z: complex) -> complex:
     if not cmath.isfinite(z):
         raise DomainError(f"chart point must be finite, got {z}")
     return z
+
+
+def _chart_array(z) -> np.ndarray:
+    """Chart points as a complex array of at least one dimension; a NaN or
+    infinite entry raises DomainError."""
+    points = np.array(z, dtype=complex, ndmin=1)
+    bad = ~np.isfinite(points)
+    if bad.any():
+        raise DomainError(f"chart point must be finite, got {points[bad][0]}")
+    return points
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| by hypot, bit for bit Python's abs of a complex (numpy's complex
+    absolute differs from it in the last bit for about a third of inputs)."""
+    return np.hypot(z.real, z.imag)
+
+
+def _like(value: np.ndarray, z):
+    """value as a Python scalar when z is a scalar, else unchanged."""
+    return value.reshape(-1)[0].item() if np.ndim(z) == 0 else value
 
 
 def _rank_one(v: np.ndarray, chart: complex | None) -> BoundaryProjection2:
@@ -139,69 +180,134 @@ def adjoint_projection(z: complex) -> BoundaryProjection2:
     return _rank_one(np.array([z.conjugate(), 1.0]), z)
 
 
-def alpha_of(z: complex) -> SpectralDatum:
+def alpha_of(z: complex | np.ndarray) -> SpectralDatum:
     """Spectral offset of the boundary problem at chart point z.
 
     Both roots u of u^2 (1+|z|^2) + 2 u (z + conj z) + (1+|z|^2) = 0 lie on
-    the unit circle; alpha is their phase on the canonical branch (0, 1/2].
-    A root at u = 1 means a zero eigenvalue and raises DegenerateSpectrum.
+    the unit circle; alpha is their phase on the canonical branch (0, 1/2],
+    alpha = atan2(|1+z|, |1-z|) / pi.  (The equivalent acos(-2 Re z /
+    (1+|z|^2)) / (2 pi) loses half the digits near z = -1: the spectral
+    determinant at z = -1 + 1e-6 was off by 1.3e-4.)  A root at u = 1, where
+    |u - 1| = 2 sin(pi alpha) falls below DEGENERACY_TOL, means a zero
+    eigenvalue and raises DegenerateSpectrum.  For an array z both fields of
+    the datum are arrays.
     """
-    z = _chart_point(z)
-    c = -2.0 * z.real / (1.0 + abs(z) ** 2)
-    c = min(1.0, max(-1.0, c))
-    # |u - 1|^2 = 2 (1 - c) for the unit-circle root u = c + i sqrt(1 - c^2).
-    if math.sqrt(2.0 * max(0.0, 1.0 - c)) < DEGENERACY_TOL:
-        raise DegenerateSpectrum(f"boundary condition at z = {z} has a zero mode")
-    alpha = math.acos(c) / (2.0 * math.pi)
-    return SpectralDatum(alpha=alpha, z=z)
+    points = _chart_array(z)
+    near, far = _modulus(1.0 + points), _modulus(1.0 - points)
+    zero_mode = 2.0 * near < DEGENERACY_TOL * np.hypot(near, far)
+    if zero_mode.any():
+        raise DegenerateSpectrum(
+            f"boundary condition at z = {points[zero_mode][0]} has a zero mode"
+        )
+    alpha = np.arctan2(near, far) / np.pi
+    return SpectralDatum(alpha=_like(alpha, z), z=_like(points, z))
 
 
-def zeta_det_closed(z: complex) -> float:
+def zeta_det_closed(z: complex | np.ndarray) -> float | np.ndarray:
     """Closed-form zeta determinant 2 |1+z|^2 / (1 + |z|^2) = 4 sin^2(pi alpha)."""
-    z = _chart_point(z)
-    return 2.0 * abs(1.0 + z) ** 2 / (1.0 + abs(z) ** 2)
+    points = _chart_array(z)
+    return _like(2.0 * _modulus(1.0 + points) ** 2 / (1.0 + _modulus(points) ** 2), z)
 
 
-def zeta_det_from_alpha(alpha: float) -> float:
+def kahler_density_closed(z: complex | np.ndarray) -> float | np.ndarray:
+    """Closed-form Fubini-Study density 1/(1+|z|^2)^2."""
+    return _like(1.0 / (1.0 + _modulus(_chart_array(z)) ** 2) ** 2, z)
+
+
+def zeta_det_from_alpha(alpha: float | np.ndarray) -> float | np.ndarray:
     """Zeta determinant from the spectral offset alone.
 
     The spectrum {(n + alpha)^2 : n in Z} splits into the two Hurwitz
     families (n + alpha)^2 and (n + 1 - alpha)^2 over n >= 0, so
     zeta_Delta(s) = zeta_H(2s, alpha) + zeta_H(2s, 1 - alpha) and
-    det = exp(-zeta_Delta'(0)).
+    det = exp(-zeta_Delta'(0)).  Both families go through one
+    hurwitz_zeta_ds0 call.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    ds0 = hurwitz_zeta_ds0(alpha) + hurwitz_zeta_ds0(1.0 - alpha)
-    return math.exp(-2.0 * ds0)
+    offsets = np.array(alpha, dtype=float, ndmin=1)
+    outside = ~((offsets > 0.0) & (offsets < 1.0))
+    if outside.any():
+        raise DomainError(f"alpha must lie in (0, 1), got {offsets[outside][0]}")
+    ds0 = hurwitz_zeta_ds0(np.stack([offsets, 1.0 - offsets]))
+    return _like(np.exp(-2.0 * (ds0[0] + ds0[1])), alpha)
 
 
-def zeta_det_spectral(z: complex) -> float:
+def zeta_det_spectral(z: complex | np.ndarray) -> float | np.ndarray:
     """Zeta determinant through the Hurwitz zeta pipeline."""
     return zeta_det_from_alpha(alpha_of(z).alpha)
 
 
-def quillen_curvature_fd(z: complex, st: FdStencil | None = None) -> float:
+# Truncation of the stencil Laplacian near the zero mode.  log det_zeta is
+# log 2 + 2 log|1+z| - log(1+|z|^2), and its singular part u = 2 Re log(1+z)
+# is harmonic, so in the error sum_m c_m h^(m-2) (d_x^m + d_y^m) u of a
+# central stencil (c_m = sum_j w_j j^m / m! over its 1-D second-derivative
+# weights) the terms with i^m = -1 cancel; the first surviving one has
+# m = 4 (order 2) or m = 8 (order 4) and is -4 c_m (m-1)! h^(m-2) Re (1+z)^-m.
+# The curvature is -1/4 of the Laplacian, so relative to the Fubini-Study
+# density its error is at most K h^(m-2) (1+|z|^2)^2 / |1+z|^m with
+# K = |c_m| (m-1)!: 5 for order 4 (c_8 = -40/8!), 1/2 for order 2 (c_4 = 1/12).
+_TRUNCATION = {2: (4, 0.5), 4: (8, 5.0)}
+
+
+def curvature_fd_truncation_bound(z: complex | np.ndarray, st: FdStencil) -> float | np.ndarray:
+    """Leading truncation error of quillen_curvature_fd at z, relative to the
+    Fubini-Study density, from the zero mode at z = -1.
+
+    It is the first term of the stencil's error series that survives on the
+    harmonic part 2 log|1+z| of log det_zeta; it is attained where (1+z)^m is
+    real and the next term adds less than 12 (h / |1+z|)^4 of it.  The smooth
+    part's truncation, O(h^4) on the unit disk, is not included.
+    """
+    points = _chart_array(z)
+    power, constant = _TRUNCATION[st.order]
+    scale = constant * st.step ** (power - 2) * (1.0 + _modulus(points) ** 2) ** 2
+    with np.errstate(divide="ignore"):
+        return _like(scale / _modulus(1.0 + points) ** power, z)
+
+
+def curvature_fd_unresolved(z: complex | np.ndarray, st: FdStencil) -> bool | np.ndarray:
+    """Where quillen_curvature_fd raises DegenerateSpectrum: its stencil comes
+    within 4 steps of the zero mode, or its truncation bound exceeds
+    TOL_CURVATURE.  For the default stencil (step 1e-3, order 4) that is
+    only inside |1+z| < 0.028, well inside the exclusion disk of radius
+    EXCLUSION_RADIUS; the bound decreases with |1+z| and is at most 1.2e-11
+    on the disk's boundary.
+    """
+    points = _chart_array(z)
+    unresolved = (_modulus(1.0 + points) < 4.0 * st.step) | (
+        curvature_fd_truncation_bound(points, st) > TOL_CURVATURE
+    )
+    return _like(unresolved, z)
+
+
+def quillen_curvature_fd(
+    z: complex | np.ndarray, st: FdStencil | None = None
+) -> float | np.ndarray:
     """Curvature coefficient of the zeta metric at z, by finite differences.
 
     Returns the coefficient of dz wedge dzbar in dbar d log det_zeta, which
     equals -(1/4) Laplacian_(x,y) log det_zeta at z = x + i y and reproduces
-    the Fubini-Study density 1/(1+|z|^2)^2.
+    the Fubini-Study density 1/(1+|z|^2)^2.  An array z is differentiated in
+    one stencil pass.  Where ``curvature_fd_unresolved`` holds the stencil
+    cannot resolve the zero mode at -1 within TOL_CURVATURE, and
+    DegenerateSpectrum is raised instead of a wrong value.
     """
-    z = _chart_point(z)
+    points = _chart_array(z)
     if st is None:
         st = FdStencil(kind="laplacian-2d")
     if st.kind != "laplacian-2d":
         raise DomainError("quillen_curvature_fd needs a laplacian-2d stencil")
-    if abs(z + 1.0) < 4.0 * st.step:
+    unresolved = curvature_fd_unresolved(points, st)
+    if unresolved.any():
         raise DegenerateSpectrum(
-            f"stencil around z = {z} comes within 4 steps of the zero mode at -1"
+            f"stencil around z = {points[unresolved][0]} cannot resolve the zero mode "
+            f"at -1 to {TOL_CURVATURE:g}: within 4 steps, or truncation bound "
+            f"{curvature_fd_truncation_bound(points[unresolved][0], st):.2e}"
         )
 
-    def log_det(x: float, y: float) -> float:
-        return math.log(zeta_det_spectral(complex(x, y)))
+    def log_det(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.log(zeta_det_spectral(x + 1j * y))
 
-    return -0.25 * fd_apply(log_det, (z.real, z.imag), st)
+    return _like(-0.25 * fd_apply(log_det, (points.real, points.imag), st), z)
 
 
 def calderon_projection_interval() -> BoundaryProjection2:
@@ -213,50 +319,62 @@ def calderon_projection_interval() -> BoundaryProjection2:
     return projection_from_chart(1.0)
 
 
-def s_of_p(z: complex) -> complex:
+def s_of_p(z: complex | np.ndarray) -> complex | np.ndarray:
     """The 1x1 matrix of S(P_z) = P_z composed with the Calderon projection.
 
     Computed in the unit bases (1,1)/sqrt(2) of the Cauchy data space and
     (1,z)/sqrt(1+|z|^2) of ran P_z; the value is
     (1 + conj z) / sqrt(2 (1 + |z|^2)).
     """
-    z = _chart_point(z)
-    return (1.0 + z.conjugate()) / math.sqrt(2.0 * (1.0 + abs(z) ** 2))
+    points = _chart_array(z)
+    return _like((1.0 + points.conj()) / np.sqrt(2.0 * (1.0 + _modulus(points) ** 2)), z)
 
 
-def metric_patching_check(z: complex, w: complex) -> tuple[float, float]:
+def metric_patching_check(z, w) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Ratio form of the metric-patching identity between two chart points.
 
     Returns (lhs, rhs) with lhs the ratio of spectral zeta determinants and
-    rhs the ratio of |S(P)|^2 values; the two agree.  The pointwise model
-    identity det = DET_TO_S_CONSTANT * |S(P)|^2 is not checked here: the
-    caller measures it (``report.model_identity_error``), so a failing model
-    identity is reported rather than raised.
+    rhs the ratio of |S(P)|^2 values; the two agree (elementwise for
+    arrays).  The pointwise model identity det = DET_TO_S_CONSTANT * |S(P)|^2
+    is not checked here: the caller measures it
+    (``report.model_identity_error``), so a failing model identity is
+    reported rather than raised.
     """
     lhs = zeta_det_spectral(z) / zeta_det_spectral(w)
     rhs = abs(s_of_p(z)) ** 2 / abs(s_of_p(w)) ** 2
     return lhs, rhs
 
 
-def _chart_matrices(z: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P_z and its closed-form Wirtinger derivatives (d/dz, d/dzbar)."""
-    n = 1.0 + abs(z) ** 2
-    m = np.array([[1.0, z.conjugate()], [z, abs(z) ** 2]], dtype=complex)
-    dz = -z.conjugate() / n**2 * m + np.array([[0, 0], [1, z.conjugate()]], dtype=complex) / n
-    dzb = -z / n**2 * m + np.array([[0, 1], [0, z]], dtype=complex) / n
+def _chart_matrices(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P_z and its closed-form Wirtinger derivatives (d/dz, d/dzbar), as
+    stacks of 2x2 matrices over a 1-D array of chart points."""
+    zc = z.conj()
+    n = (1.0 + _modulus(z) ** 2)[:, None, None]
+
+    def stack(a, b, c, d):
+        out = np.empty((z.size, 2, 2), dtype=complex)
+        out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = a, b, c, d
+        return out
+
+    m = stack(1.0, zc, z, _modulus(z) ** 2)
+    dz = -zc[:, None, None] / n**2 * m + stack(0, 0, 1, zc) / n
+    dzb = -z[:, None, None] / n**2 * m + stack(0, 1, 0, z) / n
     return m / n, dz, dzb
 
 
-def kahler_form_2x2(z: complex) -> float:
+def kahler_form_2x2(z: complex | np.ndarray) -> float | np.ndarray:
     """Coefficient of dz wedge dzbar in Tr(P dP dP) for the chart family.
 
     Uses the closed-form entrywise derivatives of the projection; the global
     orientation constant KAHLER_SIGN is frozen against quillen_curvature_fd
     at z = 0.  The value is 1/(1+|z|^2)^2.
     """
-    z = _chart_point(z)
-    p, dz, dzb = _chart_matrices(z)
-    commutator_trace = np.trace(p @ (dz @ dzb - dzb @ dz))
-    if abs(commutator_trace.imag) > 1e-12:
-        raise DomainError(f"Tr(P [dP, dP]) should be real here, got {commutator_trace}")
-    return float(KAHLER_SIGN * commutator_trace.real)
+    points = _chart_array(z)
+    p, dz, dzb = _chart_matrices(points.reshape(-1))
+    commutator_trace = np.trace(p @ (dz @ dzb - dzb @ dz), axis1=1, axis2=2)
+    imaginary = np.abs(commutator_trace.imag) > 1e-12
+    if imaginary.any():
+        raise DomainError(
+            f"Tr(P [dP, dP]) should be real here, got {commutator_trace[imaginary][0]}"
+        )
+    return _like((KAHLER_SIGN * commutator_trace.real).reshape(points.shape), z)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from detline import interval_cp1 as cp1
 from detline.errors import DegenerateSpectrum, DomainError
-from detline.specfun import FdStencil
+from detline.specfun import FdStencil, fd_apply
 
 
 def boundary_pairing(p, q):
@@ -257,3 +257,134 @@ def test_non_finite_chart_points_raise_domain_error(z):
             fn(z)
     with pytest.raises(DomainError):
         cp1.zeta_det_spectral(math.nan)
+
+
+# ---------------------------------------------------------------------------
+# array inputs, and accuracy up to the zero mode at z = -1
+
+DEFAULT_STENCIL = FdStencil(kind="laplacian-2d")
+
+
+def fubini_study(z):
+    return 1.0 / (1.0 + abs(z) ** 2) ** 2
+
+
+@pytest.mark.parametrize("z", [-1 + 1e-6, -1 + 1e-6j, -1 - 1e-6 + 1e-7j, -1 + 1e-9])
+def test_spectral_determinant_next_to_the_zero_mode(z):
+    # alpha = atan2(|1+z|, |1-z|) / pi keeps every digit; acos(-2 Re z / (1+|z|^2))
+    # was off by 1.3e-4 relative at z = -1 + 1e-6
+    closed = cp1.zeta_det_closed(z)
+    assert abs(cp1.zeta_det_spectral(z) - closed) <= 1e-12 * closed
+
+
+def test_array_and_scalar_results_agree():
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-2, 2, 60) + 1j * rng.uniform(-2, 2, 60)
+    z = z[np.abs(z + 1) > cp1.EXCLUSION_RADIUS].reshape(-1, 1)
+    for fn in (
+        cp1.zeta_det_spectral,
+        cp1.zeta_det_closed,
+        cp1.kahler_form_2x2,
+        cp1.s_of_p,
+        lambda w: cp1.alpha_of(w).alpha,
+        lambda w: cp1.quillen_curvature_fd(w, DEFAULT_STENCIL),
+    ):
+        values = fn(z)
+        assert isinstance(values, np.ndarray) and values.shape == z.shape
+        scalars = np.array([fn(complex(w)) for w in z.ravel()]).reshape(z.shape)
+        assert all(isinstance(v, (float, complex)) for v in scalars.ravel().tolist())
+        assert np.all(np.abs(values - scalars) <= 1e-15 * np.abs(scalars))
+    alphas = np.array([0.05, 0.25, 0.5, 0.93])
+    assert np.array_equal(
+        cp1.zeta_det_from_alpha(alphas), [cp1.zeta_det_from_alpha(a) for a in alphas]
+    )
+    assert type(cp1.zeta_det_spectral(0.3 + 0.1j)) is float
+    assert type(cp1.quillen_curvature_fd(0.3 + 0.1j)) is float
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (complex(math.nan, 0.0), DomainError),
+        (complex(0.0, math.inf), DomainError),
+        (-1.0 + 0j, DegenerateSpectrum),
+    ],
+)
+def test_array_with_one_bad_entry_raises(bad, error):
+    z = np.array([0.3, 0.1j, bad, 1.5 - 0.5j])
+    for fn in (cp1.zeta_det_spectral, cp1.quillen_curvature_fd, lambda w: cp1.alpha_of(w).alpha):
+        with pytest.raises(error):
+            fn(z)
+    if error is DomainError:
+        for fn in (cp1.kahler_form_2x2, cp1.zeta_det_closed, cp1.s_of_p):
+            with pytest.raises(DomainError):
+                fn(z)
+
+
+def test_curvature_array_with_one_point_too_near_the_zero_mode_raises():
+    with pytest.raises(DegenerateSpectrum):
+        cp1.quillen_curvature_fd(np.array([0.0, -0.99 + 0j, 0.5j]), DEFAULT_STENCIL)
+    with pytest.raises(DomainError):
+        cp1.zeta_det_from_alpha(np.array([0.2, math.nan]))
+
+
+# Walks from |1+z| = 0.2 down to 0.004 (4 steps of the default stencil), in
+# directions where Re (1+z)^-8 is extremal (multiples of pi/8, including the
+# real axis on both sides) and in between.
+WALK_RADII = np.geomspace(0.2, 0.004, 40)
+WALK_ANGLES = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0]) * np.pi / 8
+
+
+def walk_points():
+    return [-1.0 + r * cmath.exp(1j * phi) for phi in WALK_ANGLES for r in WALK_RADII]
+
+
+def unguarded_curvature(z, st):
+    """The stencil Laplacian of log det, without the zero-mode guard."""
+    field = lambda x, y: np.log(cp1.zeta_det_spectral(x + 1j * y))  # noqa: E731
+    return -0.25 * fd_apply(field, (z.real, z.imag), st)
+
+
+def test_curvature_is_within_tolerance_or_raises_towards_the_zero_mode():
+    # between the old 4-step guard and the exclusion disk the stencil used to
+    # return silently wrong values: 7.5e-4 relative at z = -0.98, 0.20 at
+    # -0.99 and 52 at -0.995, against a tolerance of 1e-4
+    for z in walk_points() + [-0.98 + 0j, -0.99 + 0j, -0.995 + 0j]:
+        try:
+            k = cp1.quillen_curvature_fd(z, DEFAULT_STENCIL)
+        except DegenerateSpectrum:
+            continue
+        assert abs(k - fubini_study(z)) <= cp1.TOL_CURVATURE * fubini_study(z), z
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_truncation_bound_is_calibrated_on_walks_to_the_zero_mode(order):
+    st = FdStencil(step=1e-3, order=order, kind="laplacian-2d")
+    z = np.array(walk_points())
+    closed = fubini_study(z)
+    observed = np.abs(unguarded_curvature(z, st) - closed) / closed
+    bound = cp1.curvature_fd_truncation_bound(z, st)
+    # an upper bound everywhere, up to the next term of the series (12 (h/|1+z|)^4
+    # of it) and the rounding floor of the stencil
+    next_term = 12.0 * (st.step / np.abs(1.0 + z)) ** 4
+    assert np.all(observed <= bound * (1.0 + next_term) + 1e-7)
+    # and attained where (1+z)^m is real, so the guard refuses no more than it must
+    extremal = np.isclose(np.cos((8 if order == 4 else 4) * np.angle(1.0 + z)) ** 2, 1.0)
+    resolved = extremal & (bound > 1e-6) & (bound < 1e-1)
+    assert resolved.sum() >= 20
+    assert np.all(np.abs(observed[resolved] / bound[resolved] - 1.0) < 0.05)
+    # every point the guard lets through is within tolerance
+    accepted = ~cp1.curvature_fd_unresolved(z, st)
+    assert np.all(observed[accepted] <= cp1.TOL_CURVATURE)
+
+
+def test_no_point_outside_the_exclusion_disk_is_refused():
+    # the truncation bound decreases with |1+z| at the default step; its maximum
+    # on the disk boundary is 1.2e-11, seven digits below the tolerance
+    boundary = -1.0 + cp1.EXCLUSION_RADIUS * np.exp(2j * np.pi * np.linspace(0, 1, 2001))
+    assert np.max(cp1.curvature_fd_truncation_bound(boundary, DEFAULT_STENCIL)) < 1.2e-11
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-3, 3, 20000) + 1j * rng.uniform(-3, 3, 20000)
+    z = np.concatenate([boundary, z[np.abs(z + 1) >= cp1.EXCLUSION_RADIUS]])
+    assert not cp1.curvature_fd_unresolved(z, DEFAULT_STENCIL).any()
+    cp1.quillen_curvature_fd(z[:3000], DEFAULT_STENCIL)

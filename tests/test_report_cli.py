@@ -9,9 +9,10 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from detline import chern_series, cli, report
+from detline import chern_series, cli, det_line, report
 from detline import grassmannian as gr
 from detline import interval_cp1 as cp1
 from detline.errors import DomainError
@@ -103,6 +104,31 @@ def test_curvature_grid_exclusion_rows(tmp_path):
     skipped = [row for row in data["rows"] if row["status"] == "skip"]
     assert all(row["k_fd"] is None for row in skipped)
     assert data["summary"]["n_skipped"] == len(skipped)
+
+
+def test_curvature_grid_skips_exactly_the_exclusion_disk():
+    spec = report.GridSpec(re_min=-1.5, re_max=-0.5, im_min=-0.5, im_max=0.5, n=41)
+    rows, summary = report._grid_rows(spec, FdStencil(kind="laplacian-2d"))
+    for row in rows:
+        inside = abs(complex(row["re"], row["im"]) + 1) < cp1.EXCLUSION_RADIUS
+        assert (row["status"] == "skip") == inside
+    assert summary["max_rel_err_fd"] < report.TOL_CURVATURE
+
+
+def test_curvature_grid_masks_points_the_stencil_cannot_resolve():
+    # with a small exclusion disk the rows the stencil cannot resolve near
+    # z = -1 are skipped by the same predicate that makes
+    # quillen_curvature_fd raise; every other row stays within tolerance
+    st = FdStencil(kind="laplacian-2d")
+    spec = report.GridSpec(-1.1, -0.9, -0.1, 0.1, 21, exclusion=((-1.0 + 0j, 0.005),))
+    rows, summary = report._grid_rows(spec, st)
+    for row in rows:
+        z = complex(row["re"], row["im"])
+        refused = spec.excluded(z) or cp1.curvature_fd_unresolved(z, st)
+        assert (row["status"] == "skip") == refused
+    assert 0 < summary["n_skipped"] < len(rows)
+    assert summary["max_rel_err_fd"] < report.TOL_CURVATURE
+    assert summary["max_rel_err_pdpdp"] < 1e-12
 
 
 def test_gridspec_validation():
@@ -260,6 +286,21 @@ def test_planted_fault_in_connection_curvature_density(monkeypatch):
     assert error > report.TOL_CONNECTION_CURVATURE
     document = report.run_suite("grassmannian", 7)
     assert _case(document, "curvature d omega matches Tr(P [d1 P, d2 P])").status == "fail"
+
+
+def test_planted_fault_in_ratio_determinants_fails_transitivity(monkeypatch):
+    # a determinant that is not multiplicative, used consistently by ratio:
+    # ratio(a, b) ratio(b, c) and ratio(a, c) are then quotients of the same
+    # faulty determinants and agree, while det_F(a c^-1) does not
+    _plant(
+        monkeypatch, det_line, "fredholm_det", lambda d, t: d * (1 + 1e-6 * abs(t.entries[0, 0]))
+    )
+    rng = np.random.default_rng(2)
+    w = gr.ModeWindow(3)
+    a, b, c = (report.random_det_class(rng, w) for _ in range(3))
+    assert report.transitivity_error(a, b, c) > report.TOL_DET_LINE
+    document = report.run_suite("detline", 7)
+    assert _case(document, "ratio transitivity on random triples").status == "fail"
 
 
 def test_planted_fault_in_pushforward_coefficient(monkeypatch):

@@ -172,6 +172,38 @@ def test_ds0_matches_numerically_differentiated_zeta():
     assert hurwitz_zeta_ds0(a) == pytest.approx(numeric, abs=1e-8)
 
 
+def test_ds0_against_mpmath_oracle():
+    # zeta'(0, a) by mpmath's derivative of the continuation, at the exact
+    # double a; the kernel writes the direct sum relative to a = 0, so no two
+    # large terms cancel (the form with -sum log(n + a) + w (log w - 1) was
+    # off by 1.1e-13 at the worst point of this grid; the kernel by 1.0e-15)
+    with mp.workdps(30):
+        for a in np.linspace(0.001, 0.999, 400):
+            oracle = float(mp.zeta(0, mp.mpf(float(a)), 1))
+            assert abs(hurwitz_zeta_ds0(float(a)) - oracle) <= 2e-14
+
+
+def test_ds0_array_matches_scalar():
+    rng = np.random.default_rng(5)
+    # more points than one block of the direct sum
+    a = rng.uniform(1e-6, 1.0 - 1e-6, size=(25, 20))
+    values = hurwitz_zeta_ds0(a)
+    assert isinstance(values, np.ndarray) and values.shape == a.shape
+    scalars = np.array([hurwitz_zeta_ds0(float(x)) for x in a.ravel()]).reshape(a.shape)
+    assert np.all(np.abs(values - scalars) <= 1e-15 * np.abs(scalars))
+    assert type(hurwitz_zeta_ds0(0.3)) is float
+    assert type(hurwitz_zeta_ds0(np.float64(0.3))) is float
+    assert hurwitz_zeta_ds0(np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, 1.0, -0.2, 1.5, math.inf])
+def test_ds0_array_with_one_bad_entry_raises(bad):
+    a = np.full(7, 0.4)
+    a[3] = bad
+    with pytest.raises(DomainError):
+        hurwitz_zeta_ds0(a)
+
+
 def test_exp_reflection_identity_grid():
     for k in range(1, 10):
         a = k / 10.0
