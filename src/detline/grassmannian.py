@@ -386,7 +386,13 @@ def _require_chart(sv: np.ndarray, rank: int, t: tuple[float, float] | None) -> 
 def _chart_ratio(
     w: ModeWindow, s1: np.ndarray, s2: np.ndarray, q: np.ndarray, rank: int, t: tuple[float, float]
 ) -> complex:
-    """det_F((S_1 + I - q)(S_2 + I - q)^{-1}) of two charts that pass _require_chart."""
+    """det_F((S_1 + I - q)(S_2 + I - q)^{-1}) of two charts that pass _require_chart.
+
+    The quotient det_F(S_1 + I - q) / det_F(S_2 + I - q) would be cheaper, but
+    then the three quotients of g_12 g_23 g_31 telescope and the cocycle case
+    holds by construction for any determinant; through the product it rests
+    on the multiplicativity of det_F.
+    """
     eye = np.eye(w.dim, dtype=complex)
     hats = []
     for s in (s1, s2):

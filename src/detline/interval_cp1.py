@@ -117,11 +117,14 @@ class SpectralDatum:
 
 
 def _chart_point(z: complex) -> complex:
-    """z as a complex number; NaN or infinite coordinates raise DomainError.
+    """z as a complex number; an array or other non-scalar, and NaN or
+    infinite coordinates, raise DomainError.
 
     Every public function taking a chart point goes through this guard,
     directly or via alpha_of.
     """
+    if np.ndim(z) != 0:
+        raise DomainError(f"chart point must be a scalar, got shape {np.shape(z)}")
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"chart point must be finite, got {z}")

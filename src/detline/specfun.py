@@ -93,6 +93,17 @@ def default_fd_step() -> float:
     return step
 
 
+def _check_em_args(em_order: int, cutoff: int) -> None:
+    """Raise DomainError for an Euler-Maclaurin order or cutoff the kernel does not
+    support; HurwitzParams and hurwitz_zeta_ds0 share these rules."""
+    if em_order < 2 or em_order % 2 != 0:
+        raise DomainError(f"em_order must be an even integer >= 2, got {em_order}")
+    if em_order > 2 * len(_BERNOULLI_EVEN):
+        raise DomainError(f"em_order {em_order} exceeds the Bernoulli table")
+    if cutoff < 10:
+        raise DomainError(f"cutoff must be >= 10, got {cutoff}")
+
+
 @dataclass(frozen=True)
 class HurwitzParams:
     """Arguments of the Hurwitz zeta evaluation zeta(s, a) = sum (n+a)^-s.
@@ -109,12 +120,7 @@ class HurwitzParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.a <= 1.0:
             raise DomainError(f"shift a must lie in (0, 1], got {self.a}")
-        if self.em_order < 2 or self.em_order % 2 != 0:
-            raise DomainError(f"em_order must be an even integer >= 2, got {self.em_order}")
-        if self.em_order > 2 * len(_BERNOULLI_EVEN):
-            raise DomainError(f"em_order {self.em_order} exceeds the Bernoulli table")
-        if self.cutoff < 10:
-            raise DomainError(f"cutoff must be >= 10, got {self.cutoff}")
+        _check_em_args(self.em_order, self.cutoff)
 
 
 def _hurwitz_em(s: complex, a: float, em_order: int, cutoff: int) -> complex:
@@ -204,8 +210,10 @@ def hurwitz_zeta_ds0(
 
     with the constant C(N) from ``_ds0_constant``, so no two large terms
     cancel.  Every value is cross-checked against log Gamma(a) - log(2 pi)/2
-    to 1e-10; an entry outside (0, 1), NaN included, raises DomainError.
+    to 1e-10; an entry outside (0, 1), NaN included, raises DomainError, as
+    do the em_order and cutoff that HurwitzParams rejects.
     """
+    _check_em_args(em_order, cutoff)
     points = np.array(a, dtype=float, ndmin=1)
     flat = points.reshape(-1)
     outside = ~((flat > 0.0) & (flat < 1.0))

@@ -259,6 +259,14 @@ def test_non_finite_chart_points_raise_domain_error(z):
         cp1.zeta_det_spectral(math.nan)
 
 
+@pytest.mark.parametrize("fn", [cp1.projection_from_chart, cp1.adjoint_projection])
+@pytest.mark.parametrize("z", [np.array([0.1, 0.2]), np.array([0.5j]), [0.1, 0.2]])
+def test_non_scalar_chart_points_raise_domain_error(fn, z):
+    # a non-scalar must not reach complex(), which raises a bare TypeError
+    with pytest.raises(DomainError):
+        fn(z)
+
+
 # ---------------------------------------------------------------------------
 # array inputs, and accuracy up to the zero mode at z = -1
 

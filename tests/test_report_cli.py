@@ -47,13 +47,16 @@ def test_run_suite_all_passes_and_has_enough_cases(suite_all_seed7):
     assert all(c.paper_anchor for c in document.cases)
 
 
-def test_verify_all_seed7_case_list_is_frozen(suite_all_seed7):
-    # names, anchors, tolerances and expected values of `verify all --seed 7`
+@pytest.mark.parametrize("seed", [7, 0, 12345])
+def test_verify_all_case_list_is_frozen(seed, suite_all_seed7):
+    # names, anchors, tolerances and expected values of `verify all --seed 7`;
+    # the case list does not depend on the seed
+    document = suite_all_seed7 if seed == 7 else report.run_suite("all", seed)
     golden = json.loads(GOLDEN_CASES.read_text())
     keys = ("name", "paper_anchor", "tolerance", "expected")
-    observed = [{k: case[k] for k in keys} for case in suite_all_seed7.to_json()["cases"]]
+    observed = [{k: case[k] for k in keys} for case in document.to_json()["cases"]]
     assert observed == golden
-    assert all(case.status == "pass" for case in suite_all_seed7.cases)
+    assert all(case.status == "pass" for case in document.cases)
 
 
 def test_run_suite_chern_exact_strings():
@@ -301,6 +304,41 @@ def test_planted_fault_in_ratio_determinants_fails_transitivity(monkeypatch):
     assert report.transitivity_error(a, b, c) > report.TOL_DET_LINE
     document = report.run_suite("detline", 7)
     assert _case(document, "ratio transitivity on random triples").status == "fail"
+
+
+@pytest.mark.parametrize(
+    "module, name, is_refused_input, suite, case",
+    [
+        (
+            cp1,
+            "alpha_of",
+            lambda z: np.ndim(z) == 0 and z == -1,
+            "cp1",
+            "zero mode at z=-1 is detected",
+        ),
+        (
+            det_line,
+            "ratio",
+            lambda a, b: b.is_zero,
+            "detline",
+            "singular representative yields the zero point",
+        ),
+    ],
+    ids=["alpha_of-accepts-the-zero-mode", "ratio-accepts-the-zero-point"],
+)
+def test_planted_fault_in_a_refusal_fails_its_case(
+    monkeypatch, module, name, is_refused_input, suite, case
+):
+    # the route returns a value where it must raise; only that row may fail
+    original = getattr(module, name)
+
+    def planted(*args):
+        return 0.5 if is_refused_input(*args) else original(*args)
+
+    monkeypatch.setattr(module, name, planted)
+    document = report.run_suite(suite, 7)
+    assert [c.name for c in document.cases if c.status == "fail"] == [case]
+    assert "no error" in _case(document, case).observed
 
 
 def test_planted_fault_in_pushforward_coefficient(monkeypatch):

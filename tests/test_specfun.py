@@ -122,6 +122,20 @@ def test_pole_and_domain_errors():
         hurwitz_zeta_ds0(1.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"em_order": 26}, {"em_order": 3}, {"cutoff": 1}],
+    ids=["em_order-beyond-bernoulli-table", "odd-em_order", "cutoff-too-small"],
+)
+def test_ds0_rejects_em_order_and_cutoff_like_hurwitz_params(kwargs):
+    # unchecked, these overrun the Bernoulli table, run an odd order, or fail
+    # the log-Gamma cross-check with EvaluationError
+    with pytest.raises(DomainError):
+        HurwitzParams(s=0.0, a=0.3, **kwargs)
+    with pytest.raises(DomainError):
+        hurwitz_zeta_ds0(0.3, **kwargs)
+
+
 @given(
     s_re=st.floats(min_value=1.2, max_value=6.0),
     s_im=st.floats(min_value=-3.0, max_value=3.0),
