@@ -10,6 +10,13 @@ The module provides the spectral (APS) projections, a concrete rotated
 two-parameter projection family, relative eta invariants and indices,
 connection forms on the determinant line of S(P) = P * base, their curvature,
 and the chart-patching identities for the transition determinants.
+
+The chart layer works on an orthonormal basis V (d x r) of ran(base), taken
+once per public call from the SVD that also decides the rank of base: chart
+maps are the thin d x r blocks (P + P sigma P) V, and their SVDs, stencils
+and traces run on those blocks.  Projections are checked once per public
+call, the base and each family at the call's own point t; family values at
+stencil points are not re-checked.
 """
 
 from __future__ import annotations
@@ -206,9 +213,11 @@ class ProjectionFamily:
     """A smooth two-parameter family of APS-type projections.
 
     Evaluating at (t1, t2) in the unit square yields a ModeOperator that is
-    idempotent and Hermitian, with tail identity above the window and zero
-    below, and whose difference from the value at t = 0 stays window
-    supported.
+    meant to be idempotent and Hermitian, with tail identity above the window
+    and zero below, and whose difference from the value at t = 0 stays window
+    supported.  A call does not check this: each public entry point that
+    takes a family checks the value at its own point t once, and the stencil
+    points around t are not re-checked.
     """
 
     def __init__(self, window: ModeWindow, map_fn: Callable[[float, float], np.ndarray]):
@@ -216,10 +225,7 @@ class ProjectionFamily:
         self._map = map_fn
 
     def __call__(self, t1: float, t2: float) -> ModeOperator:
-        op = ModeOperator(self.window, self._map(float(t1), float(t2)), TAIL_APS)
-        if not op.is_projection():
-            raise DomainError(f"family value at ({t1}, {t2}) is not a projection")
-        return op
+        return ModeOperator(self.window, self._map(float(t1), float(t2)), TAIL_APS)
 
 
 def spectral_projection(w: ModeWindow, k: int) -> ModeOperator:
@@ -384,20 +390,28 @@ def _require_chart(sv: np.ndarray, rank: int, t: tuple[float, float] | None) -> 
 
 
 def _chart_ratio(
-    w: ModeWindow, s1: np.ndarray, s2: np.ndarray, q: np.ndarray, rank: int, t: tuple[float, float]
+    w: ModeWindow,
+    s1: np.ndarray,
+    s2: np.ndarray,
+    v: np.ndarray,
+    q: np.ndarray,
+    t: tuple[float, float],
 ) -> complex:
-    """det_F((S_1 + I - q)(S_2 + I - q)^{-1}) of two charts that pass _require_chart.
+    """det_F((S_1 + I - q)(S_2 + I - q)^{-1}) of two thin chart blocks S_i V
+    that pass _require_chart.
 
     The quotient det_F(S_1 + I - q) / det_F(S_2 + I - q) would be cheaper, but
     then the three quotients of g_12 g_23 g_31 telescope and the cocycle case
     holds by construction for any determinant; through the product it rests
     on the multiplicativity of det_F.
     """
-    eye = np.eye(w.dim, dtype=complex)
     hats = []
     for s in (s1, s2):
-        _require_chart(np.linalg.svd(s, compute_uv=False), rank, t)
-        hats.append(ModeOperator(w, s + eye - q, TAIL_IDENTITY))
+        _require_chart(np.linalg.svd(s, compute_uv=False), v.shape[1], t)
+        hat = s @ v.conj().T  # updated in place: d x d temporaries set the peak memory
+        hat -= q
+        hat[np.diag_indices_from(hat)] += 1.0
+        hats.append(ModeOperator(w, hat, TAIL_IDENTITY))
     return fredholm_det(hats[0] @ hats[1].inverse())
 
 
@@ -409,12 +423,25 @@ def _direction_axis(direction) -> int:
     raise DomainError(f"direction must be 't1' or 't2', got {direction!r}")
 
 
-def _chart_base(w: ModeWindow, base: ModeOperator) -> tuple[np.ndarray, int]:
-    """Window block and window rank of a chart base, once per public call."""
+def _chart_base(w: ModeWindow, base: ModeOperator) -> np.ndarray:
+    """Orthonormal basis V (d x r) of ran(base) on the window, once per public call.
+
+    V holds the left singular vectors of the base block above
+    RANK_SVD_THRESHOLD, the rank decision of window_rank.  It is copied out
+    of U so that the d x d factors are freed before the chart work starts.
+    """
     if not base.is_projection():
         raise DomainError("base must be a projection")
-    b = base.embed_to(w)
-    return b.entries, b.window_rank()
+    u, sv, _ = np.linalg.svd(base.embed_to(w).entries)
+    return u[:, : int(np.sum(sv > RANK_SVD_THRESHOLD))].copy()
+
+
+def _projection_at(fam: ProjectionFamily, t: tuple[float, float]) -> np.ndarray:
+    """Window block of fam at t, checked to be a projection (once per public call)."""
+    op = fam(*t)
+    if not op.is_projection():
+        raise DomainError(f"family value at ({t[0]}, {t[1]}) is not a projection")
+    return op.entries
 
 
 def _chart_sigma(w: ModeWindow, perturbation: ModeOperator | None) -> np.ndarray | None:
@@ -427,11 +454,12 @@ def _chart_sigma(w: ModeWindow, perturbation: ModeOperator | None) -> np.ndarray
     return sig.entries
 
 
-def _chart_map(p: np.ndarray, b: np.ndarray, sig: np.ndarray | None) -> np.ndarray:
-    """Window block of (P + P sigma P) base."""
+def _chart_map(p: np.ndarray, v: np.ndarray, sig: np.ndarray | None) -> np.ndarray:
+    """Thin block (P + P sigma P) V of the chart map on ran(base)."""
+    pv = p @ v
     if sig is None:
-        return p @ b
-    return (p + p @ sig @ p) @ b
+        return pv
+    return pv + p @ (sig @ pv)
 
 
 def connection_form(
@@ -455,28 +483,33 @@ def connection_form(
     if st is None:
         st = FdStencil(kind="first-derivative")
     axis = _direction_axis(direction)
-    b, rank = _chart_base(fam.window, base)
-    return _connection_form(fam, b, rank, t, axis, st, _chart_sigma(fam.window, perturbation))
+    v = _chart_base(fam.window, base)
+    sig = _chart_sigma(fam.window, perturbation)
+    return _connection_form(fam, v, _projection_at(fam, t), t, axis, st, sig)
 
 
 def _connection_form(
     fam: ProjectionFamily,
-    b: np.ndarray,
-    rank: int,
+    v: np.ndarray,
+    p: np.ndarray,
     t: tuple[float, float],
     axis: int,
     st: FdStencil,
     sig: np.ndarray | None,
 ) -> complex:
-    """connection_form on a prepared base block; one SVD of S serves both the
-    chart guard and the pseudo-inverse (with pinv's relative cut-off)."""
-    p_now = fam(*t).entries
-    u, sv, vh = np.linalg.svd(_chart_map(p_now, b, sig), full_matrices=False)
-    _require_chart(sv, rank, t)
-    ds = fd_apply(lambda t1, t2: _chart_map(fam(t1, t2).entries, b, sig), t, st, axis)
+    """connection_form at the family value p = P(t), on a basis V of ran(base).
+
+    With base = V V*, Tr(S^+ P dS base) equals Tr((SV)^+ P d(SV)) on the thin
+    block SV, whose singular values are the nonzero ones of S: one thin SVD
+    serves both the chart guard and the pseudo-inverse (with pinv's relative
+    cut-off).
+    """
+    u, sv, vh = np.linalg.svd(_chart_map(p, v, sig), full_matrices=False)
+    _require_chart(sv, v.shape[1], t)
+    ds = fd_apply(lambda t1, t2: _chart_map(fam(t1, t2).entries, v, sig), t, st, axis)
     kept = sv > RANK_SVD_THRESHOLD * sv[0]
     s_pinv = (vh[kept].conj().T / sv[kept]) @ u[:, kept].conj().T
-    return complex(np.trace(s_pinv @ p_now @ ds @ b))
+    return complex(np.trace(s_pinv @ p @ ds))
 
 
 def tr_p_dp_dp(
@@ -491,7 +524,7 @@ def tr_p_dp_dp(
     def p_at(t1: float, t2: float) -> np.ndarray:
         return fam(t1, t2).entries
 
-    p = p_at(*t)
+    p = _projection_at(fam, t)
     d1 = fd_apply(p_at, t, st, 0)
     d2 = fd_apply(p_at, t, st, 1)
     return complex(np.trace(p @ (d1 @ d2 - d2 @ d1)))
@@ -513,11 +546,15 @@ def curvature_rkw(
     if st is None:
         st = FdStencil(kind="first-derivative")
     inner = FdStencil(step=min(1e-5, st.step / 10.0), order=4, kind="first-derivative")
-    b, rank = _chart_base(fam.window, base)
+    v = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
+    _projection_at(fam, t)  # the stencil points around t are not checked
 
     def omega(axis_inner: int) -> Callable[[float, float], complex]:
-        return lambda t1, t2: _connection_form(fam, b, rank, (t1, t2), axis_inner, inner, sig)
+        def at(t1: float, t2: float) -> complex:
+            return _connection_form(fam, v, fam(t1, t2).entries, (t1, t2), axis_inner, inner, sig)
+
+        return at
 
     return fd_apply(omega(1), t, st, 0) - fd_apply(omega(0), t, st, 1)
 
@@ -537,20 +574,20 @@ def transition_det(
     the identity-extended representatives S_i + (I - P).
     """
     w = fam.window
-    b, rank = _chart_base(w, base)
-    return _transition_det(fam, b, rank, t, _chart_sigma(w, sigma1), _chart_sigma(w, sigma2))
+    v = _chart_base(w, base)
+    sig1, sig2 = _chart_sigma(w, sigma1), _chart_sigma(w, sigma2)
+    return _transition_det(w, v, _projection_at(fam, t), t, sig1, sig2)
 
 
 def _transition_det(
-    fam: ProjectionFamily,
-    b: np.ndarray,
-    rank: int,
+    w: ModeWindow,
+    v: np.ndarray,
+    p: np.ndarray,
     t: tuple[float, float],
     sig1: np.ndarray | None,
     sig2: np.ndarray | None,
 ) -> complex:
-    p = fam(*t).entries
-    return _chart_ratio(fam.window, _chart_map(p, b, sig1), _chart_map(p, b, sig2), p, rank, t)
+    return _chart_ratio(w, _chart_map(p, v, sig1), _chart_map(p, v, sig2), v, p, t)
 
 
 def perturbation_patching_check(
@@ -572,16 +609,17 @@ def perturbation_patching_check(
         st = FdStencil(kind="first-derivative")
     axis = _direction_axis(direction)
     w = fam.window
-    b, rank = _chart_base(w, base)
+    v = _chart_base(w, base)
     sig1, sig2 = _chart_sigma(w, sigma1), _chart_sigma(w, sigma2)
+    p = _projection_at(fam, t)
 
     def g_at(t1: float, t2: float) -> complex:
-        return _transition_det(fam, b, rank, (t1, t2), sig1, sig2)
+        return _transition_det(w, v, fam(t1, t2).entries, (t1, t2), sig1, sig2)
 
-    lhs = fd_apply(g_at, t, st, axis) / g_at(*t)
+    lhs = fd_apply(g_at, t, st, axis) / _transition_det(w, v, p, t, sig1, sig2)
     omega_st = FdStencil(kind="first-derivative")
-    rhs = _connection_form(fam, b, rank, t, axis, omega_st, sig1) - _connection_form(
-        fam, b, rank, t, axis, omega_st, sig2
+    rhs = _connection_form(fam, v, p, t, axis, omega_st, sig1) - _connection_form(
+        fam, v, p, t, axis, omega_st, sig2
     )
     return complex(lhs), complex(rhs)
 
@@ -608,16 +646,19 @@ def patching_identity_check(
     if fam1.window.n_max != fam2.window.n_max:
         raise NotCommensurable("families must share one mode window")
     w = fam1.window
-    b, rank = _chart_base(w, base)
+    v = _chart_base(w, base)
+    q = v @ v.conj().T
+    p1, p2 = _projection_at(fam1, t), _projection_at(fam2, t)
+
+    def ratio(pa: np.ndarray, pb: np.ndarray, at: tuple[float, float]) -> complex:
+        return _chart_ratio(w, _chart_map(pa, v, None), _chart_map(pb, v, None), v, q, at)
 
     def g_at(t1: float, t2: float) -> complex:
-        s1 = _chart_map(fam1(t1, t2).entries, b, None)
-        s2 = _chart_map(fam2(t1, t2).entries, b, None)
-        return _chart_ratio(w, s1, s2, b, rank, (t1, t2))
+        return ratio(fam1(t1, t2).entries, fam2(t1, t2).entries, (t1, t2))
 
-    lhs = fd_apply(g_at, t, st, axis) / g_at(*t)
+    lhs = fd_apply(g_at, t, st, axis) / ratio(p1, p2, t)
     omega_st = FdStencil(kind="first-derivative")
-    rhs = _connection_form(fam1, b, rank, t, axis, omega_st, None) - _connection_form(
-        fam2, b, rank, t, axis, omega_st, None
+    rhs = _connection_form(fam1, v, p1, t, axis, omega_st, None) - _connection_form(
+        fam2, v, p2, t, axis, omega_st, None
     )
     return complex(lhs), complex(rhs)

@@ -139,6 +139,16 @@ TOL_COCYCLE = 1e-10
 TOL_DET_LINE = 1e-10  # equivalence, transitivity and multiplicativity of points
 
 
+def _worst(errors) -> float:
+    """The largest of the error samples, or NaN when any sample is not finite.
+
+    Python's max keeps its running value when a comparison with NaN is false,
+    so it drops a NaN sample and run_suite's finiteness check never sees it.
+    """
+    samples = np.fromiter(errors, dtype=float)
+    return float(np.max(samples)) if np.all(np.isfinite(samples)) else math.nan
+
+
 def chart_grid(lo: float, hi: float, n: int) -> list[complex]:
     """The n x n chart grid on [lo, hi]^2, row by row, outside the zero-mode disk."""
     axis = np.linspace(lo, hi, n)
@@ -195,20 +205,18 @@ def spectral_cut_errors(w: gr.ModeWindow) -> tuple[float, float]:
     """Max errors of relative_eta(pi_k, pi_0) = -2k and of
     relative_eta / 2 = RELATIVE_INDEX_SIGN * relative_index, k in -5..5."""
     pi0 = gr.spectral_projection(w, 0)
-    eta_err = idx_err = 0.0
+    eta_errs, idx_errs = [], []
     for k in range(-5, 6):
         pi_k = gr.spectral_projection(w, k)
         eta = gr.relative_eta(pi_k, pi0)
-        eta_err = max(eta_err, abs(eta - (-2.0 * k)))
-        idx_err = max(
-            idx_err, abs(eta / 2.0 - gr.RELATIVE_INDEX_SIGN * gr.relative_index(pi_k, pi0))
-        )
-    return eta_err, idx_err
+        eta_errs.append(abs(eta - (-2.0 * k)))
+        idx_errs.append(abs(eta / 2.0 - gr.RELATIVE_INDEX_SIGN * gr.relative_index(pi_k, pi0)))
+    return _worst(eta_errs), _worst(idx_errs)
 
 
 def eta_offset_error(offsets) -> float:
     """Max error of the spectral eta invariant against 1 - 2a over the offsets."""
-    return max(abs(gr.eta_invariant_spectral(a) - (1.0 - 2.0 * a)) for a in offsets)
+    return _worst(abs(gr.eta_invariant_spectral(a) - (1.0 - 2.0 * a)) for a in offsets)
 
 
 def eta_flip_error(rng: np.random.Generator, w: gr.ModeWindow) -> float:
@@ -217,14 +225,14 @@ def eta_flip_error(rng: np.random.Generator, w: gr.ModeWindow) -> float:
         gr.eta_finite_rank_check(float(rng.uniform(0.05, 0.95)), int(rng.integers(-6, 7)), w)
         for _ in range(20)
     )
-    return max(abs(lhs - rhs) for lhs, rhs in checks)
+    return _worst(abs(lhs - rhs) for lhs, rhs in checks)
 
 
 def family_patching_error(fam1, fam2, base: gr.ModeOperator, samples) -> float:
     """Max patching-identity error between the identity charts of two families
     over (t, direction) samples."""
     checks = (gr.patching_identity_check(fam1, fam2, base, t, d) for t, d in samples)
-    return max(abs(lhs - rhs) for lhs, rhs in checks)
+    return _worst(abs(lhs - rhs) for lhs, rhs in checks)
 
 
 def chart_patching_error(fam, base: gr.ModeOperator, sigma1, sigma2, samples) -> float:
@@ -233,13 +241,13 @@ def chart_patching_error(fam, base: gr.ModeOperator, sigma1, sigma2, samples) ->
     checks = (
         gr.perturbation_patching_check(fam, base, sigma1, sigma2, t, d) for t, d in samples
     )
-    return max(abs(lhs - rhs) for lhs, rhs in checks)
+    return _worst(abs(lhs - rhs) for lhs, rhs in checks)
 
 
 def connection_curvature_error(fam, base: gr.ModeOperator, points, perturbation) -> float:
     """Max |d omega - Tr(P [d1 P, d2 P])| over parameter points, in the chart of
     the perturbation (None for the identity chart)."""
-    return max(
+    return _worst(
         abs(gr.curvature_rkw(fam, base, t, perturbation=perturbation) - gr.tr_p_dp_dp(fam, t))
         for t in points
     )
@@ -260,6 +268,13 @@ def equivalence_error(s: gr.ModeOperator, q: gr.ModeOperator, lam: complex) -> f
     lhs = det_line.DetPoint(s @ q, lam, False)
     rhs = det_line.DetPoint(s, lam * gr.fredholm_det(q), False)
     return abs(det_line.ratio(lhs, rhs) - 1.0)
+
+
+def normal_form_error(s: gr.ModeOperator, q: gr.ModeOperator) -> float:
+    """Relative gap between the normal-form scales of [S q, 1] and [S, det q]."""
+    nf1 = det_line.DetPoint(s @ q, 1.0 + 0j, False).normal_form()
+    nf2 = det_line.DetPoint(s, gr.fredholm_det(q), False).normal_form()
+    return abs(nf1.scale - nf2.scale) / abs(nf2.scale)
 
 
 def transitivity_error(a: gr.ModeOperator, b: gr.ModeOperator, c: gr.ModeOperator) -> float:
@@ -328,7 +343,7 @@ def _suite_cp1(rng: np.random.Generator) -> Iterator[Row]:
         TOL_ZETA_DET,
     )
 
-    branch_worst = max(
+    branch_worst = _worst(
         abs(cp1.zeta_det_from_alpha(a) - cp1.zeta_det_from_alpha(1.0 - a))
         for a in (0.1, 0.25, 0.4, 0.5)
     )
@@ -403,7 +418,7 @@ def _suite_cp1(rng: np.random.Generator) -> Iterator[Row]:
     yield (
         "adjoint projection kills the adjoint Cauchy data (1, -z)",
         "adjoint-boundary-condition",
-        max(
+        _worst(
             np.linalg.norm(cp1.adjoint_projection(z).apply(np.array([1.0, -z])))
             for z in _random_chart_points(rng, 20)
         ),
@@ -466,7 +481,7 @@ def _suite_grassmannian(rng: np.random.Generator) -> Iterator[Row]:
     yield (
         "relative eta antisymmetry and additivity on conjugated projections",
         "relative-eta-without-regularization",
-        max(antisym, additive),
+        _worst((antisym, additive)),
         0.0,
         1e-10,
     )
@@ -474,7 +489,7 @@ def _suite_grassmannian(rng: np.random.Generator) -> Iterator[Row]:
     yield (
         "relative eta / 2 is an integer for exact projections",
         "relative-eta-index-formula",
-        abs(half - round(half)),
+        abs(half - np.round(half)),
         0.0,
         1e-8,
     )
@@ -486,7 +501,7 @@ def _suite_grassmannian(rng: np.random.Generator) -> Iterator[Row]:
         0.0,
         TOL_ETA,
     )
-    worst_anti = max(
+    worst_anti = _worst(
         abs(gr.eta_invariant_spectral(a) + gr.eta_invariant_spectral(1.0 - a))
         for a in (0.05, 0.2, 0.35, 0.45)
     )
@@ -502,9 +517,11 @@ def _suite_grassmannian(rng: np.random.Generator) -> Iterator[Row]:
 
     rank_one = np.eye(w.dim, dtype=complex)
     rank_one[w.index(0), w.index(0)] = 2.0
-    det_spot = max(
-        abs(gr.fredholm_det(gr.ModeOperator.identity(w)) - 1.0),
-        abs(gr.fredholm_det(gr.ModeOperator(w, rank_one, gr.TAIL_IDENTITY)) - 2.0),
+    det_spot = _worst(
+        [
+            abs(gr.fredholm_det(gr.ModeOperator.identity(w)) - 1.0),
+            abs(gr.fredholm_det(gr.ModeOperator(w, rank_one, gr.TAIL_IDENTITY)) - 2.0),
+        ]
     )
     yield "fredholm determinant spot values", "fredholm-determinant-window", det_spot, 0.0, 1e-12
     ka = gr.ModeOperator(
@@ -688,7 +705,7 @@ def _suite_detline(rng: np.random.Generator) -> Iterator[Row]:
     yield (
         "equivalence [S q, l] ~ [S, l det q], 20 random instances",
         "determinant-line-points",
-        max(
+        _worst(
             equivalence_error(*(random_det_class(rng, w) for _ in range(2)), 2.0 + 0j)
             for _ in range(20)
         ),
@@ -716,7 +733,9 @@ def _suite_detline(rng: np.random.Generator) -> Iterator[Row]:
     yield (
         "ratio transitivity on random triples",
         "determinant-ratio",
-        max(transitivity_error(*(random_det_class(rng, w) for _ in range(3))) for _ in range(20)),
+        _worst(
+            transitivity_error(*(random_det_class(rng, w) for _ in range(3))) for _ in range(20)
+        ),
         0.0,
         TOL_DET_LINE,
     )
@@ -724,7 +743,7 @@ def _suite_detline(rng: np.random.Generator) -> Iterator[Row]:
     yield (
         "multiplicativity det(A'B')/det(AB) = det(A'/A) det(B'/B), 100 instances",
         "determinant-multiplicativity",
-        max(
+        _worst(
             multiplicativity_error(*(random_det_class(rng, w, 0.3) for _ in range(4)))
             for _ in range(100)
         ),
@@ -732,16 +751,12 @@ def _suite_detline(rng: np.random.Generator) -> Iterator[Row]:
         TOL_DET_LINE,
     )
 
-    worst_norm = 0.0
-    for _ in range(10):
-        s, q = (random_det_class(rng, w) for _ in range(2))
-        nf1 = det_line.DetPoint(s @ q, 1.0 + 0j, False).normal_form()
-        nf2 = det_line.DetPoint(s, gr.fredholm_det(q), False).normal_form()
-        worst_norm = max(worst_norm, abs(nf1.scale - nf2.scale) / abs(nf2.scale))
     yield (
         "normal forms of equivalent pairs coincide",
         "determinant-line-points",
-        worst_norm,
+        _worst(
+            normal_form_error(*(random_det_class(rng, w) for _ in range(2))) for _ in range(10)
+        ),
         0.0,
         1e-10,
     )

@@ -281,17 +281,32 @@ def test_connection_form_chart_guard():
         gr.connection_form(fam6, base6, (1.0, 0.35))
 
 
-@pytest.mark.parametrize("perturbed", [False, True])
-def test_connection_form_matches_numpy_pinv(perturbed):
-    # the one-SVD pseudo-inverse equals numpy's pinv with the same relative
-    # cut-off, in the identity chart and in a perturbed chart
-    w6 = gr.ModeWindow(6)
+@pytest.mark.parametrize(
+    "base_kind, perturbed",
+    [
+        pytest.param("diagonal", False, id="False"),
+        pytest.param("diagonal", True, id="True"),
+        pytest.param("conjugated", False, id="conjugated-False"),
+        pytest.param("conjugated", True, id="conjugated-True"),
+        pytest.param("n_max=25", False, id="n_max=25-False"),
+        pytest.param("n_max=25", True, id="n_max=25-True"),
+    ],
+)
+def test_connection_form_matches_numpy_pinv(base_kind, perturbed):
+    # the one-SVD pseudo-inverse on the thin chart block equals numpy's pinv
+    # of the dense chart map with the same relative cut-off, in the identity
+    # chart and in a perturbed chart; on the diagonal base the basis of
+    # ran(base) is a set of coordinate columns, on the conjugated base it is not
+    w = gr.ModeWindow(25 if base_kind == "n_max=25" else 6)
     rng = np.random.default_rng(6)
-    fam = gr.rotated_family(w6, (-2, 1))
-    base = gr.spectral_projection(w6, 0)
-    shape = (w6.dim, w6.dim)
+    fam = gr.rotated_family(w, (-2, 1))
+    base = gr.spectral_projection(w, 0)
+    if base_kind == "conjugated":
+        v = report.random_window_unitary(np.random.default_rng(8), w.dim)
+        base = gr.ModeOperator(w, v @ base.entries @ v.conj().T, gr.TAIL_APS)
+    shape = (w.dim, w.dim)
     sig = 0.2 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    sigma = gr.ModeOperator(w6, sig, gr.TAIL_ZERO) if perturbed else None
+    sigma = gr.ModeOperator(w, sig, gr.TAIL_ZERO) if perturbed else None
     b = base.entries
 
     def s_at(t1, t2):
@@ -306,6 +321,98 @@ def test_connection_form_matches_numpy_pinv(perturbed):
             expected = np.trace(s_pinv @ fam(*t).entries @ ds @ b)
             value = gr.connection_form(fam, base, t, axis, perturbation=sigma)
             assert abs(value - expected) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# projections are checked once per public call, at the call's own point t
+
+
+def test_rotated_family_values_are_hermitian_idempotents():
+    # family evaluations are not checked one by one, so check the family here
+    rng = np.random.default_rng(11)
+    w6 = gr.ModeWindow(6)
+    hermitian, idempotent = [], []
+    for _ in range(200):
+        modes = (-int(rng.integers(1, 7)), int(rng.integers(0, 7)))
+        p = gr.rotated_family(w6, modes)(*rng.uniform(0.0, 1.0, size=2)).entries
+        hermitian.append(np.max(np.abs(p - p.conj().T)))
+        idempotent.append(np.max(np.abs(p @ p - p)))
+    assert np.max(hermitian) < 1e-14 and np.max(idempotent) < 1e-14
+
+
+ROTATED = gr.rotated_family(W, (-1, 0))
+CHECKED_AT = (0.4, 0.3)
+NOT_PROJECTION_AT_T = gr.ProjectionFamily(
+    W, lambda t1, t2: (2.0 if (t1, t2) == CHECKED_AT else 1.0) * ROTATED(t1, t2).entries
+)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda fam, t: gr.connection_form(fam, PI0, t),
+        lambda fam, t: gr.curvature_rkw(fam, PI0, t),
+        lambda fam, t: gr.tr_p_dp_dp(fam, t),
+        lambda fam, t: gr.transition_det(fam, PI0, t, None, None),
+        lambda fam, t: gr.perturbation_patching_check(fam, PI0, None, None, t),
+        lambda fam, t: gr.patching_identity_check(fam, ROTATED, PI0, t),
+        lambda fam, t: gr.patching_identity_check(ROTATED, fam, PI0, t),
+    ],
+    ids=[
+        "connection_form",
+        "curvature_rkw",
+        "tr_p_dp_dp",
+        "transition_det",
+        "perturbation_patching_check",
+        "patching_identity_check-fam1",
+        "patching_identity_check-fam2",
+    ],
+)
+def test_family_value_that_is_no_projection_at_t_raises(entry):
+    # the family is a projection at every stencil point and fails only at t
+    with pytest.raises(DomainError, match=r"family value at \(0\.4, 0\.3\) is not a projection"):
+        entry(NOT_PROJECTION_AT_T, CHECKED_AT)
+    entry(ROTATED, CHECKED_AT)
+
+
+def test_decomposition_and_projection_check_counts(monkeypatch):
+    # per public call: one SVD of the base block and one projection check each
+    # for the base and the family at t; the chart SVDs run on the thin 13 x 7
+    # blocks (one per connection form, two guards per transition ratio), and
+    # only ModeOperator.inverse's guard on S_2 + I - P stays 13 x 13
+    shapes, checks = [], []
+    svd, is_projection = np.linalg.svd, gr.ModeOperator.is_projection
+
+    def counted_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    def counted_is_projection(op, *args, **kwargs):
+        checks.append(op)
+        return is_projection(op, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(gr.ModeOperator, "is_projection", counted_is_projection)
+    w6 = gr.ModeWindow(6)
+    fam, base = gr.rotated_family(w6, (-2, 1)), gr.spectral_projection(w6, 0)
+    rng = np.random.default_rng(3)
+    sigma1, sigma2 = (
+        gr.ModeOperator(w6, 0.1 * rng.standard_normal((w6.dim, w6.dim)), gr.TAIL_ZERO)
+        for _ in range(2)
+    )
+
+    def counts(call):
+        shapes.clear()
+        checks.clear()
+        call()
+        return {shape: shapes.count(shape) for shape in shapes}, len(checks)
+
+    t = (0.35, 0.6)
+    assert counts(lambda: gr.curvature_rkw(fam, base, t)) == ({(13, 13): 1, (13, 7): 8}, 2)
+    assert counts(lambda: gr.perturbation_patching_check(fam, base, sigma1, sigma2, t)) == (
+        {(13, 13): 6, (13, 7): 12},
+        2,
+    )
 
 
 def test_curvature_matches_commutator_density():

@@ -351,3 +351,38 @@ def test_planted_fault_in_pushforward_coefficient(monkeypatch):
     assert not report.grr_coefficient_exact(range(-10, 11))
     assert report.grr_coefficient_exact(range(-10, 3))
     assert _case(report.run_suite("chern", 7), "degree-two pushforward coefficient").status == "fail"
+
+
+def test_planted_nan_relative_eta_fails_its_cases(monkeypatch):
+    # a running max started at 0.0 kept 0.0 against every NaN sample
+    _plant(monkeypatch, gr, "relative_eta", lambda eta, p, q: math.nan)
+    assert all(math.isnan(err) for err in report.spectral_cut_errors(gr.ModeWindow(6)))
+    document = report.run_suite("grassmannian", 7)
+    for case in (
+        "relative eta of spectral cuts equals -2k",
+        "relative eta / 2 equals the relative index",
+        "relative eta antisymmetry and additivity",
+        "relative eta / 2 is an integer",
+    ):
+        assert _case(document, case).status == "fail"
+
+
+def test_planted_nan_in_one_eta_flip_sample_fails_its_case(monkeypatch):
+    # max over a generator dropped a NaN that was not the first sample
+    original = gr.eta_finite_rank_check
+    calls = []
+
+    def planted(*args):
+        calls.append(args)
+        lhs, rhs = original(*args)
+        return (math.nan if len(calls) == 5 else lhs), rhs
+
+    monkeypatch.setattr(gr, "eta_finite_rank_check", planted)
+    assert math.isnan(report.eta_flip_error(np.random.default_rng(1), gr.ModeWindow(6)))
+    assert len(calls) == 20
+    calls.clear()
+    document = report.run_suite("grassmannian", 7)
+    assert _case(document, "finite-rank eta perturbation").status == "fail"
+    assert [c.name for c in document.cases if c.status == "fail"] == [
+        "finite-rank eta perturbation, 20 random (a, flip) pairs"
+    ]
