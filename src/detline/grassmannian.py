@@ -12,11 +12,13 @@ connection forms on the determinant line of S(P) = P * base, their curvature,
 and the chart-patching identities for the transition determinants.
 
 The chart layer works on an orthonormal basis V (d x r) of ran(base), taken
-once per public call from the SVD that also decides the rank of base: chart
-maps are the thin d x r blocks (P + P sigma P) V, and their SVDs, stencils
-and traces run on those blocks.  Projections are checked once per public
-call, the base and each family at the call's own point t; family values at
-stencil points are not re-checked.
+once per public call from one eigh of the base block: chart maps are the
+thin d x r blocks (P + P sigma P) V, and their SVDs, stencils and traces run
+on those blocks.  Transition determinants reduce to r x r blocks X* S_i V
+(X an orthonormal basis of the target of the charts), so the only d x d
+decomposition of a public call is that eigh.  Projections are checked once
+per public call, the base and each family at the call's own point t; family
+values at stencil points are not re-checked.
 """
 
 from __future__ import annotations
@@ -389,30 +391,31 @@ def _require_chart(sv: np.ndarray, rank: int, t: tuple[float, float] | None) -> 
         raise NotInvertible(f"chart is singular{at} (sv = {sv[rank - 1]:.3e})")
 
 
-def _chart_ratio(
-    w: ModeWindow,
-    s1: np.ndarray,
-    s2: np.ndarray,
-    v: np.ndarray,
-    q: np.ndarray,
-    t: tuple[float, float],
-) -> complex:
-    """det_F((S_1 + I - q)(S_2 + I - q)^{-1}) of two thin chart blocks S_i V
-    that pass _require_chart.
+def _chart_ratio(a1: np.ndarray, a2: np.ndarray, t: tuple[float, float]) -> complex:
+    """det_F((S_1 V V* + I - q)(S_2 V V* + I - q)^{-1}) from the r x r blocks
+    A_i = X* S_i V, as det(A_1 A_2^{-1}); both blocks pass _require_chart.
 
-    The quotient det_F(S_1 + I - q) / det_F(S_2 + I - q) would be cheaper, but
-    then the three quotients of g_12 g_23 g_31 telescope and the cocycle case
-    holds by construction for any determinant; through the product it rests
-    on the multiplicativity of det_F.
+    The callers pick X so that the identity-extended representatives are
+    block lower triangular and differ only in the block A_i; the other
+    blocks then cancel from the product.
+    - q = V V* (patching_identity_check), X = V: in the basis [V, W] of
+      ran(base) + ker(base) the representative has the blocks V* S_i V and
+      W* S_i V on ran(base), and the identity on ker(base).  For S_i V = P_i V
+      the singular values of V* P_i V are the squares of those of P_i V.
+    - q = P (transition_det), X = Q with Q R a thin QR of S_2 V: when rank
+      P = r, ran(Q) = ran(P) contains ran(S_1 V), and from ran(base) +
+      ker(base) to ran(P) + ker(P) the representative has the blocks
+      Q* S_i V on ran(base) to ran(P), (I - P) on ran(base) to ker(P) and
+      (I - P) on ker(base).  A_1 = Q* S_1 V and A_2 = R carry the singular
+      values of S_1 V and S_2 V.
+    The quotient det(A_1) / det(A_2) would be cheaper, but then the three
+    quotients of g_12 g_23 g_31 telescope and the cocycle case holds by
+    construction for any determinant; through the product, formed by an
+    r x r solve, it rests on the multiplicativity of det.
     """
-    hats = []
-    for s in (s1, s2):
-        _require_chart(np.linalg.svd(s, compute_uv=False), v.shape[1], t)
-        hat = s @ v.conj().T  # updated in place: d x d temporaries set the peak memory
-        hat -= q
-        hat[np.diag_indices_from(hat)] += 1.0
-        hats.append(ModeOperator(w, hat, TAIL_IDENTITY))
-    return fredholm_det(hats[0] @ hats[1].inverse())
+    for a in (a1, a2):
+        _require_chart(np.linalg.svd(a, compute_uv=False), len(a), t)
+    return complex(np.linalg.det(np.linalg.solve(a2.T, a1.T).T))
 
 
 def _direction_axis(direction) -> int:
@@ -426,14 +429,16 @@ def _direction_axis(direction) -> int:
 def _chart_base(w: ModeWindow, base: ModeOperator) -> np.ndarray:
     """Orthonormal basis V (d x r) of ran(base) on the window, once per public call.
 
-    V holds the left singular vectors of the base block above
-    RANK_SVD_THRESHOLD, the rank decision of window_rank.  It is copied out
-    of U so that the d x d factors are freed before the chart work starts.
+    V holds the eigenvectors of the base block with eigenvalue above 1/2.  The
+    base is checked to be a projection to PROJECTION_TOL, so its eigenvalues
+    lie that close to 0 or 1 and this is the rank decision of window_rank.
+    The boolean index copies the columns, so the d x d factor is freed
+    before the chart work starts.
     """
     if not base.is_projection():
         raise DomainError("base must be a projection")
-    u, sv, _ = np.linalg.svd(base.embed_to(w).entries)
-    return u[:, : int(np.sum(sv > RANK_SVD_THRESHOLD))].copy()
+    eigenvalues, vectors = np.linalg.eigh(base.embed_to(w).entries)
+    return vectors[:, eigenvalues > 0.5]
 
 
 def _projection_at(fam: ProjectionFamily, t: tuple[float, float]) -> np.ndarray:
@@ -502,11 +507,16 @@ def _connection_form(
     With base = V V*, Tr(S^+ P dS base) equals Tr((SV)^+ P d(SV)) on the thin
     block SV, whose singular values are the nonzero ones of S: one thin SVD
     serves both the chart guard and the pseudo-inverse (with pinv's relative
-    cut-off).
+    cut-off).  In the identity chart SV = PV, so the stencil runs over the
+    family values and d(SV) = (dP) V takes one product; a perturbation chart
+    differentiates its chart map (P + P sigma P) V by the stencil.
     """
     u, sv, vh = np.linalg.svd(_chart_map(p, v, sig), full_matrices=False)
     _require_chart(sv, v.shape[1], t)
-    ds = fd_apply(lambda t1, t2: _chart_map(fam(t1, t2).entries, v, sig), t, st, axis)
+    if sig is None:
+        ds = fd_apply(lambda t1, t2: fam(t1, t2).entries, t, st, axis) @ v
+    else:
+        ds = fd_apply(lambda t1, t2: _chart_map(fam(t1, t2).entries, v, sig), t, st, axis)
     kept = sv > RANK_SVD_THRESHOLD * sv[0]
     s_pinv = (vh[kept].conj().T / sv[kept]) @ u[:, kept].conj().T
     return complex(np.trace(s_pinv @ p @ ds))
@@ -576,18 +586,28 @@ def transition_det(
     w = fam.window
     v = _chart_base(w, base)
     sig1, sig2 = _chart_sigma(w, sigma1), _chart_sigma(w, sigma2)
-    return _transition_det(w, v, _projection_at(fam, t), t, sig1, sig2)
+    return _transition_det(v, _projection_at(fam, t), t, sig1, sig2)
 
 
 def _transition_det(
-    w: ModeWindow,
     v: np.ndarray,
     p: np.ndarray,
     t: tuple[float, float],
     sig1: np.ndarray | None,
     sig2: np.ndarray | None,
 ) -> complex:
-    return _chart_ratio(w, _chart_map(p, v, sig1), _chart_map(p, v, sig2), v, p, t)
+    """det_F((S_1 + I - P)(S_2 + I - P)^{-1}) on the r x r blocks Q* S_i V.
+
+    A family value of another rank than base admits no invertible chart map.
+    """
+    rank = v.shape[1]
+    rank_p = np.trace(p).real
+    if round(rank_p) != rank:
+        raise NotInvertible(
+            f"chart is singular at t = {t} (rank P = {rank_p:.0f}, rank base = {rank})"
+        )
+    q, r = np.linalg.qr(_chart_map(p, v, sig2))
+    return _chart_ratio(q.conj().T @ _chart_map(p, v, sig1), r, t)
 
 
 def perturbation_patching_check(
@@ -614,9 +634,9 @@ def perturbation_patching_check(
     p = _projection_at(fam, t)
 
     def g_at(t1: float, t2: float) -> complex:
-        return _transition_det(w, v, fam(t1, t2).entries, (t1, t2), sig1, sig2)
+        return _transition_det(v, fam(t1, t2).entries, (t1, t2), sig1, sig2)
 
-    lhs = fd_apply(g_at, t, st, axis) / _transition_det(w, v, p, t, sig1, sig2)
+    lhs = fd_apply(g_at, t, st, axis) / _transition_det(v, p, t, sig1, sig2)
     omega_st = FdStencil(kind="first-derivative")
     rhs = _connection_form(fam, v, p, t, axis, omega_st, sig1) - _connection_form(
         fam, v, p, t, axis, omega_st, sig2
@@ -645,13 +665,12 @@ def patching_identity_check(
     axis = _direction_axis(direction)
     if fam1.window.n_max != fam2.window.n_max:
         raise NotCommensurable("families must share one mode window")
-    w = fam1.window
-    v = _chart_base(w, base)
-    q = v @ v.conj().T
+    v = _chart_base(fam1.window, base)
+    vh = v.conj().T
     p1, p2 = _projection_at(fam1, t), _projection_at(fam2, t)
 
     def ratio(pa: np.ndarray, pb: np.ndarray, at: tuple[float, float]) -> complex:
-        return _chart_ratio(w, _chart_map(pa, v, None), _chart_map(pb, v, None), v, q, at)
+        return _chart_ratio(vh @ _chart_map(pa, v, None), vh @ _chart_map(pb, v, None), at)
 
     def g_at(t1: float, t2: float) -> complex:
         return ratio(fam1(t1, t2).entries, fam2(t1, t2).entries, (t1, t2))

@@ -1,6 +1,7 @@
 """Mode-window operator tests: spectral projections, eta invariants,
 Fredholm determinants, connection forms, curvature and patching."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -376,25 +377,31 @@ def test_family_value_that_is_no_projection_at_t_raises(entry):
 
 
 def test_decomposition_and_projection_check_counts(monkeypatch):
-    # per public call: one SVD of the base block and one projection check each
-    # for the base and the family at t; the chart SVDs run on the thin 13 x 7
-    # blocks (one per connection form, two guards per transition ratio), and
-    # only ModeOperator.inverse's guard on S_2 + I - P stays 13 x 13
-    shapes, checks = [], []
-    svd, is_projection = np.linalg.svd, gr.ModeOperator.is_projection
+    # per public call: one eigh of the 13 x 13 base block, the only d x d
+    # decomposition, and one projection check each for the base and the
+    # family at t; every other decomposition runs on a thin 13 x 7 chart
+    # block or on an r x r = 7 x 7 block of a transition ratio
+    calls, checks = [], []
 
-    def counted_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+    def counted(name, inner):
+        def call(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return inner(a, *args, **kwargs)
+
+        return call
+
+    for name in ("svd", "eigh", "qr", "inv", "solve", "det"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    is_projection = gr.ModeOperator.is_projection
 
     def counted_is_projection(op, *args, **kwargs):
         checks.append(op)
         return is_projection(op, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(gr.ModeOperator, "is_projection", counted_is_projection)
     w6 = gr.ModeWindow(6)
     fam, base = gr.rotated_family(w6, (-2, 1)), gr.spectral_projection(w6, 0)
+    fam2 = gr.rotated_family(w6, (-1, 2))
     rng = np.random.default_rng(3)
     sigma1, sigma2 = (
         gr.ModeOperator(w6, 0.1 * rng.standard_normal((w6.dim, w6.dim)), gr.TAIL_ZERO)
@@ -402,16 +409,33 @@ def test_decomposition_and_projection_check_counts(monkeypatch):
     )
 
     def counts(call):
-        shapes.clear()
+        calls.clear()
         checks.clear()
         call()
-        return {shape: shapes.count(shape) for shape in shapes}, len(checks)
+        assert [c for c in calls if c[1] == (13, 13)] == [("eigh", (13, 13))]
+        return {c: calls.count(c) for c in calls}, len(checks)
 
     t = (0.35, 0.6)
-    assert counts(lambda: gr.curvature_rkw(fam, base, t)) == ({(13, 13): 1, (13, 7): 8}, 2)
-    assert counts(lambda: gr.perturbation_patching_check(fam, base, sigma1, sigma2, t)) == (
-        {(13, 13): 6, (13, 7): 12},
+    eigh = {("eigh", (13, 13)): 1}
+    thin_svd, small_svd = ("svd", (13, 7)), ("svd", (7, 7))
+    # a transition ratio: a thin QR of S_2 V (transition_det only), two r x r
+    # chart guards, one r x r solve and one r x r det
+    ratio = {("solve", (7, 7)): 1, ("det", (7, 7)): 1}
+    assert counts(lambda: gr.connection_form(fam, base, t)) == ({**eigh, thin_svd: 1}, 2)
+    assert counts(lambda: gr.curvature_rkw(fam, base, t)) == ({**eigh, thin_svd: 8}, 2)
+    assert counts(lambda: gr.transition_det(fam, base, t, sigma1, sigma2)) == (
+        {**eigh, ("qr", (13, 7)): 1, small_svd: 2, **ratio},
         2,
+    )
+    # five ratios (four stencil points and t) and two connection forms
+    five = {key: 5 * n for key, n in ratio.items()}
+    assert counts(lambda: gr.perturbation_patching_check(fam, base, sigma1, sigma2, t)) == (
+        {**eigh, ("qr", (13, 7)): 5, small_svd: 10, **five, thin_svd: 2},
+        2,
+    )
+    assert counts(lambda: gr.patching_identity_check(fam, fam2, base, t)) == (
+        {**eigh, small_svd: 10, **five, thin_svd: 2},
+        3,
     )
 
 
@@ -504,6 +528,140 @@ def test_transition_det_closed_form():
 
     expected = closed(sigma1) / closed(sigma2)
     assert gr.transition_det(fam, PI0, t, sigma1, sigma2) == pytest.approx(expected, rel=1e-10)
+
+
+def conjugated_setting(base_kind):
+    # a rotated family and Pi_{>=0}, both conjugated by one constant unitary
+    # for the "conjugated" base, so that ran(base) has no coordinate basis
+    w = gr.ModeWindow(25 if base_kind == "n_max=25" else 6)
+    fam, base = gr.rotated_family(w, (-2, 1)), gr.spectral_projection(w, 0)
+    if base_kind == "conjugated":
+        u = report.random_window_unitary(np.random.default_rng(8), w.dim)
+        fam, base = conjugated(fam, base.entries, u)
+    return w, fam, base
+
+
+def conjugated(fam, base, u):
+    w = fam.window
+    return (
+        gr.ProjectionFamily(w, lambda t1, t2: u @ fam(t1, t2).entries @ u.conj().T),
+        gr.ModeOperator(w, u @ base @ u.conj().T, gr.TAIL_APS),
+    )
+
+
+def dense_ratio(s1, s2, q):
+    # det((S_1 + I - q)(S_2 + I - q)^{-1}) on the full window
+    eye = np.eye(len(q))
+    return np.linalg.det((s1 + eye - q) @ np.linalg.inv(s2 + eye - q))
+
+
+@pytest.mark.parametrize("base_kind", ["diagonal", "conjugated", "n_max=25"])
+def test_transition_det_matches_dense_definition(base_kind):
+    # the r x r route against det((S_1 + I - P)(S_2 + I - P)^{-1}) with the
+    # d x d chart maps S_i = (P + P sigma_i P) base
+    w, fam, base = conjugated_setting(base_kind)
+    rng = np.random.default_rng(4)
+    shape = (w.dim, w.dim)
+    sigmas = [
+        0.2 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for _ in range(2)
+    ]
+    b = base.entries
+    for t in ((0.3, 0.45), (0.71, 0.12)):
+        p = fam(*t).entries
+        s1, s2 = ((p + p @ sig @ p) @ b for sig in sigmas)
+        expected = dense_ratio(s1, s2, p)
+        charts = [gr.ModeOperator(w, sig, gr.TAIL_ZERO) for sig in sigmas]
+        assert abs(gr.transition_det(fam, base, t, *charts) - expected) < 1e-12 * abs(expected)
+        # the identity chart against a perturbation chart
+        expected = dense_ratio(p @ b, s2, p)
+        value = gr.transition_det(fam, base, t, None, charts[1])
+        assert abs(value - expected) < 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("base_kind", ["diagonal", "conjugated", "n_max=25"])
+def test_patching_identity_lhs_matches_dense_definition(base_kind):
+    # d log of det((P_1 B + I - B)(P_2 B + I - B)^{-1}) by the same stencil;
+    # P_2 = u P_1 u* for a unitary u near the identity that does not commute
+    # with B, so the ratio moves in both directions (for two rotated families
+    # it is identically 1)
+    w, fam1, base = conjugated_setting(base_kind)
+    rng = np.random.default_rng(9)
+    h = rng.standard_normal((w.dim, w.dim)) + 1j * rng.standard_normal((w.dim, w.dim))
+    eigenvalues, vectors = np.linalg.eigh(0.5 / np.sqrt(w.dim) * (h + h.conj().T))
+    u = (vectors * np.exp(1j * eigenvalues)) @ vectors.conj().T
+    fam2, _ = conjugated(fam1, base.entries, u)
+    b = base.entries
+    st = FdStencil(kind="first-derivative")
+
+    def g(t1, t2):
+        return dense_ratio(fam1(t1, t2).entries @ b, fam2(t1, t2).entries @ b, b)
+
+    moved = 0.0
+    for t in ((0.3, 0.45), (0.62, 0.2)):
+        for axis in (0, 1):
+            lhs, _ = gr.patching_identity_check(fam1, fam2, base, t, axis)
+            expected = fd_apply(g, t, st, axis) / g(*t)
+            assert abs(lhs - expected) < 1e-10
+            moved = max(moved, abs(expected))
+    assert moved > 0.4
+
+
+def mp_rotated_value(w, modes, t):
+    # rotated_family's closed form at 40 digits
+    theta = mpmath.pi * mpmath.mpf(t[0]) / 2
+    phase = mpmath.exp(2j * mpmath.pi * mpmath.mpf(t[1]))
+    sin, cos = mpmath.sin(theta), mpmath.cos(theta)
+    i, j = w.index(modes[0]), w.index(modes[1])
+    p = mpmath.matrix(gr.spectral_projection(w, 0).entries.real.tolist())
+    p[i, i], p[j, j] = sin * sin, cos * cos
+    p[i, j], p[j, i] = -mpmath.conj(phase) * sin * cos, -phase * sin * cos
+    return p
+
+
+def test_transition_det_near_the_identity_chart_singularity():
+    # at t1 = 1 - 1e-6 the chart maps keep singular values near 1.6e-6, above
+    # CHART_SVD_THRESHOLD, while the identity-extended d x d representatives
+    # S_i + I - P have singular values near 3e-12
+    rng = np.random.default_rng(1)
+    sigmas = [window_sigma(0.25, rng) for _ in range(3)]
+    fam = gr.rotated_family(W, (-1, 0))
+    t = (1 - 1e-6, 0.2)
+    with mpmath.workdps(40):
+        p = mp_rotated_value(W, (-1, 0), t)
+        b, eye = mpmath.matrix(PI0.entries.real.tolist()), mpmath.eye(W.dim)
+
+        def hat(sigma):
+            sig = mpmath.matrix(sigma.entries.tolist())
+            return (p + p * sig * p) * b + eye - p
+
+        expected = complex(mpmath.det(hat(sigmas[0]) * hat(sigmas[1]) ** -1))
+    assert abs(gr.transition_det(fam, PI0, t, sigmas[0], sigmas[1]) - expected) < 1e-12
+    cocycle = (
+        gr.transition_det(fam, PI0, t, sigmas[0], sigmas[1])
+        * gr.transition_det(fam, PI0, t, sigmas[1], sigmas[2])
+        * gr.transition_det(fam, PI0, t, sigmas[2], sigmas[0])
+    )
+    assert abs(cocycle - 1.0) < 1e-10
+    for t1, shown in ((1 - 1e-8, r"0\.99999999"), (1.0, r"1\.0")):
+        with pytest.raises(NotInvertible, match=rf"at t = \({shown}, 0\.2\)"):
+            gr.transition_det(fam, PI0, (t1, 0.2), sigmas[0], sigmas[1])
+
+
+def test_transition_det_refuses_a_family_of_other_rank():
+    # P = Pi_{>=-1} has one more window mode than base = Pi_{>=0}, so no
+    # chart map ran(base) -> ran(P) is invertible
+    w6 = gr.ModeWindow(6)
+    wider = gr.spectral_projection(w6, -1).entries
+    constant = gr.ProjectionFamily(w6, lambda t1, t2: wider)
+    base = gr.spectral_projection(w6, 0)
+    rng = np.random.default_rng(5)
+    shape = (w6.dim, w6.dim)
+    sigma1, sigma2 = (
+        gr.ModeOperator(w6, 0.25 * rng.standard_normal(shape), gr.TAIL_ZERO) for _ in range(2)
+    )
+    for charts in ((None, None), (sigma1, sigma2)):
+        with pytest.raises(NotInvertible, match=r"at t = \(0\.3, 0\.4\)"):
+            gr.transition_det(constant, base, (0.3, 0.4), *charts)
 
 
 # The pulled-back Fubini-Study form integrated over theta in [0, 3 pi / 8]

@@ -306,6 +306,29 @@ def test_planted_fault_in_ratio_determinants_fails_transitivity(monkeypatch):
     assert _case(document, "ratio transitivity on random triples").status == "fail"
 
 
+def test_planted_fault_in_chart_ratio_determinants_fails_the_cocycle(monkeypatch):
+    # a determinant off by a constant factor on the r x r chart blocks (r = 7
+    # on the suite's ModeWindow(6), whose d x d blocks are 13 x 13 and up):
+    # quotients det(A_1) / det(A_2) would cancel it around the triple
+    # overlap, the products det(A_1 A_2^{-1}) of the chart ratio do not, and
+    # the logarithmic derivatives of the patching cases do not see it
+    _plant(
+        monkeypatch, np.linalg, "det", lambda d, m: d * (1 + 1e-6) if np.shape(m) == (7, 7) else d
+    )
+    rng = np.random.default_rng(3)
+    w = gr.ModeWindow(6)
+    fam, pi0 = gr.rotated_family(w, (-1, 0)), gr.spectral_projection(w, 0)
+    sigmas = [
+        gr.ModeOperator(w, 0.25 * report.random_window_unitary(rng, w.dim), gr.TAIL_ZERO)
+        for _ in range(3)
+    ]
+    assert report.cocycle_error(fam, pi0, (0.44, 0.31), *sigmas) > report.TOL_COCYCLE
+    document = report.run_suite("grassmannian", 7)
+    assert [c.name for c in document.cases if c.status == "fail"] == [
+        "triple overlap cocycle of transition determinants"
+    ]
+
+
 @pytest.mark.parametrize(
     "module, name, is_refused_input, suite, case",
     [
