@@ -14,16 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivisionByZeroPoint, DomainError
-from .grassmannian import ModeOperator, RANK_SVD_THRESHOLD, fredholm_det, require_det_class
+from .grassmannian import ModeOperator, fredholm_det, require_det_class
+from .tolerances import SINGULAR_TOL
 
 __all__ = ["DetPoint", "det_point", "ratio", "tensor_split", "range_map_index"]
-
-_SINGULAR_TOL = 1e-10
 
 
 def _is_singular(t_op: ModeOperator) -> bool:
     sv = np.linalg.svd(t_op.entries, compute_uv=False)
-    return bool(sv[-1] < _SINGULAR_TOL * max(1.0, sv[0]))
+    return bool(sv[-1] < SINGULAR_TOL * max(1.0, sv[0]))
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,6 @@ def range_map_index(
     t_op: ModeOperator,
     domain: ModeOperator,
     codomain: ModeOperator,
-    threshold: float = RANK_SVD_THRESHOLD,
 ) -> int:
     """Index of cod T dom : ran(domain) -> ran(codomain) by rank-nullity.
 
@@ -111,7 +109,7 @@ def range_map_index(
     if not (domain.is_projection() and codomain.is_projection()):
         raise DomainError("domain and codomain must be projections")
     restricted = codomain @ t_op @ domain
-    rank_restricted = restricted.window_rank(threshold)
-    dim_ker = domain.window_rank(threshold) - rank_restricted
-    dim_coker = codomain.window_rank(threshold) - rank_restricted
+    rank_restricted = restricted.window_rank()
+    dim_ker = domain.window_rank() - rank_restricted
+    dim_coker = codomain.window_rank() - rank_restricted
     return dim_ker - dim_coker

@@ -36,6 +36,14 @@ from .errors import (
     WindowOverflow,
 )
 from .specfun import FdStencil, HurwitzParams, fd_apply, hurwitz_zeta
+from .tolerances import (
+    CHART_SVD_THRESHOLD,
+    INNER_FD_STEP,
+    PROJECTION_TOL,
+    RANK_SVD_THRESHOLD,
+    ROUNDING_TOL,
+    TAIL_INVERSE_FLOOR,
+)
 
 __all__ = [
     "ModeWindow",
@@ -61,12 +69,6 @@ __all__ = [
     "TAIL_ZERO",
     "TAIL_APS",
 ]
-
-PROJECTION_TOL = 1e-10
-RANK_SVD_THRESHOLD = 1e-8
-CHART_SVD_THRESHOLD = 1e-6
-# Largest tail deviation still read as an exact tail scalar.
-TAIL_TOL = 1e-12
 
 # Sign relating relative eta to the relative index, measured once on the
 # pair (Pi_{>=1}, Pi_{>=0}) where eta/2 = -1 and ind(Pi_{>=0} Pi_{>=1}) = -1.
@@ -128,10 +130,6 @@ class ModeOperator:
     def identity(window: ModeWindow) -> "ModeOperator":
         return ModeOperator(window, np.eye(window.dim, dtype=complex), TAIL_IDENTITY)
 
-    @staticmethod
-    def from_window_matrix(window: ModeWindow, m, tail=TAIL_ZERO) -> "ModeOperator":
-        return ModeOperator(window, np.asarray(m, dtype=complex), tail)
-
     def embed_to(self, window: ModeWindow) -> "ModeOperator":
         """Extend to a larger window, filling new diagonal modes by the tails."""
         if window.n_max < self.window.n_max:
@@ -187,7 +185,7 @@ class ModeOperator:
 
     def inverse(self) -> "ModeOperator":
         """Inverse of an operator with nonzero tails and invertible window block."""
-        if abs(self.tail[0]) < 1e-14 or abs(self.tail[1]) < 1e-14:
+        if abs(self.tail[0]) < TAIL_INVERSE_FLOOR or abs(self.tail[1]) < TAIL_INVERSE_FLOOR:
             raise NotInvertible("tails vanish; the operator is not invertible")
         _require_chart(np.linalg.svd(self.entries, compute_uv=False), self.window.dim, None)
         tail = (1.0 / self.tail[0], 1.0 / self.tail[1])
@@ -199,16 +197,16 @@ class ModeOperator:
             raise NotCommensurable(f"trace undefined for tails {self.tail}")
         return complex(np.trace(self.entries))
 
-    def is_projection(self, tol: float = PROJECTION_TOL) -> bool:
-        m = self.entries
+    def is_projection(self) -> bool:
+        m, tol = self.entries, PROJECTION_TOL
         hermitian = np.max(np.abs(m - m.conj().T)) <= tol
         idem = np.max(np.abs(m @ m - m)) <= tol
         tails_ok = all(abs(t * t - t) <= tol and abs(t.imag) <= tol for t in self.tail)
         return bool(hermitian and idem and tails_ok)
 
-    def window_rank(self, threshold: float = RANK_SVD_THRESHOLD) -> int:
+    def window_rank(self) -> int:
         sv = np.linalg.svd(self.entries, compute_uv=False)
-        return int(np.sum(sv > threshold))
+        return int(np.sum(sv > RANK_SVD_THRESHOLD))
 
 
 class ProjectionFamily:
@@ -269,8 +267,8 @@ def rotated_family(w: ModeWindow, modes: tuple[int, int]) -> ProjectionFamily:
 
 
 def require_det_class(t_op: ModeOperator) -> None:
-    """Raise NotDetClass unless both tails are the identity (within TAIL_TOL)."""
-    if max(abs(t_op.tail[0] - 1.0), abs(t_op.tail[1] - 1.0)) > TAIL_TOL:
+    """Raise NotDetClass unless both tails are the identity (within ROUNDING_TOL)."""
+    if max(abs(t_op.tail[0] - 1.0), abs(t_op.tail[1] - 1.0)) > ROUNDING_TOL:
         raise NotDetClass(f"tails must be identity for det_F, got {t_op.tail}")
 
 
@@ -287,7 +285,7 @@ def fredholm_det(t_op: ModeOperator) -> complex:
 
 def _check_commensurable(p: ModeOperator, q: ModeOperator) -> tuple[ModeOperator, ModeOperator]:
     a, b = p._pair(q)
-    if max(abs(a.tail[0] - b.tail[0]), abs(a.tail[1] - b.tail[1])) > TAIL_TOL:
+    if max(abs(a.tail[0] - b.tail[0]), abs(a.tail[1] - b.tail[1])) > ROUNDING_TOL:
         raise NotCommensurable(f"tails differ: {a.tail} vs {b.tail}")
     return a, b
 
@@ -310,20 +308,14 @@ def relative_eta(p: ModeOperator, q: ModeOperator) -> float:
 def relative_index(p: ModeOperator, q: ModeOperator) -> int:
     """Index of Q P : ran P -> ran Q computed from window ranks.
 
-    dim ker is rank P - rank(Q P) and dim coker is rank Q - rank(Q P), both
-    on the window blocks with the singular-value threshold for rank decisions.
-    The contract relative_eta(P, Q) / 2 = RELATIVE_INDEX_SIGN * relative_index
-    holds with one global sign.
+    dim ker = rank P - rank(Q P) and dim coker = rank Q - rank(Q P), so the
+    index is rank P - rank Q, window ranks decided by RANK_SVD_THRESHOLD.
+    relative_eta(P, Q) / 2 = RELATIVE_INDEX_SIGN * relative_index.
     """
     a, b = _check_commensurable(p, q)
     if not (a.is_projection() and b.is_projection()):
         raise DomainError("relative index needs idempotent Hermitian operators")
-    rank_p = a.window_rank()
-    rank_q = b.window_rank()
-    rank_qp = (b @ a).window_rank()
-    dim_ker = rank_p - rank_qp
-    dim_coker = rank_q - rank_qp
-    return dim_ker - dim_coker
+    return a.window_rank() - b.window_rank()
 
 
 def eta_invariant_spectral(a: float) -> float:
@@ -441,11 +433,18 @@ def _chart_base(w: ModeWindow, base: ModeOperator) -> np.ndarray:
     return vectors[:, eigenvalues > 0.5]
 
 
-def _projection_at(fam: ProjectionFamily, t: tuple[float, float]) -> np.ndarray:
-    """Window block of fam at t, checked to be a projection (once per public call)."""
+def _projection_at(
+    fam: ProjectionFamily, t: tuple[float, float], v: np.ndarray | None = None
+) -> np.ndarray:
+    """Window block of fam at t, checked once per public call to be a projection
+    and, given a basis V of ran(base), to have the rank of base, without which
+    no chart map is invertible (the rank is constant near t)."""
     op = fam(*t)
     if not op.is_projection():
         raise DomainError(f"family value at ({t[0]}, {t[1]}) is not a projection")
+    rank_p = np.trace(op.entries).real
+    if v is not None and round(rank_p) != v.shape[1]:
+        raise NotInvertible(f"chart is singular at t = {t} (rank P = {rank_p:.0f} != rank base)")
     return op.entries
 
 
@@ -454,7 +453,7 @@ def _chart_sigma(w: ModeWindow, perturbation: ModeOperator | None) -> np.ndarray
     if perturbation is None:
         return None
     sig = perturbation.embed_to(w)
-    if max(abs(sig.tail[0]), abs(sig.tail[1])) > TAIL_TOL:
+    if max(abs(sig.tail[0]), abs(sig.tail[1])) > ROUNDING_TOL:
         raise NotDetClass("chart perturbations must be window supported (zero tails)")
     return sig.entries
 
@@ -472,7 +471,6 @@ def connection_form(
     base: ModeOperator,
     t: tuple[float, float],
     direction="t1",
-    st: FdStencil | None = None,
     perturbation: ModeOperator | None = None,
 ) -> complex:
     """Connection 1-form component Tr(S^{-1} P (dS) base) over ran(base).
@@ -485,12 +483,11 @@ def connection_form(
     ran(base) is computed with the pseudo-inverse standing in for the
     inverse of the restricted map.
     """
-    if st is None:
-        st = FdStencil(kind="first-derivative")
     axis = _direction_axis(direction)
     v = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
-    return _connection_form(fam, v, _projection_at(fam, t), t, axis, st, sig)
+    st = FdStencil(kind="first-derivative")
+    return _connection_form(fam, v, _projection_at(fam, t, v), t, axis, st, sig)
 
 
 def _connection_form(
@@ -522,14 +519,9 @@ def _connection_form(
     return complex(np.trace(s_pinv @ p @ ds))
 
 
-def tr_p_dp_dp(
-    fam: ProjectionFamily,
-    t: tuple[float, float],
-    st: FdStencil | None = None,
-) -> complex:
+def tr_p_dp_dp(fam: ProjectionFamily, t: tuple[float, float]) -> complex:
     """Curvature density Tr(P [d1 P, d2 P]) of the family, by stencil derivatives."""
-    if st is None:
-        st = FdStencil(kind="first-derivative")
+    st = FdStencil(kind="first-derivative")
 
     def p_at(t1: float, t2: float) -> np.ndarray:
         return fam(t1, t2).entries
@@ -544,21 +536,19 @@ def curvature_rkw(
     fam: ProjectionFamily,
     base: ModeOperator,
     t: tuple[float, float],
-    st: FdStencil | None = None,
     perturbation: ModeOperator | None = None,
 ) -> complex:
     """Curvature two-form d omega = d1 omega_2 - d2 omega_1 at a parameter point.
 
-    The outer derivatives use the stencil step; the inner connection forms use
-    a finer step so the nested differencing stays well below the 1e-3
-    agreement tolerance with Tr(P [d1 P, d2 P]).
+    The outer derivatives use the default stencil step; the inner connection
+    forms use a finer step (INNER_FD_STEP) so the nested differencing stays
+    well below TOL_CONNECTION_CURVATURE against Tr(P [d1 P, d2 P]).
     """
-    if st is None:
-        st = FdStencil(kind="first-derivative")
-    inner = FdStencil(step=min(1e-5, st.step / 10.0), order=4, kind="first-derivative")
+    st = FdStencil(kind="first-derivative")
+    inner = FdStencil(step=min(INNER_FD_STEP, st.step / 10.0), order=4, kind="first-derivative")
     v = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
-    _projection_at(fam, t)  # the stencil points around t are not checked
+    _projection_at(fam, t, v)  # the stencil points around t are not checked
 
     def omega(axis_inner: int) -> Callable[[float, float], complex]:
         def at(t1: float, t2: float) -> complex:
@@ -586,7 +576,7 @@ def transition_det(
     w = fam.window
     v = _chart_base(w, base)
     sig1, sig2 = _chart_sigma(w, sigma1), _chart_sigma(w, sigma2)
-    return _transition_det(v, _projection_at(fam, t), t, sig1, sig2)
+    return _transition_det(v, _projection_at(fam, t, v), t, sig1, sig2)
 
 
 def _transition_det(
@@ -596,16 +586,8 @@ def _transition_det(
     sig1: np.ndarray | None,
     sig2: np.ndarray | None,
 ) -> complex:
-    """det_F((S_1 + I - P)(S_2 + I - P)^{-1}) on the r x r blocks Q* S_i V.
-
-    A family value of another rank than base admits no invertible chart map.
-    """
-    rank = v.shape[1]
-    rank_p = np.trace(p).real
-    if round(rank_p) != rank:
-        raise NotInvertible(
-            f"chart is singular at t = {t} (rank P = {rank_p:.0f}, rank base = {rank})"
-        )
+    """det_F((S_1 + I - P)(S_2 + I - P)^{-1}) on the r x r blocks Q* S_i V,
+    for a family value P of the rank of base."""
     q, r = np.linalg.qr(_chart_map(p, v, sig2))
     return _chart_ratio(q.conj().T @ _chart_map(p, v, sig1), r, t)
 
@@ -617,7 +599,6 @@ def perturbation_patching_check(
     sigma2: ModeOperator | None,
     t: tuple[float, float],
     direction="t1",
-    st: FdStencil | None = None,
 ) -> tuple[complex, complex]:
     """Patching identity between two perturbation charts of one family.
 
@@ -625,21 +606,19 @@ def perturbation_patching_check(
     determinant and rhs the difference of the chart connection forms; the two
     agree up to finite-difference error.
     """
-    if st is None:
-        st = FdStencil(kind="first-derivative")
+    st = FdStencil(kind="first-derivative")
     axis = _direction_axis(direction)
     w = fam.window
     v = _chart_base(w, base)
     sig1, sig2 = _chart_sigma(w, sigma1), _chart_sigma(w, sigma2)
-    p = _projection_at(fam, t)
+    p = _projection_at(fam, t, v)
 
     def g_at(t1: float, t2: float) -> complex:
         return _transition_det(v, fam(t1, t2).entries, (t1, t2), sig1, sig2)
 
     lhs = fd_apply(g_at, t, st, axis) / _transition_det(v, p, t, sig1, sig2)
-    omega_st = FdStencil(kind="first-derivative")
-    rhs = _connection_form(fam, v, p, t, axis, omega_st, sig1) - _connection_form(
-        fam, v, p, t, axis, omega_st, sig2
+    rhs = _connection_form(fam, v, p, t, axis, st, sig1) - _connection_form(
+        fam, v, p, t, axis, st, sig2
     )
     return complex(lhs), complex(rhs)
 
@@ -650,7 +629,6 @@ def patching_identity_check(
     base: ModeOperator,
     t: tuple[float, float],
     direction="t1",
-    st: FdStencil | None = None,
 ) -> tuple[complex, complex]:
     """Patching identity between the identity charts of two projection families.
 
@@ -660,14 +638,13 @@ def patching_identity_check(
     constant unitary commuting with base).  Returns (lhs, rhs) with lhs the
     logarithmic derivative of that ratio and rhs = omega_1 - omega_2.
     """
-    if st is None:
-        st = FdStencil(kind="first-derivative")
+    st = FdStencil(kind="first-derivative")
     axis = _direction_axis(direction)
     if fam1.window.n_max != fam2.window.n_max:
         raise NotCommensurable("families must share one mode window")
     v = _chart_base(fam1.window, base)
     vh = v.conj().T
-    p1, p2 = _projection_at(fam1, t), _projection_at(fam2, t)
+    p1, p2 = _projection_at(fam1, t, v), _projection_at(fam2, t, v)
 
     def ratio(pa: np.ndarray, pb: np.ndarray, at: tuple[float, float]) -> complex:
         return _chart_ratio(vh @ _chart_map(pa, v, None), vh @ _chart_map(pb, v, None), at)
@@ -676,8 +653,7 @@ def patching_identity_check(
         return ratio(fam1(t1, t2).entries, fam2(t1, t2).entries, (t1, t2))
 
     lhs = fd_apply(g_at, t, st, axis) / ratio(p1, p2, t)
-    omega_st = FdStencil(kind="first-derivative")
-    rhs = _connection_form(fam1, v, p1, t, axis, omega_st, None) - _connection_form(
-        fam2, v, p2, t, axis, omega_st, None
+    rhs = _connection_form(fam1, v, p1, t, axis, st, None) - _connection_form(
+        fam2, v, p2, t, axis, st, None
     )
     return complex(lhs), complex(rhs)

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, DomainError
 from .specfun import FdStencil, fd_apply, hurwitz_zeta_ds0
+from .tolerances import DEGENERACY_TOL, ROUNDING_TOL, TOL_CURVATURE
 
 __all__ = [
     "BoundaryProjection2",
@@ -53,9 +54,6 @@ __all__ = [
     "curvature_fd_truncation_bound",
 ]
 
-HERMITIAN_TOL = 1e-12
-DEGENERACY_TOL = 1e-10
-
 # Orientation constant for Tr(P dP dP), fixed once by matching the
 # finite-difference curvature of log det_zeta at z = 0 and then frozen.
 KAHLER_SIGN = -1.0
@@ -65,11 +63,6 @@ DET_TO_S_CONSTANT = 4.0
 
 # Radius around z = -1 (zero mode) excluded from spectral and curvature grids.
 EXCLUSION_RADIUS = 0.2
-
-# Relative tolerance of the finite-difference curvature against the
-# Fubini-Study density; quillen_curvature_fd refuses points where its
-# truncation bound exceeds it.
-TOL_CURVATURE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -86,11 +79,11 @@ class BoundaryProjection2:
         m = np.asarray(self.entries, dtype=complex)
         if m.shape != (2, 2):
             raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+        if np.max(np.abs(m - m.conj().T)) > ROUNDING_TOL:
             raise DomainError("projection is not Hermitian")
-        if np.max(np.abs(m @ m - m)) > HERMITIAN_TOL:
+        if np.max(np.abs(m @ m - m)) > ROUNDING_TOL:
             raise DomainError("projection is not idempotent")
-        if abs(np.trace(m) - 1.0) > HERMITIAN_TOL:
+        if abs(np.trace(m) - 1.0) > ROUNDING_TOL:
             raise DomainError("projection is not rank one")
         object.__setattr__(self, "entries", m)
 
@@ -112,7 +105,7 @@ class SpectralDatum:
         if outside.any():
             raise DomainError(f"alpha must lie in (0, 1/2], got {alpha[outside].flat[0]}")
         c = -2.0 * z.real / (1.0 + _modulus(z) ** 2)
-        if (np.abs(np.cos(2.0 * np.pi * alpha) - c) > HERMITIAN_TOL).any():
+        if (np.abs(np.cos(2.0 * np.pi * alpha) - c) > ROUNDING_TOL).any():
             raise DomainError("alpha is inconsistent with the chart point")
 
 
@@ -375,7 +368,7 @@ def kahler_form_2x2(z: complex | np.ndarray) -> float | np.ndarray:
     points = _chart_array(z)
     p, dz, dzb = _chart_matrices(points.reshape(-1))
     commutator_trace = np.trace(p @ (dz @ dzb - dzb @ dz), axis1=1, axis2=2)
-    imaginary = np.abs(commutator_trace.imag) > 1e-12
+    imaginary = np.abs(commutator_trace.imag) > ROUNDING_TOL
     if imaginary.any():
         raise DomainError(
             f"Tr(P [dP, dP]) should be real here, got {commutator_trace[imaginary][0]}"

@@ -11,7 +11,7 @@ reported as expected, or "violated").  Suites are deterministic in one
 
 Each identity is measured by one public function (``zeta_det_error``,
 ``curvature_errors``, ...) on the caller's samples and held to one ``TOL_*``
-constant; the suites and the acceptance tests share them.
+constant of ``detline.tolerances``; the suites and the acceptance tests share them.
 """
 
 from __future__ import annotations
@@ -32,6 +32,15 @@ import numpy as np
 from . import chern_series, det_line, grassmannian as gr, interval_cp1 as cp1
 from .errors import DetlineError, DomainError
 from .specfun import FdStencil
+from .tolerances import (
+    TOL_COCYCLE,
+    TOL_CONNECTION_CURVATURE,
+    TOL_CONNECTION_PATCHING,
+    TOL_CURVATURE,
+    TOL_DET_LINE,
+    TOL_ETA,
+    TOL_ZETA_DET,
+)
 
 __all__ = [
     "CaseResult",
@@ -129,14 +138,6 @@ def _raised(call, *args) -> str:
 
 # ---------------------------------------------------------------------------
 # shared measurements: each returns the worst error over the caller's samples
-
-TOL_ZETA_DET = 1e-8  # spectral determinant, det = 4 |S(P)|^2, metric patching ratio
-TOL_CURVATURE = cp1.TOL_CURVATURE  # 1e-4: FD curvature vs the Kahler density and Tr(P dP dP)
-TOL_ETA = 1e-10  # eta invariant on the offset grid and under finite-rank flips
-TOL_CONNECTION_PATCHING = 1e-5
-TOL_CONNECTION_CURVATURE = 1e-3  # d omega vs Tr(P [d1 P, d2 P])
-TOL_COCYCLE = 1e-10
-TOL_DET_LINE = 1e-10  # equivalence, transitivity and multiplicativity of points
 
 
 def _worst(errors) -> float:
@@ -974,7 +975,6 @@ def curvature_grid(
     g: GridSpec,
     out_format: str = "csv",
     path: str | None = None,
-    st: FdStencil | None = None,
 ) -> dict:
     """Sample the curvature comparison over a grid and emit csv or json.
 
@@ -983,9 +983,7 @@ def curvature_grid(
     """
     if out_format not in ("csv", "json"):
         raise DomainError(f"out_format must be 'csv' or 'json', got {out_format!r}")
-    if st is None:
-        st = FdStencil(kind="laplacian-2d")
-    rows, summary = _grid_rows(g, st)
+    rows, summary = _grid_rows(g, FdStencil(kind="laplacian-2d"))
     if path is not None:
         if out_format == "csv":
             buffer = io.StringIO()

@@ -42,6 +42,7 @@ from typing import Any, Callable, Literal, Sequence
 import numpy as np
 
 from .errors import DetlineError, DomainError, EvaluationError, PoleAtOne
+from .tolerances import DEFAULT_FD_STEP, LOG_GAMMA_TOL, POLE_DISTANCE
 
 __all__ = [
     "HurwitzParams",
@@ -59,7 +60,6 @@ __all__ = [
 
 DEFAULT_EM_ORDER = 8
 DEFAULT_CUTOFF = 50
-DEFAULT_FD_STEP = 1e-3
 
 # Region of s where the default Euler-Maclaurin evaluation is validated.
 S_RE_MIN = -2.0
@@ -160,7 +160,7 @@ def hurwitz_zeta(p: HurwitzParams) -> complex:
             f"s = {p.s} lies outside the validated region Re s >= {S_RE_MIN}, "
             f"|Im s| <= {S_IM_MAX}"
         )
-    if abs(p.s - 1.0) < 1e-12:
+    if abs(p.s - 1.0) < POLE_DISTANCE:
         raise PoleAtOne(f"zeta(s, a) has a pole at s = 1 (got s = {p.s})")
     try:
         value = _hurwitz_em(p.s, p.a, p.em_order, p.cutoff)
@@ -247,7 +247,7 @@ def hurwitz_zeta_ds0(
     total += series / w
     reference = np.fromiter(map(math.lgamma, flat.tolist()), float, flat.size)
     reference -= 0.5 * math.log(2.0 * math.pi)
-    off = np.abs(total - reference) > 1e-10
+    off = np.abs(total - reference) > LOG_GAMMA_TOL
     if off.any():
         i = int(np.argmax(off))
         raise EvaluationError(

@@ -647,21 +647,45 @@ def test_transition_det_near_the_identity_chart_singularity():
             gr.transition_det(fam, PI0, (t1, 0.2), sigmas[0], sigmas[1])
 
 
-def test_transition_det_refuses_a_family_of_other_rank():
+W6 = gr.ModeWindow(6)
+ROTATED6 = gr.rotated_family(W6, (-1, 0))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda fam, base, t, charts: gr.connection_form(fam, base, t, perturbation=charts[0]),
+        lambda fam, base, t, charts: gr.curvature_rkw(fam, base, t, perturbation=charts[0]),
+        lambda fam, base, t, charts: gr.transition_det(fam, base, t, *charts),
+        lambda fam, base, t, charts: gr.perturbation_patching_check(fam, base, *charts, t),
+        lambda fam, base, t, charts: gr.patching_identity_check(fam, ROTATED6, base, t),
+        lambda fam, base, t, charts: gr.patching_identity_check(ROTATED6, fam, base, t),
+    ],
+    ids=[
+        "connection_form",
+        "curvature_rkw",
+        "transition_det",
+        "perturbation_patching_check",
+        "patching_identity_check-fam1",
+        "patching_identity_check-fam2",
+    ],
+)
+def test_chart_entry_points_refuse_a_family_of_other_rank(entry):
     # P = Pi_{>=-1} has one more window mode than base = Pi_{>=0}, so no
-    # chart map ran(base) -> ran(P) is invertible
-    w6 = gr.ModeWindow(6)
-    wider = gr.spectral_projection(w6, -1).entries
-    constant = gr.ProjectionFamily(w6, lambda t1, t2: wider)
-    base = gr.spectral_projection(w6, 0)
+    # chart map ran(base) -> ran(P) is invertible, and the refusal names t
+    # rather than a stencil point around it
+    wider = gr.spectral_projection(W6, -1).entries
+    constant = gr.ProjectionFamily(W6, lambda t1, t2: wider)
+    base = gr.spectral_projection(W6, 0)
     rng = np.random.default_rng(5)
-    shape = (w6.dim, w6.dim)
+    shape = (W6.dim, W6.dim)
     sigma1, sigma2 = (
-        gr.ModeOperator(w6, 0.25 * rng.standard_normal(shape), gr.TAIL_ZERO) for _ in range(2)
+        gr.ModeOperator(W6, 0.25 * rng.standard_normal(shape), gr.TAIL_ZERO) for _ in range(2)
     )
     for charts in ((None, None), (sigma1, sigma2)):
         with pytest.raises(NotInvertible, match=r"at t = \(0\.3, 0\.4\)"):
-            gr.transition_det(constant, base, (0.3, 0.4), *charts)
+            entry(constant, base, (0.3, 0.4), charts)
+        entry(ROTATED6, base, (0.3, 0.4), charts)
 
 
 # The pulled-back Fubini-Study form integrated over theta in [0, 3 pi / 8]
