@@ -103,13 +103,10 @@ def range_map_index(
     """Index of cod T dom : ran(domain) -> ran(codomain) by rank-nullity.
 
     dim ker = rank(domain) - rank(restriction) and
-    dim coker = rank(codomain) - rank(restriction), with ranks decided by the
-    singular-value threshold on window blocks.
+    dim coker = rank(codomain) - rank(restriction), so the index is
+    rank(domain) - rank(codomain), window ranks decided by the singular-value
+    threshold, as in relative_index: in a finite window T does not enter.
     """
     if not (domain.is_projection() and codomain.is_projection()):
         raise DomainError("domain and codomain must be projections")
-    restricted = codomain @ t_op @ domain
-    rank_restricted = restricted.window_rank()
-    dim_ker = domain.window_rank() - rank_restricted
-    dim_coker = codomain.window_rank() - rank_restricted
-    return dim_ker - dim_coker
+    return domain.window_rank() - codomain.window_rank()

@@ -42,7 +42,6 @@ from .tolerances import (
     PROJECTION_TOL,
     RANK_SVD_THRESHOLD,
     ROUNDING_TOL,
-    TAIL_INVERSE_FLOOR,
 )
 
 __all__ = [
@@ -182,14 +181,6 @@ class ModeOperator:
     def adjoint(self) -> "ModeOperator":
         tail = (self.tail[0].conjugate(), self.tail[1].conjugate())
         return ModeOperator(self.window, self.entries.conj().T, tail)
-
-    def inverse(self) -> "ModeOperator":
-        """Inverse of an operator with nonzero tails and invertible window block."""
-        if abs(self.tail[0]) < TAIL_INVERSE_FLOOR or abs(self.tail[1]) < TAIL_INVERSE_FLOOR:
-            raise NotInvertible("tails vanish; the operator is not invertible")
-        _require_chart(np.linalg.svd(self.entries, compute_uv=False), self.window.dim, None)
-        tail = (1.0 / self.tail[0], 1.0 / self.tail[1])
-        return ModeOperator(self.window, np.linalg.inv(self.entries), tail)
 
     def trace(self) -> complex:
         """Window trace; defined only when both tails vanish."""
@@ -372,15 +363,14 @@ def eta_finite_rank_check(
     return lhs, rhs
 
 
-def _require_chart(sv: np.ndarray, rank: int, t: tuple[float, float] | None) -> None:
+def _require_chart(sv: np.ndarray, rank: int, t: tuple[float, float]) -> None:
     """Raise NotInvertible unless the leading ``rank`` of the descending
-    singular values ``sv`` of a chart map clear CHART_SVD_THRESHOLD; ``t`` is
-    the parameter point, if any."""
+    singular values ``sv`` of a chart map at the parameter point ``t`` clear
+    CHART_SVD_THRESHOLD."""
     if rank == 0 or rank > len(sv):
         raise NotInvertible(f"restriction rank {rank} is out of range")
     if sv[rank - 1] < CHART_SVD_THRESHOLD:
-        at = "" if t is None else f" at t = {t}"
-        raise NotInvertible(f"chart is singular{at} (sv = {sv[rank - 1]:.3e})")
+        raise NotInvertible(f"chart is singular at t = {t} (sv = {sv[rank - 1]:.3e})")
 
 
 def _chart_ratio(a1: np.ndarray, a2: np.ndarray, t: tuple[float, float]) -> complex:
@@ -545,7 +535,7 @@ def curvature_rkw(
     well below TOL_CONNECTION_CURVATURE against Tr(P [d1 P, d2 P]).
     """
     st = FdStencil(kind="first-derivative")
-    inner = FdStencil(step=min(INNER_FD_STEP, st.step / 10.0), order=4, kind="first-derivative")
+    inner = FdStencil(step=min(INNER_FD_STEP, st.step / 10.0), kind="first-derivative")
     v = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
     _projection_at(fam, t, v)  # the stencil points around t are not checked

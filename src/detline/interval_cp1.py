@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, DomainError
-from .specfun import FdStencil, fd_apply, hurwitz_zeta_ds0
+from .specfun import FdStencil, default_fd_step, fd_apply, hurwitz_zeta_ds0
 from .tolerances import DEGENERACY_TOL, ROUNDING_TOL, TOL_CURVATURE
 
 __all__ = [
@@ -234,76 +234,67 @@ def zeta_det_spectral(z: complex | np.ndarray) -> float | np.ndarray:
 
 # Truncation of the stencil Laplacian near the zero mode.  log det_zeta is
 # log 2 + 2 log|1+z| - log(1+|z|^2), and its singular part u = 2 Re log(1+z)
-# is harmonic, so in the error sum_m c_m h^(m-2) (d_x^m + d_y^m) u of a
-# central stencil (c_m = sum_j w_j j^m / m! over its 1-D second-derivative
-# weights) the terms with i^m = -1 cancel; the first surviving one has
-# m = 4 (order 2) or m = 8 (order 4) and is -4 c_m (m-1)! h^(m-2) Re (1+z)^-m.
-# The curvature is -1/4 of the Laplacian, so relative to the Fubini-Study
-# density its error is at most K h^(m-2) (1+|z|^2)^2 / |1+z|^m with
-# K = |c_m| (m-1)!: 5 for order 4 (c_8 = -40/8!), 1/2 for order 2 (c_4 = 1/12).
-_TRUNCATION = {2: (4, 0.5), 4: (8, 5.0)}
-
-
-def curvature_fd_truncation_bound(z: complex | np.ndarray, st: FdStencil) -> float | np.ndarray:
+# is harmonic, so in the error sum_m c_m h^(m-2) (d_x^m + d_y^m) u of the
+# order-4 central stencil (c_m = sum_j w_j j^m / m! over its 1-D
+# second-derivative weights) the terms with i^m = -1 cancel; the first
+# surviving one has m = 8 and is -4 c_8 7! h^6 Re (1+z)^-8.  The curvature is
+# -1/4 of the Laplacian, so relative to the Fubini-Study density its error is
+# at most K h^6 (1+|z|^2)^2 / |1+z|^8 with K = |c_8| 7! = 5 (c_8 = -40/8!).
+def curvature_fd_truncation_bound(z: complex | np.ndarray) -> float | np.ndarray:
     """Leading truncation error of quillen_curvature_fd at z, relative to the
     Fubini-Study density, from the zero mode at z = -1.
 
     It is the first term of the stencil's error series that survives on the
-    harmonic part 2 log|1+z| of log det_zeta; it is attained where (1+z)^m is
+    harmonic part 2 log|1+z| of log det_zeta; it is attained where (1+z)^8 is
     real and the next term adds less than 12 (h / |1+z|)^4 of it.  The smooth
     part's truncation, O(h^4) on the unit disk, is not included.
     """
     points = _chart_array(z)
-    power, constant = _TRUNCATION[st.order]
-    scale = constant * st.step ** (power - 2) * (1.0 + _modulus(points) ** 2) ** 2
+    scale = 5.0 * default_fd_step() ** 6 * (1.0 + _modulus(points) ** 2) ** 2
     with np.errstate(divide="ignore"):
-        return _like(scale / _modulus(1.0 + points) ** power, z)
+        return _like(scale / _modulus(1.0 + points) ** 8, z)
 
 
-def curvature_fd_unresolved(z: complex | np.ndarray, st: FdStencil) -> bool | np.ndarray:
+def curvature_fd_unresolved(z: complex | np.ndarray) -> bool | np.ndarray:
     """Where quillen_curvature_fd raises DegenerateSpectrum: its stencil comes
     within 4 steps of the zero mode, or its truncation bound exceeds
-    TOL_CURVATURE.  For the default stencil (step 1e-3, order 4) that is
-    only inside |1+z| < 0.028, well inside the exclusion disk of radius
-    EXCLUSION_RADIUS; the bound decreases with |1+z| and is at most 1.2e-11
-    on the disk's boundary.
+    TOL_CURVATURE.  For the default step 1e-3 that is only inside
+    |1+z| < 0.028, well inside the exclusion disk of radius EXCLUSION_RADIUS;
+    the bound decreases with |1+z| and is at most 1.2e-11 on the disk's
+    boundary.
     """
     points = _chart_array(z)
-    unresolved = (_modulus(1.0 + points) < 4.0 * st.step) | (
-        curvature_fd_truncation_bound(points, st) > TOL_CURVATURE
+    unresolved = (_modulus(1.0 + points) < 4.0 * default_fd_step()) | (
+        curvature_fd_truncation_bound(points) > TOL_CURVATURE
     )
     return _like(unresolved, z)
 
 
-def quillen_curvature_fd(
-    z: complex | np.ndarray, st: FdStencil | None = None
-) -> float | np.ndarray:
+def quillen_curvature_fd(z: complex | np.ndarray) -> float | np.ndarray:
     """Curvature coefficient of the zeta metric at z, by finite differences.
 
     Returns the coefficient of dz wedge dzbar in dbar d log det_zeta, which
     equals -(1/4) Laplacian_(x,y) log det_zeta at z = x + i y and reproduces
     the Fubini-Study density 1/(1+|z|^2)^2.  An array z is differentiated in
-    one stencil pass.  Where ``curvature_fd_unresolved`` holds the stencil
-    cannot resolve the zero mode at -1 within TOL_CURVATURE, and
-    DegenerateSpectrum is raised instead of a wrong value.
+    one pass of the default Laplacian stencil.  Where
+    ``curvature_fd_unresolved`` holds the stencil cannot resolve the zero mode
+    at -1 within TOL_CURVATURE, and DegenerateSpectrum is raised instead of a
+    wrong value.
     """
     points = _chart_array(z)
-    if st is None:
-        st = FdStencil(kind="laplacian-2d")
-    if st.kind != "laplacian-2d":
-        raise DomainError("quillen_curvature_fd needs a laplacian-2d stencil")
-    unresolved = curvature_fd_unresolved(points, st)
+    unresolved = curvature_fd_unresolved(points)
     if unresolved.any():
         raise DegenerateSpectrum(
             f"stencil around z = {points[unresolved][0]} cannot resolve the zero mode "
             f"at -1 to {TOL_CURVATURE:g}: within 4 steps, or truncation bound "
-            f"{curvature_fd_truncation_bound(points[unresolved][0], st):.2e}"
+            f"{curvature_fd_truncation_bound(points[unresolved][0]):.2e}"
         )
 
     def log_det(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.log(zeta_det_spectral(x + 1j * y))
 
-    return _like(-0.25 * fd_apply(log_det, (points.real, points.imag), st), z)
+    laplacian = FdStencil(kind="laplacian-2d")
+    return _like(-0.25 * fd_apply(log_det, (points.real, points.imag), laplacian), z)
 
 
 def calderon_projection_interval() -> BoundaryProjection2:

@@ -1,10 +1,10 @@
 """Special-function kernel: Hurwitz zeta with analytic continuation, the
 s-derivative at s = 0, and the one finite-difference stencil applier.
 
-The continuation is Euler-Maclaurin: a direct sum over the first ``cutoff``
-terms, the integral and half-term corrections, and ``em_order`` Bernoulli
-correction terms.  With the defaults (cutoff 50, order 8) the result carries
-at least 12 significant digits for s near 0 and shifts a in (0.01, 1].
+The continuation is one fixed Euler-Maclaurin rule: a direct sum over the
+first DEFAULT_CUTOFF = 50 terms, the integral and half-term corrections, and
+DEFAULT_EM_ORDER = 8 Bernoulli correction terms.  The result carries at least
+12 significant digits for s near 0 and shifts a in (0.01, 1].
 ``hurwitz_zeta`` accepts s only in the region Re s >= -2, |Im s| <= 60, where
 it stays within 1e-10 of mpmath.zeta measured as |err| / max(1, |zeta|)
 (worst seen 3.3e-11, at Re s = -2).  Outside it the fixed cutoff and order
@@ -24,20 +24,22 @@ by up to 1.1e-13).  On a 2-vCPU x86-64 host ``detline curvature-grid --n
 100`` (10^4 points, 1.8e5 shifts) spends about 0.28 s in ``curvature_grid``,
 half of it in the CSV writer, where the scalar kernel took 8.3 s.
 
-``fd_apply`` is the only stencil loop, for real, complex or array fields.  A
-``DetlineError`` from the field propagates unchanged; any other exception,
-and a non-finite result, becomes an ``EvaluationError`` naming the point.
+``fd_apply`` is the only stencil loop, for real, complex or array fields.  Its
+one stencil is the order-4 central difference, applied as paired differences
+f(+k) - f(-k) (first derivative) and f(+k) + f(-k) - 2 f(0) along each axis
+(Laplacian), so a constant field gives exactly 0.  A ``DetlineError`` from the
+field propagates unchanged; any other exception, and a non-finite result,
+becomes an ``EvaluationError`` naming the point.
 """
 
 from __future__ import annotations
 
 import cmath
 import decimal
-import functools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Literal, Sequence
+from typing import Any, Callable, Literal
 
 import numpy as np
 
@@ -65,7 +67,7 @@ DEFAULT_CUTOFF = 50
 S_RE_MIN = -2.0
 S_IM_MAX = 60.0
 
-# Even-index Bernoulli numbers B_2 .. B_24, enough for em_order <= 12.
+# Even-index Bernoulli numbers B_2 .. B_16, one per correction term.
 _BERNOULLI_EVEN = [
     1.0 / 6,
     -1.0 / 30,
@@ -75,10 +77,6 @@ _BERNOULLI_EVEN = [
     -691.0 / 2730,
     7.0 / 6,
     -3617.0 / 510,
-    43867.0 / 798,
-    -174611.0 / 330,
-    854513.0 / 138,
-    -236364091.0 / 2730,
 ]
 
 
@@ -93,51 +91,33 @@ def default_fd_step() -> float:
     return step
 
 
-def _check_em_args(em_order: int, cutoff: int) -> None:
-    """Raise DomainError for an Euler-Maclaurin order or cutoff the kernel does not
-    support; HurwitzParams and hurwitz_zeta_ds0 share these rules."""
-    if em_order < 2 or em_order % 2 != 0:
-        raise DomainError(f"em_order must be an even integer >= 2, got {em_order}")
-    if em_order > 2 * len(_BERNOULLI_EVEN):
-        raise DomainError(f"em_order {em_order} exceeds the Bernoulli table")
-    if cutoff < 10:
-        raise DomainError(f"cutoff must be >= 10, got {cutoff}")
-
-
 @dataclass(frozen=True)
 class HurwitzParams:
-    """Arguments of the Hurwitz zeta evaluation zeta(s, a) = sum (n+a)^-s.
-
-    a must lie in (0, 1]; em_order is the (even) number of Bernoulli
-    correction terms; cutoff is the number of directly summed terms.
-    """
+    """Arguments of the Hurwitz zeta evaluation zeta(s, a) = sum (n+a)^-s;
+    a must lie in (0, 1]."""
 
     s: complex
     a: float
-    em_order: int = DEFAULT_EM_ORDER
-    cutoff: int = DEFAULT_CUTOFF
 
     def __post_init__(self) -> None:
         if not 0.0 < self.a <= 1.0:
             raise DomainError(f"shift a must lie in (0, 1], got {self.a}")
-        _check_em_args(self.em_order, self.cutoff)
 
 
-def _hurwitz_em(s: complex, a: float, em_order: int, cutoff: int) -> complex:
+def _hurwitz_em(s: complex, a: float) -> complex:
     """Euler-Maclaurin evaluation without domain guard on a (a > 0 required).
 
     Used internally to realise the recurrence zeta(s, a) = a^-s + zeta(s, a+1)
     across the unit shift, where the public entry point restricts a to (0, 1].
     """
     s = complex(s)
-    total = complex(sum((n + a) ** (-s) for n in range(cutoff)))
-    w = cutoff + a
+    total = complex(sum((n + a) ** (-s) for n in range(DEFAULT_CUTOFF)))
+    w = DEFAULT_CUTOFF + a
     total += w ** (1 - s) / (s - 1)
     total += 0.5 * w ** (-s)
     # Rising factorial s(s+1)...(s+2k-2), built incrementally.
     poch = s
-    for k in range(1, em_order + 1):
-        b2k = _BERNOULLI_EVEN[k - 1]
+    for k, b2k in enumerate(_BERNOULLI_EVEN, start=1):
         total += b2k / math.factorial(2 * k) * poch * w ** (-s - 2 * k + 1)
         poch = poch * (s + 2 * k - 1) * (s + 2 * k)
     return total
@@ -163,7 +143,7 @@ def hurwitz_zeta(p: HurwitzParams) -> complex:
     if abs(p.s - 1.0) < POLE_DISTANCE:
         raise PoleAtOne(f"zeta(s, a) has a pole at s = 1 (got s = {p.s})")
     try:
-        value = _hurwitz_em(p.s, p.a, p.em_order, p.cutoff)
+        value = _hurwitz_em(p.s, p.a)
         if cmath.isfinite(value):
             return value
     except OverflowError:
@@ -171,9 +151,9 @@ def hurwitz_zeta(p: HurwitzParams) -> complex:
     raise DomainError(f"zeta(s, a) at s = {p.s}, a = {p.a} leaves the double range")
 
 
-@functools.lru_cache(maxsize=None)
-def _ds0_constant(cutoff: int) -> float:
-    """-log Gamma(N) + N log N - N - (1/2) log N for N = cutoff, to double precision.
+def _ds0_constant() -> float:
+    """-log Gamma(N) + N log N - N - (1/2) log N for N = DEFAULT_CUTOFF, to double
+    precision.
 
     It is the a = 0 value of the direct sum and the w (log w - 1) - (1/2) log w
     term.  In floating point its two parts of size ~150 (at N = 50) cancel to
@@ -182,21 +162,20 @@ def _ds0_constant(cutoff: int) -> float:
     """
     with decimal.localcontext() as ctx:
         ctx.prec = 40
-        n = decimal.Decimal(cutoff)
+        n = decimal.Decimal(DEFAULT_CUTOFF)
         log_n = n.ln()
-        return float(-decimal.Decimal(math.factorial(cutoff - 1)).ln() + n * log_n - n - log_n / 2)
+        log_gamma_n = decimal.Decimal(math.factorial(DEFAULT_CUTOFF - 1)).ln()
+        return float(-log_gamma_n + n * log_n - n - log_n / 2)
 
 
-# Points per block of the direct sum: a block holds points x (cutoff - 1)
+_DS0_CONSTANT = _ds0_constant()
+
+# Points per block of the direct sum: a block holds points x (DEFAULT_CUTOFF - 1)
 # quotients, so temporaries stay bounded whatever the number of points.
 _DS0_BLOCK = 1 << 13
 
 
-def hurwitz_zeta_ds0(
-    a: float | np.ndarray,
-    em_order: int = DEFAULT_EM_ORDER,
-    cutoff: int = DEFAULT_CUTOFF,
-) -> float | np.ndarray:
+def hurwitz_zeta_ds0(a: float | np.ndarray) -> float | np.ndarray:
     """d/ds zeta(s, a) at s = 0, for a in (0, 1), elementwise over an array.
 
     Returns a float for scalar input and an array of the input's shape
@@ -208,27 +187,26 @@ def hurwitz_zeta_ds0(
         -log a - sum_{n=1}^{N-1} log1p(a/n)
         + a log N + (N + a) log1p(a/N) - a - (1/2) log1p(a/N) + C(N),
 
-    with the constant C(N) from ``_ds0_constant``, so no two large terms
-    cancel.  Every value is cross-checked against log Gamma(a) - log(2 pi)/2
-    to 1e-10; an entry outside (0, 1), NaN included, raises DomainError, as
-    do the em_order and cutoff that HurwitzParams rejects.
+    with N = DEFAULT_CUTOFF and the constant C(N) from ``_ds0_constant``, so
+    no two large terms cancel.  Every value is cross-checked against
+    log Gamma(a) - log(2 pi)/2 to 1e-10; an entry outside (0, 1), NaN
+    included, raises DomainError.
     """
-    _check_em_args(em_order, cutoff)
     points = np.array(a, dtype=float, ndmin=1)
     flat = points.reshape(-1)
     outside = ~((flat > 0.0) & (flat < 1.0))
     if outside.any():
         raise DomainError(f"shift a must lie in (0, 1), got {flat[outside][0]}")
-    n = np.arange(1.0, cutoff)
+    n = np.arange(1.0, DEFAULT_CUTOFF)
     direct = np.empty_like(flat)
     rows = max(1, _DS0_BLOCK // max(1, n.size))
     for start in range(0, flat.size, rows):
         block = flat[start : start + rows, None] / n
         direct[start : start + rows] = np.log1p(block, out=block).sum(axis=1)
-    big_n = float(cutoff)
+    big_n = float(DEFAULT_CUTOFF)
     near = np.log1p(flat / big_n)
     total = (
-        _ds0_constant(cutoff)
+        _DS0_CONSTANT
         - np.log(flat)
         - direct
         + flat * math.log(big_n)
@@ -242,7 +220,7 @@ def hurwitz_zeta_ds0(
     w = big_n + flat
     inv_w2 = 1.0 / (w * w)
     series = np.zeros_like(flat)
-    for k in range(em_order, 0, -1):
+    for k in range(len(_BERNOULLI_EVEN), 0, -1):
         series = series * inv_w2 + _BERNOULLI_EVEN[k - 1] / ((2 * k) * (2 * k - 1))
     total += series / w
     reference = np.fromiter(map(math.lgamma, flat.tolist()), float, flat.size)
@@ -259,82 +237,71 @@ def hurwitz_zeta_ds0(
 
 StencilKind = Literal["first-derivative", "laplacian-2d"]
 
-# Central-difference weights on integer offsets, exact on polynomials up to
-# the stencil degree (order + derivative order - 1).
-_D1_WEIGHTS = {
-    2: ((-1, -0.5), (1, 0.5)),
-    4: ((-2, 1.0 / 12), (-1, -2.0 / 3), (1, 2.0 / 3), (2, -1.0 / 12)),
-}
-_D2_WEIGHTS = {
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    4: ((-2, -1.0 / 12), (-1, 4.0 / 3), (0, -5.0 / 2), (1, 4.0 / 3), (2, -1.0 / 12)),
+# Order-4 central-difference weights w_k on the positive offsets k, each
+# applied to a pair of samples: w_k (f(+k) - f(-k)) for d/dx, exact through
+# degree 4, and w_k (f(+k) + f(-k) - 2 f(0)) for d^2/dx^2, exact through
+# degree 5.
+_WEIGHTS = {
+    "first-derivative": ((1, 2.0 / 3), (2, -1.0 / 12)),
+    "laplacian-2d": ((1, 4.0 / 3), (2, -1.0 / 12)),
 }
 
 
 @dataclass(frozen=True)
 class FdStencil:
-    """A central finite-difference stencil of accuracy 2 or 4."""
+    """The order-4 central finite-difference stencil, applied as paired
+    differences: its step and whether it takes a first derivative or the
+    2-D Laplacian."""
 
     step: float = field(default_factory=default_fd_step)
-    order: int = 4
     kind: StencilKind = "laplacian-2d"
 
     def __post_init__(self) -> None:
         if self.step <= 0:
             raise DomainError(f"step must be positive, got {self.step}")
-        if self.order not in (2, 4):
-            raise DomainError(f"order must be 2 or 4, got {self.order}")
         if self.kind not in ("first-derivative", "laplacian-2d"):
             raise DomainError(f"unknown stencil kind {self.kind!r}")
-
-    def first_derivative_weights(self) -> Sequence[tuple[int, float]]:
-        return _D1_WEIGHTS[self.order]
-
-    def second_derivative_weights(self) -> Sequence[tuple[int, float]]:
-        return _D2_WEIGHTS[self.order]
 
 
 def fd_apply(
     f: Callable[[float, float], Any], at: tuple[float, float], st: FdStencil, axis: int = 0
 ) -> Any:
-    """Apply a stencil to a scalar or array field on the plane.
+    """Apply the stencil to a scalar or array field on the plane.
 
     kind "first-derivative" estimates the partial derivative along ``axis``
-    (0 for the first coordinate); kind "laplacian-2d" estimates the analyst's
-    Laplacian f_xx + f_yy.  The error is O(step^order).  Every weight is
-    nonzero, so one non-finite sample makes the result non-finite: finiteness
-    is checked once, on the result.
+    (0 for the first coordinate) as sum_k w_k (f(+k) - f(-k)) / h; kind
+    "laplacian-2d" estimates the analyst's Laplacian f_xx + f_yy as
+    sum_k w_k (f(+k,0) + f(-k,0) + f(0,+k) + f(0,-k) - 4 f(0)) / h^2.  The
+    error is O(h^4), and a constant field gives exactly 0.  Every sample
+    enters the result, so one non-finite sample makes the result non-finite:
+    finiteness is checked once, on the result.
     """
     x0, y0 = at
     h = st.step
 
-    def point(offset: int, along: int) -> tuple[float, float]:
-        return (x0 + offset * h, y0) if along == 0 else (x0, y0 + offset * h)
-
-    if st.kind == "first-derivative":
-        if axis not in (0, 1):
-            raise DomainError(f"axis must be 0 or 1, got {axis}")
-        terms = [(weight, point(offset, axis)) for offset, weight in st.first_derivative_weights()]
-        scale = h
-    else:
-        terms = []
-        for offset, weight in st.second_derivative_weights():
-            if offset == 0:
-                terms.append((2.0 * weight, (x0, y0)))
-            else:
-                terms += [(weight, point(offset, 0)), (weight, point(offset, 1))]
-        scale = h * h
-
-    acc = 0.0
-    for weight, (x, y) in terms:
+    def sample(offset: int, along: int) -> Any:
+        x, y = (x0 + offset * h, y0) if along == 0 else (x0, y0 + offset * h)
         try:
-            value = f(x, y)
+            return f(x, y)
         except DetlineError:
             raise
         except Exception as exc:  # surface the offending point
             raise EvaluationError(f"field evaluation failed at ({x}, {y}): {exc}") from exc
-        acc = acc + weight * value
-    result = acc / scale
+
+    acc = 0.0
+    if st.kind == "first-derivative":
+        if axis not in (0, 1):
+            raise DomainError(f"axis must be 0 or 1, got {axis}")
+        for k, weight in _WEIGHTS[st.kind]:
+            acc = acc + weight * (sample(k, axis) - sample(-k, axis))
+        result = acc / h
+    else:
+        centre = sample(0, 0)
+        for k, weight in _WEIGHTS[st.kind]:
+            # pairwise sums: on a constant c, c + c + (c + c) is exactly 4 c
+            ring = (sample(k, 0) + sample(-k, 0)) + (sample(k, 1) + sample(-k, 1))
+            acc = acc + weight * (ring - 4.0 * centre)
+        result = acc / (h * h)
     if not np.isfinite(result).all():
         raise EvaluationError(f"stencil result is not finite at ({x0}, {y0}): {result}")
     return result

@@ -14,7 +14,6 @@ ROUNDING_TOL = 1e-12  # exact up to rounding on O(1) numbers: 2x2 projections, t
 PROJECTION_TOL = 1e-10  # Hermitian idempotent window blocks: d x d products of O(1) entries
 RANK_SVD_THRESHOLD = 1e-8  # singular values above it count towards a window rank
 CHART_SVD_THRESHOLD = 1e-6  # smallest singular value of a chart map read as invertible
-TAIL_INVERSE_FLOOR = 1e-14  # smallest tail scalar ModeOperator.inverse divides by
 SINGULAR_TOL = 1e-10  # smallest sv / max(1, largest) of a nonzero determinant-line point
 DEGENERACY_TOL = 1e-10  # |u - 1| = 2 sin(pi alpha) below it: the interval problem has a zero mode
 POLE_DISTANCE = 1e-12  # distance from s = 1 at which hurwitz_zeta reports the pole

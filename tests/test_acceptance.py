@@ -24,11 +24,9 @@ import numpy as np
 from detline import chern_series, report
 from detline import grassmannian as gr
 from detline import interval_cp1 as cp1
-from detline.specfun import FdStencil
 
 GRID = report.chart_grid(-2, 2, 21)
 CURVATURE_GRID = report.chart_grid(-0.5, 0.5, 5)
-STENCIL = FdStencil(step=1e-3, order=4, kind="laplacian-2d")
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -56,8 +54,8 @@ def test_criterion_2_curvature_equals_kahler_form():
     budget_s = 30.0
     tol = report.TOL_CURVATURE
     start = time.monotonic()
-    worst, _ = report.curvature_errors(CURVATURE_GRID, STENCIL)
-    at_origin = cp1.quillen_curvature_fd(0j, STENCIL)
+    worst, _ = report.curvature_errors(CURVATURE_GRID)
+    at_origin = cp1.quillen_curvature_fd(0j)
     elapsed = time.monotonic() - start
     ok = worst < tol and abs(at_origin - 1.0) < tol and elapsed < budget_s
     _report(
@@ -71,7 +69,7 @@ def test_criterion_2_curvature_equals_kahler_form():
 
 def test_criterion_3_curvature_equals_projection_density():
     tol = report.TOL_CURVATURE
-    _, worst = report.curvature_errors(CURVATURE_GRID, STENCIL)
+    _, worst = report.curvature_errors(CURVATURE_GRID)
     ok = worst < tol
     _report(3, ok, f"max |curvature_fd - Tr(P dP dP)| / k = {worst:.2e} (tol {tol:.0e})")
     assert ok

@@ -160,15 +160,14 @@ def test_branch_invariance():
 
 
 def test_curvature_spot_values():
-    st4 = FdStencil(step=1e-3, order=4, kind="laplacian-2d")
-    assert cp1.quillen_curvature_fd(0j, st4) == pytest.approx(1.0, abs=1e-4)
-    assert cp1.quillen_curvature_fd(1.0 + 0j, st4) == pytest.approx(0.25, abs=1e-4)
-    assert cp1.quillen_curvature_fd(1j, st4) == pytest.approx(0.25, abs=1e-4)
+    assert cp1.quillen_curvature_fd(0j) == pytest.approx(1.0, abs=1e-4)
+    assert cp1.quillen_curvature_fd(1.0 + 0j) == pytest.approx(0.25, abs=1e-4)
+    assert cp1.quillen_curvature_fd(1j) == pytest.approx(0.25, abs=1e-4)
 
 
 def test_curvature_guard_near_degenerate_point():
     with pytest.raises(DegenerateSpectrum):
-        cp1.quillen_curvature_fd(-1.0 + 1e-4j, FdStencil(step=1e-3, order=4, kind="laplacian-2d"))
+        cp1.quillen_curvature_fd(-1.0 + 1e-4j)
 
 
 def test_calderon_projection():
@@ -221,11 +220,10 @@ def test_det_equals_four_s_squared_closed_form():
 def test_kahler_form_spot_values_and_fd_agreement():
     assert cp1.kahler_form_2x2(0j) == pytest.approx(1.0, abs=1e-12)
     assert cp1.kahler_form_2x2(1.0 + 0j) == pytest.approx(0.25, abs=1e-12)
-    st4 = FdStencil(step=1e-3, order=4, kind="laplacian-2d")
     for z in (0.2 - 0.4j, 1.1 + 0.9j, -0.6 + 0.1j):
         closed = 1.0 / (1.0 + abs(z) ** 2) ** 2
         assert cp1.kahler_form_2x2(z) == pytest.approx(closed, rel=1e-12)
-        assert cp1.quillen_curvature_fd(z, st4) == pytest.approx(
+        assert cp1.quillen_curvature_fd(z) == pytest.approx(
             cp1.kahler_form_2x2(z), abs=1e-4
         )
 
@@ -270,9 +268,6 @@ def test_non_scalar_chart_points_raise_domain_error(fn, z):
 # ---------------------------------------------------------------------------
 # array inputs, and accuracy up to the zero mode at z = -1
 
-DEFAULT_STENCIL = FdStencil(kind="laplacian-2d")
-
-
 def fubini_study(z):
     return 1.0 / (1.0 + abs(z) ** 2) ** 2
 
@@ -295,7 +290,7 @@ def test_array_and_scalar_results_agree():
         cp1.kahler_form_2x2,
         cp1.s_of_p,
         lambda w: cp1.alpha_of(w).alpha,
-        lambda w: cp1.quillen_curvature_fd(w, DEFAULT_STENCIL),
+        cp1.quillen_curvature_fd,
     ):
         values = fn(z)
         assert isinstance(values, np.ndarray) and values.shape == z.shape
@@ -331,7 +326,7 @@ def test_array_with_one_bad_entry_raises(bad, error):
 
 def test_curvature_array_with_one_point_too_near_the_zero_mode_raises():
     with pytest.raises(DegenerateSpectrum):
-        cp1.quillen_curvature_fd(np.array([0.0, -0.99 + 0j, 0.5j]), DEFAULT_STENCIL)
+        cp1.quillen_curvature_fd(np.array([0.0, -0.99 + 0j, 0.5j]))
     with pytest.raises(DomainError):
         cp1.zeta_det_from_alpha(np.array([0.2, math.nan]))
 
@@ -359,30 +354,29 @@ def test_curvature_is_within_tolerance_or_raises_towards_the_zero_mode():
     # -0.99 and 52 at -0.995, against a tolerance of 1e-4
     for z in walk_points() + [-0.98 + 0j, -0.99 + 0j, -0.995 + 0j]:
         try:
-            k = cp1.quillen_curvature_fd(z, DEFAULT_STENCIL)
+            k = cp1.quillen_curvature_fd(z)
         except DegenerateSpectrum:
             continue
         assert abs(k - fubini_study(z)) <= cp1.TOL_CURVATURE * fubini_study(z), z
 
 
-@pytest.mark.parametrize("order", [2, 4])
-def test_truncation_bound_is_calibrated_on_walks_to_the_zero_mode(order):
-    st = FdStencil(step=1e-3, order=order, kind="laplacian-2d")
+def test_truncation_bound_is_calibrated_on_walks_to_the_zero_mode():
+    st = FdStencil(kind="laplacian-2d")
     z = np.array(walk_points())
     closed = fubini_study(z)
     observed = np.abs(unguarded_curvature(z, st) - closed) / closed
-    bound = cp1.curvature_fd_truncation_bound(z, st)
+    bound = cp1.curvature_fd_truncation_bound(z)
     # an upper bound everywhere, up to the next term of the series (12 (h/|1+z|)^4
     # of it) and the rounding floor of the stencil
     next_term = 12.0 * (st.step / np.abs(1.0 + z)) ** 4
     assert np.all(observed <= bound * (1.0 + next_term) + 1e-7)
     # and attained where (1+z)^m is real, so the guard refuses no more than it must
-    extremal = np.isclose(np.cos((8 if order == 4 else 4) * np.angle(1.0 + z)) ** 2, 1.0)
+    extremal = np.isclose(np.cos(8 * np.angle(1.0 + z)) ** 2, 1.0)
     resolved = extremal & (bound > 1e-6) & (bound < 1e-1)
     assert resolved.sum() >= 20
     assert np.all(np.abs(observed[resolved] / bound[resolved] - 1.0) < 0.05)
     # every point the guard lets through is within tolerance
-    accepted = ~cp1.curvature_fd_unresolved(z, st)
+    accepted = ~cp1.curvature_fd_unresolved(z)
     assert np.all(observed[accepted] <= cp1.TOL_CURVATURE)
 
 
@@ -390,9 +384,9 @@ def test_no_point_outside_the_exclusion_disk_is_refused():
     # the truncation bound decreases with |1+z| at the default step; its maximum
     # on the disk boundary is 1.2e-11, seven digits below the tolerance
     boundary = -1.0 + cp1.EXCLUSION_RADIUS * np.exp(2j * np.pi * np.linspace(0, 1, 2001))
-    assert np.max(cp1.curvature_fd_truncation_bound(boundary, DEFAULT_STENCIL)) < 1.2e-11
+    assert np.max(cp1.curvature_fd_truncation_bound(boundary)) < 1.2e-11
     rng = np.random.default_rng(3)
     z = rng.uniform(-3, 3, 20000) + 1j * rng.uniform(-3, 3, 20000)
     z = np.concatenate([boundary, z[np.abs(z + 1) >= cp1.EXCLUSION_RADIUS]])
-    assert not cp1.curvature_fd_unresolved(z, DEFAULT_STENCIL).any()
-    cp1.quillen_curvature_fd(z[:3000], DEFAULT_STENCIL)
+    assert not cp1.curvature_fd_unresolved(z).any()
+    cp1.quillen_curvature_fd(z[:3000])

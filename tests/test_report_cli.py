@@ -16,7 +16,6 @@ from detline import chern_series, cli, det_line, report
 from detline import grassmannian as gr
 from detline import interval_cp1 as cp1
 from detline.errors import DomainError
-from detline.specfun import FdStencil
 
 
 def strip_timestamps(document):
@@ -111,7 +110,7 @@ def test_curvature_grid_exclusion_rows(tmp_path):
 
 def test_curvature_grid_skips_exactly_the_exclusion_disk():
     spec = report.GridSpec(re_min=-1.5, re_max=-0.5, im_min=-0.5, im_max=0.5, n=41)
-    rows, summary = report._grid_rows(spec, FdStencil(kind="laplacian-2d"))
+    rows, summary = report._grid_rows(spec)
     for row in rows:
         inside = abs(complex(row["re"], row["im"]) + 1) < cp1.EXCLUSION_RADIUS
         assert (row["status"] == "skip") == inside
@@ -122,12 +121,11 @@ def test_curvature_grid_masks_points_the_stencil_cannot_resolve():
     # with a small exclusion disk the rows the stencil cannot resolve near
     # z = -1 are skipped by the same predicate that makes
     # quillen_curvature_fd raise; every other row stays within tolerance
-    st = FdStencil(kind="laplacian-2d")
     spec = report.GridSpec(-1.1, -0.9, -0.1, 0.1, 21, exclusion=((-1.0 + 0j, 0.005),))
-    rows, summary = report._grid_rows(spec, st)
+    rows, summary = report._grid_rows(spec)
     for row in rows:
         z = complex(row["re"], row["im"])
-        refused = spec.excluded(z) or cp1.curvature_fd_unresolved(z, st)
+        refused = spec.excluded(z) or cp1.curvature_fd_unresolved(z)
         assert (row["status"] == "skip") == refused
     assert 0 < summary["n_skipped"] < len(rows)
     assert summary["max_rel_err_fd"] < report.TOL_CURVATURE
@@ -273,8 +271,7 @@ def test_planted_fault_in_closed_determinant(monkeypatch):
 
 def test_planted_fault_in_projection_curvature(monkeypatch):
     _plant(monkeypatch, cp1, "kahler_form_2x2", lambda k, z: k * (1 + 1e-3))
-    st = FdStencil(kind="laplacian-2d")
-    fd_err, pdp_err = report.curvature_errors(report.chart_grid(-0.5, 0.5, 5), st)
+    fd_err, pdp_err = report.curvature_errors(report.chart_grid(-0.5, 0.5, 5))
     assert fd_err < report.TOL_CURVATURE < pdp_err
     document = report.run_suite("cp1", 7)
     assert _case(document, "curvature vs Tr(P dP dP)").status == "fail"
