@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
@@ -83,11 +84,13 @@ def _todd_denominator(cap: int) -> RationalSeries:
     )
 
 
+@lru_cache
 def todd_series(cap: int = DEFAULT_CAP) -> RationalSeries:
     """The Todd generating series x / (1 - e^{-x}) as exact rationals.
 
     Obtained by ring inversion of (1 - e^{-x}) / x; the leading coefficients
-    are 1, 1/2, 1/12, 0, -1/720, ...
+    are 1, 1/2, 1/12, 0, -1/720, ...  Computed once per cap: RationalSeries is
+    immutable, so every caller may share the result.
     """
     return _todd_denominator(cap).inverse()
 

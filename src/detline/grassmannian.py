@@ -109,6 +109,14 @@ class ModeOperator:
     The operator acts by ``entries`` on window modes, by tail[0] on every
     mode above the window and by tail[1] on every mode below.  Sums and
     compositions act entrywise on the tails, so the block structure is exact.
+
+    ``entries`` of shape (k, d, d) make a stack of k operators that share one
+    pair of tails.  Composition, sums, scalar multiples, the adjoint and
+    embedding act member by member (a single operator pairs with every
+    member of a stack); ``is_projection`` holds when every member is a
+    projection, and ``window_rank`` returns an int array.  Entry points that
+    take one operator, such as ``trace`` and ``relative_eta``, raise
+    ``DomainError`` on a stack.
     """
 
     window: ModeWindow
@@ -118,8 +126,8 @@ class ModeOperator:
     def __post_init__(self) -> None:
         m = np.asarray(self.entries, dtype=complex)
         d = self.window.dim
-        if m.shape != (d, d):
-            raise DomainError(f"entries must be {d}x{d}, got {m.shape}")
+        if m.shape[-2:] != (d, d) or m.ndim > 3 or m.size == 0:
+            raise DomainError(f"entries must be {d}x{d} or a nonempty stack of them, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise DomainError("entries must be finite")
         object.__setattr__(self, "entries", m)
@@ -136,19 +144,23 @@ class ModeOperator:
         if window.n_max == self.window.n_max:
             return self
         d = window.dim
-        m = np.zeros((d, d), dtype=complex)
+        m = np.zeros(self.entries.shape[:-2] + (d, d), dtype=complex)
         above, below = self.tail
         for mode in window.modes():
             if mode > self.window.n_max:
-                m[window.index(mode), window.index(mode)] = above
+                m[..., window.index(mode), window.index(mode)] = above
             elif mode < -self.window.n_max:
-                m[window.index(mode), window.index(mode)] = below
+                m[..., window.index(mode), window.index(mode)] = below
         lo = window.index(-self.window.n_max)
         hi = window.index(self.window.n_max) + 1
-        m[lo:hi, lo:hi] = self.entries
+        m[..., lo:hi, lo:hi] = self.entries
         return ModeOperator(window, m, self.tail)
 
     def _pair(self, other: "ModeOperator") -> tuple["ModeOperator", "ModeOperator"]:
+        if self.entries.ndim == other.entries.ndim == 3 and len(self.entries) != len(other.entries):
+            raise DomainError(
+                f"stacks of {len(self.entries)} and {len(other.entries)} operators do not pair"
+            )
         if self.window.n_max == other.window.n_max:
             return self, other
         big = self.window if self.window.n_max > other.window.n_max else other.window
@@ -180,24 +192,35 @@ class ModeOperator:
 
     def adjoint(self) -> "ModeOperator":
         tail = (self.tail[0].conjugate(), self.tail[1].conjugate())
-        return ModeOperator(self.window, self.entries.conj().T, tail)
+        return ModeOperator(self.window, self.entries.conj().mT, tail)
 
     def trace(self) -> complex:
         """Window trace; defined only when both tails vanish."""
+        _require_single(self, "trace")
         if self.tail != (0j, 0j):
             raise NotCommensurable(f"trace undefined for tails {self.tail}")
         return complex(np.trace(self.entries))
 
     def is_projection(self) -> bool:
+        """Hermitian and idempotent to PROJECTION_TOL, with real 0/1 tails; on a
+        stack, every member."""
         m, tol = self.entries, PROJECTION_TOL
-        hermitian = np.max(np.abs(m - m.conj().T)) <= tol
+        hermitian = np.max(np.abs(m - m.conj().mT)) <= tol
         idem = np.max(np.abs(m @ m - m)) <= tol
         tails_ok = all(abs(t * t - t) <= tol and abs(t.imag) <= tol for t in self.tail)
         return bool(hermitian and idem and tails_ok)
 
-    def window_rank(self) -> int:
+    def window_rank(self) -> int | np.ndarray:
+        """Number of singular values above RANK_SVD_THRESHOLD; an int array on a stack."""
         sv = np.linalg.svd(self.entries, compute_uv=False)
-        return int(np.sum(sv > RANK_SVD_THRESHOLD))
+        ranks = np.sum(sv > RANK_SVD_THRESHOLD, axis=-1)
+        return ranks if self.entries.ndim == 3 else int(ranks)
+
+
+def _require_single(op: ModeOperator, what: str) -> None:
+    """Raise DomainError when an entry point that takes one operator gets a stack."""
+    if op.entries.ndim != 2:
+        raise DomainError(f"{what} takes one operator, got a stack of {len(op.entries)}")
 
 
 class ProjectionFamily:
@@ -263,18 +286,22 @@ def require_det_class(t_op: ModeOperator) -> None:
         raise NotDetClass(f"tails must be identity for det_F, got {t_op.tail}")
 
 
-def fredholm_det(t_op: ModeOperator) -> complex:
+def fredholm_det(t_op: ModeOperator) -> complex | np.ndarray:
     """Fredholm determinant of an identity-plus-window operator.
 
     The tails contribute factors of one, so the determinant of the window
     block equals the determinant of the untruncated operator whenever the
-    perturbation is supported in the window.
+    perturbation is supported in the window.  A stack gives a complex array,
+    one determinant per member, from one LAPACK pass.
     """
     require_det_class(t_op)
-    return complex(np.linalg.det(t_op.entries))
+    det = np.linalg.det(t_op.entries)
+    return det if t_op.entries.ndim == 3 else complex(det)
 
 
 def _check_commensurable(p: ModeOperator, q: ModeOperator) -> tuple[ModeOperator, ModeOperator]:
+    _require_single(p, "a relative invariant")
+    _require_single(q, "a relative invariant")
     a, b = p._pair(q)
     if max(abs(a.tail[0] - b.tail[0]), abs(a.tail[1] - b.tail[1])) > ROUNDING_TOL:
         raise NotCommensurable(f"tails differ: {a.tail} vs {b.tail}")
@@ -417,6 +444,7 @@ def _chart_base(w: ModeWindow, base: ModeOperator) -> np.ndarray:
     The boolean index copies the columns, so the d x d factor is freed
     before the chart work starts.
     """
+    _require_single(base, "a chart's base")
     if not base.is_projection():
         raise DomainError("base must be a projection")
     eigenvalues, vectors = np.linalg.eigh(base.embed_to(w).entries)
@@ -430,6 +458,7 @@ def _projection_at(
     and, given a basis V of ran(base), to have the rank of base, without which
     no chart map is invertible (the rank is constant near t)."""
     op = fam(*t)
+    _require_single(op, "a family value")
     if not op.is_projection():
         raise DomainError(f"family value at ({t[0]}, {t[1]}) is not a projection")
     rank_p = np.trace(op.entries).real
@@ -442,6 +471,7 @@ def _chart_sigma(w: ModeWindow, perturbation: ModeOperator | None) -> np.ndarray
     """Window block of a chart perturbation (None for the identity chart)."""
     if perturbation is None:
         return None
+    _require_single(perturbation, "a chart perturbation")
     sig = perturbation.embed_to(w)
     if max(abs(sig.tail[0]), abs(sig.tail[1])) > ROUNDING_TOL:
         raise NotDetClass("chart perturbations must be window supported (zero tails)")

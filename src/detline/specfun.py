@@ -268,9 +268,10 @@ def fd_apply(
 ) -> Any:
     """Apply the stencil to a scalar or array field on the plane.
 
-    kind "first-derivative" estimates the partial derivative along ``axis``
-    (0 for the first coordinate) as sum_k w_k (f(+k) - f(-k)) / h; kind
-    "laplacian-2d" estimates the analyst's Laplacian f_xx + f_yy as
+    ``axis`` must be 0 (the first coordinate) or 1 for either kind.  kind
+    "first-derivative" estimates the partial derivative along ``axis`` as
+    sum_k w_k (f(+k) - f(-k)) / h; kind "laplacian-2d" estimates the
+    analyst's Laplacian f_xx + f_yy as
     sum_k w_k (f(+k,0) + f(-k,0) + f(0,+k) + f(0,-k) - 4 f(0)) / h^2.  The
     error is O(h^4), and a constant field gives exactly 0.  Every sample
     enters the result, so one non-finite sample makes the result non-finite:
@@ -288,10 +289,10 @@ def fd_apply(
         except Exception as exc:  # surface the offending point
             raise EvaluationError(f"field evaluation failed at ({x}, {y}): {exc}") from exc
 
+    if axis not in (0, 1):
+        raise DomainError(f"axis must be 0 or 1, got {axis}")
     acc = 0.0
     if st.kind == "first-derivative":
-        if axis not in (0, 1):
-            raise DomainError(f"axis must be 0 or 1, got {axis}")
         for k, weight in _WEIGHTS[st.kind]:
             acc = acc + weight * (sample(k, axis) - sample(-k, axis))
         result = acc / h

@@ -4,9 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from detline import det_line
+from detline import det_line, report
 from detline import grassmannian as gr
-from detline.errors import DivisionByZeroPoint, NotDetClass
+from detline.errors import DivisionByZeroPoint, DomainError, NotDetClass
 
 RNG = np.random.default_rng(77)
 W = gr.ModeWindow(3)
@@ -182,3 +182,157 @@ def test_index_additivity_under_composition():
         ind_a2 = det_line.range_map_index(a2, dom, mid)
         composed = a1 @ mid @ a2
         assert det_line.range_map_index(composed, dom, cod) == ind_a1 + ind_a2
+
+
+# ---------------------------------------------------------------------------
+# stacks: entries k x d x d stand for k operators, member by member
+
+
+def det_class_stack(rng, k, scale=0.4, singular=None):
+    g = rng.standard_normal((k, 2, W.dim, W.dim))
+    entries = np.eye(W.dim, dtype=complex) + scale * (g[:, 0] + 1j * g[:, 1])
+    if singular is not None:
+        entries[singular, 0, :] = 0.0  # a zero row: the member is the zero point
+    return gr.ModeOperator(W, entries, gr.TAIL_IDENTITY)
+
+
+def members(op):
+    return [gr.ModeOperator(op.window, m, op.tail) for m in op.entries]
+
+
+def assert_close(stacked, looped):
+    np.testing.assert_allclose(stacked, np.array(looped), rtol=1e-15, atol=0.0)
+
+
+def test_stacked_points_and_ratios_match_a_loop_over_members():
+    rng = np.random.default_rng(12)
+    p_op, q_op = det_class_stack(rng, 6, singular=2), det_class_stack(rng, 6)
+    p, q = det_line.det_point(p_op), det_line.det_point(q_op)
+    ps, qs = [det_line.det_point(m) for m in members(p_op)], [
+        det_line.det_point(m) for m in members(q_op)
+    ]
+    assert p.is_zero.tolist() == [x.is_zero for x in ps] == [i == 2 for i in range(6)]
+    assert not q.is_zero.any()
+    assert_close(gr.fredholm_det(p_op), [gr.fredholm_det(m) for m in members(p_op)])
+    assert_close(det_line.ratio(p, q), [det_line.ratio(a, b) for a, b in zip(ps, qs)])
+    assert det_line.ratio(p, q)[2] == 0
+    mu = np.linspace(0.5, 3.0, 6) * (1 - 0.5j)
+    assert_close(
+        det_line.ratio(p.scaled(mu), q),
+        [det_line.ratio(a.scaled(m), b) for a, b, m in zip(ps, qs, mu)],
+    )
+
+    joint, (pa, pb) = det_line.tensor_split(p_op, q_op)
+    for i, (a, b) in enumerate(zip(members(p_op), members(q_op))):
+        joint_i, (pa_i, pb_i) = det_line.tensor_split(a, b)
+        for stacked, single in ((joint, joint_i), (pa, pa_i), (pb, pb_i)):
+            np.testing.assert_array_equal(stacked.rep.entries[i], single.rep.entries)
+            assert stacked.scale[i] == single.scale and stacked.is_zero[i] == single.is_zero
+
+    scales = np.exp(1j * np.arange(6))
+    nf = det_line.DetPoint(p_op, scales, p.is_zero).normal_form()
+    for i, member in enumerate(members(p_op)):
+        nf_i = det_line.DetPoint(member, scales[i], ps[i].is_zero).normal_form()
+        np.testing.assert_array_equal(nf.rep.entries[i], nf_i.rep.entries)
+        assert_close(nf.scale[i], nf_i.scale)
+        assert nf.is_zero[i] == nf_i.is_zero
+    # the zero member is returned unchanged, the others as [I, scale det]
+    np.testing.assert_array_equal(nf.rep.entries[2], p_op.entries[2])
+    assert nf.scale[2] == scales[2]
+
+
+def test_stacked_ranks_and_indices_match_a_loop_over_members():
+    rng = np.random.default_rng(13)
+    u = np.linalg.qr(rng.standard_normal((5, W.dim, W.dim)))[0].astype(complex)
+    dom_ranks, cod_ranks = np.array([1, 3, 7, 4, 2]), np.array([5, 2, 1, 4, 6])
+
+    def projections(ranks):
+        mask = np.arange(W.dim) < ranks[:, None]
+        return gr.ModeOperator(W, (u * mask[:, None, :]) @ u.conj().mT, gr.TAIL_ZERO)
+
+    dom, cod = projections(dom_ranks), projections(cod_ranks)
+    t_op = det_class_stack(rng, 5)
+    assert dom.window_rank().tolist() == [m.window_rank() for m in members(dom)]
+    assert dom.window_rank().tolist() == dom_ranks.tolist()
+    index = det_line.range_map_index(t_op, dom, cod)
+    triples = zip(members(t_op), members(dom), members(cod))
+    assert index.tolist() == [det_line.range_map_index(t, d, c) for t, d, c in triples]
+    assert index.tolist() == (dom_ranks - cod_ranks).tolist()
+    # one member that is no projection fails the whole stack
+    bad = gr.ModeOperator(W, np.concatenate([dom.entries[:4], 2 * dom.entries[4:]]), gr.TAIL_ZERO)
+    with pytest.raises(DomainError, match="projections"):
+        det_line.range_map_index(t_op, bad, cod)
+    with pytest.raises(DomainError, match="do not pair"):
+        det_line.range_map_index(t_op, dom, gr.ModeOperator(W, cod.entries[:4], gr.TAIL_ZERO))
+
+
+def test_ratio_by_a_stack_with_a_zero_member_raises():
+    rng = np.random.default_rng(14)
+    p = det_line.det_point(det_class_stack(rng, 4))
+    zero_in_q = det_line.det_point(det_class_stack(rng, 4, singular=3))
+    with pytest.raises(DivisionByZeroPoint):
+        det_line.ratio(p, zero_in_q)
+    # stacks of other lengths, and scales or zero flags that do not match
+    # the stack, are refused rather than broadcast
+    with pytest.raises(DomainError, match="do not pair"):
+        det_line.ratio(p, det_line.det_point(det_class_stack(rng, 3)))
+    with pytest.raises(DomainError, match="stack of 4"):
+        det_line.DetPoint(p.rep, np.ones(3), False)
+    with pytest.raises(DomainError, match="stack of 4"):
+        p.scaled(np.ones(3))
+
+
+def test_single_operators_keep_python_scalar_results():
+    t_op, s_op = det_class(), det_class()
+    p, q = det_line.det_point(t_op), det_line.det_point(s_op)
+    assert type(p.is_zero) is bool and type(p.scale) is complex
+    det = gr.fredholm_det(t_op)
+    assert type(det) is complex and det == complex(np.linalg.det(t_op.entries))
+    value = det_line.ratio(p, q)
+    assert type(value) is complex
+    assert value == (1.0 + 0j) / (1.0 + 0j) * (det / gr.fredholm_det(s_op))
+    nf = det_line.DetPoint(t_op, 2.0 + 0j, False).normal_form()
+    assert type(nf.scale) is complex and nf.scale == 2.0 * det and nf.rep.entries.shape == (7, 7)
+    assert type(p.scaled(2).scale) is complex
+    pi0 = gr.spectral_projection(W, 0)
+    rank = pi0.window_rank()
+    assert type(rank) is int and rank == 4
+    index = det_line.range_map_index(t_op, pi0, gr.spectral_projection(W, 2))
+    assert type(index) is int and index == 2
+
+
+def test_one_call_draw_equals_the_per_matrix_draws():
+    # the suite's stacked rows rest on this: a (k, n, 2, d, d) draw yields the
+    # k n instances of n random_det_class calls each, in order, and leaves the
+    # generator where those calls leave it
+    one, per_matrix = np.random.default_rng(15), np.random.default_rng(15)
+    stacks = report._det_class_stacks(one, W, 20, 3, 0.3)
+    singles = [[report.random_det_class(per_matrix, W, 0.3) for _ in range(3)] for _ in range(20)]
+    for j, stack in enumerate(stacks):
+        np.testing.assert_array_equal(stack.entries, [inst[j].entries for inst in singles])
+    assert one.standard_normal() == per_matrix.standard_normal()
+
+
+def test_stacked_index_additivity_matches_the_per_instance_draws():
+    # reference: each chain drawn and built one partial isometry at a time
+    one, per_instance = np.random.default_rng(16), np.random.default_rng(16)
+    stacked = report._additive_instances(one, W, 25)
+    looped = []
+    for _ in range(25):
+        r_small, r_mid, r_big = sorted(int(x) for x in per_instance.integers(1, W.dim, size=3))
+        u1, v1, u2, v2 = (report.random_window_unitary(per_instance, W.dim) for _ in range(4))
+
+        def partial(x, y, r):
+            return gr.ModeOperator(W, x[:, :r] @ y[:, :r].conj().T, gr.TAIL_ZERO)
+
+        looped.append(
+            report.index_is_additive(
+                partial(v1, u1, r_small),
+                partial(v2, u2, r_small),
+                partial(u1, u1, r_big),
+                partial(v1, v1, r_mid),
+                partial(v2, v2, r_small),
+            )
+        )
+    assert stacked.tolist() == looped == [True] * 25
+    assert one.standard_normal() == per_instance.standard_normal()

@@ -688,6 +688,79 @@ def test_chart_entry_points_refuse_a_family_of_other_rank(entry):
         entry(ROTATED6, base, (0.3, 0.4), charts)
 
 
+PI0_STACK = gr.ModeOperator(W, np.stack([PI0.entries, PI0.entries]), gr.TAIL_APS)
+SIGMA_STACK = gr.ModeOperator(W, np.zeros((2, W.dim, W.dim)), gr.TAIL_ZERO)
+STACK_VALUED = gr.ProjectionFamily(W, lambda t1, t2: np.stack([ROTATED(t1, t2).entries] * 2))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: PI0_STACK.trace(),
+        lambda: gr.relative_eta(PI0_STACK, PI0),
+        lambda: gr.relative_eta(PI0, PI0_STACK),
+        lambda: gr.relative_index(PI0_STACK, PI0),
+        lambda: gr.relative_index(PI0, PI0_STACK),
+        lambda: gr.connection_form(ROTATED, PI0_STACK, CHECKED_AT),
+        lambda: gr.connection_form(ROTATED, PI0, CHECKED_AT, perturbation=SIGMA_STACK),
+        lambda: gr.curvature_rkw(ROTATED, PI0_STACK, CHECKED_AT),
+        lambda: gr.transition_det(ROTATED, PI0_STACK, CHECKED_AT, None, None),
+        lambda: gr.transition_det(ROTATED, PI0, CHECKED_AT, None, SIGMA_STACK),
+        lambda: gr.perturbation_patching_check(ROTATED, PI0_STACK, None, None, CHECKED_AT),
+        lambda: gr.patching_identity_check(ROTATED, ROTATED, PI0_STACK, CHECKED_AT),
+        lambda: gr.tr_p_dp_dp(STACK_VALUED, CHECKED_AT),
+    ],
+    ids=[
+        "trace",
+        "relative_eta-p",
+        "relative_eta-q",
+        "relative_index-p",
+        "relative_index-q",
+        "connection_form-base",
+        "connection_form-perturbation",
+        "curvature_rkw-base",
+        "transition_det-base",
+        "transition_det-sigma",
+        "perturbation_patching_check-base",
+        "patching_identity_check-base",
+        "tr_p_dp_dp-stack-valued-family",
+    ],
+)
+def test_entry_points_of_one_operator_refuse_a_stack(entry):
+    # a stack of two copies must neither be reduced over nor fail by shape
+    with pytest.raises(DomainError, match="takes one operator, got a stack of 2"):
+        entry()
+
+
+def test_stack_arithmetic_is_member_by_member():
+    rng = np.random.default_rng(8)
+    stack = rng.standard_normal((3, W.dim, W.dim)) + 1j * rng.standard_normal((3, W.dim, W.dim))
+    a = gr.ModeOperator(W, stack, (2.0, 0.5))
+    b = gr.ModeOperator(W, stack[::-1].copy(), (1.0, 3.0))
+    small = gr.ModeOperator(gr.ModeWindow(2), stack[:, 2:7, 2:7], (1.0, 3.0))
+    for op in (a @ b, a + b, a - b, 1.5j * a, a.adjoint(), a @ small, a @ PI0, small.embed_to(W)):
+        assert op.entries.shape == (3, W.dim, W.dim)
+    for i in range(3):
+        ai, bi = gr.ModeOperator(W, stack[i], a.tail), gr.ModeOperator(W, stack[2 - i], b.tail)
+        si = gr.ModeOperator(gr.ModeWindow(2), stack[i, 2:7, 2:7], small.tail)
+        pairs = [
+            ((a @ b), ai @ bi),
+            ((a + b), ai + bi),
+            ((a - b), ai - bi),
+            (1.5j * a, 1.5j * ai),
+            (a.adjoint(), ai.adjoint()),
+            ((a @ small), ai @ si),
+            ((a @ PI0), ai @ PI0),
+        ]
+        for stacked, single in pairs:
+            np.testing.assert_array_equal(stacked.entries[i], single.entries)
+            assert stacked.tail == single.tail
+    with pytest.raises(DomainError, match="do not pair"):
+        a @ gr.ModeOperator(W, stack[:2], b.tail)
+    with pytest.raises(DomainError, match="nonempty stack"):
+        gr.ModeOperator(W, np.zeros((0, W.dim, W.dim)), gr.TAIL_ZERO)
+
+
 # The pulled-back Fubini-Study form integrated over theta in [0, 3 pi / 8]
 # (t1 in [0, 0.75]) and a full turn of the phase.
 STOKES_EXACT = -1j * np.pi * (1.0 + 1.0 / np.sqrt(2.0))

@@ -305,6 +305,14 @@ def test_fd_rejects_non_finite_array_field():
 
 
 @pytest.mark.parametrize("kind", ["first-derivative", "laplacian-2d"])
+@pytest.mark.parametrize("axis", [7, -1, 2])
+def test_fd_refuses_an_axis_other_than_0_or_1(kind, axis):
+    # the Laplacian once ignored its axis and returned 2.0 here for axis=7
+    with pytest.raises(DomainError, match="axis"):
+        fd_apply(lambda x, y: x * x, (0.1, 0.2), FdStencil(kind=kind), axis=axis)
+
+
+@pytest.mark.parametrize("kind", ["first-derivative", "laplacian-2d"])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_fd_of_a_constant_field_is_exactly_zero(kind, axis):
     # paired differences cancel a constant exactly; a weighted sum of the
