@@ -35,7 +35,7 @@ for z in (0j, 1 + 0j, 1j, 0.3 - 0.7j):
 # 4. The curvature of the zeta metric is the Fubini-Study density: a second
 #    derivative of log det recovers 1/(1+|z|^2)^2, and so does the purely
 #    boundary-side expression Tr(P dP dP).  The second derivative is the
-#    library's one order-4 Laplacian stencil (step 1e-3, or DETLINE_FD_STEP).
+#    library's one order-4 Laplacian stencil, at the fixed step 1e-3.
 print("\n z            FD curvature   Tr(P dP dP)    closed form")
 for z in (0j, 1 + 0j, 0.4 + 0.2j):
     fd = cp1.quillen_curvature_fd(z)

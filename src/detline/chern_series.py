@@ -96,10 +96,8 @@ def todd_series(cap: int = DEFAULT_CAP) -> RationalSeries:
 
 
 def exp_series(m, cap: int = DEFAULT_CAP) -> RationalSeries:
-    """The exponential series of a rational multiple: sum m^k x^k / k!."""
-    if cap < 0:
-        raise DomainError(f"cap must be >= 0, got {cap}")
-    cap = max(cap, 2)
+    """The exponential series of a rational multiple: sum m^k x^k / k!, up to
+    x^cap; a cap below 2 raises DomainError, as for every RationalSeries."""
     m = Fraction(m)
     return RationalSeries(tuple(m**k / factorial(k) for k in range(cap + 1)), cap)
 

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands: verify, curvature-grid, zeta-det, eta, grr.  The environment
-variable DETLINE_FD_STEP overrides the default finite-difference step.
-Exit codes: 0 all checks pass, 1 any failure or computational error,
-2 usage error.
+Subcommands: verify, curvature-grid, zeta-det, eta, grr.  Every stencil
+runs at its fixed step (``tolerances.DEFAULT_FD_STEP``, reported as the
+curvature grid's ``fd_step``).  Exit codes: 0 all checks pass, 1 any failure
+or computational error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import sys
 
 from . import chern_series, grassmannian, interval_cp1, report
 from .errors import DetlineError
-from .specfun import default_fd_step
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -156,7 +155,6 @@ def main(argv: list[str] | None = None) -> int:
         "grr": _cmd_grr,
     }
     try:
-        default_fd_step()  # validate DETLINE_FD_STEP before any work
         return handlers[args.command](args)
     except DetlineError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

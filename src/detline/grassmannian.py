@@ -17,12 +17,14 @@ thin d x r blocks (P + P sigma P) V, and their SVDs, stencils and traces run
 on those blocks.  Transition determinants reduce to r x r blocks X* S_i V
 (X an orthonormal basis of the target of the charts), so the only d x d
 decomposition of a public call is that eigh.  Projections are checked once
-per public call, the base and each family at the call's own point t; family
-values at stencil points are not re-checked.
+per public call, the base and each family at the call's own point t.  The
+fixed stencils around t read the family's block function directly, unwrapped
+and unchecked; a non-finite sample enters the result ``fd_apply`` refuses.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,6 +40,7 @@ from .errors import (
 from .specfun import FdStencil, HurwitzParams, fd_apply, hurwitz_zeta
 from .tolerances import (
     CHART_SVD_THRESHOLD,
+    DEFAULT_FD_STEP,
     INNER_FD_STEP,
     PROJECTION_TOL,
     RANK_SVD_THRESHOLD,
@@ -78,6 +81,17 @@ TAIL_IDENTITY = (1.0 + 0j, 1.0 + 0j)
 TAIL_ZERO = (0.0 + 0j, 0.0 + 0j)
 TAIL_APS = (1.0 + 0j, 0.0 + 0j)
 
+# The first-derivative stencils of the chart layer: at DEFAULT_FD_STEP, and at
+# INNER_FD_STEP for the inner connection forms of curvature_rkw.
+_D1 = FdStencil(DEFAULT_FD_STEP, "first-derivative")
+_D1_INNER = FdStencil(INNER_FD_STEP, "first-derivative")
+
+
+def _require_mode(value, what: str) -> None:
+    """Raise DomainError unless value is an integer (a bool is not a mode)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ModeWindow:
@@ -86,6 +100,7 @@ class ModeWindow:
     n_max: int
 
     def __post_init__(self) -> None:
+        _require_mode(self.n_max, "n_max")
         if self.n_max < 1:
             raise DomainError(f"n_max must be >= 1, got {self.n_max}")
 
@@ -97,6 +112,7 @@ class ModeWindow:
         return range(-self.n_max, self.n_max + 1)
 
     def index(self, mode: int) -> int:
+        _require_mode(mode, "a mode")
         if abs(mode) > self.n_max:
             raise WindowOverflow(f"mode {mode} outside window [-{self.n_max}, {self.n_max}]")
         return mode + self.n_max
@@ -230,8 +246,8 @@ class ProjectionFamily:
     meant to be idempotent and Hermitian, with tail identity above the window
     and zero below, and whose difference from the value at t = 0 stays window
     supported.  A call does not check this: each public entry point that
-    takes a family checks the value at its own point t once, and the stencil
-    points around t are not re-checked.
+    takes a family calls it once, at its own point t, and checks that value;
+    the stencils around t call ``map_fn`` directly, unwrapped and unchecked.
     """
 
     def __init__(self, window: ModeWindow, map_fn: Callable[[float, float], np.ndarray]):
@@ -244,6 +260,7 @@ class ProjectionFamily:
 
 def spectral_projection(w: ModeWindow, k: int) -> ModeOperator:
     """The spectral projection onto modes n >= k (diagonal on the window)."""
+    _require_mode(k, "the cut")
     if abs(k) > w.n_max:
         raise WindowOverflow(f"cut {k} outside window [-{w.n_max}, {w.n_max}]")
     diag = np.array([1.0 if mode >= k else 0.0 for mode in w.modes()], dtype=complex)
@@ -362,11 +379,7 @@ def _eta_flipped(a: float, flip_mode: int) -> float:
     return base
 
 
-def eta_finite_rank_check(
-    a: float,
-    flip_mode: int,
-    window: ModeWindow | None = None,
-) -> tuple[float, float]:
+def eta_finite_rank_check(a: float, flip_mode: int, window: ModeWindow) -> tuple[float, float]:
     """Compare projection and spectral sides of the relative eta invariant.
 
     The operator d has eigenvalue n + a on mode n; d' shifts the eigenvalue
@@ -376,8 +389,6 @@ def eta_finite_rank_check(
     """
     if not 0.0 < a < 1.0:
         raise DomainError(f"offset a must lie in (0, 1), got {a}")
-    if window is None:
-        window = ModeWindow(6)
     if abs(flip_mode) > window.n_max:
         raise WindowOverflow(f"flip mode {flip_mode} outside the window")
     pi_d = spectral_projection(window, 0)
@@ -506,8 +517,7 @@ def connection_form(
     axis = _direction_axis(direction)
     v = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
-    st = FdStencil(kind="first-derivative")
-    return _connection_form(fam, v, _projection_at(fam, t, v), t, axis, st, sig)
+    return _connection_form(fam, v, _projection_at(fam, t, v), t, axis, _D1, sig)
 
 
 def _connection_form(
@@ -525,15 +535,15 @@ def _connection_form(
     block SV, whose singular values are the nonzero ones of S: one thin SVD
     serves both the chart guard and the pseudo-inverse (with pinv's relative
     cut-off).  In the identity chart SV = PV, so the stencil runs over the
-    family values and d(SV) = (dP) V takes one product; a perturbation chart
+    family's blocks and d(SV) = (dP) V takes one product; a perturbation chart
     differentiates its chart map (P + P sigma P) V by the stencil.
     """
     u, sv, vh = np.linalg.svd(_chart_map(p, v, sig), full_matrices=False)
     _require_chart(sv, v.shape[1], t)
     if sig is None:
-        ds = fd_apply(lambda t1, t2: fam(t1, t2).entries, t, st, axis) @ v
+        ds = fd_apply(fam._map, t, st, axis) @ v
     else:
-        ds = fd_apply(lambda t1, t2: _chart_map(fam(t1, t2).entries, v, sig), t, st, axis)
+        ds = fd_apply(lambda t1, t2: _chart_map(fam._map(t1, t2), v, sig), t, st, axis)
     kept = sv > RANK_SVD_THRESHOLD * sv[0]
     s_pinv = (vh[kept].conj().T / sv[kept]) @ u[:, kept].conj().T
     return complex(np.trace(s_pinv @ p @ ds))
@@ -541,14 +551,9 @@ def _connection_form(
 
 def tr_p_dp_dp(fam: ProjectionFamily, t: tuple[float, float]) -> complex:
     """Curvature density Tr(P [d1 P, d2 P]) of the family, by stencil derivatives."""
-    st = FdStencil(kind="first-derivative")
-
-    def p_at(t1: float, t2: float) -> np.ndarray:
-        return fam(t1, t2).entries
-
     p = _projection_at(fam, t)
-    d1 = fd_apply(p_at, t, st, 0)
-    d2 = fd_apply(p_at, t, st, 1)
+    d1 = fd_apply(fam._map, t, _D1, 0)
+    d2 = fd_apply(fam._map, t, _D1, 1)
     return complex(np.trace(p @ (d1 @ d2 - d2 @ d1)))
 
 
@@ -560,23 +565,21 @@ def curvature_rkw(
 ) -> complex:
     """Curvature two-form d omega = d1 omega_2 - d2 omega_1 at a parameter point.
 
-    The outer derivatives use the default stencil step; the inner connection
-    forms use a finer step (INNER_FD_STEP) so the nested differencing stays
-    well below TOL_CONNECTION_CURVATURE against Tr(P [d1 P, d2 P]).
+    The outer derivatives use the step DEFAULT_FD_STEP; the inner connection
+    forms use the finer INNER_FD_STEP so the nested differencing stays well
+    below TOL_CONNECTION_CURVATURE against Tr(P [d1 P, d2 P]).
     """
-    st = FdStencil(kind="first-derivative")
-    inner = FdStencil(step=min(INNER_FD_STEP, st.step / 10.0), kind="first-derivative")
     v = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
     _projection_at(fam, t, v)  # the stencil points around t are not checked
 
     def omega(axis_inner: int) -> Callable[[float, float], complex]:
         def at(t1: float, t2: float) -> complex:
-            return _connection_form(fam, v, fam(t1, t2).entries, (t1, t2), axis_inner, inner, sig)
+            return _connection_form(fam, v, fam._map(t1, t2), (t1, t2), axis_inner, _D1_INNER, sig)
 
         return at
 
-    return fd_apply(omega(1), t, st, 0) - fd_apply(omega(0), t, st, 1)
+    return fd_apply(omega(1), t, _D1, 0) - fd_apply(omega(0), t, _D1, 1)
 
 
 def transition_det(
@@ -626,7 +629,6 @@ def perturbation_patching_check(
     determinant and rhs the difference of the chart connection forms; the two
     agree up to finite-difference error.
     """
-    st = FdStencil(kind="first-derivative")
     axis = _direction_axis(direction)
     w = fam.window
     v = _chart_base(w, base)
@@ -634,11 +636,11 @@ def perturbation_patching_check(
     p = _projection_at(fam, t, v)
 
     def g_at(t1: float, t2: float) -> complex:
-        return _transition_det(v, fam(t1, t2).entries, (t1, t2), sig1, sig2)
+        return _transition_det(v, fam._map(t1, t2), (t1, t2), sig1, sig2)
 
-    lhs = fd_apply(g_at, t, st, axis) / _transition_det(v, p, t, sig1, sig2)
-    rhs = _connection_form(fam, v, p, t, axis, st, sig1) - _connection_form(
-        fam, v, p, t, axis, st, sig2
+    lhs = fd_apply(g_at, t, _D1, axis) / _transition_det(v, p, t, sig1, sig2)
+    rhs = _connection_form(fam, v, p, t, axis, _D1, sig1) - _connection_form(
+        fam, v, p, t, axis, _D1, sig2
     )
     return complex(lhs), complex(rhs)
 
@@ -658,7 +660,6 @@ def patching_identity_check(
     constant unitary commuting with base).  Returns (lhs, rhs) with lhs the
     logarithmic derivative of that ratio and rhs = omega_1 - omega_2.
     """
-    st = FdStencil(kind="first-derivative")
     axis = _direction_axis(direction)
     if fam1.window.n_max != fam2.window.n_max:
         raise NotCommensurable("families must share one mode window")
@@ -670,10 +671,10 @@ def patching_identity_check(
         return _chart_ratio(vh @ _chart_map(pa, v, None), vh @ _chart_map(pb, v, None), at)
 
     def g_at(t1: float, t2: float) -> complex:
-        return ratio(fam1(t1, t2).entries, fam2(t1, t2).entries, (t1, t2))
+        return ratio(fam1._map(t1, t2), fam2._map(t1, t2), (t1, t2))
 
-    lhs = fd_apply(g_at, t, st, axis) / ratio(p1, p2, t)
-    rhs = _connection_form(fam1, v, p1, t, axis, st, None) - _connection_form(
-        fam2, v, p2, t, axis, st, None
+    lhs = fd_apply(g_at, t, _D1, axis) / ratio(p1, p2, t)
+    rhs = _connection_form(fam1, v, p1, t, axis, _D1, None) - _connection_form(
+        fam2, v, p2, t, axis, _D1, None
     )
     return complex(lhs), complex(rhs)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, DomainError
-from .specfun import FdStencil, default_fd_step, fd_apply, hurwitz_zeta_ds0
-from .tolerances import DEGENERACY_TOL, ROUNDING_TOL, TOL_CURVATURE
+from .specfun import FdStencil, fd_apply, hurwitz_zeta_ds0
+from .tolerances import DEFAULT_FD_STEP, DEGENERACY_TOL, ROUNDING_TOL, TOL_CURVATURE
 
 __all__ = [
     "BoundaryProjection2",
@@ -63,6 +63,9 @@ DET_TO_S_CONSTANT = 4.0
 
 # Radius around z = -1 (zero mode) excluded from spectral and curvature grids.
 EXCLUSION_RADIUS = 0.2
+
+# The Laplacian stencil of quillen_curvature_fd, at step DEFAULT_FD_STEP.
+_LAPLACIAN = FdStencil(kind="laplacian-2d")
 
 
 @dataclass(frozen=True)
@@ -250,7 +253,7 @@ def curvature_fd_truncation_bound(z: complex | np.ndarray) -> float | np.ndarray
     part's truncation, O(h^4) on the unit disk, is not included.
     """
     points = _chart_array(z)
-    scale = 5.0 * default_fd_step() ** 6 * (1.0 + _modulus(points) ** 2) ** 2
+    scale = 5.0 * DEFAULT_FD_STEP**6 * (1.0 + _modulus(points) ** 2) ** 2
     with np.errstate(divide="ignore"):
         return _like(scale / _modulus(1.0 + points) ** 8, z)
 
@@ -258,13 +261,13 @@ def curvature_fd_truncation_bound(z: complex | np.ndarray) -> float | np.ndarray
 def curvature_fd_unresolved(z: complex | np.ndarray) -> bool | np.ndarray:
     """Where quillen_curvature_fd raises DegenerateSpectrum: its stencil comes
     within 4 steps of the zero mode, or its truncation bound exceeds
-    TOL_CURVATURE.  For the default step 1e-3 that is only inside
-    |1+z| < 0.028, well inside the exclusion disk of radius EXCLUSION_RADIUS;
-    the bound decreases with |1+z| and is at most 1.2e-11 on the disk's
-    boundary.
+    TOL_CURVATURE.  For the fixed step DEFAULT_FD_STEP = 1e-3 that is only
+    inside |1+z| < 0.028, well inside the exclusion disk of radius
+    EXCLUSION_RADIUS; the bound decreases with |1+z| and is at most 1.2e-11
+    on the disk's boundary.
     """
     points = _chart_array(z)
-    unresolved = (_modulus(1.0 + points) < 4.0 * default_fd_step()) | (
+    unresolved = (_modulus(1.0 + points) < 4.0 * DEFAULT_FD_STEP) | (
         curvature_fd_truncation_bound(points) > TOL_CURVATURE
     )
     return _like(unresolved, z)
@@ -276,7 +279,7 @@ def quillen_curvature_fd(z: complex | np.ndarray) -> float | np.ndarray:
     Returns the coefficient of dz wedge dzbar in dbar d log det_zeta, which
     equals -(1/4) Laplacian_(x,y) log det_zeta at z = x + i y and reproduces
     the Fubini-Study density 1/(1+|z|^2)^2.  An array z is differentiated in
-    one pass of the default Laplacian stencil.  Where
+    one pass of the Laplacian stencil at step DEFAULT_FD_STEP.  Where
     ``curvature_fd_unresolved`` holds the stencil cannot resolve the zero mode
     at -1 within TOL_CURVATURE, and DegenerateSpectrum is raised instead of a
     wrong value.
@@ -293,8 +296,7 @@ def quillen_curvature_fd(z: complex | np.ndarray) -> float | np.ndarray:
     def log_det(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.log(zeta_det_spectral(x + 1j * y))
 
-    laplacian = FdStencil(kind="laplacian-2d")
-    return _like(-0.25 * fd_apply(log_det, (points.real, points.imag), laplacian), z)
+    return _like(-0.25 * fd_apply(log_det, (points.real, points.imag), _LAPLACIAN), z)
 
 
 def calderon_projection_interval() -> BoundaryProjection2:

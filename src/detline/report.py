@@ -16,10 +16,12 @@ constant of ``detline.tolerances``; the suites and the acceptance tests share th
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
 import math
+import numbers
 import os
 import tempfile
 from collections.abc import Iterator
@@ -31,8 +33,8 @@ import numpy as np
 
 from . import chern_series, det_line, grassmannian as gr, interval_cp1 as cp1
 from .errors import DetlineError, DomainError
-from .specfun import default_fd_step
 from .tolerances import (
+    DEFAULT_FD_STEP,
     TOL_COCYCLE,
     TOL_CONNECTION_CURVATURE,
     TOL_CONNECTION_PATCHING,
@@ -931,11 +933,14 @@ class GridSpec:
         for lo, hi in ((self.re_min, self.re_max), (self.im_min, self.im_max)):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise DomainError(f"grid bounds must be finite with min < max, got {lo}:{hi}")
-        if self.n < 2:
-            raise DomainError(f"grid needs n >= 2 points per axis, got {self.n}")
-        for _, radius in self.exclusion:
-            if radius <= 0:
-                raise DomainError("exclusion radii must be positive")
+        if not isinstance(self.n, numbers.Integral) or self.n < 2:
+            raise DomainError(f"grid needs an integer n >= 2 points per axis, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))  # a numpy integer stays JSON-writable
+        for center, radius in self.exclusion:
+            if not (cmath.isfinite(center) and math.isfinite(radius) and radius > 0):
+                raise DomainError(
+                    f"exclusion disk needs a finite centre and radius > 0, got {center}, {radius}"
+                )
 
     def excluded(self, z: complex | np.ndarray) -> bool | np.ndarray:
         """Whether z lies in an exclusion disk, elementwise for an array."""
@@ -981,7 +986,7 @@ def _grid_rows(g: GridSpec) -> tuple[list[dict], dict]:
         "n_skipped": int(np.count_nonzero(~ok)),
         "max_rel_err_fd": float(rel_fd.max(initial=0.0)),
         "max_rel_err_pdpdp": float(rel_pdp.max(initial=0.0)),
-        "fd_step": default_fd_step(),
+        "fd_step": DEFAULT_FD_STEP,
     }
     return rows, summary
 

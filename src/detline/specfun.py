@@ -27,7 +27,8 @@ half of it in the CSV writer, where the scalar kernel took 8.3 s.
 ``fd_apply`` is the only stencil loop, for real, complex or array fields.  Its
 one stencil is the order-4 central difference, applied as paired differences
 f(+k) - f(-k) (first derivative) and f(+k) + f(-k) - 2 f(0) along each axis
-(Laplacian), so a constant field gives exactly 0.  A ``DetlineError`` from the
+(Laplacian), so a constant field gives exactly 0.  Its step is fixed in code,
+DEFAULT_FD_STEP unless a caller names another.  A ``DetlineError`` from the
 field propagates unchanged; any other exception, and a non-finite result,
 becomes an ``EvaluationError`` naming the point.
 """
@@ -37,8 +38,7 @@ from __future__ import annotations
 import cmath
 import decimal
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Literal
 
 import numpy as np
@@ -52,7 +52,6 @@ __all__ = [
     "hurwitz_zeta",
     "hurwitz_zeta_ds0",
     "fd_apply",
-    "default_fd_step",
     "DEFAULT_EM_ORDER",
     "DEFAULT_CUTOFF",
     "DEFAULT_FD_STEP",
@@ -78,17 +77,6 @@ _BERNOULLI_EVEN = [
     7.0 / 6,
     -3617.0 / 510,
 ]
-
-
-def default_fd_step() -> float:
-    """Default finite-difference step, overridable via DETLINE_FD_STEP."""
-    raw = os.environ.get("DETLINE_FD_STEP")
-    if raw is None:
-        return DEFAULT_FD_STEP
-    step = float(raw)
-    if step <= 0:
-        raise DomainError(f"DETLINE_FD_STEP must be positive, got {raw!r}")
-    return step
 
 
 @dataclass(frozen=True)
@@ -250,15 +238,15 @@ _WEIGHTS = {
 @dataclass(frozen=True)
 class FdStencil:
     """The order-4 central finite-difference stencil, applied as paired
-    differences: its step and whether it takes a first derivative or the
-    2-D Laplacian."""
+    differences: its finite positive step (DEFAULT_FD_STEP unless given) and
+    whether it takes a first derivative or the 2-D Laplacian."""
 
-    step: float = field(default_factory=default_fd_step)
+    step: float = DEFAULT_FD_STEP
     kind: StencilKind = "laplacian-2d"
 
     def __post_init__(self) -> None:
-        if self.step <= 0:
-            raise DomainError(f"step must be positive, got {self.step}")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise DomainError(f"step must be finite and positive, got {self.step}")
         if self.kind not in ("first-derivative", "laplacian-2d"):
             raise DomainError(f"unknown stencil kind {self.kind!r}")
 

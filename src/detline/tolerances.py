@@ -20,8 +20,8 @@ POLE_DISTANCE = 1e-12  # distance from s = 1 at which hurwitz_zeta reports the p
 LOG_GAMMA_TOL = 1e-10  # hurwitz_zeta_ds0 vs log Gamma(a) - log(2 pi)/2; the kernel errs by 1.4e-15
 
 # Stencil steps.
-DEFAULT_FD_STEP = 1e-3  # order-4 truncation h^4 vs rounding eps / h^k; DETLINE_FD_STEP overrides
-INNER_FD_STEP = 1e-5  # inner connection forms of curvature_rkw, at most a tenth of its outer step
+DEFAULT_FD_STEP = 1e-3  # order-4 truncation h^4 vs rounding eps / h^k; fixed, nothing overrides it
+INNER_FD_STEP = 1e-5  # inner connection forms of curvature_rkw, a hundredth of DEFAULT_FD_STEP
 
 # Report tolerances, one per identity; the suites and the acceptance tests share them.
 TOL_ZETA_DET = 1e-8  # spectral determinant, det = 4 |S(P)|^2, metric patching ratio

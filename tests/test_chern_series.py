@@ -53,6 +53,15 @@ def test_exp_series_values():
     assert list(exp_series(1, 2).coeffs) == [Fraction(1), Fraction(1), Fraction(1, 2)]
 
 
+@pytest.mark.parametrize("cap", [-1, 0, 1])
+def test_exp_series_refuses_a_cap_below_two(cap):
+    # exp_series once clamped these caps to 2 and returned a longer series
+    with pytest.raises(DomainError, match="cap"):
+        exp_series(1, cap)
+    with pytest.raises(DomainError, match="cap"):
+        todd_series(cap)
+
+
 @given(
     a_num=st.integers(min_value=-8, max_value=8),
     b_num=st.integers(min_value=-8, max_value=8),

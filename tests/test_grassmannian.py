@@ -1,6 +1,8 @@
 """Mode-window operator tests: spectral projections, eta invariants,
 Fredholm determinants, connection forms, curvature and patching."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from detline import grassmannian as gr
 from detline import report
 from detline.errors import (
+    DetlineError,
     DomainError,
     NotCommensurable,
     NotDetClass,
@@ -15,6 +18,7 @@ from detline.errors import (
     WindowOverflow,
 )
 from detline.specfun import FdStencil, fd_apply
+from detline.tolerances import DEFAULT_FD_STEP
 
 RNG = np.random.default_rng(20240811)
 W = gr.ModeWindow(4)
@@ -115,6 +119,44 @@ def test_rotated_family_validates_modes():
         gr.rotated_family(W, (1, 2))
     with pytest.raises(WindowOverflow):
         gr.rotated_family(W, (-9, 0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gr.ModeWindow(2.5),
+        lambda: gr.ModeWindow(3.0),
+        lambda: gr.ModeWindow(True),
+        lambda: gr.ModeWindow(3).index(1.0),
+        lambda: gr.ModeWindow(3).index(np.float64(-2.0)),
+        lambda: gr.spectral_projection(W, 2.5),
+        lambda: gr.rotated_family(W, (-1.5, 0)),
+        lambda: gr.eta_finite_rank_check(0.3, 0.5, W),
+    ],
+    ids=[
+        "window-2.5",
+        "window-3.0",
+        "window-bool",
+        "index-float",
+        "index-numpy-float",
+        "spectral_projection",
+        "rotated_family",
+        "eta_finite_rank_check",
+    ],
+)
+def test_modes_must_be_integers(call):
+    # ModeWindow(2.5) had dim 6.0, index(1.0) returned 4.0, a cut of 2.5
+    # silently cut at 3, and the last two ended in numpy's IndexError
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()
+
+
+def test_modes_accept_numpy_integers():
+    w = gr.ModeWindow(np.int64(3))
+    assert w.dim == 7 and w.index(np.int32(-3)) == 0
+    assert np.array_equal(
+        gr.spectral_projection(w, np.int64(1)).entries, gr.spectral_projection(w, 1).entries
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -348,27 +390,27 @@ NOT_PROJECTION_AT_T = gr.ProjectionFamily(
 )
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [
-        lambda fam, t: gr.connection_form(fam, PI0, t),
-        lambda fam, t: gr.curvature_rkw(fam, PI0, t),
-        lambda fam, t: gr.tr_p_dp_dp(fam, t),
-        lambda fam, t: gr.transition_det(fam, PI0, t, None, None),
+FAMILY_ENTRY_POINTS = [
+    pytest.param(lambda fam, t: gr.connection_form(fam, PI0, t), id="connection_form"),
+    pytest.param(lambda fam, t: gr.curvature_rkw(fam, PI0, t), id="curvature_rkw"),
+    pytest.param(lambda fam, t: gr.tr_p_dp_dp(fam, t), id="tr_p_dp_dp"),
+    pytest.param(lambda fam, t: gr.transition_det(fam, PI0, t, None, None), id="transition_det"),
+    pytest.param(
         lambda fam, t: gr.perturbation_patching_check(fam, PI0, None, None, t),
+        id="perturbation_patching_check",
+    ),
+    pytest.param(
         lambda fam, t: gr.patching_identity_check(fam, ROTATED, PI0, t),
+        id="patching_identity_check-fam1",
+    ),
+    pytest.param(
         lambda fam, t: gr.patching_identity_check(ROTATED, fam, PI0, t),
-    ],
-    ids=[
-        "connection_form",
-        "curvature_rkw",
-        "tr_p_dp_dp",
-        "transition_det",
-        "perturbation_patching_check",
-        "patching_identity_check-fam1",
-        "patching_identity_check-fam2",
-    ],
-)
+        id="patching_identity_check-fam2",
+    ),
+]
+
+
+@pytest.mark.parametrize("entry", FAMILY_ENTRY_POINTS)
 def test_family_value_that_is_no_projection_at_t_raises(entry):
     # the family is a projection at every stencil point and fails only at t
     with pytest.raises(DomainError, match=r"family value at \(0\.4, 0\.3\) is not a projection"):
@@ -376,12 +418,36 @@ def test_family_value_that_is_no_projection_at_t_raises(entry):
     entry(ROTATED, CHECKED_AT)
 
 
+# finite at t and at the samples below it in t1, non-finite from the stencil
+# sample t1 + 2h on
+NON_FINITE_AT_A_SAMPLE = gr.ProjectionFamily(
+    W,
+    lambda t1, t2: (math.nan if t1 > CHECKED_AT[0] + 1.5 * DEFAULT_FD_STEP else 1.0)
+    * ROTATED(t1, t2).entries,
+)
+
+
+@pytest.mark.parametrize("entry", FAMILY_ENTRY_POINTS)
+def test_family_value_that_is_not_finite_at_a_stencil_sample_raises(entry, request):
+    # stencil samples are not wrapped or checked one by one: fd_apply refuses
+    # the non-finite result that every sample enters, or the error it raised
+    assert np.isfinite(NON_FINITE_AT_A_SAMPLE(*CHECKED_AT).entries).all()
+    if "transition_det" in request.node.name:  # reads the family at t alone
+        assert entry(NON_FINITE_AT_A_SAMPLE, CHECKED_AT) == entry(ROTATED, CHECKED_AT)
+        return
+    with pytest.raises(DetlineError):
+        entry(NON_FINITE_AT_A_SAMPLE, CHECKED_AT)
+
+
 def test_decomposition_and_projection_check_counts(monkeypatch):
     # per public call: one eigh of the 13 x 13 base block, the only d x d
     # decomposition, and one projection check each for the base and the
     # family at t; every other decomposition runs on a thin 13 x 7 chart
-    # block or on an r x r = 7 x 7 block of a transition ratio
-    calls, checks = [], []
+    # block or on an r x r = 7 x 7 block of a transition ratio.  The one
+    # ModeOperator built per family is its checked value at t: stencil
+    # samples read the block function unwrapped (5, 41, 9, 13 and 18
+    # constructions when every sample was wrapped)
+    calls, checks, built = [], [], []
 
     def counted(name, inner):
         def call(a, *args, **kwargs):
@@ -408,12 +474,20 @@ def test_decomposition_and_projection_check_counts(monkeypatch):
         for _ in range(2)
     )
 
+    post_init = gr.ModeOperator.__post_init__
+
+    def counted_post_init(op):
+        built.append(op)
+        post_init(op)
+
+    monkeypatch.setattr(gr.ModeOperator, "__post_init__", counted_post_init)
+
     def counts(call):
         calls.clear()
         checks.clear()
+        built.clear()
         call()
-        assert [c for c in calls if c[1] == (13, 13)] == [("eigh", (13, 13))]
-        return {c: calls.count(c) for c in calls}, len(checks)
+        return {c: calls.count(c) for c in calls}, len(checks), len(built)
 
     t = (0.35, 0.6)
     eigh = {("eigh", (13, 13)): 1}
@@ -421,21 +495,25 @@ def test_decomposition_and_projection_check_counts(monkeypatch):
     # a transition ratio: a thin QR of S_2 V (transition_det only), two r x r
     # chart guards, one r x r solve and one r x r det
     ratio = {("solve", (7, 7)): 1, ("det", (7, 7)): 1}
-    assert counts(lambda: gr.connection_form(fam, base, t)) == ({**eigh, thin_svd: 1}, 2)
-    assert counts(lambda: gr.curvature_rkw(fam, base, t)) == ({**eigh, thin_svd: 8}, 2)
+    assert counts(lambda: gr.connection_form(fam, base, t)) == ({**eigh, thin_svd: 1}, 2, 1)
+    assert counts(lambda: gr.curvature_rkw(fam, base, t)) == ({**eigh, thin_svd: 8}, 2, 1)
+    assert counts(lambda: gr.tr_p_dp_dp(fam, t)) == ({}, 1, 1)
     assert counts(lambda: gr.transition_det(fam, base, t, sigma1, sigma2)) == (
         {**eigh, ("qr", (13, 7)): 1, small_svd: 2, **ratio},
         2,
+        1,
     )
     # five ratios (four stencil points and t) and two connection forms
     five = {key: 5 * n for key, n in ratio.items()}
     assert counts(lambda: gr.perturbation_patching_check(fam, base, sigma1, sigma2, t)) == (
         {**eigh, ("qr", (13, 7)): 5, small_svd: 10, **five, thin_svd: 2},
         2,
+        1,
     )
     assert counts(lambda: gr.patching_identity_check(fam, fam2, base, t)) == (
         {**eigh, small_svd: 10, **five, thin_svd: 2},
         3,
+        2,
     )
 
 

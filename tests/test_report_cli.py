@@ -16,6 +16,7 @@ from detline import chern_series, cli, det_line, report
 from detline import grassmannian as gr
 from detline import interval_cp1 as cp1
 from detline.errors import DomainError
+from detline.tolerances import DEFAULT_FD_STEP
 
 
 def strip_timestamps(document):
@@ -137,6 +138,19 @@ def test_gridspec_validation():
         report.GridSpec(n=1)
     with pytest.raises(DomainError):
         report.GridSpec(exclusion=((0j, -1.0),))
+    # a float n once reached numpy's TypeError; a NaN disk excluded nothing
+    for spec in (
+        {"n": 3.0},
+        {"n": 2.5},
+        {"n": "5"},
+        {"exclusion": ((0j, math.nan),)},
+        {"exclusion": ((0j, math.inf),)},
+        {"exclusion": ((complex(math.nan, 0.0), 0.2),)},
+        {"exclusion": ((complex(-1.0, math.inf), 0.2),)},
+    ):
+        with pytest.raises(DomainError):
+            report.GridSpec(**spec)
+    assert type(report.GridSpec(n=np.int64(3)).n) is int
     for bounds in (
         {"re_min": 0.5, "re_max": -0.5},
         {"re_min": 0.5, "re_max": 0.5},
@@ -217,14 +231,15 @@ def test_cli_usage_error_exit_code():
     assert excinfo.value.code == 2
 
 
-def test_cli_fd_step_env_override(tmp_path, monkeypatch, capsys):
+def test_cli_grid_summary_reports_the_fixed_fd_step(monkeypatch, capsys):
+    # the step is fixed: the variable that once set it is ignored
     monkeypatch.setenv("DETLINE_FD_STEP", "5e-4")
     code = cli.main(["curvature-grid", "--re", "-0.1:0.1", "--im", "-0.1:0.1", "--n", "2"])
     assert code == 0
     summary = json.loads(capsys.readouterr().out)["summary"]
-    assert summary["fd_step"] == pytest.approx(5e-4)
+    assert summary["fd_step"] == DEFAULT_FD_STEP == 1e-3
     monkeypatch.setenv("DETLINE_FD_STEP", "-1")
-    assert cli.main(["zeta-det", "--z", "0,0"]) == 1
+    assert cli.main(["zeta-det", "--z", "0,0"]) == 0
 
 
 def test_console_script_entry_point():

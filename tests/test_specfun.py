@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from detline.errors import DomainError, EvaluationError, NotInvertible, PoleAtOne
 from detline.specfun import (
+    DEFAULT_FD_STEP,
     S_IM_MAX,
     S_RE_MIN,
     FdStencil,
@@ -302,6 +303,17 @@ def test_fd_rejects_non_finite_array_field():
         fd_apply(field, (0.5, 0.0), FdStencil(step=1e-3, kind="first-derivative"))
     with pytest.raises(EvaluationError):
         fd_apply(lambda x, y: complex(math.inf, x), (0.0, 0.0), FdStencil(kind="laplacian-2d"))
+
+
+def test_fd_stencil_validates_step_and_kind():
+    # the step defaults to the one fixed step; NaN once passed the step <= 0
+    # test and failed only when the stencil was used
+    assert FdStencil().step == DEFAULT_FD_STEP
+    for step in (0.0, -1e-3, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="step"):
+            FdStencil(step=step)
+    with pytest.raises(DomainError, match="kind"):
+        FdStencil(kind="third-derivative")
 
 
 @pytest.mark.parametrize("kind", ["first-derivative", "laplacian-2d"])

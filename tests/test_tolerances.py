@@ -1,5 +1,6 @@
-"""Tooling check of the tolerance policy: library modules write no tolerance,
-threshold or step as a literal; they import it from detline.tolerances."""
+"""Tooling checks of the tolerance policy: library modules write no tolerance,
+threshold or step as a literal; they import it from detline.tolerances, and
+none of them reads the process environment."""
 
 import pathlib
 import re
@@ -28,3 +29,25 @@ def test_library_modules_have_no_exponent_literals():
     assert len(modules) >= 7
     found = [hit for path in modules for hit in exponent_literals(path)]
     assert found == [], "tolerance literals outside detline.tolerances:\n" + "\n".join(found)
+
+
+# names through which a module reads the process environment
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(path: pathlib.Path) -> list[str]:
+    with path.open("rb") as handle:
+        return [
+            f"{path.name}:{tok.start[0]}: {tok.line.strip()}"
+            for tok in tokenize.tokenize(handle.readline)
+            if tok.type == tokenize.NAME and tok.string in ENVIRONMENT_READS
+        ]
+
+
+def test_library_modules_read_no_environment():
+    # every step and tolerance is fixed in code, so no setting can change a
+    # result without a change to the library
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    found = [hit for path in modules for hit in environment_reads(path)]
+    assert found == [], "environment reads in detline:\n" + "\n".join(found)
