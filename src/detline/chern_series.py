@@ -2,11 +2,14 @@
 coefficient of the twisted d-bar determinant bundle.
 
 All arithmetic is over Fraction; coefficients beyond the cap are discarded
-consistently, so the series form the ring of truncated polynomials.
+consistently, so the series form the ring of truncated polynomials.  A
+coefficient or an exponential's multiple that is NaN, infinite or no number
+raises DomainError, and the pushforward coefficient takes an integer twist.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,6 +23,14 @@ __all__ = ["RationalSeries", "todd_series", "exp_series", "grr_c1_coefficient"]
 DEFAULT_CAP = 8
 
 
+def _rational(value) -> Fraction:
+    """value as an exact Fraction; NaN, an infinity or a non-number raises DomainError."""
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError, TypeError) as exc:
+        raise DomainError(f"a coefficient must be a finite rational, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class RationalSeries:
     """Truncated power series sum coeffs[k] x^k, k = 0..cap, over Fraction."""
@@ -30,14 +41,14 @@ class RationalSeries:
     def __post_init__(self) -> None:
         if self.cap < 2:
             raise DomainError(f"cap must be >= 2, got {self.cap}")
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(_rational(c) for c in self.coeffs)
         if len(coeffs) != self.cap + 1:
             raise DomainError(f"need {self.cap + 1} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def from_list(values: Sequence, cap: int) -> "RationalSeries":
-        coeffs = [Fraction(v) for v in values[: cap + 1]]
+        coeffs = [_rational(v) for v in values[: cap + 1]]
         coeffs += [Fraction(0)] * (cap + 1 - len(coeffs))
         return RationalSeries(tuple(coeffs), cap)
 
@@ -97,8 +108,8 @@ def todd_series(cap: int = DEFAULT_CAP) -> RationalSeries:
 
 def exp_series(m, cap: int = DEFAULT_CAP) -> RationalSeries:
     """The exponential series of a rational multiple: sum m^k x^k / k!, up to
-    x^cap; a cap below 2 raises DomainError, as for every RationalSeries."""
-    m = Fraction(m)
+    x^cap; a cap below 2, or an m that is NaN or infinite, raises DomainError."""
+    m = _rational(m)
     return RationalSeries(tuple(m**k / factorial(k) for k in range(cap + 1)), cap)
 
 
@@ -106,8 +117,11 @@ def grr_c1_coefficient(m: int) -> Fraction:
     """First Chern coefficient of the twisted d-bar determinant bundle.
 
     The degree-two coefficient of exp(m x) * Todd(x), exactly
-    (6 m^2 + 6 m + 1) / 12, with degree-one coefficient m + 1/2.
+    (6 m^2 + 6 m + 1) / 12, with degree-one coefficient m + 1/2.  The twist
+    m must be an integer (a bool is not one).
     """
+    if not isinstance(m, numbers.Integral) or isinstance(m, bool):
+        raise DomainError(f"the twist m must be an integer, got {m!r}")
     product = exp_series(m, 4) * todd_series(4)
     if product[1] != Fraction(m) + Fraction(1, 2):
         raise DomainError(f"degree-one coefficient mismatch at m = {m}")

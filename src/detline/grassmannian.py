@@ -16,16 +16,30 @@ once per public call from one eigh of the base block: chart maps are the
 thin d x r blocks (P + P sigma P) V, and their SVDs, stencils and traces run
 on those blocks.  Transition determinants reduce to r x r blocks X* S_i V
 (X an orthonormal basis of the target of the charts), so the only d x d
-decomposition of a public call is that eigh.  Projections are checked once
-per public call, the base and each family at the call's own point t.  The
-fixed stencils around t read the family's block function directly, unwrapped
-and unchecked; a non-finite sample enters the result ``fd_apply`` refuses.
+decomposition of a public call is that eigh.
+
+Its six entry points (``connection_form``, ``tr_p_dp_dp``, ``curvature_rkw``,
+``transition_det`` and the two patching checks) take t = (t1, t2) with
+floats, for a complex value, or with 1-D arrays of one length, for a complex
+array of values, one per point (a pair of them for the patching checks).  A
+stack of k points carries a leading axis of length k through the family
+values, chart maps, SVDs, QRs, solves and dets, so each runs as one batched
+numpy call; a single point has no such axis and runs through the same code
+on the family's own d x d blocks.  Projections are checked once per public
+call: the base, and the family values at all points t as one stack, each
+required to have the rank of base; an error names the first failing point.
+The fixed stencils around t read the family's block function directly,
+unwrapped and unchecked; a non-finite sample enters the result ``fd_apply``
+refuses.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -37,7 +51,7 @@ from .errors import (
     NotInvertible,
     WindowOverflow,
 )
-from .specfun import FdStencil, HurwitzParams, fd_apply, hurwitz_zeta
+from .specfun import FdStencil, _hurwitz_em, fd_apply
 from .tolerances import (
     CHART_SVD_THRESHOLD,
     DEFAULT_FD_STEP,
@@ -146,8 +160,11 @@ class ModeOperator:
             raise DomainError(f"entries must be {d}x{d} or a nonempty stack of them, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise DomainError("entries must be finite")
+        tail = (complex(self.tail[0]), complex(self.tail[1]))
+        if not (cmath.isfinite(tail[0]) and cmath.isfinite(tail[1])):
+            raise DomainError(f"tails must be finite, got {tail}")
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "tail", (complex(self.tail[0]), complex(self.tail[1])))
+        object.__setattr__(self, "tail", tail)
 
     @staticmethod
     def identity(window: ModeWindow) -> "ModeOperator":
@@ -245,9 +262,10 @@ class ProjectionFamily:
     Evaluating at (t1, t2) in the unit square yields a ModeOperator that is
     meant to be idempotent and Hermitian, with tail identity above the window
     and zero below, and whose difference from the value at t = 0 stays window
-    supported.  A call does not check this: each public entry point that
-    takes a family calls it once, at its own point t, and checks that value;
-    the stencils around t call ``map_fn`` directly, unwrapped and unchecked.
+    supported.  A call does not check this.  ``map_fn`` takes two floats and
+    returns one d x d block; each public entry point that takes a family
+    calls it at each of its own points t and checks those values once, as
+    one stack, and the stencils around t call it unwrapped and unchecked.
     """
 
     def __init__(self, window: ModeWindow, map_fn: Callable[[float, float], np.ndarray]):
@@ -353,25 +371,32 @@ def relative_index(p: ModeOperator, q: ModeOperator) -> int:
     return a.window_rank() - b.window_rank()
 
 
-def eta_invariant_spectral(a: float) -> float:
+def eta_invariant_spectral(a: float | np.ndarray) -> float | np.ndarray:
     """Regularized eta invariant of d with eigenvalues {n + a : n in Z}.
 
     The positive part sums to zeta_H(s, a), the negative part to
-    zeta_H(s, 1-a); at s = 0 the difference is 1 - 2a.
+    zeta_H(s, 1-a); at s = 0 the difference is 1 - 2a.  Takes a float or an
+    array of offsets and returns a float or an array of the same shape, from
+    one Euler-Maclaurin pass over the shifts a and 1 - a; an offset outside
+    (0, 1), NaN included, raises DomainError.
     """
-    if not 0.0 < a < 1.0:
-        raise DomainError(f"offset a must lie in (0, 1), got {a}")
-    value = hurwitz_zeta(HurwitzParams(s=0.0, a=a)) - hurwitz_zeta(HurwitzParams(s=0.0, a=1.0 - a))
-    return float(value.real)
+    offsets = np.array(a, dtype=float, ndmin=1)
+    flat = offsets.reshape(-1)
+    outside = ~((flat > 0.0) & (flat < 1.0))
+    if outside.any():
+        raise DomainError(f"offset a must lie in (0, 1), got {flat[outside][0]}")
+    zeta = _hurwitz_em(0.0, np.concatenate([flat, 1.0 - flat]))
+    eta = (zeta[: flat.size] - zeta[flat.size :]).real
+    return float(eta[0]) if np.ndim(a) == 0 else eta.reshape(offsets.shape)
 
 
-def _eta_flipped(a: float, flip_mode: int) -> float:
-    """Regularized eta after shifting the eigenvalue at n = flip_mode by -1.
+def _eta_flipped(base: float, flip_mode: int) -> float:
+    """Regularized eta after shifting the eigenvalue at n = flip_mode by -1,
+    from the unflipped eta ``base``.
 
     Expressed through the unflipped Hurwitz sums plus the two swapped
     power terms, each continued to s = 0 where x^(-s) contributes 1.
     """
-    base = eta_invariant_spectral(a)
     if flip_mode == 0:
         # a leaves the positive family, 1 - a joins the negative family
         return base - 1.0 - 1.0
@@ -397,23 +422,67 @@ def eta_finite_rank_check(a: float, flip_mode: int, window: ModeWindow) -> tuple
     diag[window.index(flip_mode), window.index(flip_mode)] = 1.0 if eigenvalue_after > 0 else 0.0
     pi_d_flipped = ModeOperator(window, diag, TAIL_APS)
     lhs = relative_eta(pi_d, pi_d_flipped)
-    rhs = eta_invariant_spectral(a) - _eta_flipped(a, flip_mode)
+    eta = eta_invariant_spectral(a)
+    rhs = eta - _eta_flipped(eta, flip_mode)
     return lhs, rhs
 
 
-def _require_chart(sv: np.ndarray, rank: int, t: tuple[float, float]) -> None:
-    """Raise NotInvertible unless the leading ``rank`` of the descending
-    singular values ``sv`` of a chart map at the parameter point ``t`` clear
-    CHART_SVD_THRESHOLD."""
-    if rank == 0 or rank > len(sv):
+# Parameter points of the chart layer: a pair of floats, or a pair of 1-D
+# arrays of one length for a stack of points (see the module docstring).
+Points = tuple[float, float] | tuple[np.ndarray, np.ndarray]
+
+
+def _points(t) -> Points:
+    """t as two floats for a point, or as two nonempty 1-D float arrays of one
+    length for a stack of points."""
+    try:
+        t1, t2 = (np.asarray(c, dtype=float) for c in t)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"t must be a pair (t1, t2) of floats or 1-D arrays, got {t!r}") from exc
+    if t1.shape != t2.shape or t1.ndim > 1 or t1.size == 0:
+        raise DomainError(
+            f"t1 and t2 must be floats or 1-D arrays of one nonzero length, "
+            f"got shapes {t1.shape} and {t2.shape}"
+        )
+    if t1.ndim == 0:
+        t1, t2 = float(t1), float(t2)
+        finite = math.isfinite(t1) and math.isfinite(t2)
+    else:
+        finite = np.isfinite(t1).all() and np.isfinite(t2).all()
+    if not finite:
+        raise DomainError(f"t must be finite, got {t!r}")
+    return t1, t2
+
+
+def _result(values) -> complex | np.ndarray:
+    """A complex for one point, the array of values for a stack of points."""
+    return values if isinstance(values, np.ndarray) and values.ndim else complex(values)
+
+
+def _point(t: Points, i: int) -> tuple[float, float]:
+    """The i-th point of t (i = 0 for one point) as a pair of floats."""
+    return float(np.ravel(t[0])[i]), float(np.ravel(t[1])[i])
+
+
+def _require_chart(sv: np.ndarray, rank: int, t: Points) -> None:
+    """Raise NotInvertible unless, at every point of t, the leading ``rank`` of
+    the descending singular values ``sv[..., :]`` of its chart map clear
+    CHART_SVD_THRESHOLD; the error names the first failing point."""
+    if rank == 0 or rank > sv.shape[-1]:
         raise NotInvertible(f"restriction rank {rank} is out of range")
-    if sv[rank - 1] < CHART_SVD_THRESHOLD:
-        raise NotInvertible(f"chart is singular at t = {t} (sv = {sv[rank - 1]:.3e})")
+    smallest = sv[..., rank - 1]
+    low = smallest < CHART_SVD_THRESHOLD
+    if low.any():
+        i = int(np.argmax(low))
+        raise NotInvertible(
+            f"chart is singular at t = {_point(t, i)} (sv = {np.ravel(smallest)[i]:.3e})"
+        )
 
 
-def _chart_ratio(a1: np.ndarray, a2: np.ndarray, t: tuple[float, float]) -> complex:
+def _chart_ratio(a1: np.ndarray, a2: np.ndarray, t: Points) -> complex | np.ndarray:
     """det_F((S_1 V V* + I - q)(S_2 V V* + I - q)^{-1}) from the r x r blocks
-    A_i = X* S_i V, as det(A_1 A_2^{-1}); both blocks pass _require_chart.
+    A_i = X* S_i V, as det(A_1 A_2^{-1}) at each point; both blocks pass
+    _require_chart.
 
     The callers pick X so that the identity-extended representatives are
     block lower triangular and differ only in the block A_i; the other
@@ -434,16 +503,18 @@ def _chart_ratio(a1: np.ndarray, a2: np.ndarray, t: tuple[float, float]) -> comp
     r x r solve, it rests on the multiplicativity of det.
     """
     for a in (a1, a2):
-        _require_chart(np.linalg.svd(a, compute_uv=False), len(a), t)
-    return complex(np.linalg.det(np.linalg.solve(a2.T, a1.T).T))
+        _require_chart(np.linalg.svd(a, compute_uv=False), a.shape[-1], t)
+    return _result(np.linalg.det(np.linalg.solve(a2.mT, a1.mT).mT))
 
 
 def _direction_axis(direction) -> int:
-    if direction in (0, "t1"):
-        return 0
-    if direction in (1, "t2"):
-        return 1
-    raise DomainError(f"direction must be 't1' or 't2', got {direction!r}")
+    """0 for "t1" or the integer 0, 1 for "t2" or 1; a bool or a float is no direction."""
+    if isinstance(direction, str) and direction in ("t1", "t2"):
+        return ("t1", "t2").index(direction)
+    integer = isinstance(direction, numbers.Integral) and not isinstance(direction, bool)
+    if integer and direction in (0, 1):
+        return int(direction)
+    raise DomainError(f"direction must be 't1', 't2', 0 or 1, got {direction!r}")
 
 
 def _chart_base(w: ModeWindow, base: ModeOperator) -> np.ndarray:
@@ -462,19 +533,49 @@ def _chart_base(w: ModeWindow, base: ModeOperator) -> np.ndarray:
     return vectors[:, eigenvalues > 0.5]
 
 
-def _projection_at(
-    fam: ProjectionFamily, t: tuple[float, float], v: np.ndarray | None = None
+def _family_blocks(
+    fam: ProjectionFamily, t1: float | np.ndarray, t2: float | np.ndarray
 ) -> np.ndarray:
-    """Window block of fam at t, checked once per public call to be a projection
-    and, given a basis V of ran(base), to have the rank of base, without which
-    no chart map is invertible (the rank is constant near t)."""
-    op = fam(*t)
-    _require_single(op, "a family value")
+    """The family's block function, unwrapped and unchecked, at each point of
+    1-D arrays t1, t2 as a (k, d, d) stack, or at one point (floats t1, t2)
+    as its d x d block itself."""
+    if isinstance(t1, np.ndarray):
+        return np.array([_block(fam, a, b) for a, b in zip(t1.tolist(), t2.tolist())])
+    return _block(fam, t1, t2)
+
+
+def _block(fam: ProjectionFamily, t1: float, t2: float) -> np.ndarray:
+    """The family's block at one point; a block function returning a stack is refused."""
+    block = np.asarray(fam._map(t1, t2))
+    if block.ndim == 3:
+        raise DomainError(f"a family value takes one operator, got a stack of {len(block)}")
+    return block
+
+
+def _projections_at(fam: ProjectionFamily, t: Points, v: np.ndarray | None = None) -> np.ndarray:
+    """Window blocks of fam at the points t (see _family_blocks), checked once
+    per public call to be projections and, given a basis V of ran(base), to
+    have the rank of base, without which no chart map is invertible (the rank
+    is constant near each point).  An error names the first failing point."""
+    op = ModeOperator(fam.window, _family_blocks(fam, *t), TAIL_APS)
     if not op.is_projection():
-        raise DomainError(f"family value at ({t[0]}, {t[1]}) is not a projection")
-    rank_p = np.trace(op.entries).real
-    if v is not None and round(rank_p) != v.shape[1]:
-        raise NotInvertible(f"chart is singular at t = {t} (rank P = {rank_p:.0f} != rank base)")
+        members = op.entries.reshape(-1, *op.entries.shape[-2:])
+        i = next(
+            i
+            for i, m in enumerate(members)
+            if not ModeOperator(fam.window, m, TAIL_APS).is_projection()
+        )
+        t1, t2 = _point(t, i)
+        raise DomainError(f"family value at ({t1}, {t2}) is not a projection")
+    if v is not None:
+        rank_p = np.trace(op.entries, axis1=-2, axis2=-1).real
+        off = np.rint(rank_p) != v.shape[1]
+        if off.any():
+            i = int(np.argmax(off))
+            raise NotInvertible(
+                f"chart is singular at t = {_point(t, i)} "
+                f"(rank P = {np.ravel(rank_p)[i]:.0f} != rank base)"
+            )
     return op.entries
 
 
@@ -490,7 +591,8 @@ def _chart_sigma(w: ModeWindow, perturbation: ModeOperator | None) -> np.ndarray
 
 
 def _chart_map(p: np.ndarray, v: np.ndarray, sig: np.ndarray | None) -> np.ndarray:
-    """Thin block (P + P sigma P) V of the chart map on ran(base)."""
+    """Thin blocks (P + P sigma P) V of the chart maps on ran(base), at each
+    point of the family values P."""
     pv = p @ v
     if sig is None:
         return pv
@@ -500,10 +602,10 @@ def _chart_map(p: np.ndarray, v: np.ndarray, sig: np.ndarray | None) -> np.ndarr
 def connection_form(
     fam: ProjectionFamily,
     base: ModeOperator,
-    t: tuple[float, float],
+    t: Points,
     direction="t1",
     perturbation: ModeOperator | None = None,
-) -> complex:
+) -> complex | np.ndarray:
     """Connection 1-form component Tr(S^{-1} P (dS) base) over ran(base).
 
     S is the Fredholm family (P + P sigma P) base : ran(base) -> ran(P) of the
@@ -512,24 +614,26 @@ def connection_form(
     fixed mode basis, realised entrywise by the stencil; the compression
     P (dS) base is the induced hom-bundle derivative, and the trace over
     ran(base) is computed with the pseudo-inverse standing in for the
-    inverse of the restricted map.
+    inverse of the restricted map.  t = (t1, t2) holds floats, or 1-D arrays
+    of one length for a complex array of values, one per point.
     """
     axis = _direction_axis(direction)
+    pts = _points(t)
     v = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
-    return _connection_form(fam, v, _projection_at(fam, t, v), t, axis, _D1, sig)
+    return _result(_connection_form(fam, v, _projections_at(fam, pts, v), pts, axis, _D1, sig))
 
 
 def _connection_form(
     fam: ProjectionFamily,
     v: np.ndarray,
     p: np.ndarray,
-    t: tuple[float, float],
+    t: Points,
     axis: int,
     st: FdStencil,
     sig: np.ndarray | None,
-) -> complex:
-    """connection_form at the family value p = P(t), on a basis V of ran(base).
+) -> complex | np.ndarray:
+    """connection_form at the family values p = P(t), on a basis V of ran(base).
 
     With base = V V*, Tr(S^+ P dS base) equals Tr((SV)^+ P d(SV)) on the thin
     block SV, whose singular values are the nonzero ones of S: one thin SVD
@@ -541,78 +645,85 @@ def _connection_form(
     u, sv, vh = np.linalg.svd(_chart_map(p, v, sig), full_matrices=False)
     _require_chart(sv, v.shape[1], t)
     if sig is None:
-        ds = fd_apply(fam._map, t, st, axis) @ v
+        ds = fd_apply(partial(_family_blocks, fam), t, st, axis) @ v
     else:
-        ds = fd_apply(lambda t1, t2: _chart_map(fam._map(t1, t2), v, sig), t, st, axis)
-    kept = sv > RANK_SVD_THRESHOLD * sv[0]
-    s_pinv = (vh[kept].conj().T / sv[kept]) @ u[:, kept].conj().T
-    return complex(np.trace(s_pinv @ p @ ds))
+        ds = fd_apply(lambda t1, t2: _chart_map(_family_blocks(fam, t1, t2), v, sig), t, st, axis)
+    kept = sv > RANK_SVD_THRESHOLD * sv[..., :1]
+    s_pinv = (vh.conj().mT / np.where(kept, sv, np.inf)[..., None, :]) @ u.conj().mT
+    return _result(np.trace(s_pinv @ p @ ds, axis1=-2, axis2=-1))
 
 
-def tr_p_dp_dp(fam: ProjectionFamily, t: tuple[float, float]) -> complex:
-    """Curvature density Tr(P [d1 P, d2 P]) of the family, by stencil derivatives."""
-    p = _projection_at(fam, t)
-    d1 = fd_apply(fam._map, t, _D1, 0)
-    d2 = fd_apply(fam._map, t, _D1, 1)
-    return complex(np.trace(p @ (d1 @ d2 - d2 @ d1)))
+def tr_p_dp_dp(fam: ProjectionFamily, t: Points) -> complex | np.ndarray:
+    """Curvature density Tr(P [d1 P, d2 P]) of the family, by stencil derivatives,
+    at a point or at each point of equal-length arrays t1, t2."""
+    pts = _points(t)
+    p = _projections_at(fam, pts)
+    d1 = fd_apply(partial(_family_blocks, fam), pts, _D1, 0)
+    d2 = fd_apply(partial(_family_blocks, fam), pts, _D1, 1)
+    return _result(np.trace(p @ (d1 @ d2 - d2 @ d1), axis1=-2, axis2=-1))
 
 
 def curvature_rkw(
     fam: ProjectionFamily,
     base: ModeOperator,
-    t: tuple[float, float],
+    t: Points,
     perturbation: ModeOperator | None = None,
-) -> complex:
-    """Curvature two-form d omega = d1 omega_2 - d2 omega_1 at a parameter point.
+) -> complex | np.ndarray:
+    """Curvature two-form d omega = d1 omega_2 - d2 omega_1 at a parameter point,
+    or at each point of equal-length arrays t1, t2.
 
     The outer derivatives use the step DEFAULT_FD_STEP; the inner connection
     forms use the finer INNER_FD_STEP so the nested differencing stays well
     below TOL_CONNECTION_CURVATURE against Tr(P [d1 P, d2 P]).
     """
+    pts = _points(t)
     v = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
-    _projection_at(fam, t, v)  # the stencil points around t are not checked
+    _projections_at(fam, pts, v)  # the stencil points around t are not checked
 
-    def omega(axis_inner: int) -> Callable[[float, float], complex]:
-        def at(t1: float, t2: float) -> complex:
-            return _connection_form(fam, v, fam._map(t1, t2), (t1, t2), axis_inner, _D1_INNER, sig)
+    def omega(axis_inner: int) -> Callable[..., complex | np.ndarray]:
+        def at(t1, t2) -> complex | np.ndarray:
+            p = _family_blocks(fam, t1, t2)
+            return _connection_form(fam, v, p, (t1, t2), axis_inner, _D1_INNER, sig)
 
         return at
 
-    return fd_apply(omega(1), t, _D1, 0) - fd_apply(omega(0), t, _D1, 1)
+    return _result(fd_apply(omega(1), pts, _D1, 0) - fd_apply(omega(0), pts, _D1, 1))
 
 
 def transition_det(
     fam: ProjectionFamily,
     base: ModeOperator,
-    t: tuple[float, float],
+    t: Points,
     sigma1: ModeOperator | None,
     sigma2: ModeOperator | None,
-) -> complex:
-    """Transition function between two perturbation charts of one family.
+) -> complex | np.ndarray:
+    """Transition function between two perturbation charts of one family, at a
+    point or at each point of equal-length arrays t1, t2.
 
     Both charts trivialize the determinant line of S(P) over the locus where
     their perturbed Fredholm families are invertible; the transition function
     is the Fredholm determinant of S_1 S_2^{-1} on ran(P), computed through
     the identity-extended representatives S_i + (I - P).
     """
+    pts = _points(t)
     w = fam.window
     v = _chart_base(w, base)
     sig1, sig2 = _chart_sigma(w, sigma1), _chart_sigma(w, sigma2)
-    return _transition_det(v, _projection_at(fam, t, v), t, sig1, sig2)
+    return _result(_transition_det(v, _projections_at(fam, pts, v), pts, sig1, sig2))
 
 
 def _transition_det(
     v: np.ndarray,
     p: np.ndarray,
-    t: tuple[float, float],
+    t: Points,
     sig1: np.ndarray | None,
     sig2: np.ndarray | None,
-) -> complex:
+) -> complex | np.ndarray:
     """det_F((S_1 + I - P)(S_2 + I - P)^{-1}) on the r x r blocks Q* S_i V,
-    for a family value P of the rank of base."""
+    for family values P of the rank of base."""
     q, r = np.linalg.qr(_chart_map(p, v, sig2))
-    return _chart_ratio(q.conj().T @ _chart_map(p, v, sig1), r, t)
+    return _chart_ratio(q.conj().mT @ _chart_map(p, v, sig1), r, t)
 
 
 def perturbation_patching_check(
@@ -620,61 +731,65 @@ def perturbation_patching_check(
     base: ModeOperator,
     sigma1: ModeOperator | None,
     sigma2: ModeOperator | None,
-    t: tuple[float, float],
+    t: Points,
     direction="t1",
-) -> tuple[complex, complex]:
+) -> tuple[complex, complex] | tuple[np.ndarray, np.ndarray]:
     """Patching identity between two perturbation charts of one family.
 
     Returns (lhs, rhs) with lhs the logarithmic derivative of the transition
     determinant and rhs the difference of the chart connection forms; the two
-    agree up to finite-difference error.
+    agree up to finite-difference error.  For equal-length arrays t1, t2 both
+    are complex arrays, one value per point.
     """
     axis = _direction_axis(direction)
+    pts = _points(t)
     w = fam.window
     v = _chart_base(w, base)
     sig1, sig2 = _chart_sigma(w, sigma1), _chart_sigma(w, sigma2)
-    p = _projection_at(fam, t, v)
+    p = _projections_at(fam, pts, v)
 
-    def g_at(t1: float, t2: float) -> complex:
-        return _transition_det(v, fam._map(t1, t2), (t1, t2), sig1, sig2)
+    def g_at(t1, t2) -> complex | np.ndarray:
+        return _transition_det(v, _family_blocks(fam, t1, t2), (t1, t2), sig1, sig2)
 
-    lhs = fd_apply(g_at, t, _D1, axis) / _transition_det(v, p, t, sig1, sig2)
-    rhs = _connection_form(fam, v, p, t, axis, _D1, sig1) - _connection_form(
-        fam, v, p, t, axis, _D1, sig2
+    lhs = fd_apply(g_at, pts, _D1, axis) / _transition_det(v, p, pts, sig1, sig2)
+    rhs = _connection_form(fam, v, p, pts, axis, _D1, sig1) - _connection_form(
+        fam, v, p, pts, axis, _D1, sig2
     )
-    return complex(lhs), complex(rhs)
+    return _result(lhs), _result(rhs)
 
 
 def patching_identity_check(
     fam1: ProjectionFamily,
     fam2: ProjectionFamily,
     base: ModeOperator,
-    t: tuple[float, float],
+    t: Points,
     direction="t1",
-) -> tuple[complex, complex]:
+) -> tuple[complex, complex] | tuple[np.ndarray, np.ndarray]:
     """Patching identity between the identity charts of two projection families.
 
     The transition function is the determinant-line ratio of the identity
     extensions S_i + (I - base); it patches the two trivializations whenever
     the families are charts of one line bundle (for instance conjugate by a
     constant unitary commuting with base).  Returns (lhs, rhs) with lhs the
-    logarithmic derivative of that ratio and rhs = omega_1 - omega_2.
+    logarithmic derivative of that ratio and rhs = omega_1 - omega_2; for
+    equal-length arrays t1, t2 both are complex arrays, one value per point.
     """
     axis = _direction_axis(direction)
+    pts = _points(t)
     if fam1.window.n_max != fam2.window.n_max:
         raise NotCommensurable("families must share one mode window")
     v = _chart_base(fam1.window, base)
     vh = v.conj().T
-    p1, p2 = _projection_at(fam1, t, v), _projection_at(fam2, t, v)
+    p1, p2 = _projections_at(fam1, pts, v), _projections_at(fam2, pts, v)
 
-    def ratio(pa: np.ndarray, pb: np.ndarray, at: tuple[float, float]) -> complex:
+    def ratio(pa: np.ndarray, pb: np.ndarray, at: Points) -> complex | np.ndarray:
         return _chart_ratio(vh @ _chart_map(pa, v, None), vh @ _chart_map(pb, v, None), at)
 
-    def g_at(t1: float, t2: float) -> complex:
-        return ratio(fam1._map(t1, t2), fam2._map(t1, t2), (t1, t2))
+    def g_at(t1, t2) -> complex | np.ndarray:
+        return ratio(_family_blocks(fam1, t1, t2), _family_blocks(fam2, t1, t2), (t1, t2))
 
-    lhs = fd_apply(g_at, t, _D1, axis) / ratio(p1, p2, t)
-    rhs = _connection_form(fam1, v, p1, t, axis, _D1, None) - _connection_form(
-        fam2, v, p2, t, axis, _D1, None
+    lhs = fd_apply(g_at, pts, _D1, axis) / ratio(p1, p2, pts)
+    rhs = _connection_form(fam1, v, p1, pts, axis, _D1, None) - _connection_form(
+        fam2, v, p2, pts, axis, _D1, None
     )
-    return complex(lhs), complex(rhs)
+    return _result(lhs), _result(rhs)

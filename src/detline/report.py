@@ -242,7 +242,8 @@ def spectral_cut_errors(w: gr.ModeWindow) -> tuple[float, float]:
 
 def eta_offset_error(offsets) -> float:
     """Max error of the spectral eta invariant against 1 - 2a over the offsets."""
-    return _worst(abs(gr.eta_invariant_spectral(a) - (1.0 - 2.0 * a)) for a in offsets)
+    a = np.asarray(list(offsets), dtype=float)
+    return _worst(np.abs(gr.eta_invariant_spectral(a) - (1.0 - 2.0 * a)))
 
 
 def eta_flip_error(rng: np.random.Generator, w: gr.ModeWindow) -> float:
@@ -254,28 +255,46 @@ def eta_flip_error(rng: np.random.Generator, w: gr.ModeWindow) -> float:
     return _worst(abs(lhs - rhs) for lhs, rhs in checks)
 
 
+def _stacked(points) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter points (t1, t2) as the pair of arrays the chart layer takes."""
+    t1, t2 = np.asarray(list(points), dtype=float).reshape(-1, 2).T
+    return t1, t2
+
+
+def _by_direction(samples) -> dict:
+    """(t, direction) samples as {direction: stacked points}, one entry per direction."""
+    grouped: dict = {}
+    for t, direction in samples:
+        grouped.setdefault(direction, []).append(t)
+    return {direction: _stacked(points) for direction, points in grouped.items()}
+
+
 def family_patching_error(fam1, fam2, base: gr.ModeOperator, samples) -> float:
     """Max patching-identity error between the identity charts of two families
-    over (t, direction) samples."""
-    checks = (gr.patching_identity_check(fam1, fam2, base, t, d) for t, d in samples)
-    return _worst(abs(lhs - rhs) for lhs, rhs in checks)
+    over (t, direction) samples, one call per direction."""
+    checks = (
+        gr.patching_identity_check(fam1, fam2, base, t, d)
+        for d, t in _by_direction(samples).items()
+    )
+    return _worst(np.concatenate([np.abs(lhs - rhs) for lhs, rhs in checks]))
 
 
 def chart_patching_error(fam, base: gr.ModeOperator, sigma1, sigma2, samples) -> float:
     """Max patching-identity error between two perturbation charts of one family
-    over (t, direction) samples."""
+    over (t, direction) samples, one call per direction."""
     checks = (
-        gr.perturbation_patching_check(fam, base, sigma1, sigma2, t, d) for t, d in samples
+        gr.perturbation_patching_check(fam, base, sigma1, sigma2, t, d)
+        for d, t in _by_direction(samples).items()
     )
-    return _worst(abs(lhs - rhs) for lhs, rhs in checks)
+    return _worst(np.concatenate([np.abs(lhs - rhs) for lhs, rhs in checks]))
 
 
 def connection_curvature_error(fam, base: gr.ModeOperator, points, perturbation) -> float:
     """Max |d omega - Tr(P [d1 P, d2 P])| over parameter points, in the chart of
     the perturbation (None for the identity chart)."""
+    t = _stacked(points)
     return _worst(
-        abs(gr.curvature_rkw(fam, base, t, perturbation=perturbation) - gr.tr_p_dp_dp(fam, t))
-        for t in points
+        np.abs(gr.curvature_rkw(fam, base, t, perturbation=perturbation) - gr.tr_p_dp_dp(fam, t))
     )
 
 
@@ -536,10 +555,9 @@ def _suite_grassmannian(rng: np.random.Generator) -> Iterator[Row]:
         0.0,
         TOL_ETA,
     )
-    worst_anti = _worst(
-        abs(gr.eta_invariant_spectral(a) + gr.eta_invariant_spectral(1.0 - a))
-        for a in (0.05, 0.2, 0.35, 0.45)
-    )
+    offsets = np.array([0.05, 0.2, 0.35, 0.45])
+    eta = gr.eta_invariant_spectral(np.concatenate([offsets, 1.0 - offsets]))
+    worst_anti = _worst(np.abs(eta[: offsets.size] + eta[offsets.size :]))
     yield "eta antisymmetry under a -> 1-a", "eta-as-zeta-quasi-trace", worst_anti, 0.0, 1e-10
 
     yield (
@@ -699,14 +717,17 @@ def _stokes_pair(fam: gr.ProjectionFamily, base: gr.ModeOperator) -> tuple[compl
     w1 = 0.5 * _STOKES_T1_MAX * weights
     t2s = np.arange(_STOKES_N2) / _STOKES_N2
 
-    def along_t1(t2: float) -> complex:
-        return complex(w1 @ np.array([gr.connection_form(fam, base, (s, t2), 0) for s in t1s]))
-
-    def along_t2(t1: float) -> complex:
-        return complex(np.mean([gr.connection_form(fam, base, (t1, s), 1) for s in t2s]))
-
-    boundary = along_t1(0.0) + along_t2(_STOKES_T1_MAX) - along_t1(1.0) - along_t2(0.0)
-    grid = np.array([[gr.tr_p_dp_dp(fam, (a, b)) for b in t2s] for a in t1s])
+    # omega_1 on the bottom (t2 = 0) and top (t2 = 1) edges, omega_2 on the
+    # left (t1 = 0) and right edges: one connection_form call per direction
+    n1, n2 = t1s.size, t2s.size
+    omega_1 = gr.connection_form(fam, base, (np.tile(t1s, 2), np.repeat([0.0, 1.0], n1)), 0)
+    omega_2 = gr.connection_form(
+        fam, base, (np.repeat([0.0, _STOKES_T1_MAX], n2), np.tile(t2s, 2)), 1
+    )
+    bottom, top = (complex(w1 @ omega_1[j * n1 : (j + 1) * n1]) for j in (0, 1))
+    left, right = (complex(np.mean(omega_2[j * n2 : (j + 1) * n2])) for j in (0, 1))
+    boundary = bottom + right - top - left
+    grid = gr.tr_p_dp_dp(fam, (np.repeat(t1s, n2), np.tile(t2s, n1))).reshape(n1, n2)
     area = complex(w1 @ grid.mean(axis=1))
     return boundary, area
 

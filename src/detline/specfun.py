@@ -12,6 +12,13 @@ are not enough (Johansson, Numer. Algorithms 2015): s = -30 gave 1.5e35
 where the value is 0, and s = 0.5+400i was off by O(1).  It raises
 ``DomainError`` there instead.
 
+The rule's kernel ``_hurwitz_em`` runs over an array of shifts in a fixed
+number of numpy passes, and a shift's value does not depend on the others in
+the array.  ``grassmannian.eta_invariant_spectral`` sends all its offsets a and
+1 - a through one call; ``hurwitz_zeta`` sends its one shift under
+``np.errstate``, so a term that leaves the double range raises
+``DomainError``, never a numpy warning.
+
 ``hurwitz_zeta_ds0``, the s-derivative at s = 0 behind every spectral
 determinant, takes a float or a numpy array of shifts and returns a float or
 an array of the same shape; a scalar runs through the same kernel as a
@@ -92,23 +99,45 @@ class HurwitzParams:
             raise DomainError(f"shift a must lie in (0, 1], got {self.a}")
 
 
-def _hurwitz_em(s: complex, a: float) -> complex:
-    """Euler-Maclaurin evaluation without domain guard on a (a > 0 required).
+# Points x terms per block of a direct sum, so temporaries stay bounded
+# whatever the number of points.
+_SUM_BLOCK = 1 << 13
+
+
+def _hurwitz_em(s: complex, a: float | np.ndarray) -> np.ndarray:
+    """Euler-Maclaurin evaluation without domain guard on a (a > 0 required),
+    elementwise over an array of shifts (a complex array of a's shape).
 
     Used internally to realise the recurrence zeta(s, a) = a^-s + zeta(s, a+1)
-    across the unit shift, where the public entry point restricts a to (0, 1].
+    across the unit shift, where the public entry point restricts a to (0, 1],
+    and by ``grassmannian.eta_invariant_spectral`` at s = 0 over its offsets.
+    The direct sum runs over blocks of points, one row of terms per point,
+    summed along the row, so a point's value does not depend on the other
+    points; the Bernoulli terms B_2k / (2k)! (s)_{2k-1} w^(1-s-2k) are
+    w^(1-s) times one polynomial in 1/w^2.  A term that leaves the double
+    range gives inf or NaN, not an exception: callers check finiteness.
     """
     s = complex(s)
-    total = complex(sum((n + a) ** (-s) for n in range(DEFAULT_CUTOFF)))
-    w = DEFAULT_CUTOFF + a
-    total += w ** (1 - s) / (s - 1)
+    points = np.asarray(a, dtype=float)
+    flat = points.reshape(-1)
+    n = np.arange(float(DEFAULT_CUTOFF))
+    total = np.empty(flat.shape, dtype=complex)
+    rows = max(1, _SUM_BLOCK // DEFAULT_CUTOFF)
+    for start in range(0, flat.size, rows):
+        block = flat[start : start + rows, None] + n
+        total[start : start + rows] = (block ** (-s)).sum(axis=1)
+    w = DEFAULT_CUTOFF + flat
+    w_1s = w ** (1 - s)
+    total += w_1s / (s - 1)
     total += 0.5 * w ** (-s)
     # Rising factorial s(s+1)...(s+2k-2), built incrementally.
-    poch = s
+    poch, coeffs = s, []
     for k, b2k in enumerate(_BERNOULLI_EVEN, start=1):
-        total += b2k / math.factorial(2 * k) * poch * w ** (-s - 2 * k + 1)
+        coeffs.append(b2k / math.factorial(2 * k) * poch)
         poch = poch * (s + 2 * k - 1) * (s + 2 * k)
-    return total
+    powers = np.power.outer(1.0 / (w * w), np.arange(1, len(coeffs) + 1))
+    total += w_1s * (powers @ np.array(coeffs))
+    return total.reshape(points.shape)
 
 
 def hurwitz_zeta(p: HurwitzParams) -> complex:
@@ -120,7 +149,7 @@ def hurwitz_zeta(p: HurwitzParams) -> complex:
     fixed cutoff is too short and the result would be silently wrong, so
     DomainError is raised.  It is raised too where a term leaves the double
     range (a^-s for a = 0.01 at Re s > 154, the Bernoulli terms near
-    Re s = 1e21), which would otherwise end in OverflowError or a silent NaN.
+    Re s = 1e21), which would otherwise end in inf or a silent NaN.
     """
     s = complex(p.s)
     if not (s.real >= S_RE_MIN and abs(s.imag) <= S_IM_MAX):
@@ -130,12 +159,10 @@ def hurwitz_zeta(p: HurwitzParams) -> complex:
         )
     if abs(p.s - 1.0) < POLE_DISTANCE:
         raise PoleAtOne(f"zeta(s, a) has a pole at s = 1 (got s = {p.s})")
-    try:
-        value = _hurwitz_em(p.s, p.a)
-        if cmath.isfinite(value):
-            return value
-    except OverflowError:
-        pass
+    with np.errstate(all="ignore"):
+        value = complex(_hurwitz_em(p.s, p.a))
+    if cmath.isfinite(value):
+        return value
     raise DomainError(f"zeta(s, a) at s = {p.s}, a = {p.a} leaves the double range")
 
 
@@ -157,10 +184,6 @@ def _ds0_constant() -> float:
 
 
 _DS0_CONSTANT = _ds0_constant()
-
-# Points per block of the direct sum: a block holds points x (DEFAULT_CUTOFF - 1)
-# quotients, so temporaries stay bounded whatever the number of points.
-_DS0_BLOCK = 1 << 13
 
 
 def hurwitz_zeta_ds0(a: float | np.ndarray) -> float | np.ndarray:
@@ -187,7 +210,7 @@ def hurwitz_zeta_ds0(a: float | np.ndarray) -> float | np.ndarray:
         raise DomainError(f"shift a must lie in (0, 1), got {flat[outside][0]}")
     n = np.arange(1.0, DEFAULT_CUTOFF)
     direct = np.empty_like(flat)
-    rows = max(1, _DS0_BLOCK // max(1, n.size))
+    rows = max(1, _SUM_BLOCK // max(1, n.size))
     for start in range(0, flat.size, rows):
         block = flat[start : start + rows, None] / n
         direct[start : start + rows] = np.log1p(block, out=block).sum(axis=1)

@@ -4,6 +4,7 @@ coefficient.  Long division over Fraction serves as the independent oracle."""
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +52,38 @@ def test_todd_defining_identity():
 def test_exp_series_values():
     assert list(exp_series(0, 2).coeffs) == [Fraction(1), Fraction(0), Fraction(0)]
     assert list(exp_series(1, 2).coeffs) == [Fraction(1), Fraction(1), Fraction(1, 2)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exp_series(float("nan")),
+        lambda: exp_series(float("inf")),
+        lambda: exp_series(-float("inf"), 3),
+        lambda: RationalSeries.from_list([float("nan")], 3),
+        lambda: RationalSeries.from_list([1, float("inf")], 3),
+        lambda: RationalSeries((1, 2, float("nan")), 2),
+        lambda: RationalSeries.from_list([1j], 3),
+    ],
+    ids=["exp-nan", "exp-inf", "exp-minus-inf", "list-nan", "list-inf", "tuple-nan", "complex"],
+)
+def test_non_finite_coefficients_and_twists_raise_domain_error(call):
+    # NaN gave ValueError and inf OverflowError, from Fraction
+    with pytest.raises(DomainError, match="finite rational"):
+        call()
+
+
+@pytest.mark.parametrize("m", [2.5, 3.0, True, False, Fraction(1, 2), "3"])
+def test_grr_coefficient_requires_an_integer_twist(m):
+    # 2.5 gave 107/24 and True gave 13/12
+    with pytest.raises(DomainError, match="twist m must be an integer"):
+        grr_c1_coefficient(m)
+
+
+def test_exp_series_keeps_rational_multiples():
+    assert exp_series(Fraction(1, 3), 2).coeffs == (1, Fraction(1, 3), Fraction(1, 18))
+    assert exp_series(0.5, 2).coeffs == (1, Fraction(1, 2), Fraction(1, 8))
+    assert grr_c1_coefficient(np.int64(2)) == grr_c1_coefficient(2) == Fraction(37, 12)
 
 
 @pytest.mark.parametrize("cap", [-1, 0, 1])

@@ -878,5 +878,188 @@ def test_stokes_pair_call_counts(monkeypatch):
     counted("tr_p_dp_dp")
     counted("connection_form")
     stokes_on(6)
-    assert counts["tr_p_dp_dp"] <= 150
-    assert counts["connection_form"] <= 60
+    # one call per direction for the four edges, one for the 8 x 4 area grid
+    # (32 and 24 one-point calls before the chart layer took stacks of points)
+    assert counts == {"connection_form": 2, "tr_p_dp_dp": 1}
+
+
+# ---------------------------------------------------------------------------
+# the chart layer on stacks of points: t = (t1, t2) with equal-length arrays
+
+STACK_T1 = np.array([0.2, 0.35, 0.5, 0.71])
+STACK_T2 = np.array([0.1, 0.45, 0.8, 0.3])
+
+
+def stack_setting():
+    # the rotated family, a conjugate of it by a unitary near the identity
+    # that does not commute with PI0 (so the identity-chart patching ratio
+    # moves), and two perturbation charts
+    rng = np.random.default_rng(9)
+    h = rng.standard_normal((W.dim, W.dim)) + 1j * rng.standard_normal((W.dim, W.dim))
+    eigenvalues, vectors = np.linalg.eigh(0.5 / np.sqrt(W.dim) * (h + h.conj().T))
+    u = (vectors * np.exp(1j * eigenvalues)) @ vectors.conj().T
+    fam2, _ = conjugated(ROTATED, PI0.entries, u)
+    sigmas = [
+        gr.ModeOperator(W, 0.25 * report.random_window_unitary(rng, W.dim), gr.TAIL_ZERO)
+        for _ in range(2)
+    ]
+    return fam2, sigmas
+
+
+STACK_FAM2, (STACK_S1, STACK_S2) = stack_setting()
+
+# (entry, exact): an entry that divides by a stencil quotient on the way
+# (curvature_rkw's outer stencil, the patching log-derivatives) divides in
+# numpy on a stack and in Python complex arithmetic on a point, which may
+# round apart in the last bit; every other value is equal to the last bit
+STACKED_ENTRY_POINTS = [
+    pytest.param(
+        lambda t, s: gr.connection_form(ROTATED, PI0, t, "t1", s), True, id="connection_form-t1"
+    ),
+    pytest.param(
+        lambda t, s: gr.connection_form(ROTATED, PI0, t, "t2", s), True, id="connection_form-t2"
+    ),
+    pytest.param(lambda t, s: gr.tr_p_dp_dp(ROTATED, t), True, id="tr_p_dp_dp"),
+    pytest.param(lambda t, s: gr.curvature_rkw(ROTATED, PI0, t, s), False, id="curvature_rkw"),
+    pytest.param(
+        lambda t, s: gr.transition_det(ROTATED, PI0, t, s, STACK_S2), True, id="transition_det"
+    ),
+    pytest.param(
+        lambda t, s: gr.perturbation_patching_check(ROTATED, PI0, s, STACK_S2, t, "t1"),
+        False,
+        id="perturbation_patching_check-t1",
+    ),
+    pytest.param(
+        lambda t, s: gr.perturbation_patching_check(ROTATED, PI0, s, STACK_S2, t, "t2"),
+        False,
+        id="perturbation_patching_check-t2",
+    ),
+    pytest.param(
+        lambda t, s: gr.patching_identity_check(ROTATED, STACK_FAM2, PI0, t, "t1"),
+        False,
+        id="patching_identity_check-t1",
+    ),
+    pytest.param(
+        lambda t, s: gr.patching_identity_check(ROTATED, STACK_FAM2, PI0, t, "t2"),
+        False,
+        id="patching_identity_check-t2",
+    ),
+]
+
+
+@pytest.mark.parametrize("chart", ["identity", "perturbation"])
+@pytest.mark.parametrize("entry, exact", STACKED_ENTRY_POINTS)
+def test_stacked_call_equals_the_one_point_calls(entry, exact, chart):
+    # a k-point call returns, member by member, what k one-point calls return
+    # (a pair of arrays for the patching checks)
+    sigma = None if chart == "identity" else STACK_S1
+    stacked = entry((STACK_T1, STACK_T2), sigma)
+    singles = [entry((a, b), sigma) for a, b in zip(STACK_T1, STACK_T2)]
+    stacked = np.array(stacked, ndmin=2).reshape(-1, len(STACK_T1))
+    singles = np.array(singles).T.reshape(stacked.shape)
+    assert all(type(x) is complex for x in np.ravel(singles).tolist())
+    assert stacked.dtype == complex
+    if exact:
+        np.testing.assert_array_equal(stacked, singles)
+    assert np.all(np.abs(stacked - singles) <= 1e-15 * np.abs(singles))
+
+
+def fails_at_the_third_point(make):
+    # a family whose value at the third of the four stack points is replaced
+    # by make(value); every other point and every stencil sample is rotated
+    bad = (float(STACK_T1[2]), float(STACK_T2[2]))
+
+    def value(t1, t2):
+        p = ROTATED(t1, t2).entries
+        return make(p) if (t1, t2) == bad else p
+
+    return gr.ProjectionFamily(W, value)
+
+
+@pytest.mark.parametrize("entry", FAMILY_ENTRY_POINTS)
+def test_stacked_call_names_the_failing_point(entry, request):
+    # the check at t runs on the whole stack, and its error names the first
+    # failing member's point, in the one-point wording
+    not_projection = fails_at_the_third_point(lambda p: 2.0 * p)
+    at_third = r"\(0\.5, 0\.8\)"
+    with pytest.raises(DomainError, match=rf"family value at {at_third} is not a projection"):
+        entry(not_projection, (STACK_T1, STACK_T2))
+    if "tr_p_dp_dp" in request.node.name:  # no chart, no rank decision
+        return
+    wider = gr.spectral_projection(W, -1).entries
+    other_rank = fails_at_the_third_point(lambda p: wider)
+    with pytest.raises(NotInvertible, match=rf"chart is singular at t = {at_third} \(rank P"):
+        entry(other_rank, (STACK_T1, STACK_T2))
+
+
+def test_stacked_chart_guard_names_the_failing_point():
+    # the identity chart is singular at t1 = 1, here at the third point only
+    t = (np.array([0.2, 0.4, 1.0, 0.6]), np.array([0.3, 0.3, 0.35, 0.3]))
+    with pytest.raises(NotInvertible, match=r"chart is singular at t = \(1\.0, 0\.35\) \(sv"):
+        gr.connection_form(ROTATED, PI0, t, "t1")
+    with pytest.raises(NotInvertible, match=r"chart is singular at t = \(1\.0, 0\.35\) \(sv"):
+        gr.transition_det(ROTATED, PI0, t, STACK_S1, STACK_S2)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        (np.array([0.2, 0.3]), np.array([0.4, 0.5, 0.6])),
+        (np.array([[0.2, 0.3]]), np.array([[0.4, 0.5]])),
+        (np.array([]), np.array([])),
+        (0.2, np.array([0.4])),
+        (np.array([0.2, math.nan]), np.array([0.4, 0.5])),
+        (math.inf, 0.3),
+        (0.2 + 0.1j, 0.3),
+        (0.2, 0.3, 0.4),
+    ],
+    ids=["lengths", "2-D", "empty", "float-and-array", "nan", "inf", "complex", "triple"],
+)
+@pytest.mark.parametrize("entry", FAMILY_ENTRY_POINTS)
+def test_chart_entry_points_refuse_malformed_points(entry, t):
+    with pytest.raises(DomainError, match="t1 and t2 must be|t must be"):
+        entry(ROTATED, t)
+
+
+@pytest.mark.parametrize("direction", [True, False, 1.0, 0.0, "t3", 2, -1, None])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda d: gr.connection_form(ROTATED, PI0, CHECKED_AT, d),
+        lambda d: gr.perturbation_patching_check(ROTATED, PI0, None, None, CHECKED_AT, d),
+        lambda d: gr.patching_identity_check(ROTATED, ROTATED, PI0, CHECKED_AT, d),
+    ],
+    ids=["connection_form", "perturbation_patching_check", "patching_identity_check"],
+)
+def test_direction_is_t1_t2_or_the_integers_0_and_1(entry, direction):
+    # True and 1.0 used to mean "t2", False and 0.0 "t1"
+    with pytest.raises(DomainError, match="direction must be"):
+        entry(direction)
+    for axis, name in ((0, "t1"), (1, "t2")):
+        assert entry(np.int64(axis)) == entry(axis) == entry(name)
+
+
+@pytest.mark.parametrize("tail", [(math.nan, 0.0), (1 + math.nan * 1j, 1.0), (math.inf, 1.0)])
+def test_mode_operator_refuses_non_finite_tails(tail):
+    # a NaN tail passed every |tail - x| > tol guard: fredholm_det of the
+    # identity with NaN tails returned 1, and transition_det with a
+    # NaN-tailed perturbation returned a number
+    w2 = gr.ModeWindow(2)
+    with pytest.raises(DomainError, match="tails must be finite"):
+        gr.ModeOperator(w2, np.eye(w2.dim), tail)
+    with pytest.raises(DomainError, match="tails must be finite"):
+        gr.ModeOperator(w2, np.zeros((3, w2.dim, w2.dim)), tail)
+
+
+def test_eta_invariant_takes_an_array_of_offsets():
+    offsets = np.array([[0.05, 0.3], [0.5, 0.95]])
+    eta = gr.eta_invariant_spectral(offsets)
+    assert eta.shape == offsets.shape
+    for a, value in zip(offsets.ravel().tolist(), eta.ravel().tolist()):
+        single = gr.eta_invariant_spectral(a)
+        assert type(single) is float and single == value
+        assert abs(value - (1.0 - 2.0 * a)) < 1e-10
+    with pytest.raises(DomainError, match=r"offset a must lie in \(0, 1\), got nan"):
+        gr.eta_invariant_spectral(np.array([0.3, math.nan]))
+    with pytest.raises(DomainError, match=r"got 1\.0"):
+        gr.eta_invariant_spectral([0.3, 1.0])

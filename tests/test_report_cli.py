@@ -323,12 +323,16 @@ def test_planted_fault_in_ratio_determinants_fails_transitivity(monkeypatch):
 
 def test_planted_fault_in_chart_ratio_determinants_fails_the_cocycle(monkeypatch):
     # a determinant off by a constant factor on the r x r chart blocks (r = 7
-    # on the suite's ModeWindow(6), whose d x d blocks are 13 x 13 and up):
-    # quotients det(A_1) / det(A_2) would cancel it around the triple
-    # overlap, the products det(A_1 A_2^{-1}) of the chart ratio do not, and
-    # the logarithmic derivatives of the patching cases do not see it
+    # on the suite's ModeWindow(6), whose d x d blocks are 13 x 13 and up),
+    # in every stack of them: quotients det(A_1) / det(A_2) would cancel it
+    # around the triple overlap, the products det(A_1 A_2^{-1}) of the chart
+    # ratio do not, and the logarithmic derivatives of the patching cases do
+    # not see it
     _plant(
-        monkeypatch, np.linalg, "det", lambda d, m: d * (1 + 1e-6) if np.shape(m) == (7, 7) else d
+        monkeypatch,
+        np.linalg,
+        "det",
+        lambda d, m: d * (1 + 1e-6) if np.shape(m)[-2:] == (7, 7) else d,
     )
     rng = np.random.default_rng(3)
     w = gr.ModeWindow(6)
@@ -454,3 +458,39 @@ def test_detline_suite_stacks_its_random_instances(monkeypatch):
     assert len(constructions) <= 150
     # the multiplicativity row alone: 100 instances in each stacked call
     assert ("svd", (100, 7, 7)) in calls and ("det", (100, 7, 7)) in calls
+
+
+def test_grassmannian_suite_stacks_its_sample_loops(monkeypatch):
+    # the Stokes pair, the two patching rows, the curvature rows and the eta
+    # offset and antisymmetry rows call the chart layer and the Hurwitz
+    # kernel once per direction or row on arrays of points: one sample at a
+    # time, run_suite("grassmannian", 7) made 482 LAPACK calls (240 svd,
+    # 80 det, 73 solve, 47 eigh, 42 qr) and 134 Euler-Maclaurin evaluations
+    calls, evaluations = [], []
+
+    def counted(name, inner):
+        def call(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return inner(a, *args, **kwargs)
+
+        return call
+
+    for name in ("svd", "eigh", "qr", "inv", "solve", "det"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    kernel = gr._hurwitz_em
+
+    def counted_kernel(s, a):
+        evaluations.append(np.shape(a))
+        return kernel(s, a)
+
+    monkeypatch.setattr(gr, "_hurwitz_em", counted_kernel)
+    document = report.run_suite("grassmannian", 7)
+    assert document.n_fail == 0
+    assert len(calls) <= 190, calls
+    # offsets (19 and 1 - a), antisymmetry (4 and 1 - a, both ways), and one
+    # per finite-rank flip
+    assert sorted(evaluations) == sorted([(38,), (16,)] + [(2,)] * 20)
+    # the Stokes edges: 2 x 8 Gauss-Legendre nodes in t1, 2 x 4 trapezoid nodes in t2
+    assert calls.count(("svd", (16, 13, 7))) == calls.count(("svd", (8, 13, 7))) == 1
+    # the patching rows: 4 identity-chart points, 3 perturbation-chart points
+    assert ("det", (4, 7, 7)) in calls and ("qr", (3, 13, 7)) in calls

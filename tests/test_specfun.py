@@ -6,6 +6,7 @@ a few cases keep the live oracle comparison alongside the frozen constant.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -100,9 +101,25 @@ def test_outside_validated_region_raises(s, a):
 @pytest.mark.parametrize("s, a", [(200.0, 0.01), (1e6, 0.5), (1e30, 1.0)])
 def test_overflow_inside_validated_region_raises(s, a):
     # a^-s exceeds the double range (a bare OverflowError), or the
-    # Euler-Maclaurin terms meet inf * 0 (a silent NaN at s = 1e30)
-    with pytest.raises(DomainError):
-        hurwitz_zeta(HurwitzParams(s=s, a=a))
+    # Euler-Maclaurin terms meet inf * 0 (a silent NaN at s = 1e30); the
+    # kernel runs in numpy, which would signal both by a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="leaves the double range"):
+            hurwitz_zeta(HurwitzParams(s=s, a=a))
+
+
+def test_kernel_over_an_array_of_shifts_equals_the_scalar_evaluations():
+    # each shift's row of terms is summed on its own, so its value does not
+    # depend on the other shifts: it is the public one to the last bit, at
+    # s = 0 (behind the eta invariant) and elsewhere
+    shifts = np.array([[0.05, 0.3, 0.5], [0.7, 0.95, 1.0]])
+    for s in (0.0, 0.5 + 3j, -1.5, 2.0):
+        values = _hurwitz_em(s, shifts)
+        assert values.shape == shifts.shape
+        for a, value in zip(shifts.ravel().tolist(), values.ravel().tolist()):
+            assert hurwitz_zeta(HurwitzParams(s=s, a=a)) == value
+    assert _hurwitz_em(0.0, 0.25).shape == ()
 
 
 def test_large_value_below_overflow_is_returned():
