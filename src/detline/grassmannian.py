@@ -16,7 +16,10 @@ once per public call from one eigh of the base block: chart maps are the
 thin d x r blocks (P + P sigma P) V, and their SVDs, stencils and traces run
 on those blocks.  Transition determinants reduce to r x r blocks X* S_i V
 (X an orthonormal basis of the target of the charts), so the only d x d
-decomposition of a public call is that eigh.
+decomposition of a public call is that eigh.  A patching check evaluates
+the family once per stencil sample for both of its routes, the transition
+determinant and the two connection forms; each route keeps its own
+factorisations.
 
 Its six entry points (``connection_form``, ``tr_p_dp_dp``, ``curvature_rkw``,
 ``transition_det`` and the two patching checks) take t = (t1, t2) with
@@ -30,7 +33,8 @@ call: the base, and the family values at all points t as one stack, each
 required to have the rank of base; an error names the first failing point.
 The fixed stencils around t read the family's block function directly,
 unwrapped and unchecked; a non-finite sample enters the result ``fd_apply``
-refuses.
+refuses, and an error of the block function names the one point where it
+was raised.
 """
 
 from __future__ import annotations
@@ -45,7 +49,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    DetlineError,
     DomainError,
+    EvaluationError,
     NotCommensurable,
     NotDetClass,
     NotInvertible,
@@ -545,8 +551,15 @@ def _family_blocks(
 
 
 def _block(fam: ProjectionFamily, t1: float, t2: float) -> np.ndarray:
-    """The family's block at one point; a block function returning a stack is refused."""
-    block = np.asarray(fam._map(t1, t2))
+    """The family's block at one point; a block function returning a stack is
+    refused, and any error of the block function other than a DetlineError
+    becomes an EvaluationError naming this point alone."""
+    try:
+        block = np.asarray(fam._map(t1, t2))
+    except DetlineError:
+        raise
+    except Exception as exc:  # name the member of a stack that failed
+        raise EvaluationError(f"family evaluation failed at ({t1}, {t2}): {exc}") from exc
     if block.ndim == 3:
         raise DomainError(f"a family value takes one operator, got a stack of {len(block)}")
     return block
@@ -590,13 +603,37 @@ def _chart_sigma(w: ModeWindow, perturbation: ModeOperator | None) -> np.ndarray
     return sig.entries
 
 
-def _chart_map(p: np.ndarray, v: np.ndarray, sig: np.ndarray | None) -> np.ndarray:
-    """Thin blocks (P + P sigma P) V of the chart maps on ran(base), at each
-    point of the family values P."""
+def _chart_maps(p: np.ndarray, v: np.ndarray, *sigs: np.ndarray | None) -> list[np.ndarray]:
+    """Thin blocks (P + P sigma P) V of the chart maps on ran(base), one per
+    chart sigma (PV for the identity chart, sigma = None), at each point of
+    the family values P; PV is formed once for all of them."""
     pv = p @ v
-    if sig is None:
-        return pv
-    return pv + p @ (sig @ pv)
+    return [pv if sig is None else pv + p @ (sig @ pv) for sig in sigs]
+
+
+def _chart_derivative(d_member: np.ndarray, v: np.ndarray, sig: np.ndarray | None) -> np.ndarray:
+    """d(SV) from the stencil of the chart's member: the chart map SV, or in
+    the identity chart the family value P, whose stencil gives (dP) V by one
+    product."""
+    return d_member @ v if sig is None else d_member
+
+
+def _chart_stencil(
+    fam: ProjectionFamily,
+    v: np.ndarray,
+    sig: np.ndarray | None,
+    t: Points,
+    axis: int,
+    st: FdStencil,
+) -> np.ndarray:
+    """d(SV) along axis at t for one chart, from its own stencil over the
+    family's blocks."""
+
+    def member(t1, t2) -> np.ndarray:
+        p = _family_blocks(fam, t1, t2)
+        return p if sig is None else _chart_maps(p, v, sig)[0]
+
+    return _chart_derivative(fd_apply(member, t, st, axis), v, sig)
 
 
 def connection_form(
@@ -621,36 +658,32 @@ def connection_form(
     pts = _points(t)
     v = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
-    return _result(_connection_form(fam, v, _projections_at(fam, pts, v), pts, axis, _D1, sig))
+    p = _projections_at(fam, pts, v)
+    (s_v,) = _chart_maps(p, v, sig)
+    ds = partial(_chart_stencil, fam, v, sig, pts, axis, _D1)
+    return _result(_connection_form(s_v, ds, p, pts))
 
 
 def _connection_form(
-    fam: ProjectionFamily,
-    v: np.ndarray,
-    p: np.ndarray,
-    t: Points,
-    axis: int,
-    st: FdStencil,
-    sig: np.ndarray | None,
+    s_v: np.ndarray, ds: Callable[[], np.ndarray], p: np.ndarray, t: Points
 ) -> complex | np.ndarray:
-    """connection_form at the family values p = P(t), on a basis V of ran(base).
+    """connection_form from the chart map SV at the family values p = P(t) and
+    its stencil derivative d(SV) = ds(), V a basis of ran(base).
 
     With base = V V*, Tr(S^+ P dS base) equals Tr((SV)^+ P d(SV)) on the thin
     block SV, whose singular values are the nonzero ones of S: one thin SVD
     serves both the chart guard and the pseudo-inverse (with pinv's relative
-    cut-off).  In the identity chart SV = PV, so the stencil runs over the
-    family's blocks and d(SV) = (dP) V takes one product; a perturbation chart
-    differentiates its chart map (P + P sigma P) V by the stencil.
+    cut-off).  The chart guard runs before ds is called, so a chart singular
+    at t raises NotInvertible before any stencil sample is taken.  The caller
+    takes SV and d(SV) from its own evaluation of the family, which a
+    patching check shares with its transition determinant.
     """
-    u, sv, vh = np.linalg.svd(_chart_map(p, v, sig), full_matrices=False)
-    _require_chart(sv, v.shape[1], t)
-    if sig is None:
-        ds = fd_apply(partial(_family_blocks, fam), t, st, axis) @ v
-    else:
-        ds = fd_apply(lambda t1, t2: _chart_map(_family_blocks(fam, t1, t2), v, sig), t, st, axis)
+    u, sv, vh = np.linalg.svd(s_v, full_matrices=False)
+    _require_chart(sv, s_v.shape[-1], t)
+    d_sv = ds()
     kept = sv > RANK_SVD_THRESHOLD * sv[..., :1]
     s_pinv = (vh.conj().mT / np.where(kept, sv, np.inf)[..., None, :]) @ u.conj().mT
-    return _result(np.trace(s_pinv @ p @ ds, axis1=-2, axis2=-1))
+    return _result(np.trace(s_pinv @ p @ d_sv, axis1=-2, axis2=-1))
 
 
 def tr_p_dp_dp(fam: ProjectionFamily, t: Points) -> complex | np.ndarray:
@@ -684,7 +717,9 @@ def curvature_rkw(
     def omega(axis_inner: int) -> Callable[..., complex | np.ndarray]:
         def at(t1, t2) -> complex | np.ndarray:
             p = _family_blocks(fam, t1, t2)
-            return _connection_form(fam, v, p, (t1, t2), axis_inner, _D1_INNER, sig)
+            (s_v,) = _chart_maps(p, v, sig)
+            ds = partial(_chart_stencil, fam, v, sig, (t1, t2), axis_inner, _D1_INNER)
+            return _connection_form(s_v, ds, p, (t1, t2))
 
         return at
 
@@ -710,20 +745,15 @@ def transition_det(
     w = fam.window
     v = _chart_base(w, base)
     sig1, sig2 = _chart_sigma(w, sigma1), _chart_sigma(w, sigma2)
-    return _result(_transition_det(v, _projections_at(fam, pts, v), pts, sig1, sig2))
+    p = _projections_at(fam, pts, v)
+    return _result(_transition_det(*_chart_maps(p, v, sig1, sig2), pts))
 
 
-def _transition_det(
-    v: np.ndarray,
-    p: np.ndarray,
-    t: Points,
-    sig1: np.ndarray | None,
-    sig2: np.ndarray | None,
-) -> complex | np.ndarray:
-    """det_F((S_1 + I - P)(S_2 + I - P)^{-1}) on the r x r blocks Q* S_i V,
-    for family values P of the rank of base."""
-    q, r = np.linalg.qr(_chart_map(p, v, sig2))
-    return _chart_ratio(q.conj().mT @ _chart_map(p, v, sig1), r, t)
+def _transition_det(s1_v: np.ndarray, s2_v: np.ndarray, t: Points) -> complex | np.ndarray:
+    """det_F((S_1 + I - P)(S_2 + I - P)^{-1}) on the r x r blocks Q* S_i V from
+    the chart maps S_i V, for family values P of the rank of base."""
+    q, r = np.linalg.qr(s2_v)
+    return _chart_ratio(q.conj().mT @ s1_v, r, t)
 
 
 def perturbation_patching_check(
@@ -740,22 +770,35 @@ def perturbation_patching_check(
     determinant and rhs the difference of the chart connection forms; the two
     agree up to finite-difference error.  For equal-length arrays t1, t2 both
     are complex arrays, one value per point.
+
+    One stencil pass evaluates the family and PV once per sample and forms
+    both chart maps, the transition determinant g and both charts' stencil
+    members from them; the lhs is the stencil of g over g(t), and each
+    connection form takes its d(SV) from that pass.  Each route keeps its
+    own factorisations: the connection forms their SVDs, g its QR, guards,
+    solve and det.
     """
     axis = _direction_axis(direction)
     pts = _points(t)
     w = fam.window
     v = _chart_base(w, base)
-    sig1, sig2 = _chart_sigma(w, sigma1), _chart_sigma(w, sigma2)
+    sigs = (_chart_sigma(w, sigma1), _chart_sigma(w, sigma2))
     p = _projections_at(fam, pts, v)
 
-    def g_at(t1, t2) -> complex | np.ndarray:
-        return _transition_det(v, _family_blocks(fam, t1, t2), (t1, t2), sig1, sig2)
+    def sample(t1, t2) -> tuple:
+        p_at = _family_blocks(fam, t1, t2)
+        maps = _chart_maps(p_at, v, *sigs)
+        members = (p_at if sig is None else m for m, sig in zip(maps, sigs))
+        return (_transition_det(*maps, (t1, t2)), *members)
 
-    lhs = fd_apply(g_at, pts, _D1, axis) / _transition_det(v, p, pts, sig1, sig2)
-    rhs = _connection_form(fam, v, p, pts, axis, _D1, sig1) - _connection_form(
-        fam, v, p, pts, axis, _D1, sig2
+    dg, *d_members = fd_apply(sample, pts, _D1, axis)
+    maps = _chart_maps(p, v, *sigs)
+    lhs = dg / _transition_det(*maps, pts)
+    omega1, omega2 = (
+        _connection_form(m, partial(_chart_derivative, dm, v, sig), p, pts)
+        for m, dm, sig in zip(maps, d_members, sigs)
     )
-    return _result(lhs), _result(rhs)
+    return _result(lhs), _result(omega1 - omega2)
 
 
 def patching_identity_check(
@@ -773,6 +816,8 @@ def patching_identity_check(
     constant unitary commuting with base).  Returns (lhs, rhs) with lhs the
     logarithmic derivative of that ratio and rhs = omega_1 - omega_2; for
     equal-length arrays t1, t2 both are complex arrays, one value per point.
+    As in perturbation_patching_check, one stencil pass evaluates both
+    families once per sample for the ratio and both connection forms.
     """
     axis = _direction_axis(direction)
     pts = _points(t)
@@ -782,14 +827,16 @@ def patching_identity_check(
     vh = v.conj().T
     p1, p2 = _projections_at(fam1, pts, v), _projections_at(fam2, pts, v)
 
-    def ratio(pa: np.ndarray, pb: np.ndarray, at: Points) -> complex | np.ndarray:
-        return _chart_ratio(vh @ _chart_map(pa, v, None), vh @ _chart_map(pb, v, None), at)
+    def ratio(p1_v: np.ndarray, p2_v: np.ndarray, at: Points) -> complex | np.ndarray:
+        return _chart_ratio(vh @ p1_v, vh @ p2_v, at)
 
-    def g_at(t1, t2) -> complex | np.ndarray:
-        return ratio(_family_blocks(fam1, t1, t2), _family_blocks(fam2, t1, t2), (t1, t2))
+    def sample(t1, t2) -> tuple:
+        pa, pb = _family_blocks(fam1, t1, t2), _family_blocks(fam2, t1, t2)
+        return ratio(pa @ v, pb @ v, (t1, t2)), pa, pb
 
-    lhs = fd_apply(g_at, pts, _D1, axis) / ratio(p1, p2, pts)
-    rhs = _connection_form(fam1, v, p1, pts, axis, _D1, None) - _connection_form(
-        fam2, v, p2, pts, axis, _D1, None
-    )
+    d_ratio, dp1, dp2 = fd_apply(sample, pts, _D1, axis)
+    p1_v, p2_v = p1 @ v, p2 @ v
+    lhs = d_ratio / ratio(p1_v, p2_v, pts)
+    omega1 = _connection_form(p1_v, partial(np.matmul, dp1, v), p1, pts)
+    rhs = omega1 - _connection_form(p2_v, partial(np.matmul, dp2, v), p2, pts)
     return _result(lhs), _result(rhs)

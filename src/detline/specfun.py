@@ -31,13 +31,14 @@ by up to 1.1e-13).  On a 2-vCPU x86-64 host ``detline curvature-grid --n
 100`` (10^4 points, 1.8e5 shifts) spends about 0.28 s in ``curvature_grid``,
 half of it in the CSV writer, where the scalar kernel took 8.3 s.
 
-``fd_apply`` is the only stencil loop, for real, complex or array fields.  Its
-one stencil is the order-4 central difference, applied as paired differences
-f(+k) - f(-k) (first derivative) and f(+k) + f(-k) - 2 f(0) along each axis
-(Laplacian), so a constant field gives exactly 0.  Its step is fixed in code,
-DEFAULT_FD_STEP unless a caller names another.  A ``DetlineError`` from the
-field propagates unchanged; any other exception, and a non-finite result,
-becomes an ``EvaluationError`` naming the point.
+``fd_apply`` is the only stencil loop, for real, complex or array fields, or
+a tuple of them sampled together.  Its one stencil is the order-4 central
+difference, applied as paired differences f(+k) - f(-k) (first derivative)
+and f(+k) + f(-k) - 2 f(0) along each axis (Laplacian), so a constant field
+gives exactly 0.  Its step is fixed in code, DEFAULT_FD_STEP unless a caller
+names another.  A ``DetlineError`` from the field propagates unchanged; any
+other exception, and a non-finite result, becomes an ``EvaluationError``
+naming the point.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from __future__ import annotations
 import cmath
 import decimal
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Literal
 
@@ -274,6 +276,29 @@ class FdStencil:
             raise DomainError(f"unknown stencil kind {self.kind!r}")
 
 
+class _Members(tuple):
+    """The sample of a tuple-valued field under fd_apply's arithmetic: + and -
+    act member by member between two samples, * and / by a float on each
+    member."""
+
+    def _zip(self, op: Callable[[Any, Any], Any], other: Any) -> "_Members":
+        if type(other) is not _Members or len(other) != len(self):
+            raise EvaluationError("a tuple-valued field must return tuples of one length")
+        return _Members(map(op, self, other))
+
+    def __add__(self, other: "_Members") -> "_Members":
+        return self._zip(operator.add, other)
+
+    def __sub__(self, other: "_Members") -> "_Members":
+        return self._zip(operator.sub, other)
+
+    def __rmul__(self, weight: float) -> "_Members":
+        return _Members(weight * m for m in self)
+
+    def __truediv__(self, scale: float) -> "_Members":
+        return _Members(m / scale for m in self)
+
+
 def fd_apply(
     f: Callable[[float, float], Any], at: tuple[float, float], st: FdStencil, axis: int = 0
 ) -> Any:
@@ -284,9 +309,13 @@ def fd_apply(
     sum_k w_k (f(+k) - f(-k)) / h; kind "laplacian-2d" estimates the
     analyst's Laplacian f_xx + f_yy as
     sum_k w_k (f(+k,0) + f(-k,0) + f(0,+k) + f(0,-k) - 4 f(0)) / h^2.  The
-    error is O(h^4), and a constant field gives exactly 0.  Every sample
-    enters the result, so one non-finite sample makes the result non-finite:
-    finiteness is checked once, on the result.
+    error is O(h^4), and a constant field gives exactly 0.  A field that
+    returns a tuple is a tuple of fields sampled together: the stencil runs
+    over each member and a tuple of the results is returned, so fields built
+    from one evaluation share its samples.  The sum starts from its first
+    paired term.  Every sample enters the result, so one non-finite sample makes
+    the result non-finite: finiteness is checked once per member, on the
+    result.
     """
     x0, y0 = at
     h = st.step
@@ -294,26 +323,34 @@ def fd_apply(
     def sample(offset: int, along: int) -> Any:
         x, y = (x0 + offset * h, y0) if along == 0 else (x0, y0 + offset * h)
         try:
-            return f(x, y)
+            value = f(x, y)
         except DetlineError:
             raise
         except Exception as exc:  # surface the offending point
             raise EvaluationError(f"field evaluation failed at ({x}, {y}): {exc}") from exc
+        return _Members(value) if isinstance(value, tuple) else value
 
     if axis not in (0, 1):
         raise DomainError(f"axis must be 0 or 1, got {axis}")
-    acc = 0.0
     if st.kind == "first-derivative":
-        for k, weight in _WEIGHTS[st.kind]:
-            acc = acc + weight * (sample(k, axis) - sample(-k, axis))
-        result = acc / h
+
+        def term(k: int, weight: float) -> Any:
+            return weight * (sample(k, axis) - sample(-k, axis))
+
+        scale = h
     else:
         centre = sample(0, 0)
-        for k, weight in _WEIGHTS[st.kind]:
+
+        def term(k: int, weight: float) -> Any:
             # pairwise sums: on a constant c, c + c + (c + c) is exactly 4 c
             ring = (sample(k, 0) + sample(-k, 0)) + (sample(k, 1) + sample(-k, 1))
-            acc = acc + weight * (ring - 4.0 * centre)
-        result = acc / (h * h)
-    if not np.isfinite(result).all():
-        raise EvaluationError(f"stencil result is not finite at ({x0}, {y0}): {result}")
-    return result
+            return weight * (ring - 4.0 * centre)
+
+        scale = h * h
+    (k0, w0), (k1, w1) = _WEIGHTS[st.kind]
+    result = (term(k0, w0) + term(k1, w1)) / scale
+    shared = type(result) is _Members
+    for member in result if shared else (result,):
+        if not np.isfinite(member).all():
+            raise EvaluationError(f"stencil result is not finite at ({x0}, {y0}): {member}")
+    return tuple(result) if shared else result

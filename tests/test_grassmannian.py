@@ -2,6 +2,8 @@
 Fredholm determinants, connection forms, curvature and patching."""
 
 import math
+import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,6 +14,7 @@ from detline import report
 from detline.errors import (
     DetlineError,
     DomainError,
+    EvaluationError,
     NotCommensurable,
     NotDetClass,
     NotInvertible,
@@ -446,8 +449,11 @@ def test_decomposition_and_projection_check_counts(monkeypatch):
     # block or on an r x r = 7 x 7 block of a transition ratio.  The one
     # ModeOperator built per family is its checked value at t: stencil
     # samples read the block function unwrapped (5, 41, 9, 13 and 18
-    # constructions when every sample was wrapped)
-    calls, checks, built = [], [], []
+    # constructions when every sample was wrapped).
+    # A patching check evaluates each family once per stencil sample for
+    # its transition ratio and both connection forms (13 and 18 block
+    # function calls when each route took its own samples)
+    calls, checks, built, blocks = [], [], [], []
 
     def counted(name, inner):
         def call(a, *args, **kwargs):
@@ -468,6 +474,14 @@ def test_decomposition_and_projection_check_counts(monkeypatch):
     w6 = gr.ModeWindow(6)
     fam, base = gr.rotated_family(w6, (-2, 1)), gr.spectral_projection(w6, 0)
     fam2 = gr.rotated_family(w6, (-1, 2))
+    for family in (fam, fam2):
+        block_function = family._map
+
+        def counted_block(t1, t2, block_function=block_function):
+            blocks.append((t1, t2))
+            return block_function(t1, t2)
+
+        family._map = counted_block
     rng = np.random.default_rng(3)
     sigma1, sigma2 = (
         gr.ModeOperator(w6, 0.1 * rng.standard_normal((w6.dim, w6.dim)), gr.TAIL_ZERO)
@@ -486,8 +500,9 @@ def test_decomposition_and_projection_check_counts(monkeypatch):
         calls.clear()
         checks.clear()
         built.clear()
+        blocks.clear()
         call()
-        return {c: calls.count(c) for c in calls}, len(checks), len(built)
+        return {c: calls.count(c) for c in calls}, len(checks), len(built), len(blocks)
 
     t = (0.35, 0.6)
     eigh = {("eigh", (13, 13)): 1}
@@ -495,12 +510,13 @@ def test_decomposition_and_projection_check_counts(monkeypatch):
     # a transition ratio: a thin QR of S_2 V (transition_det only), two r x r
     # chart guards, one r x r solve and one r x r det
     ratio = {("solve", (7, 7)): 1, ("det", (7, 7)): 1}
-    assert counts(lambda: gr.connection_form(fam, base, t)) == ({**eigh, thin_svd: 1}, 2, 1)
-    assert counts(lambda: gr.curvature_rkw(fam, base, t)) == ({**eigh, thin_svd: 8}, 2, 1)
-    assert counts(lambda: gr.tr_p_dp_dp(fam, t)) == ({}, 1, 1)
+    assert counts(lambda: gr.connection_form(fam, base, t)) == ({**eigh, thin_svd: 1}, 2, 1, 5)
+    assert counts(lambda: gr.curvature_rkw(fam, base, t)) == ({**eigh, thin_svd: 8}, 2, 1, 41)
+    assert counts(lambda: gr.tr_p_dp_dp(fam, t)) == ({}, 1, 1, 9)
     assert counts(lambda: gr.transition_det(fam, base, t, sigma1, sigma2)) == (
         {**eigh, ("qr", (13, 7)): 1, small_svd: 2, **ratio},
         2,
+        1,
         1,
     )
     # five ratios (four stencil points and t) and two connection forms
@@ -509,11 +525,13 @@ def test_decomposition_and_projection_check_counts(monkeypatch):
         {**eigh, ("qr", (13, 7)): 5, small_svd: 10, **five, thin_svd: 2},
         2,
         1,
+        5,
     )
     assert counts(lambda: gr.patching_identity_check(fam, fam2, base, t)) == (
         {**eigh, small_svd: 10, **five, thin_svd: 2},
         3,
         2,
+        10,
     )
 
 
@@ -999,6 +1017,118 @@ def test_stacked_chart_guard_names_the_failing_point():
         gr.connection_form(ROTATED, PI0, t, "t1")
     with pytest.raises(NotInvertible, match=r"chart is singular at t = \(1\.0, 0\.35\) \(sv"):
         gr.transition_det(ROTATED, PI0, t, STACK_S1, STACK_S2)
+
+
+def test_block_function_error_names_the_failing_member():
+    # at t1 > 0.5 the block function raises: of the stencil samples of the
+    # three points, only the second point's sample at t1 + h does, and the
+    # error names that sample alone
+    def value(t1, t2):
+        if t1 > 0.5:
+            raise ValueError("boom")
+        return ROTATED(t1, t2).entries
+
+    raising = gr.ProjectionFamily(W, value)
+    t = (np.array([0.2, 0.5, 0.3]), np.array([0.1, 0.2, 0.3]))
+    sample = (0.5 + DEFAULT_FD_STEP, 0.2)
+    only_the_sample = rf"^family evaluation failed at {re.escape(str(sample))}: boom$"
+    with pytest.raises(EvaluationError, match=only_the_sample):
+        gr.connection_form(raising, PI0, t, "t1")
+    # one point: the check at t reads the block function too
+    with pytest.raises(EvaluationError, match=only_the_sample):
+        gr.connection_form(raising, PI0, sample, "t2")
+
+
+def test_singular_chart_is_reported_before_a_failing_stencil_sample():
+    # the identity chart is singular at t1 = 1, and the block function raises
+    # at every other t1 closer to 1 than radius: the chart guard at the
+    # point runs before the stencil around it samples the family
+    def raising_near_one(radius):
+        def value(t1, t2):
+            if 0.0 < abs(t1 - 1.0) < radius:
+                raise ValueError("boom")
+            return ROTATED(t1, t2).entries
+
+        return gr.ProjectionFamily(W, value)
+
+    singular = r"chart is singular at t = \(1\.0, 0\.35\d*\) \(sv"
+    for t in ((1.0, 0.35), (np.array([0.2, 1.0, 0.6]), np.array([0.3, 0.35, 0.3]))):
+        with pytest.raises(NotInvertible, match=singular):
+            gr.connection_form(raising_near_one(1e-2), PI0, t, "t1")
+    # the inner forms of curvature_rkw at the outer samples (1, 0.35 +- k h)
+    with pytest.raises(NotInvertible, match=singular):
+        gr.curvature_rkw(raising_near_one(1e-4), PI0, (1.0, 0.35))
+
+
+D1 = FdStencil(kind="first-derivative")
+SHARED_AT = [
+    pytest.param((0.35, 0.6), id="one-point"),
+    pytest.param((STACK_T1[:3], STACK_T2[:3]), id="three-points"),
+]
+
+
+@pytest.mark.parametrize("direction", ["t1", "t2"])
+@pytest.mark.parametrize("charts", ["perturbation", "identity-and-perturbation"])
+@pytest.mark.parametrize("t", SHARED_AT)
+def test_perturbation_patching_shares_samples_exactly(t, charts, direction):
+    # the shared stencil pass gives, to the last bit, the public routes: the
+    # stencil of transition_det over its value at t, and the difference of
+    # the two connection forms
+    s1 = STACK_S1 if charts == "perturbation" else None
+    lhs, rhs = gr.perturbation_patching_check(ROTATED, PI0, s1, STACK_S2, t, direction)
+    axis = ("t1", "t2").index(direction)
+
+    def g(t1, t2):
+        return gr.transition_det(ROTATED, PI0, (t1, t2), s1, STACK_S2)
+
+    assert np.all(lhs == fd_apply(g, t, D1, axis) / g(*t))
+    omega1 = gr.connection_form(ROTATED, PI0, t, direction, s1)
+    omega2 = gr.connection_form(ROTATED, PI0, t, direction, STACK_S2)
+    assert np.all(rhs == omega1 - omega2)
+
+
+@pytest.mark.parametrize("direction", ["t1", "t2"])
+@pytest.mark.parametrize("t", SHARED_AT)
+def test_identity_patching_shares_samples_exactly(t, direction):
+    # as above for the identity charts of two families: the lhs is the
+    # stencil of the family ratio det(V* P_1 V (V* P_2 V)^{-1}) over its value
+    v = gr._chart_base(W, PI0)
+    vh = v.conj().T
+    lhs, rhs = gr.patching_identity_check(ROTATED, STACK_FAM2, PI0, t, direction)
+    axis = ("t1", "t2").index(direction)
+
+    def family_ratio(t1, t2):
+        p1, p2 = (gr._family_blocks(fam, t1, t2) for fam in (ROTATED, STACK_FAM2))
+        return gr._chart_ratio(vh @ (p1 @ v), vh @ (p2 @ v), (t1, t2))
+
+    assert np.all(lhs == fd_apply(family_ratio, t, D1, axis) / family_ratio(*t))
+    omega1 = gr.connection_form(ROTATED, PI0, t, direction)
+    omega2 = gr.connection_form(STACK_FAM2, PI0, t, direction)
+    assert np.all(rhs == omega1 - omega2)
+
+
+def test_perturbation_patching_peak_memory_on_a_large_window():
+    # one check on a 201-dimensional window: the shared pass holds one sample's chart maps and the two accumulated
+    # members (3.73 MB traced when each route took its own samples; a cache
+    # of every sample reached 5.85 MB)
+    w = gr.ModeWindow(100)
+    rng = np.random.default_rng(15)
+    shape, scale = (w.dim, w.dim), 0.25 / math.sqrt(2 * w.dim)
+    s1, s2 = (
+        gr.ModeOperator(
+            w, scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)), gr.TAIL_ZERO
+        )
+        for _ in range(2)
+    )
+    fam, base = gr.rotated_family(w, (-3, 7)), gr.spectral_projection(w, 0)
+    tracemalloc.start()
+    try:
+        lhs, rhs = gr.perturbation_patching_check(fam, base, s1, s2, (0.4, 0.3), "t1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(lhs - rhs) < 1e-5
+    assert peak <= 5.0e6, peak
 
 
 @pytest.mark.parametrize(

@@ -351,3 +351,80 @@ def test_fd_of_a_constant_field_is_exactly_zero(kind, axis):
     for value in (0.7, 0.3 + 0.9j, matrix):
         result = fd_apply(lambda x, y: value, (0.37, -1.2), FdStencil(kind=kind), axis)
         assert np.all(np.asarray(result) == 0.0), (value, result)
+    # a tuple of one shared array: both members are exactly 0, and the
+    # stencil writes into no sample
+    kept = matrix.copy()
+    result = fd_apply(lambda x, y: (matrix, matrix), (0.37, -1.2), FdStencil(kind=kind), axis)
+    assert np.all(result[0] == 0.0) and np.all(result[1] == 0.0)
+    np.testing.assert_array_equal(matrix, kept)
+
+
+def summed_stencil(f, at, st, axis):
+    # the stencil as a running sum started at 0.0, out of place: the
+    # arithmetic fd_apply keeps, apart from the sign of an exact zero
+    weights = {
+        "first-derivative": ((1, 2.0 / 3), (2, -1.0 / 12)),
+        "laplacian-2d": ((1, 4.0 / 3), (2, -1.0 / 12)),
+    }[st.kind]
+    (x0, y0), h = at, st.step
+
+    def sample(offset, along):
+        return f(x0 + offset * h, y0) if along == 0 else f(x0, y0 + offset * h)
+
+    acc = 0.0
+    for k, weight in weights:
+        if st.kind == "first-derivative":
+            acc = acc + weight * (sample(k, axis) - sample(-k, axis))
+        else:
+            ring = (sample(k, 0) + sample(-k, 0)) + (sample(k, 1) + sample(-k, 1))
+            acc = acc + weight * (ring - 4.0 * sample(0, 0))
+    return acc / (h if st.kind == "first-derivative" else h * h)
+
+
+FIELDS = [
+    pytest.param(lambda x, y: math.sin(x) * math.exp(y), id="float"),
+    pytest.param(lambda x, y: complex(math.cos(x * y), x**3), id="complex"),
+    pytest.param(
+        lambda x, y: np.array([[x**4, 1j * x * y], [math.sin(y), 2.0]]) / 3.0, id="matrix"
+    ),
+    pytest.param(lambda x, y: round(1e3 * x) + 7 * round(1e3 * y), id="integer"),
+    pytest.param(lambda x, y: np.array([round(1e3 * x), round(1e3 * y), 7]), id="integer-array"),
+]
+
+
+@pytest.mark.parametrize("kind", ["first-derivative", "laplacian-2d"])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("field", FIELDS)
+def test_fd_matches_the_summed_loop_exactly(field, axis, kind):
+    # starting from the first paired term moves no bit
+    st_ = FdStencil(step=1e-3, kind=kind)
+    value = fd_apply(field, (0.5, -0.25), st_, axis)
+    expected = summed_stencil(field, (0.5, -0.25), st_, axis)
+    assert type(value) is type(expected)
+    np.testing.assert_array_equal(value, expected)
+    assert np.all(np.asarray(value) == np.asarray(expected))
+
+
+@pytest.mark.parametrize("kind", ["first-derivative", "laplacian-2d"])
+def test_fd_of_a_tuple_field_is_the_tuple_of_its_members(kind):
+    # each sample is evaluated once for all members, and each member's
+    # result is, to the last bit, the stencil of that member alone
+    evaluations = []
+
+    def field(x, y):
+        evaluations.append((x, y))
+        return tuple(member(x, y) for member in members)
+
+    members = [param.values[0] for param in FIELDS]
+    st_ = FdStencil(step=1e-3, kind=kind)
+    result = fd_apply(field, (0.5, -0.25), st_, 1)
+    assert type(result) is tuple and len(result) == len(members)
+    assert len(evaluations) == (4 if kind == "first-derivative" else 9)
+    for member, value in zip(members, result):
+        np.testing.assert_array_equal(value, fd_apply(member, (0.5, -0.25), st_, 1))
+    # a member that is not finite names the point; samples of two lengths
+    # do not combine
+    with pytest.raises(EvaluationError, match="not finite"):
+        fd_apply(lambda x, y: (x, math.inf * x), (0.5, 0.0), st_)
+    with pytest.raises(EvaluationError, match="tuples of one length"):
+        fd_apply(lambda x, y: (x, y) if x > 0.5 else (x,), (0.5, 0.0), st_)
