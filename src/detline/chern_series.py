@@ -1,10 +1,14 @@
 """Exact-rational truncated power series and the genus-one pushforward
 coefficient of the twisted d-bar determinant bundle.
 
-All arithmetic is over Fraction; coefficients beyond the cap are discarded
-consistently, so the series form the ring of truncated polynomials.  A
-coefficient or an exponential's multiple that is NaN, infinite or no number
-raises DomainError, and the pushforward coefficient takes an integer twist.
+Coefficients are exact Fractions; coefficients beyond the cap are discarded
+consistently, so the series form the ring of truncated polynomials.  Products
+and exponentials run on Python ints: each operand is written over one common
+denominator, the integer numerators are convolved, and each result Fraction is
+built once, so every coefficient is the exact value a Fraction-by-Fraction
+product gives.  A coefficient or an exponential's multiple that is NaN,
+infinite or no number raises DomainError, as does a cap that is not an
+integer of at least 2, and the pushforward coefficient takes an integer twist.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Sequence
 
 from .errors import DomainError
@@ -31,6 +35,21 @@ def _rational(value) -> Fraction:
         raise DomainError(f"a coefficient must be a finite rational, got {value!r}") from exc
 
 
+def _cap(cap) -> int:
+    """cap as an int; a non-integer (a bool is not one) or a cap below 2 raises DomainError."""
+    if not isinstance(cap, numbers.Integral) or isinstance(cap, bool):
+        raise DomainError(f"cap must be an integer, got {cap!r}")
+    if cap < 2:
+        raise DomainError(f"cap must be >= 2, got {cap}")
+    return int(cap)
+
+
+def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators n_k and one denominator q with coeffs[k] = n_k / q."""
+    q = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (q // c.denominator) for c in coeffs], q
+
+
 @dataclass(frozen=True)
 class RationalSeries:
     """Truncated power series sum coeffs[k] x^k, k = 0..cap, over Fraction."""
@@ -39,15 +58,16 @@ class RationalSeries:
     cap: int
 
     def __post_init__(self) -> None:
-        if self.cap < 2:
-            raise DomainError(f"cap must be >= 2, got {self.cap}")
-        coeffs = tuple(_rational(c) for c in self.coeffs)
-        if len(coeffs) != self.cap + 1:
-            raise DomainError(f"need {self.cap + 1} coefficients, got {len(coeffs)}")
+        cap = _cap(self.cap)
+        coeffs = tuple(c if isinstance(c, Fraction) else _rational(c) for c in self.coeffs)
+        if len(coeffs) != cap + 1:
+            raise DomainError(f"need {cap + 1} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "cap", cap)
 
     @staticmethod
     def from_list(values: Sequence, cap: int) -> "RationalSeries":
+        cap = _cap(cap)
         coeffs = [_rational(v) for v in values[: cap + 1]]
         coeffs += [Fraction(0)] * (cap + 1 - len(coeffs))
         return RationalSeries(tuple(coeffs), cap)
@@ -67,13 +87,15 @@ class RationalSeries:
 
     def __mul__(self, other: "RationalSeries") -> "RationalSeries":
         cap = min(self.cap, other.cap)
-        out = [Fraction(0)] * (cap + 1)
-        for i in range(cap + 1):
-            if self.coeffs[i] == 0:
-                continue
-            for j in range(cap + 1 - i):
-                out[i + j] += self.coeffs[i] * other.coeffs[j]
-        return RationalSeries(tuple(out), cap)
+        a, qa = _over_common_denominator(self.coeffs[: cap + 1])
+        b, qb = _over_common_denominator(other.coeffs[: cap + 1])
+        out = [0] * (cap + 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(cap + 1 - i):
+                    out[i + j] += ai * b[j]
+        q = qa * qb
+        return RationalSeries(tuple(Fraction(n, q) for n in out), cap)
 
     def inverse(self) -> "RationalSeries":
         """Multiplicative inverse in the truncated ring; needs a unit constant term."""
@@ -95,7 +117,6 @@ def _todd_denominator(cap: int) -> RationalSeries:
     )
 
 
-@lru_cache
 def todd_series(cap: int = DEFAULT_CAP) -> RationalSeries:
     """The Todd generating series x / (1 - e^{-x}) as exact rationals.
 
@@ -103,14 +124,25 @@ def todd_series(cap: int = DEFAULT_CAP) -> RationalSeries:
     are 1, 1/2, 1/12, 0, -1/720, ...  Computed once per cap: RationalSeries is
     immutable, so every caller may share the result.
     """
+    return _todd_series(_cap(cap))
+
+
+@lru_cache
+def _todd_series(cap: int) -> RationalSeries:
     return _todd_denominator(cap).inverse()
 
 
 def exp_series(m, cap: int = DEFAULT_CAP) -> RationalSeries:
     """The exponential series of a rational multiple: sum m^k x^k / k!, up to
-    x^cap; a cap below 2, or an m that is NaN or infinite, raises DomainError."""
+    x^cap; a cap that is not an integer of at least 2, or an m that is NaN or
+    infinite, raises DomainError.  With m = p/q in lowest terms the k-th
+    coefficient is the Fraction p^k / (q^k k!), built once from ints."""
+    cap = _cap(cap)
     m = _rational(m)
-    return RationalSeries(tuple(m**k / factorial(k) for k in range(cap + 1)), cap)
+    p, q = m.numerator, m.denominator
+    return RationalSeries(
+        tuple(Fraction(p**k, q**k * factorial(k)) for k in range(cap + 1)), cap
+    )
 
 
 def grr_c1_coefficient(m: int) -> Fraction:

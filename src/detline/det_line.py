@@ -11,6 +11,14 @@ Every function here also takes stacks: a ModeOperator with entries of shape
 values, each the value of its member, computed in one LAPACK pass per
 decomposition.  A point of a stack carries arrays of k scales and k zero
 flags.  On a single operator the results stay Python scalars.
+
+"det T is zero" is decided by the SVD rule: the smallest singular value lies
+below SINGULAR_TOL max(1, largest).  Most members are settled without an SVD:
+|det A| <= s_min s_max^(d-1) and s_max <= |A|_F, so one slogdet and one
+Frobenius norm certify a member invertible when
+log|det A| - (d-1) log|A|_F >= log(2 SINGULAR_TOL max(1, |A|_F)).  Only the
+members this bound leaves open are decomposed, so every decision is the SVD
+rule's; the factor 2 absorbs the rounding of slogdet.
 """
 
 from __future__ import annotations
@@ -26,10 +34,33 @@ from .tolerances import SINGULAR_TOL
 __all__ = ["DetPoint", "det_point", "ratio", "tensor_split", "range_map_index"]
 
 
-def _is_singular(t_op: ModeOperator) -> bool | np.ndarray:
-    sv = np.linalg.svd(t_op.entries, compute_uv=False)
-    singular = sv[..., -1] < SINGULAR_TOL * np.maximum(1.0, sv[..., 0])
-    return singular if t_op.entries.ndim == 3 else bool(singular)
+def _certified_invertible(stack: np.ndarray) -> np.ndarray:
+    """Members of a (k, d, d) stack that the slogdet bound proves nonsingular.
+
+    The Frobenius norm is taken relative to each member's largest modulus, so
+    neither huge nor tiny entries overflow or underflow it; an all-zero member
+    has log|det| = -inf and is never certified.
+    """
+    d = stack.shape[-1]
+    _, log_det = np.linalg.slogdet(stack)
+    peak = np.abs(stack).max(axis=(-2, -1))
+    peak = np.where(peak > 0, peak, 1.0)
+    with np.errstate(under="ignore"):  # entries far below the peak add nothing to the norm
+        unit = stack / peak[:, None, None]
+        squares = (unit.real**2 + unit.imag**2).sum(axis=(-2, -1))
+    log_norm = np.log(peak) + 0.5 * np.log(np.maximum(squares, 1.0))
+    bound = log_det - (d - 1) * log_norm - np.maximum(log_norm, 0.0)
+    return bound >= np.log(2 * SINGULAR_TOL)
+
+
+def _is_singular(entries: np.ndarray) -> bool | np.ndarray:
+    """The SVD rule per member, decomposing only the members left uncertified."""
+    stack = entries.reshape(-1, *entries.shape[-2:])
+    singular = ~_certified_invertible(stack)
+    if singular.any():
+        sv = np.linalg.svd(stack[singular], compute_uv=False)
+        singular[singular] = sv[:, -1] < SINGULAR_TOL * np.maximum(1.0, sv[:, 0])
+    return singular if entries.ndim == 3 else bool(singular[0])
 
 
 def _require_paired(*ops: ModeOperator) -> None:
@@ -47,6 +78,8 @@ class DetPoint:
     "det T is nonzero iff T is invertible" stays decidable independently of
     the scalar action.  For a stack rep, scale and is_zero are arrays with one
     entry per member; a scalar given for either is broadcast over the stack.
+    A scale must be a finite number and is_zero a bool (or arrays of them);
+    anything else raises DomainError.
     """
 
     rep: ModeOperator
@@ -54,22 +87,30 @@ class DetPoint:
     is_zero: bool | np.ndarray
 
     def __post_init__(self) -> None:
+        scale, is_zero = np.asarray(self.scale), np.asarray(self.is_zero)
+        if scale.dtype.kind not in "iufc" or not np.isfinite(scale).all():
+            raise DomainError(f"a scale must be a finite complex number, got {self.scale!r}")
+        if is_zero.dtype.kind != "b":
+            raise DomainError(f"is_zero must be a bool, got {self.is_zero!r}")
         if self.rep.entries.ndim == 3:
             k = (len(self.rep.entries),)
             try:
-                scale = np.broadcast_to(np.asarray(self.scale, dtype=complex), k)
-                is_zero = np.broadcast_to(np.asarray(self.is_zero, dtype=bool), k)
+                scale = np.broadcast_to(scale.astype(complex, copy=False), k)
+                is_zero = np.broadcast_to(is_zero, k)
             except ValueError as exc:
                 message = f"scale and is_zero must match a stack of {k[0]}: {exc}"
                 raise DomainError(message) from exc
             object.__setattr__(self, "scale", scale)
             object.__setattr__(self, "is_zero", is_zero)
+        elif scale.ndim or is_zero.ndim:
+            raise DomainError("a point of a single operator takes one scale and one flag")
 
     def scaled(self, mu: complex | np.ndarray) -> "DetPoint":
         """Scalar action mu . [S, lambda] = [S, mu lambda]; on a stack mu may
-        be one scalar or an array with one scalar per member."""
+        be one scalar or an array with one scalar per member.  A mu that is no
+        finite number raises DomainError."""
+        mu = DetPoint(self.rep, mu, self.is_zero).scale  # checked against the rep
         if self.rep.entries.ndim == 3:
-            mu = DetPoint(self.rep, mu, self.is_zero).scale  # checked against the stack
             return DetPoint(self.rep, mu * self.scale, self.is_zero)
         return DetPoint(self.rep, complex(mu) * self.scale, self.is_zero)
 
@@ -97,9 +138,11 @@ class DetPoint:
 def det_point(t_op: ModeOperator) -> DetPoint:
     """The determinant det T = [T, 1], nonzero exactly when T is invertible.
 
-    On a stack, is_zero is a bool array flagging each singular member."""
+    Invertibility is the SVD rule, settled by the slogdet bound where it can
+    be (see the module docstring).  On a stack, is_zero is a bool array
+    flagging each singular member."""
     require_det_class(t_op)
-    return DetPoint(t_op, 1.0 + 0j, _is_singular(t_op))
+    return DetPoint(t_op, 1.0 + 0j, _is_singular(t_op.entries))
 
 
 def ratio(p: DetPoint, q: DetPoint) -> complex | np.ndarray:
@@ -113,10 +156,10 @@ def ratio(p: DetPoint, q: DetPoint) -> complex | np.ndarray:
     determinants was 1.4e-13, the quotient's 1.7e-14.
 
     On stacks the ratio is taken member by member.  It raises
-    DivisionByZeroPoint when any member of q is zero, and is 0 in the slot of
-    each zero member of p.
+    DivisionByZeroPoint when any member of q is zero, flagged or of scale 0,
+    and is 0 in the slot of each zero member of p.
     """
-    if np.any(q.is_zero):
+    if np.any(q.is_zero) or np.any(q.scale == 0):
         raise DivisionByZeroPoint("cannot divide by the zero point")
     _require_paired(p.rep, q.rep)
     require_det_class(p.rep)

@@ -152,3 +152,65 @@ def test_inverse_requires_unit():
 def test_inverse_roundtrip():
     series = exp_series(Fraction(2, 3), 8)
     assert series * series.inverse() == RationalSeries.one(8)
+
+
+ENTRY_POINTS = {
+    "exp_series": lambda cap: exp_series(1, cap),
+    "todd_series": todd_series,
+    "one": RationalSeries.one,
+    "from_list": lambda cap: RationalSeries.from_list([1], cap),
+    "constructor": lambda cap: RationalSeries((1, 2, 3, 4), cap),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("cap", [3.0, 2.5, "3", True, None, [3]])
+def test_every_entry_point_refuses_a_cap_that_is_no_integer(entry, cap):
+    # these gave a bare TypeError; RationalSeries((1, 2, 3, 4), 3.0) was accepted
+    with pytest.raises(DomainError, match="cap must be an integer"):
+        ENTRY_POINTS[entry](cap)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_takes_an_integral_cap_as_an_int(entry):
+    series = ENTRY_POINTS[entry](np.int64(3))
+    assert type(series.cap) is int and series == ENTRY_POINTS[entry](3)
+
+
+def schoolbook_product(a, b):
+    """The truncated product coefficient by coefficient, one Fraction at a time."""
+    cap = min(a.cap, b.cap)
+    return [sum((a[i] * b[n - i] for i in range(n + 1)), Fraction(0)) for n in range(cap + 1)]
+
+
+def test_products_equal_the_schoolbook_fraction_product():
+    rng = np.random.default_rng(31)
+
+    def random_series(cap):
+        numerators = rng.integers(-40, 41, size=cap + 1)
+        numerators[rng.random(cap + 1) < 0.3] = 0  # zero coefficients, some leading
+        denominators = rng.choice([1, 2, 3, 4, 5, 6, 7, 9, 12, 16, 35, 720, 10**12], size=cap + 1)
+        return RationalSeries(
+            tuple(Fraction(int(n), int(d)) for n, d in zip(numerators, denominators)), cap
+        )
+
+    for _ in range(300):
+        a, b = random_series(int(rng.integers(2, 13))), random_series(int(rng.integers(2, 13)))
+        product = a * b
+        assert product.cap == min(a.cap, b.cap)
+        assert list(product.coeffs) == schoolbook_product(a, b)
+        assert all(type(c) is Fraction for c in product.coeffs)
+    assert list((todd_series(12) * exp_series(-3, 12)).coeffs) == schoolbook_product(
+        todd_series(12), exp_series(-3, 12)
+    )
+
+
+@pytest.mark.parametrize(
+    "m", [0, 1, -1, 7, -12, Fraction(-5, 3), Fraction(7, 720), 0.5, -2.75, 1e-3, 3.0]
+)
+def test_exp_series_equals_powers_over_factorials(m):
+    exact = Fraction(m)
+    for cap in (2, 5, 12):
+        series = exp_series(m, cap)
+        assert list(series.coeffs) == [exact**k / factorial(k) for k in range(cap + 1)]
+        assert all(type(c) is Fraction for c in series.coeffs)

@@ -336,3 +336,112 @@ def test_stacked_index_additivity_matches_the_per_instance_draws():
         )
     assert stacked.tolist() == looped == [True] * 25
     assert one.standard_normal() == per_instance.standard_normal()
+
+
+# ---------------------------------------------------------------------------
+# the zero test: the slogdet bound settles most members, the SVD rule the rest
+
+
+def svd_rule(stack):
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return sv[..., -1] < det_line.SINGULAR_TOL * np.maximum(1.0, sv[..., 0])
+
+
+def with_singular_values(sv):
+    """U diag(sv) V* for random unitaries U, V."""
+    u, v = (random_unitary(len(sv)) for _ in range(2))
+    return (u * np.asarray(sv, dtype=float)) @ v.conj().T
+
+
+def test_zero_test_decides_as_the_svd_rule_member_by_member():
+    rng = np.random.default_rng(21)
+    tol = det_line.SINGULAR_TOL
+    d = W.dim
+    members7 = [np.eye(d) + 0.4 * random_unitary(d), np.eye(d) * 1e-5]
+    for top in (0.5, 1.0, 3.0, 1e3):
+        for side in (1 - 1e-3, 1 + 1e-3):
+            smallest = tol * max(1.0, top) * side
+            members7.append(with_singular_values(np.geomspace(top, smallest, d)))
+    singular = np.eye(d, dtype=complex)
+    singular[3] = singular[5]  # two equal rows: exactly singular
+    members7 += [singular, with_singular_values([2.0] * (d - 1) + [0.0]), np.zeros((d, d))]
+    base = members7[0]
+    members7 += [1e150 * base, 1e-150 * base, 1e150 * members7[2], 1e-150 * members7[3]]
+    stack7 = np.array(members7, dtype=complex)
+    ones = np.array([1, 1e-10 * (1 - 1e-3), 1e-10 * (1 + 1e-3), 0, 2e-10, -3, 1e-300, 1e300, 5e-11j])
+    stack1 = ones.astype(complex).reshape(-1, 1, 1)
+    g = rng.standard_normal((2, 60, 60))
+    dense60 = (g[0] + 1j * g[1]) / np.sqrt(60)
+
+    with np.errstate(all="raise"):
+        for stack in (stack7, stack1):
+            expected = svd_rule(stack)
+            assert det_line._is_singular(stack).tolist() == expected.tolist()
+            for member, decision in zip(stack, expected):
+                single = det_line._is_singular(member)
+                assert type(single) is bool and single == decision
+        # the near-threshold members go either way, as built
+        assert svd_rule(stack7)[2:10].tolist() == [True, False] * 4
+        assert det_line._certified_invertible(stack7[:2]).all()
+        assert not det_line._certified_invertible(stack7[2:10]).any()
+        # a dense 60 x 60 member: invertible, but the bound cannot show it
+        assert not det_line._certified_invertible(dense60[None])[0]
+        assert not svd_rule(dense60)
+        assert det_line._is_singular(dense60) is False
+
+        points = det_line.det_point(gr.ModeOperator(W, stack7, gr.TAIL_IDENTITY))
+        assert points.is_zero.tolist() == svd_rule(stack7).tolist()
+        single = det_line.det_point(gr.ModeOperator(W, stack7[5], gr.TAIL_IDENTITY))
+        assert type(single.is_zero) is bool and single.is_zero == svd_rule(stack7[5])
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [float("nan"), float("inf"), complex(0, float("-inf")), "2", None, True, [1, "2"]],
+    ids=["nan", "inf", "complex-inf", "str", "none", "bool", "list-with-str"],
+)
+def test_det_point_refuses_a_scale_that_is_no_finite_number(scale):
+    # a NaN scale once made ratio, scaled and normal_form return (nan+nanj)
+    with pytest.raises(DomainError, match="scale"):
+        det_line.DetPoint(det_class(), scale, False)
+    with pytest.raises(DomainError, match="scale"):
+        det_line.DetPoint(det_class_stack(np.random.default_rng(22), 2), scale, False)
+
+
+@pytest.mark.parametrize("flag", ["False", 0, 1.0, None], ids=["str", "int", "float", "none"])
+def test_det_point_refuses_a_zero_flag_that_is_no_bool(flag):
+    with pytest.raises(DomainError, match="is_zero"):
+        det_line.DetPoint(det_class(), 1.0, flag)
+    with pytest.raises(DomainError, match="is_zero"):
+        det_line.DetPoint(det_class_stack(np.random.default_rng(23), 2), 1.0, flag)
+
+
+def test_scaled_refuses_a_factor_that_is_no_finite_number():
+    p = det_line.det_point(det_class())
+    stack = det_line.det_point(det_class_stack(np.random.default_rng(24), 3))
+    for mu in (float("nan"), float("inf"), "2"):
+        with pytest.raises(DomainError, match="scale"):
+            p.scaled(mu)
+        with pytest.raises(DomainError, match="scale"):
+            stack.scaled(mu)
+    with pytest.raises(DomainError, match="scale"):
+        stack.scaled(np.array([1.0, np.nan, 2.0]))
+    with pytest.raises(DomainError, match="scale"):
+        p.scaled(1e200).scaled(1e200).scaled(1e200)  # overflows to an infinite scale
+    with pytest.raises(DomainError, match="one scale"):
+        p.scaled(np.ones(2))
+
+
+def test_ratio_by_a_point_of_scale_zero_raises():
+    # a zero scale on a point not flagged zero once raised a bare ZeroDivisionError
+    t_op = det_class()
+    p = det_line.det_point(t_op)
+    with pytest.raises(DivisionByZeroPoint):
+        det_line.ratio(p, det_line.DetPoint(t_op, 0.0, False))
+    with pytest.raises(DivisionByZeroPoint):
+        det_line.ratio(p, p.scaled(0))
+    stack = det_class_stack(np.random.default_rng(25), 3)
+    with pytest.raises(DivisionByZeroPoint):
+        det_line.ratio(det_line.det_point(stack), det_line.DetPoint(stack, [1.0, 0.0, 2.0], False))
+    # a zero scale in the numerator is the zero value, as before
+    assert det_line.ratio(det_line.DetPoint(t_op, 0.0, False), p) == 0

@@ -433,7 +433,9 @@ def test_planted_nan_in_one_eta_flip_sample_fails_its_case(monkeypatch):
 def test_detline_suite_stacks_its_random_instances(monkeypatch):
     # the random-instance rows run each det_line step once on a stack: at the
     # one-instance-at-a-time suite the detline suite made 1,726 LAPACK calls
-    # (812 svd, 794 det, 100 qr, 20 solve) and 972 ModeOperator constructions
+    # (812 svd, 794 det, 100 qr, 20 solve) and 972 ModeOperator constructions;
+    # det_point settles its zero test by slogdet and decomposes only the
+    # members the slogdet bound leaves open
     calls, constructions = [], []
 
     def counted(name, inner):
@@ -443,7 +445,7 @@ def test_detline_suite_stacks_its_random_instances(monkeypatch):
 
         return call
 
-    for name in ("svd", "det", "qr", "solve"):
+    for name in ("svd", "det", "slogdet", "qr", "solve"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     post_init = gr.ModeOperator.__post_init__
 
@@ -456,8 +458,10 @@ def test_detline_suite_stacks_its_random_instances(monkeypatch):
     assert document.n_fail == 0
     assert len(calls) <= 60, calls
     assert len(constructions) <= 150
-    # the multiplicativity row alone: 100 instances in each stacked call
-    assert ("svd", (100, 7, 7)) in calls and ("det", (100, 7, 7)) in calls
+    # the multiplicativity row alone: 100 instances in each stacked call, and
+    # every one of its points certified without an SVD
+    assert ("slogdet", (100, 7, 7)) in calls and ("det", (100, 7, 7)) in calls
+    assert ("svd", (100, 7, 7)) not in calls
 
 
 def test_grassmannian_suite_stacks_its_sample_loops(monkeypatch):
