@@ -92,47 +92,37 @@ class DetPoint:
             raise DomainError(f"a scale must be a finite complex number, got {self.scale!r}")
         if is_zero.dtype.kind != "b":
             raise DomainError(f"is_zero must be a bool, got {self.is_zero!r}")
-        if self.rep.entries.ndim == 3:
-            k = (len(self.rep.entries),)
-            try:
-                scale = np.broadcast_to(scale.astype(complex, copy=False), k)
-                is_zero = np.broadcast_to(is_zero, k)
-            except ValueError as exc:
-                message = f"scale and is_zero must match a stack of {k[0]}: {exc}"
-                raise DomainError(message) from exc
-            object.__setattr__(self, "scale", scale)
-            object.__setattr__(self, "is_zero", is_zero)
-        elif scale.ndim or is_zero.ndim:
-            raise DomainError("a point of a single operator takes one scale and one flag")
+        shape = self.rep.entries.shape[:-2]
+        try:
+            scale = np.broadcast_to(scale.astype(complex, copy=False), shape)
+            is_zero = np.broadcast_to(is_zero, shape)
+        except ValueError as exc:
+            what = f"a stack of {shape[0]}" if shape else "one operator: one scale and one flag"
+            raise DomainError(f"scale and is_zero must match {what}: {exc}") from exc
+        object.__setattr__(self, "scale", scale if shape else complex(scale))
+        object.__setattr__(self, "is_zero", is_zero if shape else bool(is_zero))
 
     def scaled(self, mu: complex | np.ndarray) -> "DetPoint":
         """Scalar action mu . [S, lambda] = [S, mu lambda]; on a stack mu may
         be one scalar or an array with one scalar per member.  A mu that is no
         finite number raises DomainError."""
         mu = DetPoint(self.rep, mu, self.is_zero).scale  # checked against the rep
-        if self.rep.entries.ndim == 3:
-            return DetPoint(self.rep, mu * self.scale, self.is_zero)
-        return DetPoint(self.rep, complex(mu) * self.scale, self.is_zero)
+        return DetPoint(self.rep, mu * self.scale, self.is_zero)
 
     def normal_form(self) -> "DetPoint":
         """Canonical representative: [I, lambda det_F(rep)] for nonzero points.
 
         Realizes the defining equivalence (S q, lambda) ~ (S, lambda det_F q)
-        with q = rep itself; zero points are returned unchanged since their
-        representative cannot be divided out (on a stack, member by member).
+        with q = rep itself; zero points keep their representative and scale,
+        since the representative cannot be divided out (on a stack, member by
+        member).  The representative must be of determinant class, zero
+        points included, or NotDetClass is raised.
         """
-        if self.rep.entries.ndim == 3:
-            zero = self.is_zero
-            eye = np.eye(self.rep.window.dim, dtype=complex)
-            rep = ModeOperator(
-                self.rep.window, np.where(zero[:, None, None], self.rep.entries, eye), self.rep.tail
-            )
-            scale = np.where(zero, self.scale, self.scale * fredholm_det(self.rep))
-            return DetPoint(rep, scale, zero)
-        if self.is_zero:
-            return self
-        identity = ModeOperator.identity(self.rep.window)
-        return DetPoint(identity, self.scale * fredholm_det(self.rep), False)
+        zero = np.asarray(self.is_zero)
+        eye = np.eye(self.rep.window.dim, dtype=complex)
+        entries = np.where(zero[..., None, None], self.rep.entries, eye)
+        scale = np.where(zero, self.scale, self.scale * fredholm_det(self.rep))
+        return DetPoint(ModeOperator(self.rep.window, entries, self.rep.tail), scale, self.is_zero)
 
 
 def det_point(t_op: ModeOperator) -> DetPoint:

@@ -57,11 +57,10 @@ from .errors import (
     NotInvertible,
     WindowOverflow,
 )
-from .specfun import FdStencil, _hurwitz_em, fd_apply
+from .specfun import FdStencil, _hurwitz_em, _open_unit_points, fd_apply
 from .tolerances import (
     CHART_SVD_THRESHOLD,
     DEFAULT_FD_STEP,
-    INNER_FD_STEP,
     PROJECTION_TOL,
     RANK_SVD_THRESHOLD,
     ROUNDING_TOL,
@@ -101,10 +100,8 @@ TAIL_IDENTITY = (1.0 + 0j, 1.0 + 0j)
 TAIL_ZERO = (0.0 + 0j, 0.0 + 0j)
 TAIL_APS = (1.0 + 0j, 0.0 + 0j)
 
-# The first-derivative stencils of the chart layer: at DEFAULT_FD_STEP, and at
-# INNER_FD_STEP for the inner connection forms of curvature_rkw.
+# The first-derivative stencil of the chart layer, at DEFAULT_FD_STEP.
 _D1 = FdStencil(DEFAULT_FD_STEP, "first-derivative")
-_D1_INNER = FdStencil(INNER_FD_STEP, "first-derivative")
 
 
 def _require_mode(value, what: str) -> None:
@@ -301,10 +298,13 @@ def rotated_family(w: ModeWindow, modes: tuple[int, int]) -> ProjectionFamily:
     That block is the projection onto U e_m2 = (-conj(phase) sin, cos),
     written in closed form into a copy of Pi_{>=0}.
     """
-    m1, m2 = modes
+    try:
+        m1, m2 = modes
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"modes must be a pair (m1, m2), got {modes!r}") from exc
+    i, j = w.index(m1), w.index(m2)
     if not (m1 < 0 <= m2):
         raise DomainError(f"need m1 < 0 <= m2, got ({m1}, {m2})")
-    i, j = w.index(m1), w.index(m2)
     base = spectral_projection(w, 0).entries
 
     def value(t1: float, t2: float) -> np.ndarray:
@@ -384,13 +384,10 @@ def eta_invariant_spectral(a: float | np.ndarray) -> float | np.ndarray:
     zeta_H(s, 1-a); at s = 0 the difference is 1 - 2a.  Takes a float or an
     array of offsets and returns a float or an array of the same shape, from
     one Euler-Maclaurin pass over the shifts a and 1 - a; an offset outside
-    (0, 1), NaN included, raises DomainError.
+    (0, 1), NaN included, or one that is no real number raises DomainError.
     """
-    offsets = np.array(a, dtype=float, ndmin=1)
+    offsets = _open_unit_points(a, "offset a")
     flat = offsets.reshape(-1)
-    outside = ~((flat > 0.0) & (flat < 1.0))
-    if outside.any():
-        raise DomainError(f"offset a must lie in (0, 1), got {flat[outside][0]}")
     zeta = _hurwitz_em(0.0, np.concatenate([flat, 1.0 - flat]))
     eta = (zeta[: flat.size] - zeta[flat.size :]).real
     return float(eta[0]) if np.ndim(a) == 0 else eta.reshape(offsets.shape)
@@ -418,8 +415,9 @@ def eta_finite_rank_check(a: float, flip_mode: int, window: ModeWindow) -> tuple
     left side is the relative eta of the two positive spectral projections,
     the right side the difference of regularized eta invariants.
     """
-    if not 0.0 < a < 1.0:
-        raise DomainError(f"offset a must lie in (0, 1), got {a}")
+    if not isinstance(a, numbers.Real) or isinstance(a, bool) or not 0.0 < a < 1.0:
+        raise DomainError(f"offset a must be a real number in (0, 1), got {a!r}")
+    _require_mode(flip_mode, "a flip mode")
     if abs(flip_mode) > window.n_max:
         raise WindowOverflow(f"flip mode {flip_mode} outside the window")
     pi_d = spectral_projection(window, 0)
@@ -573,13 +571,8 @@ def _projections_at(fam: ProjectionFamily, t: Points, v: np.ndarray | None = Non
     op = ModeOperator(fam.window, _family_blocks(fam, *t), TAIL_APS)
     if not op.is_projection():
         members = op.entries.reshape(-1, *op.entries.shape[-2:])
-        i = next(
-            i
-            for i, m in enumerate(members)
-            if not ModeOperator(fam.window, m, TAIL_APS).is_projection()
-        )
-        t1, t2 = _point(t, i)
-        raise DomainError(f"family value at ({t1}, {t2}) is not a projection")
+        bad = [not ModeOperator(fam.window, m, TAIL_APS).is_projection() for m in members]
+        raise DomainError(f"family value at {_point(t, bad.index(True))} is not a projection")
     if v is not None:
         rank_p = np.trace(op.entries, axis1=-2, axis2=-1).real
         off = np.rint(rank_p) != v.shape[1]
@@ -619,12 +612,7 @@ def _chart_derivative(d_member: np.ndarray, v: np.ndarray, sig: np.ndarray | Non
 
 
 def _chart_stencil(
-    fam: ProjectionFamily,
-    v: np.ndarray,
-    sig: np.ndarray | None,
-    t: Points,
-    axis: int,
-    st: FdStencil,
+    fam: ProjectionFamily, v: np.ndarray, sig: np.ndarray | None, t: Points, axis: int
 ) -> np.ndarray:
     """d(SV) along axis at t for one chart, from its own stencil over the
     family's blocks."""
@@ -633,7 +621,7 @@ def _chart_stencil(
         p = _family_blocks(fam, t1, t2)
         return p if sig is None else _chart_maps(p, v, sig)[0]
 
-    return _chart_derivative(fd_apply(member, t, st, axis), v, sig)
+    return _chart_derivative(fd_apply(member, t, _D1, axis), v, sig)
 
 
 def connection_form(
@@ -658,10 +646,21 @@ def connection_form(
     pts = _points(t)
     v = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
-    p = _projections_at(fam, pts, v)
+    return _omega(fam, v, sig, axis, pts, _projections_at(fam, pts, v))
+
+
+def _omega(
+    fam: ProjectionFamily,
+    v: np.ndarray,
+    sig: np.ndarray | None,
+    axis: int,
+    t: Points,
+    p: np.ndarray,
+) -> complex | np.ndarray:
+    """connection_form along axis at the points t from the family values p
+    there: the chart map SV, with d(SV) from the chart's own stencil."""
     (s_v,) = _chart_maps(p, v, sig)
-    ds = partial(_chart_stencil, fam, v, sig, pts, axis, _D1)
-    return _result(_connection_form(s_v, ds, p, pts))
+    return _connection_form(s_v, partial(_chart_stencil, fam, v, sig, t, axis), p, t)
 
 
 def _connection_form(
@@ -705,23 +704,18 @@ def curvature_rkw(
     """Curvature two-form d omega = d1 omega_2 - d2 omega_1 at a parameter point,
     or at each point of equal-length arrays t1, t2.
 
-    The outer derivatives use the step DEFAULT_FD_STEP; the inner connection
-    forms use the finer INNER_FD_STEP so the nested differencing stays well
-    below TOL_CONNECTION_CURVATURE against Tr(P [d1 P, d2 P]).
+    Each derivative is the stencil of connection_form's own values at the
+    samples around t, which take their d(SV) from a stencil at the same step
+    DEFAULT_FD_STEP.  The outer stencil divides the rounding of the inner
+    one, eps / h, by h once more, so a finer inner step would lose digits.
     """
     pts = _points(t)
     v = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
     _projections_at(fam, pts, v)  # the stencil points around t are not checked
 
-    def omega(axis_inner: int) -> Callable[..., complex | np.ndarray]:
-        def at(t1, t2) -> complex | np.ndarray:
-            p = _family_blocks(fam, t1, t2)
-            (s_v,) = _chart_maps(p, v, sig)
-            ds = partial(_chart_stencil, fam, v, sig, (t1, t2), axis_inner, _D1_INNER)
-            return _connection_form(s_v, ds, p, (t1, t2))
-
-        return at
+    def omega(axis: int) -> Callable[..., complex | np.ndarray]:
+        return lambda t1, t2: _omega(fam, v, sig, axis, (t1, t2), _family_blocks(fam, t1, t2))
 
     return _result(fd_apply(omega(1), pts, _D1, 0) - fd_apply(omega(0), pts, _D1, 1))
 

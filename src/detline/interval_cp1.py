@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, DomainError
-from .specfun import FdStencil, fd_apply, hurwitz_zeta_ds0
+from .specfun import FdStencil, _open_unit_points, fd_apply, hurwitz_zeta_ds0
 from .tolerances import DEFAULT_FD_STEP, DEGENERACY_TOL, ROUNDING_TOL, TOL_CURVATURE
 
 __all__ = [
@@ -222,10 +222,7 @@ def zeta_det_from_alpha(alpha: float | np.ndarray) -> float | np.ndarray:
     det = exp(-zeta_Delta'(0)).  Both families go through one
     hurwitz_zeta_ds0 call.
     """
-    offsets = np.array(alpha, dtype=float, ndmin=1)
-    outside = ~((offsets > 0.0) & (offsets < 1.0))
-    if outside.any():
-        raise DomainError(f"alpha must lie in (0, 1), got {offsets[outside][0]}")
+    offsets = _open_unit_points(alpha, "alpha")
     ds0 = hurwitz_zeta_ds0(np.stack([offsets, 1.0 - offsets]))
     return _like(np.exp(-2.0 * (ds0[0] + ds0[1])), alpha)
 

@@ -911,10 +911,13 @@ SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(name: str, seed: int = 0) -> ReportDocument:
-    """Run the named verification suite deterministically under the seed;
-    the one place where a suite row becomes a judged CaseResult."""
+    """Run the named verification suite deterministically under the seed, an
+    integer >= 0 (a bool is no seed; a numpy integer is stored as int); the
+    one place where a suite row becomes a judged CaseResult."""
     if name not in SUITE_NAMES:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     started = datetime.now(timezone.utc).isoformat()
     cases: list[CaseResult] = []
     streams = np.random.SeedSequence(seed).spawn(len(_SUITES))
@@ -932,7 +935,7 @@ def run_suite(name: str, seed: int = 0) -> ReportDocument:
             status = "pass" if ok else "fail"
             cases.append(CaseResult(case_name, status, observed, expected, tol, anchor))
     finished = datetime.now(timezone.utc).isoformat()
-    return ReportDocument(name, seed, cases, started, finished)
+    return ReportDocument(name, int(seed), cases, started, finished)
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,10 @@ half of it in the CSV writer, where the scalar kernel took 8.3 s.
 a tuple of them sampled together.  Its one stencil is the order-4 central
 difference, applied as paired differences f(+k) - f(-k) (first derivative)
 and f(+k) + f(-k) - 2 f(0) along each axis (Laplacian), so a constant field
-gives exactly 0.  Its step is fixed in code, DEFAULT_FD_STEP unless a caller
-names another.  A ``DetlineError`` from the field propagates unchanged; any
-other exception, and a non-finite result, becomes an ``EvaluationError``
-naming the point.
+gives exactly 0.  Its step is fixed in code: every stencil of the library,
+nested ones included, runs at DEFAULT_FD_STEP.  A ``DetlineError`` from the
+field propagates unchanged; any other exception, and a non-finite result,
+becomes an ``EvaluationError`` naming the point.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from __future__ import annotations
 import cmath
 import decimal
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Literal
@@ -97,8 +98,24 @@ class HurwitzParams:
     a: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.a <= 1.0:
-            raise DomainError(f"shift a must lie in (0, 1], got {self.a}")
+        if not isinstance(self.s, numbers.Complex) or isinstance(self.s, bool):
+            raise DomainError(f"s must be a complex number, got {self.s!r}")
+        if not isinstance(self.a, numbers.Real) or isinstance(self.a, bool) or not 0 < self.a <= 1:
+            raise DomainError(f"shift a must be a real number in (0, 1], got {self.a!r}")
+
+
+def _open_unit_points(value, what: str) -> np.ndarray:
+    """A real number or an array of them, each in (0, 1), as a float array of at
+    least one dimension; anything else (NaN, a complex, a bool, a string)
+    raises DomainError."""
+    points = np.asarray(value)
+    if points.dtype.kind not in "iuf":
+        raise DomainError(f"{what} must be a real number or an array of them, got {value!r}")
+    points = np.array(points, dtype=float, ndmin=1)
+    outside = ~((points > 0.0) & (points < 1.0))
+    if outside.any():
+        raise DomainError(f"{what} must lie in (0, 1), got {points[outside][0]}")
+    return points
 
 
 # Points x terms per block of a direct sum, so temporaries stay bounded
@@ -203,13 +220,11 @@ def hurwitz_zeta_ds0(a: float | np.ndarray) -> float | np.ndarray:
     with N = DEFAULT_CUTOFF and the constant C(N) from ``_ds0_constant``, so
     no two large terms cancel.  Every value is cross-checked against
     log Gamma(a) - log(2 pi)/2 to 1e-10; an entry outside (0, 1), NaN
-    included, raises DomainError.
+    included, and an argument that is no real number or array of them
+    raise DomainError.
     """
-    points = np.array(a, dtype=float, ndmin=1)
+    points = _open_unit_points(a, "shift a")
     flat = points.reshape(-1)
-    outside = ~((flat > 0.0) & (flat < 1.0))
-    if outside.any():
-        raise DomainError(f"shift a must lie in (0, 1), got {flat[outside][0]}")
     n = np.arange(1.0, DEFAULT_CUTOFF)
     direct = np.empty_like(flat)
     rows = max(1, _SUM_BLOCK // max(1, n.size))

@@ -1,5 +1,5 @@
-"""The tolerance policy: every tolerance, rank threshold and default stencil
-step of the library, each defined once with the reason for its value.
+"""The tolerance policy: every tolerance and rank threshold of the library and
+its one stencil step, each defined once with the reason for its value.
 
 Every identity is checked by making two routes agree, so these values decide
 what counts as "agree" and what counts as "singular".  Two checks share a
@@ -19,9 +19,8 @@ DEGENERACY_TOL = 1e-10  # |u - 1| = 2 sin(pi alpha) below it: the interval probl
 POLE_DISTANCE = 1e-12  # distance from s = 1 at which hurwitz_zeta reports the pole
 LOG_GAMMA_TOL = 1e-10  # hurwitz_zeta_ds0 vs log Gamma(a) - log(2 pi)/2; the kernel errs by 1.4e-15
 
-# Stencil steps.
+# The stencil step of every stencil, nested ones (curvature_rkw) included.
 DEFAULT_FD_STEP = 1e-3  # order-4 truncation h^4 vs rounding eps / h^k; fixed, nothing overrides it
-INNER_FD_STEP = 1e-5  # inner connection forms of curvature_rkw, a hundredth of DEFAULT_FD_STEP
 
 # Report tolerances, one per identity; the suites and the acceptance tests share them.
 TOL_ZETA_DET = 1e-8  # spectral determinant, det = 4 |S(P)|^2, metric patching ratio

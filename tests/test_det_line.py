@@ -282,7 +282,20 @@ def test_ratio_by_a_stack_with_a_zero_member_raises():
         p.scaled(np.ones(3))
 
 
+def test_normal_form_of_a_zero_point_needs_a_det_class_representative():
+    # single points and stacks alike: a zero point of a representative that
+    # is not of determinant class is refused (a single one once returned itself)
+    not_det_class = gr.ModeOperator(W, np.zeros((W.dim, W.dim)), gr.TAIL_ZERO)
+    with pytest.raises(NotDetClass):
+        det_line.DetPoint(not_det_class, 1.0, True).normal_form()
+    stack = gr.ModeOperator(W, np.zeros((2, W.dim, W.dim)), gr.TAIL_ZERO)
+    with pytest.raises(NotDetClass):
+        det_line.DetPoint(stack, 1.0, True).normal_form()
+
+
 def test_single_operators_keep_python_scalar_results():
+    zero = det_line.DetPoint(det_class(), 3.0, True).normal_form()
+    assert type(zero.scale) is complex and type(zero.is_zero) is bool and zero.scale == 3.0
     t_op, s_op = det_class(), det_class()
     p, q = det_line.det_point(t_op), det_line.det_point(s_op)
     assert type(p.is_zero) is bool and type(p.scale) is complex

@@ -145,6 +145,13 @@ def test_zeta_det_from_alpha_synthetic_third():
     assert cp1.zeta_det_from_alpha(1.0 / 3.0) == pytest.approx(3.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [0.3 + 0.1j, 0.3 + 0j, "0.3", True, np.array(["0.3"])])
+def test_zeta_det_from_alpha_refuses_an_offset_that_is_not_real(alpha):
+    # a complex raised a bare TypeError, and "0.3" gave the value at 0.3
+    with pytest.raises(DomainError, match="alpha must be a real number"):
+        cp1.zeta_det_from_alpha(alpha)
+
+
 @given(z=chart_points)
 @settings(max_examples=30, deadline=None)
 def test_spectral_equals_closed_everywhere(z):

@@ -170,6 +170,24 @@ def test_cli_grid_rejects_infinite_bound(capsys):
     assert "error: DomainError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.bool_(False), "7", None])
+def test_run_suite_refuses_a_seed_that_is_no_integer_at_least_zero(seed):
+    # -1 ended in numpy's ValueError, 1.5 in a TypeError, and True ran and
+    # wrote "seed": true into the report
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        report.run_suite("cp1", seed)
+
+
+def test_run_suite_stores_a_numpy_integer_seed_as_int():
+    document = report.run_suite("chern", np.int64(7))
+    assert type(document.seed) is int and document.to_json()["seed"] == 7
+
+
+def test_cli_negative_seed_is_a_domain_error(capsys):
+    assert cli.main(["verify", "all", "--seed", "-1"]) == 1
+    assert "error: DomainError: seed must be an integer >= 0" in capsys.readouterr().err
+
+
 def test_cli_zeta_det(capsys):
     code = cli.main(["zeta-det", "--z", "0,0"])
     record = json.loads(capsys.readouterr().out)
@@ -301,6 +319,16 @@ def test_planted_fault_in_connection_curvature_density(monkeypatch):
     assert error > report.TOL_CONNECTION_CURVATURE
     document = report.run_suite("grassmannian", 7)
     assert _case(document, "curvature d omega matches Tr(P [d1 P, d2 P])").status == "fail"
+
+
+def test_planted_fault_in_connection_form_fails_both_curvature_rows(monkeypatch):
+    # curvature_rkw differentiates connection_form's values and tr_p_dp_dp
+    # does not call it, so a fault in the connection form reaches only one
+    # route of each curvature row
+    _plant(monkeypatch, gr, "_connection_form", lambda omega, *args: omega * (1 + 1e-3))
+    document = report.run_suite("grassmannian", 7)
+    assert _case(document, "curvature d omega matches Tr(P [d1 P, d2 P])").status == "fail"
+    assert _case(document, "curvature is chart independent (perturbed chart)").status == "fail"
 
 
 def test_planted_fault_in_ratio_determinants_fails_transitivity(monkeypatch):

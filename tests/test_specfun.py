@@ -136,6 +136,22 @@ def test_pole_and_domain_errors():
         hurwitz_zeta_ds0(1.0)
 
 
+@pytest.mark.parametrize("a", [0.3 + 0.1j, 0.3 + 0j, "0.3", True, [0.3, "0.4"], None])
+def test_hurwitz_zeta_ds0_refuses_an_argument_that_is_not_real(a):
+    # a complex raised a bare TypeError, and "0.3" was read as 0.3
+    with pytest.raises(DomainError, match="shift a must be a real number"):
+        hurwitz_zeta_ds0(a)
+
+
+@pytest.mark.parametrize(
+    "s, a", [(0.5, "0.5"), ("0.5", 0.5), (0.5, 0.5 + 0j), (0.5, True), (None, 0.5)]
+)
+def test_hurwitz_params_refuse_arguments_that_are_no_numbers(s, a):
+    # HurwitzParams(0.5, "0.5") raised a bare TypeError
+    with pytest.raises(DomainError, match="must be a (real|complex) number"):
+        HurwitzParams(s, a)
+
+
 @given(
     s_re=st.floats(min_value=1.2, max_value=6.0),
     s_im=st.floats(min_value=-3.0, max_value=3.0),
