@@ -66,14 +66,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args) -> int:
     document = report.run_suite(args.suite, args.seed)
+    payload = document.to_json()
     if args.json_path:
-        report._atomic_write(args.json_path, json.dumps(document.to_json(), indent=2) + "\n")
+        report._atomic_write(args.json_path, json.dumps(payload, indent=2) + "\n")
     for case in document.cases:
         marker = {"pass": "PASS", "fail": "FAIL", "skip": "SKIP"}[case.status]
         print(f"[{marker}] {case.name}")
         if case.status == "fail":
             print(f"       observed={case.observed} expected={case.expected} tol={case.tolerance}")
-    summary = document.to_json()["summary"]
+    summary = payload["summary"]
     print(
         f"{document.suite}: {summary['n_pass']}/{summary['n_cases']} passed, "
         f"{summary['n_fail']} failed, {summary['n_skip']} skipped (seed {document.seed})"

@@ -25,7 +25,7 @@ import numbers
 import os
 import tempfile
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -94,7 +94,9 @@ class CaseResult:
     paper_anchor: str
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """The fields in order; a shallow copy, as every value is a number,
+        a string or None."""
+        return dict(vars(self))
 
 
 @dataclass
@@ -955,8 +957,10 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for lo, hi in ((self.re_min, self.re_max), (self.im_min, self.im_max)):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise DomainError(f"grid bounds must be finite with min < max, got {lo}:{hi}")
+            if not (lo < hi and math.isfinite(hi - lo)):  # NaN and inf fail too
+                raise DomainError(
+                    f"grid bounds must be finite with min < max and a finite width, got {lo}:{hi}"
+                )
         if not isinstance(self.n, numbers.Integral) or self.n < 2:
             raise DomainError(f"grid needs an integer n >= 2 points per axis, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))  # a numpy integer stays JSON-writable
@@ -989,8 +993,15 @@ def _grid_rows(g: GridSpec) -> tuple[list[dict], dict]:
     ok = ~g.excluded(z)
     ok[ok] = ~cp1.curvature_fd_unresolved(z[ok])
     z_ok = z[ok]
-    k_fd = cp1.quillen_curvature_fd(z_ok)
     k_closed = cp1.kahler_density_closed(z_ok)
+    # relative errors need a normal density: it underflows beyond |z| = 8e76
+    underflow = k_closed < np.finfo(float).tiny
+    if underflow.any():
+        raise DomainError(
+            f"the curvature density underflows at z = {z_ok[underflow][0]}, "
+            "so its relative errors are undefined"
+        )
+    k_fd = cp1.quillen_curvature_fd(z_ok)
     k_pdpdp = cp1.kahler_form_2x2(z_ok)
     rel_fd = np.abs(k_fd - k_closed) / k_closed
     rel_pdp = np.abs(k_pdpdp - k_closed) / k_closed
@@ -1036,7 +1047,9 @@ def curvature_grid(
     """Sample the curvature comparison over a grid and emit csv or json.
 
     Returns the summary dictionary (row counts and maximal relative errors);
-    when ``path`` is given the file is written atomically.
+    when ``path`` is given the file is written atomically.  A grid reaching
+    beyond |z| = 8e76, where the closed density underflows and relative
+    errors are undefined, raises DomainError and writes nothing.
     """
     if out_format not in ("csv", "json"):
         raise DomainError(f"out_format must be 'csv' or 'json', got {out_format!r}")

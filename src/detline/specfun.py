@@ -28,17 +28,28 @@ writes every term relative to its a = 0 value: against mpmath its absolute
 error over a in [0.001, 0.999] is at most 1.4e-15 (the form with
 -sum log(n + a) and w (log w - 1), whose terms of size ~150 cancel, was off
 by up to 1.1e-13).  On a 2-vCPU x86-64 host ``detline curvature-grid --n
-100`` (10^4 points, 1.8e5 shifts) spends about 0.28 s in ``curvature_grid``,
-half of it in the CSV writer, where the scalar kernel took 8.3 s.
+100`` (10^4 points, 1.8e5 shifts) spends 0.27-0.36 s in ``curvature_grid``
+(medians of three runs of seven), about half of it in the CSV writer, where
+the scalar kernel took 8.3 s.
 
 ``fd_apply`` is the only stencil loop, for real, complex or array fields, or
 a tuple of them sampled together.  Its one stencil is the order-4 central
 difference, applied as paired differences f(+k) - f(-k) (first derivative)
 and f(+k) + f(-k) - 2 f(0) along each axis (Laplacian), so a constant field
 gives exactly 0.  Its step is fixed in code: every stencil of the library,
-nested ones included, runs at DEFAULT_FD_STEP.  A ``DetlineError`` from the
-field propagates unchanged; any other exception, and a non-finite result,
-becomes an ``EvaluationError`` naming the point.
+nested ones included, runs at DEFAULT_FD_STEP.  It calls the field once,
+with the coordinates of all its samples stacked along a leading axis, and
+the field decides how they are evaluated: by returning an array it
+evaluates them in one pass, by returning an iterator one at a time.
+``interval_cp1.quillen_curvature_fd`` returns arrays, so its nine Laplacian
+samples make one pass through ``hurwitz_zeta_ds0`` where they made nine.
+The Grassmannian chart layer returns ``map(field, t1, t2)``: one of its
+samples holds d x d blocks, and stacking them raised the traced peak of one
+``curvature_rkw`` at n_max = 100 from 3.6 to 25.6 MB, and the
+``grassmannian-window`` benchmark's RSS from 54 to 75 MB.  A ``DetlineError``
+from the field propagates unchanged; any other exception becomes an
+``EvaluationError`` naming the sample for a lazy field and the stencil
+centre for an array field, and a non-finite result one naming the centre.
 """
 
 from __future__ import annotations
@@ -49,7 +60,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Literal
+from typing import Any, Callable, Iterator, Literal
 
 import numpy as np
 
@@ -314,8 +325,24 @@ class _Members(tuple):
         return _Members(m / scale for m in self)
 
 
+def _samples(values: Any, n: int) -> Iterator[Any]:
+    """The n samples a field returned, in order: the rows of an array, the
+    tuples of rows of a tuple of arrays, or the items of any other iterable.
+    An array or tuple member without a leading axis of length n raises
+    ValueError."""
+    if not isinstance(values, (np.ndarray, tuple)):
+        return iter(values)
+    for member in values if isinstance(values, tuple) else (values,):
+        if np.ndim(member) == 0 or len(member) != n:
+            raise ValueError(f"expected {n} samples along the leading axis, got {np.shape(member)}")
+    return zip(*values) if isinstance(values, tuple) else iter(values)
+
+
 def fd_apply(
-    f: Callable[[float, float], Any], at: tuple[float, float], st: FdStencil, axis: int = 0
+    f: Callable[[np.ndarray, np.ndarray], Any],
+    at: tuple[float, float],
+    st: FdStencil,
+    axis: int = 0,
 ) -> Any:
     """Apply the stencil to a scalar or array field on the plane.
 
@@ -324,46 +351,80 @@ def fd_apply(
     sum_k w_k (f(+k) - f(-k)) / h; kind "laplacian-2d" estimates the
     analyst's Laplacian f_xx + f_yy as
     sum_k w_k (f(+k,0) + f(-k,0) + f(0,+k) + f(0,-k) - 4 f(0)) / h^2.  The
-    error is O(h^4), and a constant field gives exactly 0.  A field that
-    returns a tuple is a tuple of fields sampled together: the stencil runs
-    over each member and a tuple of the results is returned, so fields built
-    from one evaluation share its samples.  The sum starts from its first
-    paired term.  Every sample enters the result, so one non-finite sample makes
-    the result non-finite: finiteness is checked once per member, on the
-    result.
+    error is O(h^4), and a constant field gives exactly 0.
+
+    The field is called once, as f(xs, ys), with the coordinates of every
+    sample stacked along a leading axis in the order the stencil takes them:
+    (+1, -1, +2, -2) steps along ``axis`` for a first derivative, and for
+    the Laplacian the centre, then (+1, 0), (-1, 0), (0, +1), (0, -1) and
+    the same at two steps.  For a centre of shape S, xs and ys have shape
+    (n, *S) with n = 4 or 9.  The field returns the samples in that order:
+    an array (or a tuple of arrays) with the leading axis of length n, which
+    evaluates every sample in one pass, or an iterator of them, such as
+    ``map(g, xs, ys)``, which is consumed one sample at a time.  A field
+    that returns tuples is a tuple of fields sampled together: the stencil
+    runs over each member and a tuple of the results is returned, so fields
+    built from one evaluation share its samples.  The sum starts from its
+    first paired term and takes a lazy field's samples as it needs them, so
+    it holds a few at a time, never all n: a field with large samples, such
+    as the chart layer's d x d blocks, stays lazy for that reason (the
+    module docstring gives the memory it saves).  Every sample enters the
+    result, so one non-finite sample makes the result non-finite:
+    finiteness is checked once per member, on the result.  An array without
+    a leading axis of length n, or an iterator that ends early, raises
+    ``EvaluationError``.  A ``DetlineError`` from the field propagates
+    unchanged; any other exception becomes an ``EvaluationError`` naming the
+    sample's coordinates for a lazy field and the stencil centre for an
+    array field.
     """
+    if axis not in (0, 1):
+        raise DomainError(f"axis must be 0 or 1, got {axis}")
     x0, y0 = at
     h = st.step
+    offsets = [k for k, _ in _WEIGHTS[st.kind]]
+    if st.kind == "first-derivative":
+        steps = [(sign * k, axis) for k in offsets for sign in (1, -1)]
+    else:
+        steps = [(0, 0)] + [(sign * k, a) for k in offsets for a in (0, 1) for sign in (1, -1)]
+    points = [(x0 + k * h, y0) if along == 0 else (x0, y0 + k * h) for k, along in steps]
+    try:
+        values = f(np.array([x for x, _ in points]), np.array([y for _, y in points]))
+        samples = _samples(values, len(points))
+    except DetlineError:
+        raise
+    except Exception as exc:  # surface the stencil's centre
+        raise EvaluationError(f"field evaluation failed at ({x0}, {y0}): {exc}") from exc
+    taken = iter(points)
 
-    def sample(offset: int, along: int) -> Any:
-        x, y = (x0 + offset * h, y0) if along == 0 else (x0, y0 + offset * h)
+    def sample() -> Any:
+        x, y = next(taken)
         try:
-            value = f(x, y)
+            value = next(samples)
         except DetlineError:
             raise
-        except Exception as exc:  # surface the offending point
+        except StopIteration:
+            raise EvaluationError(f"the field returned fewer than {len(points)} samples") from None
+        except Exception as exc:  # surface the offending sample
             raise EvaluationError(f"field evaluation failed at ({x}, {y}): {exc}") from exc
         return _Members(value) if isinstance(value, tuple) else value
 
-    if axis not in (0, 1):
-        raise DomainError(f"axis must be 0 or 1, got {axis}")
     if st.kind == "first-derivative":
 
-        def term(k: int, weight: float) -> Any:
-            return weight * (sample(k, axis) - sample(-k, axis))
+        def term(weight: float) -> Any:
+            return weight * (sample() - sample())
 
         scale = h
     else:
-        centre = sample(0, 0)
+        centre = sample()
 
-        def term(k: int, weight: float) -> Any:
+        def term(weight: float) -> Any:
             # pairwise sums: on a constant c, c + c + (c + c) is exactly 4 c
-            ring = (sample(k, 0) + sample(-k, 0)) + (sample(k, 1) + sample(-k, 1))
+            ring = (sample() + sample()) + (sample() + sample())
             return weight * (ring - 4.0 * centre)
 
         scale = h * h
-    (k0, w0), (k1, w1) = _WEIGHTS[st.kind]
-    result = (term(k0, w0) + term(k1, w1)) / scale
+    (_, w0), (_, w1) = _WEIGHTS[st.kind]
+    result = (term(w0) + term(w1)) / scale
     shared = type(result) is _Members
     for member in result if shared else (result,):
         if not np.isfinite(member).all():

@@ -380,7 +380,7 @@ def test_connection_form_matches_numpy_pinv(base_kind, perturbed):
     st = FdStencil(kind="first-derivative")
     for t in ((0.3, 0.45), (0.71, 0.12)):
         for axis in (0, 1):
-            ds = fd_apply(s_at, t, st, axis)
+            ds = fd_apply(gr._each(s_at), t, st, axis)
             s_pinv = np.linalg.pinv(s_at(*t), rcond=gr.RANK_SVD_THRESHOLD)
             expected = np.trace(s_pinv @ fam(*t).entries @ ds @ b)
             value = gr.connection_form(fam, base, t, axis, perturbation=sigma)
@@ -759,7 +759,7 @@ def test_patching_identity_lhs_matches_dense_definition(base_kind):
     for t in ((0.3, 0.45), (0.62, 0.2)):
         for axis in (0, 1):
             lhs, _ = gr.patching_identity_check(fam1, fam2, base, t, axis)
-            expected = fd_apply(g, t, st, axis) / g(*t)
+            expected = fd_apply(gr._each(g), t, st, axis) / g(*t)
             assert abs(lhs - expected) < 1e-10
             moved = max(moved, abs(expected))
     assert moved > 0.4
@@ -1150,7 +1150,7 @@ def test_perturbation_patching_shares_samples_exactly(t, charts, direction):
     def g(t1, t2):
         return gr.transition_det(ROTATED, PI0, (t1, t2), s1, STACK_S2)
 
-    assert np.all(lhs == fd_apply(g, t, D1, axis) / g(*t))
+    assert np.all(lhs == fd_apply(gr._each(g), t, D1, axis) / g(*t))
     omega1 = gr.connection_form(ROTATED, PI0, t, direction, s1)
     omega2 = gr.connection_form(ROTATED, PI0, t, direction, STACK_S2)
     assert np.all(rhs == omega1 - omega2)
@@ -1170,7 +1170,7 @@ def test_identity_patching_shares_samples_exactly(t, direction):
         p1, p2 = (gr._family_blocks(fam, t1, t2) for fam in (ROTATED, STACK_FAM2))
         return gr._chart_ratio(vh @ (p1 @ v), vh @ (p2 @ v), (t1, t2))
 
-    assert np.all(lhs == fd_apply(family_ratio, t, D1, axis) / family_ratio(*t))
+    assert np.all(lhs == fd_apply(gr._each(family_ratio), t, D1, axis) / family_ratio(*t))
     omega1 = gr.connection_form(ROTATED, PI0, t, direction)
     omega2 = gr.connection_form(STACK_FAM2, PI0, t, direction)
     assert np.all(rhs == omega1 - omega2)

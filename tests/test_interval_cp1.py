@@ -397,3 +397,122 @@ def test_no_point_outside_the_exclusion_disk_is_refused():
     z = np.concatenate([boundary, z[np.abs(z + 1) >= cp1.EXCLUSION_RADIUS]])
     assert not cp1.curvature_fd_unresolved(z).any()
     cp1.quillen_curvature_fd(z[:3000])
+
+
+@pytest.mark.parametrize(
+    "z, passes",
+    [
+        (0.3 + 0.1j, 1),
+        (np.linspace(-0.5, 0.5, 100) + 0.25j, 1),
+        (np.linspace(-0.5, 0.5, 2500).reshape(50, 50) + 0.25j, 3),
+    ],
+)
+def test_curvature_evaluates_its_stencil_in_one_kernel_pass(monkeypatch, z, passes):
+    # fd_apply hands log det_zeta the nine Laplacian samples at once, so one
+    # call makes one pass through the spectral route per block of 1024
+    # points (nine when the samples were taken point by point), counted
+    # where the module looks the functions up
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fd_apply", "zeta_det_spectral", "alpha_of", "hurwitz_zeta_ds0"):
+        monkeypatch.setattr(cp1, name, counted(name, getattr(cp1, name)))
+    k = cp1.quillen_curvature_fd(z)
+    names = ("fd_apply", "zeta_det_spectral", "alpha_of", "hurwitz_zeta_ds0")
+    assert calls == dict.fromkeys(names, passes)
+    assert np.shape(k) == np.shape(z)
+    assert np.all(np.abs(k - cp1.kahler_density_closed(z)) <= 1e-8 * cp1.kahler_density_closed(z))
+
+
+# ---------------------------------------------------------------------------
+# large chart points: 1 + |z|^2 overflows above |z| = 1.3e154
+
+LARGE_POINTS = [1e155, 1e200, -1e160 + 1e160j, 1e300j, 1.2e308 + 1.2e308j]
+
+
+def unscaled_forms(z):
+    """The chart forms as written on (1, z) itself, for 1-D arrays z."""
+    modulus = np.hypot(z.real, z.imag)
+    one = np.hypot((1 + z).real, (1 + z).imag)
+    n = 1.0 + modulus**2
+    zc = z.conj()
+
+    def stack(a, b, c, d):
+        out = np.empty((z.size, 2, 2), dtype=complex)
+        out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = a, b, c, d
+        return out
+
+    m, n3 = stack(1.0, zc, z, modulus**2), n[:, None, None]
+    dz = -zc[:, None, None] / n3**2 * m + stack(0, 0, 1, zc) / n3
+    dzb = -z[:, None, None] / n3**2 * m + stack(0, 1, 0, z) / n3
+    trace = np.trace(m / n3 @ (dz @ dzb - dzb @ dz), axis1=1, axis2=2)
+    return {
+        cp1.zeta_det_closed: 2.0 * one**2 / n,
+        cp1.kahler_density_closed: 1.0 / n**2,
+        cp1.s_of_p: (1.0 + zc) / np.sqrt(2.0 * n),
+        cp1.kahler_form_2x2: cp1.KAHLER_SIGN * trace.real,
+        cp1.curvature_fd_truncation_bound: 5.0 * cp1.DEFAULT_FD_STEP**6 * n**2 / one**8,
+    }
+
+
+def test_scaled_chart_forms_keep_every_bit_below_the_overflow():
+    # (1, z) is scaled by a power of two, which moves no bit of any form
+    # while the unscaled intermediates stay normal
+    rng = np.random.default_rng(5)
+    z = 10.0 ** rng.uniform(-150, 30, 4000) * np.exp(2j * np.pi * rng.uniform(size=4000))
+    z = np.concatenate([z, [0, 1, 1j, -0.5 - 0.0j, complex(-0.0, 2.0), 2.0**60, 1.5 + 1.5j]])
+    z = z[np.hypot((1 + z).real, (1 + z).imag) > 0.1]
+    for fn, expected in unscaled_forms(z).items():
+        value = fn(z)
+        assert value.dtype == expected.dtype
+        assert value.tobytes() == expected.tobytes(), fn.__name__
+
+
+@pytest.mark.parametrize("z", LARGE_POINTS)
+def test_chart_forms_at_large_chart_points(z):
+    # zeta_det_closed(1e155) and kahler_form_2x2(1e155) returned NaN (its
+    # NaN imaginary part passed the realness guard), s_of_p(1e200) returned 0,
+    # and alpha_of, projection_from_chart and the spectral route warned of
+    # overflow; the limits are 2, |S| = 1/sqrt 2, density 0 and alpha 1/4
+    with np.errstate(all="raise", under="ignore"):
+        assert cp1.zeta_det_closed(z) == pytest.approx(2.0, abs=1e-15)
+        assert cp1.zeta_det_spectral(z) == pytest.approx(2.0, rel=1e-12)
+        assert cp1.alpha_of(z).alpha == pytest.approx(0.25, abs=1e-15)
+        s = cp1.s_of_p(z)
+        assert s == pytest.approx(z.conjugate() / abs(z) / math.sqrt(2.0), abs=1e-15)
+        assert abs(cp1.kahler_form_2x2(z)) <= 1e-300
+        assert cp1.kahler_density_closed(z) == 0.0
+        assert cp1.quillen_curvature_fd(z) == 0.0
+        assert cp1.curvature_fd_truncation_bound(z) == 0.0
+        expected = np.diag([0.0, 1.0])
+        assert np.abs(cp1.projection_from_chart(z).entries - expected).max() <= 1e-15
+        assert np.abs(cp1.adjoint_projection(z).entries - (np.eye(2) - expected)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("z", [1.3e308 + 1.3e308j, complex(-1.7e308, -1.7e308)])
+def test_chart_point_whose_modulus_overflows_is_refused(z):
+    # every part is finite, but |z| is not a double
+    for fn in (
+        cp1.projection_from_chart,
+        cp1.alpha_of,
+        cp1.zeta_det_closed,
+        cp1.zeta_det_spectral,
+        cp1.s_of_p,
+        cp1.kahler_form_2x2,
+        cp1.kahler_density_closed,
+    ):
+        with pytest.raises(DomainError, match="double range"):
+            fn(z)
+
+
+def test_boundary_projection_refuses_nan_entries():
+    # NaN passed each "> ROUNDING_TOL" test
+    for entries in ([[math.nan, 0], [0, 1]], [[1, 0], [0, math.nan]]):
+        with pytest.raises(DomainError):
+            cp1.BoundaryProjection2(np.array(entries, dtype=complex), None)

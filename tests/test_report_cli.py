@@ -204,6 +204,34 @@ def test_cli_zeta_det_degenerate(capsys):
     assert "DegenerateSpectrum" in captured.err
 
 
+def strict_json(text):
+    """RFC JSON: NaN and the infinities are refused."""
+    return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in JSON output"))
+
+
+def test_cli_zeta_det_at_a_large_chart_point(capsys):
+    # 1 + |z|^2 overflowed above |z| = 1.3e154 and "closed" printed NaN
+    assert cli.main(["zeta-det", "--z", "1e160,0"]) == 0
+    record = strict_json(capsys.readouterr().out)
+    assert record["closed"] == 2.0
+    assert record["spectral"] == pytest.approx(2.0, rel=1e-12)
+
+
+def test_cli_grid_refuses_points_where_the_density_underflows(tmp_path, capsys):
+    # the grid wrote "status": "ok" rows holding NaN relative errors and
+    # exited 0; below the underflow its JSON holds numbers only
+    path = tmp_path / "grid.json"
+    args = ["curvature-grid", "--im", "0:1", "--n", "2", "--json", str(path)]
+    assert cli.main([*args[:1], "--re", "1e160:2e160", *args[1:]]) == 1
+    assert "error: DomainError: the curvature density underflows" in capsys.readouterr().err
+    assert not path.exists()
+    assert cli.main([*args[:1], "--re", "1e70:2e70", *args[1:]]) == 0
+    rows = strict_json(path.read_text())["rows"]
+    assert [row["status"] for row in rows] == ["ok"] * 4
+    with pytest.raises(DomainError, match="finite width"):
+        report.GridSpec(re_min=-1e308, re_max=1e308)
+
+
 @pytest.mark.parametrize("z", ["nan,0", "0,nan", "inf,0", "0,-inf"])
 def test_cli_zeta_det_rejects_non_finite_point(z, capsys):
     code = cli.main(["zeta-det", "--z", z])

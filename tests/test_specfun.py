@@ -6,6 +6,7 @@ a few cases keep the live oracle comparison alongside the frozen constant.
 """
 
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -242,6 +243,12 @@ def test_exp_reflection_identity_grid():
         assert value == pytest.approx(expected, rel=1e-9)
 
 
+def lazily(field):
+    """A field of one point, fed to fd_apply one stencil sample at a time as
+    Python floats."""
+    return lambda xs, ys: map(field, xs.tolist(), ys.tolist())
+
+
 def test_fd_laplacian_exact_on_quadratic():
     lap = FdStencil(step=1e-3, kind="laplacian-2d")
     value = fd_apply(lambda x, y: x * x + y * y, (0.37, -1.2), lap)
@@ -268,7 +275,7 @@ def test_fd_polynomial_exactness_up_to_degree():
 def test_fd_laplacian_of_log_bump():
     # symbolic oracle: Laplacian of log(1 + x^2 + y^2) equals 4 / (1 + r^2)^2
     lap = FdStencil(step=1e-3, kind="laplacian-2d")
-    assert fd_apply(lambda x, y: math.log(1 + x * x + y * y), (0.0, 0.0), lap) == pytest.approx(
+    assert fd_apply(lambda x, y: np.log(1 + x * x + y * y), (0.0, 0.0), lap) == pytest.approx(
         4.0, abs=1e-5
     )
 
@@ -277,8 +284,9 @@ def test_fd_propagates_evaluation_error():
     def field(x, y):
         raise ValueError("nope")
 
-    with pytest.raises(EvaluationError):
-        fd_apply(field, (0.0, 0.0), FdStencil(step=1e-3, kind="laplacian-2d"))
+    for f in (field, lazily(field)):
+        with pytest.raises(EvaluationError):
+            fd_apply(f, (0.0, 0.0), FdStencil(step=1e-3, kind="laplacian-2d"))
 
 
 def test_fd_first_derivative_exact_on_matrix_and_complex_fields():
@@ -289,8 +297,8 @@ def test_fd_first_derivative_exact_on_matrix_and_complex_fields():
     def matrix_field(x, y):
         return np.array([[x**4, 2.0 * x * y], [y**4, 1.0]])
 
-    d_x = fd_apply(matrix_field, (x0, y0), d1, axis=0)
-    d_y = fd_apply(matrix_field, (x0, y0), d1, axis=1)
+    d_x = fd_apply(lazily(matrix_field), (x0, y0), d1, axis=0)
+    d_y = fd_apply(lazily(matrix_field), (x0, y0), d1, axis=1)
     assert isinstance(d_x, np.ndarray) and d_x.shape == (2, 2)
     np.testing.assert_allclose(d_x, [[4 * x0**3, 2.0 * y0], [0.0, 0.0]], atol=1e-9)
     np.testing.assert_allclose(d_y, [[0.0, 2.0 * x0], [4 * y0**3, 0.0]], atol=1e-9)
@@ -313,7 +321,7 @@ def test_fd_laplacian_exact_on_matrix_and_complex_fields():
     def matrix_field(x, y):
         return np.array([x**deg + y**2, 1j * x * y, (2.0 - 1.0j) * y**deg])
 
-    value = fd_apply(matrix_field, (x0, y0), lap)
+    value = fd_apply(lazily(matrix_field), (x0, y0), lap)
     second = deg * (deg - 1)
     expected = [second * x0 ** (deg - 2) + 2.0, 0.0, (2.0 - 1.0j) * second * y0 ** (deg - 2)]
     np.testing.assert_allclose(value, expected, atol=1e-7)
@@ -324,18 +332,23 @@ def test_fd_passes_detline_errors_through():
         raise NotInvertible("singular at this stencil point")
 
     for kind in ("first-derivative", "laplacian-2d"):
-        with pytest.raises(NotInvertible):
-            fd_apply(field, (0.0, 0.0), FdStencil(step=1e-3, kind=kind))
+        for f in (field, lazily(field)):
+            with pytest.raises(NotInvertible):
+                fd_apply(f, (0.0, 0.0), FdStencil(step=1e-3, kind=kind))
 
 
 def test_fd_rejects_non_finite_array_field():
     def field(x, y):
         return np.array([x, math.nan if x > 0.5 else 0.0])
 
-    with pytest.raises(EvaluationError):
-        fd_apply(field, (0.5, 0.0), FdStencil(step=1e-3, kind="first-derivative"))
-    with pytest.raises(EvaluationError):
-        fd_apply(lambda x, y: complex(math.inf, x), (0.0, 0.0), FdStencil(kind="laplacian-2d"))
+    with pytest.raises(EvaluationError, match="not finite"):
+        fd_apply(lazily(field), (0.5, 0.0), FdStencil(step=1e-3, kind="first-derivative"))
+    with pytest.raises(EvaluationError, match="not finite"):
+        fd_apply(
+            lazily(lambda x, y: complex(math.inf, x)), (0.0, 0.0), FdStencil(kind="laplacian-2d")
+        )
+    with pytest.raises(EvaluationError, match="not finite"):
+        fd_apply(lambda x, y: np.where(x > 0.5, math.nan, x), (0.5, 0.0), FdStencil())
 
 
 def test_fd_stencil_validates_step_and_kind():
@@ -364,20 +377,24 @@ def test_fd_of_a_constant_field_is_exactly_zero(kind, axis):
     # samples left 2.1e-14 (first derivative of 0.7) and up to 2.2e-9
     # (Laplacian of this matrix)
     matrix = np.array([[0.7, 1.0 / 3.0j, 2.2], [math.pi, -1.1, 0.1 + 0.2j], [5.0, 6.0, 7.0j]])
+    st_ = FdStencil(kind=kind)
     for value in (0.7, 0.3 + 0.9j, matrix):
-        result = fd_apply(lambda x, y: value, (0.37, -1.2), FdStencil(kind=kind), axis)
-        assert np.all(np.asarray(result) == 0.0), (value, result)
+        stacked = lambda xs, ys: np.broadcast_to(value, (len(xs), *np.shape(value)))  # noqa: E731
+        for field in (lazily(lambda x, y: value), stacked):
+            result = fd_apply(field, (0.37, -1.2), st_, axis)
+            assert np.all(np.asarray(result) == 0.0), (value, result)
     # a tuple of one shared array: both members are exactly 0, and the
     # stencil writes into no sample
     kept = matrix.copy()
-    result = fd_apply(lambda x, y: (matrix, matrix), (0.37, -1.2), FdStencil(kind=kind), axis)
+    result = fd_apply(lazily(lambda x, y: (matrix, matrix)), (0.37, -1.2), st_, axis)
     assert np.all(result[0] == 0.0) and np.all(result[1] == 0.0)
     np.testing.assert_array_equal(matrix, kept)
 
 
 def summed_stencil(f, at, st, axis):
-    # the stencil as a running sum started at 0.0, out of place: the
-    # arithmetic fd_apply keeps, apart from the sign of an exact zero
+    # the stencil as a running sum started at 0.0, out of place, over a field
+    # of one point: the arithmetic fd_apply keeps, apart from the sign of an
+    # exact zero
     weights = {
         "first-derivative": ((1, 2.0 / 3), (2, -1.0 / 12)),
         "laplacian-2d": ((1, 4.0 / 3), (2, -1.0 / 12)),
@@ -414,7 +431,7 @@ FIELDS = [
 def test_fd_matches_the_summed_loop_exactly(field, axis, kind):
     # starting from the first paired term moves no bit
     st_ = FdStencil(step=1e-3, kind=kind)
-    value = fd_apply(field, (0.5, -0.25), st_, axis)
+    value = fd_apply(lazily(field), (0.5, -0.25), st_, axis)
     expected = summed_stencil(field, (0.5, -0.25), st_, axis)
     assert type(value) is type(expected)
     np.testing.assert_array_equal(value, expected)
@@ -433,14 +450,124 @@ def test_fd_of_a_tuple_field_is_the_tuple_of_its_members(kind):
 
     members = [param.values[0] for param in FIELDS]
     st_ = FdStencil(step=1e-3, kind=kind)
-    result = fd_apply(field, (0.5, -0.25), st_, 1)
+    result = fd_apply(lazily(field), (0.5, -0.25), st_, 1)
     assert type(result) is tuple and len(result) == len(members)
     assert len(evaluations) == (4 if kind == "first-derivative" else 9)
     for member, value in zip(members, result):
-        np.testing.assert_array_equal(value, fd_apply(member, (0.5, -0.25), st_, 1))
+        np.testing.assert_array_equal(value, fd_apply(lazily(member), (0.5, -0.25), st_, 1))
     # a member that is not finite names the point; samples of two lengths
     # do not combine
     with pytest.raises(EvaluationError, match="not finite"):
-        fd_apply(lambda x, y: (x, math.inf * x), (0.5, 0.0), st_)
+        fd_apply(lazily(lambda x, y: (x, math.inf * x)), (0.5, 0.0), st_)
     with pytest.raises(EvaluationError, match="tuples of one length"):
-        fd_apply(lambda x, y: (x, y) if x > 0.5 else (x,), (0.5, 0.0), st_)
+        fd_apply(lazily(lambda x, y: (x, y) if x > 0.5 else (x,)), (0.5, 0.0), st_)
+
+
+# Fields over stacked coordinates, each with its value at one point: numpy
+# ufuncs elementwise, so feeding the rows of xs, ys one at a time evaluates
+# the same arithmetic.
+ARRAY_FIELDS = [
+    pytest.param(lambda x, y: np.sin(x) * np.exp(y), id="float"),
+    pytest.param(lambda x, y: np.cos(x * y) + 1j * x**3, id="complex"),
+    pytest.param(
+        lambda x, y: np.stack([x**4, 1j * x * y, np.sin(y), 2.0 + 0 * x], axis=-1) / 3.0,
+        id="matrix",
+    ),
+    pytest.param(lambda x, y: (np.log1p(x * x + y * y), np.sin(x) * y**5), id="tuple"),
+]
+CENTRES = [
+    pytest.param((0.5, -0.25), id="one-point"),
+    pytest.param((np.array([0.5, -0.3, 1.7]), np.array([-0.25, 0.8, 0.1])), id="three-points"),
+]
+
+
+@pytest.mark.parametrize("at", CENTRES)
+@pytest.mark.parametrize("kind", ["first-derivative", "laplacian-2d"])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("field", ARRAY_FIELDS)
+def test_fd_of_an_array_field_is_the_field_fed_lazily(field, axis, kind, at):
+    # one call over every sample gives, to the last bit, what the same field
+    # gives one sample at a time
+    st_ = FdStencil(kind=kind)
+    calls = []
+
+    def counted(xs, ys):
+        calls.append(xs.shape)
+        return field(xs, ys)
+
+    stacked = fd_apply(counted, at, st_, axis)
+    fed = fd_apply(lambda xs, ys: map(field, xs, ys), at, st_, axis)
+    n = 4 if kind == "first-derivative" else 9
+    assert calls == [(n, *np.shape(at[0]))]
+    assert type(stacked) is type(fed)
+    for value, expected in zip(*((r if type(r) is tuple else (r,)) for r in (stacked, fed))):
+        assert np.shape(value) == np.shape(expected)
+        np.testing.assert_array_equal(value, expected)
+
+
+STENCIL_ORDER = {
+    # (steps along t1, steps along t2) of each sample, in the order consumed
+    ("first-derivative", 0): [(1, 0), (-1, 0), (2, 0), (-2, 0)],
+    ("first-derivative", 1): [(0, 1), (0, -1), (0, 2), (0, -2)],
+    ("laplacian-2d", 0): [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (2, 0), (-2, 0), (0, 2), (0, -2)],
+}
+
+
+@pytest.mark.parametrize("kind, axis", list(STENCIL_ORDER))
+def test_fd_consumes_a_lazy_field_in_the_documented_order(kind, axis):
+    # one call with the stacked coordinates, then one sample at a time, in
+    # the documented order, each as the field is asked for it
+    x0, y0, h = 0.37, -1.2, DEFAULT_FD_STEP
+    taken = []
+
+    def field(xs, ys):
+        taken.append("call")
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            taken.append((x, y))
+            yield x * y
+
+    fd_apply(field, (x0, y0), FdStencil(kind=kind), axis)
+    expected = [
+        (x0 + i * h if i else x0, y0 + j * h if j else y0) for i, j in STENCIL_ORDER[kind, axis]
+    ]
+    assert taken == ["call", *expected]
+
+
+@pytest.mark.parametrize("kind, axis", list(STENCIL_ORDER))
+def test_fd_names_the_sample_where_a_lazy_field_failed(kind, axis):
+    # an error at sample i names that sample; an array field's error names
+    # the stencil centre
+    x0, y0, h = 0.37, -1.2, DEFAULT_FD_STEP
+    st_ = FdStencil(kind=kind)
+    for i, (di, dj) in enumerate(STENCIL_ORDER[kind, axis]):
+        x, y = x0 + di * h if di else x0, y0 + dj * h if dj else y0
+
+        def field(xs, ys):
+            for k, (xk, yk) in enumerate(zip(xs.tolist(), ys.tolist())):
+                if k == i:
+                    raise ValueError("planted")
+                yield xk
+
+        with pytest.raises(EvaluationError, match=re.escape(f"at ({x}, {y}): planted")):
+            fd_apply(field, (x0, y0), st_, axis)
+
+    def array_field(xs, ys):
+        raise ValueError("planted")
+
+    with pytest.raises(EvaluationError, match=re.escape(f"at ({x0}, {y0}): planted")):
+        fd_apply(array_field, (x0, y0), st_, axis)
+
+
+def test_fd_refuses_a_field_with_the_wrong_number_of_samples():
+    st_ = FdStencil(kind="laplacian-2d")
+    for field in (
+        lambda xs, ys: xs[:-1],  # an array one sample short
+        lambda xs, ys: (xs, ys[:3]),  # a tuple member one sample short
+        lambda xs, ys: np.array(1.0),  # an array without a leading axis
+    ):
+        with pytest.raises(EvaluationError, match="expected 9 samples"):
+            fd_apply(field, (0.1, 0.2), st_)
+    with pytest.raises(EvaluationError, match="not iterable"):
+        fd_apply(lambda xs, ys: 1.0, (0.1, 0.2), st_)
+    with pytest.raises(EvaluationError, match="fewer than 9 samples"):
+        fd_apply(lambda xs, ys: iter(xs[:5]), (0.1, 0.2), st_)
