@@ -13,20 +13,26 @@ and the chart-patching identities for the transition determinants.
 
 The chart layer works on an orthonormal basis V (d x r) of ran(base), taken
 once per public call from one eigh of the base block: chart maps are the
-thin d x r blocks (P + P sigma P) V, and their SVDs, stencils and traces run
+thin d x r blocks (P + P sigma P) V, and their QRs, stencils and traces run
 on those blocks.  Transition determinants reduce to r x r blocks X* S_i V
 (X an orthonormal basis of the target of the charts), so the only d x d
-decomposition of a public call is that eigh.  A patching check evaluates
-the family once per stencil sample for both of its routes, the transition
-determinant and the two connection forms; each route keeps its own
-factorisations.
+decomposition of a public call is that eigh.  A connection form factors
+its chart map once, by a thin QR, and inverts the r x r factor R; a
+transition ratio inverts its two r x r blocks in one stacked call.  The
+chart guard (smallest singular value at least CHART_SVD_THRESHOLD) and the
+pseudo-inverse's cut-off are the SVD rule's, and the norms of a block and
+its inverse certify both where they can; a call with any point the bound
+leaves open runs that rule itself, by an SVD, so every decision and
+message is the rule's.  A patching check evaluates the family once per
+stencil sample for both of its routes, the transition determinant and the
+two connection forms; each route keeps its own factorisations.
 
 Its six entry points (``connection_form``, ``tr_p_dp_dp``, ``curvature_rkw``,
 ``transition_det`` and the two patching checks) take t = (t1, t2) with
 floats, for a complex value, or with 1-D arrays of one length, for a complex
 array of values, one per point (a pair of them for the patching checks).  A
 stack of k points carries a leading axis of length k through the family
-values, chart maps, SVDs, QRs, solves and dets, so each runs as one batched
+values, chart maps, QRs, inverses and dets, so each runs as one batched
 numpy call; a single point has no such axis and runs through the same code
 on the family's own d x d blocks.  Projections are checked once per public
 call: the base, and the family values at all points t as one stack, each
@@ -483,10 +489,46 @@ def _require_chart(sv: np.ndarray, rank: int, t: Points) -> None:
         )
 
 
+def _certified_inverse(a: np.ndarray, cut: float) -> np.ndarray | None:
+    """The inverses of a stack of r x r blocks when a norm bound settles, for
+    every member, the SVD rule's chart guard and pseudo-inverse cut-off, else
+    None.
+
+    The singular values of A satisfy s_min >= 1 / |A^{-1}|_F and
+    s_max <= |A|_F, so 1 / |A^{-1}|_F >= 2 max(CHART_SVD_THRESHOLD, cut |A|_F)
+    proves that A passes _require_chart and that every singular value lies
+    above cut s_max; the factor 2 absorbs the rounding of the inverse.  An
+    inverse that raises LinAlgError, a non-finite norm or an empty block
+    certifies nothing, and the caller then runs the SVD rule itself.
+    """
+    if a.shape[-1] == 0:
+        return None
+    try:
+        inverse = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN norm fails the test
+        norm, norm_inv = _frobenius(a), _frobenius(inverse)
+        certified = 2.0 * np.maximum(CHART_SVD_THRESHOLD, cut * norm) * norm_inv <= 1.0
+    return inverse if certified.all() else None
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """|M|_F of each member of a stack, without forming the |M_ij|^2."""
+    flat = m.reshape(*m.shape[:-2], -1)
+    return np.sqrt(np.vecdot(flat, flat).real)
+
+
 def _chart_ratio(a1: np.ndarray, a2: np.ndarray, t: Points) -> complex | np.ndarray:
     """det_F((S_1 V V* + I - q)(S_2 V V* + I - q)^{-1}) from the r x r blocks
     A_i = X* S_i V, as det(A_1 A_2^{-1}) at each point; both blocks pass
     _require_chart.
+
+    One stacked inverse of A_1 and A_2 settles both chart guards by
+    _certified_inverse at every point, and det(A_1 A_2^{-1}) is then taken
+    from it.  When any member is left open, the whole call runs the SVD
+    rule: the singular values of each block, _require_chart, and an r x r
+    solve, so every decision and message is that rule's.
 
     The callers pick X so that the identity-extended representatives are
     block lower triangular and differ only in the block A_i; the other
@@ -503,9 +545,12 @@ def _chart_ratio(a1: np.ndarray, a2: np.ndarray, t: Points) -> complex | np.ndar
       values of S_1 V and S_2 V.
     The quotient det(A_1) / det(A_2) would be cheaper, but then the three
     quotients of g_12 g_23 g_31 telescope and the cocycle case holds by
-    construction for any determinant; through the product, formed by an
-    r x r solve, it rests on the multiplicativity of det.
+    construction for any determinant; through the product it rests on the
+    multiplicativity of det.
     """
+    inverses = _certified_inverse(np.stack([a1, a2]), 0.0)
+    if inverses is not None:
+        return _result(np.linalg.det(a1 @ inverses[1]))
     for a in (a1, a2):
         _require_chart(np.linalg.svd(a, compute_uv=False), a.shape[-1], t)
     return _result(np.linalg.det(np.linalg.solve(a2.mT, a1.mT).mT))
@@ -683,13 +728,27 @@ def _connection_form(
     its stencil derivative d(SV) = ds(), V a basis of ran(base).
 
     With base = V V*, Tr(S^+ P dS base) equals Tr((SV)^+ P d(SV)) on the thin
-    block SV, whose singular values are the nonzero ones of S: one thin SVD
-    serves both the chart guard and the pseudo-inverse (with pinv's relative
-    cut-off).  The chart guard runs before ds is called, so a chart singular
-    at t raises NotInvertible before any stencil sample is taken.  The caller
-    takes SV and d(SV) from its own evaluation of the family, which a
-    patching check shares with its transition determinant.
+    block SV, whose singular values are the nonzero ones of S.  One thin QR,
+    SV = Q R, serves the chart guard and the pseudo-inverse: R carries the
+    singular values of SV, and when _certified_inverse settles at every
+    point that SV passes the guard and that pinv's relative cut-off keeps
+    every singular value, (SV)^+ = R^{-1} Q* and the form is
+    Tr((R^{-1} Q* P) d(SV)), summed elementwise.  When any point is left open,
+    the whole call runs the SVD rule instead: one thin SVD of SV serves the
+    guard and the pseudo-inverse with pinv's cut-off, so every decision and
+    message is that rule's.  The chart guard is settled before ds is
+    called, so a chart singular at t raises NotInvertible before any stencil
+    sample is taken.  The caller takes SV and d(SV) from its own evaluation
+    of the family, which a patching check shares with its transition
+    determinant.
     """
+    q, r = np.linalg.qr(s_v)
+    r_inv = _certified_inverse(r, RANK_SVD_THRESHOLD)
+    if r_inv is not None:
+        # (SV)^+ P = R^{-1} Q* P, the one block held while ds samples the stencil
+        s_pinv_p = r_inv @ q.conj().mT @ p
+        del q, r, r_inv
+        return _result(np.einsum("...ij,...ji->...", s_pinv_p, ds()))
     u, sv, vh = np.linalg.svd(s_v, full_matrices=False)
     _require_chart(sv, s_v.shape[-1], t)
     d_sv = ds()
@@ -763,7 +822,9 @@ def _transition_det(s1_v: np.ndarray, s2_v: np.ndarray, t: Points) -> complex | 
     """det_F((S_1 + I - P)(S_2 + I - P)^{-1}) on the r x r blocks Q* S_i V from
     the chart maps S_i V, for family values P of the rank of base."""
     q, r = np.linalg.qr(s2_v)
-    return _chart_ratio(q.conj().mT @ s1_v, r, t)
+    a1 = q.conj().mT @ s1_v
+    del q  # the d x r factor is not held through the ratio
+    return _chart_ratio(a1, r, t)
 
 
 def perturbation_patching_check(
@@ -785,8 +846,8 @@ def perturbation_patching_check(
     both chart maps, the transition determinant g and both charts' stencil
     members from them; the lhs is the stencil of g over g(t), and each
     connection form takes its d(SV) from that pass.  Each route keeps its
-    own factorisations: the connection forms their SVDs, g its QR, guards,
-    solve and det.
+    own factorisations: the connection forms their QRs and inverses, g its
+    QR, stacked inverse and det.
     """
     axis = _direction_axis(direction)
     pts = _points(t)
@@ -798,7 +859,8 @@ def perturbation_patching_check(
     def sample(t1, t2) -> tuple:
         p_at = _family_blocks(fam, t1, t2)
         maps = _chart_maps(p_at, v, *sigs)
-        members = (p_at if sig is None else m for m, sig in zip(maps, sigs))
+        members = tuple(p_at if sig is None else m for m, sig in zip(maps, sigs))
+        del p_at  # held through the ratio only as an identity chart's member
         return (_transition_det(*maps, (t1, t2)), *members)
 
     dg, *d_members = fd_apply(_each(sample), pts, _D1, axis)
@@ -837,16 +899,14 @@ def patching_identity_check(
     vh = v.conj().T
     p1, p2 = _projections_at(fam1, pts, v), _projections_at(fam2, pts, v)
 
-    def ratio(p1_v: np.ndarray, p2_v: np.ndarray, at: Points) -> complex | np.ndarray:
-        return _chart_ratio(vh @ p1_v, vh @ p2_v, at)
-
     def sample(t1, t2) -> tuple:
         pa, pb = _family_blocks(fam1, t1, t2), _family_blocks(fam2, t1, t2)
-        return ratio(pa @ v, pb @ v, (t1, t2)), pa, pb
+        # the thin blocks P V are freed before the ratio inverts its r x r blocks
+        return _chart_ratio(vh @ (pa @ v), vh @ (pb @ v), (t1, t2)), pa, pb
 
     d_ratio, dp1, dp2 = fd_apply(_each(sample), pts, _D1, axis)
     p1_v, p2_v = p1 @ v, p2 @ v
-    lhs = d_ratio / ratio(p1_v, p2_v, pts)
+    lhs = d_ratio / _chart_ratio(vh @ p1_v, vh @ p2_v, pts)
     omega1 = _connection_form(p1_v, partial(np.matmul, dp1, v), p1, pts)
     rhs = omega1 - _connection_form(p2_v, partial(np.matmul, dp2, v), p2, pts)
     return _result(lhs), _result(rhs)

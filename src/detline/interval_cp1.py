@@ -303,17 +303,40 @@ def curvature_fd_truncation_bound(z: complex | np.ndarray) -> float | np.ndarray
         return _like(scale / _modulus(u1 + w) ** 8, z)
 
 
+# Rounding of the stencil Laplacian.  Each sample of log det_zeta is summed
+# from O(1) terms, so it carries a rounding error of a few eps max(1, |log
+# det_zeta|), which the stencil divides by h^2, while the density falls like
+# |z|^-4.  On 2000 points at each of 14 radii from 0.1 to 1e4 (|1+z| > 0.2)
+# the curvature's error less its truncation bound was at most
+# 25 eps max(1, |log det_zeta|) / h^2; the bound takes 40.
+_ROUNDING_CONSTANT = 40.0
+
+
+def _curvature_fd_rounding_bound(points: np.ndarray) -> np.ndarray:
+    """Rounding error of quillen_curvature_fd at chart points, relative to
+    the Fubini-Study density: 40 eps max(1, |log det_zeta|) / (h^2 density),
+    from the closed forms; inf where the density underflows."""
+    with np.errstate(divide="ignore", over="ignore"):  # log 0 at z = -1, a density near 0
+        size = np.maximum(1.0, np.abs(np.log(zeta_det_closed(points))))
+        scale = _ROUNDING_CONSTANT * np.finfo(float).eps / DEFAULT_FD_STEP**2
+        return scale * size / kahler_density_closed(points)
+
+
 def curvature_fd_unresolved(z: complex | np.ndarray) -> bool | np.ndarray:
     """Where quillen_curvature_fd raises DegenerateSpectrum: its stencil comes
-    within 4 steps of the zero mode, or its truncation bound exceeds
-    TOL_CURVATURE.  For the fixed step DEFAULT_FD_STEP = 1e-3 that is only
-    inside |1+z| < 0.028, well inside the exclusion disk of radius
-    EXCLUSION_RADIUS; the bound decreases with |1+z| and is at most 1.2e-11
-    on the disk's boundary.
+    within 4 steps of the zero mode, its truncation bound exceeds
+    TOL_CURVATURE, or its rounding bound does.  For the fixed step
+    DEFAULT_FD_STEP = 1e-3 the first two hold only inside |1+z| < 0.028, well
+    inside the exclusion disk of radius EXCLUSION_RADIUS (the truncation
+    bound decreases with |1+z| and is at most 1.2e-11 on the disk's
+    boundary), and the rounding bound exceeds the tolerance only beyond
+    |z| = 10.2, where the density has fallen below 1e-4.
     """
     points = _chart_array(z)
-    unresolved = (_modulus(1.0 + points) < 4.0 * DEFAULT_FD_STEP) | (
-        curvature_fd_truncation_bound(points) > TOL_CURVATURE
+    unresolved = (
+        (_modulus(1.0 + points) < 4.0 * DEFAULT_FD_STEP)
+        | (curvature_fd_truncation_bound(points) > TOL_CURVATURE)
+        | (_curvature_fd_rounding_bound(points) > TOL_CURVATURE)
     )
     return _like(unresolved, z)
 
@@ -327,19 +350,29 @@ def quillen_curvature_fd(z: complex | np.ndarray) -> float | np.ndarray:
     step DEFAULT_FD_STEP.  ``fd_apply`` hands log det_zeta the stencil's nine
     samples at once, so each block of up to 1024 points makes one pass
     through ``zeta_det_spectral`` and ``hurwitz_zeta_ds0``, where sampling
-    point by point made nine.  Where
-    ``curvature_fd_unresolved`` holds the stencil cannot resolve the zero mode
-    at -1 within TOL_CURVATURE, and DegenerateSpectrum is raised instead of a
-    wrong value.
+    point by point made nine.  Where ``curvature_fd_unresolved`` holds the
+    stencil cannot resolve the curvature within TOL_CURVATURE, next to the
+    zero mode at -1 or far from the origin, where the stencil's rounding
+    outgrows the density (relative errors of 2.5e-4 at |z| = 30, 9% at 100,
+    and exactly 0 from 1e13, where x + h rounds to x), and DegenerateSpectrum
+    is raised instead of a wrong value.
     """
     points = _chart_array(z)
     unresolved = curvature_fd_unresolved(points)
     if unresolved.any():
+        at = points[unresolved][:1]
         raise DegenerateSpectrum(
-            f"stencil around z = {points[unresolved][0]} cannot resolve the zero mode "
-            f"at -1 to {TOL_CURVATURE:g}: within 4 steps, or truncation bound "
-            f"{curvature_fd_truncation_bound(points[unresolved][0]):.2e}"
+            f"stencil around z = {at[0]} cannot resolve the curvature to {TOL_CURVATURE:g}: "
+            f"within 4 steps of the zero mode at -1, or truncation bound "
+            f"{curvature_fd_truncation_bound(at)[0]:.2e}, or rounding bound "
+            f"{_curvature_fd_rounding_bound(at)[0]:.2e}"
         )
+    return _like(_curvature_fd(points), z)
+
+
+def _curvature_fd(points: np.ndarray) -> np.ndarray:
+    """quillen_curvature_fd at chart points the caller has checked against
+    curvature_fd_unresolved, without that check, as an array of their shape."""
 
     def log_det(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.log(zeta_det_spectral(x + 1j * y))
@@ -349,7 +382,7 @@ def quillen_curvature_fd(z: complex | np.ndarray) -> float | np.ndarray:
     for start in range(0, flat.size, _CURVATURE_BLOCK):
         block = flat[start : start + _CURVATURE_BLOCK]
         k[start : start + block.size] = fd_apply(log_det, (block.real, block.imag), _LAPLACIAN)
-    return _like(-0.25 * k.reshape(points.shape), z)
+    return -0.25 * k.reshape(points.shape)
 
 
 def calderon_projection_interval() -> BoundaryProjection2:

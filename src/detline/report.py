@@ -991,7 +991,6 @@ def _grid_rows(g: GridSpec) -> tuple[list[dict], dict]:
     re, im = np.repeat(re_axis, g.n), np.tile(im_axis, g.n)
     z = re + 1j * im
     ok = ~g.excluded(z)
-    ok[ok] = ~cp1.curvature_fd_unresolved(z[ok])
     z_ok = z[ok]
     k_closed = cp1.kahler_density_closed(z_ok)
     # relative errors need a normal density: it underflows beyond |z| = 8e76
@@ -1001,7 +1000,11 @@ def _grid_rows(g: GridSpec) -> tuple[list[dict], dict]:
             f"the curvature density underflows at z = {z_ok[underflow][0]}, "
             "so its relative errors are undefined"
         )
-    k_fd = cp1.quillen_curvature_fd(z_ok)
+    # the mask is quillen_curvature_fd's guard, so its unguarded core runs on the rest
+    resolved = ~cp1.curvature_fd_unresolved(z_ok)
+    ok[ok] = resolved
+    z_ok, k_closed = z_ok[resolved], k_closed[resolved]
+    k_fd = cp1._curvature_fd(z_ok)
     k_pdpdp = cp1.kahler_form_2x2(z_ok)
     rel_fd = np.abs(k_fd - k_closed) / k_closed
     rel_pdp = np.abs(k_pdpdp - k_closed) / k_closed

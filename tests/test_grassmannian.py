@@ -388,6 +388,210 @@ def test_connection_form_matches_numpy_pinv(base_kind, perturbed):
 
 
 # ---------------------------------------------------------------------------
+# the chart guards: a certified inverse where a norm bound settles them, the
+# SVD rule elsewhere, with the rule's decisions and messages
+
+
+def with_singular_values(sv, rng, rows):
+    """A rows x r block whose singular values are sv (r = len(sv))."""
+    r = len(sv)
+    shape = (rows, r)
+    u, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return (u * sv) @ report.random_window_unitary(rng, r)
+
+
+def svd_rule(*blocks, t, thin=False):
+    """The message of the SVD rule's NotInvertible on the blocks in turn, or
+    None when every block passes; a connection form takes the singular values
+    from a thin SVD with singular vectors (thin=True), whose last bits differ."""
+    try:
+        for block in blocks:
+            if thin:
+                sv = np.linalg.svd(block, full_matrices=False)[1]
+            else:
+                sv = np.linalg.svd(block, compute_uv=False)
+            gr._require_chart(sv, block.shape[-1], t)
+    except NotInvertible as exc:
+        return str(exc)
+    return None
+
+
+def decision(call):
+    """The message of the NotInvertible that call raises, or None and its value."""
+    try:
+        return None, call()
+    except NotInvertible as exc:
+        return str(exc), None
+
+
+R_CERT = 101  # the rank of a chart map on the n_max = 100 window
+SPREAD = np.linspace(1.0, 2.0, R_CERT)
+
+
+def spectrum(smallest, largest=2.0, k=1):
+    """r singular values rising from 1 to ``largest``, the last k replaced by
+    ``smallest`` to 1.01 ``smallest``."""
+    sv = 1.0 + (largest - 1.0) * (SPREAD - 1.0)
+    sv[-k:] = smallest * np.linspace(1.0, 1.01, k)
+    return sv
+
+
+CHART_SPECTRA = [
+    pytest.param(spectrum(1.0), True, id="well-conditioned"),
+    pytest.param(spectrum(1e-6 * (1 - 1e-3)), False, id="just-below-the-guard"),
+    pytest.param(spectrum(1e-6 * (1 + 1e-3)), False, id="just-above-the-guard"),
+    # every singular value near the smallest: sqrt(r) of them sum into |R^-1|_F
+    pytest.param(1.5e-6 * SPREAD, False, id="uncertified-1.5e-6"),
+    pytest.param(5e-6 * SPREAD, False, id="uncertified-5e-6"),
+    pytest.param(spectrum(1.5e-5, k=R_CERT), False, id="uncertified-1.5e-5"),
+    # the guard passes and pinv's cut-off 1e-8 s_max = 1e-5 drops the smallest
+    pytest.param(spectrum(5e-6, largest=1e3), False, id="pinv-drops-a-value"),
+]
+
+
+@pytest.mark.parametrize("sv, certified", CHART_SPECTRA)
+def test_connection_form_guard_is_the_svd_rule(sv, certified):
+    rng = np.random.default_rng(19)
+    d = 2 * R_CERT - 1
+    s_v = with_singular_values(sv, rng, d)
+    p = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    d_sv = rng.standard_normal((d, R_CERT)) + 1j * rng.standard_normal((d, R_CERT))
+    t = (0.25, 0.5)
+    expected = svd_rule(s_v, t=t, thin=True)
+    r = np.linalg.qr(s_v)[1]
+    assert (gr._certified_inverse(r, gr.RANK_SVD_THRESHOLD) is not None) == certified
+
+    def ds():
+        assert expected is None, "d(SV) taken at a chart the SVD rule refuses"
+        return d_sv
+
+    with np.errstate(all="raise"):
+        message, value = decision(lambda: gr._connection_form(s_v, ds, p, t))
+    assert message == expected
+    if expected is None:
+        reference = np.trace(np.linalg.pinv(s_v, rcond=gr.RANK_SVD_THRESHOLD) @ p @ d_sv)
+        assert abs(value - reference) <= 1e-9 * abs(reference)
+
+
+def test_connection_form_guard_on_an_exactly_singular_chart_map():
+    # a zero column gives R an exact zero pivot: inv raises LinAlgError, and
+    # the SVD rule decides
+    rng = np.random.default_rng(20)
+    s_v = with_singular_values(SPREAD, rng, 2 * R_CERT - 1)
+    s_v[:, 40] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.linalg.qr(s_v)[1])
+    assert gr._certified_inverse(np.linalg.qr(s_v)[1], gr.RANK_SVD_THRESHOLD) is None
+    expected = svd_rule(s_v, t=(0.25, 0.5), thin=True)
+    assert expected is not None
+
+    def ds():
+        raise AssertionError("d(SV) taken at a singular chart")
+
+    with np.errstate(all="raise"):
+        message, _ = decision(lambda: gr._connection_form(s_v, ds, np.eye(len(s_v)), (0.25, 0.5)))
+    assert message == expected
+
+
+@pytest.mark.parametrize("refused", [False, True])
+def test_connection_form_guard_on_a_stack_with_one_uncertified_member(refused):
+    # one member left open sends the whole stack through the SVD rule, which
+    # names the first failing point; the values are the members' own
+    rng = np.random.default_rng(21)
+    d = 2 * R_CERT - 1
+    open_member = spectrum(1e-6 * (1 - 1e-3)) if refused else 5e-6 * SPREAD
+    spectra = [spectrum(1.0), open_member, spectrum(0.5)]
+    s_v = np.stack([with_singular_values(sv, rng, d) for sv in spectra])
+    p = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    d_sv = rng.standard_normal((3, d, R_CERT)) + 1j * rng.standard_normal((3, d, R_CERT))
+    t = (np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5, 0.6]))
+    certified = [gr._certified_inverse(np.linalg.qr(m)[1], gr.RANK_SVD_THRESHOLD) for m in s_v]
+    assert [c is not None for c in certified] == [True, False, True]
+    assert gr._certified_inverse(np.linalg.qr(s_v)[1], gr.RANK_SVD_THRESHOLD) is None
+    expected = svd_rule(s_v, t=t, thin=True)
+    assert (expected is not None) == refused
+    with np.errstate(all="raise"):
+        message, values = decision(lambda: gr._connection_form(s_v, lambda: d_sv, p, t))
+    assert message == expected
+    if refused:
+        assert "at t = (0.2, 0.5)" in message
+        return
+    for member, value, dm in zip(s_v, values, d_sv):
+        reference = np.trace(np.linalg.pinv(member, rcond=gr.RANK_SVD_THRESHOLD) @ p @ dm)
+        assert abs(value - reference) <= 1e-9 * abs(reference)
+
+
+def test_chart_guard_refuses_a_base_of_rank_zero():
+    # an empty r x r block certifies nothing: the SVD rule refuses rank 0
+    w = gr.ModeWindow(3)
+    zero = gr.ModeOperator(w, np.zeros((w.dim, w.dim)), gr.TAIL_APS)
+    fam = gr.ProjectionFamily(w, lambda t1, t2: np.zeros((w.dim, w.dim)))
+    for call in (
+        lambda: gr.connection_form(fam, zero, (0.3, 0.2)),
+        lambda: gr.transition_det(fam, zero, (0.3, 0.2), None, None),
+        lambda: gr.perturbation_patching_check(fam, zero, None, None, (0.3, 0.2)),
+        lambda: gr.patching_identity_check(fam, fam, zero, (0.3, 0.2)),
+    ):
+        with pytest.raises(NotInvertible, match="restriction rank 0 is out of range"):
+            call()
+
+
+RATIO_SPECTRA = [
+    pytest.param(spectrum(1.0), spectrum(0.5), True, id="both-certified"),
+    pytest.param(spectrum(1e-6 * (1 - 1e-3)), spectrum(1.0), False, id="a1-below-the-guard"),
+    pytest.param(spectrum(1.0), spectrum(1e-6 * (1 - 1e-3)), False, id="a2-below-the-guard"),
+    pytest.param(spectrum(1e-6 * (1 + 1e-3)), spectrum(1.0), False, id="a1-above-the-guard"),
+    # ten and thirty singular values near the smallest, so the determinants
+    # stay within the double range
+    pytest.param(spectrum(5e-6, k=10), spectrum(1.0), False, id="a1-uncertified"),
+    pytest.param(spectrum(1.0), spectrum(1e-5, k=30), False, id="a2-uncertified"),
+    # no pseudo-inverse here: a large s_max leaves the ratio's guard certified
+    pytest.param(spectrum(5e-6, largest=1e3), spectrum(1.0), True, id="a1-wide-spectrum"),
+]
+
+
+@pytest.mark.parametrize("sv1, sv2, certified", RATIO_SPECTRA)
+def test_chart_ratio_guards_are_the_svd_rule(sv1, sv2, certified):
+    rng = np.random.default_rng(22)
+    a1, a2 = (with_singular_values(sv, rng, R_CERT) for sv in (sv1, sv2))
+    t = (0.25, 0.5)
+    assert (gr._certified_inverse(np.stack([a1, a2]), 0.0) is not None) == certified
+    expected = svd_rule(a1, a2, t=t)
+    with np.errstate(all="raise"):
+        message, value = decision(lambda: gr._chart_ratio(a1, a2, t))
+    assert message == expected
+    if expected is None:
+        # the determinant's relative rounding grows with the conditions
+        reference = np.linalg.det(np.linalg.solve(a2.mT, a1.mT).mT)
+        tol = 1e-12 * np.linalg.cond(a1) * np.linalg.cond(a2)
+        assert abs(value - reference) <= tol * abs(reference)
+
+
+def test_chart_ratio_guards_on_a_stack_and_an_exactly_singular_block():
+    rng = np.random.default_rng(23)
+    t = (np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5, 0.6]))
+    a1 = np.stack([with_singular_values(spectrum(1.0), rng, R_CERT) for _ in range(3)])
+    spectra = (spectrum(1.0), spectrum(5e-6, k=10), spectrum(1.0))
+    a2 = np.stack([with_singular_values(sv, rng, R_CERT) for sv in spectra])
+    # one uncertified member: the whole stack goes through the SVD rule
+    assert gr._certified_inverse(np.stack([a1, a2]), 0.0) is None
+    with np.errstate(all="raise"):
+        message, values = decision(lambda: gr._chart_ratio(a1, a2, t))
+    assert message is None and svd_rule(a1, a2, t=t) is None
+    reference = np.linalg.det(np.linalg.solve(a2.mT, a1.mT).mT)
+    assert np.all(np.abs(values - reference) <= 1e-6 * np.abs(reference))
+    # an exactly singular member: inv raises LinAlgError, and the rule names it
+    a2[2, :, 7] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(a2)
+    expected = svd_rule(a1, a2, t=t)
+    assert "at t = (0.3, 0.6)" in expected
+    with np.errstate(all="raise"):
+        message, _ = decision(lambda: gr._chart_ratio(a1, a2, t))
+    assert message == expected
+
+
+# ---------------------------------------------------------------------------
 # projections are checked once per public call, at the call's own point t
 
 
@@ -524,29 +728,35 @@ def test_decomposition_and_projection_check_counts(monkeypatch):
 
     t = (0.35, 0.6)
     eigh = {("eigh", (13, 13)): 1}
-    thin_svd, small_svd = ("svd", (13, 7)), ("svd", (7, 7))
-    # a transition ratio: a thin QR of S_2 V (transition_det only), two r x r
-    # chart guards, one r x r solve and one r x r det
-    ratio = {("solve", (7, 7)): 1, ("det", (7, 7)): 1}
-    assert counts(lambda: gr.connection_form(fam, base, t)) == ({**eigh, thin_svd: 1}, 2, 1, 5)
-    assert counts(lambda: gr.curvature_rkw(fam, base, t)) == ({**eigh, thin_svd: 8}, 2, 1, 41)
+    # a connection form: one thin QR of the chart map and one inverse of its
+    # r x r factor, which settle the chart guard and the pseudo-inverse (a
+    # thin SVD of the 13 x 7 chart map before the certificate)
+    thin_qr, form = ("qr", (13, 7)), {("qr", (13, 7)): 1, ("inv", (7, 7)): 1}
+    # a transition ratio: a thin QR of S_2 V (transition_det only), one
+    # stacked inverse of its two r x r blocks for both chart guards and one
+    # r x r det (two values-only SVDs of 7 x 7 blocks and a solve before)
+    ratio = {("inv", (2, 7, 7)): 1, ("det", (7, 7)): 1}
+    assert counts(lambda: gr.connection_form(fam, base, t)) == ({**eigh, **form}, 2, 1, 5)
+    eight = {key: 8 * n for key, n in form.items()}
+    assert counts(lambda: gr.curvature_rkw(fam, base, t)) == ({**eigh, **eight}, 2, 1, 41)
     assert counts(lambda: gr.tr_p_dp_dp(fam, t)) == ({}, 1, 1, 9)
     assert counts(lambda: gr.transition_det(fam, base, t, sigma1, sigma2)) == (
-        {**eigh, ("qr", (13, 7)): 1, small_svd: 2, **ratio},
+        {**eigh, thin_qr: 1, **ratio},
         2,
         1,
         1,
     )
     # five ratios (four stencil points and t) and two connection forms
     five = {key: 5 * n for key, n in ratio.items()}
+    two = {key: 2 * n for key, n in form.items()}
     assert counts(lambda: gr.perturbation_patching_check(fam, base, sigma1, sigma2, t)) == (
-        {**eigh, ("qr", (13, 7)): 5, small_svd: 10, **five, thin_svd: 2},
+        {**eigh, **five, **two, thin_qr: 7},
         2,
         1,
         5,
     )
     assert counts(lambda: gr.patching_identity_check(fam, fam2, base, t)) == (
-        {**eigh, small_svd: 10, **five, thin_svd: 2},
+        {**eigh, **five, **two},
         3,
         2,
         10,

@@ -399,6 +399,50 @@ def test_no_point_outside_the_exclusion_disk_is_refused():
     cp1.quillen_curvature_fd(z[:3000])
 
 
+RAY = 0.6 + 0.8j
+
+
+def test_curvature_far_from_the_origin_is_within_tolerance_or_raises():
+    # along z = r (0.6 + 0.8i) the stencil's rounding, about eps / h^2, outgrows
+    # the density 1/(1+r^2)^2: the value was off by 2.5e-4 relative at r = 30,
+    # 9% at 100, negative at 1000 and exactly 0 from 1e13 on, without raising
+    z = 3.0 * RAY
+    assert abs(cp1.quillen_curvature_fd(z) - fubini_study(z)) <= 1e-4 * fubini_study(z)
+    for r in (30.0, 100.0, 1000.0, 1e13):
+        with pytest.raises(DegenerateSpectrum, match="rounding bound"):
+            cp1.quillen_curvature_fd(r * RAY)
+        assert cp1.curvature_fd_unresolved(r * RAY)
+
+
+def test_rounding_bound_is_calibrated_far_from_the_zero_mode():
+    st = FdStencil(kind="laplacian-2d")
+    rng = np.random.default_rng(8)
+    radii = np.repeat([0.1, 0.5, 1.5, 3.0, 10.0, 30.0, 100.0, 1e3, 1e4], 200)
+    z = radii * np.exp(2j * np.pi * rng.uniform(size=radii.size))
+    z = z[np.abs(1.0 + z) > cp1.EXCLUSION_RADIUS]
+    closed = fubini_study(z)
+    observed = np.abs(unguarded_curvature(z, st) - closed) / closed
+    rounding = cp1._curvature_fd_rounding_bound(z)
+    # an upper bound everywhere, with the truncation bound next to the zero mode
+    assert np.all(observed <= rounding + cp1.curvature_fd_truncation_bound(z))
+    # and within a factor 5 of the error where the rounding dominates
+    assert np.max((observed / rounding)[np.abs(z) >= 30.0]) > 0.2
+    # every point the guard lets through is within tolerance
+    accepted = ~cp1.curvature_fd_unresolved(z)
+    assert accepted.sum() >= 800
+    assert np.all(observed[accepted] <= cp1.TOL_CURVATURE)
+
+
+def test_rounding_bound_refuses_no_point_of_the_curvature_square():
+    # the grids of the suites and of the curvature-grid benchmark lie in
+    # [-1.5, 1.5]^2, where the rounding bound stays over two digits below the
+    # tolerance, so the guard refuses there exactly what it refused before it
+    x = np.linspace(-1.5, 1.5, 301)
+    z = (x[:, None] + 1j * x[None, :]).ravel()
+    z = z[np.abs(1.0 + z) >= 4.0 * cp1.DEFAULT_FD_STEP]
+    assert np.max(cp1._curvature_fd_rounding_bound(z)) < 1e-6
+
+
 @pytest.mark.parametrize(
     "z, passes",
     [
@@ -488,7 +532,10 @@ def test_chart_forms_at_large_chart_points(z):
         assert s == pytest.approx(z.conjugate() / abs(z) / math.sqrt(2.0), abs=1e-15)
         assert abs(cp1.kahler_form_2x2(z)) <= 1e-300
         assert cp1.kahler_density_closed(z) == 0.0
-        assert cp1.quillen_curvature_fd(z) == 0.0
+        # the stencil returned exactly 0 here (x + h rounds to x): its rounding
+        # bound, relative to a density that underflows, refuses the point
+        with pytest.raises(DegenerateSpectrum, match="rounding bound inf"):
+            cp1.quillen_curvature_fd(z)
         assert cp1.curvature_fd_truncation_bound(z) == 0.0
         expected = np.diag([0.0, 1.0])
         assert np.abs(cp1.projection_from_chart(z).entries - expected).max() <= 1e-15

@@ -15,7 +15,7 @@ import pytest
 from detline import chern_series, cli, det_line, report
 from detline import grassmannian as gr
 from detline import interval_cp1 as cp1
-from detline.errors import DomainError
+from detline.errors import DegenerateSpectrum, DomainError
 from detline.tolerances import DEFAULT_FD_STEP
 
 
@@ -133,6 +133,26 @@ def test_curvature_grid_masks_points_the_stencil_cannot_resolve():
     assert summary["max_rel_err_pdpdp"] < 1e-12
 
 
+def test_curvature_grid_evaluates_the_curvature_guard_once(monkeypatch):
+    # the grid masks the points quillen_curvature_fd would refuse and runs its
+    # unguarded core on the rest (the guard ran twice per grid before)
+    calls = []
+    guard = cp1.curvature_fd_unresolved
+
+    def counted(z):
+        calls.append(np.shape(z))
+        return guard(z)
+
+    monkeypatch.setattr(cp1, "curvature_fd_unresolved", counted)
+    spec = report.GridSpec(-1.5, 1.5, -1.5, 1.5, 10)
+    rows, _ = report._grid_rows(spec)
+    assert calls == [(sum(not spec.excluded(complex(r["re"], r["im"])) for r in rows),)]
+    # the public function keeps its own guard
+    with pytest.raises(DegenerateSpectrum):
+        cp1.quillen_curvature_fd(-1.0 + 1e-4j)
+    assert len(calls) == 2
+
+
 def test_gridspec_validation():
     with pytest.raises(DomainError):
         report.GridSpec(n=1)
@@ -219,7 +239,9 @@ def test_cli_zeta_det_at_a_large_chart_point(capsys):
 
 def test_cli_grid_refuses_points_where_the_density_underflows(tmp_path, capsys):
     # the grid wrote "status": "ok" rows holding NaN relative errors and
-    # exited 0; below the underflow its JSON holds numbers only
+    # exited 0; below the underflow its JSON holds numbers only.  At 1e70 the
+    # rows were "ok" with k_fd = 0, a relative error of 1: the stencil's
+    # rounding bound now skips them
     path = tmp_path / "grid.json"
     args = ["curvature-grid", "--im", "0:1", "--n", "2", "--json", str(path)]
     assert cli.main([*args[:1], "--re", "1e160:2e160", *args[1:]]) == 1
@@ -227,7 +249,11 @@ def test_cli_grid_refuses_points_where_the_density_underflows(tmp_path, capsys):
     assert not path.exists()
     assert cli.main([*args[:1], "--re", "1e70:2e70", *args[1:]]) == 0
     rows = strict_json(path.read_text())["rows"]
-    assert [row["status"] for row in rows] == ["ok"] * 4
+    assert [row["status"] for row in rows] == ["skip"] * 4
+    assert cli.main([*args[:1], "--re", "2:3", *args[1:]]) == 0
+    document = strict_json(path.read_text())
+    assert [row["status"] for row in document["rows"]] == ["ok"] * 4
+    assert document["summary"]["max_rel_err_fd"] < report.TOL_CURVATURE
     with pytest.raises(DomainError, match="finite width"):
         report.GridSpec(re_min=-1e308, re_max=1e308)
 
@@ -525,7 +551,8 @@ def test_grassmannian_suite_stacks_its_sample_loops(monkeypatch):
     # offset and antisymmetry rows call the chart layer and the Hurwitz
     # kernel once per direction or row on arrays of points: one sample at a
     # time, run_suite("grassmannian", 7) made 482 LAPACK calls (240 svd,
-    # 80 det, 73 solve, 47 eigh, 42 qr) and 134 Euler-Maclaurin evaluations
+    # 80 det, 73 solve, 47 eigh, 42 qr) and 134 Euler-Maclaurin evaluations;
+    # 188 with stacked points, when every chart guard took an SVD
     calls, evaluations = [], []
 
     def counted(name, inner):
@@ -546,11 +573,16 @@ def test_grassmannian_suite_stacks_its_sample_loops(monkeypatch):
     monkeypatch.setattr(gr, "_hurwitz_em", counted_kernel)
     document = report.run_suite("grassmannian", 7)
     assert document.n_fail == 0
-    assert len(calls) <= 190, calls
+    assert len(calls) <= 172, calls
+    # every chart guard is settled by a certified inverse: no SVD of a thin
+    # 13 x 7 chart map or of an r x r = 7 x 7 chart block, at a point or on a stack
+    chart_svds = [c for c in calls if c[0] == "svd" and c[1][-2:] in ((13, 7), (7, 7))]
+    assert chart_svds == []
     # offsets (19 and 1 - a), antisymmetry (4 and 1 - a, both ways), and one
     # per finite-rank flip
     assert sorted(evaluations) == sorted([(38,), (16,)] + [(2,)] * 20)
     # the Stokes edges: 2 x 8 Gauss-Legendre nodes in t1, 2 x 4 trapezoid nodes in t2
-    assert calls.count(("svd", (16, 13, 7))) == calls.count(("svd", (8, 13, 7))) == 1
+    assert calls.count(("qr", (16, 13, 7))) == calls.count(("qr", (8, 13, 7))) == 1
+    assert calls.count(("inv", (16, 7, 7))) == calls.count(("inv", (8, 7, 7))) == 1
     # the patching rows: 4 identity-chart points, 3 perturbation-chart points
     assert ("det", (4, 7, 7)) in calls and ("qr", (3, 13, 7)) in calls
