@@ -12,11 +12,14 @@ connection forms on the determinant line of S(P) = P * base, their curvature,
 and the chart-patching identities for the transition determinants.
 
 The chart layer works on an orthonormal basis V (d x r) of ran(base), taken
-once per public call from one eigh of the base block: chart maps are the
-thin d x r blocks (P + P sigma P) V, and their QRs, stencils and traces run
-on those blocks.  Transition determinants reduce to r x r blocks X* S_i V
-(X an orthonormal basis of the target of the charts), so the only d x d
-decomposition of a public call is that eigh.  A connection form factors
+once per public call.  A coordinate base, such as a spectral cut
+Pi_{>=k}, has V = I[:, cols], so every product with V is a gather of
+columns or rows; any other base takes V from one eigh of its block.  Chart
+maps are the thin d x r blocks (P + P sigma P) V, and their QRs, stencils
+and traces run on those blocks.  Transition determinants reduce to r x r
+blocks X* S_i V (X an orthonormal basis of the target of the charts), so a
+public call makes no d x d decomposition on a coordinate base and one, that
+eigh, on any other.  A connection form factors
 its chart map once, by a thin QR, and inverts the r x r factor R; a
 transition ratio inverts its two r x r blocks in one stacked call.  The
 chart guard (smallest singular value at least CHART_SVD_THRESHOLD) and the
@@ -35,8 +38,9 @@ stack of k points carries a leading axis of length k through the family
 values, chart maps, QRs, inverses and dets, so each runs as one batched
 numpy call; a single point has no such axis and runs through the same code
 on the family's own d x d blocks.  Projections are checked once per public
-call: the base, and the family values at all points t as one stack, each
-required to have the rank of base; an error names the first failing point.
+call: the base (on a coordinate base only its tails are left to check),
+and the family values at all points t as one stack, each required to have
+the rank of base; an error names the first failing point.
 The fixed stencils around t read the family's block function directly,
 unwrapped and unchecked; a non-finite sample enters the result ``fd_apply``
 refuses, and an error of the block function names the one point where it
@@ -49,7 +53,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -249,14 +253,45 @@ class ModeOperator:
         m, tol = self.entries, PROJECTION_TOL
         hermitian = np.max(np.abs(m - m.conj().mT)) <= tol
         idem = np.max(np.abs(m @ m - m)) <= tol
-        tails_ok = all(abs(t * t - t) <= tol and abs(t.imag) <= tol for t in self.tail)
-        return bool(hermitian and idem and tails_ok)
+        return bool(hermitian and idem and _projection_tails(self.tail))
 
     def window_rank(self) -> int | np.ndarray:
-        """Number of singular values above RANK_SVD_THRESHOLD; an int array on a stack."""
-        sv = np.linalg.svd(self.entries, compute_uv=False)
-        ranks = np.sum(sv > RANK_SVD_THRESHOLD, axis=-1)
+        """Number of singular values above RANK_SVD_THRESHOLD; an int array on a stack.
+
+        The singular values of a coordinate block (``_coordinate_ones``) are
+        its 0/1 diagonal, so its rank is the count of ones, taken without an
+        SVD; any other block, or a stack with any member that is not one,
+        takes the SVD.
+        """
+        ones = _coordinate_ones(self.entries)
+        if ones is None:
+            sv = np.linalg.svd(self.entries, compute_uv=False)
+            ranks = np.sum(sv > RANK_SVD_THRESHOLD, axis=-1)
+        else:
+            ranks = np.count_nonzero(ones, axis=-1)
         return ranks if self.entries.ndim == 3 else int(ranks)
+
+
+def _projection_tails(tail: tuple[complex, complex]) -> bool:
+    """The tail rule of is_projection: both tails real and 0 or 1 to PROJECTION_TOL."""
+    tol = PROJECTION_TOL
+    return all(abs(t * t - t) <= tol and abs(t.imag) <= tol for t in tail)
+
+
+def _coordinate_ones(m: np.ndarray) -> np.ndarray | None:
+    """The ones of the diagonal of m as a boolean mask when m, a d x d block or
+    a stack of them, is a coordinate projection member by member, else None.
+
+    A coordinate block has no nonzero entry off the diagonal and every
+    diagonal entry exactly 0 or 1, such as the spectral cuts Pi_{>=k}: it is
+    exactly Hermitian and idempotent, its singular values and eigenvalues
+    are its diagonal, and I[:, ones] is an orthonormal basis of its range.
+    The test is exact, so a block that differs from one by any rounding
+    is no coordinate block.  Its nonzero entries include the ones, so it
+    has no other nonzero entry exactly when the two counts agree.
+    """
+    ones = np.diagonal(m, axis1=-2, axis2=-1) == 1
+    return ones if np.count_nonzero(m) == np.count_nonzero(ones) else None
 
 
 def _require_single(op: ModeOperator, what: str) -> None:
@@ -566,20 +601,71 @@ def _direction_axis(direction) -> int:
     raise DomainError(f"direction must be 't1', 't2', 0 or 1, got {direction!r}")
 
 
-def _chart_base(w: ModeWindow, base: ModeOperator) -> np.ndarray:
+@dataclass(frozen=True)
+class _Basis:
+    """An orthonormal basis V (d x r) of ran(base), and the products of the
+    chart layer with it: M V (``right``) and V* M (``left``), for a block
+    or a stack M.
+
+    Exactly one field is set: ``v``, the matrix V, or ``cols`` when
+    V = I[:, cols], which is then never formed.  With ``cols`` the products
+    are gathers of the columns or rows ``cols`` of M by np.take: they hold
+    exactly the values of the products with the 0/1 matrix V (each entry is
+    one product with 1 plus zeros), in a C-ordered array.  M[..., cols]
+    would return an F-ordered one, and einsum, whose summation order
+    follows the strides, would then round apart.  A gather drops the
+    columns it does not select, where a product spreads a non-finite entry
+    of them into every column: a stencil member that must carry every entry
+    to fd_apply's finiteness check stays the whole block and is gathered
+    after the stencil.
+    """
+
+    v: np.ndarray | None = None
+    cols: np.ndarray | None = None
+
+    @property
+    def rank(self) -> int:
+        return len(self.cols) if self.v is None else self.v.shape[1]
+
+    @cached_property
+    def _vh(self) -> np.ndarray:
+        return self.v.conj().T
+
+    def right(self, m: np.ndarray) -> np.ndarray:
+        return np.take(m, self.cols, axis=-1) if self.v is None else m @ self.v
+
+    def left(self, m: np.ndarray) -> np.ndarray:
+        return np.take(m, self.cols, axis=-2) if self.v is None else self._vh @ m
+
+
+def _chart_base(w: ModeWindow, base: ModeOperator) -> _Basis:
     """Orthonormal basis V (d x r) of ran(base) on the window, once per public call.
 
-    V holds the eigenvectors of the base block with eigenvalue above 1/2.  The
-    base is checked to be a projection to PROJECTION_TOL, so its eigenvalues
-    lie that close to 0 or 1 and this is the rank decision of window_rank.
-    The boolean index copies the columns, so the d x d factor is freed
-    before the chart work starts.
+    A coordinate base block (``_coordinate_ones``), such as a spectral cut,
+    has the basis I[:, cols], cols the indices of its ones, and needs no
+    decomposition; being exactly Hermitian and idempotent, it passes
+    is_projection exactly when its tails pass the tail rule, which is all
+    that is checked.  Any other base is checked by is_projection, and V
+    holds the eigenvectors of its block with eigenvalue above 1/2: its
+    eigenvalues lie within PROJECTION_TOL of 0 or 1, and this is the rank
+    decision of window_rank.  The boolean index copies the columns, so the
+    d x d factor is freed before the chart work starts.  For a cut Pi_{>=k}
+    eigh returns the columns I[:, cols] themselves, in that order; for a
+    coordinate projection that is not a monotone cut it may order them
+    differently, and values computed through the two bases then differ by
+    rounding.
     """
     _require_single(base, "a chart's base")
-    if not base.is_projection():
+    ones = _coordinate_ones(base.entries)
+    if not (base.is_projection() if ones is None else _projection_tails(base.tail)):
         raise DomainError("base must be a projection")
-    eigenvalues, vectors = np.linalg.eigh(base.embed_to(w).entries)
-    return vectors[:, eigenvalues > 0.5]
+    block = base.embed_to(w).entries
+    if base.window != w:  # the tails fill the new diagonal entries
+        ones = _coordinate_ones(block)
+    if ones is None:
+        eigenvalues, vectors = np.linalg.eigh(block)
+        return _Basis(v=vectors[:, eigenvalues > 0.5])
+    return _Basis(cols=np.flatnonzero(ones))
 
 
 def _family_blocks(
@@ -608,9 +694,9 @@ def _block(fam: ProjectionFamily, t1: float, t2: float) -> np.ndarray:
     return block
 
 
-def _projections_at(fam: ProjectionFamily, t: Points, v: np.ndarray | None = None) -> np.ndarray:
+def _projections_at(fam: ProjectionFamily, t: Points, basis: _Basis | None = None) -> np.ndarray:
     """Window blocks of fam at the points t (see _family_blocks), checked once
-    per public call to be projections and, given a basis V of ran(base), to
+    per public call to be projections and, given the basis of ran(base), to
     have the rank of base, without which no chart map is invertible (the rank
     is constant near each point).  An error names the first failing point."""
     op = ModeOperator(fam.window, _family_blocks(fam, *t), TAIL_APS)
@@ -618,9 +704,9 @@ def _projections_at(fam: ProjectionFamily, t: Points, v: np.ndarray | None = Non
         members = op.entries.reshape(-1, *op.entries.shape[-2:])
         bad = [not ModeOperator(fam.window, m, TAIL_APS).is_projection() for m in members]
         raise DomainError(f"family value at {_point(t, bad.index(True))} is not a projection")
-    if v is not None:
+    if basis is not None:
         rank_p = np.trace(op.entries, axis1=-2, axis2=-1).real
-        off = np.rint(rank_p) != v.shape[1]
+        off = np.rint(rank_p) != basis.rank
         if off.any():
             i = int(np.argmax(off))
             raise NotInvertible(
@@ -641,19 +727,19 @@ def _chart_sigma(w: ModeWindow, perturbation: ModeOperator | None) -> np.ndarray
     return sig.entries
 
 
-def _chart_maps(p: np.ndarray, v: np.ndarray, *sigs: np.ndarray | None) -> list[np.ndarray]:
+def _chart_maps(p: np.ndarray, basis: _Basis, *sigs: np.ndarray | None) -> list[np.ndarray]:
     """Thin blocks (P + P sigma P) V of the chart maps on ran(base), one per
     chart sigma (PV for the identity chart, sigma = None), at each point of
     the family values P; PV is formed once for all of them."""
-    pv = p @ v
+    pv = basis.right(p)
     return [pv if sig is None else pv + p @ (sig @ pv) for sig in sigs]
 
 
-def _chart_derivative(d_member: np.ndarray, v: np.ndarray, sig: np.ndarray | None) -> np.ndarray:
+def _chart_derivative(d_member: np.ndarray, basis: _Basis, sig: np.ndarray | None) -> np.ndarray:
     """d(SV) from the stencil of the chart's member: the chart map SV, or in
     the identity chart the family value P, whose stencil gives (dP) V by one
-    product."""
-    return d_member @ v if sig is None else d_member
+    product (a gather on a coordinate base)."""
+    return basis.right(d_member) if sig is None else d_member
 
 
 def _each(field: Callable[..., Any]) -> Callable[[np.ndarray, np.ndarray], Iterator[Any]]:
@@ -670,16 +756,16 @@ def _each(field: Callable[..., Any]) -> Callable[[np.ndarray, np.ndarray], Itera
 
 
 def _chart_stencil(
-    fam: ProjectionFamily, v: np.ndarray, sig: np.ndarray | None, t: Points, axis: int
+    fam: ProjectionFamily, basis: _Basis, sig: np.ndarray | None, t: Points, axis: int
 ) -> np.ndarray:
     """d(SV) along axis at t for one chart, from its own stencil over the
     family's blocks."""
 
     def member(t1, t2) -> np.ndarray:
         p = _family_blocks(fam, t1, t2)
-        return p if sig is None else _chart_maps(p, v, sig)[0]
+        return p if sig is None else _chart_maps(p, basis, sig)[0]
 
-    return _chart_derivative(fd_apply(_each(member), t, _D1, axis), v, sig)
+    return _chart_derivative(fd_apply(_each(member), t, _D1, axis), basis, sig)
 
 
 def connection_form(
@@ -702,14 +788,14 @@ def connection_form(
     """
     axis = _direction_axis(direction)
     pts = _points(t)
-    v = _chart_base(fam.window, base)
+    basis = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
-    return _omega(fam, v, sig, axis, pts, _projections_at(fam, pts, v))
+    return _omega(fam, basis, sig, axis, pts, _projections_at(fam, pts, basis))
 
 
 def _omega(
     fam: ProjectionFamily,
-    v: np.ndarray,
+    basis: _Basis,
     sig: np.ndarray | None,
     axis: int,
     t: Points,
@@ -717,8 +803,8 @@ def _omega(
 ) -> complex | np.ndarray:
     """connection_form along axis at the points t from the family values p
     there: the chart map SV, with d(SV) from the chart's own stencil."""
-    (s_v,) = _chart_maps(p, v, sig)
-    return _connection_form(s_v, partial(_chart_stencil, fam, v, sig, t, axis), p, t)
+    (s_v,) = _chart_maps(p, basis, sig)
+    return _connection_form(s_v, partial(_chart_stencil, fam, basis, sig, t, axis), p, t)
 
 
 def _connection_form(
@@ -782,13 +868,13 @@ def curvature_rkw(
     one, eps / h, by h once more, so a finer inner step would lose digits.
     """
     pts = _points(t)
-    v = _chart_base(fam.window, base)
+    basis = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
-    _projections_at(fam, pts, v)  # the stencil points around t are not checked
+    _projections_at(fam, pts, basis)  # the stencil points around t are not checked
 
     def omega(axis: int) -> Callable[..., Iterator[complex | np.ndarray]]:
         def at(t1, t2) -> complex | np.ndarray:
-            return _omega(fam, v, sig, axis, (t1, t2), _family_blocks(fam, t1, t2))
+            return _omega(fam, basis, sig, axis, (t1, t2), _family_blocks(fam, t1, t2))
 
         return _each(at)
 
@@ -812,10 +898,10 @@ def transition_det(
     """
     pts = _points(t)
     w = fam.window
-    v = _chart_base(w, base)
+    basis = _chart_base(w, base)
     sig1, sig2 = _chart_sigma(w, sigma1), _chart_sigma(w, sigma2)
-    p = _projections_at(fam, pts, v)
-    return _result(_transition_det(*_chart_maps(p, v, sig1, sig2), pts))
+    p = _projections_at(fam, pts, basis)
+    return _result(_transition_det(*_chart_maps(p, basis, sig1, sig2), pts))
 
 
 def _transition_det(s1_v: np.ndarray, s2_v: np.ndarray, t: Points) -> complex | np.ndarray:
@@ -852,22 +938,22 @@ def perturbation_patching_check(
     axis = _direction_axis(direction)
     pts = _points(t)
     w = fam.window
-    v = _chart_base(w, base)
+    basis = _chart_base(w, base)
     sigs = (_chart_sigma(w, sigma1), _chart_sigma(w, sigma2))
-    p = _projections_at(fam, pts, v)
+    p = _projections_at(fam, pts, basis)
 
     def sample(t1, t2) -> tuple:
         p_at = _family_blocks(fam, t1, t2)
-        maps = _chart_maps(p_at, v, *sigs)
+        maps = _chart_maps(p_at, basis, *sigs)
         members = tuple(p_at if sig is None else m for m, sig in zip(maps, sigs))
         del p_at  # held through the ratio only as an identity chart's member
         return (_transition_det(*maps, (t1, t2)), *members)
 
     dg, *d_members = fd_apply(_each(sample), pts, _D1, axis)
-    maps = _chart_maps(p, v, *sigs)
+    maps = _chart_maps(p, basis, *sigs)
     lhs = dg / _transition_det(*maps, pts)
     omega1, omega2 = (
-        _connection_form(m, partial(_chart_derivative, dm, v, sig), p, pts)
+        _connection_form(m, partial(_chart_derivative, dm, basis, sig), p, pts)
         for m, dm, sig in zip(maps, d_members, sigs)
     )
     return _result(lhs), _result(omega1 - omega2)
@@ -895,18 +981,20 @@ def patching_identity_check(
     pts = _points(t)
     if fam1.window.n_max != fam2.window.n_max:
         raise NotCommensurable("families must share one mode window")
-    v = _chart_base(fam1.window, base)
-    vh = v.conj().T
-    p1, p2 = _projections_at(fam1, pts, v), _projections_at(fam2, pts, v)
+    basis = _chart_base(fam1.window, base)
+    p1, p2 = _projections_at(fam1, pts, basis), _projections_at(fam2, pts, basis)
+
+    def block(p: np.ndarray) -> np.ndarray:
+        return basis.left(basis.right(p))
 
     def sample(t1, t2) -> tuple:
         pa, pb = _family_blocks(fam1, t1, t2), _family_blocks(fam2, t1, t2)
         # the thin blocks P V are freed before the ratio inverts its r x r blocks
-        return _chart_ratio(vh @ (pa @ v), vh @ (pb @ v), (t1, t2)), pa, pb
+        return _chart_ratio(block(pa), block(pb), (t1, t2)), pa, pb
 
     d_ratio, dp1, dp2 = fd_apply(_each(sample), pts, _D1, axis)
-    p1_v, p2_v = p1 @ v, p2 @ v
-    lhs = d_ratio / _chart_ratio(vh @ p1_v, vh @ p2_v, pts)
-    omega1 = _connection_form(p1_v, partial(np.matmul, dp1, v), p1, pts)
-    rhs = omega1 - _connection_form(p2_v, partial(np.matmul, dp2, v), p2, pts)
+    p1_v, p2_v = basis.right(p1), basis.right(p2)
+    lhs = d_ratio / _chart_ratio(basis.left(p1_v), basis.left(p2_v), pts)
+    omega1 = _connection_form(p1_v, partial(basis.right, dp1), p1, pts)
+    rhs = omega1 - _connection_form(p2_v, partial(basis.right, dp2), p2, pts)
     return _result(lhs), _result(rhs)

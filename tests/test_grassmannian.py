@@ -665,10 +665,12 @@ def test_family_value_that_is_not_finite_at_a_stencil_sample_raises(entry, reque
 
 
 def test_decomposition_and_projection_check_counts(monkeypatch):
-    # per public call: one eigh of the 13 x 13 base block, the only d x d
-    # decomposition, and one projection check each for the base and the
-    # family at t; every other decomposition runs on a thin 13 x 7 chart
-    # block or on an r x r = 7 x 7 block of a transition ratio.  The one
+    # per public call on the spectral cut Pi_{>=0}: no d x d decomposition,
+    # since its basis is a selection of coordinate columns, and one
+    # projection check, of the family at t (one eigh of the 13 x 13 base
+    # block and a check of the base as well before); a conjugated base takes
+    # that eigh and that check.  Every other decomposition runs on a thin
+    # 13 x 7 chart block or on an r x r = 7 x 7 block of a transition ratio.  The one
     # ModeOperator built per family is its checked value at t: stencil
     # samples read the block function unwrapped (5, 41, 9, 13 and 18
     # constructions when every sample was wrapped).
@@ -727,7 +729,6 @@ def test_decomposition_and_projection_check_counts(monkeypatch):
         return {c: calls.count(c) for c in calls}, len(checks), len(built), len(blocks)
 
     t = (0.35, 0.6)
-    eigh = {("eigh", (13, 13)): 1}
     # a connection form: one thin QR of the chart map and one inverse of its
     # r x r factor, which settle the chart guard and the pseudo-inverse (a
     # thin SVD of the 13 x 7 chart map before the certificate)
@@ -736,13 +737,13 @@ def test_decomposition_and_projection_check_counts(monkeypatch):
     # stacked inverse of its two r x r blocks for both chart guards and one
     # r x r det (two values-only SVDs of 7 x 7 blocks and a solve before)
     ratio = {("inv", (2, 7, 7)): 1, ("det", (7, 7)): 1}
-    assert counts(lambda: gr.connection_form(fam, base, t)) == ({**eigh, **form}, 2, 1, 5)
+    assert counts(lambda: gr.connection_form(fam, base, t)) == (form, 1, 1, 5)
     eight = {key: 8 * n for key, n in form.items()}
-    assert counts(lambda: gr.curvature_rkw(fam, base, t)) == ({**eigh, **eight}, 2, 1, 41)
+    assert counts(lambda: gr.curvature_rkw(fam, base, t)) == (eight, 1, 1, 41)
     assert counts(lambda: gr.tr_p_dp_dp(fam, t)) == ({}, 1, 1, 9)
     assert counts(lambda: gr.transition_det(fam, base, t, sigma1, sigma2)) == (
-        {**eigh, thin_qr: 1, **ratio},
-        2,
+        {thin_qr: 1, **ratio},
+        1,
         1,
         1,
     )
@@ -750,16 +751,28 @@ def test_decomposition_and_projection_check_counts(monkeypatch):
     five = {key: 5 * n for key, n in ratio.items()}
     two = {key: 2 * n for key, n in form.items()}
     assert counts(lambda: gr.perturbation_patching_check(fam, base, sigma1, sigma2, t)) == (
-        {**eigh, **five, **two, thin_qr: 7},
-        2,
+        {**five, **two, thin_qr: 7},
+        1,
         1,
         5,
     )
     assert counts(lambda: gr.patching_identity_check(fam, fam2, base, t)) == (
-        {**eigh, **five, **two},
-        3,
+        {**five, **two},
+        2,
         2,
         10,
+    )
+    # a base that is no coordinate projection: one eigh of its block, the
+    # only d x d decomposition, and one projection check of the base (the
+    # conjugated family's block function builds a ModeOperator per call)
+    u = report.random_window_unitary(np.random.default_rng(8), w6.dim)
+    conj_fam, conj_base = conjugated(fam, base.entries, u)
+    eigh = {("eigh", (13, 13)): 1}
+    assert counts(lambda: gr.connection_form(conj_fam, conj_base, t)) == (
+        {**eigh, **form},
+        2,
+        6,
+        5,
     )
 
 
@@ -786,15 +799,15 @@ def test_curvature_chart_independence_under_perturbation():
         assert abs(gr.curvature_rkw(fam, PI0, t, perturbation=sigma) - base_value) < 1e-3
 
 
-def dense_family(w, rng):
-    """P(t) = U Pi_{>=0} U* with U = exp(i (t1 A + t2 B)) for Hermitian A, B:
+def dense_family(w, rng, cut=0):
+    """P(t) = U Pi_{>=cut} U* with U = exp(i (t1 A + t2 B)) for Hermitian A, B:
     every window mode moves, at several frequencies."""
 
     def hermitian():
         m = 0.3 * (rng.standard_normal((w.dim, w.dim)) + 1j * rng.standard_normal((w.dim, w.dim)))
         return (m + m.conj().T) / 2
 
-    a, b, pi0 = hermitian(), hermitian(), gr.spectral_projection(w, 0).entries
+    a, b, pi0 = hermitian(), hermitian(), gr.spectral_projection(w, cut).entries
 
     def value(t1, t2):
         lam, vec = np.linalg.eigh(t1 * a + t2 * b)
@@ -1371,14 +1384,16 @@ def test_perturbation_patching_shares_samples_exactly(t, charts, direction):
 def test_identity_patching_shares_samples_exactly(t, direction):
     # as above for the identity charts of two families: the lhs is the
     # stencil of the family ratio det(V* P_1 V (V* P_2 V)^{-1}) over its value
-    v = gr._chart_base(W, PI0)
-    vh = v.conj().T
+    basis = gr._chart_base(W, PI0)
     lhs, rhs = gr.patching_identity_check(ROTATED, STACK_FAM2, PI0, t, direction)
     axis = ("t1", "t2").index(direction)
 
     def family_ratio(t1, t2):
-        p1, p2 = (gr._family_blocks(fam, t1, t2) for fam in (ROTATED, STACK_FAM2))
-        return gr._chart_ratio(vh @ (p1 @ v), vh @ (p2 @ v), (t1, t2))
+        a1, a2 = (
+            basis.left(basis.right(gr._family_blocks(fam, t1, t2)))
+            for fam in (ROTATED, STACK_FAM2)
+        )
+        return gr._chart_ratio(a1, a2, (t1, t2))
 
     assert np.all(lhs == fd_apply(gr._each(family_ratio), t, D1, axis) / family_ratio(*t))
     omega1 = gr.connection_form(ROTATED, PI0, t, direction)
@@ -1408,6 +1423,27 @@ def test_perturbation_patching_peak_memory_on_a_large_window():
         tracemalloc.stop()
     assert abs(lhs - rhs) < 1e-5
     assert peak <= 5.0e6, peak
+
+
+@pytest.mark.parametrize("entry", ["curvature_rkw", "connection_form"])
+def test_chart_peak_memory_on_a_large_window(entry):
+    # on the spectral cut no d x r basis is held through the stencils:
+    # 3.57 MB traced for either call while the chart layer held V = I[:, cols]
+    # from an eigh, 3.24 MB with the selected columns alone
+    w = gr.ModeWindow(100)
+    fam, base = gr.rotated_family(w, (-3, 7)), gr.spectral_projection(w, 0)
+    call = {
+        "curvature_rkw": lambda: gr.curvature_rkw(fam, base, (0.4, 0.3)),
+        "connection_form": lambda: gr.connection_form(fam, base, (0.4, 0.3), "t1"),
+    }[entry]
+    tracemalloc.start()
+    try:
+        value = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value)
+    assert peak <= 3.4e6, peak
 
 
 @pytest.mark.parametrize(
@@ -1472,3 +1508,209 @@ def test_eta_invariant_takes_an_array_of_offsets():
         gr.eta_invariant_spectral(np.array([0.3, math.nan]))
     with pytest.raises(DomainError, match=r"got 1\.0"):
         gr.eta_invariant_spectral([0.3, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# chart bases: a coordinate base is a selection of columns, any other base
+# takes an eigh
+
+
+def through_eigh(monkeypatch, call):
+    """call() with every block read as no coordinate block: chart bases from
+    the eigh of the base block, window ranks from the SVD."""
+    with monkeypatch.context() as patch:
+        patch.setattr(gr, "_coordinate_ones", lambda m: None)
+        return call()
+
+
+W6 = gr.ModeWindow(6)
+PI6 = gr.spectral_projection(W6, 0)
+CUTS = list(W6.modes())
+BASIS_AT = [
+    pytest.param((0.2, 0.3), id="one-point"),
+    pytest.param((np.array([0.15, 0.25, 0.35]), np.array([0.3, 0.1, 0.2])), id="three-points"),
+]
+
+
+def cut_setting(cut):
+    # two dense families of the rank of Pi_{>=cut} and two perturbation charts
+    rng = np.random.default_rng(100 + cut)
+    fam, fam2 = dense_family(W6, rng, cut), dense_family(W6, rng, cut)
+    sigma1, sigma2 = (
+        gr.ModeOperator(W6, 0.2 * report.random_window_unitary(rng, W6.dim), gr.TAIL_ZERO)
+        for _ in range(2)
+    )
+    return gr.spectral_projection(W6, cut), fam, fam2, sigma1, sigma2
+
+
+def chart_calls(base, fam, fam2, s, sigma2, t):
+    # the six chart entry points, in the identity chart (s = None) or a
+    # perturbation chart s
+    return {
+        "connection_form": lambda: gr.connection_form(fam, base, t, "t2", s),
+        "tr_p_dp_dp": lambda: gr.tr_p_dp_dp(fam, t),
+        "curvature_rkw": lambda: gr.curvature_rkw(fam, base, t, s),
+        "transition_det": lambda: gr.transition_det(fam, base, t, s, sigma2),
+        "perturbation_patching_check": lambda: gr.perturbation_patching_check(
+            fam, base, s, sigma2, t, "t1"
+        ),
+        "patching_identity_check": lambda: gr.patching_identity_check(fam, fam2, base, t, "t2"),
+    }
+
+
+@pytest.mark.parametrize("chart", ["identity", "perturbation"])
+@pytest.mark.parametrize("t", BASIS_AT)
+@pytest.mark.parametrize("cut", CUTS)
+def test_coordinate_basis_gives_the_eigh_basis_values(monkeypatch, cut, t, chart):
+    # on every spectral cut eigh returns the columns I[:, cols] in order, and
+    # the gathers return the products' values: every entry point returns,
+    # to the last bit, what it returns through the eigh basis
+    base, fam, fam2, sigma1, sigma2 = cut_setting(cut)
+    basis = gr._chart_base(W6, base)
+    dense = through_eigh(monkeypatch, lambda: gr._chart_base(W6, base))
+    assert basis.v is None and dense.cols is None
+    np.testing.assert_array_equal(np.eye(W6.dim)[:, basis.cols], dense.v)
+    calls = chart_calls(base, fam, fam2, sigma1 if chart == "perturbation" else None, sigma2, t)
+    for name, call in calls.items():
+        value = np.array(call())
+        assert np.array_equal(value, np.array(through_eigh(monkeypatch, call))), name
+        assert np.isfinite(value).all() and value.dtype == complex, name
+
+
+@pytest.mark.parametrize("t", BASIS_AT)
+def test_gathered_blocks_are_c_contiguous(t):
+    # einsum sums in an order that follows the strides, so a gathered block
+    # must be laid out as the product it replaces
+    basis = gr._chart_base(W6, gr.spectral_projection(W6, 0))
+    p = gr._family_blocks(gr.rotated_family(W6, (-2, 1)), *t)
+    for gathered in (basis.right(p), basis.left(p), basis.left(basis.right(p))):
+        assert gathered.flags.c_contiguous
+    assert basis.right(p).shape[-2:] == (W6.dim, basis.rank)
+    assert basis.left(p).shape[-2:] == (basis.rank, W6.dim)
+
+
+@pytest.mark.parametrize("n_max", [1, 6, 100])
+def test_coordinate_window_rank_is_the_svd_rule(monkeypatch, n_max):
+    # the singular values of a coordinate block are its 0/1 diagonal: the
+    # count of ones is the SVD rule's rank, one by one and on a stack
+    w = gr.ModeWindow(n_max)
+    ks = sorted({-n_max, -1, 0, 1, n_max // 2, n_max})
+    cuts = [gr.spectral_projection(w, k) for k in ks]
+    stack = gr.ModeOperator(w, np.stack([c.entries for c in cuts]), gr.TAIL_APS)
+    for op in (*cuts, stack):
+        rank = op.window_rank()
+        svd_rank = through_eigh(monkeypatch, op.window_rank)
+        assert type(rank) is type(svd_rank) and np.array_equal(rank, svd_rank)
+        assert np.asarray(rank).dtype == np.asarray(svd_rank).dtype
+    assert stack.window_rank().tolist() == [n_max + 1 - k for k in ks]
+    for p, q in zip(cuts, cuts[::-1]):
+        index = gr.relative_index(p, q)
+        assert index == through_eigh(monkeypatch, lambda: gr.relative_index(p, q))
+        assert type(index) is int
+
+
+BASE_ENTRY_POINTS = [
+    lambda fam, base, t: gr.connection_form(fam, base, t),
+    lambda fam, base, t: gr.curvature_rkw(fam, base, t),
+    lambda fam, base, t: gr.transition_det(fam, base, t, None, None),
+    lambda fam, base, t: gr.perturbation_patching_check(fam, base, None, None, t),
+    lambda fam, base, t: gr.patching_identity_check(fam, fam, base, t),
+]
+
+
+def counted_decompositions(monkeypatch, call):
+    """The eigh and SVD calls that call() makes, with its value."""
+    made = []
+    with monkeypatch.context() as patch:
+        for name in ("eigh", "svd"):
+            inner = getattr(np.linalg, name)
+
+            def counted(a, *args, inner=inner, name=name, **kwargs):
+                made.append(name)
+                return inner(a, *args, **kwargs)
+
+            patch.setattr(np.linalg, name, counted)
+        return made, call()
+
+
+@pytest.mark.parametrize(
+    "changed",
+    [
+        pytest.param({(8, 8): 1.0 - 1e-12}, id="diagonal-1-1e-12"),
+        pytest.param({(2, 7): 1e-300, (7, 2): 1e-300}, id="off-diagonal-1e-300"),
+    ],
+)
+def test_a_base_near_a_coordinate_block_takes_the_eigh(monkeypatch, changed):
+    # the test is exact: a base within rounding of a spectral cut passes
+    # is_projection and takes the eigh basis and the SVD rank
+    entries = PI0.entries.copy()
+    for index, value in changed.items():
+        entries[index] = value
+    base = gr.ModeOperator(W, entries, gr.TAIL_APS)
+    assert gr._coordinate_ones(base.entries) is None and base.is_projection()
+    assert gr._chart_base(W, base).cols is None
+    made, rank = counted_decompositions(monkeypatch, base.window_rank)
+    assert made == ["svd"] and rank == PI0.window_rank()
+    for entry in BASE_ENTRY_POINTS:
+        made, value = counted_decompositions(monkeypatch, lambda: entry(ROTATED, base, CHECKED_AT))
+        assert made == ["eigh"]
+        np.testing.assert_allclose(value, entry(ROTATED, PI0, CHECKED_AT), rtol=1e-9, atol=1e-12)
+
+
+def test_a_base_on_a_smaller_window_is_decided_after_its_embedding():
+    # the tails fill the new diagonal entries: exact 0/1 tails keep the
+    # embedded block a coordinate block, tails within rounding of 0/1 do not
+    assert np.array_equal(gr._chart_base(W6, PI0).cols, gr._chart_base(W6, PI6).cols)
+    near = gr.ModeOperator(W, PI0.entries, (1.0 - 1e-13, 0.0))
+    assert gr._coordinate_ones(near.entries) is not None
+    basis = gr._chart_base(W6, near)
+    assert basis.cols is None and basis.rank == gr._chart_base(W6, PI6).rank
+
+
+def test_a_coordinate_base_with_a_tail_that_is_no_projection_raises():
+    # the block is a spectral cut, so only the tail rule refuses the base, and
+    # with is_projection's message
+    base = gr.ModeOperator(W, PI0.entries, (0.5, 0.0))
+    assert gr._coordinate_ones(base.entries) is not None and not base.is_projection()
+    for entry in BASE_ENTRY_POINTS:
+        with pytest.raises(DomainError, match=r"^base must be a projection$"):
+            entry(ROTATED, base, CHECKED_AT)
+
+
+H = DEFAULT_FD_STEP
+# (t1 + 2h, t2) is a sample of every stencil along t1 around CHECKED_AT and
+# one of curvature_rkw's outer samples; (t1 + 2h, t2 + h) is one of
+# curvature_rkw's inner samples and no sample of any other entry point
+NAN_AT_STENCIL = (CHECKED_AT[0] + 2 * H, CHECKED_AT[1])
+NAN_AT_INNER = (CHECKED_AT[0] + 2 * H, CHECKED_AT[1] + 1 * H)
+
+
+def nan_in_an_unselected_column(at):
+    # column 0 (mode -4) lies outside ran(PI0), so the gathers drop it
+    def value(t1, t2):
+        p = ROTATED(t1, t2).entries
+        if (t1, t2) == at:
+            p = p.copy()
+            p[1, 0] = math.nan
+        return p
+
+    return gr.ProjectionFamily(W, value)
+
+
+@pytest.mark.parametrize("at", [NAN_AT_STENCIL, NAN_AT_INNER], ids=["stencil", "inner"])
+@pytest.mark.parametrize("entry", FAMILY_ENTRY_POINTS)
+def test_a_nan_in_an_unselected_column_still_raises(monkeypatch, entry, at, request):
+    # an identity chart's stencil member is the whole block, gathered after
+    # the stencil, and an outer curvature_rkw sample's form reads the whole
+    # block: the NaN reaches fd_apply's finiteness check as it does through
+    # the eigh basis's products
+    fam = nan_in_an_unselected_column(at)
+    name = request.node.callspec.id
+    sampled = "curvature_rkw" in name if at == NAN_AT_INNER else "transition_det" not in name
+    if not sampled:  # transition_det reads the family at t alone
+        assert entry(fam, CHECKED_AT) == entry(ROTATED, CHECKED_AT)
+        return
+    with pytest.raises(EvaluationError):
+        entry(fam, CHECKED_AT)
+    with pytest.raises(EvaluationError):
+        through_eigh(monkeypatch, lambda: entry(fam, CHECKED_AT))

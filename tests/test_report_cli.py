@@ -552,7 +552,8 @@ def test_grassmannian_suite_stacks_its_sample_loops(monkeypatch):
     # kernel once per direction or row on arrays of points: one sample at a
     # time, run_suite("grassmannian", 7) made 482 LAPACK calls (240 svd,
     # 80 det, 73 solve, 47 eigh, 42 qr) and 134 Euler-Maclaurin evaluations;
-    # 188 with stacked points, when every chart guard took an SVD
+    # 188 with stacked points, when every chart guard took an SVD, and 172
+    # when every chart base took an eigh and every window rank an SVD
     calls, evaluations = [], []
 
     def counted(name, inner):
@@ -573,11 +574,14 @@ def test_grassmannian_suite_stacks_its_sample_loops(monkeypatch):
     monkeypatch.setattr(gr, "_hurwitz_em", counted_kernel)
     document = report.run_suite("grassmannian", 7)
     assert document.n_fail == 0
-    assert len(calls) <= 172, calls
-    # every chart guard is settled by a certified inverse: no SVD of a thin
-    # 13 x 7 chart map or of an r x r = 7 x 7 chart block, at a point or on a stack
-    chart_svds = [c for c in calls if c[0] == "svd" and c[1][-2:] in ((13, 7), (7, 7))]
-    assert chart_svds == []
+    assert len(calls) <= 136, calls
+    # the one eigh is the conjugated base's: the spectral-cut bases select
+    # coordinate columns
+    assert [c for c in calls if c[0] == "eigh"] == [("eigh", (13, 13))]
+    # no SVD: every chart guard is settled by a certified inverse (no SVD of a
+    # thin 13 x 7 chart map or of an r x r = 7 x 7 chart block, at a point or
+    # on a stack), and the window ranks of the spectral cuts count ones
+    assert [c for c in calls if c[0] == "svd"] == []
     # offsets (19 and 1 - a), antisymmetry (4 and 1 - a, both ways), and one
     # per finite-rank flip
     assert sorted(evaluations) == sorted([(38,), (16,)] + [(2,)] * 20)
