@@ -15,27 +15,31 @@ The chart layer works on an orthonormal basis V (d x r) of ran(base), taken
 once per public call.  A coordinate base, such as a spectral cut
 Pi_{>=k}, has V = I[:, cols], so every product with V is a gather of
 columns or rows; any other base takes V from one eigh of its block.  Chart
-maps are the thin d x r blocks (P + P sigma P) V, and their QRs, stencils
-and traces run on those blocks.  Transition determinants reduce to r x r
-blocks X* S_i V (X an orthonormal basis of the target of the charts), so a
-public call makes no d x d decomposition on a coordinate base and one, that
-eigh, on any other.  A connection form factors
-its chart map once, by a thin QR, and inverts the r x r factor R; a
-transition ratio inverts its two r x r blocks in one stacked call.  The
-chart guard (smallest singular value at least CHART_SVD_THRESHOLD) and the
-pseudo-inverse's cut-off are the SVD rule's, and the norms of a block and
-its inverse certify both where they can; a call with any point the bound
-leaves open runs that rule itself, by an SVD, so every decision and
-message is the rule's.  A patching check evaluates the family once per
-stencil sample for both of its routes, the transition determinant and the
-two connection forms; each route keeps its own factorisations.
+maps are the thin d x r blocks (P + P sigma P) V, and the chart layer
+solves against the r x r blocks Y S V of Y = V* P = (P V)*, the rows
+``cols`` of P on a coordinate base and one product on any other.  Y = Y P,
+and ran(SV) = ran(P) when SV has rank r = rank P, so a connection form's
+(SV)^+ P is (Y SV)^{-1} Y, and a transition determinant, which does not
+depend on the basis of ran(P) its blocks are taken in, is
+det((Y S_1 V)(Y S_2 V)^{-1}).  A public call makes no QR, no d x d
+decomposition on a coordinate base and one, that eigh, on any other.  A
+connection form inverts its r x r block; a transition ratio inverts its two
+r x r blocks in one stacked call.  The chart guard (smallest singular value
+at least CHART_SVD_THRESHOLD) and the pseudo-inverse's cut-off are the SVD
+rule's on the chart maps SV.  Since |Y|_2 <= 1, s_min(SV) >= s_min(Y SV),
+so the norms of SV and of the inverse certify both where they can; a call
+with any point the bound leaves open runs that rule itself on the chart
+maps, by an SVD, so every decision and message is the rule's.  A patching
+check evaluates the family once per stencil sample for both of its routes,
+the transition determinant and the two connection forms; each route keeps
+its own inverses.
 
 Its six entry points (``connection_form``, ``tr_p_dp_dp``, ``curvature_rkw``,
 ``transition_det`` and the two patching checks) take t = (t1, t2) with
 floats, for a complex value, or with 1-D arrays of one length, for a complex
 array of values, one per point (a pair of them for the patching checks).  A
 stack of k points carries a leading axis of length k through the family
-values, chart maps, QRs, inverses and dets, so each runs as one batched
+values, chart maps, r x r blocks, inverses and dets, so each runs as one batched
 numpy call; a single point has no such axis and runs through the same code
 on the family's own d x d blocks.  Projections are checked once per public
 call: the base (on a coordinate base only its tails are left to check),
@@ -524,16 +528,20 @@ def _require_chart(sv: np.ndarray, rank: int, t: Points) -> None:
         )
 
 
-def _certified_inverse(a: np.ndarray, cut: float) -> np.ndarray | None:
-    """The inverses of a stack of r x r blocks when a norm bound settles, for
-    every member, the SVD rule's chart guard and pseudo-inverse cut-off, else
-    None.
+def _certified_inverse(
+    a: np.ndarray, cut: float, m: np.ndarray | None = None
+) -> np.ndarray | None:
+    """The inverses of a stack of r x r blocks A = Y M when a norm bound
+    settles, for every member, the SVD rule's chart guard and pseudo-inverse
+    cut-off on M, else None.
 
-    The singular values of A satisfy s_min >= 1 / |A^{-1}|_F and
-    s_max <= |A|_F, so 1 / |A^{-1}|_F >= 2 max(CHART_SVD_THRESHOLD, cut |A|_F)
-    proves that A passes _require_chart and that every singular value lies
-    above cut s_max; the factor 2 absorbs the rounding of the inverse.  An
-    inverse that raises LinAlgError, a non-finite norm or an empty block
+    M is a d x r chart map and Y an r x d block with |Y|_2 <= 1, such as
+    V* P; by default M = A and Y = I.  The singular values satisfy
+    s_min(M) >= s_min(A) >= 1 / |A^{-1}|_F and s_max(M) <= |M|_F, so
+    1 / |A^{-1}|_F >= 2 max(CHART_SVD_THRESHOLD, cut |M|_F) proves that M
+    passes _require_chart and that every singular value of M lies above
+    cut s_max(M); the factor 2 absorbs the rounding of A and its inverse.
+    An inverse that raises LinAlgError, a non-finite norm or an empty block
     certifies nothing, and the caller then runs the SVD rule itself.
     """
     if a.shape[-1] == 0:
@@ -543,7 +551,7 @@ def _certified_inverse(a: np.ndarray, cut: float) -> np.ndarray | None:
     except np.linalg.LinAlgError:
         return None
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN norm fails the test
-        norm, norm_inv = _frobenius(a), _frobenius(inverse)
+        norm, norm_inv = _frobenius(a if m is None else m), _frobenius(inverse)
         certified = 2.0 * np.maximum(CHART_SVD_THRESHOLD, cut * norm) * norm_inv <= 1.0
     return inverse if certified.all() else None
 
@@ -554,30 +562,37 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat).real)
 
 
-def _chart_ratio(a1: np.ndarray, a2: np.ndarray, t: Points) -> complex | np.ndarray:
+def _chart_ratio(
+    a1: np.ndarray, a2: np.ndarray, t: Points, maps: tuple[np.ndarray, ...] | None = None
+) -> complex | np.ndarray:
     """det_F((S_1 V V* + I - q)(S_2 V V* + I - q)^{-1}) from the r x r blocks
-    A_i = X* S_i V, as det(A_1 A_2^{-1}) at each point; both blocks pass
-    _require_chart.
+    A_i = Y S_i V, as det(A_1 A_2^{-1}) at each point; the chart maps ``maps``
+    (by default the blocks themselves) pass _require_chart.
 
     One stacked inverse of A_1 and A_2 settles both chart guards by
     _certified_inverse at every point, and det(A_1 A_2^{-1}) is then taken
     from it.  When any member is left open, the whole call runs the SVD
-    rule: the singular values of each block, _require_chart, and an r x r
-    solve, so every decision and message is that rule's.
+    rule: the singular values of each chart map, _require_chart, and an
+    r x r solve of the blocks, so every decision and message is that rule's.
 
-    The callers pick X so that the identity-extended representatives are
+    The callers pick Y so that the identity-extended representatives are
     block lower triangular and differ only in the block A_i; the other
     blocks then cancel from the product.
-    - q = V V* (patching_identity_check), X = V: in the basis [V, W] of
+    - q = V V* (patching_identity_check), Y = V*: in the basis [V, W] of
       ran(base) + ker(base) the representative has the blocks V* S_i V and
       W* S_i V on ran(base), and the identity on ker(base).  For S_i V = P_i V
-      the singular values of V* P_i V are the squares of those of P_i V.
-    - q = P (transition_det), X = Q with Q R a thin QR of S_2 V: when rank
-      P = r, ran(Q) = ran(P) contains ran(S_1 V), and from ran(base) +
-      ker(base) to ran(P) + ker(P) the representative has the blocks
-      Q* S_i V on ran(base) to ran(P), (I - P) on ran(base) to ker(P) and
-      (I - P) on ker(base).  A_1 = Q* S_1 V and A_2 = R carry the singular
-      values of S_1 V and S_2 V.
+      the singular values of V* P_i V are the squares of those of P_i V, and
+      the blocks are their own chart maps.
+    - q = P (transition_det), Y = V* P: when rank P = r, any orthonormal
+      basis X of ran(P) contains ran(S_i V), and from ran(base) + ker(base)
+      to ran(P) + ker(P) the representative has the blocks X* S_i V on
+      ran(base) to ran(P), (I - P) on ran(base) to ker(P) and (I - P) on
+      ker(base).  Y = (V* X) X*, so Y S_i V = G X* S_i V with G = V* X, and
+      det(A_1 A_2^{-1}) = det(G X* S_1 V (X* S_2 V)^{-1} G^{-1}) does not
+      depend on X.  G is invertible whenever the chart maps are: S_i V =
+      P (I + sigma_i) P V has rank at most that of P V = X G*.  The blocks
+      bound the singular values of the chart maps S_i V from below, and the
+      SVD rule runs on the maps.
     The quotient det(A_1) / det(A_2) would be cheaper, but then the three
     quotients of g_12 g_23 g_31 telescope and the cocycle case holds by
     construction for any determinant; through the product it rests on the
@@ -586,8 +601,8 @@ def _chart_ratio(a1: np.ndarray, a2: np.ndarray, t: Points) -> complex | np.ndar
     inverses = _certified_inverse(np.stack([a1, a2]), 0.0)
     if inverses is not None:
         return _result(np.linalg.det(a1 @ inverses[1]))
-    for a in (a1, a2):
-        _require_chart(np.linalg.svd(a, compute_uv=False), a.shape[-1], t)
+    for m in (a1, a2) if maps is None else maps:
+        _require_chart(np.linalg.svd(m, compute_uv=False), m.shape[-1], t)
     return _result(np.linalg.det(np.linalg.solve(a2.mT, a1.mT).mT))
 
 
@@ -802,45 +817,58 @@ def _omega(
     p: np.ndarray,
 ) -> complex | np.ndarray:
     """connection_form along axis at the points t from the family values p
-    there: the chart map SV, with d(SV) from the chart's own stencil."""
+    there: the chart map SV, with d(SV) from the chart's own stencil.
+
+    The r x d block (SV)^+ P is the one array held while the stencil
+    samples: P, SV and Y are released first, so the caller passes p without
+    keeping it.  The gathers of a coordinate base drop the entries of P
+    outside its rows and columns ``cols``, so a non-finite entry anywhere in
+    P makes the form NaN, which fd_apply refuses at an outer curvature_rkw
+    sample (P at t is checked, and finite, already).
+    """
     (s_v,) = _chart_maps(p, basis, sig)
-    return _connection_form(s_v, partial(_chart_stencil, fam, basis, sig, t, axis), p, t)
+    s_pinv_p = _chart_pinv(s_v, basis.left(p), p, t)
+    finite = np.isfinite(p).all()
+    del p, s_v
+    omega = _connection_form(s_pinv_p, _chart_stencil(fam, basis, sig, t, axis))
+    return omega if finite else omega * np.nan
 
 
-def _connection_form(
-    s_v: np.ndarray, ds: Callable[[], np.ndarray], p: np.ndarray, t: Points
-) -> complex | np.ndarray:
-    """connection_form from the chart map SV at the family values p = P(t) and
-    its stencil derivative d(SV) = ds(), V a basis of ran(base).
+def _chart_pinv(s_v: np.ndarray, y: np.ndarray, p: np.ndarray, t: Points) -> np.ndarray:
+    """(SV)^+ P, the r x d block a connection form traces against d(SV), from
+    the chart map SV at the family values p = P(t) and Y = V* P, V a basis of
+    ran(base); SV passes the chart guard.
 
     With base = V V*, Tr(S^+ P dS base) equals Tr((SV)^+ P d(SV)) on the thin
-    block SV, whose singular values are the nonzero ones of S.  One thin QR,
-    SV = Q R, serves the chart guard and the pseudo-inverse: R carries the
-    singular values of SV, and when _certified_inverse settles at every
-    point that SV passes the guard and that pinv's relative cut-off keeps
-    every singular value, (SV)^+ = R^{-1} Q* and the form is
-    Tr((R^{-1} Q* P) d(SV)), summed elementwise.  When any point is left open,
-    the whole call runs the SVD rule instead: one thin SVD of SV serves the
-    guard and the pseudo-inverse with pinv's cut-off, so every decision and
-    message is that rule's.  The chart guard is settled before ds is
-    called, so a chart singular at t raises NotInvertible before any stencil
-    sample is taken.  The caller takes SV and d(SV) from its own evaluation
-    of the family, which a patching check shares with its transition
-    determinant.
+    block SV, whose singular values are the nonzero ones of S.  When SV has
+    rank r = rank P, ran(SV) = ran(P), and since Y = Y P both (SV)^+ P and
+    (Y SV)^{-1} Y vanish on ker(P) and invert SV on ran(P): they are equal.
+    When _certified_inverse settles at every point, from the r x r block
+    Y SV and the norm of SV, that SV passes the guard and that pinv's
+    relative cut-off keeps every singular value, the block is (Y SV)^{-1} Y.
+    When any point is left open, the whole call runs the SVD rule instead:
+    one thin SVD of SV serves the guard and the pseudo-inverse with pinv's
+    cut-off, so every decision and message is that rule's, and the block is
+    pinv(SV) P.  The guard is settled here, before the caller samples the
+    stencil of d(SV), so a chart singular at t raises NotInvertible before
+    any stencil sample is taken.
     """
-    q, r = np.linalg.qr(s_v)
-    r_inv = _certified_inverse(r, RANK_SVD_THRESHOLD)
-    if r_inv is not None:
-        # (SV)^+ P = R^{-1} Q* P, the one block held while ds samples the stencil
-        s_pinv_p = r_inv @ q.conj().mT @ p
-        del q, r, r_inv
-        return _result(np.einsum("...ij,...ji->...", s_pinv_p, ds()))
+    inverse = _certified_inverse(y @ s_v, RANK_SVD_THRESHOLD, s_v)
+    if inverse is not None:
+        return inverse @ y
     u, sv, vh = np.linalg.svd(s_v, full_matrices=False)
     _require_chart(sv, s_v.shape[-1], t)
-    d_sv = ds()
     kept = sv > RANK_SVD_THRESHOLD * sv[..., :1]
     s_pinv = (vh.conj().mT / np.where(kept, sv, np.inf)[..., None, :]) @ u.conj().mT
-    return _result(np.trace(s_pinv @ p @ d_sv, axis1=-2, axis2=-1))
+    return s_pinv @ p
+
+
+def _connection_form(s_pinv_p: np.ndarray, d_sv: np.ndarray) -> complex | np.ndarray:
+    """The connection form Tr((SV)^+ P d(SV)) from the block of _chart_pinv and
+    the stencil derivative d(SV), summed elementwise.  The caller takes SV
+    and d(SV) from its own evaluation of the family, which a patching check
+    shares with its transition determinant."""
+    return _result(np.einsum("...ij,...ji->...", s_pinv_p, d_sv))
 
 
 def tr_p_dp_dp(fam: ProjectionFamily, t: Points) -> complex | np.ndarray:
@@ -901,16 +929,19 @@ def transition_det(
     basis = _chart_base(w, base)
     sig1, sig2 = _chart_sigma(w, sigma1), _chart_sigma(w, sigma2)
     p = _projections_at(fam, pts, basis)
-    return _result(_transition_det(*_chart_maps(p, basis, sig1, sig2), pts))
+    s1_v, s2_v = _chart_maps(p, basis, sig1, sig2)
+    return _result(_transition_det(s1_v, s2_v, basis.left(p), pts))
 
 
-def _transition_det(s1_v: np.ndarray, s2_v: np.ndarray, t: Points) -> complex | np.ndarray:
-    """det_F((S_1 + I - P)(S_2 + I - P)^{-1}) on the r x r blocks Q* S_i V from
-    the chart maps S_i V, for family values P of the rank of base."""
-    q, r = np.linalg.qr(s2_v)
-    a1 = q.conj().mT @ s1_v
-    del q  # the d x r factor is not held through the ratio
-    return _chart_ratio(a1, r, t)
+def _transition_det(
+    s1_v: np.ndarray, s2_v: np.ndarray, y: np.ndarray, t: Points
+) -> complex | np.ndarray:
+    """det_F((S_1 + I - P)(S_2 + I - P)^{-1}) on the r x r blocks Y S_i V from
+    the chart maps S_i V and Y = V* P, for family values P of the rank of base
+    (see _chart_ratio); the SVD rule, where it runs, decides on S_i V."""
+    a1, a2 = y @ s1_v, y @ s2_v
+    del y  # the r x d block is not held through the ratio
+    return _chart_ratio(a1, a2, t, (s1_v, s2_v))
 
 
 def perturbation_patching_check(
@@ -932,8 +963,8 @@ def perturbation_patching_check(
     both chart maps, the transition determinant g and both charts' stencil
     members from them; the lhs is the stencil of g over g(t), and each
     connection form takes its d(SV) from that pass.  Each route keeps its
-    own factorisations: the connection forms their QRs and inverses, g its
-    QR, stacked inverse and det.
+    own inverses: the connection forms one each, g its stacked inverse and
+    det.
     """
     axis = _direction_axis(direction)
     pts = _points(t)
@@ -944,16 +975,16 @@ def perturbation_patching_check(
 
     def sample(t1, t2) -> tuple:
         p_at = _family_blocks(fam, t1, t2)
-        maps = _chart_maps(p_at, basis, *sigs)
+        maps, y = _chart_maps(p_at, basis, *sigs), basis.left(p_at)
         members = tuple(p_at if sig is None else m for m, sig in zip(maps, sigs))
         del p_at  # held through the ratio only as an identity chart's member
-        return (_transition_det(*maps, (t1, t2)), *members)
+        return (_transition_det(*maps, y, (t1, t2)), *members)
 
     dg, *d_members = fd_apply(_each(sample), pts, _D1, axis)
-    maps = _chart_maps(p, basis, *sigs)
-    lhs = dg / _transition_det(*maps, pts)
+    maps, y = _chart_maps(p, basis, *sigs), basis.left(p)
+    lhs = dg / _transition_det(*maps, y, pts)
     omega1, omega2 = (
-        _connection_form(m, partial(_chart_derivative, dm, basis, sig), p, pts)
+        _connection_form(_chart_pinv(m, y, p, pts), _chart_derivative(dm, basis, sig))
         for m, dm, sig in zip(maps, d_members, sigs)
     )
     return _result(lhs), _result(omega1 - omega2)
@@ -995,6 +1026,8 @@ def patching_identity_check(
     d_ratio, dp1, dp2 = fd_apply(_each(sample), pts, _D1, axis)
     p1_v, p2_v = basis.right(p1), basis.right(p2)
     lhs = d_ratio / _chart_ratio(basis.left(p1_v), basis.left(p2_v), pts)
-    omega1 = _connection_form(p1_v, partial(basis.right, dp1), p1, pts)
-    rhs = omega1 - _connection_form(p2_v, partial(basis.right, dp2), p2, pts)
-    return _result(lhs), _result(rhs)
+    omega1, omega2 = (
+        _connection_form(_chart_pinv(p_v, basis.left(p), p, pts), basis.right(dp))
+        for p_v, p, dp in ((p1_v, p1, dp1), (p2_v, p2, dp2))
+    )
+    return _result(lhs), _result(omega1 - omega2)

@@ -8,6 +8,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from detline import grassmannian as gr
 from detline import report
@@ -394,10 +396,17 @@ def test_connection_form_matches_numpy_pinv(base_kind, perturbed):
 
 def with_singular_values(sv, rng, rows):
     """A rows x r block whose singular values are sv (r = len(sv))."""
+    return chart_with_singular_values(sv, rng, rows)[0]
+
+
+def chart_with_singular_values(sv, rng, rows):
+    """A rows x r chart map SV whose singular values are sv, the projection P
+    onto its range and Y = U*, U an orthonormal basis of ran(P): P SV = SV,
+    Y = Y P and Y SV has the singular values of SV."""
     r = len(sv)
     shape = (rows, r)
     u, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return (u * sv) @ report.random_window_unitary(rng, r)
+    return (u * sv) @ report.random_window_unitary(rng, r), u @ u.conj().T, u.conj().T
 
 
 def svd_rule(*blocks, t, thin=False):
@@ -449,24 +458,23 @@ CHART_SPECTRA = [
 ]
 
 
+def certified_form(s_v, y):
+    """The inverse of the r x r block Y SV when it certifies the chart map SV."""
+    return gr._certified_inverse(y @ s_v, gr.RANK_SVD_THRESHOLD, s_v)
+
+
 @pytest.mark.parametrize("sv, certified", CHART_SPECTRA)
 def test_connection_form_guard_is_the_svd_rule(sv, certified):
+    # P is the projection onto ran(SV), as for every chart map
     rng = np.random.default_rng(19)
     d = 2 * R_CERT - 1
-    s_v = with_singular_values(sv, rng, d)
-    p = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    s_v, p, y = chart_with_singular_values(sv, rng, d)
     d_sv = rng.standard_normal((d, R_CERT)) + 1j * rng.standard_normal((d, R_CERT))
     t = (0.25, 0.5)
     expected = svd_rule(s_v, t=t, thin=True)
-    r = np.linalg.qr(s_v)[1]
-    assert (gr._certified_inverse(r, gr.RANK_SVD_THRESHOLD) is not None) == certified
-
-    def ds():
-        assert expected is None, "d(SV) taken at a chart the SVD rule refuses"
-        return d_sv
-
+    assert (certified_form(s_v, y) is not None) == certified
     with np.errstate(all="raise"):
-        message, value = decision(lambda: gr._connection_form(s_v, ds, p, t))
+        message, value = decision(lambda: gr._connection_form(gr._chart_pinv(s_v, y, p, t), d_sv))
     assert message == expected
     if expected is None:
         reference = np.trace(np.linalg.pinv(s_v, rcond=gr.RANK_SVD_THRESHOLD) @ p @ d_sv)
@@ -474,23 +482,35 @@ def test_connection_form_guard_is_the_svd_rule(sv, certified):
 
 
 def test_connection_form_guard_on_an_exactly_singular_chart_map():
-    # a zero column gives R an exact zero pivot: inv raises LinAlgError, and
-    # the SVD rule decides
+    # a zero column gives Y SV an exact zero pivot: inv raises LinAlgError,
+    # and the SVD rule decides
     rng = np.random.default_rng(20)
-    s_v = with_singular_values(SPREAD, rng, 2 * R_CERT - 1)
+    s_v, p, y = chart_with_singular_values(SPREAD, rng, 2 * R_CERT - 1)
     s_v[:, 40] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(np.linalg.qr(s_v)[1])
-    assert gr._certified_inverse(np.linalg.qr(s_v)[1], gr.RANK_SVD_THRESHOLD) is None
+        np.linalg.inv(y @ s_v)
+    assert certified_form(s_v, y) is None
     expected = svd_rule(s_v, t=(0.25, 0.5), thin=True)
     assert expected is not None
-
-    def ds():
-        raise AssertionError("d(SV) taken at a singular chart")
-
     with np.errstate(all="raise"):
-        message, _ = decision(lambda: gr._connection_form(s_v, ds, np.eye(len(s_v)), (0.25, 0.5)))
+        message, _ = decision(lambda: gr._chart_pinv(s_v, y, p, (0.25, 0.5)))
     assert message == expected
+
+
+def test_connection_form_guard_runs_before_the_stencil():
+    # a chart singular at t raises before any stencil sample is taken: the
+    # family is read at t alone
+    w6 = gr.ModeWindow(6)
+    rotated, read = gr.rotated_family(w6, (-1, 0)), []
+
+    def value(t1, t2):
+        read.append((t1, t2))
+        return rotated(t1, t2).entries
+
+    fam = gr.ProjectionFamily(w6, value)
+    with pytest.raises(NotInvertible, match=r"at t = \(1\.0, 0\.35\)"):
+        gr.connection_form(fam, gr.spectral_projection(w6, 0), (1.0, 0.35))
+    assert read == [(1.0, 0.35)]
 
 
 @pytest.mark.parametrize("refused", [False, True])
@@ -501,24 +521,81 @@ def test_connection_form_guard_on_a_stack_with_one_uncertified_member(refused):
     d = 2 * R_CERT - 1
     open_member = spectrum(1e-6 * (1 - 1e-3)) if refused else 5e-6 * SPREAD
     spectra = [spectrum(1.0), open_member, spectrum(0.5)]
-    s_v = np.stack([with_singular_values(sv, rng, d) for sv in spectra])
-    p = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    members = [chart_with_singular_values(sv, rng, d) for sv in spectra]
+    s_v, p, y = (np.stack(a) for a in zip(*members))
     d_sv = rng.standard_normal((3, d, R_CERT)) + 1j * rng.standard_normal((3, d, R_CERT))
     t = (np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5, 0.6]))
-    certified = [gr._certified_inverse(np.linalg.qr(m)[1], gr.RANK_SVD_THRESHOLD) for m in s_v]
+    certified = [certified_form(m, ym) for m, ym in zip(s_v, y)]
     assert [c is not None for c in certified] == [True, False, True]
-    assert gr._certified_inverse(np.linalg.qr(s_v)[1], gr.RANK_SVD_THRESHOLD) is None
+    assert certified_form(s_v, y) is None
     expected = svd_rule(s_v, t=t, thin=True)
     assert (expected is not None) == refused
     with np.errstate(all="raise"):
-        message, values = decision(lambda: gr._connection_form(s_v, lambda: d_sv, p, t))
+        message, values = decision(lambda: gr._connection_form(gr._chart_pinv(s_v, y, p, t), d_sv))
     assert message == expected
     if refused:
         assert "at t = (0.2, 0.5)" in message
         return
-    for member, value, dm in zip(s_v, values, d_sv):
-        reference = np.trace(np.linalg.pinv(member, rcond=gr.RANK_SVD_THRESHOLD) @ p @ dm)
+    for member, pm, value, dm in zip(s_v, p, values, d_sv):
+        reference = np.trace(np.linalg.pinv(member, rcond=gr.RANK_SVD_THRESHOLD) @ pm @ dm)
         assert abs(value - reference) <= 1e-9 * abs(reference)
+
+
+def tilted_chart_maps(rng, spectra, tilts):
+    """Chart maps S_i V (d x r, d = 2 r + 1) with the singular values
+    ``spectra`` and one range ran(P), and Y = V* P, so |Y|_2 <= 1, Y = Y P
+    and P S_i V = S_i V.  The orthonormal V turns the j-th left singular
+    vector u_j of S_1 V away from ran(P) by an angle running from tilts[0]
+    (largest singular value) to tilts[1] (smallest): Y S_1 V has the
+    singular values cos(angle_j) s_j, so Y can shrink the top of the
+    spectrum and leave the bottom."""
+    r = len(spectra[0])
+    d = 2 * r + 1
+    shape = (d, 2 * r)
+    frame, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    u, away = frame[:, :r], frame[:, r:]
+    angles = np.linspace(*tilts, r)
+    v = np.cos(angles) * u + np.sin(angles) * away
+    maps = [(u * sv) @ report.random_window_unitary(rng, r) for sv in spectra]
+    return maps, v.conj().T @ (u @ u.conj().T)
+
+
+# log10 of the smallest singular values, about CHART_SVD_THRESHOLD = 1e-6,
+# and of the largest, so that pinv's cut-off RANK_SVD_THRESHOLD s_max
+# (1e-8 to 1e-4) falls below, among or above them
+chart_spectra = st.tuples(
+    st.integers(2, 6),
+    st.integers(1, 6),
+    st.floats(-7.0, -4.0),
+    st.floats(0.0, 4.0),
+).map(
+    lambda a: np.concatenate(
+        [np.logspace(a[3], 0.0, a[0]), 10.0 ** a[2] * np.linspace(1.0, 1.01, min(a[1], a[0]))]
+    )
+)
+
+
+@given(
+    spectra=st.tuples(chart_spectra, chart_spectra).filter(lambda s: len(s[0]) == len(s[1])),
+    tilts=st.tuples(st.floats(0.0, 1.55), st.floats(0.0, 1.55)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(  # Y shrinks s_max: the cut-off must read it from S V, not from Y S V
+    spectra=(np.array([1e4, 1.0, 2e-5]), np.ones(3)), tilts=(1.55, 0.0), seed=0
+)
+@settings(max_examples=200, deadline=None)
+def test_certificate_never_passes_a_chart_map_the_svd_rule_refuses(spectra, tilts, seed):
+    # the certificate reads the r x r blocks Y S V, whose singular values lie
+    # below those of S V; whatever it passes, the SVD rule on S V passes, and
+    # pinv's cut-off keeps every singular value of a connection form's map
+    (s1_v, s2_v), y = tilted_chart_maps(np.random.default_rng(seed), spectra, tilts)
+    t = (0.25, 0.5)
+    if gr._certified_inverse(y @ s1_v, gr.RANK_SVD_THRESHOLD, s1_v) is not None:
+        assert svd_rule(s1_v, t=t, thin=True) is None
+        sv = np.linalg.svd(s1_v, compute_uv=False)
+        assert sv[-1] > gr.RANK_SVD_THRESHOLD * sv[0]
+    if gr._certified_inverse(np.stack([y @ s1_v, y @ s2_v]), 0.0) is not None:
+        assert svd_rule(s1_v, s2_v, t=t) is None
 
 
 def test_chart_guard_refuses_a_base_of_rank_zero():
@@ -676,7 +753,8 @@ def test_decomposition_and_projection_check_counts(monkeypatch):
     # constructions when every sample was wrapped).
     # A patching check evaluates each family once per stencil sample for
     # its transition ratio and both connection forms (13 and 18 block
-    # function calls when each route took its own samples)
+    # function calls when each route took its own samples).  No QR runs on
+    # a chart map: every solve is against an r x r block Y S V, Y = V* P
     calls, checks, built, blocks = [], [], [], []
 
     def counted(name, inner):
@@ -726,32 +804,29 @@ def test_decomposition_and_projection_check_counts(monkeypatch):
         built.clear()
         blocks.clear()
         call()
+        assert [c for c in calls if c[0] == "qr"] == []
         return {c: calls.count(c) for c in calls}, len(checks), len(built), len(blocks)
 
     t = (0.35, 0.6)
-    # a connection form: one thin QR of the chart map and one inverse of its
-    # r x r factor, which settle the chart guard and the pseudo-inverse (a
-    # thin SVD of the 13 x 7 chart map before the certificate)
-    thin_qr, form = ("qr", (13, 7)), {("qr", (13, 7)): 1, ("inv", (7, 7)): 1}
-    # a transition ratio: a thin QR of S_2 V (transition_det only), one
-    # stacked inverse of its two r x r blocks for both chart guards and one
-    # r x r det (two values-only SVDs of 7 x 7 blocks and a solve before)
+    # a connection form: one inverse of the r x r block Y S V, which settles
+    # the chart guard and the pseudo-inverse (a thin QR of the 13 x 7 chart
+    # map as well before, and a thin SVD of it before the certificate)
+    form = {("inv", (7, 7)): 1}
+    # a transition ratio: one stacked inverse of its two r x r blocks for
+    # both chart guards and one r x r det (a thin QR of S_2 V for
+    # transition_det before, and two values-only SVDs of 7 x 7 blocks and a
+    # solve before the certificate)
     ratio = {("inv", (2, 7, 7)): 1, ("det", (7, 7)): 1}
     assert counts(lambda: gr.connection_form(fam, base, t)) == (form, 1, 1, 5)
     eight = {key: 8 * n for key, n in form.items()}
     assert counts(lambda: gr.curvature_rkw(fam, base, t)) == (eight, 1, 1, 41)
     assert counts(lambda: gr.tr_p_dp_dp(fam, t)) == ({}, 1, 1, 9)
-    assert counts(lambda: gr.transition_det(fam, base, t, sigma1, sigma2)) == (
-        {thin_qr: 1, **ratio},
-        1,
-        1,
-        1,
-    )
+    assert counts(lambda: gr.transition_det(fam, base, t, sigma1, sigma2)) == (ratio, 1, 1, 1)
     # five ratios (four stencil points and t) and two connection forms
     five = {key: 5 * n for key, n in ratio.items()}
     two = {key: 2 * n for key, n in form.items()}
     assert counts(lambda: gr.perturbation_patching_check(fam, base, sigma1, sigma2, t)) == (
-        {**five, **two, thin_qr: 7},
+        {**five, **two},
         1,
         1,
         5,
@@ -1027,6 +1102,47 @@ def test_transition_det_near_the_identity_chart_singularity():
     for t1, shown in ((1 - 1e-8, r"0\.99999999"), (1.0, r"1\.0")):
         with pytest.raises(NotInvertible, match=rf"at t = \({shown}, 0\.2\)"):
             gr.transition_det(fam, PI0, (t1, 0.2), sigmas[0], sigmas[1])
+
+
+@pytest.mark.parametrize(
+    "t1, dense_tol", [(0.99, 1e-13), (0.999, 2e-11)], ids=["t1=0.99", "t1=0.999"]
+)
+def test_chart_layer_near_a_singular_identity_chart(t1, dense_tol):
+    # the identity chart P V has the singular value cos(pi t1 / 2), 1.6e-2
+    # and 1.6e-3, so Y = V* P has it too and the blocks Y S_i V of the
+    # perturbation charts carry its square; the chart layer solves against
+    # them without losing digits.  The dense definition rounds by about
+    # eps / cos^2 itself (6.2e-14 and 9.4e-12 from the 30-digit value, and
+    # every route of the chart layer agrees with it to that); the closed
+    # form det(I + P sigma_1 P) / det(I + P sigma_2 P) is well conditioned
+    w, fam, base = conjugated_setting("n_max=25")
+    rng = np.random.default_rng(4)
+    shape = (w.dim, w.dim)
+    sigmas = [
+        0.2 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for _ in range(2)
+    ]
+    charts = [gr.ModeOperator(w, sig, gr.TAIL_ZERO) for sig in sigmas]
+    b, eye = base.entries, np.eye(w.dim)
+    t = (t1, 0.45)
+    p = fam(*t).entries
+    s1, s2 = ((p + p @ sig @ p) @ b for sig in sigmas)
+    value = gr.transition_det(fam, base, t, *charts)
+    dense = dense_ratio(s1, s2, p)
+    assert abs(value - dense) <= dense_tol * abs(dense)
+    closed = np.linalg.det(eye + p @ sigmas[0] @ p) / np.linalg.det(eye + p @ sigmas[1] @ p)
+    assert abs(value - closed) <= 5e-14 * abs(closed)
+
+    def s_at(t1, t2):
+        p = fam(t1, t2).entries
+        return (p + p @ sigmas[0] @ p) @ b
+
+    st = FdStencil(kind="first-derivative")
+    for axis in (0, 1):
+        ds = fd_apply(gr._each(s_at), t, st, axis)
+        s_pinv = np.linalg.pinv(s_at(*t), rcond=gr.RANK_SVD_THRESHOLD)
+        expected = np.trace(s_pinv @ p @ ds @ b)
+        value = gr.connection_form(fam, base, t, axis, perturbation=charts[0])
+        assert abs(value - expected) <= 1e-13 * abs(expected)
 
 
 W6 = gr.ModeWindow(6)
@@ -1427,9 +1543,11 @@ def test_perturbation_patching_peak_memory_on_a_large_window():
 
 @pytest.mark.parametrize("entry", ["curvature_rkw", "connection_form"])
 def test_chart_peak_memory_on_a_large_window(entry):
-    # on the spectral cut no d x r basis is held through the stencils:
-    # 3.57 MB traced for either call while the chart layer held V = I[:, cols]
-    # from an eigh, 3.24 MB with the selected columns alone
+    # on the spectral cut no d x r basis is held through the stencils, and a
+    # connection form holds only its r x d block (Y S V)^{-1} Y while its
+    # stencil samples: 3.57 MB traced for either call while the chart layer
+    # held V = I[:, cols] from an eigh, 3.24 MB with the selected columns
+    # alone while each form held P and S V as well, 2.27 MB without them
     w = gr.ModeWindow(100)
     fam, base = gr.rotated_family(w, (-3, 7)), gr.spectral_projection(w, 0)
     call = {
@@ -1443,7 +1561,7 @@ def test_chart_peak_memory_on_a_large_window(entry):
     finally:
         tracemalloc.stop()
     assert np.isfinite(value)
-    assert peak <= 3.4e6, peak
+    assert peak <= 2.3e6, peak
 
 
 @pytest.mark.parametrize(
