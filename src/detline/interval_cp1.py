@@ -125,25 +125,25 @@ class SpectralDatum:
 
 
 def _chart_point(z: complex) -> complex:
-    """z as a complex number; an array or other non-scalar, NaN or infinite
-    coordinates and a modulus beyond the double range raise DomainError.
+    """z as a complex number: a scalar that passes _chart_array; anything else
+    raises DomainError.
 
-    Every public function taking a chart point goes through this guard,
-    directly or via alpha_of.
+    Every public function taking a chart point goes through this guard or
+    _chart_array, directly or via alpha_of.
     """
     if np.ndim(z) != 0:
         raise DomainError(f"chart point must be a scalar, got shape {np.shape(z)}")
-    z = complex(z)
-    if not math.isfinite(math.hypot(z.real, z.imag)):
-        raise DomainError(f"chart point must be finite, with |z| in the double range, got {z}")
-    return z
+    return complex(_chart_array(z)[0])
 
 
 def _chart_array(z) -> np.ndarray:
     """Chart points as a complex array of at least one dimension; an entry
-    with a NaN or infinite part, or with a modulus beyond the double range,
-    raises DomainError."""
-    points = np.array(z, dtype=complex, ndmin=1)
+    that is no number (a bool, a string, None), has a NaN or infinite part,
+    or has a modulus beyond the double range raises DomainError."""
+    points = np.asarray(z)
+    if points.dtype.kind not in "iufc":
+        raise DomainError(f"chart points must be numbers or arrays of them, got {z!r}")
+    points = np.array(points, dtype=complex, ndmin=1)
     with np.errstate(over="ignore"):
         bad = ~np.isfinite(_modulus(points))
     if bad.any():

@@ -3,21 +3,27 @@ emitter.
 
 A suite is a generator of rows ``(name, paper_anchor, observed, expected,
 tolerance)``, where ``paper_anchor`` names the identity ("plumbing" for
-artifact-internal checks).  ``run_suite`` alone judges rows: one with a
-tolerance passes when observed is finite and within it of expected; one with
-tolerance None is exact and passes when observed equals expected (a bool is
-reported as expected, or "violated").  Suites are deterministic in one
-64-bit seed, so reruns are byte-identical apart from timestamps.
+artifact-internal checks).  ``run_suite`` alone reduces and judges rows.  An
+error row's observed is the ``Routes`` of its identity: the two routes,
+sample by sample, and the scale of their gap.  ``worst``, the one comparator,
+reduces them to the largest scaled gap, NaN when any sample is not finite,
+and the row passes when that is finite and within tolerance of expected 0.
+A spot row's observed is a value held within its tolerance of expected.  A
+row with tolerance None is exact and passes when observed equals expected (a
+bool is reported as expected, or "violated").  Suites are deterministic in
+one 64-bit seed, so reruns are byte-identical apart from timestamps.
 
 Each identity is measured by one public function (``zeta_det_error``,
-``curvature_errors``, ...) on the caller's samples and held to one ``TOL_*``
-constant of ``detline.tolerances``; the suites and the acceptance tests share them.
+``curvature_errors``, ...) on the caller's samples, which returns its
+``Routes``, and is held to one ``TOL_*`` constant of ``detline.tolerances``;
+the suites and the acceptance tests share them and reduce through ``worst``.
 """
 
 from __future__ import annotations
 
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -53,6 +59,8 @@ __all__ = [
     "SUITE_NAMES",
     "SCHEMA",
     # shared measurements, used by the suites and the acceptance tests
+    "Routes",
+    "worst",
     "chart_grid",
     "random_window_unitary",
     "random_det_class",
@@ -131,6 +139,11 @@ class ReportDocument:
 Row = tuple[str, str, object, object, float | None]
 
 
+def _is_number(x, kind: type) -> bool:
+    """Whether x is a number of the kind (numbers.Real, ...); a bool is none."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def _raised(call, *args) -> str:
     """The name of the DetlineError that call(*args) raises, or "no error"."""
     try:
@@ -141,17 +154,36 @@ def _raised(call, *args) -> str:
 
 
 # ---------------------------------------------------------------------------
-# shared measurements: each returns the worst error over the caller's samples
+# shared measurements: each returns the Routes of one identity on the caller's
+# samples, and worst reduces them
 
 
-def _worst(errors) -> float:
-    """The largest of the error samples, or NaN when any sample is not finite.
+@dataclass(frozen=True)
+class Routes:
+    """The two routes of an identity, as scalars or arrays (real or complex)
+    of one shape, and the scale of their gap: one scalar, or one value per
+    sample.  A vanishing quantity is route a against 0."""
 
-    Python's max keeps its running value when a comparison with NaN is false,
-    so it drops a NaN sample and run_suite's finiteness check never sees it.
+    a: object
+    b: object
+    scale: object = 1.0
+
+
+def worst(*routes: Routes) -> float:
+    """The largest |a - b| / scale over every sample of the routes, or NaN when
+    any sample or scale is not finite; no samples at all raise DomainError.
+
+    The one comparator: run_suite reduces every error row through it, and
+    the tests fold shared measurements through it.  Python's max would drop
+    a NaN after the first sample, as a comparison with NaN is false.
     """
-    samples = np.fromiter(errors, dtype=float)
-    return float(np.max(samples)) if np.all(np.isfinite(samples)) else math.nan
+    with np.errstate(all="ignore"):  # a gap that is not finite gives NaN below
+        gaps = [np.ravel(np.abs(np.subtract(r.a, r.b)) / r.scale) for r in routes]
+    samples = np.concatenate([np.empty(0), *gaps])
+    if samples.size == 0:
+        raise DomainError("an identity needs at least one sample to compare its routes")
+    finite = np.isfinite(samples).all() and all(np.isfinite(r.scale).all() for r in routes)
+    return float(samples.max()) if finite else math.nan
 
 
 def chart_grid(lo: float, hi: float, n: int) -> list[complex]:
@@ -195,66 +227,62 @@ def _det_class_stacks(
     return [gr.ModeOperator(w, entries[:, j], gr.TAIL_IDENTITY) for j in range(per_instance)]
 
 
-def zeta_det_error(points) -> float:
-    """Max relative error of the spectral zeta determinant against the closed form."""
+def zeta_det_error(points) -> Routes:
+    """The spectral zeta determinant against the closed form, relative to it."""
     z = np.asarray(list(points), dtype=complex)
     closed = cp1.zeta_det_closed(z)
-    return float(np.max(np.abs(cp1.zeta_det_spectral(z) - closed) / closed))
+    return Routes(cp1.zeta_det_spectral(z), closed, closed)
 
 
-def model_identity_error(points) -> float:
-    """Max error of det = DET_TO_S_CONSTANT |S(P)|^2, relative to the closed determinant."""
+def model_identity_error(points) -> Routes:
+    """det against DET_TO_S_CONSTANT |S(P)|^2, relative to the closed determinant."""
     z = np.asarray(list(points), dtype=complex)
     model = cp1.DET_TO_S_CONSTANT * np.abs(cp1.s_of_p(z)) ** 2
-    return float(np.max(np.abs(cp1.zeta_det_spectral(z) - model) / cp1.zeta_det_closed(z)))
+    return Routes(cp1.zeta_det_spectral(z), model, cp1.zeta_det_closed(z))
 
 
-def metric_patching_error(pairs) -> float:
-    """Max relative error of the metric-patching ratio over chart-point pairs."""
-    z, w = np.asarray(list(pairs), dtype=complex).T
+def metric_patching_error(pairs) -> Routes:
+    """The two sides of the metric-patching ratio over chart-point pairs,
+    relative to the right side."""
+    pairs = list(pairs)
+    z, w = np.asarray(pairs, dtype=complex).reshape(len(pairs), 2).T
     lhs, rhs = cp1.metric_patching_check(z, w)
-    return float(np.max(np.abs(lhs - rhs) / rhs))
+    return Routes(lhs, rhs, rhs)
 
 
-def curvature_errors(points) -> tuple[float, float]:
-    """Max relative errors of the finite-difference curvature against the closed
-    Kahler density 1/(1+|z|^2)^2 and against Tr(P dP dP), both relative to the
-    closed density."""
+def curvature_errors(points) -> tuple[Routes, Routes]:
+    """The finite-difference curvature against the closed Kahler density
+    1/(1+|z|^2)^2 and against Tr(P dP dP), both relative to the closed
+    density."""
     z = np.asarray(list(points), dtype=complex)
     closed = cp1.kahler_density_closed(z)
     k_fd = cp1.quillen_curvature_fd(z)
-    return (
-        float(np.max(np.abs(k_fd - closed) / closed)),
-        float(np.max(np.abs(k_fd - cp1.kahler_form_2x2(z)) / closed)),
-    )
+    return Routes(k_fd, closed, closed), Routes(k_fd, cp1.kahler_form_2x2(z), closed)
 
 
-def spectral_cut_errors(w: gr.ModeWindow) -> tuple[float, float]:
-    """Max errors of relative_eta(pi_k, pi_0) = -2k and of
-    relative_eta / 2 = RELATIVE_INDEX_SIGN * relative_index, k in -5..5."""
+def spectral_cut_errors(w: gr.ModeWindow) -> tuple[Routes, Routes]:
+    """relative_eta(pi_k, pi_0) against -2k, and relative_eta / 2 against
+    RELATIVE_INDEX_SIGN * relative_index, k in -5..5."""
     pi0 = gr.spectral_projection(w, 0)
-    eta_errs, idx_errs = [], []
-    for k in range(-5, 6):
-        pi_k = gr.spectral_projection(w, k)
-        eta = gr.relative_eta(pi_k, pi0)
-        eta_errs.append(abs(eta - (-2.0 * k)))
-        idx_errs.append(abs(eta / 2.0 - gr.RELATIVE_INDEX_SIGN * gr.relative_index(pi_k, pi0)))
-    return _worst(eta_errs), _worst(idx_errs)
+    cuts = [gr.spectral_projection(w, k) for k in range(-5, 6)]
+    eta = np.array([gr.relative_eta(pi_k, pi0) for pi_k in cuts])
+    index = np.array([gr.relative_index(pi_k, pi0) for pi_k in cuts])
+    return Routes(eta, -2.0 * np.arange(-5, 6)), Routes(eta / 2.0, gr.RELATIVE_INDEX_SIGN * index)
 
 
-def eta_offset_error(offsets) -> float:
-    """Max error of the spectral eta invariant against 1 - 2a over the offsets."""
+def eta_offset_error(offsets) -> Routes:
+    """The spectral eta invariant against 1 - 2a over the offsets."""
     a = np.asarray(list(offsets), dtype=float)
-    return _worst(np.abs(gr.eta_invariant_spectral(a) - (1.0 - 2.0 * a)))
+    return Routes(gr.eta_invariant_spectral(a), 1.0 - 2.0 * a)
 
 
-def eta_flip_error(rng: np.random.Generator, w: gr.ModeWindow) -> float:
-    """Max disagreement of eta_finite_rank_check over 20 random (offset, flip) pairs."""
-    checks = (
+def eta_flip_error(rng: np.random.Generator, w: gr.ModeWindow) -> Routes:
+    """The two sides of eta_finite_rank_check over 20 random (offset, flip) pairs."""
+    checks = [
         gr.eta_finite_rank_check(float(rng.uniform(0.05, 0.95)), int(rng.integers(-6, 7)), w)
         for _ in range(20)
-    )
-    return _worst(abs(lhs - rhs) for lhs, rhs in checks)
+    ]
+    return Routes(*np.array(checks).T)
 
 
 def _stacked(points) -> tuple[np.ndarray, np.ndarray]:
@@ -263,82 +291,75 @@ def _stacked(points) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
-def _by_direction(samples) -> dict:
-    """(t, direction) samples as {direction: stacked points}, one entry per direction."""
+def _by_direction(check, samples) -> Routes:
+    """The two sides of a patching check over (t, direction) samples, from one
+    check(t, direction) call per direction on its stacked points."""
     grouped: dict = {}
     for t, direction in samples:
         grouped.setdefault(direction, []).append(t)
-    return {direction: _stacked(points) for direction, points in grouped.items()}
+    if not grouped:
+        raise DomainError("a patching check needs at least one (t, direction) sample")
+    sides = zip(*(check(_stacked(points), d) for d, points in grouped.items()))
+    return Routes(*(np.concatenate(side) for side in sides))
 
 
-def family_patching_error(fam1, fam2, base: gr.ModeOperator, samples) -> float:
-    """Max patching-identity error between the identity charts of two families
-    over (t, direction) samples, one call per direction."""
-    checks = (
-        gr.patching_identity_check(fam1, fam2, base, t, d)
-        for d, t in _by_direction(samples).items()
-    )
-    return _worst(np.concatenate([np.abs(lhs - rhs) for lhs, rhs in checks]))
+def family_patching_error(fam1, fam2, base: gr.ModeOperator, samples) -> Routes:
+    """The patching identity between the identity charts of two families over
+    (t, direction) samples."""
+    return _by_direction(functools.partial(gr.patching_identity_check, fam1, fam2, base), samples)
 
 
-def chart_patching_error(fam, base: gr.ModeOperator, sigma1, sigma2, samples) -> float:
-    """Max patching-identity error between two perturbation charts of one family
-    over (t, direction) samples, one call per direction."""
-    checks = (
-        gr.perturbation_patching_check(fam, base, sigma1, sigma2, t, d)
-        for d, t in _by_direction(samples).items()
-    )
-    return _worst(np.concatenate([np.abs(lhs - rhs) for lhs, rhs in checks]))
+def chart_patching_error(fam, base: gr.ModeOperator, sigma1, sigma2, samples) -> Routes:
+    """The patching identity between two perturbation charts of one family
+    over (t, direction) samples."""
+    check = functools.partial(gr.perturbation_patching_check, fam, base, sigma1, sigma2)
+    return _by_direction(check, samples)
 
 
-def connection_curvature_error(fam, base: gr.ModeOperator, points, perturbation) -> float:
-    """Max |d omega - Tr(P [d1 P, d2 P])| over parameter points, in the chart of
+def connection_curvature_error(fam, base: gr.ModeOperator, points, perturbation) -> Routes:
+    """d omega against Tr(P [d1 P, d2 P]) over parameter points, in the chart of
     the perturbation (None for the identity chart)."""
     t = _stacked(points)
-    return _worst(
-        np.abs(gr.curvature_rkw(fam, base, t, perturbation=perturbation) - gr.tr_p_dp_dp(fam, t))
-    )
+    return Routes(gr.curvature_rkw(fam, base, t, perturbation=perturbation), gr.tr_p_dp_dp(fam, t))
 
 
-def cocycle_error(fam, base: gr.ModeOperator, t, sigma1, sigma2, sigma3) -> float:
-    """|g_12 g_23 g_31 - 1| for the transition determinants of three charts."""
+def cocycle_error(fam, base: gr.ModeOperator, t, sigma1, sigma2, sigma3) -> Routes:
+    """g_12 g_23 g_31 against 1 for the transition determinants of three charts."""
     cocycle = (
         gr.transition_det(fam, base, t, sigma1, sigma2)
         * gr.transition_det(fam, base, t, sigma2, sigma3)
         * gr.transition_det(fam, base, t, sigma3, sigma1)
     )
-    return abs(cocycle - 1.0)
+    return Routes(cocycle, 1.0)
 
 
 # The determinant-line measurements take single operators or stacks of them
-# (ModeOperator entries k x d x d); on stacks they return one error, or one
-# bool, per member, from one det_line call per step.
+# (ModeOperator entries k x d x d); on stacks their routes hold one sample, and
+# the bool one value, per member, from one det_line call per step.
 
 
-def equivalence_error(s: gr.ModeOperator, q: gr.ModeOperator, lam: complex) -> float | np.ndarray:
-    """|ratio([S q, l], [S, l det q]) - 1|: the equivalence defining the points."""
+def equivalence_error(s: gr.ModeOperator, q: gr.ModeOperator, lam: complex) -> Routes:
+    """ratio([S q, l], [S, l det q]) against 1: the equivalence defining the points."""
     lhs = det_line.DetPoint(s @ q, lam, False)
     rhs = det_line.DetPoint(s, lam * gr.fredholm_det(q), False)
-    return abs(det_line.ratio(lhs, rhs) - 1.0)
+    return Routes(det_line.ratio(lhs, rhs), 1.0)
 
 
-def normal_form_error(s: gr.ModeOperator, q: gr.ModeOperator) -> float | np.ndarray:
-    """Relative gap between the normal-form scales of [S q, 1] and [S, det q]."""
+def normal_form_error(s: gr.ModeOperator, q: gr.ModeOperator) -> Routes:
+    """The normal-form scales of [S q, 1] and [S, det q], relative to the second."""
     nf1 = det_line.DetPoint(s @ q, 1.0 + 0j, False).normal_form()
     nf2 = det_line.DetPoint(s, gr.fredholm_det(q), False).normal_form()
-    return abs(nf1.scale - nf2.scale) / abs(nf2.scale)
+    return Routes(nf1.scale, nf2.scale, abs(nf2.scale))
 
 
-def transitivity_error(
-    a: gr.ModeOperator, b: gr.ModeOperator, c: gr.ModeOperator
-) -> float | np.ndarray:
-    """Relative error of ratio(a, b) ratio(b, c) = det_F(a c^-1) for three representatives.
+def transitivity_error(a: gr.ModeOperator, b: gr.ModeOperator, c: gr.ModeOperator) -> Routes:
+    """ratio(a, b) ratio(b, c) against det_F(a c^-1) for three representatives.
 
     ratio divides Fredholm determinants, so ratio(a, c) would be a quotient
     of the same determinants as the left side; det_F(a c^-1) reaches the
     same value through the multiplicativity of det_F instead.  a c^-1 is
     formed by a solve, as the chart transition determinants are, never as
-    det a / det c.  The error is relative to max(1, |det_F(a c^-1)|), as in
+    det a / det c.  The scale is max(1, |det_F(a c^-1)|), as in
     multiplicativity_error: the ratio can be large, and forming a c^-1
     rounds in proportion to it.
     """
@@ -346,15 +367,15 @@ def transitivity_error(
     chained = det_line.ratio(pa, pb) * det_line.ratio(pb, pc)
     a, c = a._pair(c)  # on one window, as their product would be
     direct = np.linalg.det(np.linalg.solve(c.entries.mT, a.entries.mT).mT)
-    return abs(chained - direct) / np.maximum(1.0, abs(direct))
+    return Routes(chained, direct, np.maximum(1.0, abs(direct)))
 
 
-def multiplicativity_error(a, b, a2, b2) -> float | np.ndarray:
-    """Relative error of det(A'B')/det(AB) = det(A'/A) det(B'/B)."""
+def multiplicativity_error(a, b, a2, b2) -> Routes:
+    """det(A'B')/det(AB) against det(A'/A) det(B'/B), relative to max(1, |rhs|)."""
     joint, (pa, pb) = det_line.tensor_split(a, b)
     lhs = det_line.ratio(det_line.det_point(a2 @ b2), joint)
     rhs = det_line.ratio(det_line.det_point(a2), pa) * det_line.ratio(det_line.det_point(b2), pb)
-    return abs(lhs - rhs) / np.maximum(1.0, abs(rhs))
+    return Routes(lhs, rhs, np.maximum(1.0, abs(rhs)))
 
 
 def index_is_additive(first, second, dom, mid, cod) -> bool | np.ndarray:
@@ -400,11 +421,9 @@ def _suite_cp1(rng: np.random.Generator) -> Iterator[Row]:
         TOL_ZETA_DET,
     )
 
-    branch_worst = _worst(
-        abs(cp1.zeta_det_from_alpha(a) - cp1.zeta_det_from_alpha(1.0 - a))
-        for a in (0.1, 0.25, 0.4, 0.5)
-    )
-    yield "branch invariance alpha vs 1-alpha", "spectral-offset-branch", branch_worst, 0.0, 1e-10
+    alphas = np.array([0.1, 0.25, 0.4, 0.5])
+    branch = Routes(cp1.zeta_det_from_alpha(alphas), cp1.zeta_det_from_alpha(1.0 - alphas))
+    yield "branch invariance alpha vs 1-alpha", "spectral-offset-branch", branch, 0.0, 1e-10
 
     for z, expected in ((0j, 1.0), (1 + 0j, 0.25), (1j, 0.25)):
         yield (
@@ -414,18 +433,18 @@ def _suite_cp1(rng: np.random.Generator) -> Iterator[Row]:
             expected,
             TOL_CURVATURE,
         )
-    worst_fd, worst_pdp = curvature_errors(chart_grid(-0.5, 0.5, 5))
+    against_closed, against_pdp = curvature_errors(chart_grid(-0.5, 0.5, 5))
     yield (
         "curvature vs closed Kahler density, 5x5 grid, max relative error",
         "curvature-equals-kahler-form",
-        worst_fd,
+        against_closed,
         0.0,
         TOL_CURVATURE,
     )
     yield (
         "curvature vs Tr(P dP dP), 5x5 grid, max relative error",
         "curvature-from-boundary-projection",
-        worst_pdp,
+        against_pdp,
         0.0,
         TOL_CURVATURE,
     )
@@ -449,7 +468,7 @@ def _suite_cp1(rng: np.random.Generator) -> Iterator[Row]:
     yield (
         "calderon projection equals chart point z=1",
         "calderon-projection-interval",
-        np.max(np.abs(calderon.entries - cp1.projection_from_chart(1.0).entries)),
+        Routes(calderon.entries, cp1.projection_from_chart(1.0).entries),
         0.0,
         1e-12,
     )
@@ -457,7 +476,7 @@ def _suite_cp1(rng: np.random.Generator) -> Iterator[Row]:
     yield (
         "Cauchy data of constants is fixed by the calderon projection",
         "calderon-projection-interval",
-        np.linalg.norm(calderon.apply(kernel_vec) - kernel_vec),
+        Routes(np.linalg.norm(calderon.apply(kernel_vec) - kernel_vec), 0.0),
         0.0,
         1e-12,
     )
@@ -466,7 +485,7 @@ def _suite_cp1(rng: np.random.Generator) -> Iterator[Row]:
         yield (
             f"S(P) matrix element at z={z}",
             "boundary-fredholm-family",
-            abs(cp1.s_of_p(z) - expected),
+            Routes(cp1.s_of_p(z), expected),
             0.0,
             1e-12,
         )
@@ -474,9 +493,12 @@ def _suite_cp1(rng: np.random.Generator) -> Iterator[Row]:
     yield (
         "adjoint projection kills the adjoint Cauchy data (1, -z)",
         "adjoint-boundary-condition",
-        _worst(
-            np.linalg.norm(cp1.adjoint_projection(z).apply(np.array([1.0, -z])))
-            for z in _random_chart_points(rng, 20)
+        Routes(
+            [
+                np.linalg.norm(cp1.adjoint_projection(z).apply(np.array([1.0, -z])))
+                for z in _random_chart_points(rng, 20)
+            ],
+            0.0,
         ),
         0.0,
         1e-10,
@@ -515,37 +537,38 @@ def _suite_grassmannian(rng: np.random.Generator) -> Iterator[Row]:
     w = gr.ModeWindow(6)
     pi0 = gr.spectral_projection(w, 0)
 
-    worst_eta, worst_idx = spectral_cut_errors(w)
+    eta_routes, index_routes = spectral_cut_errors(w)
     yield (
         "relative eta of spectral cuts equals -2k, k in -5..5",
         "relative-eta-without-regularization",
-        worst_eta,
+        eta_routes,
         0.0,
         1e-12,
     )
     yield (
         "relative eta / 2 equals the relative index with one global sign",
         "relative-eta-index-formula",
-        worst_idx,
+        index_routes,
         0.0,
         1e-12,
     )
 
     p, q, r = (_conjugated_projection(rng, w, cut) for cut in (1, 0, -2))
-    antisym = abs(gr.relative_eta(p, q) + gr.relative_eta(q, p))
-    additive = abs(gr.relative_eta(p, q) + gr.relative_eta(q, r) - gr.relative_eta(p, r))
+    eta_pq, eta_qp, eta_qr, eta_pr = (
+        gr.relative_eta(x, y) for x, y in ((p, q), (q, p), (q, r), (p, r))
+    )
     yield (
         "relative eta antisymmetry and additivity on conjugated projections",
         "relative-eta-without-regularization",
-        _worst((antisym, additive)),
+        Routes([eta_pq, eta_pq + eta_qr], [-eta_qp, eta_pr]),
         0.0,
         1e-10,
     )
-    half = gr.relative_eta(p, q) / 2.0
+    half = eta_pq / 2.0
     yield (
         "relative eta / 2 is an integer for exact projections",
         "relative-eta-index-formula",
-        abs(half - np.round(half)),
+        Routes(half, np.round(half)),
         0.0,
         1e-8,
     )
@@ -559,8 +582,8 @@ def _suite_grassmannian(rng: np.random.Generator) -> Iterator[Row]:
     )
     offsets = np.array([0.05, 0.2, 0.35, 0.45])
     eta = gr.eta_invariant_spectral(np.concatenate([offsets, 1.0 - offsets]))
-    worst_anti = _worst(np.abs(eta[: offsets.size] + eta[offsets.size :]))
-    yield "eta antisymmetry under a -> 1-a", "eta-as-zeta-quasi-trace", worst_anti, 0.0, 1e-10
+    anti = Routes(eta[: offsets.size], -eta[offsets.size :])
+    yield "eta antisymmetry under a -> 1-a", "eta-as-zeta-quasi-trace", anti, 0.0, 1e-10
 
     yield (
         "finite-rank eta perturbation, 20 random (a, flip) pairs",
@@ -572,11 +595,12 @@ def _suite_grassmannian(rng: np.random.Generator) -> Iterator[Row]:
 
     rank_one = np.eye(w.dim, dtype=complex)
     rank_one[w.index(0), w.index(0)] = 2.0
-    det_spot = _worst(
+    det_spot = Routes(
         [
-            abs(gr.fredholm_det(gr.ModeOperator.identity(w)) - 1.0),
-            abs(gr.fredholm_det(gr.ModeOperator(w, rank_one, gr.TAIL_IDENTITY)) - 2.0),
-        ]
+            gr.fredholm_det(gr.ModeOperator.identity(w)),
+            gr.fredholm_det(gr.ModeOperator(w, rank_one, gr.TAIL_IDENTITY)),
+        ],
+        [1.0, 2.0],
     )
     yield "fredholm determinant spot values", "fredholm-determinant-window", det_spot, 0.0, 1e-12
     ka = gr.ModeOperator(
@@ -588,14 +612,14 @@ def _suite_grassmannian(rng: np.random.Generator) -> Iterator[Row]:
     yield (
         "fredholm determinant multiplicativity on random operators",
         "fredholm-determinant-window",
-        abs(gr.fredholm_det(ka @ kb) - gr.fredholm_det(ka) * gr.fredholm_det(kb)),
+        Routes(gr.fredholm_det(ka @ kb), gr.fredholm_det(ka) * gr.fredholm_det(kb)),
         0.0,
         1e-8,
     )
     yield (
         "fredholm determinant stability under window doubling",
         "fredholm-determinant-window",
-        abs(gr.fredholm_det(ka.embed_to(gr.ModeWindow(2 * w.n_max))) - gr.fredholm_det(ka)),
+        Routes(gr.fredholm_det(ka.embed_to(gr.ModeWindow(2 * w.n_max))), gr.fredholm_det(ka)),
         0.0,
         1e-12,
     )
@@ -605,14 +629,14 @@ def _suite_grassmannian(rng: np.random.Generator) -> Iterator[Row]:
     yield (
         "connection form of the constant family vanishes",
         "determinant-line-connection-form",
-        abs(gr.connection_form(constant, pi0, (0.4, 0.7), "t1")),
+        Routes(gr.connection_form(constant, pi0, (0.4, 0.7), "t1"), 0.0),
         0.0,
         1e-10,
     )
     yield (
         "connection form vanishes along the axis t1 = 0",
         "determinant-line-connection-form",
-        abs(gr.connection_form(fam, pi0, (0.0, 0.3), "t2")),
+        Routes(gr.connection_form(fam, pi0, (0.0, 0.3), "t2"), 0.0),
         0.0,
         1e-8,
     )
@@ -636,11 +660,10 @@ def _suite_grassmannian(rng: np.random.Generator) -> Iterator[Row]:
         TOL_CONNECTION_CURVATURE,
     )
 
-    stokes_lhs, stokes_rhs = _stokes_pair(fam, pi0)
     yield (
         "Stokes: boundary integral of omega equals the curvature integral",
         "curvature-of-boundary-connection",
-        abs(stokes_lhs - stokes_rhs),
+        Routes(*_stokes_pair(fam, pi0)),
         0.0,
         1e-8,
     )
@@ -679,13 +702,12 @@ def _suite_grassmannian(rng: np.random.Generator) -> Iterator[Row]:
     )
     conj_base = gr.ModeOperator(w, v_conj @ pi0.entries @ v_conj.conj().T, gr.TAIL_APS)
     t = (0.3, 0.45)
-    conj_err = abs(
-        gr.connection_form(fam, pi0, t, "t1") - gr.connection_form(conj_fam, conj_base, t, "t1")
-    )
     yield (
         "connection form is invariant under constant conjugation",
         "determinant-line-connection-form",
-        conj_err,
+        Routes(
+            gr.connection_form(fam, pi0, t, "t1"), gr.connection_form(conj_fam, conj_base, t, "t1")
+        ),
         0.0,
         1e-8,
     )
@@ -769,32 +791,22 @@ def _suite_detline(rng: np.random.Generator) -> Iterator[Row]:
     yield (
         "equivalence [S q, l] ~ [S, l det q], 20 random instances",
         "determinant-line-points",
-        _worst(equivalence_error(*_det_class_stacks(rng, w, 20, 2), 2.0 + 0j)),
+        equivalence_error(*_det_class_stacks(rng, w, 20, 2), 2.0 + 0j),
         0.0,
         TOL_DET_LINE,
     )
 
     p = det_line.det_point(random_det_class(rng, w))
-    yield (
-        "ratio of a point against itself is one",
-        "determinant-ratio",
-        abs(det_line.ratio(p, p) - 1.0),
-        0.0,
-        1e-12,
-    )
+    self_ratio = Routes(det_line.ratio(p, p), 1.0)
+    yield "ratio of a point against itself is one", "determinant-ratio", self_ratio, 0.0, 1e-12
     mu = 1.7 - 0.4j
-    yield (
-        "scalar action passes through the ratio",
-        "determinant-ratio",
-        abs(det_line.ratio(p.scaled(mu), p) - mu),
-        0.0,
-        1e-12,
-    )
+    scaled = Routes(det_line.ratio(p.scaled(mu), p), mu)
+    yield "scalar action passes through the ratio", "determinant-ratio", scaled, 0.0, 1e-12
 
     yield (
         "ratio transitivity on random triples",
         "determinant-ratio",
-        _worst(transitivity_error(*_det_class_stacks(rng, w, 20, 3))),
+        transitivity_error(*_det_class_stacks(rng, w, 20, 3)),
         0.0,
         TOL_DET_LINE,
     )
@@ -802,7 +814,7 @@ def _suite_detline(rng: np.random.Generator) -> Iterator[Row]:
     yield (
         "multiplicativity det(A'B')/det(AB) = det(A'/A) det(B'/B), 100 instances",
         "determinant-multiplicativity",
-        _worst(multiplicativity_error(*_det_class_stacks(rng, w, 100, 4, 0.3))),
+        multiplicativity_error(*_det_class_stacks(rng, w, 100, 4, 0.3)),
         0.0,
         TOL_DET_LINE,
     )
@@ -810,7 +822,7 @@ def _suite_detline(rng: np.random.Generator) -> Iterator[Row]:
     yield (
         "normal forms of equivalent pairs coincide",
         "determinant-line-points",
-        _worst(normal_form_error(*_det_class_stacks(rng, w, 10, 2))),
+        normal_form_error(*_det_class_stacks(rng, w, 10, 2)),
         0.0,
         1e-10,
     )
@@ -918,7 +930,7 @@ def run_suite(name: str, seed: int = 0) -> ReportDocument:
     one place where a suite row becomes a judged CaseResult."""
     if name not in SUITE_NAMES:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+    if not _is_number(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     started = datetime.now(timezone.utc).isoformat()
     cases: list[CaseResult] = []
@@ -932,6 +944,7 @@ def run_suite(name: str, seed: int = 0) -> ReportDocument:
                     observed = expected if observed else "violated"
                 ok = observed == expected
             else:
+                observed = worst(observed) if isinstance(observed, Routes) else observed
                 ok = math.isfinite(observed) and abs(observed - expected) <= tol
                 observed, expected = float(observed), float(expected)
             status = "pass" if ok else "fail"
@@ -957,17 +970,20 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for lo, hi in ((self.re_min, self.re_max), (self.im_min, self.im_max)):
-            if not (lo < hi and math.isfinite(hi - lo)):  # NaN and inf fail too
+            real = _is_number(lo, numbers.Real) and _is_number(hi, numbers.Real)
+            if not (real and lo < hi and math.isfinite(hi - lo)):  # NaN and inf fail too
                 raise DomainError(
-                    f"grid bounds must be finite with min < max and a finite width, got {lo}:{hi}"
+                    f"grid bounds need real min < max and a finite width, got {lo!r}:{hi!r}"
                 )
         if not isinstance(self.n, numbers.Integral) or self.n < 2:
             raise DomainError(f"grid needs an integer n >= 2 points per axis, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))  # a numpy integer stays JSON-writable
-        for center, radius in self.exclusion:
-            if not (cmath.isfinite(center) and math.isfinite(radius) and radius > 0):
+        for disk in self.exclusion:
+            center, radius = disk if isinstance(disk, tuple) and len(disk) == 2 else (None, None)
+            numeric = _is_number(center, numbers.Complex) and _is_number(radius, numbers.Real)
+            if not (numeric and cmath.isfinite(center) and math.isfinite(radius) and radius > 0):
                 raise DomainError(
-                    f"exclusion disk needs a finite centre and radius > 0, got {center}, {radius}"
+                    f"an exclusion disk is a finite centre and a radius > 0, got {disk!r}"
                 )
 
     def excluded(self, z: complex | np.ndarray) -> bool | np.ndarray:

@@ -242,10 +242,22 @@ def test_spectral_datum_validates_branch():
 
 @pytest.mark.parametrize(
     "z",
-    [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0), complex(0.0, -math.inf)],
+    [
+        complex(math.nan, 0.0),
+        complex(0.0, math.nan),
+        complex(math.inf, 0.0),
+        complex(0.0, -math.inf),
+        "1+2j",
+        "a",
+        None,
+        True,
+        np.array([0.5, None]),
+    ],
 )
 def test_non_finite_chart_points_raise_domain_error(z):
-    # NaN used to clamp to the c = -1 branch: zeta_det_spectral(nan) returned 4.0
+    # NaN used to clamp to the c = -1 branch: zeta_det_spectral(nan) returned
+    # 4.0; an entry that is no number is refused too, where "1+2j" was read as
+    # 1+2j, None raised a bare TypeError and "a" a bare ValueError
     for fn in (
         cp1.projection_from_chart,
         cp1.adjoint_projection,

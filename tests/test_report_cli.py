@@ -2,6 +2,7 @@
 faults in the shared measurements."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -48,7 +49,7 @@ def test_run_suite_all_passes_and_has_enough_cases(suite_all_seed7):
     assert all(c.paper_anchor for c in document.cases)
 
 
-@pytest.mark.parametrize("seed", [7, 0, 12345])
+@pytest.mark.parametrize("seed", [7, 0, 11, 12345])
 def test_verify_all_case_list_is_frozen(seed, suite_all_seed7):
     # names, anchors, tolerances and expected values of `verify all --seed 7`;
     # the case list does not depend on the seed
@@ -168,10 +169,21 @@ def test_gridspec_validation():
         {"exclusion": ((0j, math.inf),)},
         {"exclusion": ((complex(math.nan, 0.0), 0.2),)},
         {"exclusion": ((complex(-1.0, math.inf), 0.2),)},
+        # entries that are no (centre, radius) pair raised TypeError or ValueError
+        {"exclusion": (-1.0 + 0j,)},
+        {"exclusion": ((-1.0 + 0j,),)},
+        {"exclusion": ((-1.0 + 0j, 0.2, 0.3),)},
+        {"exclusion": (("a", 0.2),)},
+        {"exclusion": ((None, 0.2),)},
+        {"exclusion": ((-1.0 + 0j, "0.2"),)},
+        {"exclusion": ((-1.0 + 0j, 0.2j),)},
+        {"exclusion": ((-1.0 + 0j, None),)},
+        {"exclusion": ((-1.0 + 0j, np.array([0.2])),)},
     ):
         with pytest.raises(DomainError):
             report.GridSpec(**spec)
     assert type(report.GridSpec(n=np.int64(3)).n) is int
+    assert report.GridSpec(re_min=np.float64(-0.25), exclusion=((np.complex128(-1), 0.1),))
     for bounds in (
         {"re_min": 0.5, "re_max": -0.5},
         {"re_min": 0.5, "re_max": 0.5},
@@ -180,6 +192,11 @@ def test_gridspec_validation():
         {"im_max": math.nan},
         {"re_max": math.inf},
         {"re_min": -math.inf},
+        # bounds that are no real number raised TypeError or ValueError
+        {"re_min": "a"},
+        {"re_max": None},
+        {"im_min": 1j},
+        {"im_max": np.array([0.5, 1.0])},
     ):
         with pytest.raises(DomainError):
             report.GridSpec(**bounds)
@@ -332,6 +349,107 @@ def test_console_script_entry_point():
 
 
 # ---------------------------------------------------------------------------
+# the comparator: report.worst reduces every error row and every shared
+# measurement
+
+
+@pytest.mark.parametrize(
+    "routes",
+    [
+        report.Routes(math.nan, 0.0),
+        report.Routes(0.0, math.nan),
+        report.Routes(1.0, 1.0, math.nan),
+        report.Routes(math.inf, 0.0),
+        report.Routes(0.0, -math.inf),
+        report.Routes(math.inf, math.inf),
+        report.Routes(1.0, 1.0, math.inf),
+        report.Routes(1.0, 0.0, 0.0),
+        report.Routes(complex(0.0, math.nan), 0.0),
+        report.Routes([1.0, 2.0, 3.0], [1.0, math.nan, 3.0]),
+        report.Routes([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 1.0, math.inf]),
+    ],
+)
+def test_worst_is_nan_when_a_sample_or_scale_is_not_finite(routes):
+    assert math.isnan(report.worst(routes))
+    # after a finite route too: Python's max keeps 0.5 against a NaN
+    assert math.isnan(report.worst(report.Routes(0.5, 0.0), routes))
+
+
+def test_worst_is_the_largest_scaled_modulus_of_the_gaps():
+    assert report.worst(report.Routes(3 + 4j, 0.0)) == 5.0
+    per_sample = report.Routes([1 + 1j, 0.0, 2.0], [1.0, 3j, 1.0], [2.0, 1.0, 4.0])
+    assert report.worst(per_sample) == 3.0
+    assert report.worst(report.Routes(np.eye(2), np.zeros((2, 2)), 4.0)) == 0.25
+    assert report.worst(report.Routes(1.0, 0.5), per_sample, report.Routes([2.0], [0.0])) == 3.0
+    assert report.worst(report.Routes(-2.0, 1.0, 1.5)) == 2.0
+    assert type(report.worst(report.Routes(np.float32(1.0), 0.0))) is float
+
+
+_W3 = gr.ModeWindow(3)
+_FAM, _FAM2 = gr.rotated_family(_W3, (-1, 0)), gr.rotated_family(_W3, (-1, 1))
+_PI0 = gr.spectral_projection(_W3, 0)
+_SIGMA = gr.ModeOperator(_W3, 0.1 * np.eye(_W3.dim), gr.TAIL_ZERO)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda: report.zeta_det_error([]),
+        lambda: report.model_identity_error([]),
+        lambda: report.metric_patching_error([]),
+        lambda: report.curvature_errors([])[0],
+        lambda: report.curvature_errors([])[1],
+        lambda: report.eta_offset_error([]),
+        lambda: report.family_patching_error(_FAM, _FAM2, _PI0, []),
+        lambda: report.chart_patching_error(_FAM, _PI0, _SIGMA, _SIGMA, []),
+        lambda: report.connection_curvature_error(_FAM, _PI0, [], None),
+        lambda: report.Routes([], []),
+    ],
+    ids=[
+        "zeta-det",
+        "model-identity",
+        "metric-patching",
+        "curvature-closed",
+        "curvature-pdp",
+        "eta-offset",
+        "family-patching",
+        "chart-patching",
+        "connection-curvature",
+        "empty-routes",
+    ],
+)
+def test_a_measurement_with_no_samples_raises_domain_error(measure):
+    # zeta_det_error and eta_offset_error raised numpy's zero-size ValueError,
+    # the patching measurements a ValueError of np.concatenate
+    with pytest.raises(DomainError):
+        report.worst(measure())
+
+
+def test_worst_of_no_routes_raises_domain_error():
+    with pytest.raises(DomainError):
+        report.worst()
+
+
+@pytest.mark.parametrize("field", ["a", "b", "scale"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_sample_that_is_not_finite_fails_its_row(monkeypatch, field, bad):
+    # one sample after the first of one route, or of the per-sample scale
+    original = report.zeta_det_error
+
+    def planted(points):
+        routes = original(points)
+        values = np.array(getattr(routes, field), dtype=float)
+        values[3] = bad
+        return dataclasses.replace(routes, **{field: values})
+
+    monkeypatch.setattr(report, "zeta_det_error", planted)
+    document = report.run_suite("cp1", 7)
+    case = _case(document, "spectral vs closed determinant")
+    assert case.status == "fail" and math.isnan(case.observed)
+    assert [c.name for c in document.cases if c.status == "fail"] == [case.name]
+
+
+# ---------------------------------------------------------------------------
 # planted faults: perturb one route of an identity and the shared measurement
 # and its suite case must report it
 
@@ -358,13 +476,13 @@ def test_failed_model_identity_is_reported_not_raised(monkeypatch, capsys):
 
 def test_planted_fault_in_closed_determinant(monkeypatch):
     _plant(monkeypatch, cp1, "zeta_det_closed", lambda det, z: det * (1 + 1e-6))
-    assert report.zeta_det_error(report.chart_grid(-2, 2, 21)) > report.TOL_ZETA_DET
+    assert report.worst(report.zeta_det_error(report.chart_grid(-2, 2, 21))) > report.TOL_ZETA_DET
     assert _case(report.run_suite("cp1", 7), "spectral vs closed determinant").status == "fail"
 
 
 def test_planted_fault_in_projection_curvature(monkeypatch):
     _plant(monkeypatch, cp1, "kahler_form_2x2", lambda k, z: k * (1 + 1e-3))
-    fd_err, pdp_err = report.curvature_errors(report.chart_grid(-0.5, 0.5, 5))
+    fd_err, pdp_err = map(report.worst, report.curvature_errors(report.chart_grid(-0.5, 0.5, 5)))
     assert fd_err < report.TOL_CURVATURE < pdp_err
     document = report.run_suite("cp1", 7)
     assert _case(document, "curvature vs Tr(P dP dP)").status == "fail"
@@ -375,7 +493,7 @@ def test_planted_fault_in_connection_curvature_density(monkeypatch):
     _plant(monkeypatch, gr, "tr_p_dp_dp", lambda density, fam, t: density + 0.01)
     w = gr.ModeWindow(6)
     fam, pi0 = gr.rotated_family(w, (-1, 0)), gr.spectral_projection(w, 0)
-    error = report.connection_curvature_error(fam, pi0, [(0.37, 0.63)], None)
+    error = report.worst(report.connection_curvature_error(fam, pi0, [(0.37, 0.63)], None))
     assert error > report.TOL_CONNECTION_CURVATURE
     document = report.run_suite("grassmannian", 7)
     assert _case(document, "curvature d omega matches Tr(P [d1 P, d2 P])").status == "fail"
@@ -404,7 +522,7 @@ def test_planted_fault_in_ratio_determinants_fails_transitivity(monkeypatch):
     rng = np.random.default_rng(2)
     w = gr.ModeWindow(3)
     a, b, c = (report.random_det_class(rng, w) for _ in range(3))
-    assert report.transitivity_error(a, b, c) > report.TOL_DET_LINE
+    assert report.worst(report.transitivity_error(a, b, c)) > report.TOL_DET_LINE
     document = report.run_suite("detline", 7)
     assert _case(document, "ratio transitivity on random triples").status == "fail"
 
@@ -429,7 +547,7 @@ def test_planted_fault_in_chart_ratio_determinants_fails_the_cocycle(monkeypatch
         gr.ModeOperator(w, 0.25 * report.random_window_unitary(rng, w.dim), gr.TAIL_ZERO)
         for _ in range(3)
     ]
-    assert report.cocycle_error(fam, pi0, (0.44, 0.31), *sigmas) > report.TOL_COCYCLE
+    assert report.worst(report.cocycle_error(fam, pi0, (0.44, 0.31), *sigmas)) > report.TOL_COCYCLE
     document = report.run_suite("grassmannian", 7)
     assert [c.name for c in document.cases if c.status == "fail"] == [
         "triple overlap cocycle of transition determinants"
@@ -486,7 +604,8 @@ def test_planted_fault_in_pushforward_coefficient(monkeypatch):
 def test_planted_nan_relative_eta_fails_its_cases(monkeypatch):
     # a running max started at 0.0 kept 0.0 against every NaN sample
     _plant(monkeypatch, gr, "relative_eta", lambda eta, p, q: math.nan)
-    assert all(math.isnan(err) for err in report.spectral_cut_errors(gr.ModeWindow(6)))
+    cut_routes = report.spectral_cut_errors(gr.ModeWindow(6))
+    assert all(math.isnan(report.worst(routes)) for routes in cut_routes)
     document = report.run_suite("grassmannian", 7)
     for case in (
         "relative eta of spectral cuts equals -2k",
@@ -508,7 +627,8 @@ def test_planted_nan_in_one_eta_flip_sample_fails_its_case(monkeypatch):
         return (math.nan if len(calls) == 5 else lhs), rhs
 
     monkeypatch.setattr(gr, "eta_finite_rank_check", planted)
-    assert math.isnan(report.eta_flip_error(np.random.default_rng(1), gr.ModeWindow(6)))
+    flips = report.eta_flip_error(np.random.default_rng(1), gr.ModeWindow(6))
+    assert math.isnan(report.worst(flips))
     assert len(calls) == 20
     calls.clear()
     document = report.run_suite("grassmannian", 7)
