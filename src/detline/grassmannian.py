@@ -34,6 +34,28 @@ check evaluates the family once per stencil sample for both of its routes,
 the transition determinant and the two connection forms; each route keeps
 its own inverses.
 
+Stencil samples are low-rank updates of the chart at t where that is
+cheaper.  A call first takes every stencil sample P_s of the family and
+compares it exactly with the checked value P at t, keeping only the rows
+and columns J where they differ, and the sample's entries there (NaN
+differs from every value, so a non-finite entry lands in J).  Every
+sample's Y_s, S_s V and A_s = Y_s S_s V is then an update of the chart at t
+of rank at most |J| per term, formed from V_J = V[J, :] and gathers of the
+chart at t (_LowRankChart): a connection form traces the stencil of the
+r x r members Y_s (S_q V - S V) against A^{-1}, with no r x d block; an
+outer curvature_rkw sample inverts A_s = A + U W by Woodbury from the
+certified inverse at t when the norm bound s_min(A_s) >= 1 / |A^{-1}|_F -
+sum |U_b|_F |W_b|_F clears the certificate's floor, and runs the dense form,
+with the SVD rule, on its formed chart map where it does not; a patching
+check differentiates g(s) / g(t) = det(I + W_1 A_1^{-1} U_1) /
+det(I + W_2 A_2^{-1} U_2) from its ratio's own inverses at t, with the
+same bound on each sample's chart guard; tr_p_dp_dp is Tr(P_JJ [d1 P_JJ,
+d2 P_JJ]).  A sample then costs its family call and compare and
+O(r |J| (r + |J|)).  The dense path, which forms each sample's chart
+algebra, runs when _LOW_RANK_CROSSOVER |J| > r (so on every window of
+r < 2 _LOW_RANK_CROSSOVER, before any sample is taken: see _update_limit),
+or when the certificate leaves a chart at t open.
+
 Its six entry points (``connection_form``, ``tr_p_dp_dp``, ``curvature_rkw``,
 ``transition_det`` and the two patching checks) take t = (t1, t2) with
 floats, for a complex value, or with 1-D arrays of one length, for a complex
@@ -46,9 +68,12 @@ call: the base (on a coordinate base only its tails are left to check),
 and the family values at all points t as one stack, each required to have
 the rank of base; an error names the first failing point.
 The fixed stencils around t read the family's block function directly,
-unwrapped and unchecked; a non-finite sample enters the result ``fd_apply``
-refuses, and an error of the block function names the one point where it
-was raised.
+unwrapped and not checked to be projections; a value that is no d x d
+block of numbers is refused with DomainError naming its point, a
+non-finite sample enters the result ``fd_apply`` refuses, and an error of
+the block function names the one point where it was raised.  The update
+path takes every sample before it forms any stencil, so there such an
+error comes before the chart guard of an outer curvature_rkw sample.
 """
 
 from __future__ import annotations
@@ -58,7 +83,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -71,7 +96,7 @@ from .errors import (
     NotInvertible,
     WindowOverflow,
 )
-from .specfun import FdStencil, _hurwitz_em, _open_unit_points, fd_apply
+from .specfun import FdStencil, _hurwitz_em, _open_unit_points, _stencil_points, fd_apply
 from .tolerances import (
     CHART_SVD_THRESHOLD,
     DEFAULT_FD_STEP,
@@ -652,6 +677,10 @@ class _Basis:
     def left(self, m: np.ndarray) -> np.ndarray:
         return np.take(m, self.cols, axis=-2) if self.v is None else self._vh @ m
 
+    def rows(self, j: np.ndarray) -> np.ndarray:
+        """V[j, :], the rows j of V as an m x r array (0/1 on a coordinate base)."""
+        return (j[:, None] == self.cols).astype(float) if self.v is None else self.v[j]
+
 
 def _chart_base(w: ModeWindow, base: ModeOperator) -> _Basis:
     """Orthonormal basis V (d x r) of ran(base) on the window, once per public call.
@@ -695,9 +724,10 @@ def _family_blocks(
 
 
 def _block(fam: ProjectionFamily, t1: float, t2: float) -> np.ndarray:
-    """The family's block at one point; a block function returning a stack is
-    refused, and any error of the block function other than a DetlineError
-    becomes an EvaluationError naming this point alone."""
+    """The family's block at one point; a block function returning a stack, or
+    anything but a d x d block of numbers, is refused with DomainError, and
+    any error of the block function other than a DetlineError becomes an
+    EvaluationError naming this point alone."""
     try:
         block = np.asarray(fam._map(t1, t2))
     except DetlineError:
@@ -706,6 +736,12 @@ def _block(fam: ProjectionFamily, t1: float, t2: float) -> np.ndarray:
         raise EvaluationError(f"family evaluation failed at ({t1}, {t2}): {exc}") from exc
     if block.ndim == 3:
         raise DomainError(f"a family value takes one operator, got a stack of {len(block)}")
+    d = fam.window.dim
+    if block.shape != (d, d) or block.dtype.kind not in "biufc":
+        raise DomainError(
+            f"family value at ({t1}, {t2}) is no {d}x{d} block of numbers, "
+            f"got {block.dtype} of shape {block.shape}"
+        )
     return block
 
 
@@ -761,8 +797,9 @@ def _each(field: Callable[..., Any]) -> Callable[[np.ndarray, np.ndarray], Itera
     """field(t1, t2) as an fd_apply field evaluated one stencil sample at a
     time: t1, t2 are Python floats for one point and 1-D arrays for a stack.
     A field over the stacked samples would hold all of them at once: one
-    curvature_rkw at n_max = 100 peaked at 25.6 MB that way, and at 3.6 MB
-    one sample at a time."""
+    curvature_rkw at n_max = 100 on the dense path peaks at 4.21 MB traced
+    that way, and at 2.27 MB one sample at a time (on the update path, whose
+    samples are r x r blocks, at 2.07 MB either way)."""
 
     def lazy(t1: np.ndarray, t2: np.ndarray) -> Iterator[Any]:
         return map(field, t1.tolist(), t2.tolist()) if t1.ndim == 1 else map(field, t1, t2)
@@ -771,16 +808,266 @@ def _each(field: Callable[..., Any]) -> Callable[[np.ndarray, np.ndarray], Itera
 
 
 def _chart_stencil(
-    fam: ProjectionFamily, basis: _Basis, sig: np.ndarray | None, t: Points, axis: int
+    blocks: Callable[..., np.ndarray], basis: _Basis, sig: np.ndarray | None, t: Points, axis: int
 ) -> np.ndarray:
     """d(SV) along axis at t for one chart, from its own stencil over the
-    family's blocks."""
+    family's blocks ``blocks(t1, t2)``."""
 
     def member(t1, t2) -> np.ndarray:
-        p = _family_blocks(fam, t1, t2)
+        p = blocks(t1, t2)
         return p if sig is None else _chart_maps(p, basis, sig)[0]
 
     return _chart_derivative(fd_apply(_each(member), t, _D1, axis), basis, sig)
+
+
+# The update path runs when the stencil samples of a call differ from the
+# family values at t only on rows and columns J with
+# _LOW_RANK_CROSSOVER * |J| <= r, r the rank of base (of P for tr_p_dp_dp);
+# the dense path runs otherwise.  Measured in-process on rotated_family
+# (|J| = 2) at t = (0.3, 0.2), one BLAS thread, median ms updated vs dense
+# (BENCH_23.json): curvature_rkw 6.27 vs 4.01 at n_max = 31, 7.01 vs 5.93
+# at 43 and 6.98 vs 10.31 at 50; in a perturbation chart 7.97 vs 7.63,
+# 8.73 vs 12.85 and 11.50 vs 22.08; perturbation_patching_check 4.49 vs
+# 4.69, 4.05 vs 6.03 and 6.44 vs 11.76.  The perturbation charts break
+# even near r = 32, the identity chart near r = 46; 20 |J| = 40 lies
+# between.
+_LOW_RANK_CROSSOVER = 20
+
+
+def _update_limit(r: int) -> int:
+    """The most rows J may hold on the update path at rank r, or 0 where the
+    dense path runs before any sample is taken: a family of projections that
+    moves at all moves two rows or more (a lone diagonal entry of a
+    projection is 0 or 1), so a limit below 2 admits none."""
+    limit = r // _LOW_RANK_CROSSOVER
+    return limit if limit >= 2 else 0
+
+
+def _key(t1, t2) -> tuple[bytes, bytes]:
+    """A stencil point as a dict key: the bytes of its coordinates, floats or arrays."""
+    return np.asarray(t1, dtype=float).tobytes(), np.asarray(t2, dtype=float).tobytes()
+
+
+class _Moves:
+    """Family samples at stencil points, each held as its move from the
+    family's checked value P at t: the rows and columns where the sample
+    differs from P and the sample's entries on them.  J, sorted, is the union
+    of those rows over every sample, family and member of a stack."""
+
+    def __init__(self, j: np.ndarray, p_jj: list[np.ndarray], held: dict):
+        self.j, self._p_jj, self._held = j, p_jj, held
+
+    def delta(self, t1, t2, i: int = 0) -> np.ndarray:
+        """D = P_s[J, J] - P[J, J] of family i at the sample (t1, t2), so that
+        P_s = P + I_J D I_J*."""
+        return self.restricted(t1, t2, i) - self._p_jj[i]
+
+    def restricted(self, t1, t2, i: int = 0) -> np.ndarray:
+        """P_s[J, J] of family i at the sample (t1, t2)."""
+        rows, entries = self._held[_key(t1, t2)][i]
+        block = self._p_jj[i].copy()
+        at = np.searchsorted(self.j, rows)
+        block[..., at[:, None], at] = entries
+        return block
+
+
+def _moves(
+    fams: list[ProjectionFamily], ps: list[np.ndarray], points: Callable[[], Iterable], limit: int
+) -> _Moves | None:
+    """The moves of each family from its checked values ps at the stencil
+    points ``points()``, or None once J has more than ``limit`` rows (before
+    any sample for a limit of 0): the dense path then runs, and samples the
+    family again.  The compare is exact, and NaN differs from every value,
+    so a non-finite entry lands in J.  A point met twice, such as
+    curvature_rkw's inner samples, is sampled once."""
+    if limit < 1:
+        return None
+    moved = np.zeros(ps[0].shape[-1], dtype=bool)
+    held: dict = {}
+    for t1, t2 in points():
+        key = _key(t1, t2)
+        if key not in held:
+            held[key] = [_move(fam, p, t1, t2) for fam, p in zip(fams, ps)]
+            for rows, _ in held[key]:
+                moved[rows] = True
+            if np.count_nonzero(moved) > limit:
+                return None
+    j = np.flatnonzero(moved)
+    return _Moves(j, [p[..., j[:, None], j] for p in ps], held)
+
+
+def _move(fam: ProjectionFamily, p: np.ndarray, t1, t2) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and columns where the family's sample at (t1, t2) differs from
+    p, on any member of a stack, and the sample's entries on them; the d x d
+    sample is freed on return."""
+    block = _family_blocks(fam, t1, t2)
+    d = p.shape[-1]
+    differs = (block != p).reshape(-1, d, d).any(axis=0)
+    rows = np.flatnonzero(differs.any(axis=0) | differs.any(axis=1))
+    return rows, block[..., rows[:, None], rows]
+
+
+def _bounded(us: list[np.ndarray], ws: list[np.ndarray], inverse: np.ndarray, floor: Any) -> bool:
+    """Whether s_min(A + sum_b U_b W_b) >= floor follows, at every member, from
+    the inverse of A: s_min(A) >= 1 / |A^{-1}|_F and |U_b W_b|_2 <= |U_b|_F
+    |W_b|_F, whose sum is at most |U|_F |W|_F.  A NaN or infinite norm
+    settles nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = sum(_frobenius(u) * _frobenius(w) for u, w in zip(us, ws))
+        return bool(np.all((floor + spread) * _frobenius(inverse) <= 1.0))
+
+
+def _capacitance(
+    us: list[np.ndarray], ws: list[np.ndarray], inverse: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U, W A^{-1} and the capacitance K = I + W A^{-1} U of A + U W, with
+    det(A + U W) = det(A) det(K) and
+    (A + U W)^{-1} = A^{-1} - A^{-1} U K^{-1} W A^{-1} (Woodbury)."""
+    u, w = np.concatenate(us, axis=-1), np.concatenate(ws, axis=-2)
+    w_inverse = w @ inverse
+    return u, w_inverse, np.eye(u.shape[-1]) + w_inverse @ u
+
+
+def _ratio_factor(
+    us: list[np.ndarray], ws: list[np.ndarray], inverse: np.ndarray
+) -> np.ndarray | None:
+    """det(A + sum U_b W_b) / det(A) from a transition ratio's inverse of A,
+    when _bounded settles its chart guard (the certificate of _chart_ratio,
+    cut 0); else None."""
+    if not _bounded(us, ws, inverse, 2.0 * CHART_SVD_THRESHOLD):
+        return None
+    return np.linalg.det(_capacitance(us, ws, inverse)[2])
+
+
+class _LowRankChart:
+    """One chart at t on the update path: A = Y SV with its certified inverse,
+    and the pieces on J that give every sample's Y, SV and A as updates.
+
+    A sample P_s = P + I_J D I_J* moves them by terms of rank at most |J|.
+    With V_J = V[J, :], Z = D V_J and X = Z + D ((sigma P V)[J, :] +
+    sigma[J, J] Z) (X = Z in the identity chart):
+    - Y_s = V* P_s = Y + V_J* D I_J*;
+    - S_s V - S V = I_J X + (P sigma)[:, J] Z, whose rows J are
+      X + (P sigma)[J, J] Z;
+    - A_s - A = Y_J X + G Z + V_J* D (S_s V)[J, :], with Y_J = Y[:, J] and
+      G = Y (P sigma)[:, J]: a sum U W of rank at most 3 |J| (2 |J| in the
+      identity chart).
+    These are exact expansions of the products, with no use of P^2 = P, so a
+    sample costs O(r |J| (r + |J|)) after its family call and compare.
+    """
+
+    def __init__(self, moves, i, p, basis, sig, s_v, a, inverse):
+        self.moves, self.family, self.sig = moves, i, sig
+        self.a, self.inverse = a, inverse
+        j = moves.j
+        self.v_j = basis.rows(j)
+        self.v_jh = self.v_j.conj().T
+        self.y_j = basis.left(np.take(p, j, axis=-1))
+        self.sv_j = np.take(s_v, j, axis=-2)
+        self.sv_norm = _frobenius(s_v)
+        if sig is not None:
+            p_sig_j = p @ np.take(sig, j, axis=-1)
+            self.g = basis.left(p @ p_sig_j)
+            self.p_sig_jj = np.take(p_sig_j, j, axis=-2)
+            self.p_sig_norm = _frobenius(p_sig_j)
+            self.sig_p_v_j = np.take(sig, j, axis=-2) @ basis.right(p)
+            self.sig_jj = sig[np.ix_(j, j)]
+
+    def delta(self, t1, t2) -> np.ndarray:
+        return self.moves.delta(t1, t2, self.family)
+
+    def _moved(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """X, Z, (S_s V - S V)[J, :] and Y (S_s V - S V) of the move D."""
+        z = d @ self.v_j
+        if self.sig is None:
+            return z, z, z, self.y_j @ z
+        x = z + d @ (self.sig_p_v_j + self.sig_jj @ z)
+        return x, z, x + self.p_sig_jj @ z, self.y_j @ x + self.g @ z
+
+    def member(self, d_q: np.ndarray, d_s: np.ndarray | None = None) -> np.ndarray:
+        """Y_s (S_q V - S V), the r x r stencil member at the sample of move d_q
+        of a connection form at the sample of move d_s (at t for None); NaN
+        when d_q is not finite, so that fd_apply refuses the stencil."""
+        _, _, rows, member = self._moved(d_q)
+        if d_s is not None:
+            member = member + self.v_jh @ (d_s @ rows)
+        return member if np.isfinite(d_q).all() else member * np.nan
+
+    def factors(self, d: np.ndarray) -> tuple[list, list, np.ndarray]:
+        """The blocks U_b, W_b of A_s - A = sum U_b W_b, and |SV|_F + |X|_F +
+        |(P sigma)[:, J]|_F |Z|_F, at least |S_s V|_F."""
+        x, z, rows, _ = self._moved(d)
+        us, ws = [self.y_j, self.v_jh @ d], [x, self.sv_j + rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sv_norm = self.sv_norm + _frobenius(x)
+            if self.sig is not None:
+                us.append(self.g)
+                ws.append(z)
+                sv_norm = sv_norm + self.p_sig_norm * _frobenius(z)
+        return us, ws, sv_norm
+
+    def form(self, axis: int, t: Points, d_s: np.ndarray | None = None) -> Any:
+        """The connection form along axis at t, Tr(A_s^{-1} dM) over the stencil
+        of the members around t: at the chart's own point (d_s None) from the
+        inverse at t, at a sample of move d_s from the Woodbury update of it.
+        None when _bounded leaves that sample open, so that the caller runs
+        the SVD rule on its formed chart map, as _certified_inverse leaves a
+        point open: the floor 2 max(CHART_SVD_THRESHOLD, RANK_SVD_THRESHOLD
+        |S_s V|_F) is the certificate's."""
+        inverse = self.inverse
+        if d_s is not None:
+            us, ws, sv_norm = self.factors(d_s)
+            floor = 2.0 * np.maximum(CHART_SVD_THRESHOLD, RANK_SVD_THRESHOLD * sv_norm)
+            if not _bounded(us, ws, inverse, floor):
+                return None
+            u, w_inverse, k = _capacitance(us, ws, inverse)
+            inverse = inverse - (inverse @ u) @ np.linalg.solve(k, w_inverse)
+
+        def member(t1, t2) -> np.ndarray:
+            return self.member(self.delta(t1, t2), d_s)
+
+        return _connection_form(inverse, fd_apply(_each(member), t, _D1, axis))
+
+
+def _chart_centre(
+    p: np.ndarray, basis: _Basis, sig: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The chart map SV at the family values p, its block A = Y SV with
+    Y = V* P, and the inverse of A where _certified_inverse settles the chart
+    guard and pinv's cut-off on SV at every point (else None)."""
+    (s_v,) = _chart_maps(p, basis, sig)
+    a = basis.left(p) @ s_v
+    return s_v, a, _certified_inverse(a, RANK_SVD_THRESHOLD, s_v)
+
+
+def _low_rank_charts(
+    fams: list[ProjectionFamily],
+    ps: list[np.ndarray],
+    basis: _Basis,
+    charts: list[tuple[int, np.ndarray | None]],
+    points: Callable[[], Iterable],
+    centres: list[tuple] | None = None,
+) -> list[_LowRankChart] | None:
+    """The charts (family index, sigma) at t on the update path, sharing the
+    moves of the families at the stencil points ``points()``; None when the
+    dense path runs instead: below the crossover or where _certified_inverse
+    leaves a chart at t open (before any sample is taken in either case), or
+    where the samples move more than r // _LOW_RANK_CROSSOVER rows.  The
+    charts' _chart_centre is taken here unless given as ``centres``."""
+    limit = _update_limit(basis.rank)
+    if not limit:
+        return None
+    if centres is None:
+        centres = [_chart_centre(ps[i], basis, sig) for i, sig in charts]
+    if any(inverse is None for _, _, inverse in centres):
+        return None
+    moves = _moves(fams, ps, points, limit)
+    if moves is None:
+        return None
+    return [
+        _LowRankChart(moves, i, ps[i], basis, sig, *centre)
+        for (i, sig), centre in zip(charts, centres)
+    ]
 
 
 def connection_form(
@@ -805,36 +1092,57 @@ def connection_form(
     pts = _points(t)
     basis = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
-    return _omega(fam, basis, sig, axis, pts, _projections_at(fam, pts, basis))
+    p = _projections_at(fam, pts, basis)
+    centre = _chart_centre(p, basis, sig)  # both paths start from it
+    points = partial(_stencil_points, pts, _D1, axis)
+    charts = _low_rank_charts([fam], [p], basis, [(0, sig)], points, [centre])
+    if charts is not None:
+        return charts[0].form(axis, pts)
+    pinv = _pinv_at(p, basis, sig, pts, centre)
+    del p, centre  # the r x d block alone is held while the stencil samples
+    return _omega(partial(_family_blocks, fam), basis, sig, axis, pts, pinv)
+
+
+def _pinv_at(
+    p: np.ndarray, basis: _Basis, sig: np.ndarray | None, t: Points, centre: tuple | None = None
+) -> tuple[np.ndarray, bool]:
+    """The r x d block (SV)^+ P of a connection form at the points t from the
+    family values p there (see _chart_pinv), and their _chart_centre where
+    the caller took it, and whether p is finite."""
+    if centre is None:
+        (s_v,), inverse = _chart_maps(p, basis, sig), None
+    else:
+        s_v, _, inverse = centre
+    return _chart_pinv(s_v, basis.left(p), p, t, inverse), bool(np.isfinite(p).all())
 
 
 def _omega(
-    fam: ProjectionFamily,
+    blocks: Callable[..., np.ndarray],
     basis: _Basis,
     sig: np.ndarray | None,
     axis: int,
     t: Points,
-    p: np.ndarray,
+    pinv: tuple[np.ndarray, bool],
 ) -> complex | np.ndarray:
-    """connection_form along axis at the points t from the family values p
-    there: the chart map SV, with d(SV) from the chart's own stencil.
+    """connection_form along axis at the points t on the dense path, from the
+    block and flag ``pinv`` of _pinv_at there and the block function
+    ``blocks``: d(SV) comes from the chart's own stencil.
 
     The r x d block (SV)^+ P is the one array held while the stencil
-    samples: P, SV and Y are released first, so the caller passes p without
-    keeping it.  The gathers of a coordinate base drop the entries of P
-    outside its rows and columns ``cols``, so a non-finite entry anywhere in
-    P makes the form NaN, which fd_apply refuses at an outer curvature_rkw
-    sample (P at t is checked, and finite, already).
+    samples: the caller releases P, SV and Y first.  The gathers of a
+    coordinate base drop the entries of P outside its rows and columns
+    ``cols``, so a non-finite entry anywhere in P makes the form NaN, which
+    fd_apply refuses at an outer curvature_rkw sample (P at t is checked,
+    and finite, already).
     """
-    (s_v,) = _chart_maps(p, basis, sig)
-    s_pinv_p = _chart_pinv(s_v, basis.left(p), p, t)
-    finite = np.isfinite(p).all()
-    del p, s_v
-    omega = _connection_form(s_pinv_p, _chart_stencil(fam, basis, sig, t, axis))
+    s_pinv_p, finite = pinv
+    omega = _connection_form(s_pinv_p, _chart_stencil(blocks, basis, sig, t, axis))
     return omega if finite else omega * np.nan
 
 
-def _chart_pinv(s_v: np.ndarray, y: np.ndarray, p: np.ndarray, t: Points) -> np.ndarray:
+def _chart_pinv(
+    s_v: np.ndarray, y: np.ndarray, p: np.ndarray, t: Points, inverse: np.ndarray | None = None
+) -> np.ndarray:
     """(SV)^+ P, the r x d block a connection form traces against d(SV), from
     the chart map SV at the family values p = P(t) and Y = V* P, V a basis of
     ran(base); SV passes the chart guard.
@@ -851,9 +1159,11 @@ def _chart_pinv(s_v: np.ndarray, y: np.ndarray, p: np.ndarray, t: Points) -> np.
     cut-off, so every decision and message is that rule's, and the block is
     pinv(SV) P.  The guard is settled here, before the caller samples the
     stencil of d(SV), so a chart singular at t raises NotInvertible before
-    any stencil sample is taken.
+    any stencil sample is taken.  A caller that holds the certified inverse
+    of _chart_centre passes it as ``inverse``.
     """
-    inverse = _certified_inverse(y @ s_v, RANK_SVD_THRESHOLD, s_v)
+    if inverse is None:
+        inverse = _certified_inverse(y @ s_v, RANK_SVD_THRESHOLD, s_v)
     if inverse is not None:
         return inverse @ y
     u, sv, vh = np.linalg.svd(s_v, full_matrices=False)
@@ -865,20 +1175,48 @@ def _chart_pinv(s_v: np.ndarray, y: np.ndarray, p: np.ndarray, t: Points) -> np.
 
 def _connection_form(s_pinv_p: np.ndarray, d_sv: np.ndarray) -> complex | np.ndarray:
     """The connection form Tr((SV)^+ P d(SV)) from the block of _chart_pinv and
-    the stencil derivative d(SV), summed elementwise.  The caller takes SV
-    and d(SV) from its own evaluation of the family, which a patching check
-    shares with its transition determinant."""
+    the stencil derivative d(SV), summed elementwise; on the update path
+    Tr(A^{-1} dM) from the inverse of A = Y SV and the stencil of the r x r
+    members Y (S_q V - S V).  The caller takes SV and d(SV) from its own
+    evaluation of the family, which a patching check shares with its
+    transition determinant."""
     return _result(np.einsum("...ij,...ji->...", s_pinv_p, d_sv))
 
 
 def tr_p_dp_dp(fam: ProjectionFamily, t: Points) -> complex | np.ndarray:
     """Curvature density Tr(P [d1 P, d2 P]) of the family, by stencil derivatives,
-    at a point or at each point of equal-length arrays t1, t2."""
+    at a point or at each point of equal-length arrays t1, t2.
+
+    Where the samples move only the rows and columns J (see _moves, with r
+    the rank of P), the stencils and the products run on the J x J blocks:
+    d1 P and d2 P vanish off them, so Tr(P [d1 P, d2 P]) is exactly
+    Tr(P_JJ [d1 P_JJ, d2 P_JJ])."""
     pts = _points(t)
     p = _projections_at(fam, pts)
-    blocks = _each(partial(_family_blocks, fam))
+    moves = None
+    if _update_limit(p.shape[-1]):  # else r <= d is below the crossover
+        rank = int(np.min(np.rint(np.trace(p, axis1=-2, axis2=-1).real)))
+
+        def points() -> Iterator:
+            yield from _stencil_points(pts, _D1, 0)
+            yield from _stencil_points(pts, _D1, 1)
+
+        moves = _moves([fam], [p], points, _update_limit(rank))
+    if moves is None:
+        blocks = _each(partial(_family_blocks, fam))
+    else:
+        blocks, p = _each(moves.restricted), p[..., moves.j[:, None], moves.j]
     d1, d2 = fd_apply(blocks, pts, _D1, 0), fd_apply(blocks, pts, _D1, 1)
     return _result(np.trace(p @ (d1 @ d2 - d2 @ d1), axis1=-2, axis2=-1))
+
+
+def _nested_points(t: Points) -> Iterator:
+    """The samples of curvature_rkw's stencils around t, in the order they are
+    taken: each outer sample followed by its inner stencil."""
+    for outer, inner in ((0, 1), (1, 0)):
+        for s in _stencil_points(t, _D1, outer):
+            yield s
+            yield from _stencil_points(s, _D1, inner)
 
 
 def curvature_rkw(
@@ -894,15 +1232,26 @@ def curvature_rkw(
     samples around t, which take their d(SV) from a stencil at the same step
     DEFAULT_FD_STEP.  The outer stencil divides the rounding of the inner
     one, eps / h, by h once more, so a finer inner step would lose digits.
+    On the update path each outer sample's form inverts its block by
+    Woodbury from the inverse at t, and a sample whose bound is left open
+    takes the dense form, whose SVD rule decides.
     """
     pts = _points(t)
     basis = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
-    _projections_at(fam, pts, basis)  # the stencil points around t are not checked
+    p = _projections_at(fam, pts, basis)  # the stencil points around t are not checked
+    charts = _low_rank_charts([fam], [p], basis, [(0, sig)], partial(_nested_points, pts))
+    del p
+    blocks = partial(_family_blocks, fam)
 
     def omega(axis: int) -> Callable[..., Iterator[complex | np.ndarray]]:
         def at(t1, t2) -> complex | np.ndarray:
-            return _omega(fam, basis, sig, axis, (t1, t2), _family_blocks(fam, t1, t2))
+            if charts is not None:
+                value = charts[0].form(axis, (t1, t2), charts[0].delta(t1, t2))
+                if value is not None:
+                    return value
+            pinv = _pinv_at(blocks(t1, t2), basis, sig, (t1, t2))
+            return _omega(blocks, basis, sig, axis, (t1, t2), pinv)
 
         return _each(at)
 
@@ -944,6 +1293,35 @@ def _transition_det(
     return _chart_ratio(a1, a2, t, (s1_v, s2_v))
 
 
+def _patching_by_moves(
+    charts: list[_LowRankChart],
+    ratio: np.ndarray,
+    factor: Callable[..., Any],
+    formed: Callable[..., Any],
+    t: Points,
+    axis: int,
+) -> tuple[complex, complex] | tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of a patching check on the update path, from one stencil pass.
+
+    The lhs is the stencil of g(s) / g(t), the quotient of the two charts'
+    ``factor(chart, d, inverse)``, det(A_i(s)) / det(A_i) from the ratio's
+    own inverses ``ratio`` at t; where a factor's bound leaves a sample open,
+    ``formed(t1, t2)`` takes g(s) / g(t) from the formed sample by the SVD
+    rule.  The rhs is omega_1 - omega_2, each form the trace of its
+    inverse at t against the stencil of its r x r members.
+    """
+
+    def sample(t1, t2) -> tuple:
+        ds = [chart.delta(t1, t2) for chart in charts]
+        factors = [factor(c, d, inverse) for c, d, inverse in zip(charts, ds, ratio)]
+        g = formed(t1, t2) if any(f is None for f in factors) else factors[0] / factors[1]
+        return (g, *(c.member(d) for c, d in zip(charts, ds)))
+
+    lhs, *d_members = fd_apply(_each(sample), t, _D1, axis)
+    omega1, omega2 = (_connection_form(c.inverse, dm) for c, dm in zip(charts, d_members))
+    return _result(lhs), _result(omega1 - omega2)
+
+
 def perturbation_patching_check(
     fam: ProjectionFamily,
     base: ModeOperator,
@@ -964,7 +1342,9 @@ def perturbation_patching_check(
     members from them; the lhs is the stencil of g over g(t), and each
     connection form takes its d(SV) from that pass.  Each route keeps its
     own inverses: the connection forms one each, g its stacked inverse and
-    det.
+    det.  On the update path (see the module docstring) the pass takes
+    g(s) / g(t) as the quotient of the two charts' capacitance dets, and the
+    members are r x r blocks.
     """
     axis = _direction_axis(direction)
     pts = _points(t)
@@ -972,6 +1352,22 @@ def perturbation_patching_check(
     basis = _chart_base(w, base)
     sigs = (_chart_sigma(w, sigma1), _chart_sigma(w, sigma2))
     p = _projections_at(fam, pts, basis)
+    points = partial(_stencil_points, pts, _D1, axis)
+    charts = _low_rank_charts([fam], [p], basis, [(0, sig) for sig in sigs], points)
+    # the ratio's own inverses of the two blocks at t, as _chart_ratio takes them
+    ratio = None if charts is None else _certified_inverse(np.stack([c.a for c in charts]), 0.0)
+    if ratio is not None:
+        del p
+
+        def formed(t1, t2) -> complex | np.ndarray:
+            p_at = _family_blocks(fam, t1, t2)
+            g = _transition_det(*_chart_maps(p_at, basis, *sigs), basis.left(p_at), (t1, t2))
+            return g / np.linalg.det(charts[0].a @ ratio[1])
+
+        def factor(chart: _LowRankChart, d: np.ndarray, inverse: np.ndarray) -> Any:
+            return _ratio_factor(*chart.factors(d)[:2], inverse)
+
+        return _patching_by_moves(charts, ratio, factor, formed, pts, axis)
 
     def sample(t1, t2) -> tuple:
         p_at = _family_blocks(fam, t1, t2)
@@ -1006,7 +1402,8 @@ def patching_identity_check(
     logarithmic derivative of that ratio and rhs = omega_1 - omega_2; for
     equal-length arrays t1, t2 both are complex arrays, one value per point.
     As in perturbation_patching_check, one stencil pass evaluates both
-    families once per sample for the ratio and both connection forms.
+    families once per sample for the ratio and both connection forms; on
+    the update path J is the union over both families' samples.
     """
     axis = _direction_axis(direction)
     pts = _points(t)
@@ -1017,6 +1414,24 @@ def patching_identity_check(
 
     def block(p: np.ndarray) -> np.ndarray:
         return basis.left(basis.right(p))
+
+    points = partial(_stencil_points, pts, _D1, axis)
+    charts = _low_rank_charts([fam1, fam2], [p1, p2], basis, [(0, None), (1, None)], points)
+    # the ratio's own blocks V* P_i V at t and their inverses
+    blocks = None if charts is None else np.stack([block(p1), block(p2)])
+    ratio = None if charts is None else _certified_inverse(blocks, 0.0)
+    if ratio is not None:
+        del p1, p2
+
+        def formed(t1, t2) -> complex | np.ndarray:
+            pa, pb = _family_blocks(fam1, t1, t2), _family_blocks(fam2, t1, t2)
+            g = _chart_ratio(block(pa), block(pb), (t1, t2))
+            return g / np.linalg.det(blocks[0] @ ratio[1])
+
+        def factor(chart: _LowRankChart, d: np.ndarray, inverse: np.ndarray) -> Any:
+            return _ratio_factor([chart.v_jh @ d], [chart.v_j], inverse)  # V_J* D V_J
+
+        return _patching_by_moves(charts, ratio, factor, formed, pts, axis)
 
     def sample(t1, t2) -> tuple:
         pa, pb = _family_blocks(fam1, t1, t2), _family_blocks(fam2, t1, t2)

@@ -338,6 +338,21 @@ def _samples(values: Any, n: int) -> Iterator[Any]:
     return zip(*values) if isinstance(values, tuple) else iter(values)
 
 
+def _stencil_points(at: tuple[Any, Any], st: FdStencil, axis: int) -> list[tuple[Any, Any]]:
+    """The sample points of fd_apply's stencil around ``at``, in the order the
+    field receives them; the coordinates are floats or arrays, as in ``at``."""
+    if axis not in (0, 1):
+        raise DomainError(f"axis must be 0 or 1, got {axis}")
+    x0, y0 = at
+    h = st.step
+    offsets = [k for k, _ in _WEIGHTS[st.kind]]
+    if st.kind == "first-derivative":
+        steps = [(sign * k, axis) for k in offsets for sign in (1, -1)]
+    else:
+        steps = [(0, 0)] + [(sign * k, a) for k in offsets for a in (0, 1) for sign in (1, -1)]
+    return [(x0 + k * h, y0) if along == 0 else (x0, y0 + k * h) for k, along in steps]
+
+
 def fd_apply(
     f: Callable[[np.ndarray, np.ndarray], Any],
     at: tuple[float, float],
@@ -377,16 +392,9 @@ def fd_apply(
     sample's coordinates for a lazy field and the stencil centre for an
     array field.
     """
-    if axis not in (0, 1):
-        raise DomainError(f"axis must be 0 or 1, got {axis}")
+    points = _stencil_points(at, st, axis)
     x0, y0 = at
     h = st.step
-    offsets = [k for k, _ in _WEIGHTS[st.kind]]
-    if st.kind == "first-derivative":
-        steps = [(sign * k, axis) for k in offsets for sign in (1, -1)]
-    else:
-        steps = [(0, 0)] + [(sign * k, a) for k in offsets for a in (0, 1) for sign in (1, -1)]
-    points = [(x0 + k * h, y0) if along == 0 else (x0, y0 + k * h) for k, along in steps]
     try:
         values = f(np.array([x for x, _ in points]), np.array([y for _, y in points]))
         samples = _samples(values, len(points))

@@ -4,6 +4,7 @@ Fredholm determinants, connection forms, curvature and patching."""
 import math
 import re
 import tracemalloc
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -1115,7 +1116,10 @@ def test_chart_layer_near_a_singular_identity_chart(t1, dense_tol):
     # eps / cos^2 itself (6.2e-14 and 9.4e-12 from the 30-digit value, and
     # every route of the chart layer agrees with it to that); the closed
     # form det(I + P sigma_1 P) / det(I + P sigma_2 P) is well conditioned
-    w, fam, base = conjugated_setting("n_max=25")
+    near_a_singular_identity_chart(*conjugated_setting("n_max=25"), t1, dense_tol)
+
+
+def near_a_singular_identity_chart(w, fam, base, t1, dense_tol, form_tol=1e-13):
     rng = np.random.default_rng(4)
     shape = (w.dim, w.dim)
     sigmas = [
@@ -1142,7 +1146,7 @@ def test_chart_layer_near_a_singular_identity_chart(t1, dense_tol):
         s_pinv = np.linalg.pinv(s_at(*t), rcond=gr.RANK_SVD_THRESHOLD)
         expected = np.trace(s_pinv @ p @ ds @ b)
         value = gr.connection_form(fam, base, t, axis, perturbation=charts[0])
-        assert abs(value - expected) <= 1e-13 * abs(expected)
+        assert abs(value - expected) <= form_tol * abs(expected)
 
 
 W6 = gr.ModeWindow(6)
@@ -1518,9 +1522,11 @@ def test_identity_patching_shares_samples_exactly(t, direction):
 
 
 def test_perturbation_patching_peak_memory_on_a_large_window():
-    # one check on a 201-dimensional window: the shared pass holds one sample's chart maps and the two accumulated
-    # members (3.73 MB traced when each route took its own samples; a cache
-    # of every sample reached 5.85 MB)
+    # one check on a 201-dimensional window: the shared pass holds one
+    # sample's chart maps and the two accumulated members on the dense path
+    # (3.91 MB traced; 3.73 MB when each route took its own samples, and a
+    # cache of every sample reached 5.85 MB); on the update path it holds
+    # the chart maps at t and one family sample at a time, 2.68 MB
     w = gr.ModeWindow(100)
     rng = np.random.default_rng(15)
     shape, scale = (w.dim, w.dim), 0.25 / math.sqrt(2 * w.dim)
@@ -1538,7 +1544,7 @@ def test_perturbation_patching_peak_memory_on_a_large_window():
     finally:
         tracemalloc.stop()
     assert abs(lhs - rhs) < 1e-5
-    assert peak <= 5.0e6, peak
+    assert peak <= 2.7e6, peak
 
 
 @pytest.mark.parametrize("entry", ["curvature_rkw", "connection_form"])
@@ -1547,7 +1553,9 @@ def test_chart_peak_memory_on_a_large_window(entry):
     # connection form holds only its r x d block (Y S V)^{-1} Y while its
     # stencil samples: 3.57 MB traced for either call while the chart layer
     # held V = I[:, cols] from an eigh, 3.24 MB with the selected columns
-    # alone while each form held P and S V as well, 2.27 MB without them
+    # alone while each form held P and S V as well, 2.27 MB without them;
+    # on the update path the peak is the projection check of the family
+    # value at t, 2.07 MB
     w = gr.ModeWindow(100)
     fam, base = gr.rotated_family(w, (-3, 7)), gr.spectral_projection(w, 0)
     call = {
@@ -1561,7 +1569,7 @@ def test_chart_peak_memory_on_a_large_window(entry):
     finally:
         tracemalloc.stop()
     assert np.isfinite(value)
-    assert peak <= 2.3e6, peak
+    assert peak <= 2.1e6, peak
 
 
 @pytest.mark.parametrize(
@@ -1832,3 +1840,362 @@ def test_a_nan_in_an_unselected_column_still_raises(monkeypatch, entry, at, requ
         entry(fam, CHECKED_AT)
     with pytest.raises(EvaluationError):
         through_eigh(monkeypatch, lambda: entry(fam, CHECKED_AT))
+
+
+# ---------------------------------------------------------------------------
+# a family value that is no d x d block of numbers
+
+
+def malformed(kind, p):
+    return {
+        "d x d+1": lambda: np.hstack([p, np.zeros((len(p), 1))]),
+        "row": lambda: p[0],
+        "scalar": lambda: p[0, 0],
+        "str": lambda: "p",
+    }[kind]()
+
+
+@pytest.mark.parametrize("at_t", [False, True], ids=["at-a-sample", "at-t"])
+@pytest.mark.parametrize("kind", ["d x d+1", "row", "scalar", "str"])
+@pytest.mark.parametrize("entry", FAMILY_ENTRY_POINTS)
+def test_a_family_value_that_is_no_block_of_numbers_raises(entry, kind, at_t, request):
+    # a family of the right blocks at t (or only off t) and malformed
+    # elsewhere: the refusal names the point, before any compare or product
+    # can broadcast the value or fail on it with a raw numpy error
+    def value(t1, t2):
+        p = ROTATED(t1, t2).entries
+        return malformed(kind, p) if ((t1, t2) == CHECKED_AT) == at_t else p
+
+    fam = gr.ProjectionFamily(W, value)
+    if not at_t and "transition_det" in request.node.name:  # reads the family at t alone
+        assert entry(fam, CHECKED_AT) == entry(ROTATED, CHECKED_AT)
+        return
+    point = r"\(0\.4, 0\.3\)" if at_t else r"\(0\.4\d*, 0\.3\d*\)"
+    with pytest.raises(DomainError, match=rf"^family value at {point} is no 9x9 block of numbers"):
+        entry(fam, CHECKED_AT)
+
+
+# ---------------------------------------------------------------------------
+# the update path: on a window above the crossover, stencil samples that move
+# only the rows and columns J are low-rank updates of the chart at t
+
+W40 = gr.ModeWindow(40)
+PI40 = gr.spectral_projection(W40, 0)
+ROTATED40 = gr.rotated_family(W40, (-2, 1))
+# the same modes at another rate: the identity-chart patching ratio moves
+OTHER40 = gr.ProjectionFamily(W40, lambda t1, t2: ROTATED40(0.8 * t1 + 0.1, t2).entries)
+UPDATE_AT = [
+    pytest.param((0.3, 0.45), id="one-point"),
+    pytest.param((np.array([0.2, 0.35, 0.6]), np.array([0.1, 0.45, 0.8])), id="three-points"),
+]
+
+
+def update_sigmas(w=W40, seed=40):
+    rng = np.random.default_rng(seed)
+    return [
+        gr.ModeOperator(w, 0.2 * report.random_window_unitary(rng, w.dim), gr.TAIL_ZERO)
+        for _ in range(2)
+    ]
+
+
+def dense_path(monkeypatch, call):
+    """call() with the update path switched off: every sample forms the dense chart algebra."""
+    with monkeypatch.context() as patch:
+        patch.setattr(gr, "_LOW_RANK_CROSSOVER", 10**9)
+        return call()
+
+
+def sampled_moves(monkeypatch, call):
+    """call()'s value, and what each _moves call of it returned (None where
+    the dense path ran)."""
+    held = []
+    moves = gr._moves
+
+    def spied(*args):
+        held.append(moves(*args))
+        return held[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gr, "_moves", spied)
+        return call(), held
+
+
+def on_the_update_path(monkeypatch, call):
+    """call()'s value, asserting that its samples were held as moves."""
+    value, held = sampled_moves(monkeypatch, call)
+    assert held and all(m is not None for m in held)
+    return value
+
+
+def close(a, b, rtol):
+    a, b = np.array(a), np.array(b)
+    assert np.all(np.abs(a - b) <= rtol * np.maximum(np.abs(b), 1.0)), (a, b)
+
+
+# relative agreement of two routes of one value: the patching checks' lhs
+# is a stencil of a transition ratio, whose dense route rounds by about
+# 1e-11 (the update route's ratio det(I + W A^{-1} U) is near 1 and rounds
+# less); every other value agrees to 1e-12
+def tolerance(name):
+    return 1e-9 if "patching" in name else 1e-12
+
+
+@pytest.mark.parametrize("chart", ["identity", "perturbation"])
+@pytest.mark.parametrize("t", UPDATE_AT)
+def test_the_update_path_gives_the_dense_path_values(monkeypatch, t, chart):
+    s1, s2 = update_sigmas()
+    calls = chart_calls(PI40, ROTATED40, OTHER40, s1 if chart == "perturbation" else None, s2, t)
+    for name, call in calls.items():
+        value = on_the_update_path(monkeypatch, call) if name != "transition_det" else call()
+        close(value, dense_path(monkeypatch, call), tolerance(name))
+
+
+def test_the_update_path_against_a_conjugate_of_full_support(monkeypatch):
+    # u P u* for a constant unitary u, with base and sigma conjugated by u,
+    # leaves every value of the six entry points unchanged; the conjugate
+    # moves every row, so it takes the dense path
+    u = report.random_window_unitary(np.random.default_rng(8), W40.dim)
+    s1, s2 = update_sigmas()
+    conj_fam, conj_base = conjugated(ROTATED40, PI40.entries, u)
+    conj_other, _ = conjugated(OTHER40, PI40.entries, u)
+    conj_s1, conj_s2 = (
+        gr.ModeOperator(W40, u @ s.entries @ u.conj().T, gr.TAIL_ZERO) for s in (s1, s2)
+    )
+    t = (0.3, 0.45)
+    updated = chart_calls(PI40, ROTATED40, OTHER40, s1, s2, t)
+    dense = chart_calls(conj_base, conj_fam, conj_other, conj_s1, conj_s2, t)
+    for name in updated:
+        if name == "transition_det":  # samples nothing
+            close(updated[name](), dense[name](), tolerance(name))
+            continue
+        value, held = sampled_moves(monkeypatch, dense[name])
+        assert held == [None]
+        close(on_the_update_path(monkeypatch, updated[name]), value, 20 * tolerance(name))
+
+
+def non_coordinate_base(w, seed=3):
+    # Pi_{>=0} as Q Q* for a basis Q = I[:, cols] U of its range, U a random
+    # unitary: the block rounds off the 0/1 pattern, so it takes the eigh
+    # basis, which is no selection of columns
+    cols = np.flatnonzero(np.diag(gr.spectral_projection(w, 0).entries).real == 1)
+    u = report.random_window_unitary(np.random.default_rng(seed), len(cols))
+    q = np.eye(w.dim)[:, cols] @ u
+    return gr.ModeOperator(w, q @ q.conj().T, gr.TAIL_APS)
+
+
+@pytest.mark.parametrize("chart", ["identity", "perturbation"])
+def test_the_update_path_on_an_eigh_basis(monkeypatch, chart):
+    base = non_coordinate_base(W40)
+    basis = gr._chart_base(W40, base)
+    assert basis.cols is None and np.abs(basis.v - np.round(basis.v)).max() > 0.1
+    s1, s2 = update_sigmas()
+    s = s1 if chart == "perturbation" else None
+    t = (0.3, 0.45)
+    coordinate = chart_calls(PI40, ROTATED40, OTHER40, s, s2, t)
+    eigh = chart_calls(base, ROTATED40, OTHER40, s, s2, t)
+    for name in coordinate:
+        if name == "tr_p_dp_dp":  # takes no base
+            continue
+        if name == "transition_det":  # samples nothing
+            value = eigh[name]()
+        else:
+            value = on_the_update_path(monkeypatch, eigh[name])
+        close(value, coordinate[name](), 20 * tolerance(name))
+
+
+@pytest.mark.parametrize("chart", ["identity", "perturbed"])
+def test_the_updated_curvature_matches_the_closed_form(monkeypatch, chart):
+    # against -i pi^2 sin(pi t1), as on the dense path
+    sigma = update_sigmas()[0] if chart == "perturbed" else None
+    for t1, t2 in ((0.3, 0.2), (0.62, 0.9), (0.45, 0.5), (0.15, 0.7), (0.8, 0.35)):
+        expected = -1j * np.pi**2 * np.sin(np.pi * t1)
+        curvature = partial(gr.curvature_rkw, ROTATED40, PI40, (t1, t2), sigma)
+        value = on_the_update_path(monkeypatch, curvature)
+        assert abs(value - expected) < 5e-9
+        assert abs(gr.tr_p_dp_dp(ROTATED40, (t1, t2)) - expected) < 5e-9
+
+
+@pytest.mark.parametrize(
+    "t1, dense_tol, form_tol",
+    [(0.99, 1e-13, 1e-13), (0.999, 2e-11, 2e-13)],
+    ids=["t1=0.99", "t1=0.999"],
+)
+def test_chart_layer_near_a_singular_identity_chart_on_the_update_path(
+    monkeypatch, t1, dense_tol, form_tol
+):
+    # as on the dense path: the connection forms against the dense pinv,
+    # the transition determinant against the dense definition and the closed
+    # form; at t1 = 0.99 the curvature against -i pi^2 sin(pi t1), which its
+    # stencils near the singular chart at t1 = 1 meet to 1e-10 on either
+    # path (at t1 = 0.999 its outer sample t1 + h is that chart).  On this
+    # window the reference pinv rounds by 1.65e-13 of the perturbed form at
+    # t1 = 0.999, and both paths read that gap
+    on_the_update_path(
+        monkeypatch,
+        lambda: near_a_singular_identity_chart(W40, ROTATED40, PI40, t1, dense_tol, form_tol),
+    )
+    if t1 == 0.99:
+        curvature = partial(gr.curvature_rkw, ROTATED40, PI40, (t1, 0.45))
+        value = on_the_update_path(monkeypatch, curvature)
+        assert abs(value + 1j * np.pi**2 * np.sin(np.pi * t1)) < 1e-9
+
+
+@pytest.mark.parametrize("at", [NAN_AT_STENCIL, NAN_AT_INNER], ids=["stencil", "inner"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda fam, t: gr.connection_form(fam, PI40, t),
+        lambda fam, t: gr.curvature_rkw(fam, PI40, t),
+        lambda fam, t: gr.tr_p_dp_dp(fam, t),
+        lambda fam, t: gr.perturbation_patching_check(fam, PI40, None, None, t),
+        lambda fam, t: gr.patching_identity_check(fam, ROTATED40, PI40, t),
+        lambda fam, t: gr.patching_identity_check(ROTATED40, fam, PI40, t),
+    ],
+    ids=[
+        "connection_form",
+        "curvature_rkw",
+        "tr_p_dp_dp",
+        "perturbation_patching_check",
+        "patching_identity_check-fam1",
+        "patching_identity_check-fam2",
+    ],
+)
+def test_a_nan_in_an_unselected_column_still_raises_on_the_update_path(
+    monkeypatch, entry, at, request
+):
+    # the NaN sits in the column of mode -2, outside ran(PI40), on the row of
+    # mode 1: the two rows the family moves, so J is unchanged and the
+    # update path runs; the NaN reaches fd_apply's finiteness check through
+    # the moves, as through the dense products
+    i, j = W40.index(-2), W40.index(1)
+
+    def value(t1, t2):
+        p = ROTATED40(t1, t2).entries
+        if (t1, t2) == at:
+            p = p.copy()
+            p[j, i] = math.nan
+        return p
+
+    fam = gr.ProjectionFamily(W40, value)
+    sampled = "curvature_rkw" in request.node.callspec.id if at == NAN_AT_INNER else True
+    if not sampled:
+        value = on_the_update_path(monkeypatch, lambda: entry(fam, CHECKED_AT))
+        close(value, entry(ROTATED40, CHECKED_AT), 0.0)
+        return
+    with pytest.raises(EvaluationError):
+        on_the_update_path(monkeypatch, lambda: entry(fam, CHECKED_AT))
+    with pytest.raises(EvaluationError):
+        through_eigh(monkeypatch, lambda: entry(fam, CHECKED_AT))
+
+
+def test_an_outer_sample_the_bound_leaves_open_takes_the_svd_rule(monkeypatch):
+    # near the singular chart at t1 = 1 the norm bound of an outer
+    # curvature_rkw sample can fail where the SVD rule passes: at t1 = 0.9985
+    # four of the eight outer samples form their chart maps and run the rule,
+    # and the value meets the closed form as the dense path's does; at
+    # t1 = 0.998 the sample t1 + 2h = 1 is singular, and the refusal is the
+    # rule's, with the dense path's message
+    made = []
+    pinv_at = gr._pinv_at
+
+    def counted(*args):
+        made.append(args[-1])
+        return pinv_at(*args)
+
+    monkeypatch.setattr(gr, "_pinv_at", counted)
+    t = (0.9985, 0.3)
+    value = on_the_update_path(monkeypatch, lambda: gr.curvature_rkw(ROTATED40, PI40, t))
+    assert len(made) == 4
+    expected = -1j * np.pi**2 * np.sin(np.pi * t[0])
+    assert abs(value - expected) < 1e-9
+    dense = dense_path(monkeypatch, lambda: gr.curvature_rkw(ROTATED40, PI40, t))
+    assert abs(dense - expected) < 1e-9
+    messages = []
+    for path in (on_the_update_path, dense_path):
+        singular = r"chart is singular at t = \(1\.0, 0\.3\)"
+        with pytest.raises(NotInvertible, match=singular) as raised:
+            path(monkeypatch, lambda: gr.curvature_rkw(ROTATED40, PI40, (0.998, 0.3)))
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+
+
+def test_lapack_calls_on_the_update_path_at_n_max_100(monkeypatch):
+    # on a 201-dimensional window (r = 101), with samples that move the rows
+    # J of two modes (four for two families): one r x r inverse per chart at
+    # t, which settles its guard, and none per outer curvature_rkw sample,
+    # whose Woodbury update solves against its 2|J| x 2|J| capacitance
+    # (3|J| in a perturbation chart); a patching check's ratio keeps its
+    # stacked inverse at t and takes a |J|-sized det per chart and sample,
+    # its forms their own inverses; tr_p_dp_dp makes no LAPACK call
+    calls = []
+
+    def counted(name, inner):
+        def call(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return inner(a, *args, **kwargs)
+
+        return call
+
+    for name in ("svd", "eigh", "qr", "inv", "solve", "det"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    w = gr.ModeWindow(100)
+    fam, base = gr.rotated_family(w, (-3, 7)), gr.spectral_projection(w, 0)
+    other = gr.rotated_family(w, (-1, 2))
+    s1, s2 = update_sigmas(w, 15)
+    t = (0.4, 0.3)
+
+    def counts(call):
+        calls.clear()
+        on_the_update_path(monkeypatch, call)
+        return {c: calls.count(c) for c in calls}
+
+    inverse = {("inv", (101, 101)): 1}
+    assert counts(lambda: gr.connection_form(fam, base, t)) == inverse
+    assert counts(lambda: gr.connection_form(fam, base, t, "t2", s1)) == inverse
+    assert counts(lambda: gr.curvature_rkw(fam, base, t)) == {**inverse, ("solve", (4, 4)): 8}
+    assert counts(lambda: gr.curvature_rkw(fam, base, t, s1)) == {**inverse, ("solve", (6, 6)): 8}
+    assert counts(lambda: gr.tr_p_dp_dp(fam, t)) == {}
+    forms_and_ratio = {("inv", (101, 101)): 2, ("inv", (2, 101, 101)): 1}
+    assert counts(lambda: gr.perturbation_patching_check(fam, base, s1, s2, t)) == {
+        **forms_and_ratio,
+        ("det", (6, 6)): 8,
+    }
+    assert counts(lambda: gr.patching_identity_check(fam, other, base, t)) == {
+        **forms_and_ratio,
+        ("det", (4, 4)): 8,
+    }
+
+
+@pytest.mark.parametrize("t", [(0.999, 0.45), (np.array([0.3, 0.999]), np.array([0.2, 0.45]))])
+@pytest.mark.parametrize(
+    "formed, check",
+    [
+        (
+            "_transition_det",
+            lambda t, s: gr.perturbation_patching_check(ROTATED40, PI40, None, s, t, "t2"),
+        ),
+        (
+            "_chart_ratio",
+            lambda t, s: gr.patching_identity_check(ROTATED40, OTHER40, PI40, t, "t2"),
+        ),
+    ],
+    ids=["perturbation_patching_check", "patching_identity_check"],
+)
+def test_a_patching_sample_the_bound_leaves_open_takes_the_svd_rule(monkeypatch, formed, check, t):
+    # at t1 = 0.999 the identity chart's block has s_min = cos^2(pi t1 / 2),
+    # 2.5e-6: the certificates at t pass, while no sample's ratio bound
+    # clears 2 CHART_SVD_THRESHOLD, so each of the four samples takes g(s)
+    # from its formed chart maps by the SVD rule (which passes along t2),
+    # and the check returns the dense path's values
+    s2 = update_sigmas()[1]
+    made = []
+    inner = getattr(gr, formed)
+
+    def counted(*args):
+        made.append(args[-1])
+        return inner(*args)
+
+    monkeypatch.setattr(gr, formed, counted)
+    value = on_the_update_path(monkeypatch, lambda: check(t, s2))
+    assert len(made) == 4
+    close(value, dense_path(monkeypatch, lambda: check(t, s2)), 1e-9)
