@@ -35,26 +35,29 @@ the transition determinant and the two connection forms; each route keeps
 its own inverses.
 
 Stencil samples are low-rank updates of the chart at t where that is
-cheaper.  A call first takes every stencil sample P_s of the family and
-compares it exactly with the checked value P at t, keeping only the rows
-and columns J where they differ, and the sample's entries there (NaN
-differs from every value, so a non-finite entry lands in J).  Every
-sample's Y_s, S_s V and A_s = Y_s S_s V is then an update of the chart at t
-of rank at most |J| per term, formed from V_J = V[J, :] and gathers of the
-chart at t (_LowRankChart): a connection form traces the stencil of the
-r x r members Y_s (S_q V - S V) against A^{-1}, with no r x d block; an
-outer curvature_rkw sample inverts A_s = A + U W by Woodbury from the
-certified inverse at t when the norm bound s_min(A_s) >= 1 / |A^{-1}|_F -
-sum |U_b|_F |W_b|_F clears the certificate's floor, and runs the dense form,
-with the SVD rule, on its formed chart map where it does not; a patching
-check differentiates g(s) / g(t) = det(I + W_1 A_1^{-1} U_1) /
-det(I + W_2 A_2^{-1} U_2) from its ratio's own inverses at t, with the
-same bound on each sample's chart guard; tr_p_dp_dp is Tr(P_JJ [d1 P_JJ,
-d2 P_JJ]).  A sample then costs its family call and compare and
-O(r |J| (r + |J|)).  The dense path, which forms each sample's chart
-algebra, runs when _LOW_RANK_CROSSOVER |J| > r (so on every window of
-r < 2 _LOW_RANK_CROSSOVER, before any sample is taken: see _update_limit),
-or when the certificate leaves a chart at t open.
+cheaper.  curvature_rkw, tr_p_dp_dp and the two patching checks first take
+every stencil sample P_s of the family and compare it exactly with the
+checked value P at t, keeping only the rows and columns J where they
+differ, and the sample's entries there (NaN differs from every value, so a
+non-finite entry lands in J).  Every sample's Y_s, S_s V and A_s = Y_s S_s V
+is then an update of the chart at t of rank at most |J| per term, formed
+from V_J = V[J, :] and gathers of the chart at t (_LowRankChart): an outer
+curvature_rkw sample inverts A_s = A + U W by Woodbury from the certified
+inverse at t when the norm bound s_min(A_s) >= 1 / |A^{-1}|_F -
+sum |U_b|_F |W_b|_F clears the certificate's floor, runs the dense form,
+with the SVD rule, on its formed chart map where it does not, and traces
+the stencil of the r x r members Y_s (S_q V - S V) against A_s^{-1}, with
+no r x d block; a patching check differentiates g(s) / g(t) =
+det(I + W_1 A_1^{-1} U_1) / det(I + W_2 A_2^{-1} U_2) from its ratio's own
+inverses at t, with the same bound on each sample's chart guard;
+tr_p_dp_dp is Tr(P_JJ [d1 P_JJ, d2 P_JJ]).  A sample then costs its family
+call and compare and O(r |J| (r + |J|)).  The dense path, which forms each
+sample's chart algebra, runs below the rank _LOW_RANK_CROSSOVER (on every
+window of verify all, before any sample is taken), when the samples move
+more than two rows (_update_limit), when a sample raises, so that the error
+is the dense path's, or when the certificate leaves a chart at t open.
+connection_form, whose one stencil gains nothing measurable from the
+update, always takes the dense path.
 
 Its six entry points (``connection_form``, ``tr_p_dp_dp``, ``curvature_rkw``,
 ``transition_det`` and the two patching checks) take t = (t1, t2) with
@@ -71,9 +74,7 @@ The fixed stencils around t read the family's block function directly,
 unwrapped and not checked to be projections; a value that is no d x d
 block of numbers is refused with DomainError naming its point, a
 non-finite sample enters the result ``fd_apply`` refuses, and an error of
-the block function names the one point where it was raised.  The update
-path takes every sample before it forms any stencil, so there such an
-error comes before the chart guard of an outer curvature_rkw sample.
+the block function names the one point where it was raised.
 """
 
 from __future__ import annotations
@@ -734,10 +735,10 @@ def _block(fam: ProjectionFamily, t1: float, t2: float) -> np.ndarray:
         raise
     except Exception as exc:  # name the member of a stack that failed
         raise EvaluationError(f"family evaluation failed at ({t1}, {t2}): {exc}") from exc
-    if block.ndim == 3:
-        raise DomainError(f"a family value takes one operator, got a stack of {len(block)}")
     d = fam.window.dim
     if block.shape != (d, d) or block.dtype.kind not in "biufc":
+        if block.ndim == 3:
+            raise DomainError(f"a family value takes one operator, got a stack of {len(block)}")
         raise DomainError(
             f"family value at ({t1}, {t2}) is no {d}x{d} block of numbers, "
             f"got {block.dtype} of shape {block.shape}"
@@ -808,39 +809,40 @@ def _each(field: Callable[..., Any]) -> Callable[[np.ndarray, np.ndarray], Itera
 
 
 def _chart_stencil(
-    blocks: Callable[..., np.ndarray], basis: _Basis, sig: np.ndarray | None, t: Points, axis: int
+    fam: ProjectionFamily, basis: _Basis, sig: np.ndarray | None, t: Points, axis: int
 ) -> np.ndarray:
     """d(SV) along axis at t for one chart, from its own stencil over the
-    family's blocks ``blocks(t1, t2)``."""
+    family's blocks."""
 
     def member(t1, t2) -> np.ndarray:
-        p = blocks(t1, t2)
+        p = _family_blocks(fam, t1, t2)
         return p if sig is None else _chart_maps(p, basis, sig)[0]
 
     return _chart_derivative(fd_apply(_each(member), t, _D1, axis), basis, sig)
 
 
-# The update path runs when the stencil samples of a call differ from the
-# family values at t only on rows and columns J with
-# _LOW_RANK_CROSSOVER * |J| <= r, r the rank of base (of P for tr_p_dp_dp);
-# the dense path runs otherwise.  Measured in-process on rotated_family
-# (|J| = 2) at t = (0.3, 0.2), one BLAS thread, median ms updated vs dense
-# (BENCH_23.json): curvature_rkw 6.27 vs 4.01 at n_max = 31, 7.01 vs 5.93
-# at 43 and 6.98 vs 10.31 at 50; in a perturbation chart 7.97 vs 7.63,
-# 8.73 vs 12.85 and 11.50 vs 22.08; perturbation_patching_check 4.49 vs
-# 4.69, 4.05 vs 6.03 and 6.44 vs 11.76.  The perturbation charts break
-# even near r = 32, the identity chart near r = 46; 20 |J| = 40 lies
-# between.
-_LOW_RANK_CROSSOVER = 20
+# The update path runs from this rank r of base (of P for tr_p_dp_dp) on,
+# when the stencil samples of a call differ from the family values at t only
+# on two rows and columns J; the dense path runs otherwise.  Measured
+# in-process on rotated_family (|J| = 2) at t = (0.3, 0.2), one BLAS
+# thread, median ms updated vs dense (BENCH_23.json): curvature_rkw 6.27 vs
+# 4.01 at n_max = 31, 7.01 vs 5.93 at 43 and 6.98 vs 10.31 at 50; in a
+# perturbation chart 7.97 vs 7.63, 8.73 vs 12.85 and 11.50 vs 22.08;
+# perturbation_patching_check 4.49 vs 4.69, 4.05 vs 6.03 and 6.44 vs 11.76.
+# The perturbation charts break even near r = 32, the identity chart near
+# r = 46; 40 lies between, so the identity-chart curvature_rkw is slower on
+# the update path for 40 <= r < 46 (+18% at r = 44).  No larger J was
+# measured.
+_LOW_RANK_CROSSOVER = 40
 
 
 def _update_limit(r: int) -> int:
-    """The most rows J may hold on the update path at rank r, or 0 where the
-    dense path runs before any sample is taken: a family of projections that
-    moves at all moves two rows or more (a lone diagonal entry of a
-    projection is 0 or 1), so a limit below 2 admits none."""
-    limit = r // _LOW_RANK_CROSSOVER
-    return limit if limit >= 2 else 0
+    """The most rows J may hold on the update path at rank r: 2, the rows a
+    family of projections that moves at all moves at least (a lone diagonal
+    entry of a projection is 0 or 1) and the only |J| measured, or 0 below
+    _LOW_RANK_CROSSOVER, where the dense path runs before any sample is
+    taken."""
+    return 2 if r >= _LOW_RANK_CROSSOVER else 0
 
 
 def _key(t1, t2) -> tuple[bytes, bytes]:
@@ -876,8 +878,10 @@ def _moves(
 ) -> _Moves | None:
     """The moves of each family from its checked values ps at the stencil
     points ``points()``, or None once J has more than ``limit`` rows (before
-    any sample for a limit of 0): the dense path then runs, and samples the
-    family again.  The compare is exact, and NaN differs from every value,
+    any sample for a limit of 0) or when a sample raises: the dense path
+    then runs, and samples the family again in its own order, so that an
+    error, and any chart guard the dense path settles before it, is the
+    dense path's.  The compare is exact, and NaN differs from every value,
     so a non-finite entry lands in J.  A point met twice, such as
     curvature_rkw's inner samples, is sampled once."""
     if limit < 1:
@@ -887,7 +891,10 @@ def _moves(
     for t1, t2 in points():
         key = _key(t1, t2)
         if key not in held:
-            held[key] = [_move(fam, p, t1, t2) for fam, p in zip(fams, ps)]
+            try:
+                held[key] = [_move(fam, p, t1, t2) for fam, p in zip(fams, ps)]
+            except DetlineError:
+                return None
             for rows, _ in held[key]:
                 moved[rows] = True
             if np.count_nonzero(moved) > limit:
@@ -986,8 +993,9 @@ class _LowRankChart:
 
     def member(self, d_q: np.ndarray, d_s: np.ndarray | None = None) -> np.ndarray:
         """Y_s (S_q V - S V), the r x r stencil member at the sample of move d_q
-        of a connection form at the sample of move d_s (at t for None); NaN
-        when d_q is not finite, so that fd_apply refuses the stencil."""
+        of a connection form at the sample of move d_s (at the chart's own
+        point for None); NaN when d_q is not finite, so that fd_apply
+        refuses the stencil."""
         _, _, rows, member = self._moved(d_q)
         if d_s is not None:
             member = member + self.v_jh @ (d_s @ rows)
@@ -1006,22 +1014,21 @@ class _LowRankChart:
                 sv_norm = sv_norm + self.p_sig_norm * _frobenius(z)
         return us, ws, sv_norm
 
-    def form(self, axis: int, t: Points, d_s: np.ndarray | None = None) -> Any:
-        """The connection form along axis at t, Tr(A_s^{-1} dM) over the stencil
-        of the members around t: at the chart's own point (d_s None) from the
-        inverse at t, at a sample of move d_s from the Woodbury update of it.
-        None when _bounded leaves that sample open, so that the caller runs
-        the SVD rule on its formed chart map, as _certified_inverse leaves a
-        point open: the floor 2 max(CHART_SVD_THRESHOLD, RANK_SVD_THRESHOLD
-        |S_s V|_F) is the certificate's."""
-        inverse = self.inverse
-        if d_s is not None:
-            us, ws, sv_norm = self.factors(d_s)
-            floor = 2.0 * np.maximum(CHART_SVD_THRESHOLD, RANK_SVD_THRESHOLD * sv_norm)
-            if not _bounded(us, ws, inverse, floor):
-                return None
-            u, w_inverse, k = _capacitance(us, ws, inverse)
-            inverse = inverse - (inverse @ u) @ np.linalg.solve(k, w_inverse)
+    def form(self, axis: int, t: Points, d_s: np.ndarray) -> Any:
+        """The connection form along axis at the sample t of move d_s (an outer
+        curvature_rkw sample), Tr(A_s^{-1} dM) over the stencil of the
+        members around it, with A_s^{-1} the Woodbury update of the inverse
+        at the chart's own point.  None when _bounded leaves the sample open,
+        so that the caller runs the SVD rule on its formed chart map, as
+        _certified_inverse leaves a point open: the floor
+        2 max(CHART_SVD_THRESHOLD, RANK_SVD_THRESHOLD |S_s V|_F) is the
+        certificate's."""
+        us, ws, sv_norm = self.factors(d_s)
+        floor = 2.0 * np.maximum(CHART_SVD_THRESHOLD, RANK_SVD_THRESHOLD * sv_norm)
+        if not _bounded(us, ws, self.inverse, floor):
+            return None
+        u, w_inverse, k = _capacitance(us, ws, self.inverse)
+        inverse = self.inverse - (self.inverse @ u) @ np.linalg.solve(k, w_inverse)
 
         def member(t1, t2) -> np.ndarray:
             return self.member(self.delta(t1, t2), d_s)
@@ -1046,23 +1053,20 @@ def _low_rank_charts(
     basis: _Basis,
     charts: list[tuple[int, np.ndarray | None]],
     points: Callable[[], Iterable],
-    centres: list[tuple] | None = None,
 ) -> list[_LowRankChart] | None:
     """The charts (family index, sigma) at t on the update path, sharing the
     moves of the families at the stencil points ``points()``; None when the
-    dense path runs instead: below the crossover or where _certified_inverse
-    leaves a chart at t open (before any sample is taken in either case), or
-    where the samples move more than r // _LOW_RANK_CROSSOVER rows.  The
-    charts' _chart_centre is taken here unless given as ``centres``."""
+    dense path runs instead: below the crossover (before any sample is
+    taken), where the samples move more rows than _update_limit admits or a
+    sample raises (see _moves), or where _certified_inverse leaves a chart
+    at t open.  The moves come first: a family that moves many rows leaves
+    after its first sample, before any chart at t is formed."""
     limit = _update_limit(basis.rank)
-    if not limit:
-        return None
-    if centres is None:
-        centres = [_chart_centre(ps[i], basis, sig) for i, sig in charts]
-    if any(inverse is None for _, _, inverse in centres):
-        return None
     moves = _moves(fams, ps, points, limit)
     if moves is None:
+        return None
+    centres = [_chart_centre(ps[i], basis, sig) for i, sig in charts]
+    if any(inverse is None for _, _, inverse in centres):
         return None
     return [
         _LowRankChart(moves, i, ps[i], basis, sig, *centre)
@@ -1092,57 +1096,36 @@ def connection_form(
     pts = _points(t)
     basis = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
-    p = _projections_at(fam, pts, basis)
-    centre = _chart_centre(p, basis, sig)  # both paths start from it
-    points = partial(_stencil_points, pts, _D1, axis)
-    charts = _low_rank_charts([fam], [p], basis, [(0, sig)], points, [centre])
-    if charts is not None:
-        return charts[0].form(axis, pts)
-    pinv = _pinv_at(p, basis, sig, pts, centre)
-    del p, centre  # the r x d block alone is held while the stencil samples
-    return _omega(partial(_family_blocks, fam), basis, sig, axis, pts, pinv)
-
-
-def _pinv_at(
-    p: np.ndarray, basis: _Basis, sig: np.ndarray | None, t: Points, centre: tuple | None = None
-) -> tuple[np.ndarray, bool]:
-    """The r x d block (SV)^+ P of a connection form at the points t from the
-    family values p there (see _chart_pinv), and their _chart_centre where
-    the caller took it, and whether p is finite."""
-    if centre is None:
-        (s_v,), inverse = _chart_maps(p, basis, sig), None
-    else:
-        s_v, _, inverse = centre
-    return _chart_pinv(s_v, basis.left(p), p, t, inverse), bool(np.isfinite(p).all())
+    return _omega(fam, basis, sig, axis, pts, _projections_at(fam, pts, basis))
 
 
 def _omega(
-    blocks: Callable[..., np.ndarray],
+    fam: ProjectionFamily,
     basis: _Basis,
     sig: np.ndarray | None,
     axis: int,
     t: Points,
-    pinv: tuple[np.ndarray, bool],
+    p: np.ndarray,
 ) -> complex | np.ndarray:
-    """connection_form along axis at the points t on the dense path, from the
-    block and flag ``pinv`` of _pinv_at there and the block function
-    ``blocks``: d(SV) comes from the chart's own stencil.
+    """connection_form along axis at the points t from the family values p
+    there: the chart map SV, with d(SV) from the chart's own stencil.
 
     The r x d block (SV)^+ P is the one array held while the stencil
-    samples: the caller releases P, SV and Y first.  The gathers of a
-    coordinate base drop the entries of P outside its rows and columns
-    ``cols``, so a non-finite entry anywhere in P makes the form NaN, which
-    fd_apply refuses at an outer curvature_rkw sample (P at t is checked,
-    and finite, already).
+    samples: P, SV and Y are released first, so the caller passes p without
+    keeping it.  The gathers of a coordinate base drop the entries of P
+    outside its rows and columns ``cols``, so a non-finite entry anywhere in
+    P makes the form NaN, which fd_apply refuses at an outer curvature_rkw
+    sample (P at t is checked, and finite, already).
     """
-    s_pinv_p, finite = pinv
-    omega = _connection_form(s_pinv_p, _chart_stencil(blocks, basis, sig, t, axis))
+    (s_v,) = _chart_maps(p, basis, sig)
+    s_pinv_p = _chart_pinv(s_v, basis.left(p), p, t)
+    finite = np.isfinite(p).all()
+    del p, s_v
+    omega = _connection_form(s_pinv_p, _chart_stencil(fam, basis, sig, t, axis))
     return omega if finite else omega * np.nan
 
 
-def _chart_pinv(
-    s_v: np.ndarray, y: np.ndarray, p: np.ndarray, t: Points, inverse: np.ndarray | None = None
-) -> np.ndarray:
+def _chart_pinv(s_v: np.ndarray, y: np.ndarray, p: np.ndarray, t: Points) -> np.ndarray:
     """(SV)^+ P, the r x d block a connection form traces against d(SV), from
     the chart map SV at the family values p = P(t) and Y = V* P, V a basis of
     ran(base); SV passes the chart guard.
@@ -1159,11 +1142,9 @@ def _chart_pinv(
     cut-off, so every decision and message is that rule's, and the block is
     pinv(SV) P.  The guard is settled here, before the caller samples the
     stencil of d(SV), so a chart singular at t raises NotInvertible before
-    any stencil sample is taken.  A caller that holds the certified inverse
-    of _chart_centre passes it as ``inverse``.
+    any stencil sample is taken.
     """
-    if inverse is None:
-        inverse = _certified_inverse(y @ s_v, RANK_SVD_THRESHOLD, s_v)
+    inverse = _certified_inverse(y @ s_v, RANK_SVD_THRESHOLD, s_v)
     if inverse is not None:
         return inverse @ y
     u, sv, vh = np.linalg.svd(s_v, full_matrices=False)
@@ -1242,7 +1223,6 @@ def curvature_rkw(
     p = _projections_at(fam, pts, basis)  # the stencil points around t are not checked
     charts = _low_rank_charts([fam], [p], basis, [(0, sig)], partial(_nested_points, pts))
     del p
-    blocks = partial(_family_blocks, fam)
 
     def omega(axis: int) -> Callable[..., Iterator[complex | np.ndarray]]:
         def at(t1, t2) -> complex | np.ndarray:
@@ -1250,8 +1230,7 @@ def curvature_rkw(
                 value = charts[0].form(axis, (t1, t2), charts[0].delta(t1, t2))
                 if value is not None:
                     return value
-            pinv = _pinv_at(blocks(t1, t2), basis, sig, (t1, t2))
-            return _omega(blocks, basis, sig, axis, (t1, t2), pinv)
+            return _omega(fam, basis, sig, axis, (t1, t2), _family_blocks(fam, t1, t2))
 
         return _each(at)
 
