@@ -88,12 +88,8 @@ def _cmd_grid(args) -> int:
         im_min=args.im[0], im_max=args.im[1],
         n=args.n,
     )
-    if args.csv_path:
-        summary = report.curvature_grid(spec, "csv", args.csv_path)
-    elif args.json_path:
-        summary = report.curvature_grid(spec, "json", args.json_path)
-    else:
-        summary = report.curvature_grid(spec, "csv", None)
+    out_format = "json" if args.json_path else "csv"
+    summary = report.curvature_grid(spec, out_format, args.json_path or args.csv_path)
     print(json.dumps({"summary": summary}))
     return 0
 

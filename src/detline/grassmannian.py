@@ -35,29 +35,34 @@ the transition determinant and the two connection forms; each route keeps
 its own inverses.
 
 Stencil samples are low-rank updates of the chart at t where that is
-cheaper.  curvature_rkw, tr_p_dp_dp and the two patching checks first take
-every stencil sample P_s of the family and compare it exactly with the
+cheaper.  curvature_rkw, tr_p_dp_dp and perturbation_patching_check first
+take every stencil sample P_s of the family and compare it exactly with the
 checked value P at t, keeping only the rows and columns J where they
 differ, and the sample's entries there (NaN differs from every value, so a
 non-finite entry lands in J).  Every sample's Y_s, S_s V and A_s = Y_s S_s V
 is then an update of the chart at t of rank at most |J| per term, formed
 from V_J = V[J, :] and gathers of the chart at t (_LowRankChart): an outer
 curvature_rkw sample inverts A_s = A + U W by Woodbury from the certified
-inverse at t when the norm bound s_min(A_s) >= 1 / |A^{-1}|_F -
-sum |U_b|_F |W_b|_F clears the certificate's floor, runs the dense form,
-with the SVD rule, on its formed chart map where it does not, and traces
-the stencil of the r x r members Y_s (S_q V - S V) against A_s^{-1}, with
-no r x d block; a patching check differentiates g(s) / g(t) =
+inverse at t, once the norm bound s_min(A_s) >= 1 / |A^{-1}|_F -
+sum |U_b|_F |W_b|_F clears the certificate's floor, and traces the stencil
+of the r x r members Y_s (S_q V - S V) against A_s^{-1}, with no r x d
+block; perturbation_patching_check takes one move D per sample for both of
+its charts and differentiates g(s) / g(t) =
 det(I + W_1 A_1^{-1} U_1) / det(I + W_2 A_2^{-1} U_2) from its ratio's own
 inverses at t, with the same bound on each sample's chart guard;
 tr_p_dp_dp is Tr(P_JJ [d1 P_JJ, d2 P_JJ]).  A sample then costs its family
-call and compare and O(r |J| (r + |J|)).  The dense path, which forms each
-sample's chart algebra, runs below the rank _LOW_RANK_CROSSOVER (on every
-window of verify all, before any sample is taken), when the samples move
-more than two rows (_update_limit), when a sample raises, so that the error
-is the dense path's, or when the certificate leaves a chart at t open.
-connection_form, whose one stencil gains nothing measurable from the
-update, always takes the dense path.
+call and compare and O(r |J| (r + |J|)).
+
+Each call takes one path for all of its values.  The update path runs from
+the rank _LOW_RANK_CROSSOVER on, when the samples move at most two rows
+(_update_limit), and only to its end: where a norm bound leaves a chart at
+t or a sample open, a sample raises or a stencil is not finite, it raises
+a DetlineError and the whole call runs the dense path, which forms every
+sample's chart algebra and decides every value, chart guard and message.
+Below the crossover, on every window of verify all, the dense path runs
+before any sample is taken.  connection_form, whose one stencil gains
+nothing measurable from the update, and patching_identity_check, which no
+workload runs above the crossover, always take the dense path.
 
 Its six entry points (``connection_form``, ``tr_p_dp_dp``, ``curvature_rkw``,
 ``transition_det`` and the two patching checks) take t = (t1, t2) with
@@ -564,9 +569,10 @@ def _certified_inverse(
     M is a d x r chart map and Y an r x d block with |Y|_2 <= 1, such as
     V* P; by default M = A and Y = I.  The singular values satisfy
     s_min(M) >= s_min(A) >= 1 / |A^{-1}|_F and s_max(M) <= |M|_F, so
-    1 / |A^{-1}|_F >= 2 max(CHART_SVD_THRESHOLD, cut |M|_F) proves that M
-    passes _require_chart and that every singular value of M lies above
-    cut s_max(M); the factor 2 absorbs the rounding of A and its inverse.
+    1 / |A^{-1}|_F >= 2 max(CHART_SVD_THRESHOLD, cut |M|_F), which _bounded
+    tests with no update terms, proves that M passes _require_chart and
+    that every singular value of M lies above cut s_max(M); the factor 2
+    absorbs the rounding of A and its inverse.
     An inverse that raises LinAlgError, a non-finite norm or an empty block
     certifies nothing, and the caller then runs the SVD rule itself.
     """
@@ -577,9 +583,18 @@ def _certified_inverse(
     except np.linalg.LinAlgError:
         return None
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN norm fails the test
-        norm, norm_inv = _frobenius(a if m is None else m), _frobenius(inverse)
-        certified = 2.0 * np.maximum(CHART_SVD_THRESHOLD, cut * norm) * norm_inv <= 1.0
-    return inverse if certified.all() else None
+        floor = 2.0 * np.maximum(CHART_SVD_THRESHOLD, cut * _frobenius(a if m is None else m))
+        return inverse if _bounded(inverse, floor) else None
+
+
+def _bounded(inverse: np.ndarray, floor: Any, spread: Any = 0) -> bool:
+    """Whether s_min(A + E) >= floor follows, at every member, from the
+    inverse of A and a bound ``spread`` on |E|_2: s_min(A + E) >= s_min(A) -
+    |E|_2 and s_min(A) >= 1 / |A^{-1}|_F.  With no E it is the certificate
+    of A itself (floor + 0 is exactly floor).  A NaN or infinite norm
+    settles nothing; every caller holds np.errstate(over="ignore",
+    invalid="ignore"), so that such a norm raises no warning."""
+    return bool(((floor + spread) * _frobenius(inverse) <= 1.0).all())
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:
@@ -822,7 +837,7 @@ def _chart_stencil(
 
 
 # The update path runs from this rank r of base (of P for tr_p_dp_dp) on,
-# when the stencil samples of a call differ from the family values at t only
+# when the stencil samples of a call differ from the family value at t only
 # on two rows and columns J; the dense path runs otherwise.  Measured
 # in-process on rotated_family (|J| = 2) at t = (0.3, 0.2), one BLAS
 # thread, median ms updated vs dense (BENCH_23.json): curvature_rkw 6.27 vs
@@ -845,6 +860,15 @@ def _update_limit(r: int) -> int:
     return 2 if r >= _LOW_RANK_CROSSOVER else 0
 
 
+class _Open(DetlineError):
+    """The update path cannot settle a call: r is below the crossover, the
+    samples move more rows than _update_limit admits, or a norm bound leaves
+    a chart at t or a sample open.  Like every DetlineError on the update
+    path, a sample's own error included, it hands the whole call to the
+    dense path; fd_apply passes it through unchanged, and no entry point
+    lets it out."""
+
+
 def _key(t1, t2) -> tuple[bytes, bytes]:
     """A stencil point as a dict key: the bytes of its coordinates, floats or arrays."""
     return np.asarray(t1, dtype=float).tobytes(), np.asarray(t2, dtype=float).tobytes()
@@ -854,53 +878,48 @@ class _Moves:
     """Family samples at stencil points, each held as its move from the
     family's checked value P at t: the rows and columns where the sample
     differs from P and the sample's entries on them.  J, sorted, is the union
-    of those rows over every sample, family and member of a stack."""
+    of those rows over every sample and member of a stack, and p_jj is
+    P[J, J]."""
 
-    def __init__(self, j: np.ndarray, p_jj: list[np.ndarray], held: dict):
-        self.j, self._p_jj, self._held = j, p_jj, held
+    def __init__(self, j: np.ndarray, p_jj: np.ndarray, held: dict):
+        self.j, self.p_jj, self._held = j, p_jj, held
 
-    def delta(self, t1, t2, i: int = 0) -> np.ndarray:
-        """D = P_s[J, J] - P[J, J] of family i at the sample (t1, t2), so that
+    def delta(self, t1, t2) -> np.ndarray:
+        """D = P_s[J, J] - P[J, J] at the sample (t1, t2), so that
         P_s = P + I_J D I_J*."""
-        return self.restricted(t1, t2, i) - self._p_jj[i]
+        return self.restricted(t1, t2) - self.p_jj
 
-    def restricted(self, t1, t2, i: int = 0) -> np.ndarray:
-        """P_s[J, J] of family i at the sample (t1, t2)."""
-        rows, entries = self._held[_key(t1, t2)][i]
-        block = self._p_jj[i].copy()
+    def restricted(self, t1, t2) -> np.ndarray:
+        """P_s[J, J] at the sample (t1, t2)."""
+        rows, entries = self._held[_key(t1, t2)]
+        block = self.p_jj.copy()
         at = np.searchsorted(self.j, rows)
         block[..., at[:, None], at] = entries
         return block
 
 
 def _moves(
-    fams: list[ProjectionFamily], ps: list[np.ndarray], points: Callable[[], Iterable], limit: int
-) -> _Moves | None:
-    """The moves of each family from its checked values ps at the stencil
-    points ``points()``, or None once J has more than ``limit`` rows (before
-    any sample for a limit of 0) or when a sample raises: the dense path
-    then runs, and samples the family again in its own order, so that an
-    error, and any chart guard the dense path settles before it, is the
-    dense path's.  The compare is exact, and NaN differs from every value,
-    so a non-finite entry lands in J.  A point met twice, such as
-    curvature_rkw's inner samples, is sampled once."""
+    fam: ProjectionFamily, p: np.ndarray, points: Callable[[], Iterable], limit: int
+) -> _Moves:
+    """The moves of the family from its checked values p at the stencil
+    points ``points()``.  Raises _Open once J has more than ``limit`` rows
+    (before any sample for a limit of 0), and a sample's error propagates.
+    The compare is exact, and NaN differs from every value, so a non-finite
+    entry lands in J.  A point met twice, such as curvature_rkw's inner
+    samples, is sampled once."""
     if limit < 1:
-        return None
-    moved = np.zeros(ps[0].shape[-1], dtype=bool)
+        raise _Open
+    moved = np.zeros(p.shape[-1], dtype=bool)
     held: dict = {}
     for t1, t2 in points():
         key = _key(t1, t2)
         if key not in held:
-            try:
-                held[key] = [_move(fam, p, t1, t2) for fam, p in zip(fams, ps)]
-            except DetlineError:
-                return None
-            for rows, _ in held[key]:
-                moved[rows] = True
+            held[key] = _move(fam, p, t1, t2)
+            moved[held[key][0]] = True
             if np.count_nonzero(moved) > limit:
-                return None
+                raise _Open
     j = np.flatnonzero(moved)
-    return _Moves(j, [p[..., j[:, None], j] for p in ps], held)
+    return _Moves(j, p[..., j[:, None], j], held)
 
 
 def _move(fam: ProjectionFamily, p: np.ndarray, t1, t2) -> tuple[np.ndarray, np.ndarray]:
@@ -914,16 +933,6 @@ def _move(fam: ProjectionFamily, p: np.ndarray, t1, t2) -> tuple[np.ndarray, np.
     return rows, block[..., rows[:, None], rows]
 
 
-def _bounded(us: list[np.ndarray], ws: list[np.ndarray], inverse: np.ndarray, floor: Any) -> bool:
-    """Whether s_min(A + sum_b U_b W_b) >= floor follows, at every member, from
-    the inverse of A: s_min(A) >= 1 / |A^{-1}|_F and |U_b W_b|_2 <= |U_b|_F
-    |W_b|_F, whose sum is at most |U|_F |W|_F.  A NaN or infinite norm
-    settles nothing."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        spread = sum(_frobenius(u) * _frobenius(w) for u, w in zip(us, ws))
-        return bool(np.all((floor + spread) * _frobenius(inverse) <= 1.0))
-
-
 def _capacitance(
     us: list[np.ndarray], ws: list[np.ndarray], inverse: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -935,20 +944,11 @@ def _capacitance(
     return u, w_inverse, np.eye(u.shape[-1]) + w_inverse @ u
 
 
-def _ratio_factor(
-    us: list[np.ndarray], ws: list[np.ndarray], inverse: np.ndarray
-) -> np.ndarray | None:
-    """det(A + sum U_b W_b) / det(A) from a transition ratio's inverse of A,
-    when _bounded settles its chart guard (the certificate of _chart_ratio,
-    cut 0); else None."""
-    if not _bounded(us, ws, inverse, 2.0 * CHART_SVD_THRESHOLD):
-        return None
-    return np.linalg.det(_capacitance(us, ws, inverse)[2])
-
-
 class _LowRankChart:
-    """One chart at t on the update path: A = Y SV with its certified inverse,
-    and the pieces on J that give every sample's Y, SV and A as updates.
+    """One chart at t on the update path: its chart map SV, A = Y SV and the
+    certified inverse of A (_Open where _certified_inverse leaves a point
+    open), and the pieces on J that give every sample's Y, SV and A as
+    updates.
 
     A sample P_s = P + I_J D I_J* moves them by terms of rank at most |J|.
     With V_J = V[J, :], Z = D V_J and X = Z + D ((sigma P V)[J, :] +
@@ -963,9 +963,13 @@ class _LowRankChart:
     sample costs O(r |J| (r + |J|)) after its family call and compare.
     """
 
-    def __init__(self, moves, i, p, basis, sig, s_v, a, inverse):
-        self.moves, self.family, self.sig = moves, i, sig
-        self.a, self.inverse = a, inverse
+    def __init__(self, moves: _Moves, p: np.ndarray, basis: _Basis, sig: np.ndarray | None):
+        (s_v,) = _chart_maps(p, basis, sig)
+        self.a = basis.left(p) @ s_v
+        self.inverse = _certified_inverse(self.a, RANK_SVD_THRESHOLD, s_v)
+        if self.inverse is None:
+            raise _Open
+        self.moves, self.sig = moves, sig
         j = moves.j
         self.v_j = basis.rows(j)
         self.v_jh = self.v_j.conj().T
@@ -979,9 +983,6 @@ class _LowRankChart:
             self.p_sig_norm = _frobenius(p_sig_j)
             self.sig_p_v_j = np.take(sig, j, axis=-2) @ basis.right(p)
             self.sig_jj = sig[np.ix_(j, j)]
-
-    def delta(self, t1, t2) -> np.ndarray:
-        return self.moves.delta(t1, t2, self.family)
 
     def _moved(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """X, Z, (S_s V - S V)[J, :] and Y (S_s V - S V) of the move D."""
@@ -1001,77 +1002,67 @@ class _LowRankChart:
             member = member + self.v_jh @ (d_s @ rows)
         return member if np.isfinite(d_q).all() else member * np.nan
 
-    def factors(self, d: np.ndarray) -> tuple[list, list, np.ndarray]:
-        """The blocks U_b, W_b of A_s - A = sum U_b W_b, and |SV|_F + |X|_F +
-        |(P sigma)[:, J]|_F |Z|_F, at least |S_s V|_F."""
+    def factors(self, d: np.ndarray) -> tuple[list, list, Any, Any]:
+        """The blocks U_b, W_b of A_s - A = sum U_b W_b; sum |U_b|_F |W_b|_F, at
+        least |A_s - A|_2; and |SV|_F + |X|_F + |(P sigma)[:, J]|_F |Z|_F, at
+        least |S_s V|_F.  The callers take them under _bounded's np.errstate."""
         x, z, rows, _ = self._moved(d)
         us, ws = [self.y_j, self.v_jh @ d], [x, self.sv_j + rows]
-        with np.errstate(over="ignore", invalid="ignore"):
-            sv_norm = self.sv_norm + _frobenius(x)
-            if self.sig is not None:
-                us.append(self.g)
-                ws.append(z)
-                sv_norm = sv_norm + self.p_sig_norm * _frobenius(z)
-        return us, ws, sv_norm
+        sv_norm = self.sv_norm + _frobenius(x)
+        if self.sig is not None:
+            us.append(self.g)
+            ws.append(z)
+            sv_norm = sv_norm + self.p_sig_norm * _frobenius(z)
+        spread = sum(_frobenius(u) * _frobenius(w) for u, w in zip(us, ws))
+        return us, ws, spread, sv_norm
 
-    def form(self, axis: int, t: Points, d_s: np.ndarray) -> Any:
-        """The connection form along axis at the sample t of move d_s (an outer
-        curvature_rkw sample), Tr(A_s^{-1} dM) over the stencil of the
-        members around it, with A_s^{-1} the Woodbury update of the inverse
-        at the chart's own point.  None when _bounded leaves the sample open,
-        so that the caller runs the SVD rule on its formed chart map, as
-        _certified_inverse leaves a point open: the floor
-        2 max(CHART_SVD_THRESHOLD, RANK_SVD_THRESHOLD |S_s V|_F) is the
-        certificate's."""
-        us, ws, sv_norm = self.factors(d_s)
-        floor = 2.0 * np.maximum(CHART_SVD_THRESHOLD, RANK_SVD_THRESHOLD * sv_norm)
-        if not _bounded(us, ws, self.inverse, floor):
-            return None
+    def form(self, axis: int, t1, t2) -> Any:
+        """The connection form along axis at the sample (t1, t2), an outer
+        curvature_rkw sample: Tr(A_s^{-1} dM) over the stencil of the members
+        around it, with A_s^{-1} the Woodbury update of the inverse at the
+        chart's own point.  Raises _Open where _bounded leaves the sample
+        open, whose floor 2 max(CHART_SVD_THRESHOLD, RANK_SVD_THRESHOLD
+        |S_s V|_F) is _certified_inverse's."""
+        d_s = self.moves.delta(t1, t2)
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN norm settles nothing
+            us, ws, spread, sv_norm = self.factors(d_s)
+            floor = 2.0 * np.maximum(CHART_SVD_THRESHOLD, RANK_SVD_THRESHOLD * sv_norm)
+            if not _bounded(self.inverse, floor, spread):
+                raise _Open
         u, w_inverse, k = _capacitance(us, ws, self.inverse)
         inverse = self.inverse - (self.inverse @ u) @ np.linalg.solve(k, w_inverse)
 
-        def member(t1, t2) -> np.ndarray:
-            return self.member(self.delta(t1, t2), d_s)
+        def member(q1, q2) -> np.ndarray:
+            return self.member(self.moves.delta(q1, q2), d_s)
 
-        return _connection_form(inverse, fd_apply(_each(member), t, _D1, axis))
+        return _connection_form(inverse, fd_apply(_each(member), (t1, t2), _D1, axis))
 
-
-def _chart_centre(
-    p: np.ndarray, basis: _Basis, sig: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The chart map SV at the family values p, its block A = Y SV with
-    Y = V* P, and the inverse of A where _certified_inverse settles the chart
-    guard and pinv's cut-off on SV at every point (else None)."""
-    (s_v,) = _chart_maps(p, basis, sig)
-    a = basis.left(p) @ s_v
-    return s_v, a, _certified_inverse(a, RANK_SVD_THRESHOLD, s_v)
+    def ratio_factor(self, d: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+        """det(A_s) / det(A) at the sample of move d, from a transition ratio's
+        own inverse of A; raises _Open where _bounded leaves the sample's
+        chart guard open (the certificate of _chart_ratio, cut 0)."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN norm settles nothing
+            us, ws, spread, _ = self.factors(d)
+            if not _bounded(inverse, 2.0 * CHART_SVD_THRESHOLD, spread):
+                raise _Open
+        return np.linalg.det(_capacitance(us, ws, inverse)[2])
 
 
 def _low_rank_charts(
-    fams: list[ProjectionFamily],
-    ps: list[np.ndarray],
+    fam: ProjectionFamily,
+    p: np.ndarray,
     basis: _Basis,
-    charts: list[tuple[int, np.ndarray | None]],
+    sigs: Iterable[np.ndarray | None],
     points: Callable[[], Iterable],
-) -> list[_LowRankChart] | None:
-    """The charts (family index, sigma) at t on the update path, sharing the
-    moves of the families at the stencil points ``points()``; None when the
-    dense path runs instead: below the crossover (before any sample is
-    taken), where the samples move more rows than _update_limit admits or a
-    sample raises (see _moves), or where _certified_inverse leaves a chart
-    at t open.  The moves come first: a family that moves many rows leaves
-    after its first sample, before any chart at t is formed."""
-    limit = _update_limit(basis.rank)
-    moves = _moves(fams, ps, points, limit)
-    if moves is None:
-        return None
-    centres = [_chart_centre(ps[i], basis, sig) for i, sig in charts]
-    if any(inverse is None for _, _, inverse in centres):
-        return None
-    return [
-        _LowRankChart(moves, i, ps[i], basis, sig, *centre)
-        for (i, sig), centre in zip(charts, centres)
-    ]
+) -> list[_LowRankChart]:
+    """The charts sigma at t on the update path, sharing the family's moves
+    from its checked values p at the stencil points ``points()``; raises
+    _Open, or a sample's error, where the dense path runs instead (see
+    _moves and _LowRankChart).  The moves come first: a family that moves
+    many rows leaves after its first samples, before any chart at t is
+    formed."""
+    moves = _moves(fam, p, points, _update_limit(basis.rank))
+    return [_LowRankChart(moves, p, basis, sig) for sig in sigs]
 
 
 def connection_form(
@@ -1174,21 +1165,22 @@ def tr_p_dp_dp(fam: ProjectionFamily, t: Points) -> complex | np.ndarray:
     Tr(P_JJ [d1 P_JJ, d2 P_JJ])."""
     pts = _points(t)
     p = _projections_at(fam, pts)
-    moves = None
-    if _update_limit(p.shape[-1]):  # else r <= d is below the crossover
-        rank = int(np.min(np.rint(np.trace(p, axis1=-2, axis2=-1).real)))
+    rank = int(np.min(np.rint(np.trace(p, axis1=-2, axis2=-1).real)))
 
-        def points() -> Iterator:
-            yield from _stencil_points(pts, _D1, 0)
-            yield from _stencil_points(pts, _D1, 1)
+    def points() -> Iterator:
+        yield from _stencil_points(pts, _D1, 0)
+        yield from _stencil_points(pts, _D1, 1)
 
-        moves = _moves([fam], [p], points, _update_limit(rank))
-    if moves is None:
-        blocks = _each(partial(_family_blocks, fam))
-    else:
-        blocks, p = _each(moves.restricted), p[..., moves.j[:, None], moves.j]
-    d1, d2 = fd_apply(blocks, pts, _D1, 0), fd_apply(blocks, pts, _D1, 1)
-    return _result(np.trace(p @ (d1 @ d2 - d2 @ d1), axis1=-2, axis2=-1))
+    def density(blocks: Callable[..., Iterator], p: np.ndarray) -> complex | np.ndarray:
+        d1, d2 = fd_apply(blocks, pts, _D1, 0), fd_apply(blocks, pts, _D1, 1)
+        return _result(np.trace(p @ (d1 @ d2 - d2 @ d1), axis1=-2, axis2=-1))
+
+    try:
+        moves = _moves(fam, p, points, _update_limit(rank))
+        return density(_each(moves.restricted), moves.p_jj)
+    except DetlineError:  # the dense path decides every value and message
+        pass
+    return density(_each(partial(_family_blocks, fam)), p)
 
 
 def _nested_points(t: Points) -> Iterator:
@@ -1198,6 +1190,16 @@ def _nested_points(t: Points) -> Iterator:
         for s in _stencil_points(t, _D1, outer):
             yield s
             yield from _stencil_points(s, _D1, inner)
+
+
+def _curl(form: Callable[[int, Any, Any], Any], t: Points) -> complex | np.ndarray:
+    """d1 omega_2 - d2 omega_1 at t, omega_axis at each outer sample s being
+    form(axis, *s)."""
+
+    def omega(axis: int) -> Callable[..., Iterator]:
+        return _each(partial(form, axis))
+
+    return _result(fd_apply(omega(1), t, _D1, 0) - fd_apply(omega(0), t, _D1, 1))
 
 
 def curvature_rkw(
@@ -1214,27 +1216,24 @@ def curvature_rkw(
     DEFAULT_FD_STEP.  The outer stencil divides the rounding of the inner
     one, eps / h, by h once more, so a finer inner step would lose digits.
     On the update path each outer sample's form inverts its block by
-    Woodbury from the inverse at t, and a sample whose bound is left open
-    takes the dense form, whose SVD rule decides.
+    Woodbury from the inverse at t; a call with any outer sample whose bound
+    is left open runs on the dense path, whose SVD rule decides.
     """
     pts = _points(t)
     basis = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
     p = _projections_at(fam, pts, basis)  # the stencil points around t are not checked
-    charts = _low_rank_charts([fam], [p], basis, [(0, sig)], partial(_nested_points, pts))
-    del p
+    try:
+        (chart,) = _low_rank_charts(fam, p, basis, [sig], partial(_nested_points, pts))
+        p = None  # not held through the stencils
+        return _curl(chart.form, pts)
+    except DetlineError:  # the dense path decides every value, chart guard and message
+        p = None  # its forms read the family at their own samples
 
-    def omega(axis: int) -> Callable[..., Iterator[complex | np.ndarray]]:
-        def at(t1, t2) -> complex | np.ndarray:
-            if charts is not None:
-                value = charts[0].form(axis, (t1, t2), charts[0].delta(t1, t2))
-                if value is not None:
-                    return value
-            return _omega(fam, basis, sig, axis, (t1, t2), _family_blocks(fam, t1, t2))
+    def form(axis: int, t1, t2) -> complex | np.ndarray:
+        return _omega(fam, basis, sig, axis, (t1, t2), _family_blocks(fam, t1, t2))
 
-        return _each(at)
-
-    return _result(fd_apply(omega(1), pts, _D1, 0) - fd_apply(omega(0), pts, _D1, 1))
+    return _curl(form, pts)
 
 
 def transition_det(
@@ -1272,35 +1271,6 @@ def _transition_det(
     return _chart_ratio(a1, a2, t, (s1_v, s2_v))
 
 
-def _patching_by_moves(
-    charts: list[_LowRankChart],
-    ratio: np.ndarray,
-    factor: Callable[..., Any],
-    formed: Callable[..., Any],
-    t: Points,
-    axis: int,
-) -> tuple[complex, complex] | tuple[np.ndarray, np.ndarray]:
-    """(lhs, rhs) of a patching check on the update path, from one stencil pass.
-
-    The lhs is the stencil of g(s) / g(t), the quotient of the two charts'
-    ``factor(chart, d, inverse)``, det(A_i(s)) / det(A_i) from the ratio's
-    own inverses ``ratio`` at t; where a factor's bound leaves a sample open,
-    ``formed(t1, t2)`` takes g(s) / g(t) from the formed sample by the SVD
-    rule.  The rhs is omega_1 - omega_2, each form the trace of its
-    inverse at t against the stencil of its r x r members.
-    """
-
-    def sample(t1, t2) -> tuple:
-        ds = [chart.delta(t1, t2) for chart in charts]
-        factors = [factor(c, d, inverse) for c, d, inverse in zip(charts, ds, ratio)]
-        g = formed(t1, t2) if any(f is None for f in factors) else factors[0] / factors[1]
-        return (g, *(c.member(d) for c, d in zip(charts, ds)))
-
-    lhs, *d_members = fd_apply(_each(sample), t, _D1, axis)
-    omega1, omega2 = (_connection_form(c.inverse, dm) for c, dm in zip(charts, d_members))
-    return _result(lhs), _result(omega1 - omega2)
-
-
 def perturbation_patching_check(
     fam: ProjectionFamily,
     base: ModeOperator,
@@ -1321,9 +1291,9 @@ def perturbation_patching_check(
     members from them; the lhs is the stencil of g over g(t), and each
     connection form takes its d(SV) from that pass.  Each route keeps its
     own inverses: the connection forms one each, g its stacked inverse and
-    det.  On the update path (see the module docstring) the pass takes
-    g(s) / g(t) as the quotient of the two charts' capacitance dets, and the
-    members are r x r blocks.
+    det.  On the update path (see the module docstring) both charts take
+    one move D per sample, the pass takes g(s) / g(t) as the quotient of
+    the two charts' capacitance dets, and the members are r x r blocks.
     """
     axis = _direction_axis(direction)
     pts = _points(t)
@@ -1331,22 +1301,26 @@ def perturbation_patching_check(
     basis = _chart_base(w, base)
     sigs = (_chart_sigma(w, sigma1), _chart_sigma(w, sigma2))
     p = _projections_at(fam, pts, basis)
-    points = partial(_stencil_points, pts, _D1, axis)
-    charts = _low_rank_charts([fam], [p], basis, [(0, sig) for sig in sigs], points)
-    # the ratio's own inverses of the two blocks at t, as _chart_ratio takes them
-    ratio = None if charts is None else _certified_inverse(np.stack([c.a for c in charts]), 0.0)
-    if ratio is not None:
-        del p
+    try:
+        points = partial(_stencil_points, pts, _D1, axis)
+        chart1, chart2 = _low_rank_charts(fam, p, basis, sigs, points)
+        # the ratio's own inverses of the two blocks at t, as _chart_ratio takes them
+        ratio = _certified_inverse(np.stack([chart1.a, chart2.a]), 0.0)
+        if ratio is None:
+            raise _Open
+        p = None  # not held through the stencils
 
-        def formed(t1, t2) -> complex | np.ndarray:
-            p_at = _family_blocks(fam, t1, t2)
-            g = _transition_det(*_chart_maps(p_at, basis, *sigs), basis.left(p_at), (t1, t2))
-            return g / np.linalg.det(charts[0].a @ ratio[1])
+        def updated(t1, t2) -> tuple:
+            d = chart1.moves.delta(t1, t2)
+            g = chart1.ratio_factor(d, ratio[0]) / chart2.ratio_factor(d, ratio[1])
+            return g, chart1.member(d), chart2.member(d)
 
-        def factor(chart: _LowRankChart, d: np.ndarray, inverse: np.ndarray) -> Any:
-            return _ratio_factor(*chart.factors(d)[:2], inverse)
-
-        return _patching_by_moves(charts, ratio, factor, formed, pts, axis)
+        lhs, dm1, dm2 = fd_apply(_each(updated), pts, _D1, axis)
+        rhs = _connection_form(chart1.inverse, dm1) - _connection_form(chart2.inverse, dm2)
+        return _result(lhs), _result(rhs)
+    except DetlineError:  # the dense path decides every value, chart guard and message
+        if p is None:  # released for the update stencils: read the checked value at t again
+            p = np.asarray(_family_blocks(fam, *pts), dtype=complex)
 
     def sample(t1, t2) -> tuple:
         p_at = _family_blocks(fam, t1, t2)
@@ -1381,8 +1355,7 @@ def patching_identity_check(
     logarithmic derivative of that ratio and rhs = omega_1 - omega_2; for
     equal-length arrays t1, t2 both are complex arrays, one value per point.
     As in perturbation_patching_check, one stencil pass evaluates both
-    families once per sample for the ratio and both connection forms; on
-    the update path J is the union over both families' samples.
+    families once per sample for the ratio and both connection forms.
     """
     axis = _direction_axis(direction)
     pts = _points(t)
@@ -1393,24 +1366,6 @@ def patching_identity_check(
 
     def block(p: np.ndarray) -> np.ndarray:
         return basis.left(basis.right(p))
-
-    points = partial(_stencil_points, pts, _D1, axis)
-    charts = _low_rank_charts([fam1, fam2], [p1, p2], basis, [(0, None), (1, None)], points)
-    # the ratio's own blocks V* P_i V at t and their inverses
-    blocks = None if charts is None else np.stack([block(p1), block(p2)])
-    ratio = None if charts is None else _certified_inverse(blocks, 0.0)
-    if ratio is not None:
-        del p1, p2
-
-        def formed(t1, t2) -> complex | np.ndarray:
-            pa, pb = _family_blocks(fam1, t1, t2), _family_blocks(fam2, t1, t2)
-            g = _chart_ratio(block(pa), block(pb), (t1, t2))
-            return g / np.linalg.det(blocks[0] @ ratio[1])
-
-        def factor(chart: _LowRankChart, d: np.ndarray, inverse: np.ndarray) -> Any:
-            return _ratio_factor([chart.v_jh @ d], [chart.v_j], inverse)  # V_J* D V_J
-
-        return _patching_by_moves(charts, ratio, factor, formed, pts, axis)
 
     def sample(t1, t2) -> tuple:
         pa, pb = _family_blocks(fam1, t1, t2), _family_blocks(fam2, t1, t2)

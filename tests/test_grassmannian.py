@@ -4,7 +4,9 @@ Fredholm determinants, connection forms, curvature and patching."""
 import math
 import re
 import tracemalloc
+from contextlib import contextmanager
 from functools import partial
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -1906,25 +1908,51 @@ def dense_path(monkeypatch, call):
         return call()
 
 
-def sampled_moves(monkeypatch, call):
-    """call()'s value, and what each _moves call of it returned (None where
-    the dense path ran)."""
-    held = []
-    moves = gr._moves
+@contextmanager
+def path_spy(monkeypatch):
+    """The path a call inside the block takes: ``held``, what each _moves call
+    returned (None where it raised, which hands the call to the dense path),
+    and ``reads``, the family reads that were no sample held as a move: the
+    read at t alone when the update path finishes the call, more when the
+    dense path takes its own samples."""
+    taken = SimpleNamespace(held=[], reads=0)
+    moves, move, blocks = gr._moves, gr._move, gr._family_blocks
 
-    def spied(*args):
-        held.append(moves(*args))
-        return held[-1]
+    def spied_moves(*args):
+        taken.held.append(None)
+        taken.held[-1] = moves(*args)
+        return taken.held[-1]
+
+    def spied_move(*args):
+        taken.reads -= 1  # its read of the family is a held sample
+        return move(*args)
+
+    def spied_blocks(*args):
+        taken.reads += 1
+        return blocks(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(gr, "_moves", spied)
-        return call(), held
+        patch.setattr(gr, "_moves", spied_moves)
+        patch.setattr(gr, "_move", spied_move)
+        patch.setattr(gr, "_family_blocks", spied_blocks)
+        yield taken
 
 
 def on_the_update_path(monkeypatch, call):
-    """call()'s value, asserting that its samples were held as moves."""
-    value, held = sampled_moves(monkeypatch, call)
-    assert held and all(m is not None for m in held)
+    """call()'s value, asserting that the update path finished it: every
+    sample was held as a move, and the family was read again at t alone."""
+    with path_spy(monkeypatch) as taken:
+        value = call()
+    assert taken.held and None not in taken.held and taken.reads == 1, vars(taken)
+    return value
+
+
+def handed_to_the_dense_path(monkeypatch, call):
+    """call()'s value, asserting that the dense path took its own samples,
+    after any _moves call of it held every sample as a move."""
+    with path_spy(monkeypatch) as taken:
+        value = call()
+    assert None not in taken.held and taken.reads > 1, vars(taken)
     return value
 
 
@@ -1934,8 +1962,8 @@ def close(a, b, rtol):
 
 
 # the entry points with no update path: transition_det samples nothing, and
-# connection_form always takes the dense path
-DENSE_ONLY = ("transition_det", "connection_form")
+# connection_form and patching_identity_check always take the dense path
+DENSE_ONLY = ("transition_det", "connection_form", "patching_identity_check")
 
 
 # relative agreement of two routes of one value: the patching checks' lhs
@@ -1974,8 +2002,9 @@ def test_the_update_path_against_a_conjugate_of_full_support(monkeypatch):
         if name in DENSE_ONLY:
             close(updated[name](), dense[name](), tolerance(name))
             continue
-        value, held = sampled_moves(monkeypatch, dense[name])
-        assert held == [None]
+        with path_spy(monkeypatch) as taken:
+            value = dense[name]()
+        assert taken.held == [None]
         close(on_the_update_path(monkeypatch, updated[name]), value, 20 * tolerance(name))
 
 
@@ -2033,16 +2062,20 @@ def test_chart_layer_near_a_singular_identity_chart_on_the_update_path(
     # form (on the dense path) against the dense pinv, the transition
     # determinant against the dense definition and the closed form; on this
     # window the reference pinv rounds by 1.65e-13 of the perturbed form at
-    # t1 = 0.999.  On the update path the patching check along t2 gives the
-    # dense path's values, and at t1 = 0.99 the curvature meets
-    # -i pi^2 sin(pi t1), which its stencils near the singular chart at
-    # t1 = 1 meet to 1e-10 on either path (at t1 = 0.999 its outer sample
-    # t1 + h is that chart)
+    # t1 = 0.999.  At t1 = 0.99 the patching check along t2 finishes on the
+    # update path with the dense path's values; at t1 = 0.999, where every
+    # chart map is near the rank drop at t1 = 1, a sample's ratio bound is
+    # left open and the whole call takes the dense path, to the last bit.
+    # At t1 = 0.99 the curvature meets -i pi^2 sin(pi t1), which its
+    # stencils near the singular chart at t1 = 1 meet to 1e-10 on either
+    # path (at t1 = 0.999 its outer sample t1 + h is that chart)
     near_a_singular_identity_chart(W40, ROTATED40, PI40, t1, dense_tol, form_tol)
     s1, s2 = update_sigmas()
     check = partial(gr.perturbation_patching_check, ROTATED40, PI40, s1, s2, (t1, 0.45), "t2")
-    close(on_the_update_path(monkeypatch, check), dense_path(monkeypatch, check), 1e-9)
-    if t1 == 0.99:
+    if t1 == 0.999:
+        close(handed_to_the_dense_path(monkeypatch, check), dense_path(monkeypatch, check), 0.0)
+    else:
+        close(on_the_update_path(monkeypatch, check), dense_path(monkeypatch, check), 1e-9)
         curvature = partial(gr.curvature_rkw, ROTATED40, PI40, (t1, 0.45))
         value = on_the_update_path(monkeypatch, curvature)
         assert abs(value + 1j * np.pi**2 * np.sin(np.pi * t1)) < 1e-9
@@ -2071,8 +2104,10 @@ def test_a_nan_in_an_unselected_column_still_raises_on_the_update_path(
 ):
     # the NaN sits in the column of mode -2, outside ran(PI40), on the row of
     # mode 1: the two rows the family moves, so J is unchanged and the
-    # update path runs; the NaN reaches fd_apply's finiteness check through
-    # the moves, as through the dense products
+    # update path holds every sample as a move; the NaN reaches fd_apply's
+    # finiteness check through the moves, and the call then raises the
+    # dense path's error (patching_identity_check takes the dense path
+    # from the start)
     i, j = W40.index(-2), W40.index(1)
 
     def value(t1, t2):
@@ -2083,13 +2118,19 @@ def test_a_nan_in_an_unselected_column_still_raises_on_the_update_path(
         return p
 
     fam = gr.ProjectionFamily(W40, value)
+    dense_only = "patching_identity_check" in request.node.callspec.id
     sampled = "curvature_rkw" in request.node.callspec.id if at == NAN_AT_INNER else True
     if not sampled:
-        value = on_the_update_path(monkeypatch, lambda: entry(fam, CHECKED_AT))
+        call = partial(entry, fam, CHECKED_AT)
+        value = call() if dense_only else on_the_update_path(monkeypatch, call)
         close(value, entry(ROTATED40, CHECKED_AT), 0.0)
         return
-    with pytest.raises(EvaluationError):
-        on_the_update_path(monkeypatch, lambda: entry(fam, CHECKED_AT))
+    with path_spy(monkeypatch) as taken, pytest.raises(EvaluationError) as raised:
+        entry(fam, CHECKED_AT)
+    assert not taken.held if dense_only else taken.held and None not in taken.held
+    with pytest.raises(EvaluationError) as dense:
+        dense_path(monkeypatch, lambda: entry(fam, CHECKED_AT))
+    assert str(raised.value) == str(dense.value)
     with pytest.raises(EvaluationError):
         through_eigh(monkeypatch, lambda: entry(fam, CHECKED_AT))
 
@@ -2097,10 +2138,11 @@ def test_a_nan_in_an_unselected_column_still_raises_on_the_update_path(
 def test_an_outer_sample_the_bound_leaves_open_takes_the_svd_rule(monkeypatch):
     # near the singular chart at t1 = 1 the norm bound of an outer
     # curvature_rkw sample can fail where the SVD rule passes: at t1 = 0.9985
-    # four of the eight outer samples form their chart maps and run the rule,
-    # and the value meets the closed form as the dense path's does; at
-    # t1 = 0.998 the sample t1 + 2h = 1 is singular, and the refusal is the
-    # rule's, with the dense path's message
+    # four of the eight outer samples are left open, so the update path
+    # hands the whole call to the dense path, whose eight outer forms run
+    # the rule; the value is the dense path's to the last bit and meets the
+    # closed form; at t1 = 0.998 the sample t1 + 2h = 1 is singular, and the
+    # refusal is the rule's, with the dense path's message
     made = []
     omega = gr._omega
 
@@ -2110,14 +2152,14 @@ def test_an_outer_sample_the_bound_leaves_open_takes_the_svd_rule(monkeypatch):
 
     monkeypatch.setattr(gr, "_omega", counted)
     t = (0.9985, 0.3)
-    value = on_the_update_path(monkeypatch, lambda: gr.curvature_rkw(ROTATED40, PI40, t))
-    assert len(made) == 4
+    value = handed_to_the_dense_path(monkeypatch, lambda: gr.curvature_rkw(ROTATED40, PI40, t))
+    assert len(made) == 8
     expected = -1j * np.pi**2 * np.sin(np.pi * t[0])
     assert abs(value - expected) < 1e-9
     dense = dense_path(monkeypatch, lambda: gr.curvature_rkw(ROTATED40, PI40, t))
-    assert abs(dense - expected) < 1e-9
+    assert value == dense
     messages = []
-    for path in (on_the_update_path, dense_path):
+    for path in (handed_to_the_dense_path, dense_path):
         singular = r"chart is singular at t = \(1\.0, 0\.3\)"
         with pytest.raises(NotInvertible, match=singular) as raised:
             path(monkeypatch, lambda: gr.curvature_rkw(ROTATED40, PI40, (0.998, 0.3)))
@@ -2131,8 +2173,8 @@ def test_a_singular_outer_sample_is_reported_before_a_later_failing_one(monkeypa
     # at t1 = 0.998 the third outer sample of curvature_rkw's pass along t1,
     # t1 + 2h = 1, is a singular chart, and the family fails at the fourth,
     # t1 - 2h: on either side of the crossover the refusal is the singular
-    # chart's, since the update path hands a call whose sample fails to the
-    # dense path, which meets the chart guard first
+    # chart's, since the update path hands a call whose sample fails, or is
+    # left open, to the dense path, which meets the chart guard first
     w = gr.ModeWindow(n_max)
     rotated, base = gr.rotated_family(w, (-2, 1)), gr.spectral_projection(w, 0)
     t = (0.998, 0.3)
@@ -2150,23 +2192,35 @@ def test_a_singular_outer_sample_is_reported_before_a_later_failing_one(monkeypa
     singular = r"^chart is singular at t = \(1\.0, 0\.3\)"
     with pytest.raises(NotInvertible, match=singular) as raised:
         gr.curvature_rkw(failing, base, t)
-    path = on_the_update_path if n_max == 40 else dense_path
-    with pytest.raises(NotInvertible) as unfailing:
-        path(monkeypatch, lambda: gr.curvature_rkw(rotated, base, t))
+    with path_spy(monkeypatch) as taken, pytest.raises(NotInvertible) as unfailing:
+        gr.curvature_rkw(rotated, base, t)
+    # below the crossover the dense path runs before any sample is taken;
+    # above it every sample is held as a move before the hand-over
+    assert len(taken.held) == 1 and (taken.held[0] is None) == (n_max == 4)
     assert str(raised.value) == str(unfailing.value)
 
 
 def test_samples_that_move_more_than_two_rows_take_the_dense_path(monkeypatch):
-    # the update path is measured for |J| = 2 alone: two families that move
-    # other modes move four rows together, and take the dense path even at
+    # the update path is measured for |J| = 2 alone: a family that rotates
+    # two pairs of modes moves four rows, and takes the dense path even at
     # r = 101
     w = gr.ModeWindow(100)
     fam1, fam2 = gr.rotated_family(w, (-3, 7)), gr.rotated_family(w, (-1, 2))
-    base = gr.spectral_projection(w, 0)
-    check = partial(gr.patching_identity_check, fam1, fam2, base, (0.4, 0.3))
-    value, held = sampled_moves(monkeypatch, check)
-    assert held == [None]
-    close(value, dense_path(monkeypatch, check), 0.0)
+    pair = np.ix_(*[[w.index(-1), w.index(2)]] * 2)
+
+    def value(t1, t2):
+        p = fam1._map(t1, t2)
+        p[pair] = fam2._map(t1, t2)[pair]
+        return p
+
+    fam, base = gr.ProjectionFamily(w, value), gr.spectral_projection(w, 0)
+    s1, s2 = update_sigmas(w, 15)
+    check = partial(gr.perturbation_patching_check, fam, base, s1, s2, (0.4, 0.3))
+    with path_spy(monkeypatch) as taken:
+        lhs, rhs = check()
+    assert taken.held == [None]
+    assert abs(lhs - rhs) < 1e-5
+    close((lhs, rhs), dense_path(monkeypatch, check), 0.0)
 
 
 def test_lapack_calls_on_the_update_path_at_n_max_100(monkeypatch):
@@ -2175,9 +2229,8 @@ def test_lapack_calls_on_the_update_path_at_n_max_100(monkeypatch):
     # guard, and none per outer curvature_rkw sample, whose Woodbury update
     # solves against its 2|J| x 2|J| capacitance (3|J| in a perturbation
     # chart); a patching check's ratio keeps its stacked inverse at t and
-    # takes a capacitance det per chart and sample (|J| x |J| in the
-    # identity chart of a family), its forms their own inverses; tr_p_dp_dp
-    # makes no LAPACK call
+    # takes a capacitance det per chart and sample, its forms their own
+    # inverses; tr_p_dp_dp makes no LAPACK call
     calls = []
 
     def counted(name, inner):
@@ -2191,7 +2244,6 @@ def test_lapack_calls_on_the_update_path_at_n_max_100(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     w = gr.ModeWindow(100)
     fam, base = gr.rotated_family(w, (-3, 7)), gr.spectral_projection(w, 0)
-    other = gr.ProjectionFamily(w, lambda t1, t2: fam(0.8 * t1 + 0.1, t2).entries)
     s1, s2 = update_sigmas(w, 15)
     t = (0.4, 0.3)
 
@@ -2208,10 +2260,6 @@ def test_lapack_calls_on_the_update_path_at_n_max_100(monkeypatch):
     assert counts(lambda: gr.perturbation_patching_check(fam, base, s1, s2, t)) == {
         **forms_and_ratio,
         ("det", (6, 6)): 8,
-    }
-    assert counts(lambda: gr.patching_identity_check(fam, other, base, t)) == {
-        **forms_and_ratio,
-        ("det", (2, 2)): 8,
     }
 
 
@@ -2233,9 +2281,10 @@ def test_lapack_calls_on_the_update_path_at_n_max_100(monkeypatch):
 def test_a_patching_sample_the_bound_leaves_open_takes_the_svd_rule(monkeypatch, formed, check, t):
     # at t1 = 0.999 the identity chart's block has s_min = cos^2(pi t1 / 2),
     # 2.5e-6: the certificates at t pass, while no sample's ratio bound
-    # clears 2 CHART_SVD_THRESHOLD, so each of the four samples takes g(s)
-    # from its formed chart maps by the SVD rule (which passes along t2),
-    # and the check returns the dense path's values
+    # clears 2 CHART_SVD_THRESHOLD, so perturbation_patching_check hands the
+    # whole call to the dense path (patching_identity_check takes it from
+    # the start), which forms the ratio at the four samples and at t by the
+    # SVD rule (which passes along t2) and returns its values to the last bit
     s2 = update_sigmas()[1]
     made = []
     inner = getattr(gr, formed)
@@ -2245,6 +2294,6 @@ def test_a_patching_sample_the_bound_leaves_open_takes_the_svd_rule(monkeypatch,
         return inner(*args)
 
     monkeypatch.setattr(gr, formed, counted)
-    value = on_the_update_path(monkeypatch, lambda: check(t, s2))
-    assert len(made) == 4
-    close(value, dense_path(monkeypatch, lambda: check(t, s2)), 1e-9)
+    value = handed_to_the_dense_path(monkeypatch, lambda: check(t, s2))
+    assert len(made) == 5
+    close(value, dense_path(monkeypatch, lambda: check(t, s2)), 0.0)
