@@ -2,8 +2,8 @@
 
 Subcommands: verify, curvature-grid, zeta-det, eta, grr.  Every stencil
 runs at its fixed step (``tolerances.DEFAULT_FD_STEP``, reported as the
-curvature grid's ``fd_step``).  Exit codes: 0 all checks pass, 1 any failure
-or computational error, 2 usage error.
+curvature grid's ``fd_step``).  Exit codes: 0 all checks pass, 1 any failure,
+computational error or output path that cannot be written, 2 usage error.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except DetlineError as exc:
+    except (DetlineError, OSError) as exc:  # an OSError names the output path it could not write
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

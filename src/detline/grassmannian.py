@@ -31,8 +31,8 @@ so the norms of SV and of the inverse certify both where they can; a call
 with any point the bound leaves open runs that rule itself on the chart
 maps, by an SVD, so every decision and message is the rule's.  A patching
 check evaluates the family once per stencil sample for both of its routes,
-the transition determinant and the two connection forms; each route keeps
-its own inverses.
+the transition determinant and the two connection forms; on the dense path
+each route keeps its own inverses.
 
 Stencil samples are low-rank updates of the chart at t where that is
 cheaper.  curvature_rkw, tr_p_dp_dp and perturbation_patching_check first
@@ -48,14 +48,20 @@ sum |U_b|_F |W_b|_F clears the certificate's floor, and traces the stencil
 of the r x r members Y_s (S_q V - S V) against A_s^{-1}, with no r x d
 block; perturbation_patching_check takes one move D per sample for both of
 its charts and differentiates g(s) / g(t) =
-det(I + W_1 A_1^{-1} U_1) / det(I + W_2 A_2^{-1} U_2) from its ratio's own
-inverses at t, with the same bound on each sample's chart guard;
-tr_p_dp_dp is Tr(P_JJ [d1 P_JJ, d2 P_JJ]).  A sample then costs its family
-call and compare and O(r |J| (r + |J|)).
+det(I + W_1 A_1^{-1} U_1) / det(I + W_2 A_2^{-1} U_2), with the same bound
+on each sample's chart guard; tr_p_dp_dp is Tr(P_JJ [d1 P_JJ, d2 P_JJ]).
+A sample then costs its family call and compare and O(r |J| (r + |J|)).
+On the update path both routes of a patching check, the ratio and the
+connection forms, read each chart's one certified inverse at t.  numpy
+inverts each member of a stack on its own, so these are the numbers a
+second, stacked inversion of the two blocks returns, and that inversion's
+certificate, whose floor 2 CHART_SVD_THRESHOLD is never above a chart's,
+settles wherever the charts' do.  On the dense path each route keeps its
+own inverses.
 
 Each call takes one path for all of its values.  The update path runs from
 the rank _LOW_RANK_CROSSOVER on, when the samples move at most two rows
-(_update_limit), and only to its end: where a norm bound leaves a chart at
+(_moves), and only to its end: where a norm bound leaves a chart at
 t or a sample open, a sample raises or a stencil is not finite, it raises
 a DetlineError and the whole call runs the dense path, which forms every
 sample's chart algebra and decides every value, chart guard and message.
@@ -514,11 +520,16 @@ Points = tuple[float, float] | tuple[np.ndarray, np.ndarray]
 
 def _points(t) -> Points:
     """t as two floats for a point, or as two nonempty 1-D float arrays of one
-    length for a stack of points."""
+    length for a stack of points.  A coordinate of any dtype but an integer
+    or a float, such as a bool, a string or None, is refused before it is
+    converted."""
     try:
-        t1, t2 = (np.asarray(c, dtype=float) for c in t)
+        t1, t2 = (np.asarray(c) for c in t)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"t must be a pair (t1, t2) of floats or 1-D arrays, got {t!r}") from exc
+    if t1.dtype.kind not in "iuf" or t2.dtype.kind not in "iuf":
+        raise DomainError(f"t must be real numbers, got {t!r}")
+    t1, t2 = t1.astype(float), t2.astype(float)
     if t1.shape != t2.shape or t1.ndim > 1 or t1.size == 0:
         raise DomainError(
             f"t1 and t2 must be floats or 1-D arrays of one nonzero length, "
@@ -544,13 +555,13 @@ def _point(t: Points, i: int) -> tuple[float, float]:
     return float(np.ravel(t[0])[i]), float(np.ravel(t[1])[i])
 
 
-def _require_chart(sv: np.ndarray, rank: int, t: Points) -> None:
-    """Raise NotInvertible unless, at every point of t, the leading ``rank`` of
-    the descending singular values ``sv[..., :]`` of its chart map clear
+def _require_chart(sv: np.ndarray, t: Points) -> None:
+    """Raise NotInvertible unless, at every point of t, the descending singular
+    values ``sv[..., :]`` of its chart map, one per column, clear
     CHART_SVD_THRESHOLD; the error names the first failing point."""
-    if rank == 0 or rank > sv.shape[-1]:
-        raise NotInvertible(f"restriction rank {rank} is out of range")
-    smallest = sv[..., rank - 1]
+    if sv.shape[-1] == 0:
+        raise NotInvertible("restriction rank 0 is out of range")
+    smallest = sv[..., -1]
     low = smallest < CHART_SVD_THRESHOLD
     if low.any():
         i = int(np.argmax(low))
@@ -569,10 +580,8 @@ def _certified_inverse(
     M is a d x r chart map and Y an r x d block with |Y|_2 <= 1, such as
     V* P; by default M = A and Y = I.  The singular values satisfy
     s_min(M) >= s_min(A) >= 1 / |A^{-1}|_F and s_max(M) <= |M|_F, so
-    1 / |A^{-1}|_F >= 2 max(CHART_SVD_THRESHOLD, cut |M|_F), which _bounded
-    tests with no update terms, proves that M passes _require_chart and
-    that every singular value of M lies above cut s_max(M); the factor 2
-    absorbs the rounding of A and its inverse.
+    _bounded's test with no update terms proves that M passes _require_chart
+    and that every singular value of M lies above cut s_max(M).
     An inverse that raises LinAlgError, a non-finite norm or an empty block
     certifies nothing, and the caller then runs the SVD rule itself.
     """
@@ -583,17 +592,19 @@ def _certified_inverse(
     except np.linalg.LinAlgError:
         return None
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN norm fails the test
-        floor = 2.0 * np.maximum(CHART_SVD_THRESHOLD, cut * _frobenius(a if m is None else m))
-        return inverse if _bounded(inverse, floor) else None
+        return inverse if _bounded(inverse, cut, _frobenius(a if m is None else m)) else None
 
 
-def _bounded(inverse: np.ndarray, floor: Any, spread: Any = 0) -> bool:
-    """Whether s_min(A + E) >= floor follows, at every member, from the
-    inverse of A and a bound ``spread`` on |E|_2: s_min(A + E) >= s_min(A) -
-    |E|_2 and s_min(A) >= 1 / |A^{-1}|_F.  With no E it is the certificate
-    of A itself (floor + 0 is exactly floor).  A NaN or infinite norm
-    settles nothing; every caller holds np.errstate(over="ignore",
-    invalid="ignore"), so that such a norm raises no warning."""
+def _bounded(inverse: np.ndarray, cut: float, norm: Any, spread: Any = 0) -> bool:
+    """Whether s_min(A + E) >= floor = 2 max(CHART_SVD_THRESHOLD, cut |M|_F)
+    follows, at every member, from the inverse of A, a bound ``norm`` on
+    |M|_F and a bound ``spread`` on |E|_2: s_min(A + E) >= s_min(A) - |E|_2
+    and s_min(A) >= 1 / |A^{-1}|_F.  The factor 2 absorbs the rounding of A
+    and its inverse.  With no E it is the certificate of A itself (floor + 0
+    is exactly floor).  A NaN or infinite norm settles nothing; every caller
+    holds np.errstate(over="ignore", invalid="ignore"), so that such a norm
+    raises no warning."""
+    floor = 2.0 * np.maximum(CHART_SVD_THRESHOLD, cut * norm)
     return bool(((floor + spread) * _frobenius(inverse) <= 1.0).all())
 
 
@@ -643,7 +654,7 @@ def _chart_ratio(
     if inverses is not None:
         return _result(np.linalg.det(a1 @ inverses[1]))
     for m in (a1, a2) if maps is None else maps:
-        _require_chart(np.linalg.svd(m, compute_uv=False), m.shape[-1], t)
+        _require_chart(np.linalg.svd(m, compute_uv=False), t)
     return _result(np.linalg.det(np.linalg.solve(a2.mT, a1.mT).mT))
 
 
@@ -823,19 +834,6 @@ def _each(field: Callable[..., Any]) -> Callable[[np.ndarray, np.ndarray], Itera
     return lazy
 
 
-def _chart_stencil(
-    fam: ProjectionFamily, basis: _Basis, sig: np.ndarray | None, t: Points, axis: int
-) -> np.ndarray:
-    """d(SV) along axis at t for one chart, from its own stencil over the
-    family's blocks."""
-
-    def member(t1, t2) -> np.ndarray:
-        p = _family_blocks(fam, t1, t2)
-        return p if sig is None else _chart_maps(p, basis, sig)[0]
-
-    return _chart_derivative(fd_apply(_each(member), t, _D1, axis), basis, sig)
-
-
 # The update path runs from this rank r of base (of P for tr_p_dp_dp) on,
 # when the stencil samples of a call differ from the family value at t only
 # on two rows and columns J; the dense path runs otherwise.  Measured
@@ -851,18 +849,9 @@ def _chart_stencil(
 _LOW_RANK_CROSSOVER = 40
 
 
-def _update_limit(r: int) -> int:
-    """The most rows J may hold on the update path at rank r: 2, the rows a
-    family of projections that moves at all moves at least (a lone diagonal
-    entry of a projection is 0 or 1) and the only |J| measured, or 0 below
-    _LOW_RANK_CROSSOVER, where the dense path runs before any sample is
-    taken."""
-    return 2 if r >= _LOW_RANK_CROSSOVER else 0
-
-
 class _Open(DetlineError):
     """The update path cannot settle a call: r is below the crossover, the
-    samples move more rows than _update_limit admits, or a norm bound leaves
+    samples move more rows than _moves admits, or a norm bound leaves
     a chart at t or a sample open.  Like every DetlineError on the update
     path, a sample's own error included, it hands the whole call to the
     dense path; fd_apply passes it through unchanged, and no entry point
@@ -898,25 +887,26 @@ class _Moves:
         return block
 
 
-def _moves(
-    fam: ProjectionFamily, p: np.ndarray, points: Callable[[], Iterable], limit: int
-) -> _Moves:
-    """The moves of the family from its checked values p at the stencil
-    points ``points()``.  Raises _Open once J has more than ``limit`` rows
-    (before any sample for a limit of 0), and a sample's error propagates.
-    The compare is exact, and NaN differs from every value, so a non-finite
+def _moves(fam: ProjectionFamily, p: np.ndarray, points: Iterable, rank: int) -> _Moves:
+    """The moves of the family from its checked values p, of rank ``rank``
+    (of base for a chart), at the stencil points ``points``.  Raises _Open
+    before any sample below _LOW_RANK_CROSSOVER, where the dense path runs,
+    and once J has more than two rows: the rows a family of projections that
+    moves at all moves at least (a lone diagonal entry of a projection is 0
+    or 1), and the only |J| measured.  A sample's error propagates.  The
+    compare is exact, and NaN differs from every value, so a non-finite
     entry lands in J.  A point met twice, such as curvature_rkw's inner
     samples, is sampled once."""
-    if limit < 1:
+    if rank < _LOW_RANK_CROSSOVER:
         raise _Open
     moved = np.zeros(p.shape[-1], dtype=bool)
     held: dict = {}
-    for t1, t2 in points():
+    for t1, t2 in points:
         key = _key(t1, t2)
         if key not in held:
             held[key] = _move(fam, p, t1, t2)
             moved[held[key][0]] = True
-            if np.count_nonzero(moved) > limit:
+            if np.count_nonzero(moved) > 2:
                 raise _Open
     j = np.flatnonzero(moved)
     return _Moves(j, p[..., j[:, None], j], held)
@@ -945,8 +935,8 @@ def _capacitance(
 
 
 class _LowRankChart:
-    """One chart at t on the update path: its chart map SV, A = Y SV and the
-    certified inverse of A (_Open where _certified_inverse leaves a point
+    """One chart at t on the update path: the certified inverse of A = Y SV,
+    for its chart map SV (_Open where _certified_inverse leaves a point
     open), and the pieces on J that give every sample's Y, SV and A as
     updates.
 
@@ -965,8 +955,7 @@ class _LowRankChart:
 
     def __init__(self, moves: _Moves, p: np.ndarray, basis: _Basis, sig: np.ndarray | None):
         (s_v,) = _chart_maps(p, basis, sig)
-        self.a = basis.left(p) @ s_v
-        self.inverse = _certified_inverse(self.a, RANK_SVD_THRESHOLD, s_v)
+        self.inverse = _certified_inverse(basis.left(p) @ s_v, RANK_SVD_THRESHOLD, s_v)
         if self.inverse is None:
             raise _Open
         self.moves, self.sig = moves, sig
@@ -1020,14 +1009,12 @@ class _LowRankChart:
         """The connection form along axis at the sample (t1, t2), an outer
         curvature_rkw sample: Tr(A_s^{-1} dM) over the stencil of the members
         around it, with A_s^{-1} the Woodbury update of the inverse at the
-        chart's own point.  Raises _Open where _bounded leaves the sample
-        open, whose floor 2 max(CHART_SVD_THRESHOLD, RANK_SVD_THRESHOLD
-        |S_s V|_F) is _certified_inverse's."""
+        chart's own point.  Raises _Open where _bounded, at the cut
+        RANK_SVD_THRESHOLD of the chart at t, leaves the sample open."""
         d_s = self.moves.delta(t1, t2)
         with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN norm settles nothing
             us, ws, spread, sv_norm = self.factors(d_s)
-            floor = 2.0 * np.maximum(CHART_SVD_THRESHOLD, RANK_SVD_THRESHOLD * sv_norm)
-            if not _bounded(self.inverse, floor, spread):
+            if not _bounded(self.inverse, RANK_SVD_THRESHOLD, sv_norm, spread):
                 raise _Open
         u, w_inverse, k = _capacitance(us, ws, self.inverse)
         inverse = self.inverse - (self.inverse @ u) @ np.linalg.solve(k, w_inverse)
@@ -1037,32 +1024,16 @@ class _LowRankChart:
 
         return _connection_form(inverse, fd_apply(_each(member), (t1, t2), _D1, axis))
 
-    def ratio_factor(self, d: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-        """det(A_s) / det(A) at the sample of move d, from a transition ratio's
-        own inverse of A; raises _Open where _bounded leaves the sample's
-        chart guard open (the certificate of _chart_ratio, cut 0)."""
+    def ratio_factor(self, d: np.ndarray) -> np.ndarray:
+        """det(A_s) / det(A) at the sample of move d, from the chart's certified
+        inverse of A; raises _Open where _bounded leaves the sample's chart
+        guard open (the certificate of _chart_ratio: cut 0, so its floor is
+        2 CHART_SVD_THRESHOLD and reads no norm)."""
         with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN norm settles nothing
             us, ws, spread, _ = self.factors(d)
-            if not _bounded(inverse, 2.0 * CHART_SVD_THRESHOLD, spread):
+            if not _bounded(self.inverse, 0.0, 0.0, spread):
                 raise _Open
-        return np.linalg.det(_capacitance(us, ws, inverse)[2])
-
-
-def _low_rank_charts(
-    fam: ProjectionFamily,
-    p: np.ndarray,
-    basis: _Basis,
-    sigs: Iterable[np.ndarray | None],
-    points: Callable[[], Iterable],
-) -> list[_LowRankChart]:
-    """The charts sigma at t on the update path, sharing the family's moves
-    from its checked values p at the stencil points ``points()``; raises
-    _Open, or a sample's error, where the dense path runs instead (see
-    _moves and _LowRankChart).  The moves come first: a family that moves
-    many rows leaves after its first samples, before any chart at t is
-    formed."""
-    moves = _moves(fam, p, points, _update_limit(basis.rank))
-    return [_LowRankChart(moves, p, basis, sig) for sig in sigs]
+        return np.linalg.det(_capacitance(us, ws, self.inverse)[2])
 
 
 def connection_form(
@@ -1099,7 +1070,8 @@ def _omega(
     p: np.ndarray,
 ) -> complex | np.ndarray:
     """connection_form along axis at the points t from the family values p
-    there: the chart map SV, with d(SV) from the chart's own stencil.
+    there: the chart map SV, with d(SV) from the chart's own stencil over
+    the family's blocks.
 
     The r x d block (SV)^+ P is the one array held while the stencil
     samples: P, SV and Y are released first, so the caller passes p without
@@ -1112,7 +1084,13 @@ def _omega(
     s_pinv_p = _chart_pinv(s_v, basis.left(p), p, t)
     finite = np.isfinite(p).all()
     del p, s_v
-    omega = _connection_form(s_pinv_p, _chart_stencil(fam, basis, sig, t, axis))
+
+    def member(t1, t2) -> np.ndarray:
+        p_s = _family_blocks(fam, t1, t2)
+        return p_s if sig is None else _chart_maps(p_s, basis, sig)[0]
+
+    d_sv = _chart_derivative(fd_apply(_each(member), t, _D1, axis), basis, sig)
+    omega = _connection_form(s_pinv_p, d_sv)
     return omega if finite else omega * np.nan
 
 
@@ -1139,7 +1117,7 @@ def _chart_pinv(s_v: np.ndarray, y: np.ndarray, p: np.ndarray, t: Points) -> np.
     if inverse is not None:
         return inverse @ y
     u, sv, vh = np.linalg.svd(s_v, full_matrices=False)
-    _require_chart(sv, s_v.shape[-1], t)
+    _require_chart(sv, t)
     kept = sv > RANK_SVD_THRESHOLD * sv[..., :1]
     s_pinv = (vh.conj().mT / np.where(kept, sv, np.inf)[..., None, :]) @ u.conj().mT
     return s_pinv @ p
@@ -1167,16 +1145,13 @@ def tr_p_dp_dp(fam: ProjectionFamily, t: Points) -> complex | np.ndarray:
     p = _projections_at(fam, pts)
     rank = int(np.min(np.rint(np.trace(p, axis1=-2, axis2=-1).real)))
 
-    def points() -> Iterator:
-        yield from _stencil_points(pts, _D1, 0)
-        yield from _stencil_points(pts, _D1, 1)
-
     def density(blocks: Callable[..., Iterator], p: np.ndarray) -> complex | np.ndarray:
         d1, d2 = fd_apply(blocks, pts, _D1, 0), fd_apply(blocks, pts, _D1, 1)
         return _result(np.trace(p @ (d1 @ d2 - d2 @ d1), axis1=-2, axis2=-1))
 
     try:
-        moves = _moves(fam, p, points, _update_limit(rank))
+        points = _stencil_points(pts, _D1, 0) + _stencil_points(pts, _D1, 1)
+        moves = _moves(fam, p, points, rank)
         return density(_each(moves.restricted), moves.p_jj)
     except DetlineError:  # the dense path decides every value and message
         pass
@@ -1224,7 +1199,7 @@ def curvature_rkw(
     sig = _chart_sigma(fam.window, perturbation)
     p = _projections_at(fam, pts, basis)  # the stencil points around t are not checked
     try:
-        (chart,) = _low_rank_charts(fam, p, basis, [sig], partial(_nested_points, pts))
+        chart = _LowRankChart(_moves(fam, p, _nested_points(pts), basis.rank), p, basis, sig)
         p = None  # not held through the stencils
         return _curl(chart.form, pts)
     except DetlineError:  # the dense path decides every value, chart guard and message
@@ -1289,11 +1264,13 @@ def perturbation_patching_check(
     One stencil pass evaluates the family and PV once per sample and forms
     both chart maps, the transition determinant g and both charts' stencil
     members from them; the lhs is the stencil of g over g(t), and each
-    connection form takes its d(SV) from that pass.  Each route keeps its
-    own inverses: the connection forms one each, g its stacked inverse and
-    det.  On the update path (see the module docstring) both charts take
-    one move D per sample, the pass takes g(s) / g(t) as the quotient of
-    the two charts' capacitance dets, and the members are r x r blocks.
+    connection form takes its d(SV) from that pass.  On the update path
+    (see the module docstring) both charts take one move D per sample, the
+    pass takes g(s) / g(t) as the quotient of the two charts' capacitance
+    dets, and the members are r x r blocks; both routes read each chart's
+    one certified inverse at t, the numbers a stacked inversion of the two
+    blocks would return.  On the dense path each route keeps its own
+    inverses: the connection forms one each, g its stacked inverse and det.
     """
     axis = _direction_axis(direction)
     pts = _points(t)
@@ -1302,17 +1279,13 @@ def perturbation_patching_check(
     sigs = (_chart_sigma(w, sigma1), _chart_sigma(w, sigma2))
     p = _projections_at(fam, pts, basis)
     try:
-        points = partial(_stencil_points, pts, _D1, axis)
-        chart1, chart2 = _low_rank_charts(fam, p, basis, sigs, points)
-        # the ratio's own inverses of the two blocks at t, as _chart_ratio takes them
-        ratio = _certified_inverse(np.stack([chart1.a, chart2.a]), 0.0)
-        if ratio is None:
-            raise _Open
+        moves = _moves(fam, p, _stencil_points(pts, _D1, axis), basis.rank)
+        chart1, chart2 = (_LowRankChart(moves, p, basis, sig) for sig in sigs)
         p = None  # not held through the stencils
 
         def updated(t1, t2) -> tuple:
-            d = chart1.moves.delta(t1, t2)
-            g = chart1.ratio_factor(d, ratio[0]) / chart2.ratio_factor(d, ratio[1])
+            d = moves.delta(t1, t2)
+            g = chart1.ratio_factor(d) / chart2.ratio_factor(d)
             return g, chart1.member(d), chart2.member(d)
 
         lhs, dm1, dm2 = fd_apply(_each(updated), pts, _D1, axis)

@@ -1046,15 +1046,21 @@ def _grid_rows(g: GridSpec) -> tuple[list[dict], dict]:
 
 
 def _atomic_write(path: str, payload: str) -> None:
+    """Write payload to path through a temporary file in its directory and a
+    rename.  A failure removes the temporary file, and an OSError is raised
+    again naming path, not the temporary file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".detline-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".detline-", suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(payload)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -19,8 +19,9 @@ DEGENERACY_TOL = 1e-10  # |u - 1| = 2 sin(pi alpha) below it: the interval probl
 POLE_DISTANCE = 1e-12  # distance from s = 1 at which hurwitz_zeta reports the pole
 LOG_GAMMA_TOL = 1e-10  # hurwitz_zeta_ds0 vs log Gamma(a) - log(2 pi)/2; the kernel errs by 1.4e-15
 
-# The stencil step of every stencil, nested ones (curvature_rkw) included.
-DEFAULT_FD_STEP = 1e-3  # order-4 truncation h^4 vs rounding eps / h^k; fixed, nothing overrides it
+# The step of every stencil the library takes, nested ones (curvature_rkw)
+# included; FdStencil(step=...) still sets another for direct callers of fd_apply.
+DEFAULT_FD_STEP = 1e-3  # order-4 truncation h^4 vs rounding eps / h^k
 
 # Report tolerances, one per identity; the suites and the acceptance tests share them.
 TOL_ZETA_DET = 1e-8  # spectral determinant, det = 4 |S(P)|^2, metric patching ratio

@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -315,6 +316,41 @@ def test_cli_grid_stdout_summary(tmp_path, capsys):
     assert path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature-grid", "--n", "3", "--csv"],
+        ["verify", "chern", "--json"],
+    ],
+    ids=["curvature-grid", "verify"],
+)
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_cli_unwritable_output_path_is_one_error_line(
+    tmp_path, capsys, monkeypatch, argv, target
+):
+    # a missing directory fails before the temporary file is made; an
+    # existing directory as the path fails at the rename, after it
+    made = []
+    mkstemp = tempfile.mkstemp
+
+    def recorded(*args, **kwargs):
+        fd, name = mkstemp(*args, **kwargs)
+        made.append(name)
+        return fd, name
+
+    monkeypatch.setattr(tempfile, "mkstemp", recorded)
+    path = tmp_path / ("missing/out" if target == "missing-directory" else "existing")
+    if target == "directory":
+        path.mkdir()
+    code = cli.main(argv + [str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    assert "Traceback" not in err and ".detline-" not in err
+    assert len(made) == (target == "directory")
+    assert not list(tmp_path.rglob(".detline-*.tmp"))
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["verify", "not-a-suite"])
@@ -332,20 +368,50 @@ def test_cli_grid_summary_reports_the_fixed_fd_step(monkeypatch, capsys):
     assert cli.main(["zeta-det", "--z", "0,0"]) == 0
 
 
-def test_console_script_entry_point():
-    # the child imports the package under test, as pytest's pythonpath does
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def run_child(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with args, importing the package under test as
+    pytest's pythonpath does."""
     env = dict(os.environ)
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-m", "detline.cli", "grr", "--m", "0"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=False,
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=False
     )
+
+
+def test_console_script_entry_point():
+    result = run_child("-m", "detline.cli", "grr", "--m", "0")
     assert result.returncode == 0
     assert json.loads(result.stdout)["c1_coefficient"] == "1/12"
+
+
+IMPORTS_ADDED = """
+import sys
+before = set(sys.modules)
+import detline, detline.cli
+for name in sorted(set(sys.modules) - before):
+    print(name, getattr(sys.modules[name], "__file__", None))
+"""
+
+
+def test_the_runtime_imports_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency (scipy, mpmath and hypothesis serve
+    # the tests alone), and every module an import adds is start-up cost
+    result = run_child("-c", IMPORTS_ADDED)
+    assert result.returncode == 0, result.stderr
+    outside = []
+    for line in result.stdout.splitlines():
+        name, file = line.split(" ", 1)
+        top = name.partition(".")[0]
+        if top == "detline":
+            ok = file != "None" and pathlib.Path(file).resolve().is_relative_to(SRC / "detline")
+        else:
+            ok = top in sys.stdlib_module_names or top == "numpy"
+        if not ok:
+            outside.append(line)
+    assert "detline.cli" in result.stdout and not outside, outside
 
 
 # ---------------------------------------------------------------------------
