@@ -65,6 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
+    if args.json_path:
+        report._require_writable(args.json_path)  # before the suite runs
     document = report.run_suite(args.suite, args.seed)
     payload = document.to_json()
     if args.json_path:

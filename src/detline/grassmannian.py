@@ -71,16 +71,23 @@ nothing measurable from the update, and patching_identity_check, which no
 workload runs above the crossover, always take the dense path.
 
 Its six entry points (``connection_form``, ``tr_p_dp_dp``, ``curvature_rkw``,
-``transition_det`` and the two patching checks) take t = (t1, t2) with
-floats, for a complex value, or with 1-D arrays of one length, for a complex
-array of values, one per point (a pair of them for the patching checks).  A
-stack of k points carries a leading axis of length k through the family
-values, chart maps, r x r blocks, inverses and dets, so each runs as one batched
-numpy call; a single point has no such axis and runs through the same code
-on the family's own d x d blocks.  Projections are checked once per public
-call: the base (on a coordinate base only its tails are left to check),
-and the family values at all points t as one stack, each required to have
-the rank of base; an error names the first failing point.
+``transition_det`` and the two patching checks) take t = (t1, t2) with real
+scalars, for a complex value, or with 1-D arrays of one length, for a
+complex array of values, one per point (a pair of them for the patching
+checks).  Every call runs on a stack: t becomes two 1-D float arrays, and
+a leading axis of length k, 1 for a scalar point, runs through the family
+values, chart maps, r x r blocks, inverses and dets, so each is one
+batched numpy call; only the public return makes a scalar point's value a
+complex.  A one-point stack of family values is a view of the family's
+block, not a copy.  A chart's dense stencil member is the chart map, SV
+(PV in the identity chart, a gather on a coordinate base), an array the
+stencil owns, so fd_apply's sums reuse its buffers; a member whose sample
+has a non-finite entry is NaN throughout, where a gather dropped that
+entry too (_nan_unless_finite, which marks the update path's members
+alike).  Projections are checked once per public call: the base (on a
+coordinate base only its tails are left to check), and the family values
+at all points t as one stack, each required to have the rank of base; an
+error names the first failing point.
 The fixed stencils around t read the family's block function directly,
 unwrapped and not checked to be projections; a value that is no d x d
 block of numbers is refused with DomainError naming its point, a
@@ -91,7 +98,6 @@ the block function names the one point where it was raised.
 from __future__ import annotations
 
 import cmath
-import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -513,46 +519,42 @@ def eta_finite_rank_check(a: float, flip_mode: int, window: ModeWindow) -> tuple
     return lhs, rhs
 
 
-# Parameter points of the chart layer: a pair of floats, or a pair of 1-D
-# arrays of one length for a stack of points (see the module docstring).
-Points = tuple[float, float] | tuple[np.ndarray, np.ndarray]
+# Parameter points of the chart layer: a pair of 1-D float arrays of one
+# length, one entry per point (see the module docstring).
+Points = tuple[np.ndarray, np.ndarray]
 
 
-def _points(t) -> Points:
-    """t as two floats for a point, or as two nonempty 1-D float arrays of one
-    length for a stack of points.  A coordinate of any dtype but an integer
-    or a float, such as a bool, a string or None, is refused before it is
-    converted."""
+def _points(t) -> tuple[Points, bool]:
+    """t as two nonempty 1-D float arrays of one length, and whether the
+    caller passed one point as two scalars, which the public return makes a
+    complex.  A coordinate of any dtype but an integer or a float, such as
+    a bool, a string or None, is refused before it is converted."""
     try:
         t1, t2 = (np.asarray(c) for c in t)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"t must be a pair (t1, t2) of floats or 1-D arrays, got {t!r}") from exc
     if t1.dtype.kind not in "iuf" or t2.dtype.kind not in "iuf":
         raise DomainError(f"t must be real numbers, got {t!r}")
-    t1, t2 = t1.astype(float), t2.astype(float)
     if t1.shape != t2.shape or t1.ndim > 1 or t1.size == 0:
         raise DomainError(
             f"t1 and t2 must be floats or 1-D arrays of one nonzero length, "
             f"got shapes {t1.shape} and {t2.shape}"
         )
-    if t1.ndim == 0:
-        t1, t2 = float(t1), float(t2)
-        finite = math.isfinite(t1) and math.isfinite(t2)
-    else:
-        finite = np.isfinite(t1).all() and np.isfinite(t2).all()
-    if not finite:
+    pts = np.array(t1, dtype=float, ndmin=1), np.array(t2, dtype=float, ndmin=1)
+    if not (np.isfinite(pts[0]).all() and np.isfinite(pts[1]).all()):
         raise DomainError(f"t must be finite, got {t!r}")
-    return t1, t2
+    return pts, t1.ndim == 0
 
 
-def _result(values) -> complex | np.ndarray:
-    """A complex for one point, the array of values for a stack of points."""
-    return values if isinstance(values, np.ndarray) and values.ndim else complex(values)
+def _result(values: np.ndarray, one: bool) -> complex | np.ndarray:
+    """A public return: a complex for one point passed as scalars, else the
+    array of values, one per point."""
+    return complex(values[0]) if one else values
 
 
 def _point(t: Points, i: int) -> tuple[float, float]:
-    """The i-th point of t (i = 0 for one point) as a pair of floats."""
-    return float(np.ravel(t[0])[i]), float(np.ravel(t[1])[i])
+    """The i-th point of t as a pair of floats."""
+    return float(t[0][i]), float(t[1][i])
 
 
 def _require_chart(sv: np.ndarray, t: Points) -> None:
@@ -566,7 +568,7 @@ def _require_chart(sv: np.ndarray, t: Points) -> None:
     if low.any():
         i = int(np.argmax(low))
         raise NotInvertible(
-            f"chart is singular at t = {_point(t, i)} (sv = {np.ravel(smallest)[i]:.3e})"
+            f"chart is singular at t = {_point(t, i)} (sv = {smallest[i]:.3e})"
         )
 
 
@@ -616,7 +618,7 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
 
 def _chart_ratio(
     a1: np.ndarray, a2: np.ndarray, t: Points, maps: tuple[np.ndarray, ...] | None = None
-) -> complex | np.ndarray:
+) -> np.ndarray:
     """det_F((S_1 V V* + I - q)(S_2 V V* + I - q)^{-1}) from the r x r blocks
     A_i = Y S_i V, as det(A_1 A_2^{-1}) at each point; the chart maps ``maps``
     (by default the blocks themselves) pass _require_chart.
@@ -652,10 +654,10 @@ def _chart_ratio(
     """
     inverses = _certified_inverse(np.stack([a1, a2]), 0.0)
     if inverses is not None:
-        return _result(np.linalg.det(a1 @ inverses[1]))
+        return np.linalg.det(a1 @ inverses[1])
     for m in (a1, a2) if maps is None else maps:
         _require_chart(np.linalg.svd(m, compute_uv=False), t)
-    return _result(np.linalg.det(np.linalg.solve(a2.mT, a1.mT).mT))
+    return np.linalg.det(np.linalg.solve(a2.mT, a1.mT).mT)
 
 
 def _direction_axis(direction) -> int:
@@ -682,9 +684,9 @@ class _Basis:
     would return an F-ordered one, and einsum, whose summation order
     follows the strides, would then round apart.  A gather drops the
     columns it does not select, where a product spreads a non-finite entry
-    of them into every column: a stencil member that must carry every entry
-    to fd_apply's finiteness check stays the whole block and is gathered
-    after the stencil.
+    of them into every column, so a stencil member gathered from a sample
+    with a non-finite entry is marked NaN (_nan_unless_finite) for
+    fd_apply's finiteness check.
     """
 
     v: np.ndarray | None = None
@@ -699,10 +701,10 @@ class _Basis:
         return self.v.conj().T
 
     def right(self, m: np.ndarray) -> np.ndarray:
-        return np.take(m, self.cols, axis=-1) if self.v is None else m @ self.v
+        return m.take(self.cols, axis=-1) if self.v is None else m @ self.v
 
     def left(self, m: np.ndarray) -> np.ndarray:
-        return np.take(m, self.cols, axis=-2) if self.v is None else self._vh @ m
+        return m.take(self.cols, axis=-2) if self.v is None else self._vh @ m
 
     def rows(self, j: np.ndarray) -> np.ndarray:
         """V[j, :], the rows j of V as an m x r array (0/1 on a coordinate base)."""
@@ -739,15 +741,12 @@ def _chart_base(w: ModeWindow, base: ModeOperator) -> _Basis:
     return _Basis(cols=np.flatnonzero(ones))
 
 
-def _family_blocks(
-    fam: ProjectionFamily, t1: float | np.ndarray, t2: float | np.ndarray
-) -> np.ndarray:
+def _family_blocks(fam: ProjectionFamily, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """The family's block function, unwrapped and unchecked, at each point of
-    1-D arrays t1, t2 as a (k, d, d) stack, or at one point (floats t1, t2)
-    as its d x d block itself."""
-    if isinstance(t1, np.ndarray):
-        return np.array([_block(fam, a, b) for a, b in zip(t1.tolist(), t2.tolist())])
-    return _block(fam, t1, t2)
+    the 1-D arrays t1, t2, as a (k, d, d) stack; one point's stack is a view
+    of the block the function returned, not a copy."""
+    blocks = [_block(fam, a, b) for a, b in zip(t1.tolist(), t2.tolist())]
+    return blocks[0][None] if len(blocks) == 1 else np.array(blocks)
 
 
 def _block(fam: ProjectionFamily, t1: float, t2: float) -> np.ndarray:
@@ -779,8 +778,7 @@ def _projections_at(fam: ProjectionFamily, t: Points, basis: _Basis | None = Non
     is constant near each point).  An error names the first failing point."""
     op = ModeOperator(fam.window, _family_blocks(fam, *t), TAIL_APS)
     if not op.is_projection():
-        members = op.entries.reshape(-1, *op.entries.shape[-2:])
-        bad = [not ModeOperator(fam.window, m, TAIL_APS).is_projection() for m in members]
+        bad = [not ModeOperator(fam.window, m, TAIL_APS).is_projection() for m in op.entries]
         raise DomainError(f"family value at {_point(t, bad.index(True))} is not a projection")
     if basis is not None:
         rank_p = np.trace(op.entries, axis1=-2, axis2=-1).real
@@ -789,7 +787,7 @@ def _projections_at(fam: ProjectionFamily, t: Points, basis: _Basis | None = Non
             i = int(np.argmax(off))
             raise NotInvertible(
                 f"chart is singular at t = {_point(t, i)} "
-                f"(rank P = {np.ravel(rank_p)[i]:.0f} != rank base)"
+                f"(rank P = {rank_p[i]:.0f} != rank base)"
             )
     return op.entries
 
@@ -813,25 +811,31 @@ def _chart_maps(p: np.ndarray, basis: _Basis, *sigs: np.ndarray | None) -> list[
     return [pv if sig is None else pv + p @ (sig @ pv) for sig in sigs]
 
 
-def _chart_derivative(d_member: np.ndarray, basis: _Basis, sig: np.ndarray | None) -> np.ndarray:
-    """d(SV) from the stencil of the chart's member: the chart map SV, or in
-    the identity chart the family value P, whose stencil gives (dP) V by one
-    product (a gather on a coordinate base)."""
-    return basis.right(d_member) if sig is None else d_member
+def _nan_unless_finite(member: np.ndarray, sample: np.ndarray) -> np.ndarray:
+    """A stencil member formed from ``sample`` (a family block or a move D),
+    NaN throughout when the sample has a non-finite entry, so that fd_apply
+    refuses the stencil even where a gather dropped that entry."""
+    return member if np.isfinite(sample).all() else member * np.nan
+
+
+def _chart_member(
+    fam: ProjectionFamily, basis: _Basis, sig: np.ndarray | None, t1, t2
+) -> np.ndarray:
+    """The dense path's stencil member at the sample (t1, t2): the chart map
+    SV of the family's blocks there (see _nan_unless_finite), an array the
+    stencil owns, so fd_apply's sums reuse its buffers."""
+    p_s = _family_blocks(fam, t1, t2)
+    return _nan_unless_finite(_chart_maps(p_s, basis, sig)[0], p_s)
 
 
 def _each(field: Callable[..., Any]) -> Callable[[np.ndarray, np.ndarray], Iterator[Any]]:
     """field(t1, t2) as an fd_apply field evaluated one stencil sample at a
-    time: t1, t2 are Python floats for one point and 1-D arrays for a stack.
-    A field over the stacked samples would hold all of them at once: one
-    curvature_rkw at n_max = 100 on the dense path peaks at 4.21 MB traced
-    that way, and at 2.27 MB one sample at a time (on the update path, whose
-    samples are r x r blocks, at 2.07 MB either way)."""
-
-    def lazy(t1: np.ndarray, t2: np.ndarray) -> Iterator[Any]:
-        return map(field, t1.tolist(), t2.tolist()) if t1.ndim == 1 else map(field, t1, t2)
-
-    return lazy
+    time, t1 and t2 the sample's 1-D arrays of points.  A field over the
+    stacked samples would hold all of them at once: one curvature_rkw at
+    n_max = 100 on the dense path peaks at 2.32 MB traced that way, and at
+    2.07 MB, its projection check at t, one sample at a time (on the update
+    path, whose samples are r x r blocks, at 2.07 MB either way)."""
+    return partial(map, field)
 
 
 # The update path runs from this rank r of base (of P for tr_p_dp_dp) on,
@@ -858,9 +862,9 @@ class _Open(DetlineError):
     lets it out."""
 
 
-def _key(t1, t2) -> tuple[bytes, bytes]:
-    """A stencil point as a dict key: the bytes of its coordinates, floats or arrays."""
-    return np.asarray(t1, dtype=float).tobytes(), np.asarray(t2, dtype=float).tobytes()
+def _key(t1: np.ndarray, t2: np.ndarray) -> tuple[bytes, bytes]:
+    """A stencil point as a dict key: the bytes of its coordinate arrays."""
+    return t1.tobytes(), t2.tobytes()
 
 
 class _Moves:
@@ -917,8 +921,7 @@ def _move(fam: ProjectionFamily, p: np.ndarray, t1, t2) -> tuple[np.ndarray, np.
     p, on any member of a stack, and the sample's entries on them; the d x d
     sample is freed on return."""
     block = _family_blocks(fam, t1, t2)
-    d = p.shape[-1]
-    differs = (block != p).reshape(-1, d, d).any(axis=0)
+    differs = (block != p).any(axis=0)
     rows = np.flatnonzero(differs.any(axis=0) | differs.any(axis=1))
     return rows, block[..., rows[:, None], rows]
 
@@ -989,7 +992,7 @@ class _LowRankChart:
         _, _, rows, member = self._moved(d_q)
         if d_s is not None:
             member = member + self.v_jh @ (d_s @ rows)
-        return member if np.isfinite(d_q).all() else member * np.nan
+        return _nan_unless_finite(member, d_q)
 
     def factors(self, d: np.ndarray) -> tuple[list, list, Any, Any]:
         """The blocks U_b, W_b of A_s - A = sum U_b W_b; sum |U_b|_F |W_b|_F, at
@@ -1039,7 +1042,7 @@ class _LowRankChart:
 def connection_form(
     fam: ProjectionFamily,
     base: ModeOperator,
-    t: Points,
+    t: tuple[float, float] | Points,
     direction="t1",
     perturbation: ModeOperator | None = None,
 ) -> complex | np.ndarray:
@@ -1055,10 +1058,10 @@ def connection_form(
     of one length for a complex array of values, one per point.
     """
     axis = _direction_axis(direction)
-    pts = _points(t)
+    pts, one = _points(t)
     basis = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
-    return _omega(fam, basis, sig, axis, pts, _projections_at(fam, pts, basis))
+    return _result(_omega(fam, basis, sig, axis, pts, _projections_at(fam, pts, basis)), one)
 
 
 def _omega(
@@ -1068,30 +1071,23 @@ def _omega(
     axis: int,
     t: Points,
     p: np.ndarray,
-) -> complex | np.ndarray:
+) -> np.ndarray:
     """connection_form along axis at the points t from the family values p
-    there: the chart map SV, with d(SV) from the chart's own stencil over
-    the family's blocks.
+    there: the chart map SV, with d(SV) the stencil of the chart maps at
+    the samples (_chart_member).
 
     The r x d block (SV)^+ P is the one array held while the stencil
     samples: P, SV and Y are released first, so the caller passes p without
     keeping it.  The gathers of a coordinate base drop the entries of P
     outside its rows and columns ``cols``, so a non-finite entry anywhere in
-    P makes the form NaN, which fd_apply refuses at an outer curvature_rkw
-    sample (P at t is checked, and finite, already).
+    P marks that block NaN, and the form with it, which fd_apply refuses at
+    an outer curvature_rkw sample (P at t is checked, and finite, already).
     """
     (s_v,) = _chart_maps(p, basis, sig)
-    s_pinv_p = _chart_pinv(s_v, basis.left(p), p, t)
-    finite = np.isfinite(p).all()
+    s_pinv_p = _nan_unless_finite(_chart_pinv(s_v, basis.left(p), p, t), p)
     del p, s_v
-
-    def member(t1, t2) -> np.ndarray:
-        p_s = _family_blocks(fam, t1, t2)
-        return p_s if sig is None else _chart_maps(p_s, basis, sig)[0]
-
-    d_sv = _chart_derivative(fd_apply(_each(member), t, _D1, axis), basis, sig)
-    omega = _connection_form(s_pinv_p, d_sv)
-    return omega if finite else omega * np.nan
+    member = partial(_chart_member, fam, basis, sig)
+    return _connection_form(s_pinv_p, fd_apply(_each(member), t, _D1, axis))
 
 
 def _chart_pinv(s_v: np.ndarray, y: np.ndarray, p: np.ndarray, t: Points) -> np.ndarray:
@@ -1123,17 +1119,17 @@ def _chart_pinv(s_v: np.ndarray, y: np.ndarray, p: np.ndarray, t: Points) -> np.
     return s_pinv @ p
 
 
-def _connection_form(s_pinv_p: np.ndarray, d_sv: np.ndarray) -> complex | np.ndarray:
+def _connection_form(s_pinv_p: np.ndarray, d_sv: np.ndarray) -> np.ndarray:
     """The connection form Tr((SV)^+ P d(SV)) from the block of _chart_pinv and
     the stencil derivative d(SV), summed elementwise; on the update path
     Tr(A^{-1} dM) from the inverse of A = Y SV and the stencil of the r x r
     members Y (S_q V - S V).  The caller takes SV and d(SV) from its own
     evaluation of the family, which a patching check shares with its
     transition determinant."""
-    return _result(np.einsum("...ij,...ji->...", s_pinv_p, d_sv))
+    return np.einsum("...ij,...ji->...", s_pinv_p, d_sv)
 
 
-def tr_p_dp_dp(fam: ProjectionFamily, t: Points) -> complex | np.ndarray:
+def tr_p_dp_dp(fam: ProjectionFamily, t: tuple[float, float] | Points) -> complex | np.ndarray:
     """Curvature density Tr(P [d1 P, d2 P]) of the family, by stencil derivatives,
     at a point or at each point of equal-length arrays t1, t2.
 
@@ -1141,13 +1137,13 @@ def tr_p_dp_dp(fam: ProjectionFamily, t: Points) -> complex | np.ndarray:
     the rank of P), the stencils and the products run on the J x J blocks:
     d1 P and d2 P vanish off them, so Tr(P [d1 P, d2 P]) is exactly
     Tr(P_JJ [d1 P_JJ, d2 P_JJ])."""
-    pts = _points(t)
+    pts, one = _points(t)
     p = _projections_at(fam, pts)
     rank = int(np.min(np.rint(np.trace(p, axis1=-2, axis2=-1).real)))
 
     def density(blocks: Callable[..., Iterator], p: np.ndarray) -> complex | np.ndarray:
         d1, d2 = fd_apply(blocks, pts, _D1, 0), fd_apply(blocks, pts, _D1, 1)
-        return _result(np.trace(p @ (d1 @ d2 - d2 @ d1), axis1=-2, axis2=-1))
+        return _result(np.trace(p @ (d1 @ d2 - d2 @ d1), axis1=-2, axis2=-1), one)
 
     try:
         points = _stencil_points(pts, _D1, 0) + _stencil_points(pts, _D1, 1)
@@ -1167,20 +1163,20 @@ def _nested_points(t: Points) -> Iterator:
             yield from _stencil_points(s, _D1, inner)
 
 
-def _curl(form: Callable[[int, Any, Any], Any], t: Points) -> complex | np.ndarray:
+def _curl(form: Callable[[int, Any, Any], Any], t: Points) -> np.ndarray:
     """d1 omega_2 - d2 omega_1 at t, omega_axis at each outer sample s being
     form(axis, *s)."""
 
     def omega(axis: int) -> Callable[..., Iterator]:
         return _each(partial(form, axis))
 
-    return _result(fd_apply(omega(1), t, _D1, 0) - fd_apply(omega(0), t, _D1, 1))
+    return fd_apply(omega(1), t, _D1, 0) - fd_apply(omega(0), t, _D1, 1)
 
 
 def curvature_rkw(
     fam: ProjectionFamily,
     base: ModeOperator,
-    t: Points,
+    t: tuple[float, float] | Points,
     perturbation: ModeOperator | None = None,
 ) -> complex | np.ndarray:
     """Curvature two-form d omega = d1 omega_2 - d2 omega_1 at a parameter point,
@@ -1194,27 +1190,27 @@ def curvature_rkw(
     Woodbury from the inverse at t; a call with any outer sample whose bound
     is left open runs on the dense path, whose SVD rule decides.
     """
-    pts = _points(t)
+    pts, one = _points(t)
     basis = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
     p = _projections_at(fam, pts, basis)  # the stencil points around t are not checked
     try:
         chart = _LowRankChart(_moves(fam, p, _nested_points(pts), basis.rank), p, basis, sig)
         p = None  # not held through the stencils
-        return _curl(chart.form, pts)
+        return _result(_curl(chart.form, pts), one)
     except DetlineError:  # the dense path decides every value, chart guard and message
         p = None  # its forms read the family at their own samples
 
-    def form(axis: int, t1, t2) -> complex | np.ndarray:
+    def form(axis: int, t1, t2) -> np.ndarray:
         return _omega(fam, basis, sig, axis, (t1, t2), _family_blocks(fam, t1, t2))
 
-    return _curl(form, pts)
+    return _result(_curl(form, pts), one)
 
 
 def transition_det(
     fam: ProjectionFamily,
     base: ModeOperator,
-    t: Points,
+    t: tuple[float, float] | Points,
     sigma1: ModeOperator | None,
     sigma2: ModeOperator | None,
 ) -> complex | np.ndarray:
@@ -1226,18 +1222,16 @@ def transition_det(
     is the Fredholm determinant of S_1 S_2^{-1} on ran(P), computed through
     the identity-extended representatives S_i + (I - P).
     """
-    pts = _points(t)
+    pts, one = _points(t)
     w = fam.window
     basis = _chart_base(w, base)
     sig1, sig2 = _chart_sigma(w, sigma1), _chart_sigma(w, sigma2)
     p = _projections_at(fam, pts, basis)
     s1_v, s2_v = _chart_maps(p, basis, sig1, sig2)
-    return _result(_transition_det(s1_v, s2_v, basis.left(p), pts))
+    return _result(_transition_det(s1_v, s2_v, basis.left(p), pts), one)
 
 
-def _transition_det(
-    s1_v: np.ndarray, s2_v: np.ndarray, y: np.ndarray, t: Points
-) -> complex | np.ndarray:
+def _transition_det(s1_v: np.ndarray, s2_v: np.ndarray, y: np.ndarray, t: Points) -> np.ndarray:
     """det_F((S_1 + I - P)(S_2 + I - P)^{-1}) on the r x r blocks Y S_i V from
     the chart maps S_i V and Y = V* P, for family values P of the rank of base
     (see _chart_ratio); the SVD rule, where it runs, decides on S_i V."""
@@ -1251,7 +1245,7 @@ def perturbation_patching_check(
     base: ModeOperator,
     sigma1: ModeOperator | None,
     sigma2: ModeOperator | None,
-    t: Points,
+    t: tuple[float, float] | Points,
     direction="t1",
 ) -> tuple[complex, complex] | tuple[np.ndarray, np.ndarray]:
     """Patching identity between two perturbation charts of one family.
@@ -1273,7 +1267,7 @@ def perturbation_patching_check(
     inverses: the connection forms one each, g its stacked inverse and det.
     """
     axis = _direction_axis(direction)
-    pts = _points(t)
+    pts, one = _points(t)
     w = fam.window
     basis = _chart_base(w, base)
     sigs = (_chart_sigma(w, sigma1), _chart_sigma(w, sigma2))
@@ -1290,7 +1284,7 @@ def perturbation_patching_check(
 
         lhs, dm1, dm2 = fd_apply(_each(updated), pts, _D1, axis)
         rhs = _connection_form(chart1.inverse, dm1) - _connection_form(chart2.inverse, dm2)
-        return _result(lhs), _result(rhs)
+        return _result(lhs, one), _result(rhs, one)
     except DetlineError:  # the dense path decides every value, chart guard and message
         if p is None:  # released for the update stencils: read the checked value at t again
             p = np.asarray(_family_blocks(fam, *pts), dtype=complex)
@@ -1298,25 +1292,24 @@ def perturbation_patching_check(
     def sample(t1, t2) -> tuple:
         p_at = _family_blocks(fam, t1, t2)
         maps, y = _chart_maps(p_at, basis, *sigs), basis.left(p_at)
-        members = tuple(p_at if sig is None else m for m, sig in zip(maps, sigs))
-        del p_at  # held through the ratio only as an identity chart's member
+        members = [_nan_unless_finite(m, p_at) for m in maps]
+        del p_at  # the d x d sample is not held through the ratio
         return (_transition_det(*maps, y, (t1, t2)), *members)
 
-    dg, *d_members = fd_apply(_each(sample), pts, _D1, axis)
+    dg, *d_maps = fd_apply(_each(sample), pts, _D1, axis)
     maps, y = _chart_maps(p, basis, *sigs), basis.left(p)
     lhs = dg / _transition_det(*maps, y, pts)
     omega1, omega2 = (
-        _connection_form(_chart_pinv(m, y, p, pts), _chart_derivative(dm, basis, sig))
-        for m, dm, sig in zip(maps, d_members, sigs)
+        _connection_form(_chart_pinv(m, y, p, pts), dm) for m, dm in zip(maps, d_maps)
     )
-    return _result(lhs), _result(omega1 - omega2)
+    return _result(lhs, one), _result(omega1 - omega2, one)
 
 
 def patching_identity_check(
     fam1: ProjectionFamily,
     fam2: ProjectionFamily,
     base: ModeOperator,
-    t: Points,
+    t: tuple[float, float] | Points,
     direction="t1",
 ) -> tuple[complex, complex] | tuple[np.ndarray, np.ndarray]:
     """Patching identity between the identity charts of two projection families.
@@ -1331,25 +1324,21 @@ def patching_identity_check(
     families once per sample for the ratio and both connection forms.
     """
     axis = _direction_axis(direction)
-    pts = _points(t)
+    pts, one = _points(t)
     if fam1.window.n_max != fam2.window.n_max:
         raise NotCommensurable("families must share one mode window")
     basis = _chart_base(fam1.window, base)
     p1, p2 = _projections_at(fam1, pts, basis), _projections_at(fam2, pts, basis)
 
-    def block(p: np.ndarray) -> np.ndarray:
-        return basis.left(basis.right(p))
-
     def sample(t1, t2) -> tuple:
-        pa, pb = _family_blocks(fam1, t1, t2), _family_blocks(fam2, t1, t2)
-        # the thin blocks P V are freed before the ratio inverts its r x r blocks
-        return _chart_ratio(block(pa), block(pb), (t1, t2)), pa, pb
+        pv1, pv2 = (_chart_member(fam, basis, None, t1, t2) for fam in (fam1, fam2))
+        return _chart_ratio(basis.left(pv1), basis.left(pv2), (t1, t2)), pv1, pv2
 
-    d_ratio, dp1, dp2 = fd_apply(_each(sample), pts, _D1, axis)
-    p1_v, p2_v = basis.right(p1), basis.right(p2)
-    lhs = d_ratio / _chart_ratio(basis.left(p1_v), basis.left(p2_v), pts)
+    d_ratio, dpv1, dpv2 = fd_apply(_each(sample), pts, _D1, axis)
+    pv1, pv2 = basis.right(p1), basis.right(p2)
+    lhs = d_ratio / _chart_ratio(basis.left(pv1), basis.left(pv2), pts)
     omega1, omega2 = (
-        _connection_form(_chart_pinv(p_v, basis.left(p), p, pts), basis.right(dp))
-        for p_v, p, dp in ((p1_v, p1, dp1), (p2_v, p2, dp2))
+        _connection_form(_chart_pinv(pv, basis.left(p), p, pts), dpv)
+        for pv, p, dpv in ((pv1, p1, dpv1), (pv2, p2, dpv2))
     )
-    return _result(lhs), _result(omega1 - omega2)
+    return _result(lhs, one), _result(omega1 - omega2, one)

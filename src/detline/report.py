@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import csv
+import errno
 import functools
 import io
 import json
@@ -1045,6 +1046,22 @@ def _grid_rows(g: GridSpec) -> tuple[list[dict], dict]:
     return rows, summary
 
 
+def _require_writable(path: str) -> None:
+    """Raise the OSError, naming path, that writing path would end in when
+    its directory is missing or not writable or path is a directory, so
+    that a command refuses such a path before it computes anything."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(directory):
+        code = errno.ENOENT
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _atomic_write(path: str, payload: str) -> None:
     """Write payload to path through a temporary file in its directory and a
     rename.  A failure removes the temporary file, and an OSError is raised
@@ -1072,12 +1089,16 @@ def curvature_grid(
     """Sample the curvature comparison over a grid and emit csv or json.
 
     Returns the summary dictionary (row counts and maximal relative errors);
-    when ``path`` is given the file is written atomically.  A grid reaching
-    beyond |z| = 8e76, where the closed density underflows and relative
-    errors are undefined, raises DomainError and writes nothing.
+    when ``path`` is given the file is written atomically, and a path that
+    cannot be written (see _require_writable) raises OSError before any row
+    is computed.  A grid reaching beyond |z| = 8e76, where the closed
+    density underflows and relative errors are undefined, raises DomainError
+    and writes nothing.
     """
     if out_format not in ("csv", "json"):
         raise DomainError(f"out_format must be 'csv' or 'json', got {out_format!r}")
+    if path is not None:
+        _require_writable(path)
     rows, summary = _grid_rows(g)
     if path is not None:
         if out_format == "csv":

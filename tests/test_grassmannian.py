@@ -39,6 +39,11 @@ def random_unitary(dim, rng=RNG):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def one_point(t):
+    """t as the chart layer holds every point: a pair of 1-D float arrays."""
+    return tuple(np.array(c, dtype=float, ndmin=1) for c in t)
+
+
 def window_sigma(scale=0.25, rng=RNG):
     m = scale * (rng.standard_normal((W.dim, W.dim)) + 1j * rng.standard_normal((W.dim, W.dim)))
     return gr.ModeOperator(W, m, gr.TAIL_ZERO)
@@ -471,32 +476,33 @@ def test_connection_form_guard_is_the_svd_rule(sv, certified):
     # P is the projection onto ran(SV), as for every chart map
     rng = np.random.default_rng(19)
     d = 2 * R_CERT - 1
-    s_v, p, y = chart_with_singular_values(sv, rng, d)
-    d_sv = rng.standard_normal((d, R_CERT)) + 1j * rng.standard_normal((d, R_CERT))
-    t = (0.25, 0.5)
+    s_v, p, y = (m[None] for m in chart_with_singular_values(sv, rng, d))
+    d_sv = rng.standard_normal((1, d, R_CERT)) + 1j * rng.standard_normal((1, d, R_CERT))
+    t = one_point((0.25, 0.5))
     expected = svd_rule(s_v, t=t, thin=True)
     assert (certified_form(s_v, y) is not None) == certified
     with np.errstate(all="raise"):
         message, value = decision(lambda: gr._connection_form(gr._chart_pinv(s_v, y, p, t), d_sv))
     assert message == expected
     if expected is None:
-        reference = np.trace(np.linalg.pinv(s_v, rcond=gr.RANK_SVD_THRESHOLD) @ p @ d_sv)
-        assert abs(value - reference) <= 1e-9 * abs(reference)
+        reference = np.trace(np.linalg.pinv(s_v[0], rcond=gr.RANK_SVD_THRESHOLD) @ p[0] @ d_sv[0])
+        assert abs(value[0] - reference) <= 1e-9 * abs(reference)
 
 
 def test_connection_form_guard_on_an_exactly_singular_chart_map():
     # a zero column gives Y SV an exact zero pivot: inv raises LinAlgError,
     # and the SVD rule decides
     rng = np.random.default_rng(20)
-    s_v, p, y = chart_with_singular_values(SPREAD, rng, 2 * R_CERT - 1)
-    s_v[:, 40] = 0.0
+    s_v, p, y = (m[None] for m in chart_with_singular_values(SPREAD, rng, 2 * R_CERT - 1))
+    s_v[..., 40] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(y @ s_v)
     assert certified_form(s_v, y) is None
-    expected = svd_rule(s_v, t=(0.25, 0.5), thin=True)
+    t = one_point((0.25, 0.5))
+    expected = svd_rule(s_v, t=t, thin=True)
     assert expected is not None
     with np.errstate(all="raise"):
-        message, _ = decision(lambda: gr._chart_pinv(s_v, y, p, (0.25, 0.5)))
+        message, _ = decision(lambda: gr._chart_pinv(s_v, y, p, t))
     assert message == expected
 
 
@@ -592,10 +598,11 @@ def test_certificate_never_passes_a_chart_map_the_svd_rule_refuses(spectra, tilt
     # below those of S V; whatever it passes, the SVD rule on S V passes, and
     # pinv's cut-off keeps every singular value of a connection form's map
     (s1_v, s2_v), y = tilted_chart_maps(np.random.default_rng(seed), spectra, tilts)
-    t = (0.25, 0.5)
+    s1_v, s2_v, y = s1_v[None], s2_v[None], y[None]
+    t = one_point((0.25, 0.5))
     if gr._certified_inverse(y @ s1_v, gr.RANK_SVD_THRESHOLD, s1_v) is not None:
         assert svd_rule(s1_v, t=t, thin=True) is None
-        sv = np.linalg.svd(s1_v, compute_uv=False)
+        sv = np.linalg.svd(s1_v[0], compute_uv=False)
         assert sv[-1] > gr.RANK_SVD_THRESHOLD * sv[0]
     if gr._certified_inverse(np.stack([y @ s1_v, y @ s2_v]), 0.0) is not None:
         assert svd_rule(s1_v, s2_v, t=t) is None
@@ -633,8 +640,8 @@ RATIO_SPECTRA = [
 @pytest.mark.parametrize("sv1, sv2, certified", RATIO_SPECTRA)
 def test_chart_ratio_guards_are_the_svd_rule(sv1, sv2, certified):
     rng = np.random.default_rng(22)
-    a1, a2 = (with_singular_values(sv, rng, R_CERT) for sv in (sv1, sv2))
-    t = (0.25, 0.5)
+    a1, a2 = (with_singular_values(sv, rng, R_CERT)[None] for sv in (sv1, sv2))
+    t = one_point((0.25, 0.5))
     assert (gr._certified_inverse(np.stack([a1, a2]), 0.0) is not None) == certified
     expected = svd_rule(a1, a2, t=t)
     with np.errstate(all="raise"):
@@ -814,12 +821,12 @@ def test_decomposition_and_projection_check_counts(monkeypatch):
     # a connection form: one inverse of the r x r block Y S V, which settles
     # the chart guard and the pseudo-inverse (a thin QR of the 13 x 7 chart
     # map as well before, and a thin SVD of it before the certificate)
-    form = {("inv", (7, 7)): 1}
+    form = {("inv", (1, 7, 7)): 1}
     # a transition ratio: one stacked inverse of its two r x r blocks for
     # both chart guards and one r x r det (a thin QR of S_2 V for
     # transition_det before, and two values-only SVDs of 7 x 7 blocks and a
     # solve before the certificate)
-    ratio = {("inv", (2, 7, 7)): 1, ("det", (7, 7)): 1}
+    ratio = {("inv", (2, 1, 7, 7)): 1, ("det", (1, 7, 7)): 1}
     assert counts(lambda: gr.connection_form(fam, base, t)) == (form, 1, 1, 5)
     eight = {key: 8 * n for key, n in form.items()}
     assert counts(lambda: gr.curvature_rkw(fam, base, t)) == (eight, 1, 1, 41)
@@ -1334,48 +1341,40 @@ def stack_setting():
 
 STACK_FAM2, (STACK_S1, STACK_S2) = stack_setting()
 
-# (entry, exact): an entry that divides by a stencil quotient on the way
-# (curvature_rkw's outer stencil, the patching log-derivatives) divides in
-# numpy on a stack and in Python complex arithmetic on a point, which may
-# round apart in the last bit; every other value is equal to the last bit
 STACKED_ENTRY_POINTS = [
     pytest.param(
-        lambda t, s: gr.connection_form(ROTATED, PI0, t, "t1", s), True, id="connection_form-t1"
+        lambda t, s: gr.connection_form(ROTATED, PI0, t, "t1", s), id="connection_form-t1"
     ),
     pytest.param(
-        lambda t, s: gr.connection_form(ROTATED, PI0, t, "t2", s), True, id="connection_form-t2"
+        lambda t, s: gr.connection_form(ROTATED, PI0, t, "t2", s), id="connection_form-t2"
     ),
-    pytest.param(lambda t, s: gr.tr_p_dp_dp(ROTATED, t), True, id="tr_p_dp_dp"),
-    pytest.param(lambda t, s: gr.curvature_rkw(ROTATED, PI0, t, s), False, id="curvature_rkw"),
+    pytest.param(lambda t, s: gr.tr_p_dp_dp(ROTATED, t), id="tr_p_dp_dp"),
+    pytest.param(lambda t, s: gr.curvature_rkw(ROTATED, PI0, t, s), id="curvature_rkw"),
     pytest.param(
-        lambda t, s: gr.transition_det(ROTATED, PI0, t, s, STACK_S2), True, id="transition_det"
+        lambda t, s: gr.transition_det(ROTATED, PI0, t, s, STACK_S2), id="transition_det"
     ),
     pytest.param(
         lambda t, s: gr.perturbation_patching_check(ROTATED, PI0, s, STACK_S2, t, "t1"),
-        False,
         id="perturbation_patching_check-t1",
     ),
     pytest.param(
         lambda t, s: gr.perturbation_patching_check(ROTATED, PI0, s, STACK_S2, t, "t2"),
-        False,
         id="perturbation_patching_check-t2",
     ),
     pytest.param(
         lambda t, s: gr.patching_identity_check(ROTATED, STACK_FAM2, PI0, t, "t1"),
-        False,
         id="patching_identity_check-t1",
     ),
     pytest.param(
         lambda t, s: gr.patching_identity_check(ROTATED, STACK_FAM2, PI0, t, "t2"),
-        False,
         id="patching_identity_check-t2",
     ),
 ]
 
 
 @pytest.mark.parametrize("chart", ["identity", "perturbation"])
-@pytest.mark.parametrize("entry, exact", STACKED_ENTRY_POINTS)
-def test_stacked_call_equals_the_one_point_calls(entry, exact, chart):
+@pytest.mark.parametrize("entry", STACKED_ENTRY_POINTS)
+def test_stacked_call_equals_the_one_point_calls(entry, chart):
     # a k-point call returns, member by member, what k one-point calls return
     # (a pair of arrays for the patching checks)
     sigma = None if chart == "identity" else STACK_S1
@@ -1385,9 +1384,49 @@ def test_stacked_call_equals_the_one_point_calls(entry, exact, chart):
     singles = np.array(singles).T.reshape(stacked.shape)
     assert all(type(x) is complex for x in np.ravel(singles).tolist())
     assert stacked.dtype == complex
-    if exact:
-        np.testing.assert_array_equal(stacked, singles)
-    assert np.all(np.abs(stacked - singles) <= 1e-15 * np.abs(singles))
+    np.testing.assert_array_equal(stacked, singles)
+
+
+POINT_FORMS = [
+    pytest.param((0.35, 0.6), id="float"),
+    pytest.param((0, 1), id="int"),
+    pytest.param((np.float64(0.35), np.float64(0.6)), id="np.float64"),
+    pytest.param((np.array(0.35), np.array(0.6)), id="0-d-array"),
+]
+
+
+@pytest.mark.parametrize("t", POINT_FORMS)
+@pytest.mark.parametrize("entry", STACKED_ENTRY_POINTS)
+def test_a_scalar_point_returns_a_complex_and_a_1d_point_an_array(entry, t):
+    # every scalar form of a point returns a complex (a pair of them for the
+    # patching checks), to the last bit the value at the float point; the
+    # same point as 1-D arrays of one entry returns arrays of shape (1,)
+    floats = (float(t[0]), float(t[1]))
+
+    def members(value):
+        return value if isinstance(value, tuple) else (value,)
+
+    expected = members(entry(floats, STACK_S1))
+    scalar, stacked = members(entry(t, STACK_S1)), members(entry(one_point(floats), STACK_S1))
+    assert len(scalar) == len(stacked) == len(expected)
+    for value, reference in zip(scalar, expected):
+        assert type(value) is complex and value == reference
+    for value, reference in zip(stacked, expected):
+        assert value.shape == (1,) and value.dtype == complex and value[0] == reference
+
+
+def test_a_one_point_stack_is_a_view_of_the_family_block():
+    # a one-point call reads the family's block in place: the stack of one
+    # shares its memory, so it costs no copy of the d x d block
+    returned = []
+
+    def value(t1, t2):
+        returned.append(ROTATED(t1, t2).entries)
+        return returned[-1]
+
+    fam = gr.ProjectionFamily(W, value)
+    blocks = gr._family_blocks(fam, np.array([0.35]), np.array([0.6]))
+    assert blocks.shape == (1, W.dim, W.dim) and np.shares_memory(blocks, returned[0])
 
 
 def fails_at_the_third_point(make):
@@ -1495,7 +1534,8 @@ def test_perturbation_patching_shares_samples_exactly(t, charts, direction):
     def g(t1, t2):
         return gr.transition_det(ROTATED, PI0, (t1, t2), s1, STACK_S2)
 
-    assert np.all(lhs == fd_apply(gr._each(g), t, D1, axis) / g(*t))
+    at = one_point(t)
+    assert np.all(lhs == fd_apply(gr._each(g), at, D1, axis) / g(*at))
     omega1 = gr.connection_form(ROTATED, PI0, t, direction, s1)
     omega2 = gr.connection_form(ROTATED, PI0, t, direction, STACK_S2)
     assert np.all(rhs == omega1 - omega2)
@@ -1517,7 +1557,8 @@ def test_identity_patching_shares_samples_exactly(t, direction):
         )
         return gr._chart_ratio(a1, a2, (t1, t2))
 
-    assert np.all(lhs == fd_apply(gr._each(family_ratio), t, D1, axis) / family_ratio(*t))
+    at = one_point(t)
+    assert np.all(lhs == fd_apply(gr._each(family_ratio), at, D1, axis) / family_ratio(*at))
     omega1 = gr.connection_form(ROTATED, PI0, t, direction)
     omega2 = gr.connection_form(STACK_FAM2, PI0, t, direction)
     assert np.all(rhs == omega1 - omega2)
@@ -1556,14 +1597,15 @@ def test_chart_peak_memory_on_a_large_window(entry):
     # connection form holds only its r x d block (Y S V)^{-1} Y while its
     # stencil samples: 3.57 MB traced for either call while the chart layer
     # held V = I[:, cols] from an eigh, 3.24 MB with the selected columns
-    # alone while each form held P and S V as well, 2.27 MB without them;
-    # on the update path, which curvature_rkw takes here, the peak is the
-    # projection check of the family value at t, 2.07 MB
+    # alone while each form held P and S V as well, 2.27 MB without them
+    # while its stencil members were whole d x d blocks; with the thin chart
+    # maps as members, and on the update path, which curvature_rkw takes
+    # here, the peak is the projection check of the family value at t, 2.07 MB
     w = gr.ModeWindow(100)
     fam, base = gr.rotated_family(w, (-3, 7)), gr.spectral_projection(w, 0)
     call, bound = {
         "curvature_rkw": (lambda: gr.curvature_rkw(fam, base, (0.4, 0.3)), 2.1e6),
-        "connection_form": (lambda: gr.connection_form(fam, base, (0.4, 0.3), "t1"), 2.3e6),
+        "connection_form": (lambda: gr.connection_form(fam, base, (0.4, 0.3), "t1"), 2.1e6),
     }[entry]
     tracemalloc.start()
     try:
@@ -1730,7 +1772,7 @@ def test_gathered_blocks_are_c_contiguous(t):
     # einsum sums in an order that follows the strides, so a gathered block
     # must be laid out as the product it replaces
     basis = gr._chart_base(W6, gr.spectral_projection(W6, 0))
-    p = gr._family_blocks(gr.rotated_family(W6, (-2, 1)), *t)
+    p = gr._family_blocks(gr.rotated_family(W6, (-2, 1)), *one_point(t))
     for gathered in (basis.right(p), basis.left(p), basis.left(basis.right(p))):
         assert gathered.flags.c_contiguous
     assert basis.right(p).shape[-2:] == (W6.dim, basis.rank)
@@ -2003,6 +2045,28 @@ def test_the_update_path_gives_the_dense_path_values(monkeypatch, t, chart):
         close(value, dense_path(monkeypatch, call), tolerance(name))
 
 
+@pytest.mark.parametrize("window", ["dense", "update"])
+def test_every_chart_helper_gets_a_stack_of_points(monkeypatch, window):
+    # a point passed as two floats reaches the family as two 1-D arrays of
+    # one entry, on the dense path (n_max = 4) and the update path (n_max = 40)
+    if window == "dense":
+        base, fam, fam2, (s1, s2) = PI0, ROTATED, STACK_FAM2, (STACK_S1, STACK_S2)
+    else:
+        base, fam, fam2, (s1, s2) = PI40, ROTATED40, OTHER40, update_sigmas()
+    blocks, seen = gr._family_blocks, []
+
+    def stacked_only(fam, t1, t2):
+        seen.append((t1, t2))
+        assert all(isinstance(c, np.ndarray) and c.ndim == 1 for c in (t1, t2)), (t1, t2)
+        return blocks(fam, t1, t2)
+
+    monkeypatch.setattr(gr, "_family_blocks", stacked_only)
+    for chart in (None, s1):
+        for name, call in chart_calls(base, fam, fam2, chart, s2, (0.3, 0.45)).items():
+            assert type(call()) in (complex, tuple), name
+    assert seen
+
+
 def test_the_update_path_against_a_conjugate_of_full_support(monkeypatch):
     # u P u* for a constant unitary u, with base and sigma conjugated by u,
     # leaves every value of the six entry points unchanged; the conjugate
@@ -2271,13 +2335,16 @@ def test_lapack_calls_on_the_update_path_at_n_max_100(monkeypatch):
         on_the_update_path(monkeypatch, call)
         return {c: calls.count(c) for c in calls}
 
-    inverse = {("inv", (101, 101)): 1}
-    assert counts(lambda: gr.curvature_rkw(fam, base, t)) == {**inverse, ("solve", (4, 4)): 8}
-    assert counts(lambda: gr.curvature_rkw(fam, base, t, s1)) == {**inverse, ("solve", (6, 6)): 8}
+    inverse = {("inv", (1, 101, 101)): 1}
+    assert counts(lambda: gr.curvature_rkw(fam, base, t)) == {**inverse, ("solve", (1, 4, 4)): 8}
+    assert counts(lambda: gr.curvature_rkw(fam, base, t, s1)) == {
+        **inverse,
+        ("solve", (1, 6, 6)): 8,
+    }
     assert counts(lambda: gr.tr_p_dp_dp(fam, t)) == {}
     assert counts(lambda: gr.perturbation_patching_check(fam, base, s1, s2, t)) == {
-        ("inv", (101, 101)): 2,
-        ("det", (6, 6)): 8,
+        ("inv", (1, 101, 101)): 2,
+        ("det", (1, 6, 6)): 8,
     }
 
 

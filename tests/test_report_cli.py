@@ -324,12 +324,12 @@ def test_cli_grid_stdout_summary(tmp_path, capsys):
     ],
     ids=["curvature-grid", "verify"],
 )
-@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("target", ["missing-directory", "unwritable-directory", "directory"])
 def test_cli_unwritable_output_path_is_one_error_line(
     tmp_path, capsys, monkeypatch, argv, target
 ):
-    # a missing directory fails before the temporary file is made; an
-    # existing directory as the path fails at the rename, after it
+    # the path is refused before the suite or the grid computes anything,
+    # so no temporary file is made
     made = []
     mkstemp = tempfile.mkstemp
 
@@ -338,16 +338,35 @@ def test_cli_unwritable_output_path_is_one_error_line(
         made.append(name)
         return fd, name
 
+    def never(*args, **kwargs):
+        raise AssertionError("computed before the output path was checked")
+
     monkeypatch.setattr(tempfile, "mkstemp", recorded)
-    path = tmp_path / ("missing/out" if target == "missing-directory" else "existing")
+    monkeypatch.setattr(report, "run_suite", never)
+    monkeypatch.setattr(report, "_grid_rows", never)
+    path = {
+        "missing-directory": tmp_path / "missing" / "out",
+        "unwritable-directory": tmp_path / "locked" / "out",
+        "directory": tmp_path / "existing",
+    }[target]
     if target == "directory":
         path.mkdir()
+    if target == "unwritable-directory":
+        path.parent.mkdir(mode=0o555)
+        # root ignores the mode bits, so os.access reads the owner's write bit
+        access = os.access
+
+        def owner_may_write(p, mode, **kwargs):
+            denied = mode & os.W_OK and not os.stat(p).st_mode & 0o200
+            return access(p, mode, **kwargs) and not denied
+
+        monkeypatch.setattr(os, "access", owner_may_write)
     code = cli.main(argv + [str(path)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
     assert "Traceback" not in err and ".detline-" not in err
-    assert len(made) == (target == "directory")
+    assert len(made) == 0
     assert not list(tmp_path.rglob(".detline-*.tmp"))
 
 
