@@ -35,22 +35,23 @@ the transition determinant and the two connection forms; on the dense path
 each route keeps its own inverses.
 
 Stencil samples are low-rank updates of the chart at t where that is
-cheaper.  curvature_rkw, tr_p_dp_dp and perturbation_patching_check first
-take every stencil sample P_s of the family and compare it exactly with the
-checked value P at t, keeping only the rows and columns J where they
-differ, and the sample's entries there (NaN differs from every value, so a
-non-finite entry lands in J).  Every sample's Y_s, S_s V and A_s = Y_s S_s V
-is then an update of the chart at t of rank at most |J| per term, formed
-from V_J = V[J, :] and gathers of the chart at t (_LowRankChart): an outer
-curvature_rkw sample inverts A_s = A + U W by Woodbury from the certified
-inverse at t, once the norm bound s_min(A_s) >= 1 / |A^{-1}|_F -
-sum |U_b|_F |W_b|_F clears the certificate's floor, and traces the stencil
-of the r x r members Y_s (S_q V - S V) against A_s^{-1}, with no r x d
-block; perturbation_patching_check takes one move D per sample for both of
-its charts and differentiates g(s) / g(t) =
-det(I + W_1 A_1^{-1} U_1) / det(I + W_2 A_2^{-1} U_2), with the same bound
-on each sample's chart guard; tr_p_dp_dp is Tr(P_JJ [d1 P_JJ, d2 P_JJ]).
-A sample then costs its family call and compare and O(r |J| (r + |J|)).
+cheaper.  A family may declare the rows and columns S it moves and a closed
+form of its S x S block (rotated_family does; see ProjectionFamily), its
+value being a fixed block off S x S.  curvature_rkw, tr_p_dp_dp and
+perturbation_patching_check then take J = S and read each stencil sample's
+P_s[J, J] from that closed form (_Moves), with no d x d sample.  Every
+sample's Y_s, S_s V and A_s = Y_s S_s V is an update of the chart at t of
+rank at most |J| per term, formed from V_J = V[J, :] and gathers of the
+chart at t (_LowRankChart): an outer curvature_rkw sample inverts A_s = A +
+U W by Woodbury from the certified inverse at t, once the norm bound
+s_min(A_s) >= 1 / |A^{-1}|_F - sum |U_b|_F |W_b|_F clears the certificate's
+floor, and traces the stencil of the r x r members Y_s (S_q V - S V) against
+A_s^{-1}, with no r x d block; perturbation_patching_check takes one move D
+per sample for both of its charts and differentiates g(s) / g(t) = det(I +
+W_1 A_1^{-1} U_1) / det(I + W_2 A_2^{-1} U_2), with the same bound on each
+sample's chart guard; tr_p_dp_dp is Tr(P_JJ [d1 P_JJ, d2 P_JJ]).  A sample
+then costs its declared block and O(r |J| (r + |J|)).  A non-finite entry of
+that block makes its members NaN, which fd_apply refuses.
 On the update path both routes of a patching check, the ratio and the
 connection forms, read each chart's one certified inverse at t.  numpy
 inverts each member of a stack on its own, so these are the numbers a
@@ -59,14 +60,16 @@ certificate, whose floor 2 CHART_SVD_THRESHOLD is never above a chart's,
 settles wherever the charts' do.  On the dense path each route keeps its
 own inverses.
 
-Each call takes one path for all of its values.  The update path runs from
-the rank _LOW_RANK_CROSSOVER on, when the samples move at most two rows
-(_moves), and only to its end: where a norm bound leaves a chart at
+Each call takes one path for all of its values, decided from the
+declaration before any sample is taken.  The update path runs from the
+rank _LOW_RANK_CROSSOVER on, for a family that declares a support of at
+most two rows, and only to its end: where a norm bound leaves a chart at
 t or a sample open, a sample raises or a stencil is not finite, it raises
 a DetlineError and the whole call runs the dense path, which forms every
 sample's chart algebra and decides every value, chart guard and message.
-Below the crossover, on every window of verify all, the dense path runs
-before any sample is taken.  connection_form, whose one stencil gains
+Below the crossover, on every window of verify all, and for a family that
+declares nothing, such as every ProjectionFamily(window, map_fn), the
+dense path runs from the start.  connection_form, whose one stencil gains
 nothing measurable from the update, and patching_identity_check, which no
 workload runs above the crossover, always take the dense path.
 
@@ -88,11 +91,12 @@ alike).  Projections are checked once per public call: the base (on a
 coordinate base only its tails are left to check), and the family values
 at all points t as one stack, each required to have the rank of base; an
 error names the first failing point.
-The fixed stencils around t read the family's block function directly,
-unwrapped and not checked to be projections; a value that is no d x d
-block of numbers is refused with DomainError naming its point, a
-non-finite sample enters the result ``fd_apply`` refuses, and an error of
-the block function names the one point where it was raised.
+The fixed stencils around t read the family's block function directly, or on
+the update path its declared block, unwrapped and not checked to be
+projections; a value that is no d x d block of numbers is refused with
+DomainError naming its point, a non-finite sample enters the result
+``fd_apply`` refuses, and an error of the block function names the one point
+where it was raised.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ import cmath
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -114,7 +118,7 @@ from .errors import (
     NotInvertible,
     WindowOverflow,
 )
-from .specfun import FdStencil, _hurwitz_em, _open_unit_points, _stencil_points, fd_apply
+from .specfun import FdStencil, _hurwitz_em, _open_unit_points, fd_apply
 from .tolerances import (
     CHART_SVD_THRESHOLD,
     DEFAULT_FD_STEP,
@@ -206,7 +210,8 @@ class ModeOperator:
     member of a stack); ``is_projection`` holds when every member is a
     projection, and ``window_rank`` returns an int array.  Entry points that
     take one operator, such as ``trace`` and ``relative_eta``, raise
-    ``DomainError`` on a stack.
+    ``DomainError`` on a stack.  Entries that are not numbers, and tails
+    that are not a pair of numbers (a bool is none), raise ``DomainError``.
     """
 
     window: ModeWindow
@@ -214,13 +219,19 @@ class ModeOperator:
     tail: tuple[complex, complex]
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=complex)
+        try:
+            m, tail = np.asarray(self.entries), np.asarray(self.tail)
+        except ValueError as exc:  # a ragged nesting
+            raise DomainError(f"entries and tails must be arrays of numbers: {exc}") from exc
+        if m.dtype.kind not in "biufc" or tail.shape != (2,) or tail.dtype.kind not in "iufc":
+            raise DomainError(f"need entries of numbers, a pair of tails: {m.dtype}, {self.tail!r}")
+        m = np.asarray(m, dtype=complex)
         d = self.window.dim
         if m.shape[-2:] != (d, d) or m.ndim > 3 or m.size == 0:
             raise DomainError(f"entries must be {d}x{d} or a nonempty stack of them, got {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise DomainError("entries must be finite")
-        tail = (complex(self.tail[0]), complex(self.tail[1]))
+        tail = (complex(tail[0]), complex(tail[1]))
         if not (cmath.isfinite(tail[0]) and cmath.isfinite(tail[1])):
             raise DomainError(f"tails must be finite, got {tail}")
         object.__setattr__(self, "entries", m)
@@ -353,18 +364,33 @@ class ProjectionFamily:
     Evaluating at (t1, t2) in the unit square yields a ModeOperator that is
     meant to be idempotent and Hermitian, with tail identity above the window
     and zero below, and whose difference from the value at t = 0 stays window
-    supported.  A call does not check this.  ``map_fn`` takes two floats and
-    returns one d x d block; each public entry point that takes a family
-    calls it at each of its own points t and checks those values once, as
-    one stack, and the stencils around t call it unwrapped and unchecked.
+    supported.  A call does not check this; a coordinate that is not one
+    finite real number raises DomainError, by the rule of the chart layer's
+    points.  ``map_fn`` takes two floats and returns one d x d block; each
+    public entry point that takes a family calls it at each of its own
+    points t and checks those values once, as one stack, and the stencils
+    around t call it unwrapped and unchecked.
+
+    A family may declare the modes it moves, as rotated_family does: the
+    sorted window indices S (``_support``) and a closed form of its S x S
+    block at two floats (``_support_block``, nested tuples of numbers), its
+    value being a fixed block off S x S.  The update path reads its stencil
+    samples from that block alone; a family that declares nothing, such as
+    every ``ProjectionFamily(window, map_fn)``, takes the dense path.
     """
+
+    _support: tuple[int, ...] | None = None
+    _support_block: Callable[[float, float], tuple] | None = None
 
     def __init__(self, window: ModeWindow, map_fn: Callable[[float, float], np.ndarray]):
         self.window = window
         self._map = map_fn
 
     def __call__(self, t1: float, t2: float) -> ModeOperator:
-        return ModeOperator(self.window, self._map(float(t1), float(t2)), TAIL_APS)
+        (t1, t2), one = _points((t1, t2))
+        if not one:
+            raise DomainError(f"a family value takes one point, got shape {t1.shape}")
+        return ModeOperator(self.window, self._map(float(t1[0]), float(t2[0])), TAIL_APS)
 
 
 def spectral_projection(w: ModeWindow, k: int) -> ModeOperator:
@@ -383,8 +409,10 @@ def rotated_family(w: ModeWindow, modes: tuple[int, int]) -> ProjectionFamily:
     U(t) rotates span{e_m1, e_m2} by the angle pi t1 / 2 with relative phase
     exp(2 pi i t2) and fixes every other mode, so P(0, t2) = Pi_{>=0} and the
     difference P(t) - Pi_{>=0} is supported in the 2x2 block on (m1, m2).
-    That block is the projection onto U e_m2 = (-conj(phase) sin, cos),
-    written in closed form into a copy of Pi_{>=0}.
+    That block is the projection onto U e_m2 = (-conj(phase) sin, cos), in
+    closed form; the family declares it with its support S = (m1, m2) (see
+    ProjectionFamily), and its value is a copy of Pi_{>=0} with the block
+    written in.
     """
     try:
         m1, m2 = modes
@@ -395,18 +423,20 @@ def rotated_family(w: ModeWindow, modes: tuple[int, int]) -> ProjectionFamily:
         raise DomainError(f"need m1 < 0 <= m2, got ({m1}, {m2})")
     base = spectral_projection(w, 0).entries
 
-    def value(t1: float, t2: float) -> np.ndarray:
+    def block(t1: float, t2: float) -> tuple:
         theta = np.pi * t1 / 2.0
         phase = np.exp(2j * np.pi * t2)
         sin, cos = np.sin(theta), np.cos(theta)
+        return (sin * sin, -np.conj(phase) * sin * cos), (-phase * sin * cos, cos * cos)
+
+    def value(t1: float, t2: float) -> np.ndarray:
         p = base.copy()
-        p[i, i] = sin * sin
-        p[j, j] = cos * cos
-        p[i, j] = -np.conj(phase) * sin * cos
-        p[j, i] = -phase * sin * cos
+        (p[i, i], p[i, j]), (p[j, i], p[j, j]) = block(t1, t2)
         return p
 
-    return ProjectionFamily(w, value)
+    fam = ProjectionFamily(w, value)
+    fam._support, fam._support_block = (i, j), block
+    return fam
 
 
 def require_det_class(t_op: ModeOperator) -> None:
@@ -839,8 +869,8 @@ def _each(field: Callable[..., Any]) -> Callable[[np.ndarray, np.ndarray], Itera
 
 
 # The update path runs from this rank r of base (of P for tr_p_dp_dp) on,
-# when the stencil samples of a call differ from the family value at t only
-# on two rows and columns J; the dense path runs otherwise.  Measured
+# for a family that declares a support J of at most two rows (_Moves); the
+# dense path runs otherwise.  Measured
 # in-process on rotated_family (|J| = 2) at t = (0.3, 0.2), one BLAS
 # thread, median ms updated vs dense (BENCH_23.json): curvature_rkw 6.27 vs
 # 4.01 at n_max = 31, 7.01 vs 5.93 at 43 and 6.98 vs 10.31 at 50; in a
@@ -855,75 +885,37 @@ _LOW_RANK_CROSSOVER = 40
 
 class _Open(DetlineError):
     """The update path cannot settle a call: r is below the crossover, the
-    samples move more rows than _moves admits, or a norm bound leaves
+    family declares no support of at most two rows, or a norm bound leaves
     a chart at t or a sample open.  Like every DetlineError on the update
     path, a sample's own error included, it hands the whole call to the
     dense path; fd_apply passes it through unchanged, and no entry point
     lets it out."""
 
 
-def _key(t1: np.ndarray, t2: np.ndarray) -> tuple[bytes, bytes]:
-    """A stencil point as a dict key: the bytes of its coordinate arrays."""
-    return t1.tobytes(), t2.tobytes()
-
-
 class _Moves:
-    """Family samples at stencil points, each held as its move from the
-    family's checked value P at t: the rows and columns where the sample
-    differs from P and the sample's entries on them.  J, sorted, is the union
-    of those rows over every sample and member of a stack, and p_jj is
-    P[J, J]."""
+    """The moves of a family that declares its support (see ProjectionFamily)
+    from its checked values P at t, of rank ``rank`` (of base for a chart):
+    J is the support and p_jj = P[J, J], and a sample's P_s[J, J] is read
+    from the declared block alone, so that P_s = P + I_J D I_J*.  Raises
+    _Open, before any sample, below _LOW_RANK_CROSSOVER, where the dense
+    path runs, and for a family that declares no support of at most two
+    rows: the rows a family of projections that moves at all moves at least
+    (a lone diagonal entry of a projection is 0 or 1), and the only |J|
+    measured."""
 
-    def __init__(self, j: np.ndarray, p_jj: np.ndarray, held: dict):
-        self.j, self.p_jj, self._held = j, p_jj, held
+    def __init__(self, fam: ProjectionFamily, p: np.ndarray, rank: int):
+        if rank < _LOW_RANK_CROSSOVER or fam._support is None or len(fam._support) > 2:
+            raise _Open
+        self.j, self._block = np.array(fam._support), fam._support_block
+        self.p_jj = p[..., self.j[:, None], self.j]
 
     def delta(self, t1, t2) -> np.ndarray:
-        """D = P_s[J, J] - P[J, J] at the sample (t1, t2), so that
-        P_s = P + I_J D I_J*."""
+        """D = P_s[J, J] - P[J, J] at the sample (t1, t2)."""
         return self.restricted(t1, t2) - self.p_jj
 
     def restricted(self, t1, t2) -> np.ndarray:
-        """P_s[J, J] at the sample (t1, t2)."""
-        rows, entries = self._held[_key(t1, t2)]
-        block = self.p_jj.copy()
-        at = np.searchsorted(self.j, rows)
-        block[..., at[:, None], at] = entries
-        return block
-
-
-def _moves(fam: ProjectionFamily, p: np.ndarray, points: Iterable, rank: int) -> _Moves:
-    """The moves of the family from its checked values p, of rank ``rank``
-    (of base for a chart), at the stencil points ``points``.  Raises _Open
-    before any sample below _LOW_RANK_CROSSOVER, where the dense path runs,
-    and once J has more than two rows: the rows a family of projections that
-    moves at all moves at least (a lone diagonal entry of a projection is 0
-    or 1), and the only |J| measured.  A sample's error propagates.  The
-    compare is exact, and NaN differs from every value, so a non-finite
-    entry lands in J.  A point met twice, such as curvature_rkw's inner
-    samples, is sampled once."""
-    if rank < _LOW_RANK_CROSSOVER:
-        raise _Open
-    moved = np.zeros(p.shape[-1], dtype=bool)
-    held: dict = {}
-    for t1, t2 in points:
-        key = _key(t1, t2)
-        if key not in held:
-            held[key] = _move(fam, p, t1, t2)
-            moved[held[key][0]] = True
-            if np.count_nonzero(moved) > 2:
-                raise _Open
-    j = np.flatnonzero(moved)
-    return _Moves(j, p[..., j[:, None], j], held)
-
-
-def _move(fam: ProjectionFamily, p: np.ndarray, t1, t2) -> tuple[np.ndarray, np.ndarray]:
-    """The rows and columns where the family's sample at (t1, t2) differs from
-    p, on any member of a stack, and the sample's entries on them; the d x d
-    sample is freed on return."""
-    block = _family_blocks(fam, t1, t2)
-    differs = (block != p).any(axis=0)
-    rows = np.flatnonzero(differs.any(axis=0) | differs.any(axis=1))
-    return rows, block[..., rows[:, None], rows]
+        """P_s[J, J] at the sample (t1, t2), a stack with one block per point."""
+        return np.array([self._block(a, b) for a, b in zip(t1.tolist(), t2.tolist())])
 
 
 def _capacitance(
@@ -953,7 +945,7 @@ class _LowRankChart:
       G = Y (P sigma)[:, J]: a sum U W of rank at most 3 |J| (2 |J| in the
       identity chart).
     These are exact expansions of the products, with no use of P^2 = P, so a
-    sample costs O(r |J| (r + |J|)) after its family call and compare.
+    sample costs O(r |J| (r + |J|)) after its declared block.
     """
 
     def __init__(self, moves: _Moves, p: np.ndarray, basis: _Basis, sig: np.ndarray | None):
@@ -1133,10 +1125,10 @@ def tr_p_dp_dp(fam: ProjectionFamily, t: tuple[float, float] | Points) -> comple
     """Curvature density Tr(P [d1 P, d2 P]) of the family, by stencil derivatives,
     at a point or at each point of equal-length arrays t1, t2.
 
-    Where the samples move only the rows and columns J (see _moves, with r
-    the rank of P), the stencils and the products run on the J x J blocks:
-    d1 P and d2 P vanish off them, so Tr(P [d1 P, d2 P]) is exactly
-    Tr(P_JJ [d1 P_JJ, d2 P_JJ])."""
+    Where the family declares that it moves only the rows and columns J
+    (see _Moves, with r the rank of P), the stencils and the products run on
+    the J x J blocks: d1 P and d2 P vanish off them, so Tr(P [d1 P, d2 P])
+    is exactly Tr(P_JJ [d1 P_JJ, d2 P_JJ])."""
     pts, one = _points(t)
     p = _projections_at(fam, pts)
     rank = int(np.min(np.rint(np.trace(p, axis1=-2, axis2=-1).real)))
@@ -1146,21 +1138,11 @@ def tr_p_dp_dp(fam: ProjectionFamily, t: tuple[float, float] | Points) -> comple
         return _result(np.trace(p @ (d1 @ d2 - d2 @ d1), axis1=-2, axis2=-1), one)
 
     try:
-        points = _stencil_points(pts, _D1, 0) + _stencil_points(pts, _D1, 1)
-        moves = _moves(fam, p, points, rank)
+        moves = _Moves(fam, p, rank)
         return density(_each(moves.restricted), moves.p_jj)
     except DetlineError:  # the dense path decides every value and message
         pass
     return density(_each(partial(_family_blocks, fam)), p)
-
-
-def _nested_points(t: Points) -> Iterator:
-    """The samples of curvature_rkw's stencils around t, in the order they are
-    taken: each outer sample followed by its inner stencil."""
-    for outer, inner in ((0, 1), (1, 0)):
-        for s in _stencil_points(t, _D1, outer):
-            yield s
-            yield from _stencil_points(s, _D1, inner)
 
 
 def _curl(form: Callable[[int, Any, Any], Any], t: Points) -> np.ndarray:
@@ -1195,7 +1177,7 @@ def curvature_rkw(
     sig = _chart_sigma(fam.window, perturbation)
     p = _projections_at(fam, pts, basis)  # the stencil points around t are not checked
     try:
-        chart = _LowRankChart(_moves(fam, p, _nested_points(pts), basis.rank), p, basis, sig)
+        chart = _LowRankChart(_Moves(fam, p, basis.rank), p, basis, sig)
         p = None  # not held through the stencils
         return _result(_curl(chart.form, pts), one)
     except DetlineError:  # the dense path decides every value, chart guard and message
@@ -1273,7 +1255,7 @@ def perturbation_patching_check(
     sigs = (_chart_sigma(w, sigma1), _chart_sigma(w, sigma2))
     p = _projections_at(fam, pts, basis)
     try:
-        moves = _moves(fam, p, _stencil_points(pts, _D1, axis), basis.rank)
+        moves = _Moves(fam, p, basis.rank)
         chart1, chart2 = (_LowRankChart(moves, p, basis, sig) for sig in sigs)
         p = None  # not held through the stencils
 

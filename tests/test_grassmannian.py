@@ -1686,6 +1686,51 @@ def test_mode_operator_refuses_non_finite_tails(tail):
         gr.ModeOperator(w2, np.zeros((3, w2.dim, w2.dim)), tail)
 
 
+@pytest.mark.parametrize(
+    "tail",
+    [("1", "0"), (True, False), (1, 0, 0), (1.0,), None, ("a", "b"), (1, [0, 1])],
+    ids=["strings", "bools", "three", "one", "None", "letters", "ragged"],
+)
+def test_mode_operator_refuses_tails_that_are_no_pair_of_numbers(tail):
+    # strings and bools were taken as numbers, a third tail was dropped, and
+    # the rest raised IndexError, TypeError or ValueError
+    w2 = gr.ModeWindow(2)
+    with pytest.raises(DomainError, match="numbers"):
+        gr.ModeOperator(w2, np.eye(w2.dim), tail)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    ["abc", [[1, 0, 0, 0, 0]] * 4 + [[1]], np.full((5, 5), "0"), None],
+    ids=["string", "ragged", "string-array", "None"],
+)
+def test_mode_operator_refuses_entries_that_are_not_numbers(entries):
+    # a string array was parsed as numbers, the others raised ValueError or
+    # TypeError
+    w2 = gr.ModeWindow(2)
+    with pytest.raises(DomainError, match="numbers"):
+        gr.ModeOperator(w2, entries, gr.TAIL_APS)
+
+
+CONSTANT = gr.ProjectionFamily(W, lambda t1, t2: PI0.entries)
+
+
+@pytest.mark.parametrize("position", [0, 1], ids=["t1", "t2"])
+@pytest.mark.parametrize(
+    "coordinate",
+    ["0.3", True, None, np.array([0.1, 0.2]), np.array([0.3]), 1j, math.nan, math.inf],
+    ids=["string", "bool", "None", "array", "one-entry-array", "complex", "nan", "inf"],
+)
+def test_a_family_value_takes_one_finite_real_number_per_coordinate(coordinate, position):
+    # by the rule of the chart layer's points; a string and a bool were
+    # converted, and None, an array and a complex raised a bare TypeError
+    t = [0.3, 0.2]
+    t[position] = coordinate
+    with pytest.raises(DomainError):
+        CONSTANT(*t)
+    assert np.array_equal(ROTATED(np.float64(0.3), np.int64(1)).entries, ROTATED(0.3, 1.0).entries)
+
+
 def test_eta_invariant_takes_an_array_of_offsets():
     offsets = np.array([[0.05, 0.3], [0.5, 0.95]])
     eta = gr.eta_invariant_spectral(offsets)
@@ -1948,6 +1993,23 @@ PI40 = gr.spectral_projection(W40, 0)
 ROTATED40 = gr.rotated_family(W40, (-2, 1))
 # the same modes at another rate: the identity-chart patching ratio moves
 OTHER40 = gr.ProjectionFamily(W40, lambda t1, t2: ROTATED40(0.8 * t1 + 0.1, t2).entries)
+
+
+def declared(w, support, block):
+    """A family that declares the support S and the S x S block function
+    ``block``, as rotated_family does, its value Pi_{>=0} off S x S."""
+    base, s = gr.spectral_projection(w, 0).entries, np.ix_(support, support)
+
+    def value(t1, t2):
+        p = base.copy()
+        p[s] = block(t1, t2)
+        return p
+
+    fam = gr.ProjectionFamily(w, value)
+    fam._support, fam._support_block = support, block
+    return fam
+
+
 UPDATE_AT = [
     pytest.param((0.3, 0.45), id="one-point"),
     pytest.param((np.array([0.2, 0.35, 0.6]), np.array([0.1, 0.45, 0.8])), id="three-points"),
@@ -1971,46 +2033,49 @@ def dense_path(monkeypatch, call):
 
 @contextmanager
 def path_spy(monkeypatch):
-    """The path a call inside the block takes: ``held``, what each _moves call
-    returned (None where it raised, which hands the call to the dense path),
-    and ``reads``, the family reads that were no sample held as a move: the
+    """The path a call inside the block takes: ``held``, what each _Moves
+    construction returned (None where it raised, which hands the call to the
+    dense path before any sample), ``declared``, the reads of a declared
+    S x S block, and ``reads``, the reads of the family's d x d blocks: the
     read at t alone when the update path finishes the call, more when the
     dense path takes its own samples."""
-    taken = SimpleNamespace(held=[], reads=0)
-    moves, move, blocks = gr._moves, gr._move, gr._family_blocks
+    taken = SimpleNamespace(held=[], declared=0, reads=0)
+    moves, restricted, blocks = gr._Moves, gr._Moves.restricted, gr._family_blocks
 
     def spied_moves(*args):
         taken.held.append(None)
         taken.held[-1] = moves(*args)
         return taken.held[-1]
 
-    def spied_move(*args):
-        taken.reads -= 1  # its read of the family is a held sample
-        return move(*args)
+    def spied_restricted(*args):
+        taken.declared += 1
+        return restricted(*args)
 
     def spied_blocks(*args):
         taken.reads += 1
         return blocks(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(gr, "_moves", spied_moves)
-        patch.setattr(gr, "_move", spied_move)
+        patch.setattr(gr, "_Moves", spied_moves)
+        patch.setattr(moves, "restricted", spied_restricted)
         patch.setattr(gr, "_family_blocks", spied_blocks)
         yield taken
 
 
 def on_the_update_path(monkeypatch, call):
     """call()'s value, asserting that the update path finished it: every
-    sample was held as a move, and the family was read again at t alone."""
+    sample was read from the declared block, and the family's d x d block
+    was read at t alone."""
     with path_spy(monkeypatch) as taken:
         value = call()
-    assert taken.held and None not in taken.held and taken.reads == 1, vars(taken)
+    assert taken.held and None not in taken.held and taken.declared, vars(taken)
+    assert taken.reads == 1, vars(taken)
     return value
 
 
 def handed_to_the_dense_path(monkeypatch, call):
     """call()'s value, asserting that the dense path took its own samples,
-    after any _moves call of it held every sample as a move."""
+    after any _Moves construction of it had opened the update path."""
     with path_spy(monkeypatch) as taken:
         value = call()
     assert None not in taken.held and taken.reads > 1, vars(taken)
@@ -2186,21 +2251,19 @@ def test_a_nan_in_an_unselected_column_still_raises_on_the_update_path(
     monkeypatch, entry, at, request
 ):
     # the NaN sits in the column of mode -2, outside ran(PI40), on the row of
-    # mode 1: the two rows the family moves, so J is unchanged and the
-    # update path holds every sample as a move; the NaN reaches fd_apply's
-    # finiteness check through the moves, and the call then raises the
-    # dense path's error (patching_identity_check takes the dense path
-    # from the start)
-    i, j = W40.index(-2), W40.index(1)
+    # mode 1: inside the declared block S x S, so the update path reads it;
+    # it reaches fd_apply's finiteness check through the moves, and the
+    # call then raises the dense path's error (patching_identity_check
+    # takes the dense path from the start).  A NaN off S x S cannot reach
+    # the update path, and test_a_nan_in_an_unselected_column_still_raises
+    # covers it on the dense path
+    rotated = ROTATED40._support_block
 
-    def value(t1, t2):
-        p = ROTATED40(t1, t2).entries
-        if (t1, t2) == at:
-            p = p.copy()
-            p[j, i] = math.nan
-        return p
+    def block(t1, t2):
+        (a, b), (c, d) = rotated(t1, t2)
+        return ((a, b), (math.nan, d)) if (t1, t2) == at else ((a, b), (c, d))
 
-    fam = gr.ProjectionFamily(W40, value)
+    fam = declared(W40, ROTATED40._support, block)
     dense_only = "patching_identity_check" in request.node.callspec.id
     sampled = "curvature_rkw" in request.node.callspec.id if at == NAN_AT_INNER else True
     if not sampled:
@@ -2286,24 +2349,61 @@ def test_a_singular_outer_sample_is_reported_before_a_later_failing_one(monkeypa
 def test_samples_that_move_more_than_two_rows_take_the_dense_path(monkeypatch):
     # the update path is measured for |J| = 2 alone: a family that rotates
     # two pairs of modes moves four rows, and takes the dense path even at
-    # r = 101
+    # r = 101, decided before any sample.  Undeclared, its block function is
+    # read at t and at the dense path's four stencil samples alone; declared
+    # with its four rows, its declared block is never read
     w = gr.ModeWindow(100)
     fam1, fam2 = gr.rotated_family(w, (-3, 7)), gr.rotated_family(w, (-1, 2))
     pair = np.ix_(*[[w.index(-1), w.index(2)]] * 2)
+    read = []
 
     def value(t1, t2):
+        read.append((t1, t2))
         p = fam1._map(t1, t2)
         p[pair] = fam2._map(t1, t2)[pair]
         return p
 
     fam, base = gr.ProjectionFamily(w, value), gr.spectral_projection(w, 0)
     s1, s2 = update_sigmas(w, 15)
-    check = partial(gr.perturbation_patching_check, fam, base, s1, s2, (0.4, 0.3))
+    t = (0.4, 0.3)
+    check = partial(gr.perturbation_patching_check, fam, base, s1, s2, t)
     with path_spy(monkeypatch) as taken:
         lhs, rhs = check()
-    assert taken.held == [None]
+    assert taken.held == [None] and taken.declared == 0
+    assert read == [t] + [(t[0] + k * H, t[1]) for k in (1, -1, 2, -2)]
     assert abs(lhs - rhs) < 1e-5
     close((lhs, rhs), dense_path(monkeypatch, check), 0.0)
+
+    support = tuple(sorted(w.index(m) for m in (-3, 7, -1, 2)))
+    fam._support, fam._support_block = support, lambda t1, t2: pytest.fail("read")
+    with path_spy(monkeypatch) as taken:
+        assert check() == (lhs, rhs)
+    assert taken.held == [None] and taken.declared == 0
+
+
+@pytest.mark.parametrize("n_max", [4, 100])
+def test_rotated_family_is_its_base_with_the_declared_block_written_in(n_max):
+    # bit for bit, at 240 seeded points as scalars and as one stack, t1 = 0
+    # and 1 among them: the value is Pi_{>=0} off S x S, and its S x S block
+    # is the one the update path reads
+    w = gr.ModeWindow(n_max)
+    rng = np.random.default_rng(n_max)
+    modes = (-int(rng.integers(1, n_max + 1)), int(rng.integers(0, n_max + 1)))
+    fam, base = gr.rotated_family(w, modes), gr.spectral_projection(w, 0).entries
+    assert fam._support == tuple(w.index(m) for m in modes)
+    s = np.ix_(fam._support, fam._support)
+    off = np.ones(base.shape, dtype=bool)
+    off[s] = False
+    t1, t2 = rng.uniform(-1.0, 2.0, 240), rng.uniform(-1.0, 2.0, 240)
+    t1[:2] = 0.0, 1.0
+    stack = gr._family_blocks(fam, t1, t2)
+    scalars = np.array([fam(a, b).entries for a, b in zip(t1, t2)])
+    moves = gr._Moves(fam, stack, gr._LOW_RANK_CROSSOVER)
+    read = moves.restricted(t1, t2)
+    one_by_one = np.concatenate([moves.restricted(*one_point(p)) for p in zip(t1, t2)])
+    for values in (stack, scalars):
+        assert values[:, off].tobytes() == np.broadcast_to(base[off], (240, off.sum())).tobytes()
+        assert values[:, s[0], s[1]].tobytes() == read.tobytes() == one_by_one.tobytes()
 
 
 def test_lapack_calls_on_the_update_path_at_n_max_100(monkeypatch):
