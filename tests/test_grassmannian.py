@@ -2341,7 +2341,7 @@ def test_a_singular_outer_sample_is_reported_before_a_later_failing_one(monkeypa
     with path_spy(monkeypatch) as taken, pytest.raises(NotInvertible) as unfailing:
         gr.curvature_rkw(rotated, base, t)
     # below the crossover the dense path runs before any sample is taken;
-    # above it every sample is held as a move before the hand-over
+    # above it the declared family opens the update path before the hand-over
     assert len(taken.held) == 1 and (taken.held[0] is None) == (n_max == 4)
     assert str(raised.value) == str(unfailing.value)
 
