@@ -87,10 +87,12 @@ block, not a copy.  A chart's dense stencil member is the chart map, SV
 stencil owns, so fd_apply's sums reuse its buffers; a member whose sample
 has a non-finite entry is NaN throughout, where a gather dropped that
 entry too (_nan_unless_finite, which marks the update path's members
-alike).  Projections are checked once per public call: the base (on a
-coordinate base only its tails are left to check), and the family values
-at all points t as one stack, each required to have the rank of base; an
-error names the first failing point.
+alike).  Projections are checked once per public call: the base, and the
+family values at all points t as one stack, each required to have the
+rank of base; an error names the first failing point.  is_projection
+forms its products on the rows and columns a value moves alone, so a
+coordinate base leaves its tails to check and a rotated_family value its
+2 x 2 block.
 The fixed stencils around t read the family's block function directly, or on
 the update path its declared block, unwrapped and not checked to be
 projections; a value that is no d x d block of numbers is refused with
@@ -307,11 +309,27 @@ class ModeOperator:
 
     def is_projection(self) -> bool:
         """Hermitian and idempotent to PROJECTION_TOL, with real 0/1 tails; on a
-        stack, every member."""
+        stack, every member.
+
+        Both are checked on the principal block of the moved rows alone
+        (``_moved_rows``; on a stack, those of any member): i is moved
+        unless row i and column i hold no nonzero entry off the diagonal and
+        m[i, i] is exactly 0 or 1.  The reduction is exact.  In row and
+        column i of an index that is not moved, every term of M - M^H and of
+        M M - M is an exact 0 or 1 times a finite entry (a ModeOperator
+        refuses any other), so those rows and columns are exactly 0 and both
+        maxima lie in the moved block.  A coordinate block
+        (``_coordinate_ones``) moves nothing and leaves the tail rule alone;
+        a dense block moves every index and takes the full product.
+        """
         m, tol = self.entries, PROJECTION_TOL
-        hermitian = np.max(np.abs(m - m.conj().mT)) <= tol
-        idem = np.max(np.abs(m @ m - m)) <= tol
-        return bool(hermitian and idem and _projection_tails(self.tail))
+        if _coordinate_ones(m) is None:
+            j = _moved_rows(m)
+            m = m[..., j[:, None], j]
+            hermitian = np.max(np.abs(m - m.conj().mT), initial=0.0) <= tol
+            if not (hermitian and np.max(np.abs(m @ m - m), initial=0.0) <= tol):
+                return False
+        return all(abs(t * t - t) <= tol and abs(t.imag) <= tol for t in self.tail)
 
     def window_rank(self) -> int | np.ndarray:
         """Number of singular values above RANK_SVD_THRESHOLD; an int array on a stack.
@@ -330,12 +348,6 @@ class ModeOperator:
         return ranks if self.entries.ndim == 3 else int(ranks)
 
 
-def _projection_tails(tail: tuple[complex, complex]) -> bool:
-    """The tail rule of is_projection: both tails real and 0 or 1 to PROJECTION_TOL."""
-    tol = PROJECTION_TOL
-    return all(abs(t * t - t) <= tol and abs(t.imag) <= tol for t in tail)
-
-
 def _coordinate_ones(m: np.ndarray) -> np.ndarray | None:
     """The ones of the diagonal of m as a boolean mask when m, a d x d block or
     a stack of them, is a coordinate projection member by member, else None.
@@ -345,11 +357,29 @@ def _coordinate_ones(m: np.ndarray) -> np.ndarray | None:
     exactly Hermitian and idempotent, its singular values and eigenvalues
     are its diagonal, and I[:, ones] is an orthonormal basis of its range.
     The test is exact, so a block that differs from one by any rounding
-    is no coordinate block.  Its nonzero entries include the ones, so it
-    has no other nonzero entry exactly when the two counts agree.
+    is no coordinate block.  Its nonzero real and imaginary parts include
+    the real parts of the ones, so it has no other nonzero entry exactly
+    when the two counts agree (counted on the float view of m, which is
+    faster than on the complex entries).
     """
     ones = np.diagonal(m, axis1=-2, axis2=-1) == 1
-    return ones if np.count_nonzero(m) == np.count_nonzero(ones) else None
+    parts = np.ascontiguousarray(m).view(float) != 0
+    return ones if np.count_nonzero(parts) == np.count_nonzero(ones) else None
+
+
+def _moved_rows(m: np.ndarray) -> np.ndarray:
+    """The sorted indices of the rows and columns that m, a d x d block or a
+    stack of them, moves in any member: i is moved unless row i and column i
+    hold no nonzero entry off the diagonal and m[i, i] is exactly 0 or 1
+    (see is_projection)."""
+    d = m.shape[-1]
+    # the nonzero real and imaginary parts less the real parts of the ones;
+    # the real part of m[i, i] is flat entry i (2 d + 2) of a member
+    off = np.ascontiguousarray(m).view(float) != 0
+    ones = np.diagonal(m, axis1=-2, axis2=-1) == 1
+    off.reshape(off.shape[:-2] + (-1,))[..., :: 2 * d + 2] ^= ones
+    cols = off.any(axis=-2).reshape(ones.shape + (2,)).any(axis=-1)
+    return np.flatnonzero((off.any(axis=-1) | cols).reshape(-1, d).any(axis=0))
 
 
 def _require_single(op: ModeOperator, what: str) -> None:
@@ -744,11 +774,10 @@ class _Basis:
 def _chart_base(w: ModeWindow, base: ModeOperator) -> _Basis:
     """Orthonormal basis V (d x r) of ran(base) on the window, once per public call.
 
-    A coordinate base block (``_coordinate_ones``), such as a spectral cut,
-    has the basis I[:, cols], cols the indices of its ones, and needs no
-    decomposition; being exactly Hermitian and idempotent, it passes
-    is_projection exactly when its tails pass the tail rule, which is all
-    that is checked.  Any other base is checked by is_projection, and V
+    Every base is checked by is_projection, which on a coordinate block
+    (``_coordinate_ones``), such as a spectral cut, checks its tails alone.
+    A coordinate block on the window has the basis I[:, cols], cols the
+    indices of its ones, and needs no decomposition.  On any other block V
     holds the eigenvectors of its block with eigenvalue above 1/2: its
     eigenvalues lie within PROJECTION_TOL of 0 or 1, and this is the rank
     decision of window_rank.  The boolean index copies the columns, so the
@@ -759,12 +788,10 @@ def _chart_base(w: ModeWindow, base: ModeOperator) -> _Basis:
     rounding.
     """
     _require_single(base, "a chart's base")
-    ones = _coordinate_ones(base.entries)
-    if not (base.is_projection() if ones is None else _projection_tails(base.tail)):
+    if not base.is_projection():
         raise DomainError("base must be a projection")
-    block = base.embed_to(w).entries
-    if base.window != w:  # the tails fill the new diagonal entries
-        ones = _coordinate_ones(block)
+    block = base.embed_to(w).entries  # the tails fill any new diagonal entries
+    ones = _coordinate_ones(block)
     if ones is None:
         eigenvalues, vectors = np.linalg.eigh(block)
         return _Basis(v=vectors[:, eigenvalues > 0.5])

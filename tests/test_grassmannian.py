@@ -26,7 +26,7 @@ from detline.errors import (
     WindowOverflow,
 )
 from detline.specfun import FdStencil, fd_apply
-from detline.tolerances import DEFAULT_FD_STEP
+from detline.tolerances import DEFAULT_FD_STEP, PROJECTION_TOL
 
 RNG = np.random.default_rng(20240811)
 W = gr.ModeWindow(4)
@@ -679,6 +679,157 @@ def test_chart_ratio_guards_on_a_stack_and_an_exactly_singular_block():
 
 
 # ---------------------------------------------------------------------------
+# is_projection forms its products on the rows and columns a value moves
+
+
+def dense_is_projection(op):
+    """is_projection by its definition: both products on the whole block."""
+    m, tol = op.entries, PROJECTION_TOL
+    return bool(
+        np.max(np.abs(m - m.conj().mT)) <= tol
+        and np.max(np.abs(m @ m - m)) <= tol
+        and all(abs(t * t - t) <= tol and abs(t.imag) <= tol for t in op.tail)
+    )
+
+
+def random_projection(dim, rng):
+    """A dense projection U Pi U* of random rank on dim modes."""
+    u = random_unitary(dim, rng)[:, : rng.integers(0, dim + 1)]
+    return u @ u.conj().T
+
+
+def coordinate_with_a_principal_projection(dim, rng):
+    """A random 0/1 diagonal with a dense projection written in on the
+    principal block of a random index set (empty at times)."""
+    m = np.diag(rng.integers(0, 2, dim)).astype(complex)
+    rows = rng.choice(dim, size=rng.integers(0, min(dim, 4) + 1), replace=False)
+    m[np.ix_(rows, rows)] = random_projection(len(rows), rng)
+    return m
+
+
+# (where, value, set or add) of one planted entry: tiny entries off the
+# diagonal, entries no projection has on it, and errors on either side of
+# PROJECTION_TOL anywhere, coordinate rows far from the moved ones included
+PLANTED = [
+    ("off", 1e-300, "set"),
+    ("diagonal", 0.5, "set"),
+    ("diagonal", 1 + 1e-11j, "set"),
+    ("diagonal", 1 + 2j * PROJECTION_TOL, "set"),
+    ("anywhere", -1.0, "set"),
+    ("anywhere", 2.0, "set"),
+    ("anywhere", PROJECTION_TOL / 2, "add"),
+    ("anywhere", 2 * PROJECTION_TOL, "add"),
+    ("anywhere", 2j * PROJECTION_TOL, "add"),
+]
+
+
+@given(
+    n_max=st.integers(1, 6),
+    members=st.sampled_from([None, 1, 2, 3]),
+    dense=st.booleans(),
+    planted=st.sampled_from([None, *PLANTED]),
+    tail=st.sampled_from(
+        [gr.TAIL_APS, gr.TAIL_IDENTITY, gr.TAIL_ZERO, (0.5, 0.0), (1 + 1e-11j, 0.0)]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(  # a coordinate stack with a tail no projection has
+    n_max=2, members=2, dense=False, planted=None, tail=(0.5, 0.0), seed=5
+)
+@example(  # a coordinate stack with an error planted in a coordinate row
+    n_max=2, members=2, dense=False, planted=PLANTED[-2], tail=gr.TAIL_APS, seed=5
+)
+@settings(max_examples=400, deadline=None)
+def test_is_projection_decides_as_the_dense_definition(n_max, members, dense, planted, tail, seed):
+    rng, w = np.random.default_rng(seed), gr.ModeWindow(n_max)
+    make = random_projection if dense else coordinate_with_a_principal_projection
+    m = np.stack([make(w.dim, rng) for _ in range(members or 1)])
+    if planted is not None:
+        where, value, how = planted
+        k, i, j = rng.integers(len(m)), rng.integers(w.dim), rng.integers(w.dim)
+        if where == "diagonal":
+            j = i
+        elif where == "off":
+            j = (i + rng.integers(1, w.dim)) % w.dim
+        m[k, i, j] = value if how == "set" else m[k, i, j] + value
+    op = gr.ModeOperator(w, m if members else m[0], tail)
+    assert op.is_projection() == dense_is_projection(op)
+
+
+def recorded_moves(monkeypatch):
+    """The index sets _moved_rows returns from here on, in order."""
+    moved, seen = gr._moved_rows, []
+
+    def recording(m):
+        rows = moved(m)
+        seen.append(rows.tolist())
+        return rows
+
+    monkeypatch.setattr(gr, "_moved_rows", recording)
+    return seen
+
+
+@pytest.mark.parametrize("n_max", [6, 100])
+def test_the_moved_rows_of_a_rotated_value_are_its_support(monkeypatch, n_max):
+    # the products run on the 2 x 2 block of the two modes the family
+    # rotates, on a value and on a stack of values at several points t
+    w, rng = gr.ModeWindow(n_max), np.random.default_rng(n_max)
+    seen = recorded_moves(monkeypatch)
+    for _ in range(10):
+        modes = (-int(rng.integers(1, n_max + 1)), int(rng.integers(0, n_max + 1)))
+        fam = gr.rotated_family(w, modes)
+        t = rng.uniform(0.05, 0.95, size=(2, 3))
+        assert fam(*t[:, 0]).is_projection()
+        gr._projections_at(fam, tuple(t))
+        assert seen == [list(fam._support)] * 2
+        seen.clear()
+
+
+def test_coordinate_blocks_move_no_row(monkeypatch):
+    # spectral cuts and the diagonal blocks of eta_finite_rank_check leave
+    # the tail rule alone: is_projection never asks for their moved rows
+    seen, checked = recorded_moves(monkeypatch), []
+    is_projection = gr.ModeOperator.is_projection
+    monkeypatch.setattr(
+        gr.ModeOperator, "is_projection", lambda op: checked.append(op) or is_projection(op)
+    )
+    for w in (gr.ModeWindow(6), gr.ModeWindow(100)):
+        for k in (-w.n_max, -1, 0, 1, w.n_max):
+            assert gr.spectral_projection(w, k).is_projection()
+        for flip in (-2, 0, 3):
+            lhs, rhs = gr.eta_finite_rank_check(0.3, flip, w)
+            assert abs(lhs - rhs) < 1e-10
+    # per window five cuts, and three eta checks of two blocks each
+    assert len(checked) == 2 * (5 + 3 * 2) and seen == []
+    assert all(gr._moved_rows(op.entries).size == 0 for op in checked)
+
+
+def test_a_stack_checks_the_union_of_the_rows_its_members_move():
+    w6 = gr.ModeWindow(6)
+    fam1, fam2 = gr.rotated_family(w6, (-1, 0)), gr.rotated_family(w6, (-3, 2))
+    good1, good2 = fam1(0.3, 0.2).entries, fam2(0.6, 0.7).entries
+    bad1, bad2 = good1.copy(), good2.copy()
+    bad1[fam1._support[0], fam1._support[0]] += 1e-9  # Hermitian, not idempotent
+    bad2[fam2._support[1], fam2._support[0]] += 1e-9  # no longer Hermitian
+    union = sorted(fam1._support + fam2._support)
+    assert gr._moved_rows(np.stack([good1, good2])).tolist() == union
+    for stack, projection in (
+        ([good1, good2], True),
+        ([good1, bad2], False),
+        ([bad1, good2], False),
+        ([good2, good1, bad2], False),
+    ):
+        op = gr.ModeOperator(w6, np.stack(stack), gr.TAIL_APS)
+        assert op.is_projection() is projection is dense_is_projection(op)
+    # the first failing point is named, whichever rows the members move
+    values = {0.1: good1, 0.2: good2, 0.7: bad2, 0.8: bad1}
+    fam = gr.ProjectionFamily(w6, lambda t1, t2: values[t1])
+    t = (np.array(list(values)), np.full(4, 0.5))
+    with pytest.raises(DomainError, match=r"family value at \(0\.7, 0\.5\) is not a projection"):
+        gr._projections_at(fam, t)
+
+
+# ---------------------------------------------------------------------------
 # projections are checked once per public call, at the call's own point t
 
 
@@ -753,10 +904,11 @@ def test_family_value_that_is_not_finite_at_a_stencil_sample_raises(entry, reque
 
 def test_decomposition_and_projection_check_counts(monkeypatch):
     # per public call on the spectral cut Pi_{>=0}: no d x d decomposition,
-    # since its basis is a selection of coordinate columns, and one
-    # projection check, of the family at t (one eigh of the 13 x 13 base
-    # block and a check of the base as well before); a conjugated base takes
-    # that eigh and that check.  Every other decomposition runs on a thin
+    # since its basis is a selection of coordinate columns (one eigh of the
+    # 13 x 13 base block before), and two projection checks, of the base,
+    # which on a coordinate block reads its tails alone, and of the family
+    # at t; tr_p_dp_dp takes no base and checks the family alone.  A
+    # conjugated base takes that eigh.  Every other decomposition runs on a thin
     # 13 x 7 chart block or on an r x r = 7 x 7 block of a transition ratio.  The one
     # ModeOperator built per family is its checked value at t: stencil
     # samples read the block function unwrapped (5, 41, 9, 13 and 18
@@ -827,23 +979,23 @@ def test_decomposition_and_projection_check_counts(monkeypatch):
     # transition_det before, and two values-only SVDs of 7 x 7 blocks and a
     # solve before the certificate)
     ratio = {("inv", (2, 1, 7, 7)): 1, ("det", (1, 7, 7)): 1}
-    assert counts(lambda: gr.connection_form(fam, base, t)) == (form, 1, 1, 5)
+    assert counts(lambda: gr.connection_form(fam, base, t)) == (form, 2, 1, 5)
     eight = {key: 8 * n for key, n in form.items()}
-    assert counts(lambda: gr.curvature_rkw(fam, base, t)) == (eight, 1, 1, 41)
+    assert counts(lambda: gr.curvature_rkw(fam, base, t)) == (eight, 2, 1, 41)
     assert counts(lambda: gr.tr_p_dp_dp(fam, t)) == ({}, 1, 1, 9)
-    assert counts(lambda: gr.transition_det(fam, base, t, sigma1, sigma2)) == (ratio, 1, 1, 1)
+    assert counts(lambda: gr.transition_det(fam, base, t, sigma1, sigma2)) == (ratio, 2, 1, 1)
     # five ratios (four stencil points and t) and two connection forms
     five = {key: 5 * n for key, n in ratio.items()}
     two = {key: 2 * n for key, n in form.items()}
     assert counts(lambda: gr.perturbation_patching_check(fam, base, sigma1, sigma2, t)) == (
         {**five, **two},
-        1,
+        2,
         1,
         5,
     )
     assert counts(lambda: gr.patching_identity_check(fam, fam2, base, t)) == (
         {**five, **two},
-        2,
+        3,
         2,
         10,
     )
