@@ -30,28 +30,39 @@ rule's on the chart maps SV.  Since |Y|_2 <= 1, s_min(SV) >= s_min(Y SV),
 so the norms of SV and of the inverse certify both where they can; a call
 with any point the bound leaves open runs that rule itself on the chart
 maps, by an SVD, so every decision and message is the rule's.  A patching
-check evaluates the family once per stencil sample for both of its routes,
-the transition determinant and the two connection forms; on the dense path
-each route keeps its own inverses.
+check evaluates the family once per stencil sample for its transition
+determinant, and for a family that declares no derivatives for its two
+connection forms too; on the dense path each route keeps its own inverses.
+
+A family may declare the rows and columns S it moves, a closed form of its
+S x S block and the t-derivatives D' of that block (rotated_family does;
+see ProjectionFamily), its value being a fixed block off S x S.  Every
+chart entry point then reads d P = I_S D' I_S* from the declaration: a
+connection form takes one exact derivative where a stencil took four
+samples (_omega), tr_p_dp_dp is Tr(P_SS [D'_1, D'_2]) at any rank, and a
+patching check's connection forms read D' at t.  What keeps a stencil is
+the outer derivative of curvature_rkw and each patching check's transition
+ratio, so every check of the chart layer sets a stencil route against a
+declared one; a family that declares nothing takes every derivative from
+stencils.
 
 Stencil samples are low-rank updates of the chart at t where that is
-cheaper.  A family may declare the rows and columns S it moves and a closed
-form of its S x S block (rotated_family does; see ProjectionFamily), its
-value being a fixed block off S x S.  curvature_rkw, tr_p_dp_dp and
-perturbation_patching_check then take J = S and read each stencil sample's
-P_s[J, J] from that closed form (_Moves), with no d x d sample.  Every
-sample's Y_s, S_s V and A_s = Y_s S_s V is an update of the chart at t of
-rank at most |J| per term, formed from V_J = V[J, :] and gathers of the
-chart at t (_LowRankChart): an outer curvature_rkw sample inverts A_s = A +
-U W by Woodbury from the certified inverse at t, once the norm bound
-s_min(A_s) >= 1 / |A^{-1}|_F - sum |U_b|_F |W_b|_F clears the certificate's
-floor, and traces the stencil of the r x r members Y_s (S_q V - S V) against
-A_s^{-1}, with no r x d block; perturbation_patching_check takes one move D
-per sample for both of its charts and differentiates g(s) / g(t) = det(I +
-W_1 A_1^{-1} U_1) / det(I + W_2 A_2^{-1} U_2), with the same bound on each
-sample's chart guard; tr_p_dp_dp is Tr(P_JJ [d1 P_JJ, d2 P_JJ]).  A sample
-then costs its declared block and O(r |J| (r + |J|)).  A non-finite entry of
-that block makes its members NaN, which fd_apply refuses.
+cheaper.  curvature_rkw and perturbation_patching_check take J = S and
+read each stencil sample's P_s[J, J] from the declared block (_Moves),
+with no d x d sample.  Every sample's Y_s, S_s V and A_s = Y_s S_s V is an
+update of the chart at t of rank at most |J| per term, formed from V_J =
+V[J, :] and gathers of the chart at t (_LowRankChart): an outer
+curvature_rkw sample inverts A_s = A + U W by Woodbury from the certified
+inverse at t, once the norm bound s_min(A_s) >= 1 / |A^{-1}|_F - sum
+|U_b|_F |W_b|_F clears the certificate's floor, and traces A_s^{-1}
+against the declared member Y_s d(S_s V), an r x r block formed from D'
+and the move there, with no r x d block; perturbation_patching_check takes
+one move D per sample for both of its charts and differentiates g(s) / g(t)
+= det(I + W_1 A_1^{-1} U_1) / det(I + W_2 A_2^{-1} U_2), with the same
+bound on each sample's chart guard, and its forms trace the declared
+member at t (D = 0).  A sample then costs its declared block and O(r |J|
+(r + |J|)).  A non-finite entry of that block fails the sample's norm
+bound, and the dense path then refuses the call.
 On the update path both routes of a patching check, the ratio and the
 connection forms, read each chart's one certified inverse at t.  numpy
 inverts each member of a stack on its own, so these are the numbers a
@@ -69,9 +80,9 @@ a DetlineError and the whole call runs the dense path, which forms every
 sample's chart algebra and decides every value, chart guard and message.
 Below the crossover, on every window of verify all, and for a family that
 declares nothing, such as every ProjectionFamily(window, map_fn), the
-dense path runs from the start.  connection_form, whose one stencil gains
-nothing measurable from the update, and patching_identity_check, which no
-workload runs above the crossover, always take the dense path.
+dense path runs from the start.  connection_form, which takes no sample
+of a declared family, and patching_identity_check, which no workload runs
+above the crossover, always take the dense path.
 
 Its six entry points (``connection_form``, ``tr_p_dp_dp``, ``curvature_rkw``,
 ``transition_det`` and the two patching checks) take t = (t1, t2) with real
@@ -86,10 +97,12 @@ block, not a copy.  A chart's dense stencil member is the chart map, SV
 (PV in the identity chart, a gather on a coordinate base), an array the
 stencil owns, so fd_apply's sums reuse its buffers; a member whose sample
 has a non-finite entry is NaN throughout, where a gather dropped that
-entry too (_nan_unless_finite, which marks the update path's members
-alike).  Projections are checked once per public call: the base, and the
-family values at all points t as one stack, each required to have the
-rank of base; an error names the first failing point.  is_projection
+entry too (_nan_unless_finite, which marks a patching check's ratio
+alike).  A declared derivative that is no finite (k, |S|, |S|) stack is
+refused, naming a point (_declared_derivative).  Projections are checked
+once per public call: the base, and the family values at all points t as
+one stack, each required to have the rank of base; an error names the
+first failing point.  is_projection
 forms its products on the rows and columns a value moves alone, so a
 coordinate base leaves its tails to check and a rotated_family value its
 2 x 2 block.
@@ -318,13 +331,14 @@ class ModeOperator:
         column i of an index that is not moved, every term of M - M^H and of
         M M - M is an exact 0 or 1 times a finite entry (a ModeOperator
         refuses any other), so those rows and columns are exactly 0 and both
-        maxima lie in the moved block.  A coordinate block
-        (``_coordinate_ones``) moves nothing and leaves the tail rule alone;
-        a dense block moves every index and takes the full product.
+        maxima lie in the moved block.  A block moves no row exactly when it
+        is a coordinate block (``_coordinate_ones``), which leaves the tail
+        rule alone; a dense block moves every index and takes the full
+        product.  One pass over the entries decides both.
         """
         m, tol = self.entries, PROJECTION_TOL
-        if _coordinate_ones(m) is None:
-            j = _moved_rows(m)
+        j = _moved_rows(m)
+        if j.size:
             m = m[..., j[:, None], j]
             hermitian = np.max(np.abs(m - m.conj().mT), initial=0.0) <= tol
             if not (hermitian and np.max(np.abs(m @ m - m), initial=0.0) <= tol):
@@ -371,12 +385,15 @@ def _moved_rows(m: np.ndarray) -> np.ndarray:
     """The sorted indices of the rows and columns that m, a d x d block or a
     stack of them, moves in any member: i is moved unless row i and column i
     hold no nonzero entry off the diagonal and m[i, i] is exactly 0 or 1
-    (see is_projection)."""
+    (see is_projection).  None is moved exactly when m is a coordinate
+    block, which takes one pass over the entries."""
     d = m.shape[-1]
-    # the nonzero real and imaginary parts less the real parts of the ones;
-    # the real part of m[i, i] is flat entry i (2 d + 2) of a member
     off = np.ascontiguousarray(m).view(float) != 0
     ones = np.diagonal(m, axis1=-2, axis2=-1) == 1
+    if np.count_nonzero(off) == np.count_nonzero(ones):  # the test of _coordinate_ones
+        return np.arange(0)
+    # the nonzero real and imaginary parts less the real parts of the ones;
+    # the real part of m[i, i] is flat entry i (2 d + 2) of a member
     off.reshape(off.shape[:-2] + (-1,))[..., :: 2 * d + 2] ^= ones
     cols = off.any(axis=-2).reshape(ones.shape + (2,)).any(axis=-1)
     return np.flatnonzero((off.any(axis=-1) | cols).reshape(-1, d).any(axis=0))
@@ -402,15 +419,21 @@ class ProjectionFamily:
     around t call it unwrapped and unchecked.
 
     A family may declare the modes it moves, as rotated_family does: the
-    sorted window indices S (``_support``) and a closed form of its S x S
+    sorted window indices S (``_support``), a closed form of its S x S
     block at two floats (``_support_block``, nested tuples of numbers), its
-    value being a fixed block off S x S.  The update path reads its stencil
-    samples from that block alone; a family that declares nothing, such as
-    every ``ProjectionFamily(window, map_fn)``, takes the dense path.
+    value being a fixed block off S x S, and the t-derivatives of that
+    block (``_support_derivative(t1, t2, axis)``, from 1-D float arrays of k
+    points to a (k, |S|, |S|) complex stack).  A family that declares a
+    support declares its derivatives too.  Every chart entry point then
+    reads d P = I_S (d B) I_S* from that declaration instead of a stencil,
+    and the update path reads its stencil samples from the block alone; a
+    family that declares nothing, such as every ``ProjectionFamily(window,
+    map_fn)``, takes its derivatives from stencils on the dense path.
     """
 
     _support: tuple[int, ...] | None = None
     _support_block: Callable[[float, float], tuple] | None = None
+    _support_derivative: Callable[[np.ndarray, np.ndarray, int], np.ndarray] | None = None
 
     def __init__(self, window: ModeWindow, map_fn: Callable[[float, float], np.ndarray]):
         self.window = window
@@ -440,9 +463,13 @@ def rotated_family(w: ModeWindow, modes: tuple[int, int]) -> ProjectionFamily:
     exp(2 pi i t2) and fixes every other mode, so P(0, t2) = Pi_{>=0} and the
     difference P(t) - Pi_{>=0} is supported in the 2x2 block on (m1, m2).
     That block is the projection onto U e_m2 = (-conj(phase) sin, cos), in
-    closed form; the family declares it with its support S = (m1, m2) (see
-    ProjectionFamily), and its value is a copy of Pi_{>=0} with the block
-    written in.
+    closed form; the family declares it with its support S = (m1, m2) and
+    its derivatives (see ProjectionFamily), and its value is a copy of
+    Pi_{>=0} with the block written in.  With theta = pi t1 / 2, the block
+    is [[s^2, -conj(phase) s c], [-phase s c, c^2]] (s = sin theta, c =
+    cos theta), so d1 of it is (pi / 2) [[sin 2 theta, -conj(phase) cos 2
+    theta], [-phase cos 2 theta, -sin 2 theta]] and d2 of it is 2 pi i s c
+    [[0, conj(phase)], [-phase, 0]].
     """
     try:
         m1, m2 = modes
@@ -459,13 +486,23 @@ def rotated_family(w: ModeWindow, modes: tuple[int, int]) -> ProjectionFamily:
         sin, cos = np.sin(theta), np.cos(theta)
         return (sin * sin, -np.conj(phase) * sin * cos), (-phase * sin * cos, cos * cos)
 
+    def derivative(t1: np.ndarray, t2: np.ndarray, axis: int) -> np.ndarray:
+        # [[a, -conj(phase) b], [-phase conj(b), -a]], Hermitian as d P is
+        theta, phase = np.pi * t1 / 2.0, np.exp(2j * np.pi * t2)
+        if axis == 0:
+            a, b = np.pi / 2.0 * np.sin(2.0 * theta), np.pi / 2.0 * np.cos(2.0 * theta)
+        else:
+            a, b = 0.0 * theta, -2j * np.pi * np.sin(theta) * np.cos(theta)
+        entries = (a, -np.conj(phase) * b, -phase * np.conj(b), -a)
+        return np.stack(entries, axis=-1).reshape(-1, 2, 2)
+
     def value(t1: float, t2: float) -> np.ndarray:
         p = base.copy()
         (p[i, i], p[i, j]), (p[j, i], p[j, j]) = block(t1, t2)
         return p
 
     fam = ProjectionFamily(w, value)
-    fam._support, fam._support_block = (i, j), block
+    fam._support, fam._support_block, fam._support_derivative = (i, j), block, derivative
     return fam
 
 
@@ -828,6 +865,25 @@ def _block(fam: ProjectionFamily, t1: float, t2: float) -> np.ndarray:
     return block
 
 
+def _declared_derivative(fam: ProjectionFamily, t: Points, axis: int) -> np.ndarray:
+    """The derivative along axis of the S x S block a family declares (see
+    ProjectionFamily) at the points t, a (k, |S|, |S|) stack; a value of
+    another shape raises DomainError and a non-finite one EvaluationError,
+    each naming a point (the first that is not finite)."""
+    n, k = len(fam._support), len(t[0])
+    d = np.asarray(fam._support_derivative(*t, axis))
+    if d.shape != (k, n, n) or d.dtype.kind not in "biufc":
+        raise DomainError(
+            f"declared derivative at {_point(t, 0)} is no stack of {k} {n}x{n} blocks, "
+            f"got {d.dtype} of shape {d.shape}"
+        )
+    finite = np.isfinite(d).all(axis=(-2, -1))
+    if not finite.all():
+        bad = _point(t, int(np.argmin(finite)))
+        raise EvaluationError(f"declared derivative is not finite at {bad}")
+    return d
+
+
 def _projections_at(fam: ProjectionFamily, t: Points, basis: _Basis | None = None) -> np.ndarray:
     """Window blocks of fam at the points t (see _family_blocks), checked once
     per public call to be projections and, given the basis of ran(base), to
@@ -889,15 +945,16 @@ def _each(field: Callable[..., Any]) -> Callable[[np.ndarray, np.ndarray], Itera
     """field(t1, t2) as an fd_apply field evaluated one stencil sample at a
     time, t1 and t2 the sample's 1-D arrays of points.  A field over the
     stacked samples would hold all of them at once: one curvature_rkw at
-    n_max = 100 on the dense path peaks at 2.32 MB traced that way, and at
-    2.07 MB, its projection check at t, one sample at a time (on the update
-    path, whose samples are r x r blocks, at 2.07 MB either way)."""
+    n_max = 100 on the dense path, with stencil derivatives, peaked at 2.32
+    MB traced that way, and at 2.07 MB, its projection check at t, one
+    sample at a time (on the update path, whose samples are r x r blocks,
+    at 2.07 MB either way)."""
     return partial(map, field)
 
 
-# The update path runs from this rank r of base (of P for tr_p_dp_dp) on,
-# for a family that declares a support J of at most two rows (_Moves); the
-# dense path runs otherwise.  Measured
+# The update path runs from this rank r of base on, for a family that
+# declares a support J of at most two rows (_Moves); the dense path runs
+# otherwise.  Measured with stencil derivatives
 # in-process on rotated_family (|J| = 2) at t = (0.3, 0.2), one BLAS
 # thread, median ms updated vs dense (BENCH_23.json): curvature_rkw 6.27 vs
 # 4.01 at n_max = 31, 7.01 vs 5.93 at 43 and 6.98 vs 10.31 at 50; in a
@@ -906,7 +963,10 @@ def _each(field: Callable[..., Any]) -> Callable[[np.ndarray, np.ndarray], Itera
 # The perturbation charts break even near r = 32, the identity chart near
 # r = 46; 40 lies between, so the identity-chart curvature_rkw is slower on
 # the update path for 40 <= r < 46 (+18% at r = 44).  No larger J was
-# measured.
+# measured.  With declared derivatives both paths drop their inner
+# stencils, and the identity-chart curvature_rkw reads 1.50 vs 1.67 ms at
+# r = 32 and 1.82 vs 2.94 at r = 44 (1.40 vs 1.36 at r = 26): 40 is no
+# longer the break-even, which lies near r = 28 for every entry point.
 _LOW_RANK_CROSSOVER = 40
 
 
@@ -923,7 +983,8 @@ class _Moves:
     """The moves of a family that declares its support (see ProjectionFamily)
     from its checked values P at t, of rank ``rank`` (of base for a chart):
     J is the support and p_jj = P[J, J], and a sample's P_s[J, J] is read
-    from the declared block alone, so that P_s = P + I_J D I_J*.  Raises
+    from the declared block alone, so that P_s = P + I_J D I_J*, and its
+    derivatives from the declared derivatives (_declared_derivative).  Raises
     _Open, before any sample, below _LOW_RANK_CROSSOVER, where the dense
     path runs, and for a family that declares no support of at most two
     rows: the rows a family of projections that moves at all moves at least
@@ -933,7 +994,7 @@ class _Moves:
     def __init__(self, fam: ProjectionFamily, p: np.ndarray, rank: int):
         if rank < _LOW_RANK_CROSSOVER or fam._support is None or len(fam._support) > 2:
             raise _Open
-        self.j, self._block = np.array(fam._support), fam._support_block
+        self.fam, self.j = fam, np.array(fam._support)
         self.p_jj = p[..., self.j[:, None], self.j]
 
     def delta(self, t1, t2) -> np.ndarray:
@@ -942,7 +1003,8 @@ class _Moves:
 
     def restricted(self, t1, t2) -> np.ndarray:
         """P_s[J, J] at the sample (t1, t2), a stack with one block per point."""
-        return np.array([self._block(a, b) for a, b in zip(t1.tolist(), t2.tolist())])
+        block = self.fam._support_block
+        return np.array([block(a, b) for a, b in zip(t1.tolist(), t2.tolist())])
 
 
 def _capacitance(
@@ -972,7 +1034,9 @@ class _LowRankChart:
       G = Y (P sigma)[:, J]: a sum U W of rank at most 3 |J| (2 |J| in the
       identity chart).
     These are exact expansions of the products, with no use of P^2 = P, so a
-    sample costs O(r |J| (r + |J|)) after its declared block.
+    sample costs O(r |J| (r + |J|)) after its declared block.  A connection
+    form at the sample traces A_s^{-1} against Y_s d(S_s V), whose terms
+    are those of the derivative of the move (``member``).
     """
 
     def __init__(self, moves: _Moves, p: np.ndarray, basis: _Basis, sig: np.ndarray | None):
@@ -995,29 +1059,26 @@ class _LowRankChart:
             self.sig_p_v_j = np.take(sig, j, axis=-2) @ basis.right(p)
             self.sig_jj = sig[np.ix_(j, j)]
 
-    def _moved(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """X, Z, (S_s V - S V)[J, :] and Y (S_s V - S V) of the move D."""
-        z = d @ self.v_j
+    def member(self, d1: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Y_s d(S_s V), the r x r member of a connection form at the sample of
+        move d (at the chart's own point for d = 0), from the declared
+        derivative d1 of the block there.  With Z' = d1 V_J and X' = Z' +
+        d1 ((sigma P V)[J, :] + sigma[J, J] D V_J) + D sigma[J, J] Z' (X' = Z'
+        in the identity chart), d(S_s V) = I_J X' + (P sigma)[:, J] Z' and the
+        member is Y_J X' + G Z' + V_J* D (X' + (P sigma)[J, J] Z')."""
+        z = d1 @ self.v_j
         if self.sig is None:
-            return z, z, z, self.y_j @ z
-        x = z + d @ (self.sig_p_v_j + self.sig_jj @ z)
-        return x, z, x + self.p_sig_jj @ z, self.y_j @ x + self.g @ z
-
-    def member(self, d_q: np.ndarray, d_s: np.ndarray | None = None) -> np.ndarray:
-        """Y_s (S_q V - S V), the r x r stencil member at the sample of move d_q
-        of a connection form at the sample of move d_s (at the chart's own
-        point for None); NaN when d_q is not finite, so that fd_apply
-        refuses the stencil."""
-        _, _, rows, member = self._moved(d_q)
-        if d_s is not None:
-            member = member + self.v_jh @ (d_s @ rows)
-        return _nan_unless_finite(member, d_q)
+            return self.y_j @ z + self.v_jh @ (d @ z)
+        x = z + d1 @ (self.sig_p_v_j + self.sig_jj @ (d @ self.v_j)) + d @ (self.sig_jj @ z)
+        return self.y_j @ x + self.g @ z + self.v_jh @ (d @ (x + self.p_sig_jj @ z))
 
     def factors(self, d: np.ndarray) -> tuple[list, list, Any, Any]:
         """The blocks U_b, W_b of A_s - A = sum U_b W_b; sum |U_b|_F |W_b|_F, at
         least |A_s - A|_2; and |SV|_F + |X|_F + |(P sigma)[:, J]|_F |Z|_F, at
         least |S_s V|_F.  The callers take them under _bounded's np.errstate."""
-        x, z, rows, _ = self._moved(d)
+        z = d @ self.v_j
+        x = z if self.sig is None else z + d @ (self.sig_p_v_j + self.sig_jj @ z)
+        rows = x if self.sig is None else x + self.p_sig_jj @ z
         us, ws = [self.y_j, self.v_jh @ d], [x, self.sv_j + rows]
         sv_norm = self.sv_norm + _frobenius(x)
         if self.sig is not None:
@@ -1029,10 +1090,11 @@ class _LowRankChart:
 
     def form(self, axis: int, t1, t2) -> Any:
         """The connection form along axis at the sample (t1, t2), an outer
-        curvature_rkw sample: Tr(A_s^{-1} dM) over the stencil of the members
-        around it, with A_s^{-1} the Woodbury update of the inverse at the
-        chart's own point.  Raises _Open where _bounded, at the cut
-        RANK_SVD_THRESHOLD of the chart at t, leaves the sample open."""
+        curvature_rkw sample: Tr(A_s^{-1} Y_s d(S_s V)) from the declared
+        derivative there (``member``), with A_s^{-1} the Woodbury update of
+        the inverse at the chart's own point.  Raises _Open where _bounded,
+        at the cut RANK_SVD_THRESHOLD of the chart at t, leaves the sample
+        open."""
         d_s = self.moves.delta(t1, t2)
         with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN norm settles nothing
             us, ws, spread, sv_norm = self.factors(d_s)
@@ -1040,11 +1102,8 @@ class _LowRankChart:
                 raise _Open
         u, w_inverse, k = _capacitance(us, ws, self.inverse)
         inverse = self.inverse - (self.inverse @ u) @ np.linalg.solve(k, w_inverse)
-
-        def member(q1, q2) -> np.ndarray:
-            return self.member(self.moves.delta(q1, q2), d_s)
-
-        return _connection_form(inverse, fd_apply(_each(member), (t1, t2), _D1, axis))
+        d1 = _declared_derivative(self.moves.fam, (t1, t2), axis)
+        return _connection_form(inverse, self.member(d1, d_s))
 
     def ratio_factor(self, d: np.ndarray) -> np.ndarray:
         """det(A_s) / det(A) at the sample of move d, from the chart's certified
@@ -1090,10 +1149,18 @@ def _omega(
     axis: int,
     t: Points,
     p: np.ndarray,
+    d_sv: np.ndarray | None = None,
 ) -> np.ndarray:
     """connection_form along axis at the points t from the family values p
-    there: the chart map SV, with d(SV) the stencil of the chart maps at
-    the samples (_chart_member).
+    there: Tr((SV)^+ P d(SV)) with the chart map SV.
+
+    For a family that declares its support J and derivatives (see
+    ProjectionFamily), d P = I_J D' I_J*, so d(SV) is I_J D' V_J in the
+    identity chart and I_J D' (V_J + (sigma P V)[J, :]) + (P sigma)[:, J] D'
+    V_J in a perturbation chart, traced through the columns J of (SV)^+ P
+    with no d x d array.  For a family that declares nothing, d(SV) is
+    ``d_sv``, a patching check's stencil of the chart maps, or else the
+    stencil of the chart maps at the samples (_chart_member).
 
     The r x d block (SV)^+ P is the one array held while the stencil
     samples: P, SV and Y are released first, so the caller passes p without
@@ -1104,9 +1171,19 @@ def _omega(
     """
     (s_v,) = _chart_maps(p, basis, sig)
     s_pinv_p = _nan_unless_finite(_chart_pinv(s_v, basis.left(p), p, t), p)
-    del p, s_v
-    member = partial(_chart_member, fam, basis, sig)
-    return _connection_form(s_pinv_p, fd_apply(_each(member), t, _D1, axis))
+    if fam._support is None:
+        del p, s_v
+        if d_sv is None:
+            d_sv = fd_apply(_each(partial(_chart_member, fam, basis, sig)), t, _D1, axis)
+        return _connection_form(s_pinv_p, d_sv)
+    j = np.array(fam._support)
+    d1 = _declared_derivative(fam, t, axis)
+    z = d1 @ basis.rows(j)
+    x = z if sig is None else z + d1 @ (np.take(sig, j, axis=-2) @ basis.right(p))
+    form = _connection_form(np.take(s_pinv_p, j, axis=-1), x)
+    if sig is None:
+        return form
+    return form + _connection_form(s_pinv_p @ (p @ np.take(sig, j, axis=-1)), z)
 
 
 def _chart_pinv(s_v: np.ndarray, y: np.ndarray, p: np.ndarray, t: Points) -> np.ndarray:
@@ -1149,27 +1226,24 @@ def _connection_form(s_pinv_p: np.ndarray, d_sv: np.ndarray) -> np.ndarray:
 
 
 def tr_p_dp_dp(fam: ProjectionFamily, t: tuple[float, float] | Points) -> complex | np.ndarray:
-    """Curvature density Tr(P [d1 P, d2 P]) of the family, by stencil derivatives,
-    at a point or at each point of equal-length arrays t1, t2.
+    """Curvature density Tr(P [d1 P, d2 P]) of the family at a point or at
+    each point of equal-length arrays t1, t2.
 
-    Where the family declares that it moves only the rows and columns J
-    (see _Moves, with r the rank of P), the stencils and the products run on
-    the J x J blocks: d1 P and d2 P vanish off them, so Tr(P [d1 P, d2 P])
-    is exactly Tr(P_JJ [d1 P_JJ, d2 P_JJ])."""
+    Where the family declares that it moves only the rows and columns J, and
+    the derivatives D'_1, D'_2 of its J x J block (see ProjectionFamily),
+    d1 P and d2 P vanish off J x J, so Tr(P [d1 P, d2 P]) is exactly
+    Tr(P_JJ [D'_1, D'_2]), at any rank.  A family that declares nothing
+    takes d1 P and d2 P from stencils of its d x d blocks."""
     pts, one = _points(t)
     p = _projections_at(fam, pts)
-    rank = int(np.min(np.rint(np.trace(p, axis1=-2, axis2=-1).real)))
-
-    def density(blocks: Callable[..., Iterator], p: np.ndarray) -> complex | np.ndarray:
+    if fam._support is None:
+        blocks = _each(partial(_family_blocks, fam))
         d1, d2 = fd_apply(blocks, pts, _D1, 0), fd_apply(blocks, pts, _D1, 1)
-        return _result(np.trace(p @ (d1 @ d2 - d2 @ d1), axis1=-2, axis2=-1), one)
-
-    try:
-        moves = _Moves(fam, p, rank)
-        return density(_each(moves.restricted), moves.p_jj)
-    except DetlineError:  # the dense path decides every value and message
-        pass
-    return density(_each(partial(_family_blocks, fam)), p)
+    else:
+        j = np.array(fam._support)
+        p = p[..., j[:, None], j]
+        d1, d2 = _declared_derivative(fam, pts, 0), _declared_derivative(fam, pts, 1)
+    return _result(np.trace(p @ (d1 @ d2 - d2 @ d1), axis1=-2, axis2=-1), one)
 
 
 def _curl(form: Callable[[int, Any, Any], Any], t: Points) -> np.ndarray:
@@ -1192,12 +1266,14 @@ def curvature_rkw(
     or at each point of equal-length arrays t1, t2.
 
     Each derivative is the stencil of connection_form's own values at the
-    samples around t, which take their d(SV) from a stencil at the same step
-    DEFAULT_FD_STEP.  The outer stencil divides the rounding of the inner
-    one, eps / h, by h once more, so a finer inner step would lose digits.
-    On the update path each outer sample's form inverts its block by
-    Woodbury from the inverse at t; a call with any outer sample whose bound
-    is left open runs on the dense path, whose SVD rule decides.
+    samples around t.  Those take their d(SV) from the family's declared
+    derivative where it declares one, so a point takes 8 samples; for a
+    family that declares nothing, from a stencil at the same step
+    DEFAULT_FD_STEP, 8 x 4 samples.  The outer stencil divides the rounding
+    of an inner one, eps / h, by h once more, so a finer inner step would
+    lose digits.  On the update path each outer sample's form inverts its
+    block by Woodbury from the inverse at t; a call with any outer sample
+    whose bound is left open runs on the dense path, whose SVD rule decides.
     """
     pts, one = _points(t)
     basis = _chart_base(fam.window, base)
@@ -1264,16 +1340,19 @@ def perturbation_patching_check(
     agree up to finite-difference error.  For equal-length arrays t1, t2 both
     are complex arrays, one value per point.
 
-    One stencil pass evaluates the family and PV once per sample and forms
-    both chart maps, the transition determinant g and both charts' stencil
-    members from them; the lhs is the stencil of g over g(t), and each
-    connection form takes its d(SV) from that pass.  On the update path
-    (see the module docstring) both charts take one move D per sample, the
-    pass takes g(s) / g(t) as the quotient of the two charts' capacitance
-    dets, and the members are r x r blocks; both routes read each chart's
-    one certified inverse at t, the numbers a stacked inversion of the two
-    blocks would return.  On the dense path each route keeps its own
-    inverses: the connection forms one each, g its stacked inverse and det.
+    The lhs is the stencil of the transition determinant g over g(t): one
+    stencil pass evaluates the family and PV once per sample and forms both
+    chart maps and g from them.  Each connection form takes its d(SV) from
+    the family's declared derivative at t (see _omega), or for a family
+    that declares nothing from its chart maps in that pass.  On the update
+    path (see the module docstring) both charts take one move D per sample,
+    the pass takes g(s) / g(t) as the quotient of the two charts' capacitance
+    dets, and each form traces its chart's inverse against the r x r member
+    of the derivative at t (_LowRankChart.member with D = 0); both routes
+    read each chart's one certified inverse at t, the numbers a stacked
+    inversion of the two blocks would return.  On the dense path each route
+    keeps its own inverses: the connection forms one each, g its stacked
+    inverse and det.
     """
     axis = _direction_axis(direction)
     pts, one = _points(t)
@@ -1286,30 +1365,34 @@ def perturbation_patching_check(
         chart1, chart2 = (_LowRankChart(moves, p, basis, sig) for sig in sigs)
         p = None  # not held through the stencils
 
-        def updated(t1, t2) -> tuple:
+        def updated(t1, t2) -> np.ndarray:
             d = moves.delta(t1, t2)
-            g = chart1.ratio_factor(d) / chart2.ratio_factor(d)
-            return g, chart1.member(d), chart2.member(d)
+            return chart1.ratio_factor(d) / chart2.ratio_factor(d)
 
-        lhs, dm1, dm2 = fd_apply(_each(updated), pts, _D1, axis)
-        rhs = _connection_form(chart1.inverse, dm1) - _connection_form(chart2.inverse, dm2)
-        return _result(lhs, one), _result(rhs, one)
+        lhs = fd_apply(_each(updated), pts, _D1, axis)
+        d1 = _declared_derivative(fam, pts, axis)
+        at_t = np.zeros_like(d1)  # the move D at t
+        omega1, omega2 = (
+            _connection_form(chart.inverse, chart.member(d1, at_t)) for chart in (chart1, chart2)
+        )
+        return _result(lhs, one), _result(omega1 - omega2, one)
     except DetlineError:  # the dense path decides every value, chart guard and message
         if p is None:  # released for the update stencils: read the checked value at t again
             p = np.asarray(_family_blocks(fam, *pts), dtype=complex)
+    sampled = fam._support is None  # the connection forms take their d(SV) from the pass
 
     def sample(t1, t2) -> tuple:
         p_at = _family_blocks(fam, t1, t2)
         maps, y = _chart_maps(p_at, basis, *sigs), basis.left(p_at)
-        members = [_nan_unless_finite(m, p_at) for m in maps]
+        g = _nan_unless_finite(_transition_det(*maps, y, (t1, t2)), p_at)
         del p_at  # the d x d sample is not held through the ratio
-        return (_transition_det(*maps, y, (t1, t2)), *members)
+        return (g, *maps) if sampled else (g,)
 
     dg, *d_maps = fd_apply(_each(sample), pts, _D1, axis)
-    maps, y = _chart_maps(p, basis, *sigs), basis.left(p)
-    lhs = dg / _transition_det(*maps, y, pts)
+    lhs = dg / _transition_det(*_chart_maps(p, basis, *sigs), basis.left(p), pts)
     omega1, omega2 = (
-        _connection_form(_chart_pinv(m, y, p, pts), dm) for m, dm in zip(maps, d_maps)
+        _omega(fam, basis, sig, axis, pts, p, d_sv)
+        for sig, d_sv in zip(sigs, d_maps or (None, None))
     )
     return _result(lhs, one), _result(omega1 - omega2, one)
 
@@ -1330,7 +1413,8 @@ def patching_identity_check(
     logarithmic derivative of that ratio and rhs = omega_1 - omega_2; for
     equal-length arrays t1, t2 both are complex arrays, one value per point.
     As in perturbation_patching_check, one stencil pass evaluates both
-    families once per sample for the ratio and both connection forms.
+    families once per sample for the ratio, and for the connection form of
+    a family that declares no derivative.
     """
     axis = _direction_axis(direction)
     pts, one = _points(t)
@@ -1341,13 +1425,15 @@ def patching_identity_check(
 
     def sample(t1, t2) -> tuple:
         pv1, pv2 = (_chart_member(fam, basis, None, t1, t2) for fam in (fam1, fam2))
-        return _chart_ratio(basis.left(pv1), basis.left(pv2), (t1, t2)), pv1, pv2
+        sampled = [pv for fam, pv in ((fam1, pv1), (fam2, pv2)) if fam._support is None]
+        return (_chart_ratio(basis.left(pv1), basis.left(pv2), (t1, t2)), *sampled)
 
-    d_ratio, dpv1, dpv2 = fd_apply(_each(sample), pts, _D1, axis)
+    d_ratio, *d_pvs = fd_apply(_each(sample), pts, _D1, axis)
     pv1, pv2 = basis.right(p1), basis.right(p2)
     lhs = d_ratio / _chart_ratio(basis.left(pv1), basis.left(pv2), pts)
+    d_sampled = iter(d_pvs)
     omega1, omega2 = (
-        _connection_form(_chart_pinv(pv, basis.left(p), p, pts), dpv)
-        for pv, p, dpv in ((pv1, p1, dpv1), (pv2, p2, dpv2))
+        _omega(fam, basis, None, axis, pts, p, None if fam._support else next(d_sampled))
+        for fam, p in ((fam1, p1), (fam2, p2))
     )
     return _result(lhs, one), _result(omega1 - omega2, one)

@@ -715,9 +715,11 @@ def _suite_grassmannian(rng: np.random.Generator) -> Iterator[Row]:
 
 
 # Nodes of the Stokes rectangle [0, _STOKES_T1_MAX] x [0, 1]: Gauss-Legendre
-# in t1, periodic trapezoid in t2.  On the rotated family the pair agrees to
-# 1.7e-11 at 8 x 4 and at 24 x 16 alike (6 x 4 gave 5.4e-11): that is the
-# floor of the stencil derivatives, and more nodes only cost time.
+# in t1, periodic trapezoid in t2.  Both routes read the rotated family's
+# declared derivatives, and the pair agrees to 1.8e-15 at 8 x 4, 8.9e-16 at
+# 16 x 8 and 2.7e-15 at 24 x 16 (6 x 4 gave 3.7e-11, 4 x 4 3.5e-6): 8 x 4
+# is converged to rounding, and more nodes only cost time.  With stencil
+# derivatives the pair stopped at their floor, 1.7e-11, from 8 x 4 on.
 _STOKES_T1_MAX = 0.75
 _STOKES_N1 = 8
 _STOKES_N2 = 4

@@ -370,7 +370,10 @@ def test_connection_form_matches_numpy_pinv(base_kind, perturbed):
     # the one-SVD pseudo-inverse on the thin chart block equals numpy's pinv
     # of the dense chart map with the same relative cut-off, in the identity
     # chart and in a perturbed chart; on the diagonal base the basis of
-    # ran(base) is a set of coordinate columns, on the conjugated base it is not
+    # ran(base) is a set of coordinate columns, on the conjugated base it is
+    # not.  The undeclared copy of the family takes d(SV) from the stencil,
+    # as the reference does; the declared family traces the declared
+    # derivative, against the reference with the exact d P
     w = gr.ModeWindow(25 if base_kind == "n_max=25" else 6)
     rng = np.random.default_rng(6)
     fam = gr.rotated_family(w, (-2, 1))
@@ -389,12 +392,17 @@ def test_connection_form_matches_numpy_pinv(base_kind, perturbed):
 
     st = FdStencil(kind="first-derivative")
     for t in ((0.3, 0.45), (0.71, 0.12)):
+        p = fam(*t).entries
+        s_pinv = np.linalg.pinv(s_at(*t), rcond=gr.RANK_SVD_THRESHOLD)
         for axis in (0, 1):
             ds = fd_apply(gr._each(s_at), t, st, axis)
-            s_pinv = np.linalg.pinv(s_at(*t), rcond=gr.RANK_SVD_THRESHOLD)
-            expected = np.trace(s_pinv @ fam(*t).entries @ ds @ b)
-            value = gr.connection_form(fam, base, t, axis, perturbation=sigma)
+            expected = np.trace(s_pinv @ p @ ds @ b)
+            value = gr.connection_form(undeclared(fam), base, t, axis, perturbation=sigma)
             assert abs(value - expected) < 1e-12
+            dp = exact_dp(fam, t, axis)
+            ds = (dp + dp @ sig @ p + p @ sig @ dp) @ b if perturbed else dp @ b
+            value = gr.connection_form(fam, base, t, axis, perturbation=sigma)
+            assert abs(value - np.trace(s_pinv @ p @ ds @ b)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +795,8 @@ def test_the_moved_rows_of_a_rotated_value_are_its_support(monkeypatch, n_max):
 
 def test_coordinate_blocks_move_no_row(monkeypatch):
     # spectral cuts and the diagonal blocks of eta_finite_rank_check leave
-    # the tail rule alone: is_projection never asks for their moved rows
+    # the tail rule alone: the one pass of _moved_rows finds that they move
+    # no row, and is_projection forms no product
     seen, checked = recorded_moves(monkeypatch), []
     is_projection = gr.ModeOperator.is_projection
     monkeypatch.setattr(
@@ -800,7 +809,7 @@ def test_coordinate_blocks_move_no_row(monkeypatch):
             lhs, rhs = gr.eta_finite_rank_check(0.3, flip, w)
             assert abs(lhs - rhs) < 1e-10
     # per window five cuts, and three eta checks of two blocks each
-    assert len(checked) == 2 * (5 + 3 * 2) and seen == []
+    assert len(checked) == 2 * (5 + 3 * 2) and seen == [[]] * len(checked)
     assert all(gr._moved_rows(op.entries).size == 0 for op in checked)
 
 
@@ -913,8 +922,12 @@ def test_decomposition_and_projection_check_counts(monkeypatch):
     # ModeOperator built per family is its checked value at t: stencil
     # samples read the block function unwrapped (5, 41, 9, 13 and 18
     # constructions when every sample was wrapped).
-    # A patching check evaluates each family once per stencil sample for
-    # its transition ratio and both connection forms (13 and 18 block
+    # The rotated families declare their derivatives, so the block function
+    # is read at t alone by connection_form and tr_p_dp_dp, and at t and the
+    # eight outer samples by curvature_rkw (5, 41 and 9 reads when d(SV) and
+    # d P were stencils); the undeclared conjugate reads it at t and at the
+    # four samples of its stencil.  A patching check evaluates each family
+    # once per stencil sample for its transition ratio (13 and 18 block
     # function calls when each route took its own samples).  No QR runs on
     # a chart map: every solve is against an r x r block Y S V, Y = V* P
     calls, checks, built, blocks = [], [], [], []
@@ -979,10 +992,10 @@ def test_decomposition_and_projection_check_counts(monkeypatch):
     # transition_det before, and two values-only SVDs of 7 x 7 blocks and a
     # solve before the certificate)
     ratio = {("inv", (2, 1, 7, 7)): 1, ("det", (1, 7, 7)): 1}
-    assert counts(lambda: gr.connection_form(fam, base, t)) == (form, 2, 1, 5)
+    assert counts(lambda: gr.connection_form(fam, base, t)) == (form, 2, 1, 1)
     eight = {key: 8 * n for key, n in form.items()}
-    assert counts(lambda: gr.curvature_rkw(fam, base, t)) == (eight, 2, 1, 41)
-    assert counts(lambda: gr.tr_p_dp_dp(fam, t)) == ({}, 1, 1, 9)
+    assert counts(lambda: gr.curvature_rkw(fam, base, t)) == (eight, 2, 1, 9)
+    assert counts(lambda: gr.tr_p_dp_dp(fam, t)) == ({}, 1, 1, 1)
     assert counts(lambda: gr.transition_det(fam, base, t, sigma1, sigma2)) == (ratio, 2, 1, 1)
     # five ratios (four stencil points and t) and two connection forms
     five = {key: 5 * n for key, n in ratio.items()}
@@ -1225,16 +1238,48 @@ def test_patching_identity_lhs_matches_dense_definition(base_kind):
     assert moved > 0.4
 
 
+def mp_block(t1, t2):
+    # rotated_family's 2 x 2 block in closed form, at mpmath's precision
+    theta = mpmath.pi * mpmath.mpf(t1) / 2
+    phase = mpmath.exp(2j * mpmath.pi * mpmath.mpf(t2))
+    sin, cos = mpmath.sin(theta), mpmath.cos(theta)
+    return [[sin * sin, -mpmath.conj(phase) * sin * cos], [-phase * sin * cos, cos * cos]]
+
+
 def mp_rotated_value(w, modes, t):
     # rotated_family's closed form at 40 digits
-    theta = mpmath.pi * mpmath.mpf(t[0]) / 2
-    phase = mpmath.exp(2j * mpmath.pi * mpmath.mpf(t[1]))
-    sin, cos = mpmath.sin(theta), mpmath.cos(theta)
     i, j = w.index(modes[0]), w.index(modes[1])
     p = mpmath.matrix(gr.spectral_projection(w, 0).entries.real.tolist())
-    p[i, i], p[j, j] = sin * sin, cos * cos
-    p[i, j], p[j, i] = -mpmath.conj(phase) * sin * cos, -phase * sin * cos
+    (p[i, i], p[i, j]), (p[j, i], p[j, j]) = mp_block(*t)
     return p
+
+
+def mp_block_derivative(t, axis):
+    """The derivative along axis of rotated_family's 2 x 2 block at t, by
+    mpmath.diff of its closed form at 30 digits, rounded to complex."""
+    with mpmath.workdps(30):
+
+        def entry(k, l):
+            def along(x):
+                return mp_block(*(x if a == axis else c for a, c in enumerate(t)))[k][l]
+
+            return complex(mpmath.diff(along, mpmath.mpf(t[axis])))
+
+        return np.array([[entry(k, l) for l in range(2)] for k in range(2)])
+
+
+def exact_dp(fam, t, axis):
+    """d P along axis of a rotated family at t: mp_block_derivative written
+    into the rows and columns the family declares, zero elsewhere."""
+    dp = np.zeros((fam.window.dim,) * 2, dtype=complex)
+    dp[np.ix_(fam._support, fam._support)] = mp_block_derivative(t, axis)
+    return dp
+
+
+def undeclared(fam):
+    """fam's block function as a family that declares nothing: every chart
+    entry point takes its derivatives from stencils."""
+    return gr.ProjectionFamily(fam.window, fam._map)
 
 
 def test_transition_det_near_the_identity_chart_singularity():
@@ -1301,11 +1346,17 @@ def near_a_singular_identity_chart(w, fam, base, t1, dense_tol, form_tol=1e-13):
         p = fam(t1, t2).entries
         return (p + p @ sigmas[0] @ p) @ b
 
+    # the stencil route on the undeclared copy, the declared route against
+    # the reference with the exact d P
     st = FdStencil(kind="first-derivative")
+    s_pinv = np.linalg.pinv(s_at(*t), rcond=gr.RANK_SVD_THRESHOLD)
     for axis in (0, 1):
         ds = fd_apply(gr._each(s_at), t, st, axis)
-        s_pinv = np.linalg.pinv(s_at(*t), rcond=gr.RANK_SVD_THRESHOLD)
         expected = np.trace(s_pinv @ p @ ds @ b)
+        value = gr.connection_form(undeclared(fam), base, t, axis, perturbation=charts[0])
+        assert abs(value - expected) <= form_tol * abs(expected)
+        dp = exact_dp(fam, t, axis)
+        expected = np.trace(s_pinv @ p @ (dp + dp @ sigmas[0] @ p + p @ sigmas[0] @ dp) @ b)
         value = gr.connection_form(fam, base, t, axis, perturbation=charts[0])
         assert abs(value - expected) <= form_tol * abs(expected)
 
@@ -1441,11 +1492,15 @@ def test_stokes_on_chart_rectangle():
 
 
 def test_stokes_pair_converged_in_node_counts(monkeypatch):
+    # with declared derivatives on both routes, 8 x 4 nodes meet the exact
+    # value to rounding, as twice the nodes do
     boundary, area = stokes_on(3)
     monkeypatch.setattr(report, "_STOKES_N1", 2 * report._STOKES_N1)
     monkeypatch.setattr(report, "_STOKES_N2", 2 * report._STOKES_N2)
     boundary2, area2 = stokes_on(3)
-    assert abs(abs(boundary2 - area2) - abs(boundary - area)) < 1e-10
+    assert abs(abs(boundary2 - area2) - abs(boundary - area)) < 1e-14
+    for value in (boundary, area, boundary2, area2):
+        assert abs(value - STOKES_EXACT) < 1e-14
 
 
 def test_stokes_pair_call_counts(monkeypatch):
@@ -2095,7 +2150,8 @@ def test_a_nan_in_an_unselected_column_still_raises(monkeypatch, entry, at, requ
     name = request.node.callspec.id
     sampled = "curvature_rkw" in name if at == NAN_AT_INNER else "transition_det" not in name
     if not sampled:  # transition_det reads the family at t alone
-        assert entry(fam, CHECKED_AT) == entry(ROTATED, CHECKED_AT)
+        # fam declares nothing, as the copy of ROTATED it is compared with
+        assert entry(fam, CHECKED_AT) == entry(undeclared(ROTATED), CHECKED_AT)
         return
     with pytest.raises(EvaluationError):
         entry(fam, CHECKED_AT)
@@ -2147,9 +2203,10 @@ ROTATED40 = gr.rotated_family(W40, (-2, 1))
 OTHER40 = gr.ProjectionFamily(W40, lambda t1, t2: ROTATED40(0.8 * t1 + 0.1, t2).entries)
 
 
-def declared(w, support, block):
-    """A family that declares the support S and the S x S block function
-    ``block``, as rotated_family does, its value Pi_{>=0} off S x S."""
+def declared(w, support, block, derivative):
+    """A family that declares the support S, the S x S block function
+    ``block`` and its derivatives ``derivative``, as rotated_family does,
+    its value Pi_{>=0} off S x S."""
     base, s = gr.spectral_projection(w, 0).entries, np.ix_(support, support)
 
     def value(t1, t2):
@@ -2158,8 +2215,25 @@ def declared(w, support, block):
         return p
 
     fam = gr.ProjectionFamily(w, value)
-    fam._support, fam._support_block = support, block
+    fam._support, fam._support_block, fam._support_derivative = support, block, derivative
     return fam
+
+
+def declared_conjugate(fam, base, u):
+    """The conjugate u P u* of a declared family and u base u*, declared with
+    every row as its support: its block is its whole value, and its
+    derivative u (d P) u* with d P from fam's declaration."""
+    conj_fam, conj_base = conjugated(fam, base, u)
+    s, dim = np.ix_(fam._support, fam._support), fam.window.dim
+
+    def derivative(t1, t2, axis):
+        dp = np.zeros((len(t1), dim, dim), dtype=complex)
+        dp[:, s[0], s[1]] = fam._support_derivative(t1, t2, axis)
+        return u @ dp @ u.conj().T
+
+    conj_fam._support, conj_fam._support_block = tuple(range(dim)), conj_fam._map
+    conj_fam._support_derivative = derivative
+    return conj_fam, conj_base
 
 
 UPDATE_AT = [
@@ -2239,9 +2313,10 @@ def close(a, b, rtol):
     assert np.all(np.abs(a - b) <= rtol * np.maximum(np.abs(b), 1.0)), (a, b)
 
 
-# the entry points with no update path: transition_det samples nothing, and
-# connection_form and patching_identity_check always take the dense path
-DENSE_ONLY = ("transition_det", "connection_form", "patching_identity_check")
+# the entry points with no update path: transition_det samples nothing,
+# connection_form and patching_identity_check always take the dense path,
+# and tr_p_dp_dp reads a declared family's derivatives at any rank
+NO_UPDATE_PATH = ("transition_det", "connection_form", "patching_identity_check", "tr_p_dp_dp")
 
 
 # relative agreement of two routes of one value: the patching checks' lhs
@@ -2258,7 +2333,7 @@ def test_the_update_path_gives_the_dense_path_values(monkeypatch, t, chart):
     s1, s2 = update_sigmas()
     calls = chart_calls(PI40, ROTATED40, OTHER40, s1 if chart == "perturbation" else None, s2, t)
     for name, call in calls.items():
-        value = call() if name in DENSE_ONLY else on_the_update_path(monkeypatch, call)
+        value = call() if name in NO_UPDATE_PATH else on_the_update_path(monkeypatch, call)
         close(value, dense_path(monkeypatch, call), tolerance(name))
 
 
@@ -2284,28 +2359,38 @@ def test_every_chart_helper_gets_a_stack_of_points(monkeypatch, window):
     assert seen
 
 
-def test_the_update_path_against_a_conjugate_of_full_support(monkeypatch):
+@pytest.mark.parametrize("declaration", ["declared", "undeclared"])
+def test_the_update_path_against_a_conjugate_of_full_support(monkeypatch, declaration):
     # u P u* for a constant unitary u, with base and sigma conjugated by u,
     # leaves every value of the six entry points unchanged; the conjugate
-    # moves every row, so it takes the dense path
+    # moves every row, so it takes the dense path.  Declared with every row
+    # as its support and the conjugated derivative, it checks the update
+    # path and the declared routes; undeclared, it checks the stencil routes
+    # of the undeclared copy of the rotated family
     u = report.random_window_unitary(np.random.default_rng(8), W40.dim)
     s1, s2 = update_sigmas()
-    conj_fam, conj_base = conjugated(ROTATED40, PI40.entries, u)
+    if declaration == "declared":
+        fam, (conj_fam, conj_base) = ROTATED40, declared_conjugate(ROTATED40, PI40.entries, u)
+    else:
+        fam, (conj_fam, conj_base) = undeclared(ROTATED40), conjugated(ROTATED40, PI40.entries, u)
     conj_other, _ = conjugated(OTHER40, PI40.entries, u)
     conj_s1, conj_s2 = (
         gr.ModeOperator(W40, u @ s.entries @ u.conj().T, gr.TAIL_ZERO) for s in (s1, s2)
     )
     t = (0.3, 0.45)
-    updated = chart_calls(PI40, ROTATED40, OTHER40, s1, s2, t)
+    updated = chart_calls(PI40, fam, OTHER40, s1, s2, t)
     dense = chart_calls(conj_base, conj_fam, conj_other, conj_s1, conj_s2, t)
     for name in updated:
-        if name in DENSE_ONLY:
+        if name in NO_UPDATE_PATH:
             close(updated[name](), dense[name](), tolerance(name))
             continue
         with path_spy(monkeypatch) as taken:
             value = dense[name]()
         assert taken.held == [None]
-        close(on_the_update_path(monkeypatch, updated[name]), value, 20 * tolerance(name))
+        if declaration == "declared":
+            close(on_the_update_path(monkeypatch, updated[name]), value, 20 * tolerance(name))
+        else:  # the undeclared copy takes the dense path too
+            close(updated[name](), value, 20 * tolerance(name))
 
 
 def non_coordinate_base(w, seed=3):
@@ -2331,7 +2416,7 @@ def test_the_update_path_on_an_eigh_basis(monkeypatch, chart):
     for name in coordinate:
         if name == "tr_p_dp_dp":  # takes no base
             continue
-        if name in DENSE_ONLY:
+        if name in NO_UPDATE_PATH:
             value = eigh[name]()
         else:
             value = on_the_update_path(monkeypatch, eigh[name])
@@ -2408,19 +2493,21 @@ def test_a_nan_in_an_unselected_column_still_raises_on_the_update_path(
     # call then raises the dense path's error (patching_identity_check
     # takes the dense path from the start).  A NaN off S x S cannot reach
     # the update path, and test_a_nan_in_an_unselected_column_still_raises
-    # covers it on the dense path
+    # covers it on the dense path.  With declared derivatives no entry point
+    # samples the inner point, and tr_p_dp_dp samples nothing
     rotated = ROTATED40._support_block
 
     def block(t1, t2):
         (a, b), (c, d) = rotated(t1, t2)
         return ((a, b), (math.nan, d)) if (t1, t2) == at else ((a, b), (c, d))
 
-    fam = declared(W40, ROTATED40._support, block)
+    fam = declared(W40, ROTATED40._support, block, ROTATED40._support_derivative)
     dense_only = "patching_identity_check" in request.node.callspec.id
-    sampled = "curvature_rkw" in request.node.callspec.id if at == NAN_AT_INNER else True
+    sampled = at == NAN_AT_STENCIL and "tr_p_dp_dp" not in request.node.callspec.id
     if not sampled:
         call = partial(entry, fam, CHECKED_AT)
-        value = call() if dense_only else on_the_update_path(monkeypatch, call)
+        on_update_path = not dense_only and "tr_p_dp_dp" not in request.node.callspec.id
+        value = on_the_update_path(monkeypatch, call) if on_update_path else call()
         close(value, entry(ROTATED40, CHECKED_AT), 0.0)
         return
     with path_spy(monkeypatch) as taken, pytest.raises(EvaluationError) as raised:
@@ -2526,11 +2613,25 @@ def test_samples_that_move_more_than_two_rows_take_the_dense_path(monkeypatch):
     assert abs(lhs - rhs) < 1e-5
     close((lhs, rhs), dense_path(monkeypatch, check), 0.0)
 
+    # declared, its connection forms read the declared derivative: the lhs
+    # is the same stencil of the ratio, the rhs agrees with the stencil's
     support = tuple(sorted(w.index(m) for m in (-3, 7, -1, 2)))
+    pairs = [[support.index(w.index(m)) for m in pair] for pair in ((-3, 7), (-1, 2))]
+
+    def derivative(t1, t2, axis):
+        d = np.zeros((len(t1), 4, 4), dtype=complex)
+        for (i, j), rotated in zip(pairs, (fam1, fam2)):
+            d[:, [[i], [j]], [i, j]] = rotated._support_derivative(t1, t2, axis)
+        return d
+
     fam._support, fam._support_block = support, lambda t1, t2: pytest.fail("read")
+    fam._support_derivative = derivative
+    read.clear()
     with path_spy(monkeypatch) as taken:
-        assert check() == (lhs, rhs)
+        declared_lhs, declared_rhs = check()
     assert taken.held == [None] and taken.declared == 0
+    assert read == [t] + [(t[0] + k * H, t[1]) for k in (1, -1, 2, -2)]
+    assert declared_lhs == lhs and abs(declared_rhs - rhs) < 1e-9 and abs(lhs - declared_rhs) < 1e-5
 
 
 @pytest.mark.parametrize("n_max", [4, 100])
@@ -2556,6 +2657,97 @@ def test_rotated_family_is_its_base_with_the_declared_block_written_in(n_max):
     for values in (stack, scalars):
         assert values[:, off].tobytes() == np.broadcast_to(base[off], (240, off.sum())).tobytes()
         assert values[:, s[0], s[1]].tobytes() == read.tobytes() == one_by_one.tobytes()
+
+
+def test_the_declared_derivative_is_the_derivative_of_the_declared_block():
+    # against mpmath.diff of the closed form at 200 seeded points, t1 = 0 and
+    # 1 among them; on the block B, B (d B) B = 0 and (I - B) (d B) (I - B)
+    # = 0, as for the derivative of any projection; and a k-point stack is
+    # the k one-point stacks, bit for bit
+    fam = gr.rotated_family(W, (-2, 1))
+    rng = np.random.default_rng(31)
+    t1, t2 = rng.uniform(0.0, 1.0, 200), rng.uniform(0.0, 1.0, 200)
+    t1[:2] = 0.0, 1.0
+    block = np.array([fam._support_block(a, b) for a, b in zip(t1, t2)])
+    rest = np.eye(2) - block
+    for axis in (0, 1):
+        derivative = fam._support_derivative(t1, t2, axis)
+        assert derivative.shape == (200, 2, 2) and derivative.dtype == complex
+        exact = np.array([mp_block_derivative(p, axis) for p in zip(t1, t2)])
+        assert np.abs(derivative - exact).max() < 1e-14
+        assert np.abs(block @ derivative @ block).max() < 1e-15
+        assert np.abs(rest @ derivative @ rest).max() < 1e-15
+        one_by_one = [fam._support_derivative(*one_point(p), axis) for p in zip(t1, t2)]
+        assert derivative.tobytes() == np.concatenate(one_by_one).tobytes()
+
+
+DECLARED_ENTRY_POINTS = [
+    pytest.param(
+        lambda fam, base, t, other: gr.connection_form(fam, base, t), id="connection_form"
+    ),
+    pytest.param(lambda fam, base, t, other: gr.tr_p_dp_dp(fam, t), id="tr_p_dp_dp"),
+    pytest.param(lambda fam, base, t, other: gr.curvature_rkw(fam, base, t), id="curvature_rkw"),
+    pytest.param(
+        lambda fam, base, t, other: gr.perturbation_patching_check(
+            fam, base, *update_sigmas(fam.window), t
+        ),
+        id="perturbation_patching_check",
+    ),
+    pytest.param(
+        lambda fam, base, t, other: gr.patching_identity_check(fam, other, base, t),
+        id="patching_identity_check",
+    ),
+]
+
+
+@pytest.mark.parametrize("fault", ["nan", "shape"])
+@pytest.mark.parametrize("n_max", [4, 40], ids=["dense", "update"])
+@pytest.mark.parametrize("entry", DECLARED_ENTRY_POINTS)
+def test_a_declared_derivative_that_is_no_finite_stack_raises(entry, n_max, fault, request):
+    # below the crossover and above it, where the update path hands the
+    # refusal to the dense path: the error names the point where the
+    # derivative is read, t, or curvature_rkw's first outer sample (t1 + h, t2)
+    w = gr.ModeWindow(n_max)
+    rotated, base = gr.rotated_family(w, (-2, 1)), gr.spectral_projection(w, 0)
+    other = gr.rotated_family(w, (-1, 2))
+
+    def derivative(t1, t2, axis):
+        d = rotated._support_derivative(t1, t2, axis)
+        return d[:, 0] if fault == "shape" else d * math.nan
+
+    fam = declared(w, rotated._support, rotated._support_block, derivative)
+    outer = "curvature_rkw" in request.node.callspec.id
+    point = r"\(0\.401, 0\.3\)" if outer else r"\(0\.4, 0\.3\)"
+    if fault == "nan":
+        nan = rf"^declared derivative is not finite at {point}$"
+        with pytest.raises(EvaluationError, match=nan):
+            entry(fam, base, CHECKED_AT, other)
+    else:
+        shape = r"no stack of 1 2x2 blocks, got complex128 of shape \(1, 2\)$"
+        with pytest.raises(DomainError, match=rf"^declared derivative at {point} is {shape}"):
+            entry(fam, base, CHECKED_AT, other)
+    np.testing.assert_allclose(
+        entry(rotated, base, CHECKED_AT, other),
+        entry(undeclared(rotated), base, CHECKED_AT, undeclared(other)),
+        rtol=1e-8,
+        atol=1e-8,
+    )
+
+
+def test_a_declared_derivative_names_the_first_point_that_is_not_finite():
+    rotated = gr.rotated_family(W, (-2, 1))
+
+    def derivative(t1, t2, axis):
+        d = rotated._support_derivative(t1, t2, axis)
+        d[t1 > 0.3] = math.nan
+        return d
+
+    fam = declared(W, rotated._support, rotated._support_block, derivative)
+    t = (np.array([0.2, 0.4, 0.6]), np.array([0.1, 0.5, 0.9]))
+    with pytest.raises(EvaluationError, match=r"not finite at \(0\.4, 0\.5\)$"):
+        gr.connection_form(fam, PI0, t)
+    with pytest.raises(EvaluationError, match=r"not finite at \(0\.4, 0\.5\)$"):
+        gr.tr_p_dp_dp(fam, t)
 
 
 def test_lapack_calls_on_the_update_path_at_n_max_100(monkeypatch):
@@ -2593,7 +2785,9 @@ def test_lapack_calls_on_the_update_path_at_n_max_100(monkeypatch):
         **inverse,
         ("solve", (1, 6, 6)): 8,
     }
-    assert counts(lambda: gr.tr_p_dp_dp(fam, t)) == {}
+    calls.clear()
+    gr.tr_p_dp_dp(fam, t)  # reads the declared derivatives, on no path
+    assert calls == []
     assert counts(lambda: gr.perturbation_patching_check(fam, base, s1, s2, t)) == {
         ("inv", (1, 101, 101)): 2,
         ("det", (1, 6, 6)): 8,

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from detline import chern_series, cli, det_line, report
+from detline import chern_series, cli, det_line, report, specfun
 from detline import grassmannian as gr
 from detline import interval_cp1 as cp1
 from detline.errors import DegenerateSpectrum, DomainError
@@ -592,6 +592,49 @@ def test_planted_fault_in_connection_form_fails_both_curvature_rows(monkeypatch)
     document = report.run_suite("grassmannian", 7)
     assert _case(document, "curvature d omega matches Tr(P [d1 P, d2 P])").status == "fail"
     assert _case(document, "curvature is chart independent (perturbed chart)").status == "fail"
+
+
+def failing_rows(seed=7):
+    return {c.name for c in report.run_suite("all", seed).cases if c.status != "pass"}
+
+
+# the Grassmannian rows that set a stencil route against a declared one: a
+# curvature_rkw stencil of declared connection forms against the declared
+# density, the stencil of a transition ratio against declared forms, and
+# the undeclared conjugate's stencil form against the declared form
+STENCIL_AGAINST_DECLARED = {
+    "curvature d omega matches Tr(P [d1 P, d2 P])",
+    "curvature is chart independent (perturbed chart)",
+    "patching of two perturbation charts of one family",
+    "connection form is invariant under constant conjugation",
+}
+
+
+def test_planted_fault_in_the_stencil_weights_fails_the_rows_with_a_declared_route(monkeypatch):
+    # first-derivative weights off by 1e-3: every row that sets a stencil
+    # against a declared derivative fails, the Stokes row, both of whose
+    # routes are declared, does not; the identity-chart patching row holds
+    # by symmetry (both sides vanish on rotated families)
+    first = tuple((k, w * (1 + 1e-3)) for k, w in specfun._WEIGHTS["first-derivative"])
+    monkeypatch.setitem(specfun._WEIGHTS, "first-derivative", first)
+    assert failing_rows() == STENCIL_AGAINST_DECLARED
+
+
+def test_planted_fault_in_the_declared_derivative_fails_the_rows_that_read_it(monkeypatch):
+    # every rotated family's declared derivative off by 1e-3: the Stokes
+    # row, whose boundary integral of declared forms meets an area of the
+    # declared density scaled twice, fails too
+    rotated = gr.rotated_family
+
+    def planted(*args):
+        fam = rotated(*args)
+        derivative = fam._support_derivative
+        fam._support_derivative = lambda t1, t2, axis: derivative(t1, t2, axis) * (1 + 1e-3)
+        return fam
+
+    monkeypatch.setattr(gr, "rotated_family", planted)
+    stokes = "Stokes: boundary integral of omega equals the curvature integral"
+    assert failing_rows() == STENCIL_AGAINST_DECLARED | {stokes}
 
 
 def test_planted_fault_in_ratio_determinants_fails_transitivity(monkeypatch):
