@@ -30,9 +30,12 @@ rule's on the chart maps SV.  Since |Y|_2 <= 1, s_min(SV) >= s_min(Y SV),
 so the norms of SV and of the inverse certify both where they can; a call
 with any point the bound leaves open runs that rule itself on the chart
 maps, by an SVD, so every decision and message is the rule's.  A patching
-check evaluates the family once per stencil sample for its transition
-determinant, and for a family that declares no derivatives for its two
-connection forms too; on the dense path each route keeps its own inverses.
+check's transition ratio takes its own stencil of the family, and the
+connection forms of a family that declares no derivatives each take theirs
+(_omega), so every route keeps its own samples and, on the dense path, its
+own inverses.  A one-point check reads the block function 5 times
+(perturbation_patching_check) or 10 (patching_identity_check) for
+declared families, and 13 or 18 for families that declare nothing.
 
 A family may declare the rows and columns S it moves, a closed form of its
 S x S block and the t-derivatives D' of that block (rotated_family does;
@@ -97,9 +100,9 @@ block, not a copy.  A chart's dense stencil member is the chart map, SV
 (PV in the identity chart, a gather on a coordinate base), an array the
 stencil owns, so fd_apply's sums reuse its buffers; a member whose sample
 has a non-finite entry is NaN throughout, where a gather dropped that
-entry too (_nan_unless_finite, which marks a patching check's ratio
-alike).  A declared derivative that is no finite (k, |S|, |S|) stack is
-refused, naming a point (_declared_derivative).  Projections are checked
+entry too (_nan_unless_finite; a patching check's ratio samples follow the
+same rule).  A declared derivative that is no finite (k, |S|, |S|) stack
+is refused, naming a point (_declared_derivative).  Projections are checked
 once per public call: the base, and the family values at all points t as
 one stack, each required to have the rank of base; an error names the
 first failing point.  is_projection
@@ -954,19 +957,15 @@ def _each(field: Callable[..., Any]) -> Callable[[np.ndarray, np.ndarray], Itera
 
 # The update path runs from this rank r of base on, for a family that
 # declares a support J of at most two rows (_Moves); the dense path runs
-# otherwise.  Measured with stencil derivatives
-# in-process on rotated_family (|J| = 2) at t = (0.3, 0.2), one BLAS
-# thread, median ms updated vs dense (BENCH_23.json): curvature_rkw 6.27 vs
-# 4.01 at n_max = 31, 7.01 vs 5.93 at 43 and 6.98 vs 10.31 at 50; in a
-# perturbation chart 7.97 vs 7.63, 8.73 vs 12.85 and 11.50 vs 22.08;
-# perturbation_patching_check 4.49 vs 4.69, 4.05 vs 6.03 and 6.44 vs 11.76.
-# The perturbation charts break even near r = 32, the identity chart near
-# r = 46; 40 lies between, so the identity-chart curvature_rkw is slower on
-# the update path for 40 <= r < 46 (+18% at r = 44).  No larger J was
-# measured.  With declared derivatives both paths drop their inner
-# stencils, and the identity-chart curvature_rkw reads 1.50 vs 1.67 ms at
-# r = 32 and 1.82 vs 2.94 at r = 44 (1.40 vs 1.36 at r = 26): 40 is no
-# longer the break-even, which lies near r = 28 for every entry point.
+# otherwise.  In-process on rotated_family (|J| = 2) at t = (0.3, 0.2), one
+# BLAS thread, median ms updated vs dense (BENCH_31.json, "crossover"): the
+# identity-chart curvature_rkw reads 1.40 vs 1.36 at r = 26, 1.50 vs 1.67
+# at r = 32 and 1.82 vs 2.94 at r = 44, and perturbation_patching_check
+# 1.39 vs 1.85, 1.46 vs 2.42 and 1.92 vs 4.63, so every entry point breaks
+# even near r = 28.  The constant stays 40 because no workload runs a
+# window of rank 28 to 39, where the dense path is the slower one; lowering
+# it would change which path the tests at those ranks take.  No larger J
+# was measured.
 _LOW_RANK_CROSSOVER = 40
 
 
@@ -1149,7 +1148,6 @@ def _omega(
     axis: int,
     t: Points,
     p: np.ndarray,
-    d_sv: np.ndarray | None = None,
 ) -> np.ndarray:
     """connection_form along axis at the points t from the family values p
     there: Tr((SV)^+ P d(SV)) with the chart map SV.
@@ -1158,9 +1156,8 @@ def _omega(
     ProjectionFamily), d P = I_J D' I_J*, so d(SV) is I_J D' V_J in the
     identity chart and I_J D' (V_J + (sigma P V)[J, :]) + (P sigma)[:, J] D'
     V_J in a perturbation chart, traced through the columns J of (SV)^+ P
-    with no d x d array.  For a family that declares nothing, d(SV) is
-    ``d_sv``, a patching check's stencil of the chart maps, or else the
-    stencil of the chart maps at the samples (_chart_member).
+    with no d x d array.  For a family that declares nothing, d(SV) is the
+    form's own stencil of the chart maps at the samples (_chart_member).
 
     The r x d block (SV)^+ P is the one array held while the stencil
     samples: P, SV and Y are released first, so the caller passes p without
@@ -1173,8 +1170,7 @@ def _omega(
     s_pinv_p = _nan_unless_finite(_chart_pinv(s_v, basis.left(p), p, t), p)
     if fam._support is None:
         del p, s_v
-        if d_sv is None:
-            d_sv = fd_apply(_each(partial(_chart_member, fam, basis, sig)), t, _D1, axis)
+        d_sv = fd_apply(_each(partial(_chart_member, fam, basis, sig)), t, _D1, axis)
         return _connection_form(s_pinv_p, d_sv)
     j = np.array(fam._support)
     d1 = _declared_derivative(fam, t, axis)
@@ -1219,9 +1215,7 @@ def _connection_form(s_pinv_p: np.ndarray, d_sv: np.ndarray) -> np.ndarray:
     """The connection form Tr((SV)^+ P d(SV)) from the block of _chart_pinv and
     the stencil derivative d(SV), summed elementwise; on the update path
     Tr(A^{-1} dM) from the inverse of A = Y SV and the stencil of the r x r
-    members Y (S_q V - S V).  The caller takes SV and d(SV) from its own
-    evaluation of the family, which a patching check shares with its
-    transition determinant."""
+    members Y (S_q V - S V)."""
     return np.einsum("...ij,...ji->...", s_pinv_p, d_sv)
 
 
@@ -1340,19 +1334,20 @@ def perturbation_patching_check(
     agree up to finite-difference error.  For equal-length arrays t1, t2 both
     are complex arrays, one value per point.
 
-    The lhs is the stencil of the transition determinant g over g(t): one
-    stencil pass evaluates the family and PV once per sample and forms both
-    chart maps and g from them.  Each connection form takes its d(SV) from
-    the family's declared derivative at t (see _omega), or for a family
-    that declares nothing from its chart maps in that pass.  On the update
-    path (see the module docstring) both charts take one move D per sample,
-    the pass takes g(s) / g(t) as the quotient of the two charts' capacitance
-    dets, and each form traces its chart's inverse against the r x r member
-    of the derivative at t (_LowRankChart.member with D = 0); both routes
-    read each chart's one certified inverse at t, the numbers a stacked
-    inversion of the two blocks would return.  On the dense path each route
-    keeps its own inverses: the connection forms one each, g its stacked
-    inverse and det.
+    The lhs is the stencil of the transition determinant g over g(t), each
+    sample evaluating the family and PV once and forming both chart maps and
+    g from them.  Each connection form takes its d(SV) from the family's
+    declared derivative at t, or for a family that declares nothing from its
+    own stencil of its chart map (see _omega): a one-point call reads the
+    block function 5 times for a declared family and 13 for one that
+    declares nothing.  On the update path (see the module
+    docstring) both charts take one move D per sample, the stencil takes
+    g(s) / g(t) as the quotient of the two charts' capacitance dets, and
+    each form traces its chart's inverse against the r x r member of the
+    derivative at t (_LowRankChart.member with D = 0); both routes read each
+    chart's one certified inverse at t, the numbers a stacked inversion of
+    the two blocks would return.  On the dense path each route keeps its own
+    inverses: the connection forms one each, g its stacked inverse and det.
     """
     axis = _direction_axis(direction)
     pts, one = _points(t)
@@ -1379,21 +1374,18 @@ def perturbation_patching_check(
     except DetlineError:  # the dense path decides every value, chart guard and message
         if p is None:  # released for the update stencils: read the checked value at t again
             p = np.asarray(_family_blocks(fam, *pts), dtype=complex)
-    sampled = fam._support is None  # the connection forms take their d(SV) from the pass
 
-    def sample(t1, t2) -> tuple:
+    def ratio(t1, t2) -> np.ndarray:
         p_at = _family_blocks(fam, t1, t2)
         maps, y = _chart_maps(p_at, basis, *sigs), basis.left(p_at)
-        g = _nan_unless_finite(_transition_det(*maps, y, (t1, t2)), p_at)
+        finite = np.isfinite(p_at).all()  # as _nan_unless_finite, read before the release
         del p_at  # the d x d sample is not held through the ratio
-        return (g, *maps) if sampled else (g,)
+        g = _transition_det(*maps, y, (t1, t2))
+        return g if finite else g * np.nan
 
-    dg, *d_maps = fd_apply(_each(sample), pts, _D1, axis)
+    dg = fd_apply(_each(ratio), pts, _D1, axis)
     lhs = dg / _transition_det(*_chart_maps(p, basis, *sigs), basis.left(p), pts)
-    omega1, omega2 = (
-        _omega(fam, basis, sig, axis, pts, p, d_sv)
-        for sig, d_sv in zip(sigs, d_maps or (None, None))
-    )
+    omega1, omega2 = (_omega(fam, basis, sig, axis, pts, p) for sig in sigs)
     return _result(lhs, one), _result(omega1 - omega2, one)
 
 
@@ -1412,9 +1404,11 @@ def patching_identity_check(
     constant unitary commuting with base).  Returns (lhs, rhs) with lhs the
     logarithmic derivative of that ratio and rhs = omega_1 - omega_2; for
     equal-length arrays t1, t2 both are complex arrays, one value per point.
-    As in perturbation_patching_check, one stencil pass evaluates both
-    families once per sample for the ratio, and for the connection form of
-    a family that declares no derivative.
+    The ratio's stencil evaluates both families once per sample, and as in
+    perturbation_patching_check the connection form of a family that
+    declares no derivatives takes its own stencil: a one-point call reads
+    the block functions 10 times for two declared families, 14 for one and
+    18 for none.
     """
     axis = _direction_axis(direction)
     pts, one = _points(t)
@@ -1423,17 +1417,14 @@ def patching_identity_check(
     basis = _chart_base(fam1.window, base)
     p1, p2 = _projections_at(fam1, pts, basis), _projections_at(fam2, pts, basis)
 
-    def sample(t1, t2) -> tuple:
+    def ratio(t1, t2) -> np.ndarray:
         pv1, pv2 = (_chart_member(fam, basis, None, t1, t2) for fam in (fam1, fam2))
-        sampled = [pv for fam, pv in ((fam1, pv1), (fam2, pv2)) if fam._support is None]
-        return (_chart_ratio(basis.left(pv1), basis.left(pv2), (t1, t2)), *sampled)
+        return _chart_ratio(basis.left(pv1), basis.left(pv2), (t1, t2))
 
-    d_ratio, *d_pvs = fd_apply(_each(sample), pts, _D1, axis)
+    d_ratio = fd_apply(_each(ratio), pts, _D1, axis)
     pv1, pv2 = basis.right(p1), basis.right(p2)
     lhs = d_ratio / _chart_ratio(basis.left(pv1), basis.left(pv2), pts)
-    d_sampled = iter(d_pvs)
     omega1, omega2 = (
-        _omega(fam, basis, None, axis, pts, p, None if fam._support else next(d_sampled))
-        for fam, p in ((fam1, p1), (fam2, p2))
+        _omega(fam, basis, None, axis, pts, p) for fam, p in ((fam1, p1), (fam2, p2))
     )
     return _result(lhs, one), _result(omega1 - omega2, one)

@@ -32,15 +32,15 @@ by up to 1.1e-13).  On a 2-vCPU x86-64 host ``detline curvature-grid --n
 (medians of three runs of seven), about half of it in the CSV writer, where
 the scalar kernel took 8.3 s.
 
-``fd_apply`` is the only stencil loop, for real, complex or array fields, or
-a tuple of them sampled together.  Its one stencil is the order-4 central
-difference, applied as paired differences f(+k) - f(-k) (first derivative)
-and f(+k) + f(-k) - 2 f(0) along each axis (Laplacian), so a constant field
-gives exactly 0.  Its step is fixed in code: every stencil of the library,
-nested ones included, runs at DEFAULT_FD_STEP.  It calls the field once,
-with the coordinates of all its samples stacked along a leading axis, and
-the field decides how they are evaluated: by returning an array it
-evaluates them in one pass, by returning an iterator one at a time.
+``fd_apply`` is the only stencil loop, for one real, complex or array
+field.  Its one stencil is the order-4 central difference, applied as
+paired differences f(+k) - f(-k) (first derivative) and f(+k) + f(-k) -
+2 f(0) along each axis (Laplacian), so a constant field gives exactly 0.
+Its step is fixed in code: every stencil of the library, nested ones
+included, runs at DEFAULT_FD_STEP.  It calls the field once, with the
+coordinates of all its samples stacked along a leading axis, and the field
+decides how they are evaluated: by returning an array it evaluates them in
+one pass, by returning an iterator one at a time.
 ``interval_cp1.quillen_curvature_fd`` returns arrays, so its nine Laplacian
 samples make one pass through ``hurwitz_zeta_ds0`` where they made nine.
 The Grassmannian chart layer returns ``map(field, t1, t2)``: one of its
@@ -49,7 +49,8 @@ samples holds d x d blocks, and stacking them raised the traced peak of one
 ``grassmannian-window`` benchmark's RSS from 54 to 75 MB.  A ``DetlineError``
 from the field propagates unchanged; any other exception becomes an
 ``EvaluationError`` naming the sample for a lazy field and the stencil
-centre for an array field, and a non-finite result one naming the centre.
+centre for an array field, a sample that is no number or array of numbers
+one naming the sample, and a non-finite result one naming the centre.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ import cmath
 import decimal
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Literal
 
@@ -296,54 +296,44 @@ class FdStencil:
     kind: StencilKind = "laplacian-2d"
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise DomainError(f"step must be finite and positive, got {self.step}")
+        step = self.step
+        real = isinstance(step, numbers.Real) and not isinstance(step, bool)
+        if not (real and math.isfinite(step) and step > 0):
+            raise DomainError(f"step must be a finite positive real number, got {step!r}")
         if self.kind not in ("first-derivative", "laplacian-2d"):
             raise DomainError(f"unknown stencil kind {self.kind!r}")
 
 
-class _Members(tuple):
-    """The sample of a tuple-valued field under fd_apply's arithmetic: + and -
-    act member by member between two samples, * and / by a float on each
-    member."""
-
-    def _zip(self, op: Callable[[Any, Any], Any], other: Any) -> "_Members":
-        if type(other) is not _Members or len(other) != len(self):
-            raise EvaluationError("a tuple-valued field must return tuples of one length")
-        return _Members(map(op, self, other))
-
-    def __add__(self, other: "_Members") -> "_Members":
-        return self._zip(operator.add, other)
-
-    def __sub__(self, other: "_Members") -> "_Members":
-        return self._zip(operator.sub, other)
-
-    def __rmul__(self, weight: float) -> "_Members":
-        return _Members(weight * m for m in self)
-
-    def __truediv__(self, scale: float) -> "_Members":
-        return _Members(m / scale for m in self)
-
-
 def _samples(values: Any, n: int) -> Iterator[Any]:
-    """The n samples a field returned, in order: the rows of an array, the
-    tuples of rows of a tuple of arrays, or the items of any other iterable.
-    An array or tuple member without a leading axis of length n raises
-    ValueError."""
-    if not isinstance(values, (np.ndarray, tuple)):
-        return iter(values)
-    for member in values if isinstance(values, tuple) else (values,):
-        if np.ndim(member) == 0 or len(member) != n:
-            raise ValueError(f"expected {n} samples along the leading axis, got {np.shape(member)}")
-    return zip(*values) if isinstance(values, tuple) else iter(values)
+    """The n samples a field returned, in order: the rows of an array, or the
+    items of any other iterable.  An array without a leading axis of length
+    n raises ValueError."""
+    if isinstance(values, np.ndarray) and (values.ndim == 0 or len(values) != n):
+        raise ValueError(f"expected {n} samples along the leading axis, got {values.shape}")
+    return iter(values)
+
+
+def _numeric(value: Any) -> bool:
+    """Whether a field sample is a number or an array of numbers (no bool)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iufc"
+    return isinstance(value, numbers.Complex) and not isinstance(value, bool)
 
 
 def _stencil_points(at: tuple[Any, Any], st: FdStencil, axis: int) -> list[tuple[Any, Any]]:
     """The sample points of fd_apply's stencil around ``at``, in the order the
-    field receives them; the coordinates are floats or arrays, as in ``at``."""
-    if axis not in (0, 1):
-        raise DomainError(f"axis must be 0 or 1, got {axis}")
-    x0, y0 = at
+    field receives them; the coordinates are floats or arrays, as in ``at``.
+    An axis other than the integer 0 or 1, or a centre that is no pair of
+    real numbers or arrays of them, raises DomainError."""
+    if isinstance(axis, bool) or not isinstance(axis, numbers.Integral) or axis not in (0, 1):
+        raise DomainError(f"axis must be 0 or 1, got {axis!r}")
+    try:
+        x0, y0 = at
+        real = all(np.asarray(c).dtype.kind in "iuf" for c in (x0, y0))
+    except (TypeError, ValueError):
+        real = False
+    if not real:
+        raise DomainError(f"stencil centre must be a pair of real coordinates, got {at!r}")
     h = st.step
     offsets = [k for k, _ in _WEIGHTS[st.kind]]
     if st.kind == "first-derivative":
@@ -374,23 +364,24 @@ def fd_apply(
     the Laplacian the centre, then (+1, 0), (-1, 0), (0, +1), (0, -1) and
     the same at two steps.  For a centre of shape S, xs and ys have shape
     (n, *S) with n = 4 or 9.  The field returns the samples in that order:
-    an array (or a tuple of arrays) with the leading axis of length n, which
-    evaluates every sample in one pass, or an iterator of them, such as
-    ``map(g, xs, ys)``, which is consumed one sample at a time.  A field
-    that returns tuples is a tuple of fields sampled together: the stencil
-    runs over each member and a tuple of the results is returned, so fields
-    built from one evaluation share its samples.  The sum starts from its
-    first paired term and takes a lazy field's samples as it needs them, so
-    it holds a few at a time, never all n: a field with large samples, such
-    as the chart layer's d x d blocks, stays lazy for that reason (the
-    module docstring gives the memory it saves).  Every sample enters the
-    result, so one non-finite sample makes the result non-finite:
-    finiteness is checked once per member, on the result.  An array without
-    a leading axis of length n, or an iterator that ends early, raises
-    ``EvaluationError``.  A ``DetlineError`` from the field propagates
-    unchanged; any other exception becomes an ``EvaluationError`` naming the
-    sample's coordinates for a lazy field and the stencil centre for an
-    array field.
+    an array with the leading axis of length n, which evaluates every sample
+    in one pass, or an iterator of them, such as ``map(g, xs, ys)``, which
+    is consumed one sample at a time.  Each sample is a real or complex
+    number or an array of them, differentiated entrywise; any other sample
+    (None, a string, a tuple, a bool) raises ``EvaluationError`` naming it.
+    The sum starts from its first paired term and takes a lazy field's
+    samples as it needs them, so it holds a few at a time, never all n: a
+    field with large samples, such as the chart layer's d x d blocks, stays
+    lazy for that reason (the module docstring gives the memory it saves).
+    Every sample enters the result, so one non-finite sample makes the
+    result non-finite: finiteness is checked once, on the result.  An array
+    without a leading axis of length n, or an iterator that ends early,
+    raises ``EvaluationError``.  A ``DetlineError`` from the field
+    propagates unchanged; any other exception becomes an
+    ``EvaluationError`` naming the sample's coordinates for a lazy field
+    and the stencil centre for an array field.  An axis other than the
+    integer 0 or 1, or a centre that is no pair of real numbers or arrays
+    of them, raises ``DomainError``.
     """
     points = _stencil_points(at, st, axis)
     x0, y0 = at
@@ -414,7 +405,11 @@ def fd_apply(
             raise EvaluationError(f"the field returned fewer than {len(points)} samples") from None
         except Exception as exc:  # surface the offending sample
             raise EvaluationError(f"field evaluation failed at ({x}, {y}): {exc}") from exc
-        return _Members(value) if isinstance(value, tuple) else value
+        if not _numeric(value):
+            raise EvaluationError(
+                f"field sample at ({x}, {y}) is no number or array of numbers, got {value!r:.60}"
+            )
+        return value
 
     if st.kind == "first-derivative":
 
@@ -433,8 +428,6 @@ def fd_apply(
         scale = h * h
     (_, w0), (_, w1) = _WEIGHTS[st.kind]
     result = (term(w0) + term(w1)) / scale
-    shared = type(result) is _Members
-    for member in result if shared else (result,):
-        if not np.isfinite(member).all():
-            raise EvaluationError(f"stencil result is not finite at ({x0}, {y0}): {member}")
-    return tuple(result) if shared else result
+    if not np.isfinite(result).all():
+        raise EvaluationError(f"stencil result is not finite at ({x0}, {y0}): {result}")
+    return result

@@ -1721,63 +1721,73 @@ def test_singular_chart_is_reported_before_a_failing_stencil_sample():
 
 
 D1 = FdStencil(kind="first-derivative")
-SHARED_AT = [
+ROUTES_AT = [
     pytest.param((0.35, 0.6), id="one-point"),
     pytest.param((STACK_T1[:3], STACK_T2[:3]), id="three-points"),
 ]
+# ROTATED's block function without its declaration: its connection forms
+# take stencil derivatives
+ROUTE_FAMILIES = [
+    pytest.param(ROTATED, id="declared"),
+    pytest.param(gr.ProjectionFamily(W, ROTATED._map), id="undeclared"),
+]
 
 
+@pytest.mark.parametrize("fam", ROUTE_FAMILIES)
 @pytest.mark.parametrize("direction", ["t1", "t2"])
 @pytest.mark.parametrize("charts", ["perturbation", "identity-and-perturbation"])
-@pytest.mark.parametrize("t", SHARED_AT)
-def test_perturbation_patching_shares_samples_exactly(t, charts, direction):
-    # the shared stencil pass gives, to the last bit, the public routes: the
-    # stencil of transition_det over its value at t, and the difference of
-    # the two connection forms
+@pytest.mark.parametrize("t", ROUTES_AT)
+def test_perturbation_patching_is_its_public_routes_exactly(t, charts, direction, fam):
+    # each side is, to the last bit, its public route: the lhs the stencil of
+    # transition_det over its value at t, the rhs the difference of the two
+    # connection forms, declared or taken from their own stencils
     s1 = STACK_S1 if charts == "perturbation" else None
-    lhs, rhs = gr.perturbation_patching_check(ROTATED, PI0, s1, STACK_S2, t, direction)
+    lhs, rhs = gr.perturbation_patching_check(fam, PI0, s1, STACK_S2, t, direction)
     axis = ("t1", "t2").index(direction)
 
     def g(t1, t2):
-        return gr.transition_det(ROTATED, PI0, (t1, t2), s1, STACK_S2)
+        return gr.transition_det(fam, PI0, (t1, t2), s1, STACK_S2)
 
     at = one_point(t)
     assert np.all(lhs == fd_apply(gr._each(g), at, D1, axis) / g(*at))
-    omega1 = gr.connection_form(ROTATED, PI0, t, direction, s1)
-    omega2 = gr.connection_form(ROTATED, PI0, t, direction, STACK_S2)
+    omega1 = gr.connection_form(fam, PI0, t, direction, s1)
+    omega2 = gr.connection_form(fam, PI0, t, direction, STACK_S2)
     assert np.all(rhs == omega1 - omega2)
 
 
+@pytest.mark.parametrize("fam", ROUTE_FAMILIES)
 @pytest.mark.parametrize("direction", ["t1", "t2"])
-@pytest.mark.parametrize("t", SHARED_AT)
-def test_identity_patching_shares_samples_exactly(t, direction):
+@pytest.mark.parametrize("t", ROUTES_AT)
+def test_identity_patching_is_its_public_routes_exactly(t, direction, fam):
     # as above for the identity charts of two families: the lhs is the
     # stencil of the family ratio det(V* P_1 V (V* P_2 V)^{-1}) over its value
     basis = gr._chart_base(W, PI0)
-    lhs, rhs = gr.patching_identity_check(ROTATED, STACK_FAM2, PI0, t, direction)
+    lhs, rhs = gr.patching_identity_check(fam, STACK_FAM2, PI0, t, direction)
     axis = ("t1", "t2").index(direction)
 
     def family_ratio(t1, t2):
         a1, a2 = (
-            basis.left(basis.right(gr._family_blocks(fam, t1, t2)))
-            for fam in (ROTATED, STACK_FAM2)
+            basis.left(basis.right(gr._family_blocks(member, t1, t2)))
+            for member in (fam, STACK_FAM2)
         )
         return gr._chart_ratio(a1, a2, (t1, t2))
 
     at = one_point(t)
     assert np.all(lhs == fd_apply(gr._each(family_ratio), at, D1, axis) / family_ratio(*at))
-    omega1 = gr.connection_form(ROTATED, PI0, t, direction)
+    omega1 = gr.connection_form(fam, PI0, t, direction)
     omega2 = gr.connection_form(STACK_FAM2, PI0, t, direction)
     assert np.all(rhs == omega1 - omega2)
 
 
-def test_perturbation_patching_peak_memory_on_a_large_window():
-    # one check on a 201-dimensional window: the shared pass holds one
-    # sample's chart maps and the two accumulated members on the dense path
-    # (3.91 MB traced; 3.73 MB when each route took its own samples, and a
-    # cache of every sample reached 5.85 MB); on the update path it takes
-    # the family samples one at a time before it forms the chart maps at t,
-    # 2.34 MB (2.68 MB with the maps formed first)
+@pytest.mark.parametrize("path", ["update", "dense"])
+def test_perturbation_patching_peak_memory_on_a_large_window(monkeypatch, path):
+    # one check on a 201-dimensional window.  The update path takes the
+    # family samples one at a time before it forms the chart maps at t,
+    # 2.34 MB traced (2.68 MB with the maps formed first).  The dense path
+    # releases each d x d sample before its ratio, 2.61 MB (3.26 MB when the
+    # sample was held through the ratio)
+    if path == "dense":
+        monkeypatch.setattr(gr, "_LOW_RANK_CROSSOVER", 10**9)
     w = gr.ModeWindow(100)
     rng = np.random.default_rng(15)
     shape, scale = (w.dim, w.dim), 0.25 / math.sqrt(2 * w.dim)
@@ -1795,7 +1805,7 @@ def test_perturbation_patching_peak_memory_on_a_large_window():
     finally:
         tracemalloc.stop()
     assert abs(lhs - rhs) < 1e-5
-    assert peak <= 2.4e6, peak
+    assert peak <= {"update": 2.4e6, "dense": 2.7e6}[path], peak
 
 
 @pytest.mark.parametrize("entry", ["curvature_rkw", "connection_form"])
@@ -2589,8 +2599,9 @@ def test_samples_that_move_more_than_two_rows_take_the_dense_path(monkeypatch):
     # the update path is measured for |J| = 2 alone: a family that rotates
     # two pairs of modes moves four rows, and takes the dense path even at
     # r = 101, decided before any sample.  Undeclared, its block function is
-    # read at t and at the dense path's four stencil samples alone; declared
-    # with its four rows, its declared block is never read
+    # read at t and at the four stencil samples of the ratio and of each
+    # connection form (13 reads); declared with its four rows, at t and the
+    # ratio's samples alone (5 reads), and its declared block is never read
     w = gr.ModeWindow(100)
     fam1, fam2 = gr.rotated_family(w, (-3, 7)), gr.rotated_family(w, (-1, 2))
     pair = np.ix_(*[[w.index(-1), w.index(2)]] * 2)
@@ -2609,7 +2620,7 @@ def test_samples_that_move_more_than_two_rows_take_the_dense_path(monkeypatch):
     with path_spy(monkeypatch) as taken:
         lhs, rhs = check()
     assert taken.held == [None] and taken.declared == 0
-    assert read == [t] + [(t[0] + k * H, t[1]) for k in (1, -1, 2, -2)]
+    assert read == [t] + 3 * [(t[0] + k * H, t[1]) for k in (1, -1, 2, -2)]
     assert abs(lhs - rhs) < 1e-5
     close((lhs, rhs), dense_path(monkeypatch, check), 0.0)
 

@@ -353,19 +353,23 @@ def test_fd_rejects_non_finite_array_field():
 
 def test_fd_stencil_validates_step_and_kind():
     # the step defaults to the one fixed step; NaN once passed the step <= 0
-    # test and failed only when the stencil was used
+    # test and failed only when the stencil was used; a string ended in a
+    # bare TypeError, and True was taken as the step 1
     assert FdStencil().step == DEFAULT_FD_STEP
-    for step in (0.0, -1e-3, math.nan, math.inf, -math.inf):
+    for step in (0.0, -1e-3, math.nan, math.inf, -math.inf, "a", None, 1j, True, np.bool_(True)):
         with pytest.raises(DomainError, match="step"):
             FdStencil(step=step)
+    assert FdStencil(step=np.float64(1e-2)).step == 1e-2
     with pytest.raises(DomainError, match="kind"):
         FdStencil(kind="third-derivative")
 
 
 @pytest.mark.parametrize("kind", ["first-derivative", "laplacian-2d"])
-@pytest.mark.parametrize("axis", [7, -1, 2])
+@pytest.mark.parametrize("axis", [7, -1, 2, True, False, 1.0, "t1", None])
 def test_fd_refuses_an_axis_other_than_0_or_1(kind, axis):
-    # the Laplacian once ignored its axis and returned 2.0 here for axis=7
+    # the Laplacian once ignored its axis and returned 2.0 here for axis=7;
+    # a bool or a float was taken as 0 or 1, where the chart layer's
+    # directions refuse both
     with pytest.raises(DomainError, match="axis"):
         fd_apply(lambda x, y: x * x, (0.1, 0.2), FdStencil(kind=kind), axis=axis)
 
@@ -383,11 +387,11 @@ def test_fd_of_a_constant_field_is_exactly_zero(kind, axis):
         for field in (lazily(lambda x, y: value), stacked):
             result = fd_apply(field, (0.37, -1.2), st_, axis)
             assert np.all(np.asarray(result) == 0.0), (value, result)
-    # a tuple of one shared array: both members are exactly 0, and the
+    # every sample is one shared array: the result is exactly 0, and the
     # stencil writes into no sample
     kept = matrix.copy()
-    result = fd_apply(lazily(lambda x, y: (matrix, matrix)), (0.37, -1.2), st_, axis)
-    assert np.all(result[0] == 0.0) and np.all(result[1] == 0.0)
+    result = fd_apply(lazily(lambda x, y: matrix), (0.37, -1.2), st_, axis)
+    assert np.all(result == 0.0)
     np.testing.assert_array_equal(matrix, kept)
 
 
@@ -438,31 +442,6 @@ def test_fd_matches_the_summed_loop_exactly(field, axis, kind):
     assert np.all(np.asarray(value) == np.asarray(expected))
 
 
-@pytest.mark.parametrize("kind", ["first-derivative", "laplacian-2d"])
-def test_fd_of_a_tuple_field_is_the_tuple_of_its_members(kind):
-    # each sample is evaluated once for all members, and each member's
-    # result is, to the last bit, the stencil of that member alone
-    evaluations = []
-
-    def field(x, y):
-        evaluations.append((x, y))
-        return tuple(member(x, y) for member in members)
-
-    members = [param.values[0] for param in FIELDS]
-    st_ = FdStencil(step=1e-3, kind=kind)
-    result = fd_apply(lazily(field), (0.5, -0.25), st_, 1)
-    assert type(result) is tuple and len(result) == len(members)
-    assert len(evaluations) == (4 if kind == "first-derivative" else 9)
-    for member, value in zip(members, result):
-        np.testing.assert_array_equal(value, fd_apply(lazily(member), (0.5, -0.25), st_, 1))
-    # a member that is not finite names the point; samples of two lengths
-    # do not combine
-    with pytest.raises(EvaluationError, match="not finite"):
-        fd_apply(lazily(lambda x, y: (x, math.inf * x)), (0.5, 0.0), st_)
-    with pytest.raises(EvaluationError, match="tuples of one length"):
-        fd_apply(lazily(lambda x, y: (x, y) if x > 0.5 else (x,)), (0.5, 0.0), st_)
-
-
 # Fields over stacked coordinates, each with its value at one point: numpy
 # ufuncs elementwise, so feeding the rows of xs, ys one at a time evaluates
 # the same arithmetic.
@@ -473,7 +452,6 @@ ARRAY_FIELDS = [
         lambda x, y: np.stack([x**4, 1j * x * y, np.sin(y), 2.0 + 0 * x], axis=-1) / 3.0,
         id="matrix",
     ),
-    pytest.param(lambda x, y: (np.log1p(x * x + y * y), np.sin(x) * y**5), id="tuple"),
 ]
 CENTRES = [
     pytest.param((0.5, -0.25), id="one-point"),
@@ -500,9 +478,8 @@ def test_fd_of_an_array_field_is_the_field_fed_lazily(field, axis, kind, at):
     n = 4 if kind == "first-derivative" else 9
     assert calls == [(n, *np.shape(at[0]))]
     assert type(stacked) is type(fed)
-    for value, expected in zip(*((r if type(r) is tuple else (r,)) for r in (stacked, fed))):
-        assert np.shape(value) == np.shape(expected)
-        np.testing.assert_array_equal(value, expected)
+    assert np.shape(stacked) == np.shape(fed)
+    np.testing.assert_array_equal(stacked, fed)
 
 
 STENCIL_ORDER = {
@@ -562,7 +539,6 @@ def test_fd_refuses_a_field_with_the_wrong_number_of_samples():
     st_ = FdStencil(kind="laplacian-2d")
     for field in (
         lambda xs, ys: xs[:-1],  # an array one sample short
-        lambda xs, ys: (xs, ys[:3]),  # a tuple member one sample short
         lambda xs, ys: np.array(1.0),  # an array without a leading axis
     ):
         with pytest.raises(EvaluationError, match="expected 9 samples"):
@@ -571,3 +547,60 @@ def test_fd_refuses_a_field_with_the_wrong_number_of_samples():
         fd_apply(lambda xs, ys: 1.0, (0.1, 0.2), st_)
     with pytest.raises(EvaluationError, match="fewer than 9 samples"):
         fd_apply(lambda xs, ys: iter(xs[:5]), (0.1, 0.2), st_)
+
+
+NO_NUMBERS = [
+    pytest.param(None, id="None"),
+    pytest.param("a", id="string"),
+    pytest.param((1.0, 2.0), id="tuple"),
+    pytest.param([1.0, 2.0], id="list"),
+    pytest.param(True, id="bool"),
+    pytest.param(np.array(["a", "b"]), id="string-array"),
+    pytest.param(np.array([True, False]), id="bool-array"),
+]
+
+
+@pytest.mark.parametrize("kind, axis", list(STENCIL_ORDER))
+@pytest.mark.parametrize("bad", NO_NUMBERS)
+def test_fd_refuses_a_sample_that_is_no_number(bad, kind, axis):
+    # most of these ended in a bare TypeError from the stencil's sums, a
+    # tuple was differentiated member by member and a bool taken as 0 or 1;
+    # the error names the sample, lazy or from an array field
+    x0, y0, h = 0.37, -1.2, DEFAULT_FD_STEP
+    st_ = FdStencil(kind=kind)
+    di, dj = STENCIL_ORDER[kind, axis][2]
+    x, y = x0 + di * h if di else x0, y0 + dj * h if dj else y0
+
+    def field(xs, ys):
+        for k, xk in enumerate(xs.tolist()):
+            yield bad if k == 2 else xk
+
+    named = re.escape(f"field sample at ({x}, {y}) is no number")
+    with pytest.raises(EvaluationError, match=named):
+        fd_apply(field, (x0, y0), st_, axis)
+    n = len(STENCIL_ORDER[kind, axis])
+    samples = np.empty(n, dtype=object)
+    samples[:] = [bad] * n
+    with pytest.raises(EvaluationError, match="is no number"):
+        fd_apply(lambda xs, ys: samples, (x0, y0), st_, axis)
+
+
+@pytest.mark.parametrize(
+    "at",
+    [
+        pytest.param(("a", 0.0), id="string"),
+        pytest.param((0.1, None), id="None"),
+        pytest.param((True, 0.2), id="bool"),
+        pytest.param((0.1 + 0.2j, 0.2), id="complex"),
+        pytest.param((np.array(["a"]), np.array([0.2])), id="string-array"),
+        pytest.param((0.1,), id="one-coordinate"),
+        pytest.param((0.1, 0.2, 0.3), id="three-coordinates"),
+        pytest.param(0.1, id="a-number"),
+    ],
+)
+def test_fd_refuses_a_centre_that_is_no_pair_of_real_coordinates(at):
+    # a string or a missing coordinate ended in a bare TypeError or
+    # ValueError, and a bool or a complex centre was sampled
+    for kind in ("first-derivative", "laplacian-2d"):
+        with pytest.raises(DomainError, match="stencil centre"):
+            fd_apply(lambda xs, ys: xs * ys, at, FdStencil(kind=kind))
