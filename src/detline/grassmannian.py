@@ -29,50 +29,61 @@ at least CHART_SVD_THRESHOLD) and the pseudo-inverse's cut-off are the SVD
 rule's on the chart maps SV.  Since |Y|_2 <= 1, s_min(SV) >= s_min(Y SV),
 so the norms of SV and of the inverse certify both where they can; a call
 with any point the bound leaves open runs that rule itself on the chart
-maps, by an SVD, so every decision and message is the rule's.  A patching
-check's transition ratio takes its own stencil of the family, and the
-connection forms of a family that declares no derivatives each take theirs
-(_omega), so every route keeps its own samples and, on the dense path, its
-own inverses.  A one-point check reads the block function 5 times
-(perturbation_patching_check) or 10 (patching_identity_check) for
-declared families, and 13 or 18 for families that declare nothing.
+maps, by an SVD, so every decision and message is the rule's.
+
+Every connection form is read from one chart object (_Chart), built from
+the checked family values P at t (on the dense path of curvature_rkw, from
+the family's block at each outer stencil sample): it holds the chart's
+certified inverse, or pinv(SV) P where the SVD rule decides, and for a
+declared family the pieces on the support J.  connection_form,
+curvature_rkw on either path and both patching checks' connection forms,
+on either path, take the same chart and, for a declared family, the one
+declared formula (_Chart.member), so a patching check's right-hand side
+is the difference of the two public connection forms to the last bit.  A
+patching check's transition ratio takes its own stencil of the family, and
+the connection forms of a family that declares no derivatives each take
+theirs, so every route keeps its own samples.  A one-point check reads the
+block function 5 times (perturbation_patching_check) or 10
+(patching_identity_check) for declared families, and 13 or 18 for families
+that declare nothing.
 
 A family may declare the rows and columns S it moves, a closed form of its
 S x S block and the t-derivatives D' of that block (rotated_family does;
 see ProjectionFamily), its value being a fixed block off S x S.  Every
 chart entry point then reads d P = I_S D' I_S* from the declaration: a
 connection form takes one exact derivative where a stencil took four
-samples (_omega), tr_p_dp_dp is Tr(P_SS [D'_1, D'_2]) at any rank, and a
-patching check's connection forms read D' at t.  What keeps a stencil is
-the outer derivative of curvature_rkw and each patching check's transition
-ratio, so every check of the chart layer sets a stencil route against a
-declared one; a family that declares nothing takes every derivative from
-stencils.
+samples (_Chart.member), tr_p_dp_dp is Tr(P_SS [D'_1, D'_2]) at any rank,
+and a patching check's connection forms read D' at t.  What keeps a
+stencil is the outer derivative of curvature_rkw and each patching check's
+transition ratio, so every check of the chart layer sets a stencil route
+against a declared one; a family that declares nothing takes every
+derivative from stencils.
 
 Stencil samples are low-rank updates of the chart at t where that is
 cheaper.  curvature_rkw and perturbation_patching_check take J = S and
-read each stencil sample's P_s[J, J] from the declared block (_Moves),
-with no d x d sample.  Every sample's Y_s, S_s V and A_s = Y_s S_s V is an
-update of the chart at t of rank at most |J| per term, formed from V_J =
-V[J, :] and gathers of the chart at t (_LowRankChart): an outer
-curvature_rkw sample inverts A_s = A + U W by Woodbury from the certified
-inverse at t, once the norm bound s_min(A_s) >= 1 / |A^{-1}|_F - sum
-|U_b|_F |W_b|_F clears the certificate's floor, and traces A_s^{-1}
+read each stencil sample's P_s[J, J] from the declared block, one stack
+per sample, with no d x d sample.  Every sample's Y_s, S_s V and
+A_s = Y_s S_s V is an update of the chart at t of rank at most |J| per
+term, formed from V_J = V[J, :] and gathers of the chart at t (_Chart): an
+outer curvature_rkw sample inverts A_s = A + U W by Woodbury from the
+certified inverse at t, once the norm bound s_min(A_s) >= 1 / |A^{-1}|_F -
+sum |U_b|_F |W_b|_F clears the certificate's floor, and traces A_s^{-1}
 against the declared member Y_s d(S_s V), an r x r block formed from D'
 and the move there, with no r x d block; perturbation_patching_check takes
 one move D per sample for both of its charts and differentiates g(s) / g(t)
 = det(I + W_1 A_1^{-1} U_1) / det(I + W_2 A_2^{-1} U_2), with the same
-bound on each sample's chart guard, and its forms trace the declared
-member at t (D = 0).  A sample then costs its declared block and O(r |J|
-(r + |J|)).  A non-finite entry of that block fails the sample's norm
-bound, and the dense path then refuses the call.
-On the update path both routes of a patching check, the ratio and the
-connection forms, read each chart's one certified inverse at t.  numpy
-inverts each member of a stack on its own, so these are the numbers a
-second, stacked inversion of the two blocks returns, and that inversion's
-certificate, whose floor 2 CHART_SVD_THRESHOLD is never above a chart's,
-settles wherever the charts' do.  On the dense path each route keeps its
-own inverses.
+bound on each sample's chart guard, and its forms are the charts' own
+connection forms at t.  A sample then costs its declared block and O(r |J|
+(r + |J|)).  A non-finite entry of that block, or a block that is no
+(k, |S|, |S|) stack, is refused where it is read (_declared), and the
+dense path then decides the call.  On the update path both routes of a
+patching check, the ratio and the connection forms, read each chart's one
+certified inverse at t.  numpy inverts each member of a stack on its own,
+so these are the numbers a second, stacked inversion of the two blocks
+returns, and that inversion's certificate, whose floor 2
+CHART_SVD_THRESHOLD is never above a chart's, settles wherever the
+charts' do.  On the dense path the ratio takes its own stacked inverse and
+det, and each connection form its chart's inverse.
 
 Each call takes one path for all of its values, decided from the
 declaration before any sample is taken.  The update path runs from the
@@ -101,8 +112,8 @@ block, not a copy.  A chart's dense stencil member is the chart map, SV
 stencil owns, so fd_apply's sums reuse its buffers; a member whose sample
 has a non-finite entry is NaN throughout, where a gather dropped that
 entry too (_nan_unless_finite; a patching check's ratio samples follow the
-same rule).  A declared derivative that is no finite (k, |S|, |S|) stack
-is refused, naming a point (_declared_derivative).  Projections are checked
+same rule).  A declared block or derivative that is no finite (k, |S|, |S|)
+stack is refused, naming a point (_declared).  Projections are checked
 once per public call: the base, and the family values at all points t as
 one stack, each required to have the rank of base; an error names the
 first failing point.  is_projection
@@ -408,6 +419,18 @@ def _require_single(op: ModeOperator, what: str) -> None:
         raise DomainError(f"{what} takes one operator, got a stack of {len(op.entries)}")
 
 
+@dataclass(frozen=True)
+class _Declaration:
+    """What a family declares of the modes it moves (see ProjectionFamily):
+    the sorted window indices S, a closed form of its S x S block and the
+    t-derivatives of that block, each from 1-D float arrays t1, t2 of k
+    points (and an axis) to a (k, |S|, |S|) complex stack."""
+
+    support: tuple[int, ...]
+    block: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    derivative: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
+
+
 class ProjectionFamily:
     """A smooth two-parameter family of APS-type projections.
 
@@ -421,22 +444,18 @@ class ProjectionFamily:
     points t and checks those values once, as one stack, and the stencils
     around t call it unwrapped and unchecked.
 
-    A family may declare the modes it moves, as rotated_family does: the
-    sorted window indices S (``_support``), a closed form of its S x S
-    block at two floats (``_support_block``, nested tuples of numbers), its
-    value being a fixed block off S x S, and the t-derivatives of that
-    block (``_support_derivative(t1, t2, axis)``, from 1-D float arrays of k
-    points to a (k, |S|, |S|) complex stack).  A family that declares a
-    support declares its derivatives too.  Every chart entry point then
-    reads d P = I_S (d B) I_S* from that declaration instead of a stencil,
-    and the update path reads its stencil samples from the block alone; a
-    family that declares nothing, such as every ``ProjectionFamily(window,
-    map_fn)``, takes its derivatives from stencils on the dense path.
+    A family may declare the modes it moves, as rotated_family does, in one
+    private ``_declaration`` (a _Declaration): the sorted window indices S,
+    a closed form of its S x S block, its value being a fixed block off
+    S x S, and the t-derivatives of that block.  Every chart entry point
+    then reads d P = I_S (d B) I_S* from that declaration instead of a
+    stencil, and the update path reads its stencil samples from the block
+    alone; both are checked where they are read (_declared).  A family that
+    declares nothing, such as every ``ProjectionFamily(window, map_fn)``,
+    takes its derivatives from stencils on the dense path.
     """
 
-    _support: tuple[int, ...] | None = None
-    _support_block: Callable[[float, float], tuple] | None = None
-    _support_derivative: Callable[[np.ndarray, np.ndarray, int], np.ndarray] | None = None
+    _declaration: _Declaration | None = None
 
     def __init__(self, window: ModeWindow, map_fn: Callable[[float, float], np.ndarray]):
         self.window = window
@@ -468,11 +487,11 @@ def rotated_family(w: ModeWindow, modes: tuple[int, int]) -> ProjectionFamily:
     That block is the projection onto U e_m2 = (-conj(phase) sin, cos), in
     closed form; the family declares it with its support S = (m1, m2) and
     its derivatives (see ProjectionFamily), and its value is a copy of
-    Pi_{>=0} with the block written in.  With theta = pi t1 / 2, the block
-    is [[s^2, -conj(phase) s c], [-phase s c, c^2]] (s = sin theta, c =
-    cos theta), so d1 of it is (pi / 2) [[sin 2 theta, -conj(phase) cos 2
-    theta], [-phase cos 2 theta, -sin 2 theta]] and d2 of it is 2 pi i s c
-    [[0, conj(phase)], [-phase, 0]].
+    Pi_{>=0} with the block written in, from the same closed form at two
+    floats.  With theta = pi t1 / 2, the block is [[s^2, -conj(phase) s c],
+    [-phase s c, c^2]] (s = sin theta, c = cos theta), so d1 of it is
+    (pi / 2) [[sin 2 theta, -conj(phase) cos 2 theta], [-phase cos 2 theta,
+    -sin 2 theta]] and d2 of it is 2 pi i s c [[0, conj(phase)], [-phase, 0]].
     """
     try:
         m1, m2 = modes
@@ -483,11 +502,11 @@ def rotated_family(w: ModeWindow, modes: tuple[int, int]) -> ProjectionFamily:
         raise DomainError(f"need m1 < 0 <= m2, got ({m1}, {m2})")
     base = spectral_projection(w, 0).entries
 
-    def block(t1: float, t2: float) -> tuple:
-        theta = np.pi * t1 / 2.0
-        phase = np.exp(2j * np.pi * t2)
+    def entries(t1, t2) -> tuple:
+        # the block's entries in row order, at floats or at 1-D arrays
+        theta, phase = np.pi * t1 / 2.0, np.exp(2j * np.pi * t2)
         sin, cos = np.sin(theta), np.cos(theta)
-        return (sin * sin, -np.conj(phase) * sin * cos), (-phase * sin * cos, cos * cos)
+        return sin * sin, -np.conj(phase) * sin * cos, -phase * sin * cos, cos * cos
 
     def derivative(t1: np.ndarray, t2: np.ndarray, axis: int) -> np.ndarray:
         # [[a, -conj(phase) b], [-phase conj(b), -a]], Hermitian as d P is
@@ -499,13 +518,16 @@ def rotated_family(w: ModeWindow, modes: tuple[int, int]) -> ProjectionFamily:
         entries = (a, -np.conj(phase) * b, -phase * np.conj(b), -a)
         return np.stack(entries, axis=-1).reshape(-1, 2, 2)
 
+    def block(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+        return np.stack(entries(t1, t2), axis=-1).reshape(-1, 2, 2)
+
     def value(t1: float, t2: float) -> np.ndarray:
         p = base.copy()
-        (p[i, i], p[i, j]), (p[j, i], p[j, j]) = block(t1, t2)
+        p[i, i], p[i, j], p[j, i], p[j, j] = entries(t1, t2)
         return p
 
     fam = ProjectionFamily(w, value)
-    fam._support, fam._support_block, fam._support_derivative = (i, j), block, derivative
+    fam._declaration = _Declaration((i, j), block, derivative)
     return fam
 
 
@@ -868,22 +890,22 @@ def _block(fam: ProjectionFamily, t1: float, t2: float) -> np.ndarray:
     return block
 
 
-def _declared_derivative(fam: ProjectionFamily, t: Points, axis: int) -> np.ndarray:
-    """The derivative along axis of the S x S block a family declares (see
-    ProjectionFamily) at the points t, a (k, |S|, |S|) stack; a value of
-    another shape raises DomainError and a non-finite one EvaluationError,
-    each naming a point (the first that is not finite)."""
-    n, k = len(fam._support), len(t[0])
-    d = np.asarray(fam._support_derivative(*t, axis))
+def _declared(fam: ProjectionFamily, t: Points, axis: int | None = None) -> np.ndarray:
+    """The S x S block a family declares (see ProjectionFamily) at the points
+    t, or for an axis its derivative along it, a (k, |S|, |S|) stack; a
+    value of another shape raises DomainError and a non-finite one
+    EvaluationError, each naming a point (the first that is not finite)."""
+    declaration, k = fam._declaration, len(t[0])
+    n, what = len(declaration.support), "declared block" if axis is None else "declared derivative"
+    d = np.asarray(declaration.block(*t) if axis is None else declaration.derivative(*t, axis))
     if d.shape != (k, n, n) or d.dtype.kind not in "biufc":
         raise DomainError(
-            f"declared derivative at {_point(t, 0)} is no stack of {k} {n}x{n} blocks, "
+            f"{what} at {_point(t, 0)} is no stack of {k} {n}x{n} blocks, "
             f"got {d.dtype} of shape {d.shape}"
         )
     finite = np.isfinite(d).all(axis=(-2, -1))
     if not finite.all():
-        bad = _point(t, int(np.argmin(finite)))
-        raise EvaluationError(f"declared derivative is not finite at {bad}")
+        raise EvaluationError(f"{what} is not finite at {_point(t, int(np.argmin(finite)))}")
     return d
 
 
@@ -956,7 +978,7 @@ def _each(field: Callable[..., Any]) -> Callable[[np.ndarray, np.ndarray], Itera
 
 
 # The update path runs from this rank r of base on, for a family that
-# declares a support J of at most two rows (_Moves); the dense path runs
+# declares a support J of at most two rows (_Chart); the dense path runs
 # otherwise.  In-process on rotated_family (|J| = 2) at t = (0.3, 0.2), one
 # BLAS thread, median ms updated vs dense (BENCH_31.json, "crossover"): the
 # identity-chart curvature_rkw reads 1.40 vs 1.36 at r = 26, 1.50 vs 1.67
@@ -978,34 +1000,6 @@ class _Open(DetlineError):
     lets it out."""
 
 
-class _Moves:
-    """The moves of a family that declares its support (see ProjectionFamily)
-    from its checked values P at t, of rank ``rank`` (of base for a chart):
-    J is the support and p_jj = P[J, J], and a sample's P_s[J, J] is read
-    from the declared block alone, so that P_s = P + I_J D I_J*, and its
-    derivatives from the declared derivatives (_declared_derivative).  Raises
-    _Open, before any sample, below _LOW_RANK_CROSSOVER, where the dense
-    path runs, and for a family that declares no support of at most two
-    rows: the rows a family of projections that moves at all moves at least
-    (a lone diagonal entry of a projection is 0 or 1), and the only |J|
-    measured."""
-
-    def __init__(self, fam: ProjectionFamily, p: np.ndarray, rank: int):
-        if rank < _LOW_RANK_CROSSOVER or fam._support is None or len(fam._support) > 2:
-            raise _Open
-        self.fam, self.j = fam, np.array(fam._support)
-        self.p_jj = p[..., self.j[:, None], self.j]
-
-    def delta(self, t1, t2) -> np.ndarray:
-        """D = P_s[J, J] - P[J, J] at the sample (t1, t2)."""
-        return self.restricted(t1, t2) - self.p_jj
-
-    def restricted(self, t1, t2) -> np.ndarray:
-        """P_s[J, J] at the sample (t1, t2), a stack with one block per point."""
-        block = self.fam._support_block
-        return np.array([block(a, b) for a, b in zip(t1.tolist(), t2.tolist())])
-
-
 def _capacitance(
     us: list[np.ndarray], ws: list[np.ndarray], inverse: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1017,14 +1011,38 @@ def _capacitance(
     return u, w_inverse, np.eye(u.shape[-1]) + w_inverse @ u
 
 
-class _LowRankChart:
-    """One chart at t on the update path: the certified inverse of A = Y SV,
-    for its chart map SV (_Open where _certified_inverse leaves a point
-    open), and the pieces on J that give every sample's Y, SV and A as
-    updates.
+class _Chart:
+    """One chart at t, built from the family values P there: the certified
+    inverse of A = Y SV, with SV the chart map and Y = V* P
+    (_certified_inverse, None where a point is left open), and, for a family
+    that declares its support J (see ProjectionFamily), the pieces on J from
+    which every declared connection form (``member``) and every stencil
+    sample's Y, SV and A on the update path are formed; SV and Y themselves
+    are not held.  The dense path builds one at t for its connection forms,
+    and curvature_rkw one at each outer stencil sample.
 
-    A sample P_s = P + I_J D I_J* moves them by terms of rank at most |J|.
-    With V_J = V[J, :], Z = D V_J and X = Z + D ((sigma P V)[J, :] +
+    With base = V V*, Tr(S^+ P dS base) equals Tr((SV)^+ P d(SV)) on the
+    thin block SV, whose singular values are the nonzero ones of S.  When SV
+    has rank r = rank P, ran(SV) = ran(P), and since Y = Y P both (SV)^+ P
+    and A^{-1} Y vanish on ker(P) and invert SV on ran(P): they are equal,
+    and a form traces A^{-1} against Y d(SV).  When any point is left open,
+    the whole chart runs the SVD rule instead: one thin SVD of SV serves the
+    chart guard and the pseudo-inverse with pinv's cut-off, so every
+    decision and message is that rule's, and a form is the plain trace of
+    pinv(SV) P d(SV).  The dense path settles the guard here, before any
+    stencil sample is taken; the update path (``update``) raises _Open
+    here instead, before any SVD, as it does below _LOW_RANK_CROSSOVER and
+    for a family that declares no support of at most two rows: the rows a
+    family of projections that moves at all moves at least (a lone diagonal
+    entry of a projection is 0 or 1), and the only |J| measured.  A form of
+    a chart whose P has a non-finite entry is NaN, as a stencil member is
+    (_nan_unless_finite), also where a gather dropped that entry, so
+    fd_apply refuses it at an outer curvature_rkw sample; P at t is checked
+    already.
+
+    A sample P_s = P + I_J D I_J*, D = P_s[J, J] - P[J, J] read from the
+    declared block (``delta``), moves Y, SV and A by terms of rank at most
+    |J|.  With V_J = V[J, :], Z = D V_J and X = Z + D ((sigma P V)[J, :] +
     sigma[J, J] Z) (X = Z in the identity chart):
     - Y_s = V* P_s = Y + V_J* D I_J*;
     - S_s V - S V = I_J X + (P sigma)[:, J] Z, whose rows J are
@@ -1033,43 +1051,80 @@ class _LowRankChart:
       G = Y (P sigma)[:, J]: a sum U W of rank at most 3 |J| (2 |J| in the
       identity chart).
     These are exact expansions of the products, with no use of P^2 = P, so a
-    sample costs O(r |J| (r + |J|)) after its declared block.  A connection
-    form at the sample traces A_s^{-1} against Y_s d(S_s V), whose terms
-    are those of the derivative of the move (``member``).
+    sample costs O(r |J| (r + |J|)) after its declared block.
     """
 
-    def __init__(self, moves: _Moves, p: np.ndarray, basis: _Basis, sig: np.ndarray | None):
+    def __init__(
+        self, fam: ProjectionFamily, p: np.ndarray, basis: _Basis, sig, t: Points, update=False
+    ):
+        declaration = fam._declaration
+        if update and (
+            basis.rank < _LOW_RANK_CROSSOVER or declaration is None or len(declaration.support) > 2
+        ):
+            raise _Open
+        self.fam, self.basis, self.sig, self.t = fam, basis, sig, t
         (s_v,) = _chart_maps(p, basis, sig)
         self.inverse = _certified_inverse(basis.left(p) @ s_v, RANK_SVD_THRESHOLD, s_v)
-        if self.inverse is None:
+        if self.inverse is not None:
+            left = basis.left  # Y = V* P, traced against the inverse
+        elif update:
             raise _Open
-        self.moves, self.sig = moves, sig
-        j = moves.j
-        self.v_j = basis.rows(j)
-        self.v_jh = self.v_j.conj().T
-        self.y_j = basis.left(np.take(p, j, axis=-1))
-        self.sv_j = np.take(s_v, j, axis=-2)
-        self.sv_norm = _frobenius(s_v)
+        else:  # pinv(SV) P, traced plainly
+            u, sv, vh = np.linalg.svd(s_v, full_matrices=False)
+            _require_chart(sv, t)
+            kept = sv > RANK_SVD_THRESHOLD * sv[..., :1]
+            pinv = (vh.conj().mT / np.where(kept, sv, np.inf)[..., None, :]) @ u.conj().mT
+            left = partial(np.matmul, pinv)
+        self.finite = update or np.isfinite(p).all()
+        if declaration is None:  # the r x d block (SV)^+ P, the one array held through a stencil
+            self.rows = left(p) if self.inverse is None else self.inverse @ left(p)
+            return
+        j = np.array(declaration.support)
+        self.v_j, self.y_j = basis.rows(j), left(np.take(p, j, axis=-1))
         if sig is not None:
             p_sig_j = p @ np.take(sig, j, axis=-1)
-            self.g = basis.left(p @ p_sig_j)
-            self.p_sig_jj = np.take(p_sig_j, j, axis=-2)
-            self.p_sig_norm = _frobenius(p_sig_j)
+            self.g = left(p @ p_sig_j)
             self.sig_p_v_j = np.take(sig, j, axis=-2) @ basis.right(p)
-            self.sig_jj = sig[np.ix_(j, j)]
+        if update:  # the pieces of a sample's move
+            self.v_jh, self.p_jj = self.v_j.conj().T, p[..., j[:, None], j]
+            self.sv_j, self.sv_norm = np.take(s_v, j, axis=-2), _frobenius(s_v)
+            if sig is not None:
+                self.p_sig_jj, self.p_sig_norm = np.take(p_sig_j, j, axis=-2), _frobenius(p_sig_j)
+                self.sig_jj = sig[np.ix_(j, j)]
 
-    def member(self, d1: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Y_s d(S_s V), the r x r member of a connection form at the sample of
-        move d (at the chart's own point for d = 0), from the declared
-        derivative d1 of the block there.  With Z' = d1 V_J and X' = Z' +
-        d1 ((sigma P V)[J, :] + sigma[J, J] D V_J) + D sigma[J, J] Z' (X' = Z'
-        in the identity chart), d(S_s V) = I_J X' + (P sigma)[:, J] Z' and the
-        member is Y_J X' + G Z' + V_J* D (X' + (P sigma)[J, J] Z')."""
+    def form(self, axis: int) -> np.ndarray:
+        """connection_form along axis at the chart's own points: the declared
+        member (``member``) traced against the inverse, or plainly under the
+        SVD rule; for a family that declares nothing, Tr((SV)^+ P d(SV))
+        with d(SV) the form's own stencil of the chart maps (_chart_member)."""
+        if self.fam._declaration is None:
+            member = partial(_chart_member, self.fam, self.basis, self.sig)
+            form = _connection_form(self.rows, fd_apply(_each(member), self.t, _D1, axis))
+        elif self.inverse is None:
+            form = np.trace(self.member(_declared(self.fam, self.t, axis)), axis1=-2, axis2=-1)
+        else:
+            form = _connection_form(self.inverse, self.member(_declared(self.fam, self.t, axis)))
+        return form if self.finite else form * np.nan
+
+    def member(self, d1: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
+        """Y_s d(S_s V), the r x r member of the declared connection form at
+        the sample of move d (the chart's own point for d = None), from the
+        declared derivative d1 of the block there.  With Z' = d1 V_J and X' =
+        Z' + d1 ((sigma P V)[J, :] + sigma[J, J] D V_J) + D sigma[J, J] Z'
+        (X' = Z' in the identity chart), d(S_s V) = I_J X' + (P sigma)[:, J]
+        Z' and the member is Y_J X' + G Z' + V_J* D (X' + (P sigma)[J, J]
+        Z'); under the SVD rule pinv(SV) P stands in for Y."""
         z = d1 @ self.v_j
         if self.sig is None:
-            return self.y_j @ z + self.v_jh @ (d @ z)
+            return self.y_j @ z if d is None else self.y_j @ z + self.v_jh @ (d @ z)
+        if d is None:  # D = 0: X' = Z' + d1 (sigma P V)[J, :]
+            return self.y_j @ (z + d1 @ self.sig_p_v_j) + self.g @ z
         x = z + d1 @ (self.sig_p_v_j + self.sig_jj @ (d @ self.v_j)) + d @ (self.sig_jj @ z)
         return self.y_j @ x + self.g @ z + self.v_jh @ (d @ (x + self.p_sig_jj @ z))
+
+    def delta(self, t1, t2) -> np.ndarray:
+        """D = P_s[J, J] - P[J, J] at the sample (t1, t2), from the declared block."""
+        return _declared(self.fam, (t1, t2)) - self.p_jj
 
     def factors(self, d: np.ndarray) -> tuple[list, list, Any, Any]:
         """The blocks U_b, W_b of A_s - A = sum U_b W_b; sum |U_b|_F |W_b|_F, at
@@ -1087,22 +1142,21 @@ class _LowRankChart:
         spread = sum(_frobenius(u) * _frobenius(w) for u, w in zip(us, ws))
         return us, ws, spread, sv_norm
 
-    def form(self, axis: int, t1, t2) -> Any:
+    def updated_form(self, axis: int, t1, t2) -> Any:
         """The connection form along axis at the sample (t1, t2), an outer
-        curvature_rkw sample: Tr(A_s^{-1} Y_s d(S_s V)) from the declared
-        derivative there (``member``), with A_s^{-1} the Woodbury update of
-        the inverse at the chart's own point.  Raises _Open where _bounded,
-        at the cut RANK_SVD_THRESHOLD of the chart at t, leaves the sample
-        open."""
-        d_s = self.moves.delta(t1, t2)
+        curvature_rkw sample on the update path: Tr(A_s^{-1} Y_s d(S_s V))
+        from the declared derivative there (``member``), with A_s^{-1} the
+        Woodbury update of the inverse at the chart's own point.  Raises
+        _Open where _bounded, at the cut RANK_SVD_THRESHOLD of the chart at
+        t, leaves the sample open."""
+        d_s = self.delta(t1, t2)
         with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN norm settles nothing
             us, ws, spread, sv_norm = self.factors(d_s)
             if not _bounded(self.inverse, RANK_SVD_THRESHOLD, sv_norm, spread):
                 raise _Open
         u, w_inverse, k = _capacitance(us, ws, self.inverse)
         inverse = self.inverse - (self.inverse @ u) @ np.linalg.solve(k, w_inverse)
-        d1 = _declared_derivative(self.moves.fam, (t1, t2), axis)
-        return _connection_form(inverse, self.member(d1, d_s))
+        return _connection_form(inverse, self.member(_declared(self.fam, (t1, t2), axis), d_s))
 
     def ratio_factor(self, d: np.ndarray) -> np.ndarray:
         """det(A_s) / det(A) at the sample of move d, from the chart's certified
@@ -1131,91 +1185,21 @@ def connection_form(
     fixed mode basis, realised entrywise by the stencil; the compression
     P (dS) base is the induced hom-bundle derivative, and the trace over
     ran(base) is computed with the pseudo-inverse standing in for the
-    inverse of the restricted map.  t = (t1, t2) holds floats, or 1-D arrays
-    of one length for a complex array of values, one per point.
+    inverse of the restricted map (see _Chart).  t = (t1, t2) holds floats,
+    or 1-D arrays of one length for a complex array of values, one per point.
     """
     axis = _direction_axis(direction)
     pts, one = _points(t)
     basis = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
-    return _result(_omega(fam, basis, sig, axis, pts, _projections_at(fam, pts, basis)), one)
-
-
-def _omega(
-    fam: ProjectionFamily,
-    basis: _Basis,
-    sig: np.ndarray | None,
-    axis: int,
-    t: Points,
-    p: np.ndarray,
-) -> np.ndarray:
-    """connection_form along axis at the points t from the family values p
-    there: Tr((SV)^+ P d(SV)) with the chart map SV.
-
-    For a family that declares its support J and derivatives (see
-    ProjectionFamily), d P = I_J D' I_J*, so d(SV) is I_J D' V_J in the
-    identity chart and I_J D' (V_J + (sigma P V)[J, :]) + (P sigma)[:, J] D'
-    V_J in a perturbation chart, traced through the columns J of (SV)^+ P
-    with no d x d array.  For a family that declares nothing, d(SV) is the
-    form's own stencil of the chart maps at the samples (_chart_member).
-
-    The r x d block (SV)^+ P is the one array held while the stencil
-    samples: P, SV and Y are released first, so the caller passes p without
-    keeping it.  The gathers of a coordinate base drop the entries of P
-    outside its rows and columns ``cols``, so a non-finite entry anywhere in
-    P marks that block NaN, and the form with it, which fd_apply refuses at
-    an outer curvature_rkw sample (P at t is checked, and finite, already).
-    """
-    (s_v,) = _chart_maps(p, basis, sig)
-    s_pinv_p = _nan_unless_finite(_chart_pinv(s_v, basis.left(p), p, t), p)
-    if fam._support is None:
-        del p, s_v
-        d_sv = fd_apply(_each(partial(_chart_member, fam, basis, sig)), t, _D1, axis)
-        return _connection_form(s_pinv_p, d_sv)
-    j = np.array(fam._support)
-    d1 = _declared_derivative(fam, t, axis)
-    z = d1 @ basis.rows(j)
-    x = z if sig is None else z + d1 @ (np.take(sig, j, axis=-2) @ basis.right(p))
-    form = _connection_form(np.take(s_pinv_p, j, axis=-1), x)
-    if sig is None:
-        return form
-    return form + _connection_form(s_pinv_p @ (p @ np.take(sig, j, axis=-1)), z)
-
-
-def _chart_pinv(s_v: np.ndarray, y: np.ndarray, p: np.ndarray, t: Points) -> np.ndarray:
-    """(SV)^+ P, the r x d block a connection form traces against d(SV), from
-    the chart map SV at the family values p = P(t) and Y = V* P, V a basis of
-    ran(base); SV passes the chart guard.
-
-    With base = V V*, Tr(S^+ P dS base) equals Tr((SV)^+ P d(SV)) on the thin
-    block SV, whose singular values are the nonzero ones of S.  When SV has
-    rank r = rank P, ran(SV) = ran(P), and since Y = Y P both (SV)^+ P and
-    (Y SV)^{-1} Y vanish on ker(P) and invert SV on ran(P): they are equal.
-    When _certified_inverse settles at every point, from the r x r block
-    Y SV and the norm of SV, that SV passes the guard and that pinv's
-    relative cut-off keeps every singular value, the block is (Y SV)^{-1} Y.
-    When any point is left open, the whole call runs the SVD rule instead:
-    one thin SVD of SV serves the guard and the pseudo-inverse with pinv's
-    cut-off, so every decision and message is that rule's, and the block is
-    pinv(SV) P.  The guard is settled here, before the caller samples the
-    stencil of d(SV), so a chart singular at t raises NotInvertible before
-    any stencil sample is taken.
-    """
-    inverse = _certified_inverse(y @ s_v, RANK_SVD_THRESHOLD, s_v)
-    if inverse is not None:
-        return inverse @ y
-    u, sv, vh = np.linalg.svd(s_v, full_matrices=False)
-    _require_chart(sv, t)
-    kept = sv > RANK_SVD_THRESHOLD * sv[..., :1]
-    s_pinv = (vh.conj().mT / np.where(kept, sv, np.inf)[..., None, :]) @ u.conj().mT
-    return s_pinv @ p
+    p = _projections_at(fam, pts, basis)
+    return _result(_Chart(fam, p, basis, sig, pts).form(axis), one)
 
 
 def _connection_form(s_pinv_p: np.ndarray, d_sv: np.ndarray) -> np.ndarray:
-    """The connection form Tr((SV)^+ P d(SV)) from the block of _chart_pinv and
-    the stencil derivative d(SV), summed elementwise; on the update path
-    Tr(A^{-1} dM) from the inverse of A = Y SV and the stencil of the r x r
-    members Y (S_q V - S V)."""
+    """The connection form Tr((SV)^+ P d(SV)) from the r x d block (SV)^+ P and
+    the stencil derivative d(SV), or Tr(A^{-1} M) from the inverse of A = Y SV
+    and a declared member M (_Chart), summed elementwise."""
     return np.einsum("...ij,...ji->...", s_pinv_p, d_sv)
 
 
@@ -1230,13 +1214,13 @@ def tr_p_dp_dp(fam: ProjectionFamily, t: tuple[float, float] | Points) -> comple
     takes d1 P and d2 P from stencils of its d x d blocks."""
     pts, one = _points(t)
     p = _projections_at(fam, pts)
-    if fam._support is None:
+    if fam._declaration is None:
         blocks = _each(partial(_family_blocks, fam))
         d1, d2 = fd_apply(blocks, pts, _D1, 0), fd_apply(blocks, pts, _D1, 1)
     else:
-        j = np.array(fam._support)
+        j = np.array(fam._declaration.support)
         p = p[..., j[:, None], j]
-        d1, d2 = _declared_derivative(fam, pts, 0), _declared_derivative(fam, pts, 1)
+        d1, d2 = _declared(fam, pts, 0), _declared(fam, pts, 1)
     return _result(np.trace(p @ (d1 @ d2 - d2 @ d1), axis1=-2, axis2=-1), one)
 
 
@@ -1265,23 +1249,25 @@ def curvature_rkw(
     family that declares nothing, from a stencil at the same step
     DEFAULT_FD_STEP, 8 x 4 samples.  The outer stencil divides the rounding
     of an inner one, eps / h, by h once more, so a finer inner step would
-    lose digits.  On the update path each outer sample's form inverts its
-    block by Woodbury from the inverse at t; a call with any outer sample
-    whose bound is left open runs on the dense path, whose SVD rule decides.
+    lose digits.  On the dense path each outer sample builds its own chart
+    (_Chart.form); on the update path each outer sample's form inverts its
+    block by Woodbury from the inverse of the chart at t
+    (_Chart.updated_form), and a call with any outer sample whose bound is
+    left open runs on the dense path, whose SVD rule decides.
     """
     pts, one = _points(t)
     basis = _chart_base(fam.window, base)
     sig = _chart_sigma(fam.window, perturbation)
     p = _projections_at(fam, pts, basis)  # the stencil points around t are not checked
     try:
-        chart = _LowRankChart(_Moves(fam, p, basis.rank), p, basis, sig)
+        chart = _Chart(fam, p, basis, sig, pts, update=True)
         p = None  # not held through the stencils
-        return _result(_curl(chart.form, pts), one)
+        return _result(_curl(chart.updated_form, pts), one)
     except DetlineError:  # the dense path decides every value, chart guard and message
         p = None  # its forms read the family at their own samples
 
     def form(axis: int, t1, t2) -> np.ndarray:
-        return _omega(fam, basis, sig, axis, (t1, t2), _family_blocks(fam, t1, t2))
+        return _Chart(fam, _family_blocks(fam, t1, t2), basis, sig, (t1, t2)).form(axis)
 
     return _result(_curl(form, pts), one)
 
@@ -1336,18 +1322,17 @@ def perturbation_patching_check(
 
     The lhs is the stencil of the transition determinant g over g(t), each
     sample evaluating the family and PV once and forming both chart maps and
-    g from them.  Each connection form takes its d(SV) from the family's
+    g from them.  Each connection form is the chart's own at t (_Chart.form),
+    as connection_form takes it, on either path, so rhs is the difference of
+    the two public connection forms to the last bit: from the family's
     declared derivative at t, or for a family that declares nothing from its
-    own stencil of its chart map (see _omega): a one-point call reads the
-    block function 5 times for a declared family and 13 for one that
-    declares nothing.  On the update path (see the module
-    docstring) both charts take one move D per sample, the stencil takes
-    g(s) / g(t) as the quotient of the two charts' capacitance dets, and
-    each form traces its chart's inverse against the r x r member of the
-    derivative at t (_LowRankChart.member with D = 0); both routes read each
-    chart's one certified inverse at t, the numbers a stacked inversion of
-    the two blocks would return.  On the dense path each route keeps its own
-    inverses: the connection forms one each, g its stacked inverse and det.
+    own stencil of its chart map, so a one-point call reads the block
+    function 5 times for a declared family and 13 for one that declares
+    nothing.  On the update path (see the module docstring) both charts take
+    one move D per sample, and the stencil takes g(s) / g(t) as the quotient
+    of the two charts' capacitance dets; both routes read each chart's one
+    certified inverse at t, the numbers a stacked inversion of the two blocks
+    would return.  On the dense path g takes its own stacked inverse and det.
     """
     axis = _direction_axis(direction)
     pts, one = _points(t)
@@ -1356,21 +1341,15 @@ def perturbation_patching_check(
     sigs = (_chart_sigma(w, sigma1), _chart_sigma(w, sigma2))
     p = _projections_at(fam, pts, basis)
     try:
-        moves = _Moves(fam, p, basis.rank)
-        chart1, chart2 = (_LowRankChart(moves, p, basis, sig) for sig in sigs)
+        chart1, chart2 = (_Chart(fam, p, basis, sig, pts, update=True) for sig in sigs)
         p = None  # not held through the stencils
 
         def updated(t1, t2) -> np.ndarray:
-            d = moves.delta(t1, t2)
+            d = chart1.delta(t1, t2)
             return chart1.ratio_factor(d) / chart2.ratio_factor(d)
 
         lhs = fd_apply(_each(updated), pts, _D1, axis)
-        d1 = _declared_derivative(fam, pts, axis)
-        at_t = np.zeros_like(d1)  # the move D at t
-        omega1, omega2 = (
-            _connection_form(chart.inverse, chart.member(d1, at_t)) for chart in (chart1, chart2)
-        )
-        return _result(lhs, one), _result(omega1 - omega2, one)
+        return _result(lhs, one), _result(chart1.form(axis) - chart2.form(axis), one)
     except DetlineError:  # the dense path decides every value, chart guard and message
         if p is None:  # released for the update stencils: read the checked value at t again
             p = np.asarray(_family_blocks(fam, *pts), dtype=complex)
@@ -1385,7 +1364,7 @@ def perturbation_patching_check(
 
     dg = fd_apply(_each(ratio), pts, _D1, axis)
     lhs = dg / _transition_det(*_chart_maps(p, basis, *sigs), basis.left(p), pts)
-    omega1, omega2 = (_omega(fam, basis, sig, axis, pts, p) for sig in sigs)
+    omega1, omega2 = (_Chart(fam, p, basis, sig, pts).form(axis) for sig in sigs)
     return _result(lhs, one), _result(omega1 - omega2, one)
 
 
@@ -1425,6 +1404,6 @@ def patching_identity_check(
     pv1, pv2 = basis.right(p1), basis.right(p2)
     lhs = d_ratio / _chart_ratio(basis.left(pv1), basis.left(pv2), pts)
     omega1, omega2 = (
-        _omega(fam, basis, None, axis, pts, p) for fam, p in ((fam1, p1), (fam2, p2))
+        _Chart(fam, p, basis, None, pts).form(axis) for fam, p in ((fam1, p1), (fam2, p2))
     )
     return _result(lhs, one), _result(omega1 - omega2, one)

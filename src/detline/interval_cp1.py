@@ -108,19 +108,22 @@ class BoundaryProjection2:
 @dataclass(frozen=True)
 class SpectralDatum:
     """Spectral offset alpha in (0, 1/2] together with its chart point,
-    elementwise when both are arrays."""
+    elementwise when both are arrays; an alpha that is no real number or a
+    z that is no number (a bool is neither) raises DomainError."""
 
     alpha: float | np.ndarray
     z: complex | np.ndarray
 
     def __post_init__(self) -> None:
         alpha, z = np.asarray(self.alpha), np.asarray(self.z)
+        if alpha.dtype.kind not in "iuf" or z.dtype.kind not in "iufc":
+            raise DomainError(f"need a real alpha and a numeric z, got {self.alpha!r}, {self.z!r}")
         outside = ~((alpha > 0.0) & (alpha <= 0.5))
         if outside.any():
             raise DomainError(f"alpha must lie in (0, 1/2], got {alpha[outside].flat[0]}")
         u1, w, n = _scaled(z)
         c = -2.0 * w.real * u1 / n
-        if (np.abs(np.cos(2.0 * np.pi * alpha) - c) > ROUNDING_TOL).any():
+        if not (np.abs(np.cos(2.0 * np.pi * alpha) - c) <= ROUNDING_TOL).all():  # NaN fails
             raise DomainError("alpha is inconsistent with the chart point")
 
 
@@ -413,8 +416,13 @@ def metric_patching_check(z, w) -> tuple[float, float] | tuple[np.ndarray, np.nd
     arrays).  The pointwise model identity det = DET_TO_S_CONSTANT * |S(P)|^2
     is not checked here: the caller measures it
     (``report.model_identity_error``), so a failing model identity is
-    reported rather than raised.
+    reported rather than raised.  Arrays z and w that do not broadcast
+    together raise DomainError before either is evaluated.
     """
+    try:
+        np.broadcast_shapes(np.shape(z), np.shape(w))
+    except ValueError as exc:
+        raise DomainError(f"chart points z and w must broadcast together: {exc}") from exc
     lhs = zeta_det_spectral(z) / zeta_det_spectral(w)
     rhs = abs(s_of_p(z)) ** 2 / abs(s_of_p(w)) ** 2
     return lhs, rhs

@@ -238,6 +238,44 @@ def test_kahler_form_spot_values_and_fd_agreement():
 def test_spectral_datum_validates_branch():
     with pytest.raises(DomainError):
         cp1.SpectralDatum(alpha=0.75, z=0j)
+    # a NaN chart point passed the branch test, which compared with >
+    for z in (complex(math.nan, 0.0), np.array([0.0, complex(0.0, math.nan)])):
+        with pytest.raises(DomainError, match="inconsistent"):
+            cp1.SpectralDatum(alpha=0.25, z=z)
+
+
+@pytest.mark.parametrize(
+    "alpha, z",
+    [
+        ("a", 0.1),
+        (None, 0.1),
+        (True, 0.1),
+        (0.25 + 0j, 0.0),
+        (0.25, "a"),
+        (0.25, None),
+        (0.25, False),
+    ],
+)
+def test_spectral_datum_refuses_values_that_are_not_numbers(alpha, z):
+    # a string alpha raised numpy's UFuncTypeError from the branch test
+    with pytest.raises(DomainError, match="need a real alpha and a numeric z"):
+        cp1.SpectralDatum(alpha, z)
+
+
+@pytest.mark.parametrize(
+    "z, w",
+    [
+        (np.array([0.1, 0.2]), np.array([0.3, 0.4, 0.5])),
+        (np.zeros((2, 3)), np.zeros((2,))),
+        ([0.1, 0.2], [0.3, 0.4, 0.5]),
+    ],
+)
+def test_metric_patching_refuses_points_that_do_not_broadcast(z, w):
+    # the ratio of the two spectral determinants raised a bare ValueError
+    with pytest.raises(DomainError, match="must broadcast together"):
+        cp1.metric_patching_check(z, w)
+    lhs, rhs = cp1.metric_patching_check(np.array([0.1, 0.2]), 0.5j)
+    assert np.shape(lhs) == np.shape(rhs) == (2,)
 
 
 @pytest.mark.parametrize(

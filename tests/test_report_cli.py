@@ -628,8 +628,12 @@ def test_planted_fault_in_the_declared_derivative_fails_the_rows_that_read_it(mo
 
     def planted(*args):
         fam = rotated(*args)
-        derivative = fam._support_derivative
-        fam._support_derivative = lambda t1, t2, axis: derivative(t1, t2, axis) * (1 + 1e-3)
+        declared = fam._declaration
+
+        def derivative(t1, t2, axis):
+            return declared.derivative(t1, t2, axis) * (1 + 1e-3)
+
+        fam._declaration = gr._Declaration(declared.support, declared.block, derivative)
         return fam
 
     monkeypatch.setattr(gr, "rotated_family", planted)

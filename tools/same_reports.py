@@ -1,4 +1,5 @@
-"""Check that a revision and the worktree write the same verification reports.
+"""Check that a revision and the worktree write the same verification reports
+and the same chart values.
 
 Usage, from anywhere inside the repository:
 
@@ -10,8 +11,16 @@ with ``git archive`` to a temporary directory and runs
 a fresh interpreter, once on REV's ``src`` and once on the worktree's
 ``src`` (uncommitted edits included).  A report is compared as its
 ``to_json()`` without the ``started_at`` and ``finished_at`` timestamps,
-serialised by ``json.dumps``.  It prints "identical" and exits 0, or prints
-the first difference (seed, case and both values) and exits 1.
+serialised by ``json.dumps``.  It then compares the three chart calls of
+one ``grassmannian-window`` benchmark op (``curvature_rkw``, ``tr_p_dp_dp``
+and ``perturbation_patching_check``, through
+``perfbench.workloads.GrassmannianWindow.call``) on the input pools of the
+seeds 2401, 301, 2101 and 5, every value to the last bit, the pools taken
+from the worktree's ``perfbench`` on both sides and each side in one fresh
+interpreter.  Every interpreter runs with BLAS on one thread, as the
+benchmark's workers do.  It prints one line for the reports and one for the
+calls, each "identical" or the first difference (seed, case or call, and
+both values), and exits 0 when both are identical, else 1.
 """
 
 from __future__ import annotations
@@ -25,6 +34,8 @@ from pathlib import Path
 
 SEEDS = (0, 7, 11, 12345)
 TIMESTAMPS = ("started_at", "finished_at")
+POOL_SEEDS = (2401, 301, 2101, 5)
+BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 # Run in the fresh interpreter: print the report of one seed as JSON.
 REPORT = """
@@ -33,24 +44,70 @@ from detline.report import run_suite
 print(json.dumps(run_suite("all", int(sys.argv[1])).to_json()))
 """
 
+# Run in the fresh interpreter: print, for each pool seed, the values of the
+# grassmannian-window calls on each pool input as (seed, input, call,
+# float.hex of the real and imaginary parts).
+CHART_CALLS = """
+import json, sys, tempfile
+from perfbench.workloads import GrassmannianWindow
+names = ("curvature_rkw", "tr_p_dp_dp", "perturbation_patching_check lhs",
+         "perturbation_patching_check rhs")
+rows = []
+for seed in map(int, sys.argv[1:]):
+    workload = GrassmannianWindow(seed, False, tempfile.gettempdir())
+    for i in range(len(workload.pool)):
+        for name, value in zip(names, workload.call(i)):
+            rows.append([seed, i, name, value.real.hex(), value.imag.hex()])
+print(json.dumps(rows))
+"""
 
-def report(src: Path, seed: int) -> dict:
-    """The report of run_suite("all", seed) on the package under src, from a
-    fresh interpreter that writes no bytecode, without its timestamps."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
+
+def fresh(src: Path, root: Path, script: str, *args: str) -> str:
+    """The standard output of script run on the package under src, with the
+    perfbench package of the worktree root, in a fresh interpreter that
+    writes no bytecode."""
+    env = {**os.environ, **BLAS_ENV, "PYTHONPATH": os.pathsep.join([str(src), str(root)])}
     done = subprocess.run(
-        [sys.executable, "-B", "-c", REPORT, str(seed)],
+        [sys.executable, "-B", "-c", script, *args],
         env=env,
         cwd=src,
         capture_output=True,
         text=True,
     )
     if done.returncode != 0:
-        sys.exit(f"run_suite failed on {src} at seed {seed}:\n{done.stderr}")
-    doc = json.loads(done.stdout)
+        sys.exit(f"the run on {src} with arguments {args} failed:\n{done.stderr}")
+    return done.stdout
+
+
+def report(src: Path, root: Path, seed: int) -> dict:
+    """The report of run_suite("all", seed) on the package under src, from a
+    fresh interpreter, without its timestamps."""
+    doc = json.loads(fresh(src, root, REPORT, str(seed)))
     for key in TIMESTAMPS:
         doc.pop(key)
     return doc
+
+
+def chart_calls(src: Path, root: Path) -> list:
+    """The grassmannian-window call values on the pools of POOL_SEEDS, on the
+    package under src, from one fresh interpreter."""
+    return json.loads(fresh(src, root, CHART_CALLS, *map(str, POOL_SEEDS)))
+
+
+def first_call_difference(old: list, new: list) -> str | None:
+    """The first call whose value differs between two lists of chart_calls,
+    as one line; None when every value is the same to the last bit."""
+    for a, b in zip(old, new):
+        if a != b:
+            return f"seed {a[0]} input {a[1]} {a[2]}: {hex_value(a)} vs {hex_value(b)}"
+    if len(old) != len(new):
+        return f"{len(old)} values vs {len(new)}"
+    return None
+
+
+def hex_value(row: list) -> str:
+    """A call value of chart_calls as a complex, written out to the last bit."""
+    return f"{complex(float.fromhex(row[3]), float.fromhex(row[4]))!r} ({row[3]}, {row[4]})"
 
 
 def first_difference(old: dict, new: dict) -> str | None:
@@ -92,13 +149,19 @@ def main(argv: list[str]) -> int:
         if exported.returncode != 0:
             sys.exit(f"git archive of {rev!r} failed")
         subprocess.run(["tar", "-xf", str(archive), "-C", tmp], check=True)
+        old_src, new_src = Path(tmp) / "src", root / "src"
+        report_diff = None
         for seed in SEEDS:
-            diff = first_difference(report(Path(tmp) / "src", seed), report(root / "src", seed))
+            diff = first_difference(report(old_src, root, seed), report(new_src, root, seed))
             if diff is not None:
-                print(f"differs at seed {seed} ({rev} vs worktree): {diff}")
-                return 1
-    print("identical")
-    return 0
+                report_diff = f"differs at seed {seed} ({rev} vs worktree): {diff}"
+                break
+        call_diff = first_call_difference(chart_calls(old_src, root), chart_calls(new_src, root))
+    print(f"reports: {report_diff or 'identical'}")
+    if call_diff is not None:
+        call_diff = f"differs ({rev} vs worktree) at {call_diff}"
+    print(f"grassmannian-window calls: {call_diff or 'identical'}")
+    return 0 if report_diff is None and call_diff is None else 1
 
 
 if __name__ == "__main__":
