@@ -4,11 +4,15 @@ Subcommands: verify, curvature-grid, zeta-det, eta, grr.  Every stencil
 runs at its fixed step (``tolerances.DEFAULT_FD_STEP``, reported as the
 curvature grid's ``fd_step``).  Exit codes: 0 all checks pass, 1 any failure,
 computational error or output path that cannot be written, 2 usage error.
+The argument parser is built once per process, on the first ``main`` call,
+and serves every later call: building it costs about as much as the
+curvature of a 10 x 10 grid.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -32,6 +36,7 @@ def _parse_complex(text: str) -> complex:
     return complex(re_part, im_part)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detline",

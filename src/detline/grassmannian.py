@@ -1034,11 +1034,10 @@ class _Chart:
     here instead, before any SVD, as it does below _LOW_RANK_CROSSOVER and
     for a family that declares no support of at most two rows: the rows a
     family of projections that moves at all moves at least (a lone diagonal
-    entry of a projection is 0 or 1), and the only |J| measured.  A form of
-    a chart whose P has a non-finite entry is NaN, as a stencil member is
-    (_nan_unless_finite), also where a gather dropped that entry, so
-    fd_apply refuses it at an outer curvature_rkw sample; P at t is checked
-    already.
+    entry of a projection is 0 or 1), and the only |J| measured.  The chart
+    does not check P: at t _projections_at has, and curvature_rkw marks the
+    form of an outer sample whose P has a non-finite entry NaN
+    (_nan_unless_finite).
 
     A sample P_s = P + I_J D I_J*, D = P_s[J, J] - P[J, J] read from the
     declared block (``delta``), moves Y, SV and A by terms of rank at most
@@ -1075,7 +1074,6 @@ class _Chart:
             kept = sv > RANK_SVD_THRESHOLD * sv[..., :1]
             pinv = (vh.conj().mT / np.where(kept, sv, np.inf)[..., None, :]) @ u.conj().mT
             left = partial(np.matmul, pinv)
-        self.finite = update or np.isfinite(p).all()
         if declaration is None:  # the r x d block (SV)^+ P, the one array held through a stencil
             self.rows = left(p) if self.inverse is None else self.inverse @ left(p)
             return
@@ -1099,12 +1097,10 @@ class _Chart:
         with d(SV) the form's own stencil of the chart maps (_chart_member)."""
         if self.fam._declaration is None:
             member = partial(_chart_member, self.fam, self.basis, self.sig)
-            form = _connection_form(self.rows, fd_apply(_each(member), self.t, _D1, axis))
-        elif self.inverse is None:
-            form = np.trace(self.member(_declared(self.fam, self.t, axis)), axis1=-2, axis2=-1)
-        else:
-            form = _connection_form(self.inverse, self.member(_declared(self.fam, self.t, axis)))
-        return form if self.finite else form * np.nan
+            return _connection_form(self.rows, fd_apply(_each(member), self.t, _D1, axis))
+        if self.inverse is None:
+            return np.trace(self.member(_declared(self.fam, self.t, axis)), axis1=-2, axis2=-1)
+        return _connection_form(self.inverse, self.member(_declared(self.fam, self.t, axis)))
 
     def member(self, d1: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
         """Y_s d(S_s V), the r x r member of the declared connection form at
@@ -1266,8 +1262,9 @@ def curvature_rkw(
     except DetlineError:  # the dense path decides every value, chart guard and message
         p = None  # its forms read the family at their own samples
 
-    def form(axis: int, t1, t2) -> np.ndarray:
-        return _Chart(fam, _family_blocks(fam, t1, t2), basis, sig, (t1, t2)).form(axis)
+    def form(axis: int, t1, t2) -> np.ndarray:  # fd_apply refuses a NaN form
+        p_s = _family_blocks(fam, t1, t2)
+        return _nan_unless_finite(_Chart(fam, p_s, basis, sig, (t1, t2)).form(axis), p_s)
 
     return _result(_curl(form, pts), one)
 

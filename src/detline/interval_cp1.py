@@ -109,14 +109,19 @@ class BoundaryProjection2:
 class SpectralDatum:
     """Spectral offset alpha in (0, 1/2] together with its chart point,
     elementwise when both are arrays; an alpha that is no real number or a
-    z that is no number (a bool is neither) raises DomainError."""
+    z that is no number (a bool is neither), ragged nesting included, raises
+    DomainError."""
 
     alpha: float | np.ndarray
     z: complex | np.ndarray
 
     def __post_init__(self) -> None:
-        alpha, z = np.asarray(self.alpha), np.asarray(self.z)
-        if alpha.dtype.kind not in "iuf" or z.dtype.kind not in "iufc":
+        try:
+            alpha, z = np.asarray(self.alpha), np.asarray(self.z)
+            numeric = alpha.dtype.kind in "iuf" and z.dtype.kind in "iufc"
+        except ValueError:  # ragged nesting
+            numeric = False
+        if not numeric:
             raise DomainError(f"need a real alpha and a numeric z, got {self.alpha!r}, {self.z!r}")
         outside = ~((alpha > 0.0) & (alpha <= 0.5))
         if outside.any():
@@ -134,16 +139,21 @@ def _chart_point(z: complex) -> complex:
     Every public function taking a chart point goes through this guard or
     _chart_array, directly or via alpha_of.
     """
+    points = _chart_array(z)
     if np.ndim(z) != 0:
         raise DomainError(f"chart point must be a scalar, got shape {np.shape(z)}")
-    return complex(_chart_array(z)[0])
+    return complex(points[0])
 
 
 def _chart_array(z) -> np.ndarray:
-    """Chart points as a complex array of at least one dimension; an entry
-    that is no number (a bool, a string, None), has a NaN or infinite part,
-    or has a modulus beyond the double range raises DomainError."""
-    points = np.asarray(z)
+    """Chart points as a complex array of at least one dimension; ragged
+    nesting, or an entry that is no number (a bool, a string, None), has a
+    NaN or infinite part, or has a modulus beyond the double range raises
+    DomainError."""
+    try:
+        points = np.asarray(z)
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise DomainError(f"chart points must form an array, got {z!r}: {exc}") from exc
     if points.dtype.kind not in "iufc":
         raise DomainError(f"chart points must be numbers or arrays of them, got {z!r}")
     points = np.array(points, dtype=complex, ndmin=1)

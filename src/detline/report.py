@@ -1002,9 +1002,11 @@ class GridSpec:
 CSV_HEADER = ["re", "im", "k_fd", "k_closed", "k_pdpdp", "rel_err_fd", "rel_err_pdpdp", "status"]
 
 
-def _grid_rows(g: GridSpec) -> tuple[list[dict], dict]:
-    """Rows of the grid, x-major; every column is computed in one array call
-    over the points outside the exclusion disks that the stencil resolves."""
+def _grid_rows(g: GridSpec) -> tuple[dict[str, list], dict]:
+    """The grid as a table of columns keyed by CSV_HEADER, its rows x-major,
+    and its summary.  Every column is computed in one array call over the
+    points outside the exclusion disks that the stencil resolves; the k and
+    rel_err columns hold None in the skipped rows."""
     re_axis = np.linspace(g.re_min, g.re_max, g.n)
     im_axis = np.linspace(g.im_min, g.im_max, g.n)
     re, im = np.repeat(re_axis, g.n), np.tile(im_axis, g.n)
@@ -1027,25 +1029,31 @@ def _grid_rows(g: GridSpec) -> tuple[list[dict], dict]:
     k_pdpdp = cp1.kahler_form_2x2(z_ok)
     rel_fd = np.abs(k_fd - k_closed) / k_closed
     rel_pdp = np.abs(k_pdpdp - k_closed) / k_closed
-    keys = ("k_fd", "k_closed", "k_pdpdp", "rel_err_fd", "rel_err_pdpdp")
-    computed = iter(zip(*(col.tolist() for col in (k_fd, k_closed, k_pdpdp, rel_fd, rel_pdp))))
-    skip = dict.fromkeys(keys, None)
-    rows = []
-    for x, y, point_ok in zip(re.tolist(), im.tolist(), ok.tolist()):
-        row = {"re": x, "im": y}
-        if point_ok:
-            row.update(zip(keys, next(computed)), status="ok")
-        else:
-            row.update(skip, status="skip")
-        rows.append(row)
+    computed = np.full((5, ok.size), None, dtype=object)  # cast to Python floats, as both writers need
+    computed[:, ok] = (k_fd, k_closed, k_pdpdp, rel_fd, rel_pdp)
+    columns = dict(zip(CSV_HEADER, [re.tolist(), im.tolist(), *computed.tolist()]))
+    columns["status"] = ["ok" if point_ok else "skip" for point_ok in ok.tolist()]
     summary = {
-        "n_rows": len(rows),
+        "n_rows": ok.size,
         "n_skipped": int(np.count_nonzero(~ok)),
         "max_rel_err_fd": float(rel_fd.max(initial=0.0)),
         "max_rel_err_pdpdp": float(rel_pdp.max(initial=0.0)),
         "fd_step": DEFAULT_FD_STEP,
     }
-    return rows, summary
+    return columns, summary
+
+
+def _json_rows(columns: dict[str, list]) -> str:
+    """The rows of a grid table as json.dumps(document, indent=2) lays out a
+    list of row dicts at the document's top level, without its brackets.
+
+    indent selects the pure-Python encoder; here each column is encoded once
+    by the C encoder instead, which writes the same null, float repr and
+    strings, and its items (no float, null or status string holds ", ") are
+    laid out in the rows."""
+    row = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in columns) + "\n    }"
+    values = [json.dumps(column)[1:-1].split(", ") for column in columns.values()]
+    return ",\n".join(row % items for items in zip(*values))
 
 
 def _require_writable(path: str) -> None:
@@ -1095,27 +1103,33 @@ def curvature_grid(
     cannot be written (see _require_writable) raises OSError before any row
     is computed.  A grid reaching beyond |z| = 8e76, where the closed
     density underflows and relative errors are undefined, raises DomainError
-    and writes nothing.
+    and writes nothing.  Both writers read _grid_rows' column table: CSV
+    rows through csv.writer, JSON rows through _json_rows, in the bytes of
+    json.dumps(document, indent=2) over one dict per row.
     """
     if out_format not in ("csv", "json"):
         raise DomainError(f"out_format must be 'csv' or 'json', got {out_format!r}")
     if path is not None:
         _require_writable(path)
-    rows, summary = _grid_rows(g)
+    columns, summary = _grid_rows(g)
     if path is not None:
         if out_format == "csv":
             buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
+            writer = csv.writer(buffer, lineterminator="\n")  # None is written as ""
             writer.writerow(CSV_HEADER)
-            writer.writerows(["" if row[k] is None else row[k] for k in CSV_HEADER] for row in rows)
+            writer.writerows(zip(*columns.values()))
             _atomic_write(path, buffer.getvalue())
         else:
             document = {
                 "schema": SCHEMA,
                 "kind": "curvature-grid",
                 "grid": {k: getattr(g, k) for k in ("re_min", "re_max", "im_min", "im_max", "n")},
-                "rows": rows,
+                "rows": [],
                 "summary": summary,
             }
-            _atomic_write(path, json.dumps(document, indent=2) + "\n")
+            # the first "rows": [] is the key's: the values before it are numbers and fixed strings
+            text = json.dumps(document, indent=2).replace(
+                '"rows": []', '"rows": [\n' + _json_rows(columns) + "\n  ]", 1
+            )
+            _atomic_write(path, text + "\n")
     return summary

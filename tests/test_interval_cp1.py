@@ -322,6 +322,33 @@ def test_non_scalar_chart_points_raise_domain_error(fn, z):
         fn(z)
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [
+        cp1.projection_from_chart,
+        cp1.adjoint_projection,
+        cp1.alpha_of,
+        cp1.zeta_det_closed,
+        cp1.kahler_density_closed,
+        cp1.zeta_det_spectral,
+        cp1.curvature_fd_truncation_bound,
+        cp1.curvature_fd_unresolved,
+        cp1.quillen_curvature_fd,
+        cp1.s_of_p,
+        cp1.kahler_form_2x2,
+        pytest.param(lambda z: cp1.metric_patching_check(z, 0.5), id="metric_patching_check-z"),
+        pytest.param(lambda z: cp1.metric_patching_check(0.5, z), id="metric_patching_check-w"),
+        pytest.param(lambda z: cp1.SpectralDatum(0.25, z), id="SpectralDatum"),
+    ],
+    ids=lambda fn: fn.__name__,
+)
+@pytest.mark.parametrize("z", [[[0.1, 0.2], [0.3]], [0.1, [0.2, 0.3]]], ids=["rows", "entry"])
+def test_ragged_chart_points_raise_domain_error(fn, z):
+    # numpy's bare ValueError ("inhomogeneous shape") escaped the chart guard
+    with pytest.raises(DomainError):
+        fn(z)
+
+
 # ---------------------------------------------------------------------------
 # array inputs, and accuracy up to the zero mode at z = -1
 

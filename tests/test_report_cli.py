@@ -3,6 +3,7 @@ faults in the shared measurements."""
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -114,10 +115,10 @@ def test_curvature_grid_exclusion_rows(tmp_path):
 
 def test_curvature_grid_skips_exactly_the_exclusion_disk():
     spec = report.GridSpec(re_min=-1.5, re_max=-0.5, im_min=-0.5, im_max=0.5, n=41)
-    rows, summary = report._grid_rows(spec)
-    for row in rows:
-        inside = abs(complex(row["re"], row["im"]) + 1) < cp1.EXCLUSION_RADIUS
-        assert (row["status"] == "skip") == inside
+    columns, summary = report._grid_rows(spec)
+    for x, y, status in zip(columns["re"], columns["im"], columns["status"]):
+        inside = abs(complex(x, y) + 1) < cp1.EXCLUSION_RADIUS
+        assert (status == "skip") == inside
     assert summary["max_rel_err_fd"] < report.TOL_CURVATURE
 
 
@@ -126,12 +127,12 @@ def test_curvature_grid_masks_points_the_stencil_cannot_resolve():
     # z = -1 are skipped by the same predicate that makes
     # quillen_curvature_fd raise; every other row stays within tolerance
     spec = report.GridSpec(-1.1, -0.9, -0.1, 0.1, 21, exclusion=((-1.0 + 0j, 0.005),))
-    rows, summary = report._grid_rows(spec)
-    for row in rows:
-        z = complex(row["re"], row["im"])
+    columns, summary = report._grid_rows(spec)
+    for x, y, status in zip(columns["re"], columns["im"], columns["status"]):
+        z = complex(x, y)
         refused = spec.excluded(z) or cp1.curvature_fd_unresolved(z)
-        assert (row["status"] == "skip") == refused
-    assert 0 < summary["n_skipped"] < len(rows)
+        assert (status == "skip") == refused
+    assert 0 < summary["n_skipped"] < len(columns["status"])
     assert summary["max_rel_err_fd"] < report.TOL_CURVATURE
     assert summary["max_rel_err_pdpdp"] < 1e-12
 
@@ -148,12 +149,46 @@ def test_curvature_grid_evaluates_the_curvature_guard_once(monkeypatch):
 
     monkeypatch.setattr(cp1, "curvature_fd_unresolved", counted)
     spec = report.GridSpec(-1.5, 1.5, -1.5, 1.5, 10)
-    rows, _ = report._grid_rows(spec)
-    assert calls == [(sum(not spec.excluded(complex(r["re"], r["im"])) for r in rows),)]
+    columns, _ = report._grid_rows(spec)
+    points = zip(columns["re"], columns["im"])
+    assert calls == [(sum(not spec.excluded(complex(x, y)) for x, y in points),)]
     # the public function keeps its own guard
     with pytest.raises(DegenerateSpectrum):
         cp1.quillen_curvature_fd(-1.0 + 1e-4j)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "spec, n_skipped",
+    [
+        (report.GridSpec(-1.3, -0.7, -0.3, 0.3, 7), 11),
+        (report.GridSpec(5.0, 15.0, -1.0, 1.0, 6), 18),  # beyond |z| = 10.2, outside the disk
+        (report.GridSpec(1e70, 2e70, 0.0, 1.0, 2), 4),
+        (report.GridSpec(-0.5, 0.5, -0.5, 0.5, 2), 0),
+    ],
+    ids=["disk-skipped", "unresolved-skipped", "all-skipped", "n=2"],
+)
+def test_curvature_grid_files_are_the_row_writers_bytes(tmp_path, spec, n_skipped):
+    # the writers lay out the column table; their files are byte for byte
+    # those of json.dumps(indent=2) over row dicts and csv.writer over row lists
+    columns, summary = report._grid_rows(spec)
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    assert summary["n_skipped"] == n_skipped
+    document = {
+        "schema": report.SCHEMA,
+        "kind": "curvature-grid",
+        "grid": {k: getattr(spec, k) for k in ("re_min", "re_max", "im_min", "im_max", "n")},
+        "rows": rows,
+        "summary": summary,
+    }
+    report.curvature_grid(spec, "json", str(tmp_path / "grid.json"))
+    assert (tmp_path / "grid.json").read_bytes() == (json.dumps(document, indent=2) + "\n").encode()
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(report.CSV_HEADER)
+    writer.writerows(["" if row[k] is None else row[k] for k in report.CSV_HEADER] for row in rows)
+    report.curvature_grid(spec, "csv", str(tmp_path / "grid.csv"))
+    assert (tmp_path / "grid.csv").read_bytes() == buffer.getvalue().encode()
 
 
 def test_gridspec_validation():
@@ -404,6 +439,35 @@ def test_console_script_entry_point():
     result = run_child("-m", "detline.cli", "grr", "--m", "0")
     assert result.returncode == 0
     assert json.loads(result.stdout)["c1_coefficient"] == "1/12"
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; each call in turn still exits and
+    # prints as it does in a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "100")  # the usage lines wrap at the terminal width
+    grid = ["curvature-grid", "--re", "-1.3:-0.2", "--im", "-0.4:0.6", "--n", "4"]
+    calls = [
+        ["verify", "chern", "--seed", "3"],
+        [*grid, "--json", str(tmp_path / "grid.json")],
+        ["curvature-grid", "--n", "two"],
+        ["zeta-det", "--z", "0.3,-0.2"],
+        [*grid, "--csv", str(tmp_path / "grid.csv")],
+    ]
+    codes = []
+    for argv in calls:
+        path = pathlib.Path(argv[-1]) if argv[-2] in ("--json", "--csv") else None
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        captured = capsys.readouterr()
+        written = path and path.read_bytes()
+        child = run_child("-m", "detline.cli", *argv)
+        assert (codes[-1], captured.out, captured.err) == (
+            child.returncode, child.stdout, child.stderr
+        )
+        assert written == (path and path.read_bytes())
+    assert codes == [0, 0, 2, 0, 0]
 
 
 IMPORTS_ADDED = """
