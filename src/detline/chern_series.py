@@ -6,9 +6,11 @@ consistently, so the series form the ring of truncated polynomials.  Products
 and exponentials run on Python ints: each operand is written over one common
 denominator, the integer numerators are convolved, and each result Fraction is
 built once, so every coefficient is the exact value a Fraction-by-Fraction
-product gives.  A coefficient or an exponential's multiple that is NaN,
-infinite or no number raises DomainError, as does a cap that is not an
-integer of at least 2, and the pushforward coefficient takes an integer twist.
+product gives.  A coefficient or an exponential's multiple must be a finite
+real number, a cap an integer of at least 2 and the pushforward
+coefficient's twist an integer, each by ``errors._number`` (a bool is no
+number); anything else raises DomainError, as does a coefficient sequence
+that is no sequence.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 from math import factorial, lcm
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, _number
 
 __all__ = ["RationalSeries", "todd_series", "exp_series", "grr_c1_coefficient"]
 
@@ -28,18 +30,28 @@ DEFAULT_CAP = 8
 
 
 def _rational(value) -> Fraction:
-    """value as an exact Fraction; NaN, an infinity or a non-number raises DomainError."""
+    """value, a real number, as an exact Fraction; NaN, an infinity or a
+    non-number raises DomainError."""
     try:
-        return Fraction(value)
-    except (ValueError, OverflowError, TypeError) as exc:
+        return Fraction(_number(value, numbers.Real, "a coefficient must be a finite rational"))
+    except (ValueError, OverflowError, TypeError) as exc:  # NaN, an infinity, np.float32
         raise DomainError(f"a coefficient must be a finite rational, got {value!r}") from exc
 
 
+def _rationals(values: Sequence, count: int | None = None) -> list[Fraction]:
+    """The first ``count`` entries of values (all by default) as exact
+    Fractions; values that is no sequence, such as None, a number or a set,
+    raises DomainError."""
+    try:
+        head = values[:count]
+    except (TypeError, LookupError) as exc:
+        raise DomainError(f"coefficients must be a sequence, got {values!r}") from exc
+    return [c if isinstance(c, Fraction) else _rational(c) for c in head]
+
+
 def _cap(cap) -> int:
-    """cap as an int; a non-integer (a bool is not one) or a cap below 2 raises DomainError."""
-    if not isinstance(cap, numbers.Integral) or isinstance(cap, bool):
-        raise DomainError(f"cap must be an integer, got {cap!r}")
-    if cap < 2:
+    """cap as an int; a non-integer or a cap below 2 raises DomainError."""
+    if _number(cap, numbers.Integral, "cap must be an integer") < 2:
         raise DomainError(f"cap must be >= 2, got {cap}")
     return int(cap)
 
@@ -59,7 +71,7 @@ class RationalSeries:
 
     def __post_init__(self) -> None:
         cap = _cap(self.cap)
-        coeffs = tuple(c if isinstance(c, Fraction) else _rational(c) for c in self.coeffs)
+        coeffs = tuple(_rationals(self.coeffs))
         if len(coeffs) != cap + 1:
             raise DomainError(f"need {cap + 1} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "coeffs", coeffs)
@@ -68,7 +80,7 @@ class RationalSeries:
     @staticmethod
     def from_list(values: Sequence, cap: int) -> "RationalSeries":
         cap = _cap(cap)
-        coeffs = [_rational(v) for v in values[: cap + 1]]
+        coeffs = _rationals(values, cap + 1)
         coeffs += [Fraction(0)] * (cap + 1 - len(coeffs))
         return RationalSeries(tuple(coeffs), cap)
 
@@ -150,10 +162,9 @@ def grr_c1_coefficient(m: int) -> Fraction:
 
     The degree-two coefficient of exp(m x) * Todd(x), exactly
     (6 m^2 + 6 m + 1) / 12, with degree-one coefficient m + 1/2.  The twist
-    m must be an integer (a bool is not one).
+    m must be an integer.
     """
-    if not isinstance(m, numbers.Integral) or isinstance(m, bool):
-        raise DomainError(f"the twist m must be an integer, got {m!r}")
+    _number(m, numbers.Integral, "the twist m must be an integer")
     product = exp_series(m, 4) * todd_series(4)
     if product[1] != Fraction(m) + Fraction(1, 2):
         raise DomainError(f"degree-one coefficient mismatch at m = {m}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionByZeroPoint, DomainError
+from .errors import DivisionByZeroPoint, DomainError, _array
 from .grassmannian import ModeOperator, fredholm_det, require_det_class
 from .tolerances import SINGULAR_TOL
 
@@ -78,8 +78,9 @@ class DetPoint:
     "det T is nonzero iff T is invertible" stays decidable independently of
     the scalar action.  For a stack rep, scale and is_zero are arrays with one
     entry per member; a scalar given for either is broadcast over the stack.
-    A scale must be a finite number and is_zero a bool (or arrays of them);
-    anything else raises DomainError.
+    A scale must be a finite number and is_zero a bool, or arrays of them
+    (``errors._array`` of kinds "iufc" and "b"); anything else raises
+    DomainError.
     """
 
     rep: ModeOperator
@@ -87,11 +88,10 @@ class DetPoint:
     is_zero: bool | np.ndarray
 
     def __post_init__(self) -> None:
-        scale, is_zero = np.asarray(self.scale), np.asarray(self.is_zero)
-        if scale.dtype.kind not in "iufc" or not np.isfinite(scale).all():
+        scale = _array(self.scale, "iufc", "a scale must be a finite complex number")
+        is_zero = _array(self.is_zero, "b", "is_zero must be a bool")
+        if not np.isfinite(scale).all():
             raise DomainError(f"a scale must be a finite complex number, got {self.scale!r}")
-        if is_zero.dtype.kind != "b":
-            raise DomainError(f"is_zero must be a bool, got {self.is_zero!r}")
         shape = self.rep.entries.shape[:-2]
         try:
             scale = np.broadcast_to(scale.astype(complex, copy=False), shape)

@@ -146,6 +146,8 @@ from .errors import (
     NotDetClass,
     NotInvertible,
     WindowOverflow,
+    _array,
+    _number,
 )
 from .specfun import FdStencil, _hurwitz_em, _open_unit_points, fd_apply
 from .tolerances import (
@@ -194,12 +196,6 @@ TAIL_APS = (1.0 + 0j, 0.0 + 0j)
 _D1 = FdStencil(DEFAULT_FD_STEP, "first-derivative")
 
 
-def _require_mode(value, what: str) -> None:
-    """Raise DomainError unless value is an integer (a bool is not a mode)."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ModeWindow:
     """Symmetric Fourier mode window {-n_max, ..., n_max}."""
@@ -207,8 +203,7 @@ class ModeWindow:
     n_max: int
 
     def __post_init__(self) -> None:
-        _require_mode(self.n_max, "n_max")
-        if self.n_max < 1:
+        if _number(self.n_max, numbers.Integral, "n_max must be an integer") < 1:
             raise DomainError(f"n_max must be >= 1, got {self.n_max}")
 
     @property
@@ -219,8 +214,7 @@ class ModeWindow:
         return range(-self.n_max, self.n_max + 1)
 
     def index(self, mode: int) -> int:
-        _require_mode(mode, "a mode")
-        if abs(mode) > self.n_max:
+        if abs(_number(mode, numbers.Integral, "a mode must be an integer")) > self.n_max:
             raise WindowOverflow(f"mode {mode} outside window [-{self.n_max}, {self.n_max}]")
         return mode + self.n_max
 
@@ -240,7 +234,9 @@ class ModeOperator:
     projection, and ``window_rank`` returns an int array.  Entry points that
     take one operator, such as ``trace`` and ``relative_eta``, raise
     ``DomainError`` on a stack.  Entries that are not numbers, and tails
-    that are not a pair of numbers (a bool is none), raise ``DomainError``.
+    that are not a pair of numbers, by ``errors._array`` (entries may be
+    bools, read as 0 and 1; tails may not), raise ``DomainError``, as does
+    a scalar multiple that is no finite number by ``errors._number``.
     """
 
     window: ModeWindow
@@ -248,13 +244,10 @@ class ModeOperator:
     tail: tuple[complex, complex]
 
     def __post_init__(self) -> None:
-        try:
-            m, tail = np.asarray(self.entries), np.asarray(self.tail)
-        except ValueError as exc:  # a ragged nesting
-            raise DomainError(f"entries and tails must be arrays of numbers: {exc}") from exc
-        if m.dtype.kind not in "biufc" or tail.shape != (2,) or tail.dtype.kind not in "iufc":
-            raise DomainError(f"need entries of numbers, a pair of tails: {m.dtype}, {self.tail!r}")
-        m = np.asarray(m, dtype=complex)
+        m = np.asarray(_array(self.entries, "biufc", "entries must be numbers"), dtype=complex)
+        tail = _array(self.tail, "iufc", "tails must be a pair of numbers")
+        if tail.shape != (2,):
+            raise DomainError(f"tails must be a pair of numbers, got {self.tail!r}")
         d = self.window.dim
         if m.shape[-2:] != (d, d) or m.ndim > 3 or m.size == 0:
             raise DomainError(f"entries must be {d}x{d} or a nonempty stack of them, got {m.shape}")
@@ -318,7 +311,9 @@ class ModeOperator:
         return ModeOperator(a.window, a.entries - b.entries, tail)
 
     def __mul__(self, scalar: complex) -> "ModeOperator":
-        s = complex(scalar)
+        s = complex(_number(scalar, numbers.Complex, "a scalar multiple must be a number"))
+        if not cmath.isfinite(s):
+            raise DomainError(f"a scalar multiple must be finite, got {scalar!r}")
         return ModeOperator(self.window, s * self.entries, (s * self.tail[0], s * self.tail[1]))
 
     __rmul__ = __mul__
@@ -470,8 +465,7 @@ class ProjectionFamily:
 
 def spectral_projection(w: ModeWindow, k: int) -> ModeOperator:
     """The spectral projection onto modes n >= k (diagonal on the window)."""
-    _require_mode(k, "the cut")
-    if abs(k) > w.n_max:
+    if abs(_number(k, numbers.Integral, "the cut must be an integer")) > w.n_max:
         raise WindowOverflow(f"cut {k} outside window [-{w.n_max}, {w.n_max}]")
     diag = np.array([1.0 if mode >= k else 0.0 for mode in w.modes()], dtype=complex)
     return ModeOperator(w, np.diag(diag), TAIL_APS)
@@ -625,10 +619,9 @@ def eta_finite_rank_check(a: float, flip_mode: int, window: ModeWindow) -> tuple
     left side is the relative eta of the two positive spectral projections,
     the right side the difference of regularized eta invariants.
     """
-    if not isinstance(a, numbers.Real) or isinstance(a, bool) or not 0.0 < a < 1.0:
+    if not 0.0 < _number(a, numbers.Real, "offset a must be a real number") < 1.0:
         raise DomainError(f"offset a must be a real number in (0, 1), got {a!r}")
-    _require_mode(flip_mode, "a flip mode")
-    if abs(flip_mode) > window.n_max:
+    if abs(_number(flip_mode, numbers.Integral, "a flip mode must be an integer")) > window.n_max:
         raise WindowOverflow(f"flip mode {flip_mode} outside the window")
     pi_d = spectral_projection(window, 0)
     diag = pi_d.entries.copy()
@@ -649,14 +642,12 @@ Points = tuple[np.ndarray, np.ndarray]
 def _points(t) -> tuple[Points, bool]:
     """t as two nonempty 1-D float arrays of one length, and whether the
     caller passed one point as two scalars, which the public return makes a
-    complex.  A coordinate of any dtype but an integer or a float, such as
-    a bool, a string or None, is refused before it is converted."""
+    complex.  Each coordinate must be real by ``errors._array``; anything
+    else raises DomainError before it is converted."""
     try:
-        t1, t2 = (np.asarray(c) for c in t)
+        t1, t2 = (_array(c, "iuf", "t must be real numbers") for c in t)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"t must be a pair (t1, t2) of floats or 1-D arrays, got {t!r}") from exc
-    if t1.dtype.kind not in "iuf" or t2.dtype.kind not in "iuf":
-        raise DomainError(f"t must be real numbers, got {t!r}")
     if t1.shape != t2.shape or t1.ndim > 1 or t1.size == 0:
         raise DomainError(
             f"t1 and t2 must be floats or 1-D arrays of one nonzero length, "
@@ -786,10 +777,9 @@ def _direction_axis(direction) -> int:
     """0 for "t1" or the integer 0, 1 for "t2" or 1; a bool or a float is no direction."""
     if isinstance(direction, str) and direction in ("t1", "t2"):
         return ("t1", "t2").index(direction)
-    integer = isinstance(direction, numbers.Integral) and not isinstance(direction, bool)
-    if integer and direction in (0, 1):
-        return int(direction)
-    raise DomainError(f"direction must be 't1', 't2', 0 or 1, got {direction!r}")
+    if _number(direction, numbers.Integral, "direction must be 't1', 't2', 0 or 1") not in (0, 1):
+        raise DomainError(f"direction must be 't1', 't2', 0 or 1, got {direction!r}")
+    return int(direction)
 
 
 @dataclass(frozen=True)

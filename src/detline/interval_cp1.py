@@ -26,11 +26,12 @@ double.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, DomainError
+from .errors import DegenerateSpectrum, DomainError, _array, _number
 from .specfun import FdStencil, _open_unit_points, fd_apply, hurwitz_zeta_ds0
 from .tolerances import DEFAULT_FD_STEP, DEGENERACY_TOL, ROUNDING_TOL, TOL_CURVATURE
 
@@ -83,16 +84,21 @@ class BoundaryProjection2:
     """A rank-one Hermitian idempotent on C^2 (a boundary condition).
 
     chart is the defining chart point, or None for the point at infinity.
+    The entries, and the vector ``apply`` takes, are finite numbers (bools
+    read as 0 and 1) by ``errors._array``, and chart is None or a finite
+    number by ``errors._number``; anything else raises DomainError.
     """
 
     entries: np.ndarray
     chart: complex | None
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (2, 2):
-            raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
-        # each test fails on a NaN entry as well
+        m = np.asarray(_array(self.entries, "biufc", "entries must be numbers"), dtype=complex)
+        if m.shape != (2, 2) or not np.isfinite(m).all():
+            raise DomainError(f"expected a finite 2x2 matrix, got {self.entries!r}")
+        what = "chart must be None or a finite number"
+        if self.chart is not None and not np.isfinite(_number(self.chart, numbers.Complex, what)):
+            raise DomainError(f"{what}, got {self.chart!r}")
         if not np.max(np.abs(m - m.conj().T)) <= ROUNDING_TOL:
             raise DomainError("projection is not Hermitian")
         if not np.max(np.abs(m @ m - m)) <= ROUNDING_TOL:
@@ -102,32 +108,30 @@ class BoundaryProjection2:
         object.__setattr__(self, "entries", m)
 
     def apply(self, v) -> np.ndarray:
-        return self.entries @ np.asarray(v, dtype=complex)
+        v = np.asarray(_array(v, "biufc", "v must be a vector of numbers"), dtype=complex)
+        if v.shape != (2,) or not np.isfinite(v).all():
+            raise DomainError(f"v must be a finite vector of C^2, got {v!r}")
+        return self.entries @ v
 
 
 @dataclass(frozen=True)
 class SpectralDatum:
     """Spectral offset alpha in (0, 1/2] together with its chart point,
-    elementwise when both are arrays; an alpha that is no real number or a
-    z that is no number (a bool is neither), ragged nesting included, raises
-    DomainError."""
+    elementwise when both are arrays; alpha must be real and z a number,
+    each by ``errors._array``, or DomainError is raised."""
 
     alpha: float | np.ndarray
     z: complex | np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            alpha, z = np.asarray(self.alpha), np.asarray(self.z)
-            numeric = alpha.dtype.kind in "iuf" and z.dtype.kind in "iufc"
-        except ValueError:  # ragged nesting
-            numeric = False
-        if not numeric:
-            raise DomainError(f"need a real alpha and a numeric z, got {self.alpha!r}, {self.z!r}")
+        alpha = _array(self.alpha, "iuf", "need a real alpha and a numeric z: alpha")
+        z = _array(self.z, "iufc", "need a real alpha and a numeric z: z")
         outside = ~((alpha > 0.0) & (alpha <= 0.5))
         if outside.any():
             raise DomainError(f"alpha must lie in (0, 1/2], got {alpha[outside].flat[0]}")
-        u1, w, n = _scaled(z)
-        c = -2.0 * w.real * u1 / n
+        with np.errstate(invalid="ignore", over="ignore"):  # inf, like NaN, fails below
+            u1, w, n = _scaled(z)
+            c = -2.0 * w.real * u1 / n
         if not (np.abs(np.cos(2.0 * np.pi * alpha) - c) <= ROUNDING_TOL).all():  # NaN fails
             raise DomainError("alpha is inconsistent with the chart point")
 
@@ -146,17 +150,10 @@ def _chart_point(z: complex) -> complex:
 
 
 def _chart_array(z) -> np.ndarray:
-    """Chart points as a complex array of at least one dimension; ragged
-    nesting, or an entry that is no number (a bool, a string, None), has a
-    NaN or infinite part, or has a modulus beyond the double range raises
-    DomainError."""
-    try:
-        points = np.asarray(z)
-    except ValueError as exc:  # numpy's "inhomogeneous shape"
-        raise DomainError(f"chart points must form an array, got {z!r}: {exc}") from exc
-    if points.dtype.kind not in "iufc":
-        raise DomainError(f"chart points must be numbers or arrays of them, got {z!r}")
-    points = np.array(points, dtype=complex, ndmin=1)
+    """Chart points, numbers or an array of them by ``errors._array``, as a
+    complex array of at least one dimension; an entry with a NaN or infinite
+    part, or with a modulus beyond the double range, raises DomainError."""
+    points = np.array(_array(z, "iufc", "chart points must be numbers"), dtype=complex, ndmin=1)
     with np.errstate(over="ignore"):
         bad = ~np.isfinite(_modulus(points))
     if bad.any():

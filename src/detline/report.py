@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import chern_series, det_line, grassmannian as gr, interval_cp1 as cp1
-from .errors import DetlineError, DomainError
+from .errors import DetlineError, DomainError, _number
 from .tolerances import (
     DEFAULT_FD_STEP,
     TOL_COCYCLE,
@@ -103,18 +103,25 @@ class CaseResult:
     paper_anchor: str
 
     def to_json(self) -> dict:
-        """The fields in order; a shallow copy, as every value is a number,
-        a string or None."""
-        return dict(vars(self))
+        """The fields in order, as a shallow copy: every value is a number, a
+        string or None.  A non-finite observed value, which only a failing
+        row holds, is written as None (JSON null): RFC 8259 has no NaN."""
+        finite = not isinstance(self.observed, float) or math.isfinite(self.observed)
+        return {**vars(self), "observed": self.observed if finite else None}
 
 
 @dataclass
 class ReportDocument:
+    """A suite's judged cases; the seed is an integer by ``errors._number``."""
+
     suite: str
     seed: int
     cases: list[CaseResult]
     started_at: str
     finished_at: str
+
+    def __post_init__(self) -> None:
+        _number(self.seed, numbers.Integral, "seed must be an integer")
 
     @property
     def n_fail(self) -> int:
@@ -138,11 +145,6 @@ class ReportDocument:
 
 
 Row = tuple[str, str, object, object, float | None]
-
-
-def _is_number(x, kind: type) -> bool:
-    """Whether x is a number of the kind (numbers.Real, ...); a bool is none."""
-    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 def _raised(call, *args) -> str:
@@ -933,7 +935,7 @@ def run_suite(name: str, seed: int = 0) -> ReportDocument:
     one place where a suite row becomes a judged CaseResult."""
     if name not in SUITE_NAMES:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if not _is_number(seed, numbers.Integral) or seed < 0:
+    if _number(seed, numbers.Integral, "seed must be an integer >= 0") < 0:
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     started = datetime.now(timezone.utc).isoformat()
     cases: list[CaseResult] = []
@@ -962,7 +964,11 @@ def run_suite(name: str, seed: int = 0) -> ReportDocument:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A rectangular chart grid with exclusion disks around degenerate points."""
+    """A rectangular chart grid with exclusion disks around degenerate points.
+
+    The bounds are real numbers and n an integer, exclusion a tuple or list
+    of (centre, radius) pairs of numbers, each by ``errors._number``;
+    anything else raises DomainError."""
 
     re_min: float = -0.5
     re_max: float = 0.5
@@ -972,31 +978,33 @@ class GridSpec:
     exclusion: tuple[tuple[complex, float], ...] = ((-1.0 + 0j, cp1.EXCLUSION_RADIUS),)
 
     def __post_init__(self) -> None:
+        what = "grid bounds need real min < max and a finite width"
         for lo, hi in ((self.re_min, self.re_max), (self.im_min, self.im_max)):
-            real = _is_number(lo, numbers.Real) and _is_number(hi, numbers.Real)
-            if not (real and lo < hi and math.isfinite(hi - lo)):  # NaN and inf fail too
-                raise DomainError(
-                    f"grid bounds need real min < max and a finite width, got {lo!r}:{hi!r}"
-                )
-        if not isinstance(self.n, numbers.Integral) or self.n < 2:
+            lo, hi = _number(lo, numbers.Real, what), _number(hi, numbers.Real, what)
+            if not (lo < hi and math.isfinite(hi - lo)):  # NaN and inf fail too
+                raise DomainError(f"{what}, got {lo!r}:{hi!r}")
+        if _number(self.n, numbers.Integral, "grid needs an integer n >= 2 points per axis") < 2:
             raise DomainError(f"grid needs an integer n >= 2 points per axis, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))  # a numpy integer stays JSON-writable
+        if not isinstance(self.exclusion, (tuple, list)):
+            raise DomainError(f"exclusion must be a tuple of disks, got {self.exclusion!r}")
+        what = "an exclusion disk is a finite centre and a radius > 0"
         for disk in self.exclusion:
-            center, radius = disk if isinstance(disk, tuple) and len(disk) == 2 else (None, None)
-            numeric = _is_number(center, numbers.Complex) and _is_number(radius, numbers.Real)
-            if not (numeric and cmath.isfinite(center) and math.isfinite(radius) and radius > 0):
-                raise DomainError(
-                    f"an exclusion disk is a finite centre and a radius > 0, got {disk!r}"
-                )
+            c, r = disk if isinstance(disk, tuple) and len(disk) == 2 else (disk, None)
+            c, r = _number(c, numbers.Complex, what), _number(r, numbers.Real, what)
+            if not (cmath.isfinite(c) and 0 < r < math.inf):  # NaN fails too
+                raise DomainError(f"{what}, got {disk!r}")
 
     def excluded(self, z: complex | np.ndarray) -> bool | np.ndarray:
-        """Whether z lies in an exclusion disk, elementwise for an array."""
-        inside = np.zeros(np.shape(z), dtype=bool)
+        """Whether z lies in an exclusion disk, elementwise for an array; z
+        passes the chart-point guard (``interval_cp1._chart_array``)."""
+        points = cp1._chart_array(z)
+        inside = np.zeros(points.shape, dtype=bool)
         for center, radius in self.exclusion:
             # hypot: bit for bit Python's abs, so the skipped rows never move
-            offset = np.asarray(z) - center
+            offset = points - center
             inside |= np.hypot(offset.real, offset.imag) < radius
-        return inside if np.ndim(z) else bool(inside)
+        return inside.reshape(np.shape(z)) if np.ndim(z) else bool(inside[0])
 
 
 CSV_HEADER = ["re", "im", "k_fd", "k_closed", "k_pdpdp", "rel_err_fd", "rel_err_pdpdp", "status"]

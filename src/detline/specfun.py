@@ -64,7 +64,7 @@ from typing import Any, Callable, Iterator, Literal
 
 import numpy as np
 
-from .errors import DetlineError, DomainError, EvaluationError, PoleAtOne
+from .errors import DetlineError, DomainError, EvaluationError, PoleAtOne, _array, _number
 from .tolerances import DEFAULT_FD_STEP, LOG_GAMMA_TOL, POLE_DISTANCE
 
 __all__ = [
@@ -109,20 +109,16 @@ class HurwitzParams:
     a: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.s, numbers.Complex) or isinstance(self.s, bool):
-            raise DomainError(f"s must be a complex number, got {self.s!r}")
-        if not isinstance(self.a, numbers.Real) or isinstance(self.a, bool) or not 0 < self.a <= 1:
+        _number(self.s, numbers.Complex, "s must be a complex number")
+        if not 0 < _number(self.a, numbers.Real, "shift a must be a real number") <= 1:
             raise DomainError(f"shift a must be a real number in (0, 1], got {self.a!r}")
 
 
 def _open_unit_points(value, what: str) -> np.ndarray:
-    """A real number or an array of them, each in (0, 1), as a float array of at
-    least one dimension; anything else (NaN, a complex, a bool, a string)
-    raises DomainError."""
-    points = np.asarray(value)
-    if points.dtype.kind not in "iuf":
-        raise DomainError(f"{what} must be a real number or an array of them, got {value!r}")
-    points = np.array(points, dtype=float, ndmin=1)
+    """A real number or an array of them (``errors._array`` of kinds "iuf"),
+    each in (0, 1), as a float array of at least one dimension; anything
+    else, NaN included, raises DomainError."""
+    points = np.array(_array(value, "iuf", f"{what} must be a real number"), dtype=float, ndmin=1)
     outside = ~((points > 0.0) & (points < 1.0))
     if outside.any():
         raise DomainError(f"{what} must lie in (0, 1), got {points[outside][0]}")
@@ -296,10 +292,8 @@ class FdStencil:
     kind: StencilKind = "laplacian-2d"
 
     def __post_init__(self) -> None:
-        step = self.step
-        real = isinstance(step, numbers.Real) and not isinstance(step, bool)
-        if not (real and math.isfinite(step) and step > 0):
-            raise DomainError(f"step must be a finite positive real number, got {step!r}")
+        if not 0 < _number(self.step, numbers.Real, "step must be a real number") < math.inf:
+            raise DomainError(f"step must be a finite positive real number, got {self.step!r}")
         if self.kind not in ("first-derivative", "laplacian-2d"):
             raise DomainError(f"unknown stencil kind {self.kind!r}")
 
@@ -325,15 +319,14 @@ def _stencil_points(at: tuple[Any, Any], st: FdStencil, axis: int) -> list[tuple
     field receives them; the coordinates are floats or arrays, as in ``at``.
     An axis other than the integer 0 or 1, or a centre that is no pair of
     real numbers or arrays of them, raises DomainError."""
-    if isinstance(axis, bool) or not isinstance(axis, numbers.Integral) or axis not in (0, 1):
+    if _number(axis, numbers.Integral, "axis must be 0 or 1") not in (0, 1):
         raise DomainError(f"axis must be 0 or 1, got {axis!r}")
     try:
         x0, y0 = at
-        real = all(np.asarray(c).dtype.kind in "iuf" for c in (x0, y0))
-    except (TypeError, ValueError):
-        real = False
-    if not real:
-        raise DomainError(f"stencil centre must be a pair of real coordinates, got {at!r}")
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"stencil centre must be a pair of real coordinates, got {at!r}") from exc
+    for c in (x0, y0):
+        _array(c, "iuf", "stencil centre must be a pair of real coordinates")
     h = st.step
     offsets = [k for k, _ in _WEIGHTS[st.kind]]
     if st.kind == "first-derivative":
@@ -374,7 +367,8 @@ def fd_apply(
     field with large samples, such as the chart layer's d x d blocks, stays
     lazy for that reason (the module docstring gives the memory it saves).
     Every sample enters the result, so one non-finite sample makes the
-    result non-finite: finiteness is checked once, on the result.  An array
+    result non-finite: finiteness is checked once, on the result, and numpy
+    warns of none on the way (inf - inf, overflow).  An array
     without a leading axis of length n, or an iterator that ends early,
     raises ``EvaluationError``.  A ``DetlineError`` from the field
     propagates unchanged; any other exception becomes an
@@ -427,7 +421,8 @@ def fd_apply(
 
         scale = h * h
     (_, w0), (_, w1) = _WEIGHTS[st.kind]
-    result = (term(w0) + term(w1)) / scale
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: reported below
+        result = (term(w0) + term(w1)) / scale
     if not np.isfinite(result).all():
         raise EvaluationError(f"stencil result is not finite at ({x0}, {y0}): {result}")
     return result

@@ -283,6 +283,18 @@ def strict_json(text):
     return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in JSON output"))
 
 
+def test_a_row_failing_on_nan_writes_null_into_the_report_json(tmp_path, capsys, monkeypatch):
+    # the file held "observed": NaN three times, which a strict parser refuses
+    monkeypatch.setattr(gr, "eta_invariant_spectral", lambda a: np.nan * np.asarray(a, float))
+    path = tmp_path / "report.json"
+    assert cli.main(["verify", "grassmannian", "--seed", "7", "--json", str(path)]) == 1
+    failed = [case for case in strict_json(path.read_text())["cases"] if case["status"] == "fail"]
+    assert [case["observed"] for case in failed] == [None] * 3
+    assert capsys.readouterr().out.count("observed=nan") == 3
+    document = report.run_suite("grassmannian", 7)
+    assert sum(math.isnan(c.observed) for c in document.cases if c.status == "fail") == 3
+
+
 def test_cli_zeta_det_at_a_large_chart_point(capsys):
     # 1 + |z|^2 overflowed above |z| = 1.3e154 and "closed" printed NaN
     assert cli.main(["zeta-det", "--z", "1e160,0"]) == 0
