@@ -24,7 +24,7 @@ from .errors import (
     PoleAtOne,
     WindowOverflow,
 )
-from .specfun import FdStencil, HurwitzParams, fd_apply, hurwitz_zeta, hurwitz_zeta_ds0
+from .specfun import fd_apply, hurwitz_zeta, hurwitz_zeta_ds0
 from .interval_cp1 import (
     BoundaryProjection2,
     SpectralDatum,

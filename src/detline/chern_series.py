@@ -7,10 +7,10 @@ and exponentials run on Python ints: each operand is written over one common
 denominator, the integer numerators are convolved, and each result Fraction is
 built once, so every coefficient is the exact value a Fraction-by-Fraction
 product gives.  A coefficient or an exponential's multiple must be a finite
-real number, a cap an integer of at least 2 and the pushforward
-coefficient's twist an integer, each by ``errors._number`` (a bool is no
-number); anything else raises DomainError, as does a coefficient sequence
-that is no sequence.
+real number, a cap, a coefficient index and the pushforward coefficient's
+twist an integer, each by ``errors._number`` (a bool is no number);
+anything else raises DomainError, as does a coefficient sequence that is no
+sequence and an operand of + or * that is no RationalSeries.
 """
 
 from __future__ import annotations
@@ -89,16 +89,16 @@ class RationalSeries:
         return RationalSeries.from_list([Fraction(1)], cap)
 
     def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k]
+        return self.coeffs[_number(k, numbers.Integral, "a coefficient index must be an integer")]
 
     def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        cap = min(self.cap, other.cap)
+        cap = min(self.cap, _operand(other).cap)
         return RationalSeries(
             tuple(self.coeffs[k] + other.coeffs[k] for k in range(cap + 1)), cap
         )
 
     def __mul__(self, other: "RationalSeries") -> "RationalSeries":
-        cap = min(self.cap, other.cap)
+        cap = min(self.cap, _operand(other).cap)
         a, qa = _over_common_denominator(self.coeffs[: cap + 1])
         b, qb = _over_common_denominator(other.coeffs[: cap + 1])
         out = [0] * (cap + 1)
@@ -120,6 +120,13 @@ class RationalSeries:
                 acc += self.coeffs[k] * inv[n - k]
             inv.append(-acc / self.coeffs[0])
         return RationalSeries(tuple(inv), self.cap)
+
+
+def _operand(value) -> RationalSeries:
+    """value when it is a RationalSeries, else DomainError."""
+    if isinstance(value, RationalSeries):
+        return value
+    raise DomainError(f"a series operand must be a RationalSeries, got {value!r}")
 
 
 def _todd_denominator(cap: int) -> RationalSeries:

@@ -149,10 +149,9 @@ from .errors import (
     _array,
     _number,
 )
-from .specfun import FdStencil, _hurwitz_em, _open_unit_points, fd_apply
+from .specfun import _hurwitz_em, _open_unit_points, fd_apply
 from .tolerances import (
     CHART_SVD_THRESHOLD,
-    DEFAULT_FD_STEP,
     PROJECTION_TOL,
     RANK_SVD_THRESHOLD,
     ROUNDING_TOL,
@@ -192,8 +191,8 @@ TAIL_IDENTITY = (1.0 + 0j, 1.0 + 0j)
 TAIL_ZERO = (0.0 + 0j, 0.0 + 0j)
 TAIL_APS = (1.0 + 0j, 0.0 + 0j)
 
-# The first-derivative stencil of the chart layer, at DEFAULT_FD_STEP.
-_D1 = FdStencil(DEFAULT_FD_STEP, "first-derivative")
+# The first-derivative stencil of the chart layer.
+_D1 = "first-derivative"
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,12 @@ double.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, DomainError, _array, _number
-from .specfun import FdStencil, _open_unit_points, fd_apply, hurwitz_zeta_ds0
+from .errors import DegenerateSpectrum, DomainError, _array
+from .specfun import _open_unit_points, fd_apply, hurwitz_zeta_ds0
 from .tolerances import DEFAULT_FD_STEP, DEGENERACY_TOL, ROUNDING_TOL, TOL_CURVATURE
 
 __all__ = [
@@ -69,9 +68,6 @@ DET_TO_S_CONSTANT = 4.0
 # Radius around z = -1 (zero mode) excluded from spectral and curvature grids.
 EXCLUSION_RADIUS = 0.2
 
-# The Laplacian stencil of quillen_curvature_fd, at step DEFAULT_FD_STEP.
-_LAPLACIAN = FdStencil(kind="laplacian-2d")
-
 # Chart points per fd_apply call of quillen_curvature_fd: the stencil's nine
 # samples of a block (18k Hurwitz shifts) go through the spectral route in
 # one pass, and arrays of that size stay in cache.  In one pass, 10^4 points
@@ -83,22 +79,16 @@ _CURVATURE_BLOCK = 1024
 class BoundaryProjection2:
     """A rank-one Hermitian idempotent on C^2 (a boundary condition).
 
-    chart is the defining chart point, or None for the point at infinity.
     The entries, and the vector ``apply`` takes, are finite numbers (bools
-    read as 0 and 1) by ``errors._array``, and chart is None or a finite
-    number by ``errors._number``; anything else raises DomainError.
+    read as 0 and 1) by ``errors._array``; anything else raises DomainError.
     """
 
     entries: np.ndarray
-    chart: complex | None
 
     def __post_init__(self) -> None:
         m = np.asarray(_array(self.entries, "biufc", "entries must be numbers"), dtype=complex)
         if m.shape != (2, 2) or not np.isfinite(m).all():
             raise DomainError(f"expected a finite 2x2 matrix, got {self.entries!r}")
-        what = "chart must be None or a finite number"
-        if self.chart is not None and not np.isfinite(_number(self.chart, numbers.Complex, what)):
-            raise DomainError(f"{what}, got {self.chart!r}")
         if not np.max(np.abs(m - m.conj().T)) <= ROUNDING_TOL:
             raise DomainError("projection is not Hermitian")
         if not np.max(np.abs(m @ m - m)) <= ROUNDING_TOL:
@@ -200,24 +190,24 @@ def _like(value: np.ndarray, z):
     return value.reshape(-1)[0].item() if np.ndim(z) == 0 else value
 
 
-def _rank_one(v: np.ndarray, chart: complex | None) -> BoundaryProjection2:
+def _rank_one(v: np.ndarray) -> BoundaryProjection2:
     """The orthogonal projection onto span{v}, from v divided by the least
     power of two above its largest modulus, so no square overflows and no
     bit moves (see ``_scaled``)."""
     v = np.asarray(v, dtype=complex)
     v = _times(v, math.ldexp(1.0, -math.frexp(np.max(_modulus(v)))[1]))
-    return BoundaryProjection2(np.outer(v, v.conj()) / np.vdot(v, v), chart)
+    return BoundaryProjection2(np.outer(v, v.conj()) / np.vdot(v, v))
 
 
 def projection_from_chart(z: complex) -> BoundaryProjection2:
     """Orthogonal projection onto span{(1, z)}: the boundary condition P_z."""
     z = _chart_point(z)
-    return _rank_one(np.array([1.0, z]), z)
+    return _rank_one(np.array([1.0, z]))
 
 
 def projection_at_infinity() -> BoundaryProjection2:
     """The remaining point of the projective line: projection diag(0, 1)."""
-    return BoundaryProjection2(np.diag([0.0, 1.0]).astype(complex), None)
+    return BoundaryProjection2(np.diag([0.0, 1.0]).astype(complex))
 
 
 def adjoint_projection(z: complex) -> BoundaryProjection2:
@@ -229,10 +219,10 @@ def adjoint_projection(z: complex) -> BoundaryProjection2:
     phi(2pi) = -z phi(0).  The adjoint condition therefore kills Cauchy data
     proportional to (1, -z), so the adjoint projection is the orthogonal
     projection onto span{(conj(z), 1)}, equal to I minus the projection onto
-    span{(1, -z)}.
+    span{(1, -z)}: P at the chart point 1/conj(z), or at infinity for z = 0.
     """
     z = _chart_point(z)
-    return _rank_one(np.array([z.conjugate(), 1.0]), z)
+    return _rank_one(np.array([z.conjugate(), 1.0]))
 
 
 def alpha_of(z: complex | np.ndarray) -> SpectralDatum:
@@ -391,17 +381,18 @@ def _curvature_fd(points: np.ndarray) -> np.ndarray:
     k = np.empty(flat.shape)
     for start in range(0, flat.size, _CURVATURE_BLOCK):
         block = flat[start : start + _CURVATURE_BLOCK]
-        k[start : start + block.size] = fd_apply(log_det, (block.real, block.imag), _LAPLACIAN)
+        k[start : start + block.size] = fd_apply(log_det, (block.real, block.imag), "laplacian-2d")
     return -0.25 * k.reshape(points.shape)
 
 
 def calderon_projection_interval() -> BoundaryProjection2:
     """Projection onto the Cauchy data of Ker D.
 
-    Solutions of i psi' = 0 are the constants, with data (c, c); the
-    projection onto span{(1, 1)} coincides with the chart point z = 1.
+    Solutions of i psi' = 0 are the constants, with data (c, c); this is
+    the orthogonal projection v v* / |v|^2 onto their span, v = (1, 1).
     """
-    return projection_from_chart(1.0)
+    v = np.ones(2, dtype=complex)
+    return BoundaryProjection2(np.outer(v, v) / np.vdot(v, v))
 
 
 def s_of_p(z: complex | np.ndarray) -> complex | np.ndarray:

@@ -279,13 +279,9 @@ def eta_offset_error(offsets) -> Routes:
     return Routes(gr.eta_invariant_spectral(a), 1.0 - 2.0 * a)
 
 
-def eta_flip_error(rng: np.random.Generator, w: gr.ModeWindow) -> Routes:
-    """The two sides of eta_finite_rank_check over 20 random (offset, flip) pairs."""
-    checks = [
-        gr.eta_finite_rank_check(float(rng.uniform(0.05, 0.95)), int(rng.integers(-6, 7)), w)
-        for _ in range(20)
-    ]
-    return Routes(*np.array(checks).T)
+def eta_flip_error(samples, w: gr.ModeWindow) -> Routes:
+    """The two sides of eta_finite_rank_check over (offset, flip) samples."""
+    return Routes(*np.array([gr.eta_finite_rank_check(a, flip, w) for a, flip in samples]).T)
 
 
 def _stacked(points) -> tuple[np.ndarray, np.ndarray]:
@@ -528,6 +524,12 @@ def _suite_cp1(rng: np.random.Generator) -> Iterator[Row]:
 # boundary Grassmannian suite
 
 
+def _random_flips(rng: np.random.Generator, count: int) -> list[tuple[float, int]]:
+    """count (offset, flip) pairs for eta_flip_error: a in (0.05, 0.95), a
+    flip mode in -6..6."""
+    return [(float(rng.uniform(0.05, 0.95)), int(rng.integers(-6, 7))) for _ in range(count)]
+
+
 def _conjugated_projection(
     rng: np.random.Generator, window: gr.ModeWindow, cut: int
 ) -> gr.ModeOperator:
@@ -591,7 +593,7 @@ def _suite_grassmannian(rng: np.random.Generator) -> Iterator[Row]:
     yield (
         "finite-rank eta perturbation, 20 random (a, flip) pairs",
         "relative-eta-of-spectral-flips",
-        eta_flip_error(rng, w),
+        eta_flip_error(_random_flips(rng, 20), w),
         0.0,
         TOL_ETA,
     )
@@ -1113,8 +1115,11 @@ def curvature_grid(
     density underflows and relative errors are undefined, raises DomainError
     and writes nothing.  Both writers read _grid_rows' column table: CSV
     rows through csv.writer, JSON rows through _json_rows, in the bytes of
-    json.dumps(document, indent=2) over one dict per row.
+    json.dumps(document, indent=2) over one dict per row.  A grid that is no
+    GridSpec, or a format other than "csv" or "json", raises DomainError.
     """
+    if not isinstance(g, GridSpec):
+        raise DomainError(f"the grid must be a GridSpec, got {g!r}")
     if out_format not in ("csv", "json"):
         raise DomainError(f"out_format must be 'csv' or 'json', got {out_format!r}")
     if path is not None:

@@ -3,8 +3,9 @@ s-derivative at s = 0, and the one finite-difference stencil applier.
 
 The continuation is one fixed Euler-Maclaurin rule: a direct sum over the
 first DEFAULT_CUTOFF = 50 terms, the integral and half-term corrections, and
-DEFAULT_EM_ORDER = 8 Bernoulli correction terms.  The result carries at least
-12 significant digits for s near 0 and shifts a in (0.01, 1].
+DEFAULT_EM_ORDER = 8 Bernoulli correction terms, one per entry of its table
+of B_2 .. B_16.  The result carries at least 12 significant digits for s
+near 0 and shifts a in (0.01, 1].
 ``hurwitz_zeta`` accepts s only in the region Re s >= -2, |Im s| <= 60, where
 it stays within 1e-10 of mpmath.zeta measured as |err| / max(1, |zeta|)
 (worst seen 3.3e-11, at Re s = -2).  Outside it the fixed cutoff and order
@@ -36,7 +37,7 @@ the scalar kernel took 8.3 s.
 field.  Its one stencil is the order-4 central difference, applied as
 paired differences f(+k) - f(-k) (first derivative) and f(+k) + f(-k) -
 2 f(0) along each axis (Laplacian), so a constant field gives exactly 0.
-Its step is fixed in code: every stencil of the library, nested ones
+It takes the kind of stencil and no step: every stencil, nested ones
 included, runs at DEFAULT_FD_STEP.  It calls the field once, with the
 coordinates of all its samples stacked along a leading axis, and the field
 decides how they are evaluated: by returning an array it evaluates them in
@@ -59,7 +60,6 @@ import cmath
 import decimal
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Literal
 
 import numpy as np
@@ -68,8 +68,6 @@ from .errors import DetlineError, DomainError, EvaluationError, PoleAtOne, _arra
 from .tolerances import DEFAULT_FD_STEP, LOG_GAMMA_TOL, POLE_DISTANCE
 
 __all__ = [
-    "HurwitzParams",
-    "FdStencil",
     "hurwitz_zeta",
     "hurwitz_zeta_ds0",
     "fd_apply",
@@ -80,7 +78,6 @@ __all__ = [
     "S_IM_MAX",
 ]
 
-DEFAULT_EM_ORDER = 8
 DEFAULT_CUTOFF = 50
 
 # Region of s where the default Euler-Maclaurin evaluation is validated.
@@ -98,20 +95,7 @@ _BERNOULLI_EVEN = [
     7.0 / 6,
     -3617.0 / 510,
 ]
-
-
-@dataclass(frozen=True)
-class HurwitzParams:
-    """Arguments of the Hurwitz zeta evaluation zeta(s, a) = sum (n+a)^-s;
-    a must lie in (0, 1]."""
-
-    s: complex
-    a: float
-
-    def __post_init__(self) -> None:
-        _number(self.s, numbers.Complex, "s must be a complex number")
-        if not 0 < _number(self.a, numbers.Real, "shift a must be a real number") <= 1:
-            raise DomainError(f"shift a must be a real number in (0, 1], got {self.a!r}")
+DEFAULT_EM_ORDER = len(_BERNOULLI_EVEN)
 
 
 def _open_unit_points(value, what: str) -> np.ndarray:
@@ -166,30 +150,34 @@ def _hurwitz_em(s: complex, a: float | np.ndarray) -> np.ndarray:
     return total.reshape(points.shape)
 
 
-def hurwitz_zeta(p: HurwitzParams) -> complex:
+def hurwitz_zeta(s: complex, a: float) -> complex:
     """Analytic continuation of sum_{n>=0} (n + a)^(-s).
 
     Agrees with the direct sum for Re s > 1 and continues it elsewhere;
-    the only singularity is the simple pole at s = 1.  s must lie in the
-    validated region Re s >= S_RE_MIN, |Im s| <= S_IM_MAX; elsewhere the
-    fixed cutoff is too short and the result would be silently wrong, so
-    DomainError is raised.  It is raised too where a term leaves the double
-    range (a^-s for a = 0.01 at Re s > 154, the Bernoulli terms near
-    Re s = 1e21), which would otherwise end in inf or a silent NaN.
+    the only singularity is the simple pole at s = 1.  s must be a complex
+    number and a a real number in (0, 1], each by ``errors._number``, or
+    DomainError is raised.  s must lie in the validated region
+    Re s >= S_RE_MIN, |Im s| <= S_IM_MAX; elsewhere the fixed cutoff is too
+    short and the result would be silently wrong, so DomainError is raised.
+    It is raised too where a term leaves the double range (a^-s for
+    a = 0.01 at Re s > 154, the Bernoulli terms near Re s = 1e21), which
+    would otherwise end in inf or a silent NaN.
     """
-    s = complex(p.s)
+    _number(s, numbers.Complex, "s must be a complex number")
+    if not 0 < _number(a, numbers.Real, "shift a must be a real number") <= 1:
+        raise DomainError(f"shift a must be a real number in (0, 1], got {a!r}")
     if not (s.real >= S_RE_MIN and abs(s.imag) <= S_IM_MAX):
         raise DomainError(
-            f"s = {p.s} lies outside the validated region Re s >= {S_RE_MIN}, "
+            f"s = {s} lies outside the validated region Re s >= {S_RE_MIN}, "
             f"|Im s| <= {S_IM_MAX}"
         )
-    if abs(p.s - 1.0) < POLE_DISTANCE:
-        raise PoleAtOne(f"zeta(s, a) has a pole at s = 1 (got s = {p.s})")
+    if abs(s - 1.0) < POLE_DISTANCE:
+        raise PoleAtOne(f"zeta(s, a) has a pole at s = 1 (got s = {s})")
     with np.errstate(all="ignore"):
-        value = complex(_hurwitz_em(p.s, p.a))
+        value = complex(_hurwitz_em(s, a))
     if cmath.isfinite(value):
         return value
-    raise DomainError(f"zeta(s, a) at s = {p.s}, a = {p.a} leaves the double range")
+    raise DomainError(f"zeta(s, a) at s = {s}, a = {a} leaves the double range")
 
 
 def _ds0_constant() -> float:
@@ -282,22 +270,6 @@ _WEIGHTS = {
 }
 
 
-@dataclass(frozen=True)
-class FdStencil:
-    """The order-4 central finite-difference stencil, applied as paired
-    differences: its finite positive step (DEFAULT_FD_STEP unless given) and
-    whether it takes a first derivative or the 2-D Laplacian."""
-
-    step: float = DEFAULT_FD_STEP
-    kind: StencilKind = "laplacian-2d"
-
-    def __post_init__(self) -> None:
-        if not 0 < _number(self.step, numbers.Real, "step must be a real number") < math.inf:
-            raise DomainError(f"step must be a finite positive real number, got {self.step!r}")
-        if self.kind not in ("first-derivative", "laplacian-2d"):
-            raise DomainError(f"unknown stencil kind {self.kind!r}")
-
-
 def _samples(values: Any, n: int) -> Iterator[Any]:
     """The n samples a field returned, in order: the rows of an array, or the
     items of any other iterable.  An array without a leading axis of length
@@ -314,11 +286,14 @@ def _numeric(value: Any) -> bool:
     return isinstance(value, numbers.Complex) and not isinstance(value, bool)
 
 
-def _stencil_points(at: tuple[Any, Any], st: FdStencil, axis: int) -> list[tuple[Any, Any]]:
+def _stencil_points(at: tuple[Any, Any], kind: StencilKind, axis: int) -> list[tuple[Any, Any]]:
     """The sample points of fd_apply's stencil around ``at``, in the order the
     field receives them; the coordinates are floats or arrays, as in ``at``.
-    An axis other than the integer 0 or 1, or a centre that is no pair of
-    real numbers or arrays of them, raises DomainError."""
+    A kind other than "first-derivative" or "laplacian-2d", an axis other
+    than the integer 0 or 1, or a centre that is no pair of real numbers or
+    arrays of them, raises DomainError."""
+    if not isinstance(kind, str) or kind not in _WEIGHTS:
+        raise DomainError(f"unknown stencil kind {kind!r}")
     if _number(axis, numbers.Integral, "axis must be 0 or 1") not in (0, 1):
         raise DomainError(f"axis must be 0 or 1, got {axis!r}")
     try:
@@ -327,9 +302,9 @@ def _stencil_points(at: tuple[Any, Any], st: FdStencil, axis: int) -> list[tuple
         raise DomainError(f"stencil centre must be a pair of real coordinates, got {at!r}") from exc
     for c in (x0, y0):
         _array(c, "iuf", "stencil centre must be a pair of real coordinates")
-    h = st.step
-    offsets = [k for k, _ in _WEIGHTS[st.kind]]
-    if st.kind == "first-derivative":
+    h = DEFAULT_FD_STEP
+    offsets = [k for k, _ in _WEIGHTS[kind]]
+    if kind == "first-derivative":
         steps = [(sign * k, axis) for k in offsets for sign in (1, -1)]
     else:
         steps = [(0, 0)] + [(sign * k, a) for k in offsets for a in (0, 1) for sign in (1, -1)]
@@ -339,12 +314,14 @@ def _stencil_points(at: tuple[Any, Any], st: FdStencil, axis: int) -> list[tuple
 def fd_apply(
     f: Callable[[np.ndarray, np.ndarray], Any],
     at: tuple[float, float],
-    st: FdStencil,
+    kind: StencilKind,
     axis: int = 0,
 ) -> Any:
-    """Apply the stencil to a scalar or array field on the plane.
+    """Apply the stencil of ``kind`` to a scalar or array field on the plane,
+    at the step h = DEFAULT_FD_STEP.
 
-    ``axis`` must be 0 (the first coordinate) or 1 for either kind.  kind
+    ``kind`` is "first-derivative" or "laplacian-2d"; ``axis`` must be 0
+    (the first coordinate) or 1 for either kind.  kind
     "first-derivative" estimates the partial derivative along ``axis`` as
     sum_k w_k (f(+k) - f(-k)) / h; kind "laplacian-2d" estimates the
     analyst's Laplacian f_xx + f_yy as
@@ -373,13 +350,13 @@ def fd_apply(
     raises ``EvaluationError``.  A ``DetlineError`` from the field
     propagates unchanged; any other exception becomes an
     ``EvaluationError`` naming the sample's coordinates for a lazy field
-    and the stencil centre for an array field.  An axis other than the
-    integer 0 or 1, or a centre that is no pair of real numbers or arrays
-    of them, raises ``DomainError``.
+    and the stencil centre for an array field.  An unknown kind, an axis
+    other than the integer 0 or 1, or a centre that is no pair of real
+    numbers or arrays of them, raises ``DomainError``.
     """
-    points = _stencil_points(at, st, axis)
+    points = _stencil_points(at, kind, axis)
     x0, y0 = at
-    h = st.step
+    h = DEFAULT_FD_STEP
     try:
         values = f(np.array([x for x, _ in points]), np.array([y for _, y in points]))
         samples = _samples(values, len(points))
@@ -405,7 +382,7 @@ def fd_apply(
             )
         return value
 
-    if st.kind == "first-derivative":
+    if kind == "first-derivative":
 
         def term(weight: float) -> Any:
             return weight * (sample() - sample())
@@ -420,7 +397,7 @@ def fd_apply(
             return weight * (ring - 4.0 * centre)
 
         scale = h * h
-    (_, w0), (_, w1) = _WEIGHTS[st.kind]
+    (_, w0), (_, w1) = _WEIGHTS[kind]
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: reported below
         result = (term(w0) + term(w1)) / scale
     if not np.isfinite(result).all():

@@ -19,8 +19,8 @@ DEGENERACY_TOL = 1e-10  # |u - 1| = 2 sin(pi alpha) below it: the interval probl
 POLE_DISTANCE = 1e-12  # distance from s = 1 at which hurwitz_zeta reports the pole
 LOG_GAMMA_TOL = 1e-10  # hurwitz_zeta_ds0 vs log Gamma(a) - log(2 pi)/2; the kernel errs by 1.4e-15
 
-# The step of every stencil the library takes, nested ones (curvature_rkw)
-# included; FdStencil(step=...) still sets another for direct callers of fd_apply.
+# The step of every stencil fd_apply takes, nested ones (curvature_rkw)
+# included; no argument sets another.
 DEFAULT_FD_STEP = 1e-3  # order-4 truncation h^4 vs rounding eps / h^k
 
 # Report tolerances, one per identity; the suites and the acceptance tests share them.

@@ -25,12 +25,13 @@ from detline.errors import (
     NotInvertible,
     WindowOverflow,
 )
-from detline.specfun import FdStencil, fd_apply
+from detline.specfun import fd_apply
 from detline.tolerances import DEFAULT_FD_STEP, PROJECTION_TOL
 
 RNG = np.random.default_rng(20240811)
 W = gr.ModeWindow(4)
 PI0 = gr.spectral_projection(W, 0)
+D1 = "first-derivative"
 
 
 def random_unitary(dim, rng=RNG):
@@ -390,12 +391,11 @@ def test_connection_form_matches_numpy_pinv(base_kind, perturbed):
         p = fam(t1, t2).entries
         return (p + p @ sig @ p) @ b if perturbed else p @ b
 
-    st = FdStencil(kind="first-derivative")
     for t in ((0.3, 0.45), (0.71, 0.12)):
         p = fam(*t).entries
         s_pinv = np.linalg.pinv(s_at(*t), rcond=gr.RANK_SVD_THRESHOLD)
         for axis in (0, 1):
-            ds = fd_apply(gr._each(s_at), t, st, axis)
+            ds = fd_apply(gr._each(s_at), t, D1, axis)
             expected = np.trace(s_pinv @ p @ ds @ b)
             value = gr.connection_form(undeclared(fam), base, t, axis, perturbation=sigma)
             assert abs(value - expected) < 1e-12
@@ -1232,7 +1232,6 @@ def test_patching_identity_lhs_matches_dense_definition(base_kind):
     u = (vectors * np.exp(1j * eigenvalues)) @ vectors.conj().T
     fam2, _ = conjugated(fam1, base.entries, u)
     b = base.entries
-    st = FdStencil(kind="first-derivative")
 
     def g(t1, t2):
         return dense_ratio(fam1(t1, t2).entries @ b, fam2(t1, t2).entries @ b, b)
@@ -1241,7 +1240,7 @@ def test_patching_identity_lhs_matches_dense_definition(base_kind):
     for t in ((0.3, 0.45), (0.62, 0.2)):
         for axis in (0, 1):
             lhs, _ = gr.patching_identity_check(fam1, fam2, base, t, axis)
-            expected = fd_apply(gr._each(g), t, st, axis) / g(*t)
+            expected = fd_apply(gr._each(g), t, D1, axis) / g(*t)
             assert abs(lhs - expected) < 1e-10
             moved = max(moved, abs(expected))
     assert moved > 0.4
@@ -1357,10 +1356,9 @@ def near_a_singular_identity_chart(w, fam, base, t1, dense_tol, form_tol=1e-13):
 
     # the stencil route on the undeclared copy, the declared route against
     # the reference with the exact d P
-    st = FdStencil(kind="first-derivative")
     s_pinv = np.linalg.pinv(s_at(*t), rcond=gr.RANK_SVD_THRESHOLD)
     for axis in (0, 1):
-        ds = fd_apply(gr._each(s_at), t, st, axis)
+        ds = fd_apply(gr._each(s_at), t, D1, axis)
         expected = np.trace(s_pinv @ p @ ds @ b)
         value = gr.connection_form(undeclared(fam), base, t, axis, perturbation=charts[0])
         assert abs(value - expected) <= form_tol * abs(expected)
@@ -1729,7 +1727,6 @@ def test_singular_chart_is_reported_before_a_failing_stencil_sample():
         gr.curvature_rkw(raising_near_one(False), PI0, (1.0, 0.35))
 
 
-D1 = FdStencil(kind="first-derivative")
 ROUTES_AT = [
     pytest.param((0.35, 0.6), id="one-point"),
     pytest.param((STACK_T1[:3], STACK_T2[:3]), id="three-points"),

@@ -22,8 +22,7 @@ W = detline.ModeWindow(2)
 PI0 = detline.spectral_projection(W, 0)
 ROTATED = detline.rotated_family(W, (-1, 0))
 P_HALF = detline.projection_from_chart(0.5)
-LAPLACIAN = detline.FdStencil(kind="laplacian-2d")
-D1 = detline.FdStencil(kind="first-derivative")
+SERIES = detline.RationalSeries.from_list([1, 2], 2)
 
 
 def field(x, y):
@@ -37,19 +36,13 @@ def at_t1(call):
 
 # slot -> (call taking the value, a valid value)
 SLOTS = {
-    "FdStencil.step": (lambda v: detline.FdStencil(step=v), 1e-3),
-    # HurwitzParams holds s; hurwitz_zeta checks it against the validated region
-    "HurwitzParams.s": (lambda v: detline.hurwitz_zeta(detline.HurwitzParams(v, 0.5)), 0.5),
-    "HurwitzParams.a": (lambda v: detline.hurwitz_zeta(detline.HurwitzParams(0.5, v)), 0.5),
+    "hurwitz_zeta.s": (lambda v: detline.hurwitz_zeta(v, 0.5), 0.5),
+    "hurwitz_zeta.a": (lambda v: detline.hurwitz_zeta(0.5, v), 0.5),
     "hurwitz_zeta_ds0.a": (detline.hurwitz_zeta_ds0, np.array([0.25, 0.5])),
-    "fd_apply.at[0]": (lambda v: detline.fd_apply(field, (v, 0.2), LAPLACIAN), 0.1),
-    "fd_apply.at[1]": (lambda v: detline.fd_apply(field, (0.1, v), LAPLACIAN), 0.2),
-    "fd_apply.axis": (lambda v: detline.fd_apply(field, (0.1, 0.2), D1, v), 1),
-    "BoundaryProjection2.entries": (
-        lambda v: detline.BoundaryProjection2(v, 0.5),
-        P_HALF.entries,
-    ),
-    "BoundaryProjection2.chart": (lambda v: detline.BoundaryProjection2(P_HALF.entries, v), 0.5),
+    "fd_apply.at[0]": (lambda v: detline.fd_apply(field, (v, 0.2), "laplacian-2d"), 0.1),
+    "fd_apply.at[1]": (lambda v: detline.fd_apply(field, (0.1, v), "laplacian-2d"), 0.2),
+    "fd_apply.axis": (lambda v: detline.fd_apply(field, (0.1, 0.2), "first-derivative", v), 1),
+    "BoundaryProjection2.entries": (detline.BoundaryProjection2, P_HALF.entries),
     "BoundaryProjection2.apply": (P_HALF.apply, np.array([1.0, 0.5])),
     "SpectralDatum.alpha": (lambda v: detline.SpectralDatum(v, 1j), 0.25),
     "SpectralDatum.z": (lambda v: detline.SpectralDatum(0.25, v), 1j),
@@ -140,7 +133,6 @@ SLOTS = {
 # (slot, input) pairs the library documents that it accepts, with the reason
 ACCEPTED = {
     ("ModeOperator.entries", "bool"): "entries read a bool as 0 or 1",
-    ("BoundaryProjection2.chart", "None"): "None is the point at infinity",
     ("BoundaryProjection2.apply", "bool"): "the vector reads a bool as 0 or 1, as the entries do",
     ("DetPoint.is_zero", "bool"): "is_zero is a bool",
     ("RationalSeries.coeffs", "object"): "exact rationals: numpy holds Fractions only as objects",
@@ -175,7 +167,6 @@ def test_every_export_taking_a_number_has_a_slot():
     takes_no_number = {
         "calderon_projection_interval",
         "projection_at_infinity",
-        "hurwitz_zeta",
         "fredholm_det",
         "relative_eta",
         "relative_index",
@@ -217,7 +208,7 @@ def test_every_numeric_argument_refuses_what_is_no_number(slot, kind):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: detline.BoundaryProjection2([[1, 0], [0]], None),
+        lambda: detline.BoundaryProjection2([[1, 0], [0]]),
         lambda: detline.projection_at_infinity().apply([[1], [0, 1]]),
         lambda: detline.hurwitz_zeta_ds0([[0.1, 0.2], [0.3]]),
         lambda: detline.eta_invariant_spectral([[0.1, 0.2], [0.3]]),
@@ -226,6 +217,14 @@ def test_every_numeric_argument_refuses_what_is_no_number(slot, kind):
         lambda: detline.DetPoint(PI0, 1.0, [[True, False], [True]]),
         lambda: detline.RationalSeries(None, 2),
         lambda: detline.RationalSeries.from_list(None, 2),
+        lambda: detline.fd_apply(field, (0.1, 0.2), None),
+        lambda: detline.fd_apply(field, (0.1, 0.2), True),
+        lambda: detline.fd_apply(field, (0.1, 0.2), np.array("laplacian-2d", dtype=object)),
+        lambda: detline.curvature_grid(None),
+        lambda: SERIES + 1,
+        lambda: SERIES * 1,
+        lambda: SERIES[True],
+        lambda: SERIES[1.0],
     ],
     ids=[
         "BoundaryProjection2",
@@ -237,10 +236,20 @@ def test_every_numeric_argument_refuses_what_is_no_number(slot, kind):
         "DetPoint.is_zero",
         "RationalSeries",
         "RationalSeries.from_list",
+        "fd_apply.kind-None",
+        "fd_apply.kind-bool",
+        "fd_apply.kind-object",
+        "curvature_grid.g-None",
+        "RationalSeries.__add__",
+        "RationalSeries.__mul__",
+        "RationalSeries.__getitem__-bool",
+        "RationalSeries.__getitem__-float",
     ],
 )
 def test_inputs_that_escaped_as_bare_errors_raise_domain_error(call):
-    # each ended in numpy's ValueError ("inhomogeneous shape") or a TypeError
+    # each ended in numpy's ValueError ("inhomogeneous shape"), a TypeError
+    # or an AttributeError, except series[True], which returned the x^1
+    # coefficient
     with pytest.raises(detline.DomainError):
         call()
 
@@ -249,4 +258,5 @@ def test_the_bools_the_library_accepted_keep_their_values():
     eye = np.eye(W.dim, dtype=bool)
     assert np.array_equal(detline.ModeOperator(W, eye, (1, 1)).entries, np.eye(W.dim))
     entries = np.array([[True, False], [False, False]])
-    assert np.array_equal(detline.BoundaryProjection2(entries, 0.0).entries, [[1, 0], [0, 0]])
+    assert np.array_equal(detline.BoundaryProjection2(entries).entries, [[1, 0], [0, 0]])
+

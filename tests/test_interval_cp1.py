@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from detline import interval_cp1 as cp1
 from detline.errors import DegenerateSpectrum, DomainError
-from detline.specfun import FdStencil, fd_apply
+from detline.specfun import fd_apply
 
 
 def boundary_pairing(p, q):
@@ -108,6 +108,16 @@ def test_adjoint_is_complement_of_reflected_chart():
         assert np.allclose(cp1.adjoint_projection(z).entries, np.eye(2) - reflected, atol=1e-12)
 
 
+def test_adjoint_is_the_chart_point_reflected_through_the_unit_circle():
+    # span{(conj z, 1)} = span{(1, 1/conj z)}: the chart point 1/conj z, and
+    # the point at infinity for z = 0
+    for z in (0.5 + 0.25j, -1.7 - 0.2j, 1e-3j, 3.0, -1.0):
+        reflected = cp1.projection_from_chart(1.0 / np.conj(z)).entries
+        assert np.allclose(cp1.adjoint_projection(z).entries, reflected, rtol=0, atol=1e-15)
+    infinity = cp1.projection_at_infinity().entries
+    assert np.array_equal(cp1.adjoint_projection(0.0).entries, infinity)
+
+
 def quadratic_roots(z):
     n = 1.0 + abs(z) ** 2
     return np.roots([n, 2.0 * (z + np.conj(z)).real, n])
@@ -179,6 +189,7 @@ def test_curvature_guard_near_degenerate_point():
 
 def test_calderon_projection():
     p_d = cp1.calderon_projection_interval()
+    assert np.array_equal(p_d.entries, np.full((2, 2), 0.5))
     assert np.allclose(p_d.entries, cp1.projection_from_chart(1.0).entries, atol=1e-14)
     ones = np.array([1.0, 1.0])
     assert np.linalg.norm(p_d.apply(ones) - ones) < 1e-14
@@ -426,10 +437,10 @@ def walk_points():
     return [-1.0 + r * cmath.exp(1j * phi) for phi in WALK_ANGLES for r in WALK_RADII]
 
 
-def unguarded_curvature(z, st):
+def unguarded_curvature(z):
     """The stencil Laplacian of log det, without the zero-mode guard."""
     field = lambda x, y: np.log(cp1.zeta_det_spectral(x + 1j * y))  # noqa: E731
-    return -0.25 * fd_apply(field, (z.real, z.imag), st)
+    return -0.25 * fd_apply(field, (z.real, z.imag), "laplacian-2d")
 
 
 def test_curvature_is_within_tolerance_or_raises_towards_the_zero_mode():
@@ -445,14 +456,13 @@ def test_curvature_is_within_tolerance_or_raises_towards_the_zero_mode():
 
 
 def test_truncation_bound_is_calibrated_on_walks_to_the_zero_mode():
-    st = FdStencil(kind="laplacian-2d")
     z = np.array(walk_points())
     closed = fubini_study(z)
-    observed = np.abs(unguarded_curvature(z, st) - closed) / closed
+    observed = np.abs(unguarded_curvature(z) - closed) / closed
     bound = cp1.curvature_fd_truncation_bound(z)
     # an upper bound everywhere, up to the next term of the series (12 (h/|1+z|)^4
     # of it) and the rounding floor of the stencil
-    next_term = 12.0 * (st.step / np.abs(1.0 + z)) ** 4
+    next_term = 12.0 * (cp1.DEFAULT_FD_STEP / np.abs(1.0 + z)) ** 4
     assert np.all(observed <= bound * (1.0 + next_term) + 1e-7)
     # and attained where (1+z)^m is real, so the guard refuses no more than it must
     extremal = np.isclose(np.cos(8 * np.angle(1.0 + z)) ** 2, 1.0)
@@ -492,13 +502,12 @@ def test_curvature_far_from_the_origin_is_within_tolerance_or_raises():
 
 
 def test_rounding_bound_is_calibrated_far_from_the_zero_mode():
-    st = FdStencil(kind="laplacian-2d")
     rng = np.random.default_rng(8)
     radii = np.repeat([0.1, 0.5, 1.5, 3.0, 10.0, 30.0, 100.0, 1e3, 1e4], 200)
     z = radii * np.exp(2j * np.pi * rng.uniform(size=radii.size))
     z = z[np.abs(1.0 + z) > cp1.EXCLUSION_RADIUS]
     closed = fubini_study(z)
-    observed = np.abs(unguarded_curvature(z, st) - closed) / closed
+    observed = np.abs(unguarded_curvature(z) - closed) / closed
     rounding = cp1._curvature_fd_rounding_bound(z)
     # an upper bound everywhere, with the truncation bound next to the zero mode
     assert np.all(observed <= rounding + cp1.curvature_fd_truncation_bound(z))
@@ -639,4 +648,4 @@ def test_boundary_projection_refuses_nan_entries():
     # NaN passed each "> ROUNDING_TOL" test
     for entries in ([[math.nan, 0], [0, 1]], [[1, 0], [0, math.nan]]):
         with pytest.raises(DomainError):
-            cp1.BoundaryProjection2(np.array(entries, dtype=complex), None)
+            cp1.BoundaryProjection2(np.array(entries, dtype=complex))

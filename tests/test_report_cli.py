@@ -650,6 +650,18 @@ def test_planted_fault_in_projection_curvature(monkeypatch):
     assert _case(document, "curvature vs closed Kahler density").status == "pass"
 
 
+def test_planted_fault_in_the_chart_projection_fails_the_calderon_row(monkeypatch):
+    # the Calderon projection is built from the Cauchy data of the constants,
+    # not from the chart, so a chart projection read at 1.5 z fails the row
+    # that compares the two at z = 1, and only that row
+    original = cp1.projection_from_chart
+    monkeypatch.setattr(cp1, "projection_from_chart", lambda z: original(1.5 * z))
+    document = report.run_suite("cp1", 7)
+    assert [c.name for c in document.cases if c.status != "pass"] == [
+        "calderon projection equals chart point z=1"
+    ]
+
+
 def test_planted_fault_in_connection_curvature_density(monkeypatch):
     _plant(monkeypatch, gr, "tr_p_dp_dp", lambda density, fam, t: density + 0.01)
     w = gr.ModeWindow(6)
@@ -835,7 +847,8 @@ def test_planted_nan_in_one_eta_flip_sample_fails_its_case(monkeypatch):
         return (math.nan if len(calls) == 5 else lhs), rhs
 
     monkeypatch.setattr(gr, "eta_finite_rank_check", planted)
-    flips = report.eta_flip_error(np.random.default_rng(1), gr.ModeWindow(6))
+    samples = report._random_flips(np.random.default_rng(1), 20)
+    flips = report.eta_flip_error(samples, gr.ModeWindow(6))
     assert math.isnan(report.worst(flips))
     assert len(calls) == 20
     calls.clear()
@@ -844,6 +857,22 @@ def test_planted_nan_in_one_eta_flip_sample_fails_its_case(monkeypatch):
     assert [c.name for c in document.cases if c.status == "fail"] == [
         "finite-rank eta perturbation, 20 random (a, flip) pairs"
     ]
+
+
+def test_random_flips_are_seeded_pairs_in_their_ranges():
+    # the suite's 20 (a, flip) pairs come from its generator alone: a in
+    # (0.05, 0.95) and a flip mode in -6..6, the same pairs for the same seed
+    pairs = report._random_flips(np.random.default_rng(3), 50)
+    assert pairs == report._random_flips(np.random.default_rng(3), 50)
+    assert len(pairs) == 50
+    assert all(type(a) is float and 0.05 <= a < 0.95 for a, _ in pairs)
+    assert all(type(flip) is int and -6 <= flip <= 6 for _, flip in pairs)
+    assert len({flip for _, flip in pairs}) > 1
+    w = gr.ModeWindow(6)
+    flips = report.eta_flip_error(pairs[:3], w)
+    sides = [gr.eta_finite_rank_check(a, flip, w) for a, flip in pairs[:3]]
+    assert list(flips.a) == [lhs for lhs, _ in sides]
+    assert list(flips.b) == [rhs for _, rhs in sides]
 
 
 def test_detline_suite_stacks_its_random_instances(monkeypatch):

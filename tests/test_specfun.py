@@ -17,16 +17,15 @@ from hypothesis import strategies as st
 
 from detline.errors import DomainError, EvaluationError, NotInvertible, PoleAtOne
 from detline.specfun import (
+    DEFAULT_EM_ORDER,
     DEFAULT_FD_STEP,
     S_IM_MAX,
     S_RE_MIN,
-    FdStencil,
-    HurwitzParams,
     fd_apply,
     hurwitz_zeta,
     hurwitz_zeta_ds0,
 )
-from detline.specfun import _hurwitz_em
+from detline.specfun import _BERNOULLI_EVEN, _hurwitz_em
 
 mp.mp.dps = 50
 
@@ -37,21 +36,21 @@ def zeta_oracle(s, a):
 
 def test_zeta_at_zero_quarter_shift():
     # frozen: zeta(0, 1/4) = 1/2 - 1/4
-    value = hurwitz_zeta(HurwitzParams(s=0.0, a=0.25))
+    value = hurwitz_zeta(0.0, 0.25)
     assert value == pytest.approx(0.25, abs=1e-12)
     assert abs(value - zeta_oracle(0, 0.25)) < 1e-12
 
 
 def test_zeta_two_is_basel_value():
     # frozen: zeta(2, 1) = pi^2 / 6 = 1.6449340668482264
-    value = hurwitz_zeta(HurwitzParams(s=2.0, a=1.0))
+    value = hurwitz_zeta(2.0, 1.0)
     assert value.real == pytest.approx(1.6449340668482264, abs=1e-12)
     assert abs(value.imag) < 1e-14
 
 
 def test_zeta_zero_full_shift():
     # frozen: zeta(0, 1) = -1/2
-    value = hurwitz_zeta(HurwitzParams(s=0.0, a=1.0))
+    value = hurwitz_zeta(0.0, 1.0)
     assert value == pytest.approx(-0.5, abs=1e-12)
 
 
@@ -59,12 +58,12 @@ def test_direct_sum_agreement_for_large_real_part():
     s, a = 3.7 + 0.9j, 0.6
     terms = [(n + a) ** (-s) for n in range(200_000)]
     direct = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-    assert abs(hurwitz_zeta(HurwitzParams(s=s, a=a)) - direct) < 1e-12
+    assert abs(hurwitz_zeta(s, a) - direct) < 1e-12
 
 
 def test_against_oracle_off_axis():
     for s, a in [(2.5 - 1.1j, 0.35), (0.25, 0.8), (-1.5, 0.5), (5.0 + 3.0j, 1.0)]:
-        assert abs(hurwitz_zeta(HurwitzParams(s=s, a=a)) - zeta_oracle(s, a)) < 1e-10
+        assert abs(hurwitz_zeta(s, a) - zeta_oracle(s, a)) < 1e-10
 
 
 def test_against_oracle_over_validated_region():
@@ -78,7 +77,7 @@ def test_against_oracle_over_validated_region():
                 if s == 1.0:
                     continue
                 exact = zeta_oracle(s, a)
-                err = abs(hurwitz_zeta(HurwitzParams(s=s, a=a)) - exact) / max(1.0, abs(exact))
+                err = abs(hurwitz_zeta(s, a) - exact) / max(1.0, abs(exact))
                 worst = max(worst, err)
     assert worst < 1e-10
 
@@ -96,7 +95,7 @@ def test_against_oracle_over_validated_region():
 )
 def test_outside_validated_region_raises(s, a):
     with pytest.raises(DomainError):
-        hurwitz_zeta(HurwitzParams(s=s, a=a))
+        hurwitz_zeta(s, a)
 
 
 @pytest.mark.parametrize("s, a", [(200.0, 0.01), (1e6, 0.5), (1e30, 1.0)])
@@ -107,7 +106,7 @@ def test_overflow_inside_validated_region_raises(s, a):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="leaves the double range"):
-            hurwitz_zeta(HurwitzParams(s=s, a=a))
+            hurwitz_zeta(s, a)
 
 
 def test_kernel_over_an_array_of_shifts_equals_the_scalar_evaluations():
@@ -119,20 +118,20 @@ def test_kernel_over_an_array_of_shifts_equals_the_scalar_evaluations():
         values = _hurwitz_em(s, shifts)
         assert values.shape == shifts.shape
         for a, value in zip(shifts.ravel().tolist(), values.ravel().tolist()):
-            assert hurwitz_zeta(HurwitzParams(s=s, a=a)) == value
+            assert hurwitz_zeta(s, a) == value
     assert _hurwitz_em(0.0, 0.25).shape == ()
 
 
 def test_large_value_below_overflow_is_returned():
-    value = hurwitz_zeta(HurwitzParams(s=150.0, a=0.01))
+    value = hurwitz_zeta(150.0, 0.01)
     assert value.real == pytest.approx(1e300, rel=1e-12)
 
 
 def test_pole_and_domain_errors():
     with pytest.raises(PoleAtOne):
-        hurwitz_zeta(HurwitzParams(s=1.0 + 1e-14j, a=0.5))
+        hurwitz_zeta(1.0 + 1e-14j, 0.5)
     with pytest.raises(DomainError):
-        HurwitzParams(s=0.0, a=1.5)
+        hurwitz_zeta(0.0, 1.5)
     with pytest.raises(DomainError):
         hurwitz_zeta_ds0(1.0)
 
@@ -147,10 +146,18 @@ def test_hurwitz_zeta_ds0_refuses_an_argument_that_is_not_real(a):
 @pytest.mark.parametrize(
     "s, a", [(0.5, "0.5"), ("0.5", 0.5), (0.5, 0.5 + 0j), (0.5, True), (None, 0.5)]
 )
-def test_hurwitz_params_refuse_arguments_that_are_no_numbers(s, a):
-    # HurwitzParams(0.5, "0.5") raised a bare TypeError
+def test_hurwitz_zeta_refuses_arguments_that_are_no_numbers(s, a):
+    # a string, a complex shift, a bool and None are refused by name
     with pytest.raises(DomainError, match="must be a (real|complex) number"):
-        HurwitzParams(s, a)
+        hurwitz_zeta(s, a)
+
+
+def test_em_order_counts_the_bernoulli_numbers_of_the_rule():
+    # the rule applies one correction term per tabulated B_2k, so the exported
+    # order is the length of that table, and its entries are B_2 .. B_2n
+    assert DEFAULT_EM_ORDER == len(_BERNOULLI_EVEN) == 8
+    expected = [float(mp.bernoulli(2 * k)) for k in range(1, DEFAULT_EM_ORDER + 1)]
+    assert _BERNOULLI_EVEN == expected
 
 
 @given(
@@ -163,7 +170,7 @@ def test_shift_recurrence(s_re, s_im, a):
     # zeta(s, a) = a^-s + zeta(s, a+1); the shifted evaluation goes through
     # the continuation helper because the public domain is a in (0, 1].
     s = complex(s_re, s_im)
-    lhs = hurwitz_zeta(HurwitzParams(s=s, a=a))
+    lhs = hurwitz_zeta(s, a)
     rhs = a ** (-s) + _hurwitz_em(s, a + 1.0)
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
@@ -171,7 +178,7 @@ def test_shift_recurrence(s_re, s_im, a):
 def test_zeta_at_zero_linear_in_shift():
     for k in range(1, 10):
         a = k / 10.0
-        value = hurwitz_zeta(HurwitzParams(s=0.0, a=a))
+        value = hurwitz_zeta(0.0, a)
         assert value == pytest.approx(0.5 - a, abs=1e-10)
 
 
@@ -198,7 +205,7 @@ def test_ds0_matches_numerically_differentiated_zeta():
     # independent route: central difference of the continuation in s
     a, h = 0.3, 1e-5
     numeric = (
-        hurwitz_zeta(HurwitzParams(s=h, a=a)) - hurwitz_zeta(HurwitzParams(s=-h, a=a))
+        hurwitz_zeta(h, a) - hurwitz_zeta(-h, a)
     ).real / (2.0 * h)
     assert hurwitz_zeta_ds0(a) == pytest.approx(numeric, abs=1e-8)
 
@@ -250,34 +257,37 @@ def lazily(field):
 
 
 def test_fd_laplacian_exact_on_quadratic():
-    lap = FdStencil(step=1e-3, kind="laplacian-2d")
-    value = fd_apply(lambda x, y: x * x + y * y, (0.37, -1.2), lap)
+    value = fd_apply(lambda x, y: x * x + y * y, (0.37, -1.2), "laplacian-2d")
     assert value == pytest.approx(4.0, abs=1e-8)
 
 
 def test_fd_first_derivative_exact_on_linear():
-    d1 = FdStencil(step=1e-3, kind="first-derivative")
+    d1 = "first-derivative"
     assert fd_apply(lambda x, y: x, (0.1, 0.2), d1) == pytest.approx(1.0, abs=1e-10)
     assert fd_apply(lambda x, y: y, (0.1, 0.2), d1, axis=1) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_fd_polynomial_exactness_up_to_degree():
-    # the 4th-order central first derivative is exact through degree 4
-    d1 = FdStencil(step=1e-2, kind="first-derivative")
-    value = fd_apply(lambda x, y: x**4, (0.5, 0.0), d1)
-    assert value == pytest.approx(4 * 0.5**3, abs=1e-8)
-    # and the 4th-order Laplacian through degree 5
-    lap = FdStencil(step=1e-2, kind="laplacian-2d")
-    value = fd_apply(lambda x, y: x**5 + y**4, (0.4, 0.3), lap)
-    assert value == pytest.approx(20 * 0.4**3 + 12 * 0.3**2, abs=1e-8)
+    # on powers of the offset from the stencil centre the samples are O(h^k),
+    # so rounding stays far below the truncation: the order-4 first
+    # derivative is exact through degree 4 and errs by -h^4 f^(5) / 30 =
+    # -4 h^4 on (x - x0)^5; the order-4 Laplacian is exact through degree 5
+    # and errs by -h^4 f^(6) / 90 = -8 h^4 on each of (x - x0)^6, (y - y0)^6
+    x0, y0, h = 0.5, 0.3, DEFAULT_FD_STEP
+    for k in range(1, 6):
+        value = fd_apply(lambda x, y: (x - x0) ** k, (x0, y0), "first-derivative")
+        expected = (1.0 if k == 1 else 0.0) - (4 * h**4 if k == 5 else 0.0)
+        assert value == pytest.approx(expected, rel=1e-9, abs=1e-15), k
+    for k in range(2, 7):
+        value = fd_apply(lambda x, y: (x - x0) ** k + (y - y0) ** k, (x0, y0), "laplacian-2d")
+        expected = (4.0 if k == 2 else 0.0) - (16 * h**4 if k == 6 else 0.0)
+        assert value == pytest.approx(expected, rel=1e-9, abs=1e-15), k
 
 
 def test_fd_laplacian_of_log_bump():
     # symbolic oracle: Laplacian of log(1 + x^2 + y^2) equals 4 / (1 + r^2)^2
-    lap = FdStencil(step=1e-3, kind="laplacian-2d")
-    assert fd_apply(lambda x, y: np.log(1 + x * x + y * y), (0.0, 0.0), lap) == pytest.approx(
-        4.0, abs=1e-5
-    )
+    field = lambda x, y: np.log(1 + x * x + y * y)  # noqa: E731
+    assert fd_apply(field, (0.0, 0.0), "laplacian-2d") == pytest.approx(4.0, abs=1e-5)
 
 
 def test_fd_propagates_evaluation_error():
@@ -286,12 +296,12 @@ def test_fd_propagates_evaluation_error():
 
     for f in (field, lazily(field)):
         with pytest.raises(EvaluationError):
-            fd_apply(f, (0.0, 0.0), FdStencil(step=1e-3, kind="laplacian-2d"))
+            fd_apply(f, (0.0, 0.0), "laplacian-2d")
 
 
 def test_fd_first_derivative_exact_on_matrix_and_complex_fields():
     # the order-4 central first derivative is exact on polynomials of degree 4
-    d1 = FdStencil(step=1e-2, kind="first-derivative")
+    d1 = "first-derivative"
     x0, y0 = 0.3, -0.7
 
     def matrix_field(x, y):
@@ -314,14 +324,13 @@ def test_fd_first_derivative_exact_on_matrix_and_complex_fields():
 
 def test_fd_laplacian_exact_on_matrix_and_complex_fields():
     # the order-4 Laplacian is exact through degree 5
-    lap = FdStencil(step=1e-2, kind="laplacian-2d")
     x0, y0 = 0.4, 0.3
     deg = 5
 
     def matrix_field(x, y):
         return np.array([x**deg + y**2, 1j * x * y, (2.0 - 1.0j) * y**deg])
 
-    value = fd_apply(lazily(matrix_field), (x0, y0), lap)
+    value = fd_apply(lazily(matrix_field), (x0, y0), "laplacian-2d")
     second = deg * (deg - 1)
     expected = [second * x0 ** (deg - 2) + 2.0, 0.0, (2.0 - 1.0j) * second * y0 ** (deg - 2)]
     np.testing.assert_allclose(value, expected, atol=1e-7)
@@ -334,7 +343,7 @@ def test_fd_passes_detline_errors_through():
     for kind in ("first-derivative", "laplacian-2d"):
         for f in (field, lazily(field)):
             with pytest.raises(NotInvertible):
-                fd_apply(f, (0.0, 0.0), FdStencil(step=1e-3, kind=kind))
+                fd_apply(f, (0.0, 0.0), kind)
 
 
 def test_fd_rejects_non_finite_array_field():
@@ -342,26 +351,21 @@ def test_fd_rejects_non_finite_array_field():
         return np.array([x, math.nan if x > 0.5 else 0.0])
 
     with pytest.raises(EvaluationError, match="not finite"):
-        fd_apply(lazily(field), (0.5, 0.0), FdStencil(step=1e-3, kind="first-derivative"))
+        fd_apply(lazily(field), (0.5, 0.0), "first-derivative")
     with pytest.raises(EvaluationError, match="not finite"):
-        fd_apply(
-            lazily(lambda x, y: complex(math.inf, x)), (0.0, 0.0), FdStencil(kind="laplacian-2d")
-        )
+        fd_apply(lazily(lambda x, y: complex(math.inf, x)), (0.0, 0.0), "laplacian-2d")
     with pytest.raises(EvaluationError, match="not finite"):
-        fd_apply(lambda x, y: np.where(x > 0.5, math.nan, x), (0.5, 0.0), FdStencil())
+        fd_apply(lambda x, y: np.where(x > 0.5, math.nan, x), (0.5, 0.0), "laplacian-2d")
 
 
-def test_fd_stencil_validates_step_and_kind():
-    # the step defaults to the one fixed step; NaN once passed the step <= 0
-    # test and failed only when the stencil was used; a string ended in a
-    # bare TypeError, and True was taken as the step 1
-    assert FdStencil().step == DEFAULT_FD_STEP
-    for step in (0.0, -1e-3, math.nan, math.inf, -math.inf, "a", None, 1j, True, np.bool_(True)):
-        with pytest.raises(DomainError, match="step"):
-            FdStencil(step=step)
-    assert FdStencil(step=np.float64(1e-2)).step == 1e-2
-    with pytest.raises(DomainError, match="kind"):
-        FdStencil(kind="third-derivative")
+@pytest.mark.parametrize("kind", ["third-derivative", "Laplacian-2d", "", None, 2, True])
+def test_fd_refuses_an_unknown_kind(kind):
+    # before the field is called
+    def field(x, y):
+        raise AssertionError("the field was called")
+
+    with pytest.raises(DomainError, match="unknown stencil kind"):
+        fd_apply(field, (0.1, 0.2), kind)
 
 
 @pytest.mark.parametrize("kind", ["first-derivative", "laplacian-2d"])
@@ -371,7 +375,7 @@ def test_fd_refuses_an_axis_other_than_0_or_1(kind, axis):
     # a bool or a float was taken as 0 or 1, where the chart layer's
     # directions refuse both
     with pytest.raises(DomainError, match="axis"):
-        fd_apply(lambda x, y: x * x, (0.1, 0.2), FdStencil(kind=kind), axis=axis)
+        fd_apply(lambda x, y: x * x, (0.1, 0.2), kind, axis=axis)
 
 
 @pytest.mark.parametrize("kind", ["first-derivative", "laplacian-2d"])
@@ -381,41 +385,40 @@ def test_fd_of_a_constant_field_is_exactly_zero(kind, axis):
     # samples left 2.1e-14 (first derivative of 0.7) and up to 2.2e-9
     # (Laplacian of this matrix)
     matrix = np.array([[0.7, 1.0 / 3.0j, 2.2], [math.pi, -1.1, 0.1 + 0.2j], [5.0, 6.0, 7.0j]])
-    st_ = FdStencil(kind=kind)
     for value in (0.7, 0.3 + 0.9j, matrix):
         stacked = lambda xs, ys: np.broadcast_to(value, (len(xs), *np.shape(value)))  # noqa: E731
         for field in (lazily(lambda x, y: value), stacked):
-            result = fd_apply(field, (0.37, -1.2), st_, axis)
+            result = fd_apply(field, (0.37, -1.2), kind, axis)
             assert np.all(np.asarray(result) == 0.0), (value, result)
     # every sample is one shared array: the result is exactly 0, and the
     # stencil writes into no sample
     kept = matrix.copy()
-    result = fd_apply(lazily(lambda x, y: matrix), (0.37, -1.2), st_, axis)
+    result = fd_apply(lazily(lambda x, y: matrix), (0.37, -1.2), kind, axis)
     assert np.all(result == 0.0)
     np.testing.assert_array_equal(matrix, kept)
 
 
-def summed_stencil(f, at, st, axis):
+def summed_stencil(f, at, kind, axis):
     # the stencil as a running sum started at 0.0, out of place, over a field
     # of one point: the arithmetic fd_apply keeps, apart from the sign of an
     # exact zero
     weights = {
         "first-derivative": ((1, 2.0 / 3), (2, -1.0 / 12)),
         "laplacian-2d": ((1, 4.0 / 3), (2, -1.0 / 12)),
-    }[st.kind]
-    (x0, y0), h = at, st.step
+    }[kind]
+    (x0, y0), h = at, DEFAULT_FD_STEP
 
     def sample(offset, along):
         return f(x0 + offset * h, y0) if along == 0 else f(x0, y0 + offset * h)
 
     acc = 0.0
     for k, weight in weights:
-        if st.kind == "first-derivative":
+        if kind == "first-derivative":
             acc = acc + weight * (sample(k, axis) - sample(-k, axis))
         else:
             ring = (sample(k, 0) + sample(-k, 0)) + (sample(k, 1) + sample(-k, 1))
             acc = acc + weight * (ring - 4.0 * sample(0, 0))
-    return acc / (h if st.kind == "first-derivative" else h * h)
+    return acc / (h if kind == "first-derivative" else h * h)
 
 
 FIELDS = [
@@ -434,9 +437,8 @@ FIELDS = [
 @pytest.mark.parametrize("field", FIELDS)
 def test_fd_matches_the_summed_loop_exactly(field, axis, kind):
     # starting from the first paired term moves no bit
-    st_ = FdStencil(step=1e-3, kind=kind)
-    value = fd_apply(lazily(field), (0.5, -0.25), st_, axis)
-    expected = summed_stencil(field, (0.5, -0.25), st_, axis)
+    value = fd_apply(lazily(field), (0.5, -0.25), kind, axis)
+    expected = summed_stencil(field, (0.5, -0.25), kind, axis)
     assert type(value) is type(expected)
     np.testing.assert_array_equal(value, expected)
     assert np.all(np.asarray(value) == np.asarray(expected))
@@ -466,15 +468,14 @@ CENTRES = [
 def test_fd_of_an_array_field_is_the_field_fed_lazily(field, axis, kind, at):
     # one call over every sample gives, to the last bit, what the same field
     # gives one sample at a time
-    st_ = FdStencil(kind=kind)
     calls = []
 
     def counted(xs, ys):
         calls.append(xs.shape)
         return field(xs, ys)
 
-    stacked = fd_apply(counted, at, st_, axis)
-    fed = fd_apply(lambda xs, ys: map(field, xs, ys), at, st_, axis)
+    stacked = fd_apply(counted, at, kind, axis)
+    fed = fd_apply(lambda xs, ys: map(field, xs, ys), at, kind, axis)
     n = 4 if kind == "first-derivative" else 9
     assert calls == [(n, *np.shape(at[0]))]
     assert type(stacked) is type(fed)
@@ -503,7 +504,7 @@ def test_fd_consumes_a_lazy_field_in_the_documented_order(kind, axis):
             taken.append((x, y))
             yield x * y
 
-    fd_apply(field, (x0, y0), FdStencil(kind=kind), axis)
+    fd_apply(field, (x0, y0), kind, axis)
     expected = [
         (x0 + i * h if i else x0, y0 + j * h if j else y0) for i, j in STENCIL_ORDER[kind, axis]
     ]
@@ -515,7 +516,6 @@ def test_fd_names_the_sample_where_a_lazy_field_failed(kind, axis):
     # an error at sample i names that sample; an array field's error names
     # the stencil centre
     x0, y0, h = 0.37, -1.2, DEFAULT_FD_STEP
-    st_ = FdStencil(kind=kind)
     for i, (di, dj) in enumerate(STENCIL_ORDER[kind, axis]):
         x, y = x0 + di * h if di else x0, y0 + dj * h if dj else y0
 
@@ -526,27 +526,27 @@ def test_fd_names_the_sample_where_a_lazy_field_failed(kind, axis):
                 yield xk
 
         with pytest.raises(EvaluationError, match=re.escape(f"at ({x}, {y}): planted")):
-            fd_apply(field, (x0, y0), st_, axis)
+            fd_apply(field, (x0, y0), kind, axis)
 
     def array_field(xs, ys):
         raise ValueError("planted")
 
     with pytest.raises(EvaluationError, match=re.escape(f"at ({x0}, {y0}): planted")):
-        fd_apply(array_field, (x0, y0), st_, axis)
+        fd_apply(array_field, (x0, y0), kind, axis)
 
 
 def test_fd_refuses_a_field_with_the_wrong_number_of_samples():
-    st_ = FdStencil(kind="laplacian-2d")
+    lap = "laplacian-2d"
     for field in (
         lambda xs, ys: xs[:-1],  # an array one sample short
         lambda xs, ys: np.array(1.0),  # an array without a leading axis
     ):
         with pytest.raises(EvaluationError, match="expected 9 samples"):
-            fd_apply(field, (0.1, 0.2), st_)
+            fd_apply(field, (0.1, 0.2), lap)
     with pytest.raises(EvaluationError, match="not iterable"):
-        fd_apply(lambda xs, ys: 1.0, (0.1, 0.2), st_)
+        fd_apply(lambda xs, ys: 1.0, (0.1, 0.2), lap)
     with pytest.raises(EvaluationError, match="fewer than 9 samples"):
-        fd_apply(lambda xs, ys: iter(xs[:5]), (0.1, 0.2), st_)
+        fd_apply(lambda xs, ys: iter(xs[:5]), (0.1, 0.2), lap)
 
 
 NO_NUMBERS = [
@@ -567,7 +567,6 @@ def test_fd_refuses_a_sample_that_is_no_number(bad, kind, axis):
     # tuple was differentiated member by member and a bool taken as 0 or 1;
     # the error names the sample, lazy or from an array field
     x0, y0, h = 0.37, -1.2, DEFAULT_FD_STEP
-    st_ = FdStencil(kind=kind)
     di, dj = STENCIL_ORDER[kind, axis][2]
     x, y = x0 + di * h if di else x0, y0 + dj * h if dj else y0
 
@@ -577,12 +576,12 @@ def test_fd_refuses_a_sample_that_is_no_number(bad, kind, axis):
 
     named = re.escape(f"field sample at ({x}, {y}) is no number")
     with pytest.raises(EvaluationError, match=named):
-        fd_apply(field, (x0, y0), st_, axis)
+        fd_apply(field, (x0, y0), kind, axis)
     n = len(STENCIL_ORDER[kind, axis])
     samples = np.empty(n, dtype=object)
     samples[:] = [bad] * n
     with pytest.raises(EvaluationError, match="is no number"):
-        fd_apply(lambda xs, ys: samples, (x0, y0), st_, axis)
+        fd_apply(lambda xs, ys: samples, (x0, y0), kind, axis)
 
 
 @pytest.mark.parametrize(
@@ -603,4 +602,4 @@ def test_fd_refuses_a_centre_that_is_no_pair_of_real_coordinates(at):
     # ValueError, and a bool or a complex centre was sampled
     for kind in ("first-derivative", "laplacian-2d"):
         with pytest.raises(DomainError, match="stencil centre"):
-            fd_apply(lambda xs, ys: xs * ys, at, FdStencil(kind=kind))
+            fd_apply(lambda xs, ys: xs * ys, at, kind)

@@ -2,6 +2,7 @@
 threshold or step as a literal; they import it from detline.tolerances, none
 of them reads the process environment, and every stencil runs at one step."""
 
+import inspect
 import pathlib
 import re
 import tokenize
@@ -56,14 +57,12 @@ def test_library_modules_read_no_environment():
 
 def test_every_stencil_runs_at_the_one_step():
     # a second step (an inner stencil at 1e-5 once cost curvature_rkw up to
-    # three digits) would show as a stencil or a *_STEP name of its own
-    stencils = [
-        (module.__name__, name, value)
-        for module in (specfun, interval_cp1, grassmannian)
+    # three digits) would need an argument of fd_apply or a *_STEP name
+    assert list(inspect.signature(specfun.fd_apply).parameters) == ["f", "at", "kind", "axis"]
+    steps = {
+        (name, value)
+        for module in (tolerances, specfun, interval_cp1, grassmannian)
         for name, value in vars(module).items()
-        if isinstance(value, specfun.FdStencil)
-    ]
-    assert {module for module, _, _ in stencils} == {"detline.interval_cp1", "detline.grassmannian"}
-    assert [s for s in stencils if s[2].step != tolerances.DEFAULT_FD_STEP] == []
-    steps = [name for name in vars(tolerances) if name.endswith("_STEP")]
-    assert steps == ["DEFAULT_FD_STEP"]
+        if name.endswith("_STEP")
+    }
+    assert steps == {("DEFAULT_FD_STEP", tolerances.DEFAULT_FD_STEP)}
