@@ -21,8 +21,7 @@ for z in (0j, 1 + 0j, 1j):
 # 2. Each chart point carries a spectral offset alpha: the Laplacian boundary
 #    problem has eigenvalues (n + alpha)^2 over the integers.
 for z in (0j, 1 + 0j, 0.5 + 0.5j):
-    datum = cp1.alpha_of(z)
-    print(f"z = {z}:  alpha = {datum.alpha:.6f}")
+    print(f"z = {z}:  alpha = {cp1.alpha_of(z):.6f}")
 
 # 3. The zeta determinant has the closed form 2|1+z|^2/(1+|z|^2), and the
 #    Hurwitz-zeta pipeline reproduces it to twelve digits.

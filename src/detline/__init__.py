@@ -27,7 +27,6 @@ from .errors import (
 from .specfun import fd_apply, hurwitz_zeta, hurwitz_zeta_ds0
 from .interval_cp1 import (
     BoundaryProjection2,
-    SpectralDatum,
     adjoint_projection,
     alpha_of,
     calderon_projection_interval,

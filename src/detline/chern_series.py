@@ -10,7 +10,8 @@ product gives.  A coefficient or an exponential's multiple must be a finite
 real number, a cap, a coefficient index and the pushforward coefficient's
 twist an integer, each by ``errors._number`` (a bool is no number);
 anything else raises DomainError, as does a coefficient sequence that is no
-sequence and an operand of + or * that is no RationalSeries.
+sequence, an operand of + or * that is no RationalSeries and a coefficient
+index outside 0..cap.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from functools import lru_cache
 from math import factorial, lcm
 from typing import Sequence
 
-from .errors import DomainError, _number
+from .errors import DomainError, _instance, _number
 
 __all__ = ["RationalSeries", "todd_series", "exp_series", "grr_c1_coefficient"]
 
 DEFAULT_CAP = 8
+_OPERAND = "a series operand must be a RationalSeries"
 
 
 def _rational(value) -> Fraction:
@@ -64,7 +66,8 @@ def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int
 
 @dataclass(frozen=True)
 class RationalSeries:
-    """Truncated power series sum coeffs[k] x^k, k = 0..cap, over Fraction."""
+    """Truncated power series sum coeffs[k] x^k, k = 0..cap, over Fraction;
+    series[k] is the coefficient of x^k for k in 0..cap."""
 
     coeffs: tuple[Fraction, ...]
     cap: int
@@ -89,16 +92,21 @@ class RationalSeries:
         return RationalSeries.from_list([Fraction(1)], cap)
 
     def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[_number(k, numbers.Integral, "a coefficient index must be an integer")]
+        """The coefficient of x^k, for an integer k in 0..cap; any other k,
+        a negative one included, raises DomainError."""
+        _number(k, numbers.Integral, "a coefficient index must be an integer")
+        if not 0 <= k <= self.cap:
+            raise DomainError(f"a coefficient index must lie in 0..{self.cap}, got {k}")
+        return self.coeffs[k]
 
     def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        cap = min(self.cap, _operand(other).cap)
+        cap = min(self.cap, _instance(other, RationalSeries, _OPERAND).cap)
         return RationalSeries(
             tuple(self.coeffs[k] + other.coeffs[k] for k in range(cap + 1)), cap
         )
 
     def __mul__(self, other: "RationalSeries") -> "RationalSeries":
-        cap = min(self.cap, _operand(other).cap)
+        cap = min(self.cap, _instance(other, RationalSeries, _OPERAND).cap)
         a, qa = _over_common_denominator(self.coeffs[: cap + 1])
         b, qb = _over_common_denominator(other.coeffs[: cap + 1])
         out = [0] * (cap + 1)
@@ -120,13 +128,6 @@ class RationalSeries:
                 acc += self.coeffs[k] * inv[n - k]
             inv.append(-acc / self.coeffs[0])
         return RationalSeries(tuple(inv), self.cap)
-
-
-def _operand(value) -> RationalSeries:
-    """value when it is a RationalSeries, else DomainError."""
-    if isinstance(value, RationalSeries):
-        return value
-    raise DomainError(f"a series operand must be a RationalSeries, got {value!r}")
 
 
 def _todd_denominator(cap: int) -> RationalSeries:

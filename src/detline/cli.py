@@ -102,11 +102,10 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_zeta_det(args) -> int:
-    datum = interval_cp1.alpha_of(args.z)
     record = {
         "closed": interval_cp1.zeta_det_closed(args.z),
         "spectral": interval_cp1.zeta_det_spectral(args.z),
-        "alpha": datum.alpha,
+        "alpha": interval_cp1.alpha_of(args.z),
     }
     print(json.dumps(record))
     return 0

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionByZeroPoint, DomainError, _array
+from .errors import DivisionByZeroPoint, DomainError, _array, _instance
 from .grassmannian import ModeOperator, fredholm_det, require_det_class
 from .tolerances import SINGULAR_TOL
 
@@ -78,9 +78,9 @@ class DetPoint:
     "det T is nonzero iff T is invertible" stays decidable independently of
     the scalar action.  For a stack rep, scale and is_zero are arrays with one
     entry per member; a scalar given for either is broadcast over the stack.
-    A scale must be a finite number and is_zero a bool, or arrays of them
-    (``errors._array`` of kinds "iufc" and "b"); anything else raises
-    DomainError.
+    The rep must be a ModeOperator, a scale a finite number and is_zero a
+    bool, or arrays of them (``errors._array`` of kinds "iufc" and "b");
+    anything else raises DomainError.
     """
 
     rep: ModeOperator
@@ -88,6 +88,7 @@ class DetPoint:
     is_zero: bool | np.ndarray
 
     def __post_init__(self) -> None:
+        _instance(self.rep, ModeOperator, "rep must be a ModeOperator")
         scale = _array(self.scale, "iufc", "a scale must be a finite complex number")
         is_zero = _array(self.is_zero, "b", "is_zero must be a bool")
         if not np.isfinite(scale).all():
@@ -130,7 +131,8 @@ def det_point(t_op: ModeOperator) -> DetPoint:
 
     Invertibility is the SVD rule, settled by the slogdet bound where it can
     be (see the module docstring).  On a stack, is_zero is a bool array
-    flagging each singular member."""
+    flagging each singular member.  A t_op that is no ModeOperator raises
+    DomainError, and one whose tails are not the identity NotDetClass."""
     require_det_class(t_op)
     return DetPoint(t_op, 1.0 + 0j, _is_singular(t_op.entries))
 
@@ -147,13 +149,15 @@ def ratio(p: DetPoint, q: DetPoint) -> complex | np.ndarray:
 
     On stacks the ratio is taken member by member.  It raises
     DivisionByZeroPoint when any member of q is zero, flagged or of scale 0,
-    and is 0 in the slot of each zero member of p.
+    and is 0 in the slot of each zero member of p.  A p or q that is no
+    DetPoint raises DomainError; each representative's tails are checked
+    once, by fredholm_det.
     """
+    _instance(p, DetPoint, "p must be a DetPoint")
+    _instance(q, DetPoint, "q must be a DetPoint")
     if np.any(q.is_zero) or np.any(q.scale == 0):
         raise DivisionByZeroPoint("cannot divide by the zero point")
     _require_paired(p.rep, q.rep)
-    require_det_class(p.rep)
-    require_det_class(q.rep)
     value = (p.scale / q.scale) * (fredholm_det(p.rep) / fredholm_det(q.rep))
     if np.ndim(value):
         return np.where(p.is_zero, 0j, value)
@@ -169,11 +173,11 @@ def tensor_split(
     det(A B) corresponds to det A tensor det B: for invertible perturbations
     A', B' the ratio of det(A' B') against det(A B) factors exactly as
     det_F(A' A^{-1} conjugated) times det_F(B' B^{-1}).  Stacks split member
-    by member.
+    by member.  Each operator is checked by det_point, A first, before the
+    product is formed.
     """
-    require_det_class(a_op)
-    require_det_class(b_op)
-    return det_point(a_op @ b_op), (det_point(a_op), det_point(b_op))
+    factors = det_point(a_op), det_point(b_op)
+    return det_point(a_op @ b_op), factors
 
 
 def range_map_index(

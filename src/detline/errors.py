@@ -1,9 +1,9 @@
-"""Exception types shared by all detline modules, and the one rule for what
-counts as a number.
+"""Exception types shared by all detline modules, the one rule for what
+counts as a number, and the one rule for what a scalar argument gets back.
 
 Every public entry point returns a value within its documented tolerance or
 raises a ``DetlineError``.  An argument a caller passes in is checked by one
-of two private guards, and a refusal raises ``DomainError`` naming the
+of three private guards, and a refusal raises ``DomainError`` naming the
 argument:
 
 * ``_number(value, kind, what)``: a scalar of a ``numbers`` kind
@@ -16,6 +16,15 @@ argument:
   no array of numbers.  Bools are read as 0 and 1 only in the entries of
   ``ModeOperator`` and ``BoundaryProjection2`` and in the vector
   ``BoundaryProjection2.apply`` takes; ``DetPoint``'s is_zero is a bool.
+* ``_instance(value, cls, what)``: an object of one of the library's own
+  classes (a ModeOperator, a DetPoint, a RationalSeries), by ``_number``'s
+  test with ``cls`` for the kind.
+
+A function of numbers that takes a scalar or an array of them returns
+``_like(values, arg)``: for a scalar ``arg`` (``np.ndim(arg) == 0``) the one
+entry of ``values`` as a Python scalar (a float, a complex or a bool), else
+``values``, an array of ``arg``'s shape.  A scalar thus runs through the
+same array kernel as a one-point array.
 
 Ranges, shapes and finiteness are each entry point's own checks.  Values
 that a user callable returns (field samples, family blocks) are checked
@@ -41,6 +50,12 @@ def _number(value, kind: type, what: str):
     raise DomainError(f"{what}, got {value!r}")
 
 
+def _instance(value, cls: type, what: str):
+    """value when it is a ``cls`` by ``_number``'s test, else DomainError
+    "<what>, got <value>"."""
+    return _number(value, cls, what)
+
+
 def _array(value, kinds: str, what: str) -> np.ndarray:
     """np.asarray(value) when its dtype kind is one of ``kinds``, else
     DomainError "<what>, got <value>"; ragged nesting is refused too."""
@@ -51,6 +66,11 @@ def _array(value, kinds: str, what: str) -> np.ndarray:
     if array.dtype.kind not in kinds:
         raise DomainError(f"{what}, got {value!r}")
     return array
+
+
+def _like(values: np.ndarray, arg):
+    """values as a Python scalar when arg is a scalar, else unchanged."""
+    return values.reshape(-1)[0].item() if np.ndim(arg) == 0 else values
 
 
 class PoleAtOne(DetlineError):

@@ -147,6 +147,8 @@ from .errors import (
     NotInvertible,
     WindowOverflow,
     _array,
+    _instance,
+    _like,
     _number,
 )
 from .specfun import _hurwitz_em, _open_unit_points, fd_apply
@@ -232,7 +234,8 @@ class ModeOperator:
     member of a stack); ``is_projection`` holds when every member is a
     projection, and ``window_rank`` returns an int array.  Entry points that
     take one operator, such as ``trace`` and ``relative_eta``, raise
-    ``DomainError`` on a stack.  Entries that are not numbers, and tails
+    ``DomainError`` on a stack and on anything but a ModeOperator.  A
+    window that is no ModeWindow, entries that are not numbers, and tails
     that are not a pair of numbers, by ``errors._array`` (entries may be
     bools, read as 0 and 1; tails may not), raise ``DomainError``, as does
     a scalar multiple that is no finite number by ``errors._number``.
@@ -243,6 +246,7 @@ class ModeOperator:
     tail: tuple[complex, complex]
 
     def __post_init__(self) -> None:
+        _instance(self.window, ModeWindow, "window must be a ModeWindow")
         m = np.asarray(_array(self.entries, "biufc", "entries must be numbers"), dtype=complex)
         tail = _array(self.tail, "iufc", "tails must be a pair of numbers")
         if tail.shape != (2,):
@@ -408,8 +412,9 @@ def _moved_rows(m: np.ndarray) -> np.ndarray:
 
 
 def _require_single(op: ModeOperator, what: str) -> None:
-    """Raise DomainError when an entry point that takes one operator gets a stack."""
-    if op.entries.ndim != 2:
+    """Raise DomainError when an entry point that takes one operator gets a
+    stack, or anything but a ModeOperator."""
+    if _instance(op, ModeOperator, f"{what} takes a ModeOperator").entries.ndim != 2:
         raise DomainError(f"{what} takes one operator, got a stack of {len(op.entries)}")
 
 
@@ -525,7 +530,9 @@ def rotated_family(w: ModeWindow, modes: tuple[int, int]) -> ProjectionFamily:
 
 
 def require_det_class(t_op: ModeOperator) -> None:
-    """Raise NotDetClass unless both tails are the identity (within ROUNDING_TOL)."""
+    """Raise NotDetClass unless both tails are the identity (within ROUNDING_TOL),
+    and DomainError for anything but a ModeOperator."""
+    _instance(t_op, ModeOperator, "the operator must be a ModeOperator")
     if max(abs(t_op.tail[0] - 1.0), abs(t_op.tail[1] - 1.0)) > ROUNDING_TOL:
         raise NotDetClass(f"tails must be identity for det_F, got {t_op.tail}")
 
@@ -593,7 +600,7 @@ def eta_invariant_spectral(a: float | np.ndarray) -> float | np.ndarray:
     flat = offsets.reshape(-1)
     zeta = _hurwitz_em(0.0, np.concatenate([flat, 1.0 - flat]))
     eta = (zeta[: flat.size] - zeta[flat.size :]).real
-    return float(eta[0]) if np.ndim(a) == 0 else eta.reshape(offsets.shape)
+    return _like(eta.reshape(offsets.shape), a)
 
 
 def _eta_flipped(base: float, flip_mode: int) -> float:

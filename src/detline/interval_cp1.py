@@ -14,9 +14,10 @@ The spectral route (``alpha_of``, ``zeta_det_from_alpha``,
 (``zeta_det_closed``, ``s_of_p``, ``kahler_form_2x2``) and
 ``metric_patching_check`` take a chart point or a numpy array of them and
 return a float (complex for ``s_of_p``) for a scalar and an array of the
-input's shape otherwise.  A scalar runs through the same array kernel as a
-one-point array.  One NaN, infinite, degenerate or unresolved entry makes
-the whole call raise, and so does one whose modulus leaves the double range.
+input's shape otherwise, by ``errors._like``.  A scalar runs through the
+same array kernel as a one-point array.  One NaN, infinite, degenerate or
+unresolved entry makes the whole call raise, and so does one whose modulus
+leaves the double range.
 The closed forms are evaluated on (1, z) scaled by a power of two, so they
 stay finite for every other chart point (``zeta_det_closed(1e155)`` gave NaN
 where the value tends to 2) and keep every bit where 1 + |z|^2 is a normal
@@ -30,13 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, DomainError, _array
+from .errors import DegenerateSpectrum, DomainError, _array, _like
 from .specfun import _open_unit_points, fd_apply, hurwitz_zeta_ds0
 from .tolerances import DEFAULT_FD_STEP, DEGENERACY_TOL, ROUNDING_TOL, TOL_CURVATURE
 
 __all__ = [
     "BoundaryProjection2",
-    "SpectralDatum",
     "projection_from_chart",
     "projection_at_infinity",
     "adjoint_projection",
@@ -104,28 +104,6 @@ class BoundaryProjection2:
         return self.entries @ v
 
 
-@dataclass(frozen=True)
-class SpectralDatum:
-    """Spectral offset alpha in (0, 1/2] together with its chart point,
-    elementwise when both are arrays; alpha must be real and z a number,
-    each by ``errors._array``, or DomainError is raised."""
-
-    alpha: float | np.ndarray
-    z: complex | np.ndarray
-
-    def __post_init__(self) -> None:
-        alpha = _array(self.alpha, "iuf", "need a real alpha and a numeric z: alpha")
-        z = _array(self.z, "iufc", "need a real alpha and a numeric z: z")
-        outside = ~((alpha > 0.0) & (alpha <= 0.5))
-        if outside.any():
-            raise DomainError(f"alpha must lie in (0, 1/2], got {alpha[outside].flat[0]}")
-        with np.errstate(invalid="ignore", over="ignore"):  # inf, like NaN, fails below
-            u1, w, n = _scaled(z)
-            c = -2.0 * w.real * u1 / n
-        if not (np.abs(np.cos(2.0 * np.pi * alpha) - c) <= ROUNDING_TOL).all():  # NaN fails
-            raise DomainError("alpha is inconsistent with the chart point")
-
-
 def _chart_point(z: complex) -> complex:
     """z as a complex number: a scalar that passes _chart_array; anything else
     raises DomainError.
@@ -185,11 +163,6 @@ def _scaled(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return inv_m, w, inv_m**2 + _modulus(w) ** 2
 
 
-def _like(value: np.ndarray, z):
-    """value as a Python scalar when z is a scalar, else unchanged."""
-    return value.reshape(-1)[0].item() if np.ndim(z) == 0 else value
-
-
 def _rank_one(v: np.ndarray) -> BoundaryProjection2:
     """The orthogonal projection onto span{v}, from v divided by the least
     power of two above its largest modulus, so no square overflows and no
@@ -225,8 +198,9 @@ def adjoint_projection(z: complex) -> BoundaryProjection2:
     return _rank_one(np.array([z.conjugate(), 1.0]))
 
 
-def alpha_of(z: complex | np.ndarray) -> SpectralDatum:
-    """Spectral offset of the boundary problem at chart point z.
+def alpha_of(z: complex | np.ndarray) -> float | np.ndarray:
+    """Spectral offset alpha in (0, 1/2] of the boundary problem at chart
+    point z, with cos(2 pi alpha) = -2 Re z / (1 + |z|^2).
 
     Both roots u of u^2 (1+|z|^2) + 2 u (z + conj z) + (1+|z|^2) = 0 lie on
     the unit circle; alpha is their phase on the canonical branch (0, 1/2],
@@ -234,8 +208,7 @@ def alpha_of(z: complex | np.ndarray) -> SpectralDatum:
     (1+|z|^2)) / (2 pi) loses half the digits near z = -1: the spectral
     determinant at z = -1 + 1e-6 was off by 1.3e-4.)  A root at u = 1, where
     |u - 1| = 2 sin(pi alpha) falls below DEGENERACY_TOL, means a zero
-    eigenvalue and raises DegenerateSpectrum.  For an array z both fields of
-    the datum are arrays.
+    eigenvalue and raises DegenerateSpectrum.
     """
     points = _chart_array(z)
     near, far = _modulus(1.0 + points), _modulus(1.0 - points)
@@ -245,8 +218,7 @@ def alpha_of(z: complex | np.ndarray) -> SpectralDatum:
         raise DegenerateSpectrum(
             f"boundary condition at z = {points[zero_mode][0]} has a zero mode"
         )
-    alpha = np.arctan2(near, far) / np.pi
-    return SpectralDatum(alpha=_like(alpha, z), z=_like(points, z))
+    return _like(np.arctan2(near, far) / np.pi, z)
 
 
 def zeta_det_closed(z: complex | np.ndarray) -> float | np.ndarray:
@@ -277,7 +249,7 @@ def zeta_det_from_alpha(alpha: float | np.ndarray) -> float | np.ndarray:
 
 def zeta_det_spectral(z: complex | np.ndarray) -> float | np.ndarray:
     """Zeta determinant through the Hurwitz zeta pipeline."""
-    return zeta_det_from_alpha(alpha_of(z).alpha)
+    return zeta_det_from_alpha(alpha_of(z))
 
 
 # Truncation of the stencil Laplacian near the zero mode.  log det_zeta is

@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import chern_series, det_line, grassmannian as gr, interval_cp1 as cp1
-from .errors import DetlineError, DomainError, _number
+from .errors import DetlineError, DomainError, _instance, _number
 from .tolerances import (
     DEFAULT_FD_STEP,
     TOL_COCYCLE,
@@ -507,7 +507,7 @@ def _suite_cp1(rng: np.random.Generator) -> Iterator[Row]:
         yield (
             f"spectral offset at z={z}",
             "spectral-offset-quadratic",
-            cp1.alpha_of(z).alpha,
+            cp1.alpha_of(z),
             expected,
             1e-12,
         )
@@ -1118,8 +1118,7 @@ def curvature_grid(
     json.dumps(document, indent=2) over one dict per row.  A grid that is no
     GridSpec, or a format other than "csv" or "json", raises DomainError.
     """
-    if not isinstance(g, GridSpec):
-        raise DomainError(f"the grid must be a GridSpec, got {g!r}")
+    _instance(g, GridSpec, "the grid must be a GridSpec")
     if out_format not in ("csv", "json"):
         raise DomainError(f"out_format must be 'csv' or 'json', got {out_format!r}")
     if path is not None:

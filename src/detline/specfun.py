@@ -22,13 +22,13 @@ the array.  ``grassmannian.eta_invariant_spectral`` sends all its offsets a and
 
 ``hurwitz_zeta_ds0``, the s-derivative at s = 0 behind every spectral
 determinant, takes a float or a numpy array of shifts and returns a float or
-an array of the same shape; a scalar runs through the same kernel as a
-one-point array.  The kernel sums over the Euler-Maclaurin terms in blocks of
-points, so its temporaries stay bounded whatever the number of points, and
-writes every term relative to its a = 0 value: against mpmath its absolute
-error over a in [0.001, 0.999] is at most 1.4e-15 (the form with
--sum log(n + a) and w (log w - 1), whose terms of size ~150 cancel, was off
-by up to 1.1e-13).  On a 2-vCPU x86-64 host ``detline curvature-grid --n
+an array of the same shape (``errors._like``); a scalar runs through the
+same kernel as a one-point array.  The kernel sums over the Euler-Maclaurin
+terms in blocks of points, so its temporaries stay bounded whatever the
+number of points, and writes every term relative to its a = 0 value:
+against mpmath its absolute error over a in [0.001, 0.999] is at most
+1.4e-15 (the form with -sum log(n + a) and w (log w - 1), whose terms of
+size ~150 cancel, was off by up to 1.1e-13).  On a 2-vCPU x86-64 host ``detline curvature-grid --n
 100`` (10^4 points, 1.8e5 shifts) spends 0.27-0.36 s in ``curvature_grid``
 (medians of three runs of seven), about half of it in the CSV writer, where
 the scalar kernel took 8.3 s.
@@ -64,7 +64,7 @@ from typing import Any, Callable, Iterator, Literal
 
 import numpy as np
 
-from .errors import DetlineError, DomainError, EvaluationError, PoleAtOne, _array, _number
+from .errors import DetlineError, DomainError, EvaluationError, PoleAtOne, _array, _like, _number
 from .tolerances import DEFAULT_FD_STEP, LOG_GAMMA_TOL, POLE_DISTANCE
 
 __all__ = [
@@ -155,15 +155,21 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
 
     Agrees with the direct sum for Re s > 1 and continues it elsewhere;
     the only singularity is the simple pole at s = 1.  s must be a complex
-    number and a a real number in (0, 1], each by ``errors._number``, or
-    DomainError is raised.  s must lie in the validated region
-    Re s >= S_RE_MIN, |Im s| <= S_IM_MAX; elsewhere the fixed cutoff is too
-    short and the result would be silently wrong, so DomainError is raised.
+    number that converts to a finite complex double and a a real number in
+    (0, 1], each by ``errors._number``, or DomainError is raised.  s must
+    lie in the validated region Re s >= S_RE_MIN, |Im s| <= S_IM_MAX;
+    elsewhere the fixed cutoff is too short and the result would be silently
+    wrong, so DomainError is raised.
     It is raised too where a term leaves the double range (a^-s for
     a = 0.01 at Re s > 154, the Bernoulli terms near Re s = 1e21), which
     would otherwise end in inf or a silent NaN.
     """
-    _number(s, numbers.Complex, "s must be a complex number")
+    try:
+        finite = cmath.isfinite(_number(s, numbers.Complex, "s must be a complex number"))
+    except OverflowError:  # an int or a Fraction beyond the double range
+        finite = False
+    if not finite:  # s is not printed: an int's repr can itself raise past 4300 digits
+        raise DomainError("s must be a finite complex number within the double range")
     if not 0 < _number(a, numbers.Real, "shift a must be a real number") <= 1:
         raise DomainError(f"shift a must be a real number in (0, 1], got {a!r}")
     if not (s.real >= S_RE_MIN and abs(s.imag) <= S_IM_MAX):
@@ -255,7 +261,7 @@ def hurwitz_zeta_ds0(a: float | np.ndarray) -> float | np.ndarray:
             f"Euler-Maclaurin derivative at s=0 disagrees with the log-Gamma "
             f"identity: {float(total[i])!r} vs {float(reference[i])!r} at a={float(flat[i])}"
         )
-    return float(total[0]) if np.ndim(a) == 0 else total.reshape(points.shape)
+    return _like(total.reshape(points.shape), a)
 
 
 StencilKind = Literal["first-derivative", "laplacian-2d"]

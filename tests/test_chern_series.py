@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detline import chern_series
 from detline.chern_series import RationalSeries, exp_series, grr_c1_coefficient, todd_series
 from detline.errors import DomainError
 
@@ -78,6 +79,21 @@ def test_grr_coefficient_requires_an_integer_twist(m):
     # 2.5 gave 107/24 and True gave 13/12
     with pytest.raises(DomainError, match="twist m must be an integer"):
         grr_c1_coefficient(m)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 2), (1, 2, 3, 4), ()])
+def test_a_series_needs_one_coefficient_per_power_up_to_its_cap(coeffs):
+    with pytest.raises(DomainError, match=f"need 3 coefficients, got {len(coeffs)}"):
+        RationalSeries(coeffs, 2)
+
+
+def test_planted_fault_in_the_todd_series_fails_the_degree_one_check(monkeypatch):
+    # the degree-one coefficient of exp(m x) Todd(x) is m + 1/2 with Todd's
+    # x^1 coefficient 1/2; with 1/3 planted there the self-check refuses
+    planted = RationalSeries.from_list([1, Fraction(1, 3), Fraction(1, 12)], 4)
+    monkeypatch.setattr(chern_series, "todd_series", lambda cap: planted)
+    with pytest.raises(DomainError, match="degree-one coefficient mismatch at m = 2"):
+        grr_c1_coefficient(2)
 
 
 def test_exp_series_keeps_rational_multiples():

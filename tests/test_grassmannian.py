@@ -244,6 +244,29 @@ def test_relative_eta_requires_matching_tails():
         gr.relative_eta(PI0, zero_proj)
 
 
+NEAR_HERMITIAN = gr.ModeOperator(W, PI0.entries + 4e-11j * np.eye(W.dim), gr.TAIL_APS)
+HALF_PI0 = gr.ModeOperator(W, 0.5 * PI0.entries, gr.TAIL_APS)  # Hermitian, not idempotent
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: gr.relative_eta(HALF_PI0, PI0), "relative eta needs idempotent Hermitian"),
+        (lambda: gr.relative_eta(PI0, HALF_PI0), "relative eta needs idempotent Hermitian"),
+        (lambda: gr.relative_index(HALF_PI0, PI0), "relative index needs idempotent Hermitian"),
+        (lambda: gr.relative_index(PI0, HALF_PI0), "relative index needs idempotent Hermitian"),
+        # a projection to PROJECTION_TOL whose diagonal carries 4e-11 i: 2 Tr
+        # of the difference is 7.2e-10 i, beyond the tolerance
+        (lambda: gr.relative_eta(NEAR_HERMITIAN, PI0), "relative eta should be real"),
+    ],
+    ids=["eta-p", "eta-q", "index-p", "index-q", "eta-imaginary"],
+)
+def test_relative_invariants_refuse_what_is_no_projection(call, match):
+    assert NEAR_HERMITIAN.is_projection()
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
 def test_relative_index_examples_and_sign():
     assert gr.relative_index(gr.spectral_projection(W, 1), PI0) == -1
     assert gr.relative_index(PI0, PI0) == 0
@@ -1453,6 +1476,44 @@ def test_entry_points_of_one_operator_refuse_a_stack(entry):
         entry()
 
 
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: gr.ModeWindow(0), DomainError, "n_max must be >= 1, got 0"),
+        (lambda: PI0.embed_to(gr.ModeWindow(2)), WindowOverflow, "equal or larger window"),
+        (
+            lambda: ROTATED(np.array([0.1, 0.2]), np.array([0.3, 0.4])),
+            DomainError,
+            r"a family value takes one point, got shape \(2,\)",
+        ),
+        (
+            lambda: gr.connection_form(
+                ROTATED, PI0, CHECKED_AT, perturbation=gr.ModeOperator.identity(W)
+            ),
+            NotDetClass,
+            "chart perturbations must be window supported",
+        ),
+        (
+            lambda: gr.patching_identity_check(
+                ROTATED, gr.rotated_family(gr.ModeWindow(3), (-1, 0)), PI0, CHECKED_AT
+            ),
+            NotCommensurable,
+            "families must share one mode window",
+        ),
+    ],
+    ids=[
+        "window-of-no-mode",
+        "embed-into-a-smaller-window",
+        "family-value-at-a-stack",
+        "chart-perturbation-with-tails",
+        "patching-across-two-windows",
+    ],
+)
+def test_windows_families_and_charts_refuse_what_they_cannot_hold(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_stack_arithmetic_is_member_by_member():
     rng = np.random.default_rng(8)
     stack = rng.standard_normal((3, W.dim, W.dim)) + 1j * rng.standard_normal((3, W.dim, W.dim))
@@ -1698,6 +1759,14 @@ def test_block_function_error_names_the_failing_member():
     # one point: the check at t reads the block function too
     with pytest.raises(EvaluationError, match=only_the_sample):
         gr.connection_form(raising, PI0, sample, "t2")
+
+
+def test_a_detline_error_of_the_block_function_propagates_unchanged():
+    def value(t1, t2):
+        raise NotInvertible("planted")
+
+    with pytest.raises(NotInvertible, match="^planted$"):
+        gr.connection_form(gr.ProjectionFamily(W, value), PI0, CHECKED_AT)
 
 
 def test_singular_chart_is_reported_before_a_failing_stencil_sample():

@@ -23,6 +23,7 @@ PI0 = detline.spectral_projection(W, 0)
 ROTATED = detline.rotated_family(W, (-1, 0))
 P_HALF = detline.projection_from_chart(0.5)
 SERIES = detline.RationalSeries.from_list([1, 2], 2)
+POINT = detline.det_point(detline.ModeOperator.identity(W))
 
 
 def field(x, y):
@@ -44,8 +45,6 @@ SLOTS = {
     "fd_apply.axis": (lambda v: detline.fd_apply(field, (0.1, 0.2), "first-derivative", v), 1),
     "BoundaryProjection2.entries": (detline.BoundaryProjection2, P_HALF.entries),
     "BoundaryProjection2.apply": (P_HALF.apply, np.array([1.0, 0.5])),
-    "SpectralDatum.alpha": (lambda v: detline.SpectralDatum(v, 1j), 0.25),
-    "SpectralDatum.z": (lambda v: detline.SpectralDatum(0.25, v), 1j),
     **{
         f"{name}.z": (getattr(detline, name), np.array([0.5, 1j]))
         for name in (
@@ -225,6 +224,21 @@ def test_every_numeric_argument_refuses_what_is_no_number(slot, kind):
         lambda: SERIES * 1,
         lambda: SERIES[True],
         lambda: SERIES[1.0],
+        lambda: SERIES[5],
+        lambda: detline.RationalSeries.from_list([1, 2, 3], 2)[-1],
+        lambda: detline.hurwitz_zeta(10**400, 0.5),
+        lambda: detline.fredholm_det(1),
+        lambda: detline.det_point(1),
+        lambda: detline.tensor_split(1, PI0),
+        lambda: detline.tensor_split(detline.ModeOperator.identity(W), 1),
+        lambda: detline.relative_eta(PI0, 1),
+        lambda: detline.relative_index(PI0, 1),
+        lambda: detline.ratio(1, 2),
+        lambda: detline.ratio(POINT, 2),
+        lambda: detline.ModeOperator(2, PI0.entries, (1, 0)),
+        lambda: detline.DetPoint(1, 1.0, False),
+        lambda: detline.connection_form(ROTATED, None, (0.3, 0.4)),
+        lambda: detline.connection_form(ROTATED, PI0, (0.3, 0.4), perturbation=3),
     ],
     ids=[
         "BoundaryProjection2",
@@ -244,12 +258,28 @@ def test_every_numeric_argument_refuses_what_is_no_number(slot, kind):
         "RationalSeries.__mul__",
         "RationalSeries.__getitem__-bool",
         "RationalSeries.__getitem__-float",
+        "RationalSeries.__getitem__-above-cap",
+        "RationalSeries.__getitem__-negative",
+        "hurwitz_zeta.s-beyond-the-double-range",
+        "fredholm_det-int",
+        "det_point-int",
+        "tensor_split-a-int",
+        "tensor_split-b-int",
+        "relative_eta-q-int",
+        "relative_index-q-int",
+        "ratio-int",
+        "ratio-q-int",
+        "ModeOperator.window-int",
+        "DetPoint.rep-int",
+        "connection_form.base-None",
+        "connection_form.perturbation-int",
     ],
 )
 def test_inputs_that_escaped_as_bare_errors_raise_domain_error(call):
-    # each ended in numpy's ValueError ("inhomogeneous shape"), a TypeError
-    # or an AttributeError, except series[True], which returned the x^1
-    # coefficient
+    # each ended in numpy's ValueError ("inhomogeneous shape"), a TypeError,
+    # an AttributeError, an IndexError (series[5]) or an OverflowError
+    # (hurwitz_zeta at s = 10**400), except series[True] and series[-1],
+    # which returned the x^1 and the x^2 coefficient
     with pytest.raises(detline.DomainError):
         call()
 

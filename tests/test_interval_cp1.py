@@ -10,6 +10,7 @@ condition is the annihilator of the domain data under this pairing.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from detline import interval_cp1 as cp1
 from detline.errors import DegenerateSpectrum, DomainError
 from detline.specfun import fd_apply
+from detline.tolerances import ROUNDING_TOL
 
 
 def boundary_pairing(p, q):
@@ -127,16 +129,39 @@ def test_alpha_against_quadratic_solver():
     for z in (0j, 1.0 + 0j, 0.5 - 0.8j, 2.0 + 1j):
         roots = quadratic_roots(z)
         assert np.allclose(np.abs(roots), 1.0, atol=1e-12)
-        datum = cp1.alpha_of(z)
         angles = {round(abs(np.angle(r)) / (2 * math.pi), 10) for r in roots}
-        assert round(datum.alpha, 10) in angles
+        assert round(cp1.alpha_of(z), 10) in angles
 
 
 def test_alpha_spot_values_and_degeneracy():
-    assert cp1.alpha_of(0.0).alpha == pytest.approx(0.25, abs=1e-12)
-    assert cp1.alpha_of(1.0).alpha == pytest.approx(0.5, abs=1e-12)
+    assert cp1.alpha_of(0.0) == pytest.approx(0.25, abs=1e-12)
+    assert cp1.alpha_of(1.0) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(DegenerateSpectrum):
         cp1.alpha_of(-1.0)
+
+
+def offset_cosine(z) -> float:
+    """cos(2 pi alpha) at the chart point z, -2 Re z / (1 + |z|^2), by mpmath."""
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z)
+        return float(-2 * z.real / (1 + abs(z) ** 2))
+
+
+def test_offset_lies_on_its_branch_and_solves_its_cosine():
+    # alpha_of returns the offset alone; this is the identity between it and
+    # its chart point, on scalars and on arrays
+    rng = np.random.default_rng(2024)
+    radius, angle = 10.0 * np.sqrt(rng.uniform(size=1000)), rng.uniform(0, 2 * np.pi, 1000)
+    z = np.concatenate([radius * np.exp(1j * angle), [0, 1, -1 + 1e-6, 1e150, -1e150j]])
+    expected = np.array([offset_cosine(w) for w in z.tolist()])
+    alphas = cp1.alpha_of(z)
+    scalars = [cp1.alpha_of(w) for w in z.tolist()]
+    assert isinstance(alphas, np.ndarray) and alphas.shape == z.shape
+    assert all(type(a) is float for a in scalars)
+    assert alphas.tolist() == scalars
+    for alpha in (alphas, cp1.alpha_of(z.reshape(-1, 1)).ravel()):
+        assert np.all((alpha > 0) & (alpha <= 0.5))
+        assert np.max(np.abs(np.cos(2 * np.pi * alpha) - expected)) <= ROUNDING_TOL
 
 
 def test_zeta_det_closed_spot_values():
@@ -246,33 +271,6 @@ def test_kahler_form_spot_values_and_fd_agreement():
         )
 
 
-def test_spectral_datum_validates_branch():
-    with pytest.raises(DomainError):
-        cp1.SpectralDatum(alpha=0.75, z=0j)
-    # a NaN chart point passed the branch test, which compared with >
-    for z in (complex(math.nan, 0.0), np.array([0.0, complex(0.0, math.nan)])):
-        with pytest.raises(DomainError, match="inconsistent"):
-            cp1.SpectralDatum(alpha=0.25, z=z)
-
-
-@pytest.mark.parametrize(
-    "alpha, z",
-    [
-        ("a", 0.1),
-        (None, 0.1),
-        (True, 0.1),
-        (0.25 + 0j, 0.0),
-        (0.25, "a"),
-        (0.25, None),
-        (0.25, False),
-    ],
-)
-def test_spectral_datum_refuses_values_that_are_not_numbers(alpha, z):
-    # a string alpha raised numpy's UFuncTypeError from the branch test
-    with pytest.raises(DomainError, match="need a real alpha and a numeric z"):
-        cp1.SpectralDatum(alpha, z)
-
-
 @pytest.mark.parametrize(
     "z, w",
     [
@@ -349,7 +347,6 @@ def test_non_scalar_chart_points_raise_domain_error(fn, z):
         cp1.kahler_form_2x2,
         pytest.param(lambda z: cp1.metric_patching_check(z, 0.5), id="metric_patching_check-z"),
         pytest.param(lambda z: cp1.metric_patching_check(0.5, z), id="metric_patching_check-w"),
-        pytest.param(lambda z: cp1.SpectralDatum(0.25, z), id="SpectralDatum"),
     ],
     ids=lambda fn: fn.__name__,
 )
@@ -384,7 +381,7 @@ def test_array_and_scalar_results_agree():
         cp1.zeta_det_closed,
         cp1.kahler_form_2x2,
         cp1.s_of_p,
-        lambda w: cp1.alpha_of(w).alpha,
+        cp1.alpha_of,
         cp1.quillen_curvature_fd,
     ):
         values = fn(z)
@@ -410,7 +407,7 @@ def test_array_and_scalar_results_agree():
 )
 def test_array_with_one_bad_entry_raises(bad, error):
     z = np.array([0.3, 0.1j, bad, 1.5 - 0.5j])
-    for fn in (cp1.zeta_det_spectral, cp1.quillen_curvature_fd, lambda w: cp1.alpha_of(w).alpha):
+    for fn in (cp1.zeta_det_spectral, cp1.quillen_curvature_fd, cp1.alpha_of):
         with pytest.raises(error):
             fn(z)
     if error is DomainError:
@@ -613,7 +610,7 @@ def test_chart_forms_at_large_chart_points(z):
     with np.errstate(all="raise", under="ignore"):
         assert cp1.zeta_det_closed(z) == pytest.approx(2.0, abs=1e-15)
         assert cp1.zeta_det_spectral(z) == pytest.approx(2.0, rel=1e-12)
-        assert cp1.alpha_of(z).alpha == pytest.approx(0.25, abs=1e-15)
+        assert cp1.alpha_of(z) == pytest.approx(0.25, abs=1e-15)
         s = cp1.s_of_p(z)
         assert s == pytest.approx(z.conjugate() / abs(z) / math.sqrt(2.0), abs=1e-15)
         assert abs(cp1.kahler_form_2x2(z)) <= 1e-300
@@ -644,8 +641,33 @@ def test_chart_point_whose_modulus_overflows_is_refused(z):
             fn(z)
 
 
-def test_boundary_projection_refuses_nan_entries():
-    # NaN passed each "> ROUNDING_TOL" test
-    for entries in ([[math.nan, 0], [0, 1]], [[1, 0], [0, math.nan]]):
-        with pytest.raises(DomainError):
-            cp1.BoundaryProjection2(np.array(entries, dtype=complex))
+@pytest.mark.parametrize(
+    "entries, match",
+    [
+        # NaN passed each "> ROUNDING_TOL" test
+        ([[math.nan, 0], [0, 1]], "finite 2x2"),
+        ([[1, 0], [0, math.nan]], "finite 2x2"),
+        ([[1, 1], [0, 0]], "not Hermitian"),
+        ([[0.5, 0], [0, 0.5]], "not idempotent"),
+        ([[1, 0], [0, 1]], "not rank one"),
+        ([[0, 0], [0, 0]], "not rank one"),
+    ],
+    ids=["nan-first", "nan-last", "not-hermitian", "not-idempotent", "identity", "zero"],
+)
+def test_boundary_projection_refuses_entries_of_no_rank_one_projection(entries, match):
+    with pytest.raises(DomainError, match=match):
+        cp1.BoundaryProjection2(np.array(entries, dtype=complex))
+
+
+def test_planted_fault_in_the_chart_matrices_fails_the_realness_guard(monkeypatch):
+    # Tr(P [dP, dP]) is real for every chart point; with P planted as i P it
+    # is imaginary, and kahler_form_2x2 refuses instead of taking its real part
+    chart_matrices = cp1._chart_matrices
+
+    def planted(z):
+        p, dz, dzb = chart_matrices(z)
+        return 1j * p, dz, dzb
+
+    monkeypatch.setattr(cp1, "_chart_matrices", planted)
+    with pytest.raises(DomainError, match="should be real here"):
+        cp1.kahler_form_2x2(0.5 + 0.25j)

@@ -417,10 +417,55 @@ def test_cli_unwritable_output_path_is_one_error_line(
     assert not list(tmp_path.rglob(".detline-*.tmp"))
 
 
-def test_cli_usage_error_exit_code():
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "not-a-suite"], "invalid choice: 'not-a-suite'"),
+        (["curvature-grid", "--re", "0.5"], "expected LO:HI, got '0.5'"),
+        (["curvature-grid", "--im", "0:1:2"], "expected LO:HI, got '0:1:2'"),
+        (["zeta-det", "--z", "0.5"], "expected RE,IM, got '0.5'"),
+        (["zeta-det", "--z", "a,b"], "expected RE,IM, got 'a,b'"),
+    ],
+    ids=["suite", "range-one-part", "range-three-parts", "point-one-part", "point-no-numbers"],
+)
+def test_cli_usage_error_exit_code(argv, message, capsys):
     with pytest.raises(SystemExit) as excinfo:
-        cli.main(["verify", "not-a-suite"])
+        cli.main(argv)
     assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_curvature_grid_refuses_an_unknown_format(tmp_path):
+    path = tmp_path / "grid.xml"
+    with pytest.raises(DomainError, match="out_format must be 'csv' or 'json', got 'xml'"):
+        report.curvature_grid(report.GridSpec(), "xml", str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
+class Interrupted(BaseException):
+    """A failure of the rename that is no OSError, such as a KeyboardInterrupt."""
+
+
+@pytest.mark.parametrize(
+    "failure, raised",
+    [(PermissionError(13, "Permission denied"), PermissionError), (Interrupted(), Interrupted)],
+    ids=["oserror", "interrupt"],
+)
+def test_a_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch, failure, raised):
+    # an OSError is raised again naming the target, not the temporary file;
+    # any other failure propagates unchanged, and in both the file is removed
+    def fail(src, dst):
+        raise failure
+
+    monkeypatch.setattr(os, "replace", fail)
+    path = tmp_path / "report.json"
+    with pytest.raises(raised) as excinfo:
+        report._atomic_write(str(path), "{}\n")
+    assert list(tmp_path.iterdir()) == []
+    if raised is PermissionError:
+        assert excinfo.value.filename == str(path) and excinfo.value.errno == 13
+    else:
+        assert excinfo.value is failure
 
 
 def test_cli_grid_summary_reports_the_fixed_fd_step(monkeypatch, capsys):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detline import specfun
 from detline.errors import DomainError, EvaluationError, NotInvertible, PoleAtOne
 from detline.specfun import (
     DEFAULT_EM_ORDER,
@@ -603,3 +604,14 @@ def test_fd_refuses_a_centre_that_is_no_pair_of_real_coordinates(at):
     for kind in ("first-derivative", "laplacian-2d"):
         with pytest.raises(DomainError, match="stencil centre"):
             fd_apply(lambda xs, ys: xs * ys, at, kind)
+
+
+def test_planted_bernoulli_fault_fails_the_log_gamma_check(monkeypatch):
+    # B_2 scaled by 1.5 moves d/ds zeta(0, a) by about 1e-3, and the check
+    # against log Gamma(a) - log(2 pi)/2 refuses every offset
+    planted = [1.5 * specfun._BERNOULLI_EVEN[0], *specfun._BERNOULLI_EVEN[1:]]
+    monkeypatch.setattr(specfun, "_BERNOULLI_EVEN", planted)
+    with pytest.raises(EvaluationError, match="disagrees with the log-Gamma identity"):
+        hurwitz_zeta_ds0(0.25)
+    with pytest.raises(EvaluationError, match=r"at a=0\.1$"):
+        hurwitz_zeta_ds0(np.array([0.1, 0.5]))

@@ -25,10 +25,15 @@ grids are the ``curvature-grid`` benchmark rectangles of the seeds 2401, 301
 and 5 (``perfbench.workloads.CurvatureGrid``, from the worktree's
 ``perfbench``) and a few edge grids: one whose rows are all skipped, one
 whose rows beyond |z| = 10.2 are skipped by the stencil's unresolved guard
-and not by the exclusion disk, and one of n = 2.  It prints one line for the
-reports, one for the calls and one for the grid outputs, each "identical" or
-the first difference (seed, case, call or grid, and both values or the first
-differing byte), and exits 0 when all three are identical, else 1.
+and not by the exclusion disk, and one of n = 2.  Then it compares the CLI's
+value verbs, ``detline zeta-det`` at the chart points of ZETA_POINTS (the
+zero mode -1,0 among them, which exits 1) and ``detline eta`` at the
+offsets of ETA_OFFSETS (one outside (0, 1)): the exit code, the standard
+output and the standard error, byte for byte.  It prints one line for the
+reports, one for the calls, one for the grid outputs and one for the CLI
+values, each "identical" or the first difference (seed, case, call, grid or
+command, and both values or the first differing byte), and exits 0 when all
+four are identical, else 1.
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ EDGE_GRIDS = (
     ("--re", "-1.3:-0.7", "--im", "-0.3:0.3", "--n", "7"),  # rows skipped by the disk
     ("--re", "-0.5:0.5", "--im", "-0.5:0.5", "--n", "2"),
 )
+ZETA_POINTS = ("0,0", "1,0", "0.3,-0.7", "-0.999999,0.000001", "1e150,0", "-1,0")
+ETA_OFFSETS = ("0.25", "0.5", "0.001", "0.937", "1.5")
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 # Run in the fresh interpreter: print the report of one seed as JSON.
@@ -105,6 +112,21 @@ print(json.dumps(outputs))
 """
 
 
+# Run in the fresh interpreter: print, for each command line given as an
+# argument, [command line, exit code, stdout, stderr] of cli.main.
+CLI_VALUES = """
+import contextlib, io, json, sys
+from detline import cli
+outputs = []
+for line in sys.argv[1:]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(line.split())
+    outputs.append([line, code, out.getvalue(), err.getvalue()])
+print(json.dumps(outputs))
+"""
+
+
 def fresh(src: Path, root: Path, script: str, *args: str) -> str:
     """The standard output of script run on the package under src, with the
     perfbench package of the worktree root, in a fresh interpreter that
@@ -144,18 +166,26 @@ def grid_outputs(src: Path, root: Path) -> list:
     return json.loads(fresh(src, root, GRID_OUTPUTS, edges, *map(str, GRID_POOL_SEEDS)))
 
 
-def first_grid_difference(old: list, new: list) -> str | None:
-    """The first grid whose exit code, standard output or file differs
-    between two lists of grid_outputs, with the first differing byte, as
-    one line; None when every output is the same byte for byte."""
+def cli_values(src: Path, root: Path) -> list:
+    """The zeta-det outputs at ZETA_POINTS and the eta outputs at
+    ETA_OFFSETS, on the package under src, from one fresh interpreter."""
+    lines = [f"zeta-det --z {z}" for z in ZETA_POINTS] + [f"eta --a {a}" for a in ETA_OFFSETS]
+    return json.loads(fresh(src, root, CLI_VALUES, *lines))
+
+
+def first_output_difference(old: list, new: list, kind: str, texts: tuple) -> str | None:
+    """The first output whose exit code or texts differ between two lists
+    of [name, exit code, *texts] (grid_outputs: stdout and file;
+    cli_values: stdout and stderr), with the first differing byte, as one
+    line; None when every output is the same byte for byte."""
     for a, b in zip(old, new):
         if a[1] != b[1]:
-            return f"grid {a[0]}: exit code {a[1]} vs {b[1]}"
-        for what, x, y in (("stdout", a[2], b[2]), ("file", a[3], b[3])):
+            return f"{kind} {a[0]}: exit code {a[1]} vs {b[1]}"
+        for what, x, y in zip(texts, a[2:], b[2:]):
             x, y = x.encode(), y.encode()
             if x != y:
                 at = next((i for i, (c, d) in enumerate(zip(x, y)) if c != d), min(len(x), len(y)))
-                return f"grid {a[0]}: {what} byte {at}: {x[at:at + 24]!r} vs {y[at:at + 24]!r}"
+                return f"{kind} {a[0]}: {what} byte {at}: {x[at:at + 24]!r} vs {y[at:at + 24]!r}"
     if len(old) != len(new):
         return f"{len(old)} outputs vs {len(new)}"
     return None
@@ -224,7 +254,12 @@ def main(argv: list[str]) -> int:
                 report_diff = f"differs at seed {seed} ({rev} vs worktree): {diff}"
                 break
         call_diff = first_call_difference(chart_calls(old_src, root), chart_calls(new_src, root))
-        grid_diff = first_grid_difference(grid_outputs(old_src, root), grid_outputs(new_src, root))
+        grid_diff = first_output_difference(
+            grid_outputs(old_src, root), grid_outputs(new_src, root), "grid", ("stdout", "file")
+        )
+        cli_diff = first_output_difference(
+            cli_values(old_src, root), cli_values(new_src, root), "command", ("stdout", "stderr")
+        )
     print(f"reports: {report_diff or 'identical'}")
     if call_diff is not None:
         call_diff = f"differs ({rev} vs worktree) at {call_diff}"
@@ -232,7 +267,11 @@ def main(argv: list[str]) -> int:
     if grid_diff is not None:
         grid_diff = f"differs ({rev} vs worktree) at {grid_diff}"
     print(f"curvature-grid outputs: {grid_diff or 'identical'}")
-    return 0 if report_diff is None and call_diff is None and grid_diff is None else 1
+    if cli_diff is not None:
+        cli_diff = f"differs ({rev} vs worktree) at {cli_diff}"
+    print(f"cli values: {cli_diff or 'identical'}")
+    diffs = (report_diff, call_diff, grid_diff, cli_diff)
+    return 0 if all(diff is None for diff in diffs) else 1
 
 
 if __name__ == "__main__":
